@@ -3,9 +3,10 @@
 An algebra is stored as an orthonormal basis (Hilbert-Schmidt inner
 product) of a subspace of the n^2-dimensional matrix space, which turns
 algebra comparisons and intersections into numerically stable projection
-arithmetic.  Commutants are joint kernels of Sylvester maps; the kernels
-are extracted from a single normal matrix so one eigendecomposition does
-the whole job even for large bases.
+arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
+``linalg.commutant_kernel`` from a single normal matrix so one
+eigendecomposition does the whole job even for large bases; the same
+kernel serves the Schur test in ``reps``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep, average_conjugation
 
 _CLOSURE_RESIDUAL = 1e-9
-_EIGENVALUE_GAP = 1e-8
 _MAX_RESAMPLES = 8
 
 
@@ -107,10 +107,6 @@ class StarAlgebra:
         scale = max(frob(np.asarray(a)), 1.0)
         return self.membership_residual(a) <= tol.rank_threshold(scale)
 
-    def project_matrix(self, a: np.ndarray) -> np.ndarray:
-        v = np.asarray(a, dtype=np.complex128).reshape(-1)
-        return self._subspace.project(v).reshape(self.ambient_dim, self.ambient_dim)
-
     def coordinates(self, a: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt coefficients of ``a`` in the basis."""
         flat = self.basis.reshape(self.dim, -1)
@@ -125,9 +121,9 @@ class StarAlgebra:
     def contains_algebra(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.contains(other._subspace, tol)
 
-    def subspace_hash(self, decimals: int = 6) -> bytes:
-        """Hash of the rounded orthogonal projector; basis independent."""
-        p = np.round(self._subspace.projector(), decimals) + 0.0
+    def subspace_hash(self) -> bytes:
+        """Hash of the projector rounded to 6 decimals; basis independent."""
+        p = np.round(self._subspace.projector(), 6) + 0.0
         return p.tobytes()
 
     # -- internal ------------------------------------------------------------
@@ -206,34 +202,13 @@ def group_image_algebra(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> StarAl
 # commutants
 
 
-def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
-    """Normal matrix sum_i L_i* L_i of the maps L_i: X -> B_i X - X B_i.
-
-    Expanding the Kronecker form of L_i (row-major vec) gives
-
-        L_i* L_i = (B_i* B_i) x I  +  I x conj(B_i B_i*)
-                   - B_i* x B_i^T  -  B_i x conj(B_i),
-
-    and the cross terms collapse to one dense matmul over the family.
-    """
-    k, n, _ = mats.shape
-    bd = mats.conj().transpose(0, 2, 1)
-    p1 = np.einsum("iab,ibc->ac", bd, mats)   # sum B*B
-    p2 = np.einsum("iab,ibc->ac", mats, bd)   # sum BB*
-    z = bd.reshape(k, n * n).T @ mats.transpose(0, 2, 1).reshape(k, n * n)
-    x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    eye = np.eye(n, dtype=np.complex128)
-    return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
-
-
 def commutant_of_matrices(mats, ambient_dim: int,
                           tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """All matrices commuting with every element of the given family."""
     mats = np.asarray(mats, dtype=np.complex128).reshape(-1, ambient_dim, ambient_dim)
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
-    scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    kernel = linalg.kernel_of_gram(_sylvester_gram(mats), tol, scale=scale)
+    kernel = linalg.commutant_kernel(mats, tol)
     basis = kernel.T.reshape(-1, ambient_dim, ambient_dim)
     return StarAlgebra(ambient_dim, basis, tol=tol)
 
@@ -291,21 +266,20 @@ class BlockStructure:
         return sum(n * m for n, m in self.blocks)
 
 
-def _central_split(m: StarAlgebra, z: StarAlgebra, rng, tol: Tolerance):
-    """Spectral projections of a generic Hermitian central element."""
-    n = m.ambient_dim
+def _generic_split(algebra: StarAlgebra, parts: int, rng, tol: Tolerance):
+    """Spectral blocks of a generic Hermitian element of the algebra.
+
+    Redraws until the element has exactly ``parts`` distinct eigenvalues;
+    fewer means two components collided in this draw.
+    """
     for _ in range(_MAX_RESAMPLES):
-        coeff = rng.standard_normal(z.dim) + 1j * rng.standard_normal(z.dim)
-        c = z.from_coordinates(coeff)
-        c = c + dagger(c)
-        w, v = linalg.hermitian_eig(c, tol)
-        edges = np.nonzero(np.diff(w) > _EIGENVALUE_GAP)[0]
-        bounds = [0, *(e + 1 for e in edges), n]
-        if len(bounds) - 1 != z.dim:
-            continue  # eigenvalue collision between central components
-        return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+        coeff = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+        c = algebra.from_coordinates(coeff)
+        pieces = linalg.spectral_blocks(c + dagger(c), tol)
+        if len(pieces) == parts:
+            return pieces
     raise CenterSplitFailed(
-        f"could not separate {z.dim} central components after {_MAX_RESAMPLES} draws"
+        f"could not separate {parts} spectral components after {_MAX_RESAMPLES} draws"
     )
 
 
@@ -329,23 +303,15 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     if mult == 1:
         isoms = [np.eye(r, dtype=np.complex128)]
     else:
-        for _ in range(_MAX_RESAMPLES):
-            coeff = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
-            t = comm.from_coordinates(coeff)
-            t = t + dagger(t)
-            w, v = linalg.hermitian_eig(t, tol)
-            edges = np.nonzero(np.diff(w) > _EIGENVALUE_GAP)[0]
-            bounds = [0, *(e + 1 for e in edges), r]
-            if len(bounds) - 1 == mult and all(
-                bounds[i + 1] - bounds[i] == block_dim for i in range(mult)
-            ):
-                isoms = [v[:, bounds[i]:bounds[i + 1]] for i in range(mult)]
-                break
-        else:
-            raise CenterSplitFailed("could not separate multiplicity copies")
+        isoms = _generic_split(comm, mult, rng, tol)
+        if any(q.shape[1] != block_dim for q in isoms):
+            raise CenterSplitFailed(
+                f"multiplicity copies of sizes {[q.shape[1] for q in isoms]}, "
+                f"expected {block_dim} each"
+            )
 
     # restricted actions on each copy; align copies to the first one
-    act = [np.einsum("ij,kjl,lm->kim", dagger(q), basis, q) for q in isoms]
+    act = [linalg.compress(basis, q) for q in isoms]
     columns = np.zeros((r, block_dim, mult), dtype=np.complex128)
     columns[:, :, 0] = isoms[0]
     for j in range(1, mult):
@@ -389,13 +355,13 @@ def block_structure(m: StarAlgebra, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = m.ambient_dim
     z = center(m, tol)
-    pieces = _central_split(m, z, rng, tol) if z.dim > 1 else [
+    pieces = _generic_split(z, z.dim, rng, tol) if z.dim > 1 else [
         np.eye(n, dtype=np.complex128)
     ]
 
     found = []
     for q in pieces:
-        compressed = np.einsum("ij,kjl,lm->kim", dagger(q), m.basis, q)
+        compressed = linalg.compress(m.basis, q)
         span = Subspace.from_span(
             compressed.reshape(m.dim, -1), q.shape[1] ** 2, tol
         )

@@ -53,14 +53,6 @@ class GaloisReport:
         return len(set(ids)) == len(ids)
 
 
-def subgroup_span(sigma: rp.UnitaryRep, subgroup: Subgroup,
-                  tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of the flattened irrep matrices over the subgroup's members."""
-    mats = sigma.matrices[list(subgroup.members)]
-    return Subspace.from_span(mats.reshape(len(subgroup.members), -1),
-                              sigma.dim ** 2, tol)
-
-
 @dataclass(frozen=True)
 class SubgroupEquivalence:
     classes: tuple  # tuple of tuples of subgroup indices
@@ -187,7 +179,10 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
 
     # equivalence classes over Sigma' and collision candidates versus full Sigma
     eq_present = subgroup_equivalence(group, subgroups, properness.present, tol)
-    eq_full = subgroup_equivalence(group, subgroups, None, tol)
+    if properness.missing:
+        eq_full = subgroup_equivalence(group, subgroups, None, tol)
+    else:
+        eq_full = eq_present  # Sigma' is already every irrep
     report.equivalence_classes = [list(c) for c in eq_present.classes]
     full_class_of = {}
     for ci, cls in enumerate(eq_full.classes):

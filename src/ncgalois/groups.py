@@ -163,9 +163,6 @@ class Subgroup:
     def contains(self, other: "Subgroup") -> bool:
         return set(other.members) <= set(self.members)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __le__(self, other: "Subgroup") -> bool:
         return other.contains(self)
 
@@ -285,12 +282,6 @@ def delta(group: FiniteGroup, a: int) -> np.ndarray:
     v = np.zeros(group.order, dtype=np.complex128)
     v[a] = 1.0
     return v
-
-
-def haar_average(group: FiniteGroup, x) -> complex:
-    """(1/order) * sum_g x(g)."""
-    (x,) = _check_parent(group, x)
-    return complex(np.sum(x) / group.order)
 
 
 # ---------------------------------------------------------------------------

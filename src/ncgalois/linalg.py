@@ -23,6 +23,9 @@ from .errors import (
     NotPositiveDefinite,
 )
 
+# eigenvalues of a generic Hermitian closer than this belong to one block
+_EIGENVALUE_GAP = 1e-8
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -265,7 +268,52 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Eigenvector blocks of a Hermitian matrix, one per eigenvalue cluster.
+
+    A new block starts wherever consecutive ascending eigenvalues differ by
+    more than the collision gap.  Applied to a generic Hermitian element of
+    a commutant or center, this is the split step of the randomized
+    decomposition (Dixon, Math. Comp. 1970).
+    """
+    w, v = hermitian_eig(h, tol)
+    edges = np.nonzero(np.diff(w) > _EIGENVALUE_GAP)[0]
+    bounds = [0, *(e + 1 for e in edges), len(w)]
+    return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+
+
+def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
+    """Normal matrix sum_i L_i* L_i of the maps L_i: X -> B_i X - X B_i.
+
+    Expanding the Kronecker form of L_i (row-major vec) gives
+
+        L_i* L_i = (B_i* B_i) x I  +  I x conj(B_i B_i*)
+                   - B_i* x B_i^T  -  B_i x conj(B_i),
+
+    and the cross terms collapse to one dense matmul over the family.
+    """
+    k, n, _ = mats.shape
+    bd = mats.conj().transpose(0, 2, 1)
+    p1 = np.einsum("iab,ibc->ac", bd, mats)   # sum B*B
+    p2 = np.einsum("iab,ibc->ac", mats, bd)   # sum BB*
+    z = bd.reshape(k, n * n).T @ mats.transpose(0, 2, 1).reshape(k, n * n)
+    x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    eye = np.eye(n, dtype=np.complex128)
+    return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
+
+
+def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Joint kernel of the Sylvester maps X -> B X - X B over a matrix stack.
+
+    Returns the row-major vecs of a commutant basis as columns.  The gram
+    is built in its own function so that its n^2 x n^2 intermediates are
+    freed before the eigendecomposition allocates its workspace.
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
+    return kernel_of_gram(_sylvester_gram(mats), tol, scale=scale)
+
+
+def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q* B q for every B in the stack: the restriction to range(q)."""
+    return np.einsum("ij,kjl,lm->kim", dagger(q), stack, q)

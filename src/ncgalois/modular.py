@@ -37,11 +37,6 @@ from .ncprob import State
 # realification helpers
 
 
-def realify_linear(m: np.ndarray) -> np.ndarray:
-    """Real 2d x 2d form of x -> M x on stacked (Re, Im) parts."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
-
 def realify_antilinear(m: np.ndarray) -> np.ndarray:
     """Real 2d x 2d form of the anti-linear x -> M conj(x)."""
     return np.block([[m.real, m.imag], [m.imag, -m.real]])
@@ -78,9 +73,6 @@ class GNSSpace:
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         return self.algebra.coordinates(a)
-
-    def matrix_of(self, x: np.ndarray) -> np.ndarray:
-        return self.algebra.from_coordinates(x)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of X -> a X on coordinates."""
@@ -176,9 +168,6 @@ class ModularData:
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         return apply_antilinear(self.s_conj, x)
-
-    def apply_f(self, x: np.ndarray) -> np.ndarray:
-        return apply_antilinear(self.f_conj, x)
 
     def apply_j(self, x: np.ndarray) -> np.ndarray:
         return apply_antilinear(self.j_conj, x)

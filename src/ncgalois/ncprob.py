@@ -77,19 +77,6 @@ class State:
         return all(frob(u @ self.density - self.density @ u) <= tol for u in mats)
 
 
-@dataclass(frozen=True)
-class NCProbSpace:
-    """A matrix algebra together with a faithful state on its space."""
-
-    algebra: StarAlgebra
-    state: State
-
-    def __post_init__(self):
-        if self.algebra.ambient_dim != self.state.dim:
-            raise ParentMismatch("state and algebra act on different spaces")
-        self.state.require_faithful()
-
-
 def average_state(psi: State, rep: UnitaryRep) -> State:
     """Group average of a state; the result is invariant under the action.
 

@@ -28,7 +28,6 @@ from .errors import (
 from .groups import FiniteGroup
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
 
-_EIGENVALUE_GAP = 1e-8
 _CHARACTER_MATCH = 1e-8
 _MAX_RESAMPLES = 8
 _TABLE_SEED = 0x5EED
@@ -175,26 +174,11 @@ def average_conjugation(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# commutant dimension (local helper; the algebras module has the full story)
-
-
-def _commutant_kernel(matrices: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Kernel of X -> (B X - X B)_i over the given matrices, via the normal matrix."""
-    mats = np.asarray(matrices, dtype=np.complex128)
-    k, n, _ = mats.shape
-    bd = mats.conj().transpose(0, 2, 1)
-    p1 = np.einsum("iab,ibc->ac", bd, mats)
-    p2 = np.einsum("iab,ibc->ac", mats, bd)
-    z = bd.reshape(k, n * n).T @ mats.transpose(0, 2, 1).reshape(k, n * n)
-    x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    eye = np.eye(n, dtype=np.complex128)
-    gram = np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
-    scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    return linalg.kernel_of_gram(gram, tol, scale=scale)
+# commutant dimension (the algebras module has the full story)
 
 
 def commutant_dimension(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> int:
-    return _commutant_kernel(rep.matrices, tol).shape[1]
+    return linalg.commutant_kernel(rep.matrices, tol).shape[1]
 
 
 def is_irreducible(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -206,10 +190,6 @@ def is_irreducible(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> bool:
 # splitting into irreducible invariant subspaces
 
 
-def _restricted(mats: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,gjk,kl->gil", dagger(q), mats, q)
-
-
 def _split_once(mats: np.ndarray, rng: np.random.Generator, tol: Tolerance):
     """Split C^k into invariant eigenspaces of an averaged random Hermitian."""
     k = mats.shape[1]
@@ -217,11 +197,7 @@ def _split_once(mats: np.ndarray, rng: np.random.Generator, tol: Tolerance):
     for _ in range(_MAX_RESAMPLES):
         h = linalg.random_hermitian(k, rng)
         t = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / group_size
-        w, v = linalg.hermitian_eig(t, tol)
-        # group eigenvalues separated by more than the collision gap
-        edges = np.nonzero(np.diff(w) > _EIGENVALUE_GAP)[0]
-        bounds = [0, *(e + 1 for e in edges), k]
-        pieces = [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+        pieces = linalg.spectral_blocks(t, tol)
         if len(pieces) == 1:
             continue  # collision or unlucky sample; try again
         ok = all(
@@ -243,8 +219,8 @@ def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TO
     stack = [np.eye(rep.dim, dtype=np.complex128)]
     while stack:
         q = stack.pop()
-        sub = _restricted(rep.matrices, q)
-        if _commutant_kernel(sub, tol).shape[1] == 1:
+        sub = linalg.compress(rep.matrices, q)
+        if linalg.commutant_kernel(sub, tol).shape[1] == 1:
             out.append(q)
             continue
         for piece in _split_once(sub, rng, tol):
@@ -300,7 +276,7 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     pieces = invariant_isometries(reg, _TABLE_SEED, tol)
     reps_by_char = []
     for q in pieces:
-        mats = _restricted(reg.matrices, q)
+        mats = linalg.compress(reg.matrices, q)
         chi = np.einsum("gii->g", mats)
         for chi0, _ in reps_by_char:
             if np.max(np.abs(chi0 - chi)) < _CHARACTER_MATCH:
@@ -339,9 +315,6 @@ class Decomposition:
     blocks: tuple  # of (irrep index, multiplicity)
     intertwiner: np.ndarray  # unitary; conjugation gives exact canonical blocks
 
-    def block_dims(self) -> list:
-        return [self.table.irreps[i].dim for i, m in self.blocks for _ in range(m)]
-
 
 def _align_to_irrep(sub_mats: np.ndarray, target: UnitaryRep, rng,
                     tol: Tolerance) -> np.ndarray:
@@ -376,7 +349,7 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
     pieces = invariant_isometries(rep, seed, tol)
     labelled = []
     for q in pieces:
-        sub = _restricted(rep.matrices, q)
+        sub = linalg.compress(rep.matrices, q)
         chi = np.einsum("gii->g", sub)
         idx = table.index_of_character(chi)
         w = _align_to_irrep(sub, table.irreps[idx], rng, tol)

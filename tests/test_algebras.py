@@ -3,7 +3,9 @@ import pytest
 
 from ncgalois import groups, reps
 from ncgalois.algebras import (
+    _MAX_RESAMPLES,
     StarAlgebra,
+    _generic_split,
     algebra_from_generators,
     averaging_projection,
     bicommutant_check,
@@ -16,8 +18,13 @@ from ncgalois.algebras import (
     is_factor,
     relative_commutant,
 )
-from ncgalois.errors import ClosureFailed, NotContained, NotInvariantAlgebra
-from ncgalois.linalg import dagger, frob
+from ncgalois.errors import (
+    CenterSplitFailed,
+    ClosureFailed,
+    NotContained,
+    NotInvariantAlgebra,
+)
+from ncgalois.linalg import DEFAULT_TOL, dagger, frob
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +138,17 @@ def test_block_structure_with_multiplicity(s3):
     assert structure.blocks == ((1, 1), (1, 1), (2, 2))
     assert structure.total_dim == 6
     assert block_structure_residual(reg_alg, structure) < 1e-9
+
+
+def test_generic_split_gives_up_after_max_resamples():
+    # every element of the scalars has one eigenvalue, so no draw can split
+    rng = np.random.default_rng(11)
+    with pytest.raises(CenterSplitFailed):
+        _generic_split(StarAlgebra.scalars(3), 2, rng, DEFAULT_TOL)
+    # each draw takes a real and an imaginary coordinate
+    replay = np.random.default_rng(11)
+    replay.standard_normal(2 * _MAX_RESAMPLES)
+    assert rng.standard_normal() == replay.standard_normal()
 
 
 def test_fixed_point_trivial_subgroup(s3_perm, s3):

@@ -217,3 +217,34 @@ def test_byte_determinism_across_runs_and_threads(workspace, tmp_path):
     )
     outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The BLAS pin in main() only works if importing the CLI loads no numpy."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncgalois.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_byte_determinism_across_threads_s4(tmp_path):
+    """S4 regular (24x24) is large enough for threaded BLAS to change the bytes."""
+    s4 = groups.symmetric_group(4)
+    with open(tmp_path / "s4_reg.json", "w") as fh:
+        json.dump(reporting.rep_to_json(reps.regular_rep(s4)), fh)
+    spec = write_spec(tmp_path, "det_s4.json", {"representation": "s4_reg.json"})
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"det-s4-{threads}.json"
+        env = dict(os.environ,
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncgalois.cli", "galois", spec,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

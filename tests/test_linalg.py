@@ -8,6 +8,7 @@ from ncgalois.linalg import (
     hermitian_eig,
     matrix_imaginary_power,
     nullspace,
+    spectral_blocks,
     subspace_contains,
     subspace_equal,
 )
@@ -131,3 +132,18 @@ def test_subspace_intersection(rng):
     inter = a.intersect(b)
     assert inter.dim == 1
     assert abs(np.abs(inter.basis[1, 0]) - 1.0) < 1e-12
+
+
+def test_spectral_blocks_cut_at_eigenvalue_gaps():
+    h = np.diag([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
+    blocks = spectral_blocks(h)
+    assert [b.shape[1] for b in blocks] == [2, 1, 3]
+    for value, b in zip((0.0, 1.0, 2.0), blocks):
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(b.shape[1]), atol=1e-14)
+        np.testing.assert_allclose(h @ b, value * b, atol=1e-14)
+
+
+def test_spectral_blocks_of_scalar_is_one_block():
+    blocks = spectral_blocks(3.0 * np.eye(4))
+    assert len(blocks) == 1
+    assert blocks[0].shape == (4, 4)
