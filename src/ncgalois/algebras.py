@@ -6,7 +6,10 @@ algebra comparisons and intersections into numerically stable projection
 arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
 ``linalg.commutant_kernel`` from a single normal matrix so one
 eigendecomposition does the whole job even for large bases; the same
-kernel serves the Schur test in ``reps``.
+kernel serves the Schur test in ``reps``.  Commutants of *-closed
+families and fixed-point algebras are solved on the block-diagonal
+subspace of a seeded Hermitian element (``linalg.star_split``) instead of
+all n^2 coordinates.
 """
 
 from __future__ import annotations
@@ -204,18 +207,40 @@ def group_image_algebra(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> StarAl
 
 def commutant_of_matrices(mats, ambient_dim: int,
                           tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """All matrices commuting with every element of the given family."""
+    """All matrices commuting with every element of the given family.
+
+    The kernel is reduced to a block-diagonal subspace only when the span
+    of the family is closed under adjoints; otherwise the full Sylvester
+    gram is solved.
+    """
     mats = np.asarray(mats, dtype=np.complex128).reshape(-1, ambient_dim, ambient_dim)
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
-    kernel = linalg.commutant_kernel(mats, tol)
-    basis = kernel.T.reshape(-1, ambient_dim, ambient_dim)
-    return StarAlgebra(ambient_dim, basis, tol=tol)
+    return _commutant(mats, _is_star_closed(mats, tol), tol)
+
+
+def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
+    """Whether the adjoint of every matrix lies in the span of the family."""
+    k, n, _ = mats.shape
+    span = Subspace.from_span(mats.reshape(k, -1), n * n, tol)
+    adj = mats.conj().transpose(0, 2, 1).reshape(k, -1).T
+    norms = np.linalg.norm(adj, axis=0)
+    return span.residual(adj[:, norms > 0] / norms[norms > 0]) <= _CLOSURE_RESIDUAL
+
+
+def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
+    n = mats.shape[1]
+    kernel = linalg.commutant_kernel(mats, tol, star_closed=star_closed)
+    return StarAlgebra(n, kernel.T.reshape(-1, n, n), tol=tol)
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """The commutant algebra; closure axioms hold automatically and are re-verified."""
-    return commutant_of_matrices(a.basis, a.ambient_dim, tol)
+    """The commutant algebra; closure axioms hold automatically and are re-verified.
+
+    A *-algebra's basis spans a *-closed space (verified at construction),
+    so the kernel is always solved on the reduced block-diagonal subspace.
+    """
+    return _commutant(a.basis, True, tol)
 
 
 def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -323,25 +348,25 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
 
 
 def _module_intertwiner(action_a, action_b, rng) -> np.ndarray:
-    """Unitary s with action_a[k] @ s == s @ action_b[k] for all k (Schur case)."""
-    k, d, _ = action_a.shape
-    stacked = np.zeros((k * d * d, d * d), dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
-    for i in range(k):
-        stacked[i * d * d:(i + 1) * d * d] = (
-            np.kron(action_a[i], eye) - np.kron(eye, action_b[i].T)
-        )
-    kernel = linalg.nullspace(stacked).basis
-    if kernel.shape[1] != 1:
-        raise DecompositionFailed(
-            f"intertwiner space has dimension {kernel.shape[1]}, expected 1"
-        )
-    s = kernel[:, 0].reshape(d, d)
-    gram = dagger(s) @ s
-    scale = float(gram[0, 0].real)
-    if scale <= 0 or frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
-        raise DecompositionFailed("intertwiner is not a multiple of a unitary")
-    return s / np.sqrt(scale)
+    """Unitary s with action_a[k] @ s == s @ action_b[k] for all k (Schur case).
+
+    The actions are two equivalent irreducible images of one basis of a
+    full matrix algebra, so X -> sum_k A_k X B_k* maps every X onto the
+    one-dimensional intertwiner space; a random X hits it almost surely.
+    """
+    d = action_a.shape[1]
+    adj_b = action_b.conj().transpose(0, 2, 1)
+    for _ in range(_MAX_RESAMPLES):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        s = np.sum(action_a @ x @ adj_b, axis=0)
+        gram = dagger(s) @ s
+        scale = float(gram[0, 0].real)
+        if scale < 1e-10:
+            continue
+        if frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
+            raise DecompositionFailed("intertwiner is not a multiple of a unitary")
+        return s / np.sqrt(scale)
+    raise DecompositionFailed("averaged intertwiner vanished repeatedly")
 
 
 def block_structure(m: StarAlgebra, seed: int = 0,
@@ -399,29 +424,29 @@ def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float
 # fixed-point algebras and averaging
 
 
-def _action_projector(rep: UnitaryRep, members) -> np.ndarray:
-    """Matrix of A -> average of U_h A U_h* over the members, on vec(A)."""
-    mats = rep.matrices[list(members)]
-    acc = np.zeros((rep.dim ** 2, rep.dim ** 2), dtype=np.complex128)
-    for u in mats:
-        acc += np.kron(u, u.conj())
-    return acc / len(mats)
-
-
 def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                         tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Elements of M invariant under conjugation by the subgroup's unitaries.
 
-    Equals the range of the averaging projection intersected with M; the
-    action is checked to preserve M first.
+    Equals the fixed space of the averaging projection intersected with M;
+    the action is checked to preserve M first.  When M is full the fixed
+    space is the commutant of U(H), whose dimension must equal the
+    character inner product (1/|H|) sum_h |chi_U(h)|^2 (Serre, section 2.3).
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     _check_invariance(m, rep, subgroup.members, tol)
-    proj = _action_projector(rep, subgroup.members)
-    w, v = linalg.hermitian_eig(proj, tol)
-    fixed = Subspace(rep.dim ** 2, v[:, w > 0.5])
-    if not m.is_full:
+    mats = rep.matrices[list(subgroup.members)]
+    fixed = Subspace(rep.dim ** 2, linalg.invariant_kernel(mats, tol))
+    if m.is_full:
+        chi = np.trace(mats, axis1=1, axis2=2)
+        expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
+        if abs(fixed.dim - expected) > 1e-6:
+            raise DecompositionFailed(
+                f"fixed-point algebra has dimension {fixed.dim}, "
+                f"the character formula gives {expected:.6g}"
+            )
+    else:
         fixed = fixed.intersect(m.subspace(), tol)
     basis = fixed.basis.T.reshape(-1, rep.dim, rep.dim)
     return StarAlgebra(rep.dim, basis, tol=tol)

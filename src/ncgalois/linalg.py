@@ -25,6 +25,8 @@ from .errors import (
 
 # eigenvalues of a generic Hermitian closer than this belong to one block
 _EIGENVALUE_GAP = 1e-8
+# every star_split draws from a generator with this seed, so results repeat
+_SPLIT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,9 @@ def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
 def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
     """Normal matrix sum_i L_i* L_i of the maps L_i: X -> B_i X - X B_i.
 
+    This is the unreduced n^2 x n^2 form, the reference that the tests
+    hold ``commutant_kernel`` against.
+
     Expanding the Kronecker form of L_i (row-major vec) gives
 
         L_i* L_i = (B_i* B_i) x I  +  I x conj(B_i B_i*)
@@ -302,16 +307,130 @@ def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
     return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
 
 
-def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def star_split(stack, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Spectral blocks of h = b + b* for a seeded random combination b of the stack.
+
+    The span of the stack must be closed under adjoints.  Then every X
+    that commutes with the whole stack commutes with b and b*, hence with
+    h, and so preserves each eigenspace V_j of h: the commutant lies in
+    the block-diagonal subspace sum_j V_j M_{e_j} V_j*.  This holds for
+    every draw; a generic draw makes the blocks small (Murota, Kanno,
+    Kojima and Kojima, JJIAM 2010).
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    rng = np.random.default_rng(_SPLIT_SEED)
+    k = stack.shape[0]
+    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    b = np.tensordot(coeff, stack, axes=1)
+    h = b + dagger(b)
+    # at unit norm the absolute collision gap of spectral_blocks is far
+    # above the rounding of h, so no true eigenspace is cut
+    return spectral_blocks(h / max(frob(h), 1.0), tol)
+
+
+def _block_classes(blocks):
+    """Blocks as one unitary plus index arrays, grouped by block size.
+
+    Coordinates of the block-diagonal subspace are ordered by size class,
+    then block, then row-major entry (p, q) inside the block.
+    """
+    v = np.hstack(blocks)
+    bounds = np.cumsum([0] + [q.shape[1] for q in blocks])
+    by_size: dict = {}
+    for j, q in enumerate(blocks):
+        by_size.setdefault(q.shape[1], []).append(np.arange(bounds[j], bounds[j + 1]))
+    return v, [(e, np.array(idx)) for e, idx in sorted(by_size.items())]
+
+
+def _conjugation_sum(rot: np.ndarray, classes) -> np.ndarray:
+    """sum_i kron(R_i, conj R_i) restricted to the block-diagonal coordinates.
+
+    On row-major vecs, kron(R, conj R) is the map Y -> R Y R*.  Each pair
+    of size classes is one batched matmul over the stack, so no n^2 x n^2
+    array is formed.
+    """
+    k = rot.shape[0]
+    rows = []
+    for ea, ia in classes:
+        row = []
+        for eb, ib in classes:
+            na, nb = len(ia), len(ib)
+            a = rot[:, ia[:, :, None, None], ib[None, None, :, :]]
+            a = a.transpose(1, 3, 0, 2, 4).reshape(na * nb, k, ea * eb)
+            z = a.transpose(0, 2, 1) @ a.conj()
+            z = z.reshape(na, nb, ea, eb, ea, eb).transpose(0, 2, 4, 1, 3, 5)
+            row.append(z.reshape(na * ea * ea, nb * eb * eb))
+        rows.append(row)
+    return np.block(rows)
+
+
+def _lift(y: np.ndarray, v: np.ndarray, classes) -> np.ndarray:
+    """Row-major vecs of V Y V* for block-diagonal coordinate columns y."""
+    n, c = v.shape[0], y.shape[1]
+    out = np.zeros((c, n, n), dtype=np.complex128)
+    at = 0
+    for e, ia in classes:
+        size = len(ia) * e * e
+        blk = y[at:at + size].T.reshape(c, len(ia), e, e)
+        vj = v[:, ia]
+        out += np.einsum("nJp,cJpq,mJq->cnm", vj, blk, vj.conj(), optimize=True)
+        at += size
+    return out.reshape(c, n * n).T
+
+
+def _reduced_sylvester_gram(rot: np.ndarray, classes) -> np.ndarray:
+    """``_sylvester_gram`` of the rotated stack on the block-diagonal coordinates."""
+    rot_adj = rot.conj().transpose(0, 2, 1)
+    x = _conjugation_sum(rot_adj, classes)
+    p1 = np.sum(rot_adj @ rot, axis=0)   # sum R*R
+    p2 = np.sum(rot @ rot_adj, axis=0)   # sum RR*
+    gram = -x - dagger(x)
+    at = 0
+    for e, ia in classes:
+        eye = np.eye(e, dtype=np.complex128)
+        for idx in ia:
+            blk = np.ix_(idx, idx)
+            gram[at:at + e * e, at:at + e * e] += (
+                np.kron(p1[blk], eye) + np.kron(eye, p2[blk].conj())
+            )
+            at += e * e
+    return gram
+
+
+def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
+                     star_closed: bool = True) -> np.ndarray:
     """Joint kernel of the Sylvester maps X -> B X - X B over a matrix stack.
 
-    Returns the row-major vecs of a commutant basis as columns.  The gram
-    is built in its own function so that its n^2 x n^2 intermediates are
-    freed before the eigendecomposition allocates its workspace.
+    Returns the row-major vecs of a commutant basis as columns.  When the
+    span of the stack is closed under adjoints, the kernel is solved only
+    on the block-diagonal subspace of ``star_split``, whose dimension is
+    sum_j e_j^2 instead of n^2.  ``star_closed=False`` uses the trivial
+    split h = 1, that is the full n^2 x n^2 gram.
     """
     mats = np.asarray(mats, dtype=np.complex128)
+    n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    return kernel_of_gram(_sylvester_gram(mats), tol, scale=scale)
+    blocks = star_split(mats, tol) if star_closed else [np.eye(n, dtype=np.complex128)]
+    v, classes = _block_classes(blocks)
+    rot = dagger(v) @ mats @ v
+    return _lift(kernel_of_gram(_reduced_sylvester_gram(rot, classes), tol, scale=scale),
+                 v, classes)
+
+
+def invariant_kernel(unitaries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Row-major vecs of the X with U X U* = X for every unitary of the stack.
+
+    The stack must be closed under adjoints (a subgroup image).  The
+    fixed space is the kernel of 1 - P, with P the average of the maps
+    X -> U X U*; like ``commutant_kernel`` it is solved on the
+    block-diagonal subspace of ``star_split``, which P maps into itself.
+    """
+    unitaries = np.asarray(unitaries, dtype=np.complex128)
+    v, classes = _block_classes(star_split(unitaries, tol))
+    rot = dagger(v) @ unitaries @ v
+    proj = _conjugation_sum(rot, classes) / unitaries.shape[0]
+    gap = np.eye(proj.shape[0], dtype=np.complex128) - proj
+    return _lift(kernel_of_gram(gap, tol, scale=1.0), v, classes)
 
 
 def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:

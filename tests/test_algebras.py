@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncgalois import groups, reps
+from ncgalois import groups, linalg, reps
 from ncgalois.algebras import (
     _MAX_RESAMPLES,
     StarAlgebra,
@@ -13,6 +13,7 @@ from ncgalois.algebras import (
     block_structure_residual,
     center,
     commutant,
+    commutant_of_matrices,
     fixed_point_algebra,
     group_image_algebra,
     is_factor,
@@ -21,6 +22,7 @@ from ncgalois.algebras import (
 from ncgalois.errors import (
     CenterSplitFailed,
     ClosureFailed,
+    DecompositionFailed,
     NotContained,
     NotInvariantAlgebra,
 )
@@ -76,6 +78,13 @@ def test_commutant_of_s3_image(s3_perm_algebra):
     assert c.dim == 2
     assert c.contains_matrix(np.eye(3) / np.sqrt(3))
     assert c.contains_matrix(np.ones((3, 3)) / 3.0)
+
+
+def test_commutant_of_non_star_closed_family_is_not_reduced():
+    # the Jordan block's commutant span{1, J} is not *-closed; reducing by
+    # a split of J + J* would wrongly return only the scalars
+    with pytest.raises(ClosureFailed):
+        commutant_of_matrices([[[0, 1], [0, 0]]], 2)
 
 
 def test_commutant_is_order_reversing(s3_perm_algebra):
@@ -171,6 +180,24 @@ def test_fixed_point_sign_action():
     m = StarAlgebra.full(2)
     fixed = fixed_point_algebra(m, rep, groups.Subgroup(z2, (0, 1)))
     assert fixed.equals(StarAlgebra.diagonal(2))
+
+
+def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypatch):
+    # cutting one eigenspace of the split in two drops commutant elements
+    # that mix its halves, so the dimension misses the character count
+    reg = reps.regular_rep(s3)
+    honest = linalg.star_split
+
+    def cut(stack, tol=DEFAULT_TOL):
+        blocks = honest(stack, tol)
+        j = max(range(len(blocks)), key=lambda i: blocks[i].shape[1])
+        return blocks[:j] + [blocks[j][:, :1], blocks[j][:, 1:]] + blocks[j + 1:]
+
+    top = groups.Subgroup(s3, tuple(range(6)))
+    assert fixed_point_algebra(StarAlgebra.full(6), reg, top).dim == 6
+    monkeypatch.setattr(linalg, "star_split", cut)
+    with pytest.raises(DecompositionFailed, match="dimension 4.*gives 6"):
+        fixed_point_algebra(StarAlgebra.full(6), reg, top)
 
 
 def test_fixed_point_requires_invariance(s3_perm, s3):

@@ -146,3 +146,24 @@ def test_mode_detection_spatial():
     assert report.mode == "spatial"
     dims = {r.subgroup.members: r.fixed_dim for r in report.rows}
     assert dims == {(0,): 2, (0, 1): 1}
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_galois_verdicts_survive_a_unitary_change_of_basis(name):
+    # metamorphic: conjugating the regular representation by a seeded
+    # random unitary must change no dimension, class or verdict
+    group = groups.FIXTURE_GROUPS[name]()
+    reg = reps.regular_rep(group)
+    rng = np.random.default_rng(41)
+    q, r = np.linalg.qr(rng.standard_normal((group.order,) * 2)
+                        + 1j * rng.standard_normal((group.order,) * 2))
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    turned = reps.UnitaryRep(group, w @ reg.matrices @ w.conj().T)
+
+    m = StarAlgebra.full(group.order)
+    plain = galois.galois_map(m, reg, group)
+    rotated = galois.galois_map(m, turned, group)
+    assert not plain.violations and not rotated.violations
+    assert [r.fixed_dim for r in rotated.rows] == [r.fixed_dim for r in plain.rows]
+    assert rotated.equivalence_classes == plain.equivalence_classes
+    assert (rotated.proper, rotated.injective) == (plain.proper, plain.injective)

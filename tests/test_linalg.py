@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ncgalois import linalg
+from ncgalois import groups, linalg, modular, reps
+from ncgalois.algebras import StarAlgebra, algebra_from_generators
 from ncgalois.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
 from ncgalois.linalg import (
     Subspace,
@@ -12,6 +13,7 @@ from ncgalois.linalg import (
     subspace_contains,
     subspace_equal,
 )
+from ncgalois.ncprob import State
 
 
 def test_eig_already_diagonal():
@@ -147,3 +149,64 @@ def test_spectral_blocks_of_scalar_is_one_block():
     blocks = spectral_blocks(3.0 * np.eye(4))
     assert len(blocks) == 1
     assert blocks[0].shape == (4, 4)
+
+
+def _same_span(a: np.ndarray, b: np.ndarray) -> bool:
+    sa, sb = Subspace(a.shape[0], a), Subspace(b.shape[0], b)
+    return sa.dim == sb.dim and max(
+        sa.containment_residual(sb), sb.containment_residual(sa)
+    ) < 1e-9
+
+
+def _random_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _star_closed_stacks():
+    rng = np.random.default_rng(31)
+    stacks = []
+    for n, k in ((3, 1), (4, 2), (5, 1)):
+        gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for _ in range(k)]
+        stacks.append(pytest.param(algebra_from_generators(gens, n).basis,
+                                   id=f"generated-n{n}-k{k}"))
+    diag = StarAlgebra.from_span(
+        [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])], 4)
+    stacks.append(pytest.param(diag.basis, id="generated-two-blocks"))
+    w = _random_unitary(6, rng)
+    reg = reps.regular_rep(groups.symmetric_group(3)).matrices
+    stacks.append(pytest.param(w @ reg @ w.conj().T, id="conjugated-s3-regular"))
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho = a @ a.conj().T + 0.1 * np.eye(3)
+    space = modular.gns(StarAlgebra.full(3), State(rho / np.trace(rho).real))
+    left = np.array([space.left_mult_matrix(b) for b in space.algebra.basis])
+    stacks.append(pytest.param(left, id="modular-left-multiplications"))
+    return stacks
+
+
+@pytest.mark.parametrize("stack", _star_closed_stacks())
+def test_commutant_kernel_equals_full_gram_kernel(stack):
+    # the unreduced Sylvester gram is the reference for the block-diagonal one
+    scale = float(np.sqrt(np.sum(np.abs(stack) ** 2)))
+    reference = linalg.kernel_of_gram(linalg._sylvester_gram(stack), scale=scale)
+    assert reference.shape[1] >= 1
+    assert _same_span(linalg.commutant_kernel(stack), reference)
+    assert _same_span(linalg.commutant_kernel(stack, star_closed=False), reference)
+
+
+def test_invariant_kernel_is_the_commutant_of_a_group_image():
+    w = _random_unitary(8, np.random.default_rng(5))
+    mats = w @ reps.regular_rep(groups.dihedral_group(4)).matrices @ w.conj().T
+    reference = linalg.kernel_of_gram(linalg._sylvester_gram(mats), scale=1.0)
+    assert reference.shape[1] == 8
+    assert _same_span(linalg.invariant_kernel(mats), reference)
+
+
+def test_star_split_of_regular_image_shrinks_to_sum_of_cubes():
+    # a generic element of the S3 regular image has each irrep's d
+    # eigenvalues with multiplicity d: sum_j e_j^2 = sum_d d^3 = 1 + 1 + 8 of 36
+    blocks = linalg.star_split(reps.regular_rep(groups.symmetric_group(3)).matrices)
+    assert sorted(q.shape[1] for q in blocks) == [1, 1, 2, 2]
+    v = np.hstack(blocks)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
