@@ -124,11 +124,6 @@ class StarAlgebra:
     def contains_algebra(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.contains(other._subspace, tol)
 
-    def subspace_hash(self) -> bytes:
-        """Hash of the projector rounded to 6 decimals; basis independent."""
-        p = np.round(self._subspace.projector(), 6) + 0.0
-        return p.tobytes()
-
     # -- internal ------------------------------------------------------------
     def _batch_membership_residual(self, rows: np.ndarray) -> float:
         """Worst distance of the given row vectors from the span."""
@@ -143,18 +138,18 @@ class StarAlgebra:
         eye = np.eye(n, dtype=np.complex128)
         if self.membership_residual(eye) > _CLOSURE_RESIDUAL * np.sqrt(n):
             raise ClosureFailed("identity matrix is not in the span")
-        adj = b.conj().transpose(0, 2, 1).reshape(k, n * n)
+        adj = dagger(b).reshape(k, n * n)
         res = self._batch_membership_residual(adj)
         if res > _CLOSURE_RESIDUAL:
             raise ClosureFailed(f"not closed under adjoints, residual {res:.3e}")
         # all pairwise products when affordable, a seeded sample otherwise
         if k * k <= 1024:
-            prods = np.einsum("aij,bjk->abik", b, b).reshape(k * k, n * n)
+            prods = (b[:, None] @ b[None]).reshape(k * k, n * n)
         else:
             rng = np.random.default_rng(0)
             left = rng.integers(0, k, size=256)
             right = rng.integers(0, k, size=256)
-            prods = np.einsum("aij,ajk->aik", b[left], b[right]).reshape(-1, n * n)
+            prods = (b[left] @ b[right]).reshape(-1, n * n)
         res = self._batch_membership_residual(prods)
         if res > _CLOSURE_RESIDUAL:
             raise ClosureFailed(f"not closed under products, residual {res:.3e}")
@@ -188,7 +183,7 @@ def algebra_from_generators(generators, ambient_dim: int,
     gen_stack = np.array(gens)
     for _ in range(n * n + 1):
         basis = span.basis.T.reshape(-1, n, n)
-        words = np.einsum("aij,bjk->abik", basis, gen_stack).reshape(-1, n * n)
+        words = (basis[:, None] @ gen_stack[None]).reshape(-1, n * n)
         grown = Subspace.from_span(np.vstack([span.basis.T, words]), n * n, tol)
         if grown.dim == span.dim:
             return StarAlgebra(n, grown.basis.T.reshape(-1, n, n), tol=tol)
@@ -223,7 +218,7 @@ def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
     """Whether the adjoint of every matrix lies in the span of the family."""
     k, n, _ = mats.shape
     span = Subspace.from_span(mats.reshape(k, -1), n * n, tol)
-    adj = mats.conj().transpose(0, 2, 1).reshape(k, -1).T
+    adj = dagger(mats).reshape(k, -1).T
     norms = np.linalg.norm(adj, axis=0)
     return span.residual(adj[:, norms > 0] / norms[norms > 0]) <= _CLOSURE_RESIDUAL
 
@@ -253,11 +248,11 @@ def relative_commutant(a: StarAlgebra, m: StarAlgebra,
     """A' intersected with M, re-closed as an algebra."""
     if a.ambient_dim != m.ambient_dim:
         raise DimensionMismatch("algebras live on different spaces")
+    if m.is_full:
+        return commutant(a, tol)
     if not m.contains_algebra(a, tol):
         raise NotContained("first algebra is not contained in the second")
     c = commutant(a, tol)
-    if m.is_full:
-        return c
     inter = c.subspace().intersect(m.subspace(), tol)
     basis = inter.basis.T.reshape(-1, a.ambient_dim, a.ambient_dim)
     return StarAlgebra(a.ambient_dim, basis, tol=tol)
@@ -355,10 +350,10 @@ def _module_intertwiner(action_a, action_b, rng) -> np.ndarray:
     one-dimensional intertwiner space; a random X hits it almost surely.
     """
     d = action_a.shape[1]
-    adj_b = action_b.conj().transpose(0, 2, 1)
+    adj_b = dagger(action_b)
     for _ in range(_MAX_RESAMPLES):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        s = np.sum(action_a @ x @ adj_b, axis=0)
+        s = linalg.sandwich_sum(action_a, x, adj_b)
         gram = dagger(s) @ s
         scale = float(gram[0, 0].real)
         if scale < 1e-10:
@@ -404,10 +399,8 @@ def block_structure(m: StarAlgebra, seed: int = 0,
 
 def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float:
     """How far conjugated basis elements are from exact block-kron form."""
-    u = structure.unitary
     worst = 0.0
-    for b in m.basis:
-        c = dagger(u) @ b @ u
+    for c in linalg.compress(m.basis, structure.unitary):
         at = 0
         rebuilt = np.zeros_like(c)
         for bd, mu in structure.blocks:
@@ -456,8 +449,7 @@ def _check_invariance(m: StarAlgebra, rep: UnitaryRep, members, tol: Tolerance) 
     if m.is_full:
         return
     for h in members:
-        u = rep.matrices[h]
-        moved = np.einsum("ij,kjl,lm->kim", u, m.basis, dagger(u))
+        moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
         res = float(
             np.max([m.membership_residual(x) for x in moved])
         )

@@ -229,7 +229,7 @@ def _cmd_decompose(spec, seed, tol, load_json_field, resolve):
     import numpy as np
 
     from . import reps
-    from .linalg import dagger, frob
+    from .linalg import compress, dagger, frob
 
     _check_fields(spec, ["representation"])
     rep = _load_rep(spec, load_json_field, resolve)
@@ -239,8 +239,7 @@ def _cmd_decompose(spec, seed, tol, load_json_field, resolve):
 
     table = dec.table
     worst = 0.0
-    for g in range(rep.group.order):
-        c = dagger(u) @ rep.matrices[g] @ u
+    for g, c in enumerate(compress(rep.matrices, u)):
         at = 0
         expected = np.zeros_like(c)
         for idx, mult in dec.blocks:

@@ -22,13 +22,17 @@ from .groups import FiniteGroup, Subgroup, enumerate_subgroups
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 
 _RESIDUAL_BOUND = 1e-9
+# fingerprints of equal subspaces agree far closer than this, relative to the probe
+_FINGERPRINT_MATCH = 1e-6
+# the interning probe is drawn from a generator with this seed
+_PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
 class GaloisRow:
     subgroup: Subgroup
     fixed_dim: int
-    fixed_id: int                 # intern id; equal ids <=> equal subspace hash
+    fixed_id: int                 # intern id; equal ids <=> Subspace.equals
     bicommutant_ok: bool
     bicommutant_residual: float
 
@@ -103,6 +107,32 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
     return SubgroupEquivalence(tuple(classes))
 
 
+class _Interner:
+    """Ids of subspaces up to ``Subspace.equals``, in order of first appearance.
+
+    A candidate must have the same dimension and nearly the same
+    fingerprint P r, the projection of one seeded probe r, which costs
+    O(n^2 d) and does not depend on the basis; ``Subspace.equals`` then
+    confirms the match, so no rounding boundary can split equal subspaces.
+    """
+
+    def __init__(self, ambient_dim: int, tol: Tolerance = DEFAULT_TOL):
+        rng = np.random.default_rng(_PROBE_SEED)
+        self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
+        self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self._probe)
+        self._tol = tol
+        self._seen: list = []   # (fingerprint, subspace) of each id
+
+    def id_of(self, space: Subspace) -> int:
+        fp = space.project(self._probe)
+        for i, (fp0, space0) in enumerate(self._seen):
+            if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
+                    and space.equals(space0, self._tol)):
+                return i
+        self._seen.append((fp, space))
+        return len(self._seen) - 1
+
+
 def _detect_mode(m: StarAlgebra, pi: rp.UnitaryRep, tol: Tolerance) -> str:
     inside = all(m.contains_matrix(u, tol) for u in pi.matrices)
     return "inner" if inside else "spatial"
@@ -116,8 +146,8 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
     ``mode="inner"`` tests the double relative commutant identity
     ``(M^H)'' cap M twice == M^H``; ``mode="spatial"`` tests the plain
     double commutant.  ``"auto"`` picks "inner" exactly when every action
-    unitary lies in M.  Fixed algebras are interned by a rounded projector
-    hash, so distinctness checks are exact set operations on ids.
+    unitary lies in M.  Fixed algebras are interned by ``Subspace.equals``
+    (``_Interner``), so distinctness checks are exact set operations on ids.
     """
     if pi.group != group:
         raise ValueError("representation and group disagree")
@@ -138,11 +168,10 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
         missing=properness.missing,
     )
 
-    interned: dict = {}
+    interner = _Interner(m.ambient_dim ** 2, tol)
     for sub in subgroups:
         fixed = alg.fixed_point_algebra(m, pi, sub, tol)
-        key = fixed.subspace_hash()
-        fixed_id = interned.setdefault(key, len(interned))
+        fixed_id = interner.id_of(fixed.subspace())
         if mode == "inner":
             once = alg.relative_commutant(fixed, m, tol)
             twice = alg.relative_commutant(once, m, tol)

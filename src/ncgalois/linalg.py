@@ -70,7 +70,8 @@ def opnorm(a: np.ndarray) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -298,7 +299,7 @@ def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
     and the cross terms collapse to one dense matmul over the family.
     """
     k, n, _ = mats.shape
-    bd = mats.conj().transpose(0, 2, 1)
+    bd = dagger(mats)
     p1 = np.einsum("iab,ibc->ac", bd, mats)   # sum B*B
     p2 = np.einsum("iab,ibc->ac", mats, bd)   # sum BB*
     z = bd.reshape(k, n * n).T @ mats.transpose(0, 2, 1).reshape(k, n * n)
@@ -380,7 +381,7 @@ def _lift(y: np.ndarray, v: np.ndarray, classes) -> np.ndarray:
 
 def _reduced_sylvester_gram(rot: np.ndarray, classes) -> np.ndarray:
     """``_sylvester_gram`` of the rotated stack on the block-diagonal coordinates."""
-    rot_adj = rot.conj().transpose(0, 2, 1)
+    rot_adj = dagger(rot)
     x = _conjugation_sum(rot_adj, classes)
     p1 = np.sum(rot_adj @ rot, axis=0)   # sum R*R
     p2 = np.sum(rot @ rot_adj, axis=0)   # sum RR*
@@ -412,7 +413,7 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
     blocks = star_split(mats, tol) if star_closed else [np.eye(n, dtype=np.complex128)]
     v, classes = _block_classes(blocks)
-    rot = dagger(v) @ mats @ v
+    rot = compress(mats, v)
     return _lift(kernel_of_gram(_reduced_sylvester_gram(rot, classes), tol, scale=scale),
                  v, classes)
 
@@ -427,12 +428,21 @@ def invariant_kernel(unitaries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     unitaries = np.asarray(unitaries, dtype=np.complex128)
     v, classes = _block_classes(star_split(unitaries, tol))
-    rot = dagger(v) @ unitaries @ v
+    rot = compress(unitaries, v)
     proj = _conjugation_sum(rot, classes) / unitaries.shape[0]
     gap = np.eye(proj.shape[0], dtype=np.complex128) - proj
     return _lift(kernel_of_gram(gap, tol, scale=1.0), v, classes)
 
 
 def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """q* B q for every B in the stack: the restriction to range(q)."""
-    return np.einsum("ij,kjl,lm->kim", dagger(q), stack, q)
+    """q* B q for every B in the stack: the restriction to range(q).
+
+    With a unitary u, ``compress(stack, dagger(u))`` is the conjugation
+    u B u* of every element.
+    """
+    return dagger(q) @ stack @ q
+
+
+def sandwich_sum(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k L_k X R_k over two stacks: group averages and intertwiner sums."""
+    return np.sum(left @ x @ right, axis=0)

@@ -25,6 +25,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    compress,
     dagger,
     frob,
     matrix_imaginary_power,
@@ -94,7 +95,7 @@ def gns(m: StarAlgebra, phi: State, tol: Tolerance = DEFAULT_TOL) -> GNSSpace:
     basis = m.basis
     rho = phi.density
     # gram[i, j] = phi(B_i* B_j) = sum rho[a,b] conj(B_i[c,b]) B_j[c,a]
-    gram = np.einsum("ab,icb,jca->ij", rho, basis.conj(), basis)
+    gram = np.einsum("ab,icb,jca->ij", rho, basis.conj(), basis, optimize=True)
     w = np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)
     if w[0] <= 1e-12 * max(1.0, float(w[-1])):
         raise NotFaithful(
@@ -311,7 +312,7 @@ def tomita_takesaki_residuals(md: ModularData, t_grid=(-2.0, -1.0, -0.3, 0.0, 0.
     flow_res = 0.0
     for t in t_grid:
         u = md.delta_power(1j * t)
-        moved = np.einsum("ij,kjl,lm->kim", u, left, dagger(u))
+        moved = compress(left, dagger(u))
         moved_span = Subspace.from_span(moved.reshape(d, -1), d * d, tol)
         flow_res = max(
             flow_res,

@@ -17,7 +17,7 @@ from . import algebras as alg
 from .algebras import StarAlgebra
 from .errors import NotAState, NotFaithful, ParentMismatch
 from .groups import Subgroup
-from .linalg import DEFAULT_TOL, Tolerance, dagger, frob, opnorm
+from .linalg import DEFAULT_TOL, Tolerance, dagger, frob, opnorm, sandwich_sum
 from .reps import UnitaryRep
 
 _FAITHFUL_EPS = 1e-10
@@ -88,7 +88,7 @@ def average_state(psi: State, rep: UnitaryRep) -> State:
     if psi.dim != rep.dim:
         raise ParentMismatch("state dimension does not match the representation")
     mats = rep.matrices
-    rho = np.einsum("gji,jk,gkl->il", mats.conj(), psi.density, mats) / rep.group.order
+    rho = sandwich_sum(dagger(mats), psi.density, mats) / rep.group.order
     return State(rho)
 
 
@@ -100,7 +100,7 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     """
     a = np.asarray(a, dtype=np.complex128)
     mats = rep.matrices[list(subgroup.members)]
-    return np.einsum("gij,jk,glk->il", mats, a, mats.conj()) / subgroup.order
+    return sandwich_sum(mats, a, dagger(mats)) / subgroup.order
 
 
 @dataclass

@@ -64,7 +64,7 @@ class UnitaryRep:
         if frob(mats[g.identity] - eye) > 1e-8:
             raise NotAHomomorphism("identity element does not map to identity matrix")
         # matrices[a] @ matrices[b] == matrices[a*b] for all pairs
-        prod = np.einsum("aij,bjk->abik", mats, mats)
+        prod = mats[:, None] @ mats[None]
         expected = mats[g.mult]
         err = float(np.max(np.abs(prod - expected)))
         if err > 1e-8:
@@ -78,9 +78,7 @@ class UnitaryRep:
 
     def conjugated(self, u: np.ndarray) -> "UnitaryRep":
         """The equivalent representation u* . rep(g) . u."""
-        ud = dagger(u)
-        return UnitaryRep(self.group, np.einsum("ij,gjk,kl->gil", ud, self.matrices, u),
-                          check=False)
+        return UnitaryRep(self.group, linalg.compress(self.matrices, u), check=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -144,14 +142,14 @@ def unitarize(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> Uni
     for i, m in enumerate(mats):
         if abs(np.linalg.det(m)) < 1e-12:
             raise SingularMatrix(f"matrix for element {i} is singular")
-    prod = np.einsum("aij,bjk->abik", mats, mats)
+    prod = mats[:, None] @ mats[None]
     err = float(np.max(np.abs(prod - mats[group.mult])))
     if err > 1e-8:
         raise NotAHomomorphism(f"homomorphism violated, residual {err:.3e}")
     gram = np.einsum("gji,gjk->ik", mats.conj(), mats) / group.order
     root = linalg.matrix_real_power(gram, 0.5, tol)
     root_inv = linalg.matrix_real_power(gram, -0.5, tol)
-    return UnitaryRep(group, np.einsum("ij,gjk,kl->gil", root, mats, root_inv))
+    return UnitaryRep(group, root @ mats @ root_inv)
 
 
 def weyl_operator(rep: UnitaryRep, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -170,7 +168,8 @@ def weyl_operator(rep: UnitaryRep, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
 
 def average_conjugation(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     """(1/order) sum_g U_g a U_g*; lands in the commutant of the image."""
-    return np.einsum("gij,jk,glk->il", rep.matrices, a, rep.matrices.conj()) / rep.group.order
+    mats = rep.matrices
+    return linalg.sandwich_sum(mats, a, dagger(mats)) / rep.group.order
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +195,13 @@ def _split_once(mats: np.ndarray, rng: np.random.Generator, tol: Tolerance):
     group_size = mats.shape[0]
     for _ in range(_MAX_RESAMPLES):
         h = linalg.random_hermitian(k, rng)
-        t = np.einsum("gij,jk,glk->il", mats, h, mats.conj()) / group_size
+        t = linalg.sandwich_sum(mats, h, dagger(mats)) / group_size
         pieces = linalg.spectral_blocks(t, tol)
         if len(pieces) == 1:
             continue  # collision or unlucky sample; try again
         ok = all(
-            max(frob(m @ q - q @ (dagger(q) @ m @ q)) for m in mats) < 1e-9 * k
+            np.max(np.linalg.norm(mats @ q - q @ linalg.compress(mats, q), axis=(1, 2)))
+            < 1e-9 * k
             for q in pieces
         )
         if ok:
@@ -324,7 +324,7 @@ def _align_to_irrep(sub_mats: np.ndarray, target: UnitaryRep, rng,
     tgt_inv = target.matrices[target.group.inverse]
     for _ in range(_MAX_RESAMPLES):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        w = np.einsum("gij,jk,gkl->il", sub_mats, x, tgt_inv) / group_size
+        w = linalg.sandwich_sum(sub_mats, x, tgt_inv) / group_size
         gram = dagger(w) @ w
         scale = gram[0, 0].real
         if scale < 1e-10:

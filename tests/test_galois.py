@@ -167,3 +167,27 @@ def test_galois_verdicts_survive_a_unitary_change_of_basis(name):
     assert [r.fixed_dim for r in rotated.rows] == [r.fixed_dim for r in plain.rows]
     assert rotated.equivalence_classes == plain.equivalence_classes
     assert (rotated.proper, rotated.injective) == (plain.proper, plain.injective)
+
+
+
+def test_interning_joins_equal_algebras_across_a_rounding_boundary():
+    # A = span{e, 1 - e}, e the projection onto (cos theta, sin theta); its
+    # projector entry P[0, 0] = cos^4 + sin^4 = 1 - sin^2(2 theta) / 2 is put
+    # just above 0.7500005.  B is A conjugated by exp(i eps H), H = -sigma_y,
+    # the rotation by eps = 1e-11, which lowers that entry just below it.
+    target = 0.7500005 + 4e-12
+    theta = np.arcsin(np.sqrt(2.0 * (1.0 - target))) / 2.0
+    v = np.array([np.cos(theta), np.sin(theta)])
+    e = np.outer(v, v)
+    a = StarAlgebra.from_span([e, np.eye(2) - e], 2)
+    eps = 1e-11
+    u = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
+    b = StarAlgebra.from_span(u @ a.basis @ u.conj().T, 2)
+    pa, pb = a.subspace().projector(), b.subspace().projector()
+    assert np.round(pa, 6)[0, 0] != np.round(pb, 6)[0, 0]
+    assert a.equals(b)
+
+    diagonal = StarAlgebra.diagonal(2)
+    interner = galois._Interner(4)
+    ids = [interner.id_of(x.subspace()) for x in (a, b, diagonal, b)]
+    assert ids == [0, 0, 1, 0]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,3 +213,56 @@ def test_star_split_of_regular_image_shrinks_to_sum_of_cubes():
     assert sorted(q.shape[1] for q in blocks) == [1, 1, 2, 2]
     v = np.hstack(blocks)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
+
+
+def test_dagger_of_a_stack_is_the_adjoint_of_each_matrix(rng):
+    stack = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    adj = linalg.dagger(stack)
+    assert adj.shape == (4, 5, 3)
+    for k in range(4):
+        for i in range(5):
+            for j in range(3):
+                assert adj[k, i, j] == np.conj(stack[k, j, i])
+
+
+def test_compress_with_an_isometry(rng):
+    # q is 5x2 with orthonormal columns; each B becomes the 2x2 matrix q* B q
+    q, _ = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    out = linalg.compress(stack, q)
+    assert out.shape == (3, 2, 2)
+    for k in range(3):
+        for i in range(2):
+            for j in range(2):
+                ref = sum(np.conj(q[a, i]) * stack[k, a, b] * q[b, j]
+                          for a in range(5) for b in range(5))
+                assert abs(out[k, i, j] - ref) <= 1e-12
+
+
+def test_sandwich_sum_is_the_sum_of_products(rng):
+    left = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    right = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    out = linalg.sandwich_sum(left, x, right)
+    assert out.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            ref = sum(left[k, i, a] * x[a, b] * right[k, b, j]
+                      for k in range(4) for a in range(2) for b in range(5))
+            assert abs(out[i, j] - ref) <= 1e-12
+
+
+def test_no_unplanned_many_operand_einsum_in_the_package():
+    # numpy runs an einsum of three or more operands without a contraction
+    # path as one loop over every index; such products belong in linalg
+    # (compress, sandwich_sum) or need optimize=
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and len(node.args) - 1 >= 3
+                    and not any(kw.arg == "optimize" for kw in node.keywords)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
