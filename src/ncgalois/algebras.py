@@ -6,10 +6,13 @@ algebra comparisons and intersections into numerically stable projection
 arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
 ``linalg.commutant_kernel`` from a single normal matrix so one
 eigendecomposition does the whole job even for large bases; the same
-kernel serves the Schur test in ``reps``.  Commutants of *-closed
-families and fixed-point algebras are solved on the block-diagonal
-subspace of a seeded Hermitian element (``linalg.star_split``) instead of
-all n^2 coordinates.
+kernel serves the Schur test in ``reps``.  A fixed-point algebra is the
+commutant of the subgroup image, so it takes the same kernel.  Commutants
+of *-closed families are solved on the block-diagonal subspace of a
+seeded Hermitian element (``linalg.star_split``) instead of all n^2
+coordinates.  Membership and closure are measured by projection residuals
+of the algebra's ``Subspace``, and multiplicity copies are aligned by
+``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from .errors import (
     NotInvariantAlgebra,
 )
 from .groups import Subgroup
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
+from .linalg import _MAX_RESAMPLES, DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep, average_conjugation
 
 _CLOSURE_RESIDUAL = 1e-9
-_MAX_RESAMPLES = 8
 
 
 class StarAlgebra:
@@ -54,21 +56,19 @@ class StarAlgebra:
         self.ambient_dim = int(ambient_dim)
         self.basis = b
         self.basis.setflags(write=False)
-        self._flat = b.reshape(b.shape[0], -1)
-        self._flat_conj_t = self._flat.conj().T
-        self._subspace = Subspace(ambient_dim * ambient_dim, self._flat.T)
+        self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(b.shape[0], -1).T)
         if verify:
             self._verify_closure(tol)
 
     # -- construction ------------------------------------------------------
     @staticmethod
-    def from_span(matrices, ambient_dim: int, verify: bool = True,
+    def from_span(matrices, ambient_dim: int,
                   tol: Tolerance = DEFAULT_TOL) -> "StarAlgebra":
         mats = np.asarray(matrices, dtype=np.complex128).reshape(-1, ambient_dim,
                                                                  ambient_dim)
         span = Subspace.from_span(mats.reshape(mats.shape[0], -1), ambient_dim ** 2, tol)
         basis = span.basis.T.reshape(-1, ambient_dim, ambient_dim)
-        return StarAlgebra(ambient_dim, basis, verify=verify, tol=tol)
+        return StarAlgebra(ambient_dim, basis, tol=tol)
 
     @staticmethod
     def full(ambient_dim: int) -> "StarAlgebra":
@@ -103,8 +103,7 @@ class StarAlgebra:
 
     # -- membership ----------------------------------------------------------
     def membership_residual(self, a: np.ndarray) -> float:
-        v = np.asarray(a, dtype=np.complex128).reshape(-1)
-        return float(np.linalg.norm(v - self._subspace.project(v)))
+        return self._subspace.residual(np.asarray(a, dtype=np.complex128).reshape(-1))
 
     def contains_matrix(self, a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         scale = max(frob(np.asarray(a)), 1.0)
@@ -125,21 +124,12 @@ class StarAlgebra:
         return self._subspace.contains(other._subspace, tol)
 
     # -- internal ------------------------------------------------------------
-    def _batch_membership_residual(self, rows: np.ndarray) -> float:
-        """Worst distance of the given row vectors from the span."""
-        if rows.shape[0] == 0:
-            return 0.0
-        coords = rows @ self._flat_conj_t
-        rest = rows - coords @ self._flat
-        return float(np.sqrt(np.einsum("ij,ij->i", rest, rest.conj()).real.max()))
-
     def _verify_closure(self, tol: Tolerance) -> None:
         n, b, k = self.ambient_dim, self.basis, self.dim
         eye = np.eye(n, dtype=np.complex128)
         if self.membership_residual(eye) > _CLOSURE_RESIDUAL * np.sqrt(n):
             raise ClosureFailed("identity matrix is not in the span")
-        adj = dagger(b).reshape(k, n * n)
-        res = self._batch_membership_residual(adj)
+        res = self._subspace.residual(dagger(b).reshape(k, n * n).T)
         if res > _CLOSURE_RESIDUAL:
             raise ClosureFailed(f"not closed under adjoints, residual {res:.3e}")
         # all pairwise products when affordable, a seeded sample otherwise
@@ -150,7 +140,7 @@ class StarAlgebra:
             left = rng.integers(0, k, size=256)
             right = rng.integers(0, k, size=256)
             prods = (b[left] @ b[right]).reshape(-1, n * n)
-        res = self._batch_membership_residual(prods)
+        res = self._subspace.residual(prods.T)
         if res > _CLOSURE_RESIDUAL:
             raise ClosureFailed(f"not closed under products, residual {res:.3e}")
 
@@ -335,33 +325,11 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     columns = np.zeros((r, block_dim, mult), dtype=np.complex128)
     columns[:, :, 0] = isoms[0]
     for j in range(1, mult):
-        s = _module_intertwiner(act[j], act[0], rng)
+        s = linalg.intertwiner(act[j], act[0], rng)
         columns[:, :, j] = isoms[j] @ s
     # carrier index (a, j) with a slow: conjugation gives kron(A, eye(mult))
     unitary = columns.reshape(r, block_dim * mult)
     return block_dim, mult, unitary
-
-
-def _module_intertwiner(action_a, action_b, rng) -> np.ndarray:
-    """Unitary s with action_a[k] @ s == s @ action_b[k] for all k (Schur case).
-
-    The actions are two equivalent irreducible images of one basis of a
-    full matrix algebra, so X -> sum_k A_k X B_k* maps every X onto the
-    one-dimensional intertwiner space; a random X hits it almost surely.
-    """
-    d = action_a.shape[1]
-    adj_b = dagger(action_b)
-    for _ in range(_MAX_RESAMPLES):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        s = linalg.sandwich_sum(action_a, x, adj_b)
-        gram = dagger(s) @ s
-        scale = float(gram[0, 0].real)
-        if scale < 1e-10:
-            continue
-        if frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
-            raise DecompositionFailed("intertwiner is not a multiple of a unitary")
-        return s / np.sqrt(scale)
-    raise DecompositionFailed("averaged intertwiner vanished repeatedly")
 
 
 def block_structure(m: StarAlgebra, seed: int = 0,
@@ -421,16 +389,17 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                         tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Elements of M invariant under conjugation by the subgroup's unitaries.
 
-    Equals the fixed space of the averaging projection intersected with M;
-    the action is checked to preserve M first.  When M is full the fixed
-    space is the commutant of U(H), whose dimension must equal the
+    U X U* = X for a unitary U exactly when X commutes with U, so the fixed
+    space of the whole matrix algebra is the commutant U(H)' of the subgroup
+    image, intersected with M when M is not full; the action is checked to
+    preserve M first.  When M is full the dimension must equal the
     character inner product (1/|H|) sum_h |chi_U(h)|^2 (Serre, section 2.3).
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     _check_invariance(m, rep, subgroup.members, tol)
     mats = rep.matrices[list(subgroup.members)]
-    fixed = Subspace(rep.dim ** 2, linalg.invariant_kernel(mats, tol))
+    fixed = Subspace(rep.dim ** 2, linalg.commutant_kernel(mats, tol))
     if m.is_full:
         chi = np.trace(mats, axis1=1, axis2=2)
         expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DecompositionFailed,
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
@@ -27,6 +28,8 @@ from .errors import (
 _EIGENVALUE_GAP = 1e-8
 # every star_split draws from a generator with this seed, so results repeat
 _SPLIT_SEED = 0
+# randomized steps (splits, intertwiners) give up after this many draws
+_MAX_RESAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the mutual projection residuals are below tolerance."""
-    return s1.equals(s2, tol)
-
-
-def subspace_contains(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff s2 is contained in s1."""
-    return s1.contains(s2, tol)
-
-
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + dagger(a)) / 2.0
@@ -418,22 +411,6 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
                  v, classes)
 
 
-def invariant_kernel(unitaries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Row-major vecs of the X with U X U* = X for every unitary of the stack.
-
-    The stack must be closed under adjoints (a subgroup image).  The
-    fixed space is the kernel of 1 - P, with P the average of the maps
-    X -> U X U*; like ``commutant_kernel`` it is solved on the
-    block-diagonal subspace of ``star_split``, which P maps into itself.
-    """
-    unitaries = np.asarray(unitaries, dtype=np.complex128)
-    v, classes = _block_classes(star_split(unitaries, tol))
-    rot = compress(unitaries, v)
-    proj = _conjugation_sum(rot, classes) / unitaries.shape[0]
-    gap = np.eye(proj.shape[0], dtype=np.complex128) - proj
-    return _lift(kernel_of_gram(gap, tol, scale=1.0), v, classes)
-
-
 def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q* B q for every B in the stack: the restriction to range(q).
 
@@ -446,3 +423,27 @@ def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
 def sandwich_sum(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k L_k X R_k over two stacks: group averages and intertwiner sums."""
     return np.sum(left @ x @ right, axis=0)
+
+
+def intertwiner(left: np.ndarray, right: np.ndarray, rng) -> np.ndarray:
+    """Unitary s with L_k s = s R_k for all k, for two equivalent irreducible stacks.
+
+    ``left`` and ``right`` are images of one family (a group, or a basis of
+    a full matrix algebra) under two equivalent irreducible actions of
+    dimension d.  Then X -> sum_k L_k X R_k* maps every X into the
+    intertwiner space, which is one-dimensional by Schur's lemma; a random
+    X lands on a nonzero multiple of a unitary almost surely.
+    """
+    d = left.shape[1]
+    right_adj = dagger(right)
+    for _ in range(_MAX_RESAMPLES):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        s = sandwich_sum(left, x, right_adj)
+        gram = dagger(s) @ s
+        scale = float(gram[0, 0].real)
+        if scale < 1e-10:
+            continue
+        if frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
+            raise DecompositionFailed("intertwiner is not a multiple of a unitary")
+        return s / np.sqrt(scale)
+    raise DecompositionFailed("averaged intertwiner vanished repeatedly")

@@ -7,10 +7,8 @@ closed form ``Delta(X) = rho X rho^-1`` for its linear polar part and
 ``J(X) = rho^(1/2) X* rho^(-1/2)`` for the conjugation, and every claimed
 identity is re-verified numerically instead of assumed.
 
-Anti-linear operators are handled in two synchronized pictures: a complex
-matrix ``M`` acting as ``x -> M conj(x)``, convenient for composition,
-and the doubled real form acting on stacked real and imaginary parts,
-which is what gets stored and reported.
+Anti-linear operators are stored in the normal form ``x -> M conj(x)``
+as the complex matrix ``M``, which composes by matrix products.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ from .ncprob import State
 
 
 # ---------------------------------------------------------------------------
-# realification helpers
-
-
-def realify_antilinear(m: np.ndarray) -> np.ndarray:
-    """Real 2d x 2d form of the anti-linear x -> M conj(x)."""
-    return np.block([[m.real, m.imag], [m.imag, -m.real]])
+# anti-linear operators
 
 
 def apply_antilinear(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,9 +130,8 @@ class ModularData:
     """S, F, Delta, J on the GNS coordinates of a full matrix block.
 
     ``delta`` is complex-linear and stored as a complex matrix; the
-    anti-linear trio is stored both as real operators on stacked
-    (Re, Im) coordinates (``*_real``) and as the complex matrices ``M``
-    of the normal form ``x -> M conj(x)`` (``*_conj``).
+    anti-linear trio is stored as the complex matrices ``M`` of the
+    normal form ``x -> M conj(x)`` (``*_conj``).
     """
 
     gns_space: GNSSpace
@@ -148,9 +140,6 @@ class ModularData:
     s_conj: np.ndarray
     f_conj: np.ndarray
     j_conj: np.ndarray
-    s_real: np.ndarray
-    f_real: np.ndarray
-    j_real: np.ndarray
 
     def delta_power(self, z: complex) -> np.ndarray:
         """Complex matrix of Delta^z via the closed form rho^z (x) rho^-z."""
@@ -209,9 +198,6 @@ def tomita(space: GNSSpace, tol: Tolerance = DEFAULT_TOL) -> ModularData:
         s_conj=s_conj,
         f_conj=f_conj,
         j_conj=j_conj,
-        s_real=realify_antilinear(s_conj),
-        f_real=realify_antilinear(f_conj),
-        j_real=realify_antilinear(j_conj),
     )
 
     # the closed forms must satisfy the definitions, not just the algebra

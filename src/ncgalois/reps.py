@@ -26,10 +26,9 @@ from .errors import (
     ZeroVector,
 )
 from .groups import FiniteGroup
-from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
+from .linalg import _MAX_RESAMPLES, DEFAULT_TOL, Tolerance, dagger, frob
 
 _CHARACTER_MATCH = 1e-8
-_MAX_RESAMPLES = 8
 _TABLE_SEED = 0x5EED
 
 
@@ -316,25 +315,6 @@ class Decomposition:
     intertwiner: np.ndarray  # unitary; conjugation gives exact canonical blocks
 
 
-def _align_to_irrep(sub_mats: np.ndarray, target: UnitaryRep, rng,
-                    tol: Tolerance) -> np.ndarray:
-    """Unitary w with w* sub(g) w == target(g) exactly, via averaged intertwiner."""
-    d = target.dim
-    group_size = sub_mats.shape[0]
-    tgt_inv = target.matrices[target.group.inverse]
-    for _ in range(_MAX_RESAMPLES):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        w = linalg.sandwich_sum(sub_mats, x, tgt_inv) / group_size
-        gram = dagger(w) @ w
-        scale = gram[0, 0].real
-        if scale < 1e-10:
-            continue
-        if frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
-            raise DecompositionFailed("intertwiner space is not one-dimensional")
-        return w / np.sqrt(scale)
-    raise DecompositionFailed("averaged intertwiner vanished repeatedly")
-
-
 def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Decompose into canonical irreducible blocks.
 
@@ -352,7 +332,7 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
         sub = linalg.compress(rep.matrices, q)
         chi = np.einsum("gii->g", sub)
         idx = table.index_of_character(chi)
-        w = _align_to_irrep(sub, table.irreps[idx], rng, tol)
+        w = linalg.intertwiner(sub, table.irreps[idx].matrices, rng)
         labelled.append((idx, q @ w))
     labelled.sort(key=lambda t: t[0])
 

@@ -68,6 +68,28 @@ def test_star_algebra_rejects_non_closed_span():
         StarAlgebra.from_span([np.eye(2), unit(2, 0, 1)], 2)
 
 
+def test_star_algebra_rejects_span_without_identity():
+    with pytest.raises(ClosureFailed, match="identity"):
+        StarAlgebra.from_span([np.diag([1.0, 0.0])], 2)
+
+
+def test_star_algebra_rejects_span_not_closed_under_products():
+    # sigma_x sigma_z = -i sigma_y lies outside span{1, sigma_x, sigma_z}
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    with pytest.raises(ClosureFailed, match="products"):
+        StarAlgebra.from_span([np.eye(2), sx, sz], 2)
+
+
+def test_star_algebra_rejects_sampled_products_outside_a_large_span():
+    # 41 basis elements give 41^2 > 1024 pairs, so only a seeded sample of
+    # products is checked; 41 of the 49 dimensions leave products outside
+    rng = np.random.default_rng(23)
+    mats = [np.eye(7)] + [linalg.random_hermitian(7, rng) for _ in range(40)]
+    with pytest.raises(ClosureFailed, match="products"):
+        StarAlgebra.from_span(mats, 7)
+
+
 def test_commutant_of_scalars_and_full():
     assert commutant(StarAlgebra.scalars(3)).dim == 9
     assert commutant(StarAlgebra.full(3)).dim == 1

@@ -6,15 +6,18 @@ import pytest
 
 from ncgalois import groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra, algebra_from_generators
-from ncgalois.errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from ncgalois.errors import (
+    DecompositionFailed,
+    DimensionMismatch,
+    NotHermitian,
+    NotPositiveDefinite,
+)
 from ncgalois.linalg import (
     Subspace,
     hermitian_eig,
     matrix_imaginary_power,
     nullspace,
     spectral_blocks,
-    subspace_contains,
-    subspace_equal,
 )
 from ncgalois.ncprob import State
 
@@ -112,22 +115,22 @@ def test_imaginary_power_rejects_singular():
 def test_subspace_equality_same_plane():
     s1 = Subspace.from_span(np.array([[1, 1, 0], [1, -1, 0]], dtype=complex), 3)
     s2 = Subspace.from_span(np.array([[1, 0, 0], [0, 1, 0]], dtype=complex), 3)
-    assert subspace_equal(s1, s2)
+    assert s1.equals(s2)
     assert s1.equals(s1)
 
 
 def test_subspace_distinct_lines():
     e1 = Subspace.from_span(np.array([[1, 0]], dtype=complex), 2)
     e2 = Subspace.from_span(np.array([[0, 1]], dtype=complex), 2)
-    assert not subspace_equal(e1, e2)
-    assert not subspace_contains(e1, e2)
+    assert not e1.equals(e2)
+    assert not e1.contains(e2)
 
 
 def test_subspace_dimension_mismatch():
     s1 = Subspace.from_span(np.array([[1, 0]], dtype=complex), 2)
     s2 = Subspace.from_span(np.array([[1, 0, 0]], dtype=complex), 3)
     with pytest.raises(DimensionMismatch):
-        subspace_equal(s1, s2)
+        s1.equals(s2)
 
 
 def test_subspace_intersection(rng):
@@ -180,6 +183,9 @@ def _star_closed_stacks():
     w = _random_unitary(6, rng)
     reg = reps.regular_rep(groups.symmetric_group(3)).matrices
     stacks.append(pytest.param(w @ reg @ w.conj().T, id="conjugated-s3-regular"))
+    w = _random_unitary(8, np.random.default_rng(5))
+    reg = reps.regular_rep(groups.dihedral_group(4)).matrices
+    stacks.append(pytest.param(w @ reg @ w.conj().T, id="conjugated-d4-regular"))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = a @ a.conj().T + 0.1 * np.eye(3)
     space = modular.gns(StarAlgebra.full(3), State(rho / np.trace(rho).real))
@@ -198,12 +204,29 @@ def test_commutant_kernel_equals_full_gram_kernel(stack):
     assert _same_span(linalg.commutant_kernel(stack, star_closed=False), reference)
 
 
-def test_invariant_kernel_is_the_commutant_of_a_group_image():
-    w = _random_unitary(8, np.random.default_rng(5))
-    mats = w @ reps.regular_rep(groups.dihedral_group(4)).matrices @ w.conj().T
-    reference = linalg.kernel_of_gram(linalg._sylvester_gram(mats), scale=1.0)
-    assert reference.shape[1] == 8
-    assert _same_span(linalg.invariant_kernel(mats), reference)
+def test_intertwiner_aligns_an_irrep_with_its_conjugate():
+    irrep = reps.irrep_table(groups.symmetric_group(3)).irreps[-1]
+    assert irrep.dim == 2
+    w = _random_unitary(2, np.random.default_rng(17))
+    left, right = irrep.matrices, linalg.compress(irrep.matrices, w)
+    s = linalg.intertwiner(left, right, np.random.default_rng(3))
+    assert linalg.frob(s.conj().T @ s - np.eye(2)) <= 1e-12
+    assert np.max(np.linalg.norm(left @ s - s @ right, axis=(1, 2))) <= 1e-10
+
+
+def test_intertwiner_of_inequivalent_irreps_gives_up_after_max_resamples():
+    # sum_k sign(k) X 1 vanishes for every X, so no draw yields an intertwiner
+    s3 = groups.symmetric_group(3)
+    trivial = reps.trivial_rep(s3)
+    sign = next(r for r in reps.irrep_table(s3).irreps
+                if r.dim == 1 and not np.allclose(r.character(), 1.0))
+    rng = np.random.default_rng(11)
+    with pytest.raises(DecompositionFailed, match="vanished"):
+        linalg.intertwiner(sign.matrices, trivial.matrices, rng)
+    # each draw takes the real and imaginary parts of one 1x1 matrix
+    replay = np.random.default_rng(11)
+    replay.standard_normal(2 * linalg._MAX_RESAMPLES)
+    assert rng.standard_normal() == replay.standard_normal()
 
 
 def test_star_split_of_regular_image_shrinks_to_sum_of_cubes():
