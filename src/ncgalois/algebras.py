@@ -9,10 +9,12 @@ eigendecomposition does the whole job even for large bases; the same
 kernel serves the Schur test in ``reps``.  A fixed-point algebra is the
 commutant of the subgroup image, so it takes the same kernel.  Commutants
 of *-closed families are solved on the block-diagonal subspace of a
-seeded Hermitian element (``linalg.star_split``) instead of all n^2
-coordinates.  Membership and closure are measured by projection residuals
-of the algebra's ``Subspace``, and multiplicity copies are aligned by
-``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
+seeded Hermitian element (``linalg.random_split``) instead of all n^2
+coordinates; the same split of a center and of a multiplicity commutant
+gives the block structure.  Membership and closure are measured by
+projection residuals of the algebra's ``Subspace``, and multiplicity
+copies are aligned by ``linalg.intertwiner``, the finder
+``reps.decompose`` uses too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NotInvariantAlgebra,
 )
 from .groups import Subgroup
-from .linalg import _MAX_RESAMPLES, DEFAULT_TOL, Subspace, Tolerance, dagger, frob
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep, average_conjugation
 
 _CLOSURE_RESIDUAL = 1e-9
@@ -276,23 +278,6 @@ class BlockStructure:
         return sum(n * m for n, m in self.blocks)
 
 
-def _generic_split(algebra: StarAlgebra, parts: int, rng, tol: Tolerance):
-    """Spectral blocks of a generic Hermitian element of the algebra.
-
-    Redraws until the element has exactly ``parts`` distinct eigenvalues;
-    fewer means two components collided in this draw.
-    """
-    for _ in range(_MAX_RESAMPLES):
-        coeff = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-        c = algebra.from_coordinates(coeff)
-        pieces = linalg.spectral_blocks(c + dagger(c), tol)
-        if len(pieces) == parts:
-            return pieces
-    raise CenterSplitFailed(
-        f"could not separate {parts} spectral components after {_MAX_RESAMPLES} draws"
-    )
-
-
 def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     """Unitary taking a factor on C^r to exact kron(M_n, eye_m) form."""
     r = basis.shape[1]
@@ -313,7 +298,7 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     if mult == 1:
         isoms = [np.eye(r, dtype=np.complex128)]
     else:
-        isoms = _generic_split(comm, mult, rng, tol)
+        isoms = linalg.random_split(comm.basis, rng, mult, tol)
         if any(q.shape[1] != block_dim for q in isoms):
             raise CenterSplitFailed(
                 f"multiplicity copies of sizes {[q.shape[1] for q in isoms]}, "
@@ -343,7 +328,7 @@ def block_structure(m: StarAlgebra, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = m.ambient_dim
     z = center(m, tol)
-    pieces = _generic_split(z, z.dim, rng, tol) if z.dim > 1 else [
+    pieces = linalg.random_split(z.basis, rng, z.dim, tol) if z.dim > 1 else [
         np.eye(n, dtype=np.complex128)
     ]
 
@@ -367,18 +352,16 @@ def block_structure(m: StarAlgebra, seed: int = 0,
 
 def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float:
     """How far conjugated basis elements are from exact block-kron form."""
-    worst = 0.0
-    for c in linalg.compress(m.basis, structure.unitary):
-        at = 0
-        rebuilt = np.zeros_like(c)
-        for bd, mu in structure.blocks:
-            size = bd * mu
-            blk = c[at:at + size, at:at + size].reshape(bd, mu, bd, mu)
-            small = np.einsum("ajbj->ab", blk) / mu
-            rebuilt[at:at + size, at:at + size] = np.kron(small, np.eye(mu))
-            at += size
-        worst = max(worst, frob(c - rebuilt))
-    return worst
+    c = linalg.compress(m.basis, structure.unitary)
+    rebuilt = np.zeros_like(c)
+    at = 0
+    for bd, mu in structure.blocks:
+        size = bd * mu
+        blk = c[:, at:at + size, at:at + size].reshape(-1, bd, mu, bd, mu)
+        small = np.einsum("kajbj->kab", blk) / mu
+        rebuilt[:, at:at + size, at:at + size] = np.kron(small, np.eye(mu))
+        at += size
+    return float(np.max(np.linalg.norm(c - rebuilt, axis=(1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +402,7 @@ def _check_invariance(m: StarAlgebra, rep: UnitaryRep, members, tol: Tolerance) 
         return
     for h in members:
         moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
-        res = float(
-            np.max([m.membership_residual(x) for x in moved])
-        )
+        res = m.subspace().residual(moved.reshape(m.dim, -1).T)
         if res > 1e-8:
             raise NotInvariantAlgebra(
                 f"conjugation by element {h} leaves the algebra (residual {res:.3e})"

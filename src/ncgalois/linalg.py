@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CenterSplitFailed,
     DecompositionFailed,
     DimensionMismatch,
     NoConvergence,
@@ -26,7 +27,7 @@ from .errors import (
 
 # eigenvalues of a generic Hermitian closer than this belong to one block
 _EIGENVALUE_GAP = 1e-8
-# every star_split draws from a generator with this seed, so results repeat
+# commutant_kernel splits with a generator of this seed, so results repeat
 _SPLIT_SEED = 0
 # randomized steps (splits, intertwiners) give up after this many draws
 _MAX_RESAMPLES = 8
@@ -65,11 +66,6 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def opnorm(a: np.ndarray) -> float:
-    """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(a, 2))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -123,7 +119,8 @@ def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
     a = as_complex_matrix(a)
     if a.size == 0 or frob(a) == 0.0:
         return Subspace(a.shape[1], np.eye(a.shape[1], dtype=np.complex128))
-    _, s, vh = np.linalg.svd(a)
+    # the reduced SVD already has every row of V* when a is not wide
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cut = tol.rank_threshold(s[0] if s.size else 0.0)
     rank = int(np.sum(s > cut))
     basis = vh[rank:].conj().T
@@ -241,13 +238,17 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        """Intersection via the nullspace of stacked orthogonal complements."""
+        """Intersection from the nullspace of [B1, -B2] under the global rank rule.
+
+        A unit null vector (a, b) has B1 a = B2 b, and since both bases are
+        orthonormal |a| = |b| = 1/sqrt(2); so the vectors (B1 a + B2 b)/sqrt(2)
+        are already an orthonormal basis of the intersection.
+        """
         self._check_ambient(other)
-        n = self.ambient_dim
-        eye = np.eye(n, dtype=np.complex128)
-        gram = (2.0 * eye) - self.projector() - other.projector()
-        kernel = kernel_of_gram(gram, tol, scale=np.sqrt(2.0))
-        return Subspace(n, kernel)
+        null = nullspace(np.hstack([self.basis, -other.basis]), tol).basis
+        d = self.dim
+        joined = self.basis @ null[:d] + other.basis @ null[d:]
+        return Subspace(self.ambient_dim, joined / np.sqrt(2.0))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -257,11 +258,6 @@ class Subspace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + dagger(a)) / 2.0
 
 
 def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -278,48 +274,34 @@ def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
     return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
-def _sylvester_gram(mats: np.ndarray) -> np.ndarray:
-    """Normal matrix sum_i L_i* L_i of the maps L_i: X -> B_i X - X B_i.
-
-    This is the unreduced n^2 x n^2 form, the reference that the tests
-    hold ``commutant_kernel`` against.
-
-    Expanding the Kronecker form of L_i (row-major vec) gives
-
-        L_i* L_i = (B_i* B_i) x I  +  I x conj(B_i B_i*)
-                   - B_i* x B_i^T  -  B_i x conj(B_i),
-
-    and the cross terms collapse to one dense matmul over the family.
-    """
-    k, n, _ = mats.shape
-    bd = dagger(mats)
-    p1 = np.einsum("iab,ibc->ac", bd, mats)   # sum B*B
-    p2 = np.einsum("iab,ibc->ac", mats, bd)   # sum BB*
-    z = bd.reshape(k, n * n).T @ mats.transpose(0, 2, 1).reshape(k, n * n)
-    x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    eye = np.eye(n, dtype=np.complex128)
-    return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
-
-
-def star_split(stack, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Spectral blocks of h = b + b* for a seeded random combination b of the stack.
+def random_split(stack, rng: np.random.Generator, parts: int = 1,
+                 tol: Tolerance = DEFAULT_TOL) -> list:
+    """Spectral blocks of h = b + b* for a random combination b of the stack.
 
     The span of the stack must be closed under adjoints.  Then every X
     that commutes with the whole stack commutes with b and b*, hence with
     h, and so preserves each eigenspace V_j of h: the commutant lies in
     the block-diagonal subspace sum_j V_j M_{e_j} V_j*.  This holds for
-    every draw; a generic draw makes the blocks small (Murota, Kanno,
-    Kojima and Kojima, JJIAM 2010).
+    every draw; a generic draw makes the blocks small (Dixon, Math. Comp.
+    1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010).  Applied to a
+    basis of a commutant or a center, the blocks are invariant subspaces
+    or central supports.  Redraws until there are at least ``parts``
+    blocks; fewer means eigenvalues collided in this draw.
     """
     stack = np.asarray(stack, dtype=np.complex128)
-    rng = np.random.default_rng(_SPLIT_SEED)
     k = stack.shape[0]
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    b = np.tensordot(coeff, stack, axes=1)
-    h = b + dagger(b)
-    # at unit norm the absolute collision gap of spectral_blocks is far
-    # above the rounding of h, so no true eigenspace is cut
-    return spectral_blocks(h / max(frob(h), 1.0), tol)
+    for _ in range(_MAX_RESAMPLES):
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        b = np.tensordot(coeff, stack, axes=1)
+        h = b + dagger(b)
+        # at unit norm the absolute collision gap of spectral_blocks is far
+        # above the rounding of h, so no true eigenspace is cut
+        blocks = spectral_blocks(h / max(frob(h), 1.0), tol)
+        if len(blocks) >= parts:
+            return blocks
+    raise CenterSplitFailed(
+        f"could not separate {parts} spectral components after {_MAX_RESAMPLES} draws"
+    )
 
 
 def _block_classes(blocks):
@@ -373,7 +355,11 @@ def _lift(y: np.ndarray, v: np.ndarray, classes) -> np.ndarray:
 
 
 def _reduced_sylvester_gram(rot: np.ndarray, classes) -> np.ndarray:
-    """``_sylvester_gram`` of the rotated stack on the block-diagonal coordinates."""
+    """Normal matrix sum_i L_i* L_i of the maps L_i: X -> R_i X - X R_i.
+
+    Restricted to the block-diagonal coordinates of the rotated stack; the
+    tests hold it against the unreduced n^2 x n^2 form.
+    """
     rot_adj = dagger(rot)
     x = _conjugation_sum(rot_adj, classes)
     p1 = np.sum(rot_adj @ rot, axis=0)   # sum R*R
@@ -397,14 +383,16 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
 
     Returns the row-major vecs of a commutant basis as columns.  When the
     span of the stack is closed under adjoints, the kernel is solved only
-    on the block-diagonal subspace of ``star_split``, whose dimension is
+    on the block-diagonal subspace of ``random_split`` (drawn with the
+    fixed ``_SPLIT_SEED``), whose dimension is
     sum_j e_j^2 instead of n^2.  ``star_closed=False`` uses the trivial
     split h = 1, that is the full n^2 x n^2 gram.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    blocks = star_split(mats, tol) if star_closed else [np.eye(n, dtype=np.complex128)]
+    blocks = (random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
+              if star_closed else [np.eye(n, dtype=np.complex128)])
     v, classes = _block_classes(blocks)
     rot = compress(mats, v)
     return _lift(kernel_of_gram(_reduced_sylvester_gram(rot, classes), tol, scale=scale),
@@ -421,8 +409,15 @@ def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def sandwich_sum(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_k L_k X R_k over two stacks: group averages and intertwiner sums."""
-    return np.sum(left @ x @ right, axis=0)
+    """sum_k L_k X R_k over two stacks: group averages and intertwiner sums.
+
+    X is one matrix or a stack of them; the sum runs member by member, so
+    a stack never meets the whole family in one product array.
+    """
+    out = left[0] @ x @ right[0]
+    for lk, rk in zip(left[1:], right[1:]):
+        out += lk @ x @ rk
+    return out
 
 
 def intertwiner(left: np.ndarray, right: np.ndarray, rng) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Unitary representations of finite groups and the Peter-Weyl toolkit.
 
-The decomposition strategy is the classic averaging trick: a group-average
-of a random Hermitian operator commutes with the representation, so its
+The decomposition strategy is the randomized commutant split: a random
+Hermitian element of the commutant (``linalg.random_split`` on the kernel
+the Schur test already computes) commutes with the representation, so its
 eigenspaces are invariant; recursing until the restricted commutant is
 scalar yields irreducible pieces.  Tables of irreducibles are computed
 once per group from the regular representation and canonicalized so that
@@ -26,7 +27,7 @@ from .errors import (
     ZeroVector,
 )
 from .groups import FiniteGroup
-from .linalg import _MAX_RESAMPLES, DEFAULT_TOL, Tolerance, dagger, frob
+from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
 
 _CHARACTER_MATCH = 1e-8
 _TABLE_SEED = 0x5EED
@@ -188,41 +189,31 @@ def is_irreducible(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> bool:
 # splitting into irreducible invariant subspaces
 
 
-def _split_once(mats: np.ndarray, rng: np.random.Generator, tol: Tolerance):
-    """Split C^k into invariant eigenspaces of an averaged random Hermitian."""
-    k = mats.shape[1]
-    group_size = mats.shape[0]
-    for _ in range(_MAX_RESAMPLES):
-        h = linalg.random_hermitian(k, rng)
-        t = linalg.sandwich_sum(mats, h, dagger(mats)) / group_size
-        pieces = linalg.spectral_blocks(t, tol)
-        if len(pieces) == 1:
-            continue  # collision or unlucky sample; try again
-        ok = all(
-            np.max(np.linalg.norm(mats @ q - q @ linalg.compress(mats, q), axis=(1, 2)))
-            < 1e-9 * k
-            for q in pieces
-        )
-        if ok:
-            return pieces
-    raise DecompositionFailed(
-        "averaged operator failed to split an invariant subspace "
-        f"after {_MAX_RESAMPLES} resamples (tolerance collision)"
-    )
-
-
 def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL):
-    """Isometries onto irreducible invariant subspaces, deterministically seeded."""
+    """Isometries onto irreducible invariant subspaces, deterministically seeded.
+
+    Each split piece q must carry an invariant subspace: U q = q (q* U q)
+    must hold to 1e-9 k on the k-dimensional carrier being split.
+    """
     rng = np.random.default_rng(seed)
     out = []
     stack = [np.eye(rep.dim, dtype=np.complex128)]
     while stack:
         q = stack.pop()
+        k = q.shape[1]
         sub = linalg.compress(rep.matrices, q)
-        if linalg.commutant_kernel(sub, tol).shape[1] == 1:
+        kernel = linalg.commutant_kernel(sub, tol)
+        if kernel.shape[1] == 1:
             out.append(q)
             continue
-        for piece in _split_once(sub, rng, tol):
+        for piece in linalg.random_split(kernel.T.reshape(-1, k, k), rng, 2, tol):
+            moved = sub @ piece - piece @ linalg.compress(sub, piece)
+            res = float(np.max(np.linalg.norm(moved, axis=(1, 2))))
+            if res >= 1e-9 * k:
+                raise DecompositionFailed(
+                    f"split piece of size {piece.shape[1]} is not invariant "
+                    f"(residual {res:.3e})"
+                )
             stack.append(q @ piece)
     return out
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from kernel_reference import random_hermitian
 
 from ncgalois import groups, linalg, reps
 from ncgalois.algebras import (
-    _MAX_RESAMPLES,
     StarAlgebra,
-    _generic_split,
     algebra_from_generators,
     averaging_projection,
     bicommutant_check,
@@ -85,7 +84,7 @@ def test_star_algebra_rejects_sampled_products_outside_a_large_span():
     # 41 basis elements give 41^2 > 1024 pairs, so only a seeded sample of
     # products is checked; 41 of the 49 dimensions leave products outside
     rng = np.random.default_rng(23)
-    mats = [np.eye(7)] + [linalg.random_hermitian(7, rng) for _ in range(40)]
+    mats = [np.eye(7)] + [random_hermitian(7, rng) for _ in range(40)]
     with pytest.raises(ClosureFailed, match="products"):
         StarAlgebra.from_span(mats, 7)
 
@@ -171,14 +170,14 @@ def test_block_structure_with_multiplicity(s3):
     assert block_structure_residual(reg_alg, structure) < 1e-9
 
 
-def test_generic_split_gives_up_after_max_resamples():
+def test_random_split_gives_up_after_max_resamples():
     # every element of the scalars has one eigenvalue, so no draw can split
     rng = np.random.default_rng(11)
     with pytest.raises(CenterSplitFailed):
-        _generic_split(StarAlgebra.scalars(3), 2, rng, DEFAULT_TOL)
+        linalg.random_split(StarAlgebra.scalars(3).basis, rng, 2)
     # each draw takes a real and an imaginary coordinate
     replay = np.random.default_rng(11)
-    replay.standard_normal(2 * _MAX_RESAMPLES)
+    replay.standard_normal(2 * linalg._MAX_RESAMPLES)
     assert rng.standard_normal() == replay.standard_normal()
 
 
@@ -208,16 +207,16 @@ def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypa
     # cutting one eigenspace of the split in two drops commutant elements
     # that mix its halves, so the dimension misses the character count
     reg = reps.regular_rep(s3)
-    honest = linalg.star_split
+    honest = linalg.random_split
 
-    def cut(stack, tol=DEFAULT_TOL):
-        blocks = honest(stack, tol)
+    def cut(stack, rng, parts=1, tol=DEFAULT_TOL):
+        blocks = honest(stack, rng, parts, tol)
         j = max(range(len(blocks)), key=lambda i: blocks[i].shape[1])
         return blocks[:j] + [blocks[j][:, :1], blocks[j][:, 1:]] + blocks[j + 1:]
 
     top = groups.Subgroup(s3, tuple(range(6)))
     assert fixed_point_algebra(StarAlgebra.full(6), reg, top).dim == 6
-    monkeypatch.setattr(linalg, "star_split", cut)
+    monkeypatch.setattr(linalg, "random_split", cut)
     with pytest.raises(DecompositionFailed, match="dimension 4.*gives 6"):
         fixed_point_algebra(StarAlgebra.full(6), reg, top)
 

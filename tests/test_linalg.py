@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernel_reference import random_hermitian, sylvester_gram
 
 from ncgalois import groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra, algebra_from_generators
@@ -40,7 +41,7 @@ def test_eig_pauli_x():
 def test_eig_reconstruction_random(rng):
     # reconstruction oracle: V diag(w) V* must reproduce the input
     for n in (2, 5, 9):
-        a = linalg.random_hermitian(n, rng)
+        a = random_hermitian(n, rng)
         w, v = hermitian_eig(a)
         rebuilt = (v * w) @ v.conj().T
         assert linalg.frob(rebuilt - a) <= 1e-10 * max(1.0, linalg.frob(a))
@@ -53,7 +54,7 @@ def test_eig_rejects_non_hermitian():
 
 
 def test_eig_deterministic(rng):
-    a = linalg.random_hermitian(6, rng)
+    a = random_hermitian(6, rng)
     w1, v1 = hermitian_eig(a)
     w2, v2 = hermitian_eig(a.copy())
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
@@ -97,7 +98,7 @@ def test_imaginary_power_explicit_phase():
 
 def test_imaginary_power_group_law(rng):
     for _ in range(5):
-        a = linalg.random_hermitian(4, rng)
+        a = random_hermitian(4, rng)
         p = a @ a.conj().T + 0.3 * np.eye(4)
         s, t = rng.uniform(-10, 10, size=2)
         lhs = matrix_imaginary_power(p, s) @ matrix_imaginary_power(p, t)
@@ -140,6 +141,20 @@ def test_subspace_intersection(rng):
     inter = a.intersect(b)
     assert inter.dim == 1
     assert abs(np.abs(inter.basis[1, 0]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("angle, dim", [(1e-6, 0), (1e-7, 0), (1e-13, 1)])
+def test_subspace_intersection_of_lines_uses_the_global_rank_rule(angle, dim):
+    # the principal angle gives [B1, -B2] the singular value ~ angle/sqrt(2);
+    # the global rule cuts near 1e-9, as contains and equals do
+    e1 = Subspace.from_span(np.array([[1.0, 0.0]], dtype=complex), 2)
+    tilted = Subspace.from_span(np.array([[np.cos(angle), np.sin(angle)]], dtype=complex), 2)
+    inter = e1.intersect(tilted)
+    assert inter.dim == dim
+    assert e1.equals(tilted) == (dim == 1)
+    if dim:
+        np.testing.assert_allclose(inter.basis.conj().T @ inter.basis, np.eye(1), atol=1e-15)
+        assert e1.residual(inter.basis) < 1e-12
 
 
 def test_spectral_blocks_cut_at_eigenvalue_gaps():
@@ -198,7 +213,7 @@ def _star_closed_stacks():
 def test_commutant_kernel_equals_full_gram_kernel(stack):
     # the unreduced Sylvester gram is the reference for the block-diagonal one
     scale = float(np.sqrt(np.sum(np.abs(stack) ** 2)))
-    reference = linalg.kernel_of_gram(linalg._sylvester_gram(stack), scale=scale)
+    reference = linalg.kernel_of_gram(sylvester_gram(stack), scale=scale)
     assert reference.shape[1] >= 1
     assert _same_span(linalg.commutant_kernel(stack), reference)
     assert _same_span(linalg.commutant_kernel(stack, star_closed=False), reference)
@@ -229,10 +244,11 @@ def test_intertwiner_of_inequivalent_irreps_gives_up_after_max_resamples():
     assert rng.standard_normal() == replay.standard_normal()
 
 
-def test_star_split_of_regular_image_shrinks_to_sum_of_cubes():
+def test_random_split_of_regular_image_shrinks_to_sum_of_cubes():
     # a generic element of the S3 regular image has each irrep's d
     # eigenvalues with multiplicity d: sum_j e_j^2 = sum_d d^3 = 1 + 1 + 8 of 36
-    blocks = linalg.star_split(reps.regular_rep(groups.symmetric_group(3)).matrices)
+    blocks = linalg.random_split(reps.regular_rep(groups.symmetric_group(3)).matrices,
+                                 np.random.default_rng(linalg._SPLIT_SEED))
     assert sorted(q.shape[1] for q in blocks) == [1, 1, 2, 2]
     v = np.hstack(blocks)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
@@ -263,16 +279,19 @@ def test_compress_with_an_isometry(rng):
 
 
 def test_sandwich_sum_is_the_sum_of_products(rng):
+    # x is one matrix, then a stack of two mapped member by member
     left = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
-    x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     right = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
-    out = linalg.sandwich_sum(left, x, right)
-    assert out.shape == (3, 3)
-    for i in range(3):
-        for j in range(3):
-            ref = sum(left[k, i, a] * x[a, b] * right[k, b, j]
-                      for k in range(4) for a in range(2) for b in range(5))
-            assert abs(out[i, j] - ref) <= 1e-12
+    for lead in ((), (2,)):
+        x = rng.standard_normal(lead + (2, 5)) + 1j * rng.standard_normal(lead + (2, 5))
+        out = linalg.sandwich_sum(left, x, right)
+        assert out.shape == lead + (3, 3)
+        for m in np.ndindex(*lead):
+            for i in range(3):
+                for j in range(3):
+                    ref = sum(left[k, i, a] * x[m][a, b] * right[k, b, j]
+                              for k in range(4) for a in range(2) for b in range(5))
+                    assert abs(out[m][i, j] - ref) <= 1e-12
 
 
 def test_no_unplanned_many_operand_einsum_in_the_package():
@@ -289,3 +308,17 @@ def test_no_unplanned_many_operand_einsum_in_the_package():
                     and not any(kw.arg == "optimize" for kw in node.keywords)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_spectral_blocks_is_called_only_by_random_split():
+    # every decomposition splits through the one seeded helper
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "random_split"
+                  for node in ast.walk(fn)}
+        found += [(path.stem, id(node) in inside) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "spectral_blocks" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == [("linalg", True)]

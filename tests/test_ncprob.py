@@ -127,6 +127,64 @@ def test_axioms_flag_noninvariant_state(s3_perm, a3):
     assert "contraction" not in names           # only axiom (iii) must fail
 
 
+def _per_matrix_axiom_table(rep, subgroup, phi, seed, samples=20):
+    # the audit one matrix at a time, drawing in the same order
+    n = rep.dim
+    rng = np.random.default_rng(seed)
+    mats = rep.matrices[list(subgroup.members)]
+
+    def e(x):
+        out = np.zeros((n, n), dtype=complex)
+        for u in mats:
+            out += u @ x @ u.conj().T
+        return out / len(mats)
+
+    panel = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for _ in range(samples)]
+    panel += [unit(n, i, j) for i in range(n) for j in range(n)]
+    fixed = algebras.fixed_point_algebra(StarAlgebra.full(n), rep, subgroup)
+    bimodule = 0.0
+    for _ in range(samples):
+        a = fixed.from_coordinates(rng.standard_normal(fixed.dim)
+                                   + 1j * rng.standard_normal(fixed.dim))
+        b = fixed.from_coordinates(rng.standard_normal(fixed.dim)
+                                   + 1j * rng.standard_normal(fixed.dim))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        bimodule = max(bimodule, frob(e(a @ x @ b) - a @ e(x) @ b))
+    schwarz = 0.0
+    for x in panel:
+        gap = e(dagger(x) @ x) - dagger(e(x)) @ e(x)
+        schwarz = min(schwarz, np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)[0])
+    opnorm = lambda x: np.linalg.norm(x, 2)
+    return {
+        "contraction_gap": max(0.0, max(opnorm(e(x)) - opnorm(x) for x in panel)),
+        "identity_on_subalgebra": max(frob(e(b) - b) for b in fixed.basis),
+        "state_preservation": max(abs(phi.expect(e(x)) - phi.expect(x)) for x in panel),
+        "idempotence": max(frob(e(e(x)) - e(x)) for x in panel),
+        "unitality": frob(e(np.eye(n)) - np.eye(n)),
+        "bimodule": bimodule,
+        "schwarz_min_eig": schwarz,
+    }
+
+
+def test_stacked_axiom_table_equals_the_per_matrix_loop():
+    a4 = groups.alternating_group(4)
+    rep = reps.regular_rep(a4)
+    subs = groups.enumerate_subgroups(a4)
+    v4 = next(s for s in subs if s.order == 4)
+    z2 = next(s for s in subs if s.order == 2 and v4.contains(s))
+    chain = [subs[-1], v4, z2, groups.Subgroup(a4, (a4.identity,))]
+    assert [h.order for h in chain] == [12, 4, 2, 1]
+    rng = np.random.default_rng(4)
+    phi = average_state(State.random_faithful(12, rng), rep)
+    for h in chain:
+        table = verify_cond_exp_axioms(rep, h, phi, seed=9).residuals
+        reference = _per_matrix_axiom_table(rep, h, phi, seed=9)
+        assert table.keys() == reference.keys()
+        for name, value in reference.items():
+            assert abs(table[name] - value) <= 1e-14, (h.order, name)
+
+
 def test_contraction_on_large_panel(s3_perm, a3, rng):
     for _ in range(100):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ncgalois import groups, reps
+from ncgalois import groups, linalg, reps
 from ncgalois.errors import (
+    DecompositionFailed,
     IncompleteTable,
     NotAHomomorphism,
     NotIrreducible,
@@ -127,6 +128,25 @@ def test_decompose_irreducible_block(s3, s3_table):
     assert reps.is_irreducible(two_dim)
     dec = reps.decompose(two_dim, seed=4)
     assert dec.blocks == ((2, 1),)
+
+
+def test_invariant_isometries_reject_a_split_that_is_not_invariant(s3, monkeypatch):
+    # splitting off a coordinate line of the regular carrier breaks
+    # invariance, which the per-piece residual must catch
+    reg = reps.regular_rep(s3)
+    assert sorted(q.shape[1] for q in reps.invariant_isometries(reg, 0)) == [1, 1, 2, 2]
+
+    honest = linalg.random_split
+
+    def coordinate_split(stack, rng, parts=1, tol=linalg.DEFAULT_TOL):
+        if parts == 1:  # the commutant kernel's own reduction stays honest
+            return honest(stack, rng, parts, tol)
+        eye = np.eye(stack.shape[1], dtype=complex)
+        return [eye[:, :1], eye[:, 1:]]
+
+    monkeypatch.setattr(linalg, "random_split", coordinate_split)
+    with pytest.raises(DecompositionFailed, match="not invariant"):
+        reps.invariant_isometries(reg, 0)
 
 
 def test_decompose_regular_s3(s3):
