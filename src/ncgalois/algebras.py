@@ -11,10 +11,16 @@ commutant of the subgroup image, so it takes the same kernel.  Commutants
 of *-closed families are solved on the block-diagonal subspace of a
 seeded Hermitian element (``linalg.random_split``) instead of all n^2
 coordinates; the same split of a center and of a multiplicity commutant
-gives the block structure.  Membership and closure are measured by
-projection residuals of the algebra's ``Subspace``, and multiplicity
-copies are aligned by ``linalg.intertwiner``, the finder
-``reps.decompose`` uses too.
+gives the block structure.  Membership is measured by projection
+residuals of the algebra's ``Subspace``, and multiplicity copies are
+aligned by ``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
+
+Each algebra is certified where it is built.  Closure residuals
+(``_require_closed``) run only where closure is not a theorem: on outside
+spans (``from_span``), grown spans (``algebra_from_generators``) and
+commutants of families that are not *-closed.  Every commutant kernel is
+checked against its defining equation BX = XB; intersections of two
+*-algebras are not re-checked.
 """
 
 from __future__ import annotations
@@ -43,13 +49,11 @@ class StarAlgebra:
     """A unital *-subalgebra of the n-by-n matrices.
 
     ``basis`` is an (k, n, n) array of Hilbert-Schmidt orthonormal
-    matrices.  ``verify`` re-checks the closure axioms (products and
-    adjoints stay in the span, the identity lies in the span) — cheap
-    insurance that every construction path produced an actual algebra.
+    matrices.  The constructor checks shapes only; every construction path
+    certifies its own result (see the module docstring).
     """
 
-    def __init__(self, ambient_dim: int, basis, verify: bool = True,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, basis):
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 3 or b.shape[1] != ambient_dim or b.shape[2] != ambient_dim:
             raise DimensionMismatch(
@@ -59,8 +63,6 @@ class StarAlgebra:
         self.basis = b
         self.basis.setflags(write=False)
         self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(b.shape[0], -1).T)
-        if verify:
-            self._verify_closure(tol)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -70,26 +72,26 @@ class StarAlgebra:
                                                                  ambient_dim)
         span = Subspace.from_span(mats.reshape(mats.shape[0], -1), ambient_dim ** 2, tol)
         basis = span.basis.T.reshape(-1, ambient_dim, ambient_dim)
-        return StarAlgebra(ambient_dim, basis, tol=tol)
+        return _require_closed(StarAlgebra(ambient_dim, basis))
 
     @staticmethod
     def full(ambient_dim: int) -> "StarAlgebra":
         basis = np.eye(ambient_dim ** 2, dtype=np.complex128).reshape(
             ambient_dim ** 2, ambient_dim, ambient_dim
         )
-        return StarAlgebra(ambient_dim, basis, verify=False)
+        return StarAlgebra(ambient_dim, basis)
 
     @staticmethod
     def scalars(ambient_dim: int) -> "StarAlgebra":
         eye = np.eye(ambient_dim, dtype=np.complex128) / np.sqrt(ambient_dim)
-        return StarAlgebra(ambient_dim, eye[None], verify=False)
+        return StarAlgebra(ambient_dim, eye[None])
 
     @staticmethod
     def diagonal(ambient_dim: int) -> "StarAlgebra":
         basis = np.zeros((ambient_dim, ambient_dim, ambient_dim), dtype=np.complex128)
         for i in range(ambient_dim):
             basis[i, i, i] = 1.0
-        return StarAlgebra(ambient_dim, basis, verify=False)
+        return StarAlgebra(ambient_dim, basis)
 
     # -- views ---------------------------------------------------------------
     @property
@@ -125,29 +127,31 @@ class StarAlgebra:
     def contains_algebra(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.contains(other._subspace, tol)
 
-    # -- internal ------------------------------------------------------------
-    def _verify_closure(self, tol: Tolerance) -> None:
-        n, b, k = self.ambient_dim, self.basis, self.dim
-        eye = np.eye(n, dtype=np.complex128)
-        if self.membership_residual(eye) > _CLOSURE_RESIDUAL * np.sqrt(n):
-            raise ClosureFailed("identity matrix is not in the span")
-        res = self._subspace.residual(dagger(b).reshape(k, n * n).T)
-        if res > _CLOSURE_RESIDUAL:
-            raise ClosureFailed(f"not closed under adjoints, residual {res:.3e}")
-        # all pairwise products when affordable, a seeded sample otherwise
-        if k * k <= 1024:
-            prods = (b[:, None] @ b[None]).reshape(k * k, n * n)
-        else:
-            rng = np.random.default_rng(0)
-            left = rng.integers(0, k, size=256)
-            right = rng.integers(0, k, size=256)
-            prods = (b[left] @ b[right]).reshape(-1, n * n)
-        res = self._subspace.residual(prods.T)
-        if res > _CLOSURE_RESIDUAL:
-            raise ClosureFailed(f"not closed under products, residual {res:.3e}")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _require_closed(a: StarAlgebra) -> StarAlgebra:
+    """Closure axioms of a span that is not an algebra by construction."""
+    n, b, k = a.ambient_dim, a.basis, a.dim
+    eye = np.eye(n, dtype=np.complex128)
+    if a.membership_residual(eye) > _CLOSURE_RESIDUAL * np.sqrt(n):
+        raise ClosureFailed("identity matrix is not in the span")
+    res = a.subspace().residual(dagger(b).reshape(k, n * n).T)
+    if res > _CLOSURE_RESIDUAL:
+        raise ClosureFailed(f"not closed under adjoints, residual {res:.3e}")
+    # all pairwise products when affordable, a seeded sample otherwise
+    if k * k <= 1024:
+        prods = (b[:, None] @ b[None]).reshape(k * k, n * n)
+    else:
+        rng = np.random.default_rng(0)
+        left = rng.integers(0, k, size=256)
+        right = rng.integers(0, k, size=256)
+        prods = (b[left] @ b[right]).reshape(-1, n * n)
+    res = a.subspace().residual(prods.T)
+    if res > _CLOSURE_RESIDUAL:
+        raise ClosureFailed(f"not closed under products, residual {res:.3e}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,7 @@ def algebra_from_generators(generators, ambient_dim: int,
         words = (basis[:, None] @ gen_stack[None]).reshape(-1, n * n)
         grown = Subspace.from_span(np.vstack([span.basis.T, words]), n * n, tol)
         if grown.dim == span.dim:
-            return StarAlgebra(n, grown.basis.T.reshape(-1, n, n), tol=tol)
+            return _require_closed(StarAlgebra(n, grown.basis.T.reshape(-1, n, n)))
         span = grown
     raise ClosureFailed("span growth did not stabilize within n^2 steps")
 
@@ -198,12 +202,15 @@ def commutant_of_matrices(mats, ambient_dim: int,
 
     The kernel is reduced to a block-diagonal subspace only when the span
     of the family is closed under adjoints; otherwise the full Sylvester
-    gram is solved.
+    gram is solved, and since the commutant of such a family need not be
+    a *-algebra, its closure is checked.
     """
     mats = np.asarray(mats, dtype=np.complex128).reshape(-1, ambient_dim, ambient_dim)
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
-    return _commutant(mats, _is_star_closed(mats, tol), tol)
+    if _is_star_closed(mats, tol):
+        return _commutant(mats, True, tol)
+    return _require_closed(_commutant(mats, False, tol))
 
 
 def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
@@ -215,17 +222,37 @@ def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
     return span.residual(adj[:, norms > 0] / norms[norms > 0]) <= _CLOSURE_RESIDUAL
 
 
-def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
+def _commutant_basis(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> np.ndarray:
+    """Commutant kernel vecs as columns, certified by the defining equation.
+
+    ||BX - XB||_F <= _CLOSURE_RESIDUAL max(||B||_F, 1) for every member B and
+    basis element X, one member at a time (no (members, basis, n, n) array).
+    """
     n = mats.shape[1]
     kernel = linalg.commutant_kernel(mats, tol, star_closed=star_closed)
-    return StarAlgebra(n, kernel.T.reshape(-1, n, n), tol=tol)
+    basis = kernel.T.reshape(-1, n, n)
+    worst = 0.0
+    for b in mats:
+        moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
+        worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
+    if worst > _CLOSURE_RESIDUAL:
+        raise ClosureFailed(
+            f"commutant basis fails to commute with the family, residual {worst:.3e}"
+        )
+    return kernel
+
+
+def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
+    n = mats.shape[1]
+    return StarAlgebra(n, _commutant_basis(mats, star_closed, tol).T.reshape(-1, n, n))
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """The commutant algebra; closure axioms hold automatically and are re-verified.
+    """The commutant algebra, certified by its commutator residual.
 
-    A *-algebra's basis spans a *-closed space (verified at construction),
-    so the kernel is always solved on the reduced block-diagonal subspace.
+    A *-algebra's basis spans a *-closed space, so the kernel is always
+    solved on the reduced block-diagonal subspace, and the commutant is a
+    unital *-algebra by construction.
     """
     return _commutant(a.basis, True, tol)
 
@@ -247,7 +274,7 @@ def relative_commutant(a: StarAlgebra, m: StarAlgebra,
     c = commutant(a, tol)
     inter = c.subspace().intersect(m.subspace(), tol)
     basis = inter.basis.T.reshape(-1, a.ambient_dim, a.ambient_dim)
-    return StarAlgebra(a.ambient_dim, basis, tol=tol)
+    return StarAlgebra(a.ambient_dim, basis)
 
 
 def center(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -382,7 +409,7 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
         raise DimensionMismatch("representation does not act on the algebra's space")
     _check_invariance(m, rep, subgroup.members, tol)
     mats = rep.matrices[list(subgroup.members)]
-    fixed = Subspace(rep.dim ** 2, linalg.commutant_kernel(mats, tol))
+    fixed = Subspace(rep.dim ** 2, _commutant_basis(mats, True, tol))
     if m.is_full:
         chi = np.trace(mats, axis1=1, axis2=2)
         expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
@@ -394,7 +421,7 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     else:
         fixed = fixed.intersect(m.subspace(), tol)
     basis = fixed.basis.T.reshape(-1, rep.dim, rep.dim)
-    return StarAlgebra(rep.dim, basis, tol=tol)
+    return StarAlgebra(rep.dim, basis)
 
 
 def _check_invariance(m: StarAlgebra, rep: UnitaryRep, members, tol: Tolerance) -> None:

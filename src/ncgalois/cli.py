@@ -143,11 +143,9 @@ def _run(args) -> str:
 
 def _check_fields(spec: dict, required, optional=()):
     from .errors import SpecValidationError
+    from .reporting import reject_unknown_fields
 
-    allowed = set(required) | set(optional) | {"seed"}
-    extra = set(spec) - allowed
-    if extra:
-        raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
+    reject_unknown_fields(spec, {*required, *optional, "seed"}, "spec")
     missing = set(required) - set(spec)
     if missing:
         raise SpecValidationError(f"missing spec fields: {sorted(missing)}")
@@ -238,16 +236,9 @@ def _cmd_decompose(spec, seed, tol, load_json_field, resolve):
     unit_res = float(frob(dagger(u) @ u - np.eye(rep.dim)))
 
     table = dec.table
-    worst = 0.0
-    for g, c in enumerate(compress(rep.matrices, u)):
-        at = 0
-        expected = np.zeros_like(c)
-        for idx, mult in dec.blocks:
-            d = table.irreps[idx].dim
-            for _ in range(mult):
-                expected[at:at + d, at:at + d] = table.irreps[idx].matrices[g]
-                at += d
-        worst = max(worst, float(np.max(np.abs(c - expected))))
+    expected = reps.direct_sum(*(table.irreps[idx] for idx, mult in dec.blocks
+                                 for _ in range(mult)))
+    worst = float(np.max(np.abs(compress(rep.matrices, u) - expected.matrices)))
 
     body = {
         "blocks": [[int(i), int(m)] for i, m in dec.blocks],
@@ -365,9 +356,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
         raise SpecValidationError('base must be an object with a "kind"')
     kind = base_spec["kind"]
     if kind in ("full", "diagonal", "scalars"):
-        extra = set(base_spec) - {"kind", "dim"}
-        if extra:
-            raise SpecValidationError(f"unknown base fields: {sorted(extra)}")
+        reporting.reject_unknown_fields(base_spec, {"kind", "dim"}, "base")
         dim = int(base_spec["dim"])
         base = {
             "full": algebras.StarAlgebra.full,
@@ -375,9 +364,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
             "scalars": algebras.StarAlgebra.scalars,
         }[kind](dim)
     elif kind == "span":
-        extra = set(base_spec) - {"kind", "matrices", "dim"}
-        if extra:
-            raise SpecValidationError(f"unknown base fields: {sorted(extra)}")
+        reporting.reject_unknown_fields(base_spec, {"kind", "matrices", "dim"}, "base")
         mats = [reporting.matrix_from_json(mj) for mj in base_spec["matrices"]]
         base = algebras.StarAlgebra.from_span(mats, int(base_spec["dim"]), tol=tol)
     else:
@@ -388,16 +375,12 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
         raise SpecValidationError('action must be an object with a "kind"')
     akind = action_spec["kind"]
     if akind == "ad":
-        extra = set(action_spec) - {"kind", "unitaries"}
-        if extra:
-            raise SpecValidationError(f"unknown action fields: {sorted(extra)}")
+        reporting.reject_unknown_fields(action_spec, {"kind", "unitaries"}, "action")
         data = np.array([reporting.matrix_from_json(mj)
                          for mj in action_spec["unitaries"]])
         action = crossed.ad_action(group, base, data, tol)
     elif akind == "table":
-        extra = set(action_spec) - {"kind", "tables"}
-        if extra:
-            raise SpecValidationError(f"unknown action fields: {sorted(extra)}")
+        reporting.reject_unknown_fields(action_spec, {"kind", "tables"}, "action")
         data = np.array([reporting.matrix_from_json(mj)
                          for mj in action_spec["tables"]])
         action = crossed.table_action(group, base, data, tol)

@@ -74,6 +74,8 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
     classes and fixed algebras would fail on abelian groups.  The joint
     span is exactly the group-algebra image whose commutant is the fixed
     algebra, so equal spans and equal fixed algebras are the same thing.
+    Classes are the ``_Interner`` ids of the joint spans, in order of first
+    appearance, with ascending members.
     """
     table = rp.irrep_table(group, tol)
     if irrep_indices is None:
@@ -89,22 +91,11 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
         ])
         return Subspace.from_span(rows, rows.shape[1], tol)
 
-    spans = [joint_span(h) for h in subgroups]
-    assigned = [-1] * len(subgroups)
-    classes = []
-    for i in range(len(subgroups)):
-        if assigned[i] >= 0:
-            continue
-        cls = [i]
-        assigned[i] = len(classes)
-        for j in range(i + 1, len(subgroups)):
-            if assigned[j] >= 0:
-                continue
-            if spans[i].equals(spans[j], tol):
-                cls.append(j)
-                assigned[j] = len(classes)
-        classes.append(tuple(cls))
-    return SubgroupEquivalence(tuple(classes))
+    interner = _Interner(sum(table.irreps[i].dim ** 2 for i in irrep_indices), tol)
+    classes: dict = {}
+    for j, h in enumerate(subgroups):
+        classes.setdefault(interner.id_of(joint_span(h)), []).append(j)
+    return SubgroupEquivalence(tuple(tuple(c) for c in classes.values()))
 
 
 class _Interner:
@@ -178,10 +169,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
         else:
             once = alg.commutant(fixed, tol)
             twice = alg.commutant(once, tol)
-        residual = max(
-            twice.subspace().containment_residual(fixed.subspace()),
-            fixed.subspace().containment_residual(twice.subspace()),
-        )
+        residual = twice.subspace().distance(fixed.subspace())
         ok = residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim
         if not ok:
             report.violations.append(

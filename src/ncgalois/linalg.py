@@ -228,14 +228,13 @@ class Subspace:
             return 0.0
         return self.residual(other.basis)
 
+    def distance(self, other: "Subspace") -> float:
+        """Worst containment residual in either direction; 0 for equal subspaces."""
+        return max(self.containment_residual(other), other.containment_residual(self))
+
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
-        if self.dim != other.dim:
-            return False
-        return (
-            max(self.containment_residual(other), other.containment_residual(self))
-            <= tol.subspace_eps
-        )
+        return self.dim == other.dim and self.distance(other) <= tol.subspace_eps
 
     def intersect(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         """Intersection from the nullspace of [B1, -B2] under the global rank rule.

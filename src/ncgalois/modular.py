@@ -300,11 +300,7 @@ def tomita_takesaki_residuals(md: ModularData, t_grid=(-2.0, -1.0, -0.3, 0.0, 0.
         u = md.delta_power(1j * t)
         moved = compress(left, dagger(u))
         moved_span = Subspace.from_span(moved.reshape(d, -1), d * d, tol)
-        flow_res = max(
-            flow_res,
-            left_span.containment_residual(moved_span),
-            moved_span.containment_residual(left_span),
-        )
+        flow_res = max(flow_res, left_span.distance(moved_span))
     return {"jmj_in_commutant": float(jmj_res), "flow_invariance": float(flow_res)}
 
 

@@ -80,6 +80,13 @@ def sha256_of_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def reject_unknown_fields(obj: dict, allowed, what: str) -> None:
+    """Raise SpecValidationError naming every key of ``obj`` outside ``allowed``."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise SpecValidationError(f"unknown {what} fields: {sorted(extra)}")
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -122,10 +129,7 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise SpecValidationError("group object must be a JSON object")
-    allowed = {"order", "mult_table", "labels"}
-    extra = set(obj) - allowed
-    if extra:
-        raise SpecValidationError(f"unknown group fields: {sorted(extra)}")
+    reject_unknown_fields(obj, {"order", "mult_table", "labels"}, "group")
     if "mult_table" not in obj:
         raise SpecValidationError('group object needs a "mult_table"')
     table = obj["mult_table"]
@@ -180,10 +184,7 @@ def algebra_to_json(algebra, structure=None) -> dict:
 def rep_from_json(obj, resolve_path=None) -> UnitaryRep:
     if not isinstance(obj, dict):
         raise SpecValidationError("representation object must be a JSON object")
-    allowed = {"group", "dim", "matrices"}
-    extra = set(obj) - allowed
-    if extra:
-        raise SpecValidationError(f"unknown representation fields: {sorted(extra)}")
+    reject_unknown_fields(obj, {"group", "dim", "matrices"}, "representation")
     group_field = obj.get("group")
     if isinstance(group_field, str):
         if resolve_path is None:

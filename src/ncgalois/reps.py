@@ -311,9 +311,10 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
 
     The intertwiner is unitary and conjugation by it maps the source to an
     exact direct sum of table irreps, sorted by table index with equal
-    blocks adjacent.  Raises DecompositionFailed when the commutant
-    dimension of the source disagrees with the multiplicity accounting,
-    which signals a tolerance problem rather than bad input.
+    blocks adjacent.  Raises DecompositionFailed when the character norm
+    <chi, chi> of the source, which is the commutant dimension (Serre,
+    section 2.3), disagrees with the multiplicity accounting; that signals
+    a tolerance problem rather than bad input.
     """
     table = irrep_table(rep.group, tol)
     rng = np.random.default_rng(seed)
@@ -337,13 +338,13 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
         columns.append(q)
     intertwiner = np.hstack(columns)
 
-    mults = {idx: m for idx, m in blocks}
-    expected_commutant = sum(m * m for m in mults.values())
-    actual = commutant_dimension(rep, tol)
-    if actual != expected_commutant:
+    squares = sum(m * m for _, m in blocks)
+    chi = rep.character()
+    norm = character_inner(rep.group, chi, chi).real
+    if abs(norm - squares) > 1e-6:
         raise DecompositionFailed(
-            f"commutant dimension {actual} != sum of squared multiplicities "
-            f"{expected_commutant}"
+            f"character norm <chi, chi> = {norm:.6g} (the commutant dimension) "
+            f"!= sum of squared multiplicities {squares}"
         )
     if sum(table.irreps[i].dim * m for i, m in blocks) != rep.dim:
         raise DecompositionFailed("block dimensions do not sum to the source dimension")

@@ -108,6 +108,26 @@ def test_commutant_of_non_star_closed_family_is_not_reduced():
         commutant_of_matrices([[[0, 1], [0, 0]]], 2)
 
 
+def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
+        s3, s3_perm, s3_perm_algebra, monkeypatch):
+    # one stray unit vector appended to the Sylvester kernel must be caught
+    # by the kernel's own commutator residual, before any count or closure
+    honest = linalg.commutant_kernel
+
+    def padded(mats, tol=DEFAULT_TOL, star_closed=True):
+        kernel = honest(mats, tol, star_closed=star_closed)
+        n = mats.shape[1]
+        stray = ((unit(n, 0, 1) + unit(n, 1, 0)) / np.sqrt(2)).reshape(-1, 1)
+        return np.hstack([kernel, stray])
+
+    top = groups.Subgroup(s3, tuple(range(6)))
+    monkeypatch.setattr(linalg, "commutant_kernel", padded)
+    with pytest.raises(ClosureFailed, match="commute"):
+        commutant(s3_perm_algebra)
+    with pytest.raises(ClosureFailed, match="commute"):
+        fixed_point_algebra(StarAlgebra.full(3), s3_perm, top)
+
+
 def test_commutant_is_order_reversing(s3_perm_algebra):
     scalars = StarAlgebra.scalars(3)
     big = commutant(scalars)

@@ -164,9 +164,38 @@ def test_martingale_flags_noninvariant_state(workspace, tmp_path):
                for v in report["violations"])
 
 
-def test_unknown_fields_rejected(workspace, tmp_path):
-    spec = write_spec(workspace, "u.json", {"group": "s3.json", "oops": 1})
-    assert run_cli(["analyze-group", spec, "--out", tmp_path / "x.json"]) == 1
+def _crossed_spec(base_extra=None, action_extra=None):
+    z2 = groups.cyclic_group(2)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    return {
+        "group": reporting.group_to_json(z2),
+        "base": {"kind": "diagonal", "dim": 2, **(base_extra or {})},
+        "action": {"kind": "ad", "unitaries": [
+            reporting.matrix_to_json(np.eye(2, dtype=complex)),
+            reporting.matrix_to_json(flip),
+        ], **(action_extra or {})},
+        "seed": 3,
+    }
+
+
+def _z2_with(extra):
+    return {**reporting.group_to_json(groups.cyclic_group(2)), **extra}
+
+
+@pytest.mark.parametrize("command, payload, detail", [
+    ("analyze-group", {"group": "s3.json", "oops": 1}, "unknown spec fields: ['oops']"),
+    ("crossed", _crossed_spec(base_extra={"oops": 1}), "unknown base fields: ['oops']"),
+    ("crossed", _crossed_spec(action_extra={"oops": 1}), "unknown action fields: ['oops']"),
+    ("analyze-group", {"group": _z2_with({"oops": 1})}, "unknown group fields: ['oops']"),
+    ("decompose", {"representation": {**reporting.rep_to_json(
+        reps.trivial_rep(groups.cyclic_group(2))), "oops": 1}, "seed": 1},
+     "unknown representation fields: ['oops']"),
+], ids=["spec", "base", "action", "group", "representation"])
+def test_unknown_fields_rejected(workspace, tmp_path, capsys, command, payload, detail):
+    spec = write_spec(workspace, f"unknown-{command}.json", payload)
+    assert run_cli([command, spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation" and error["detail"] == detail
 
 
 def test_malformed_group_file_exit_code(workspace, tmp_path, capsys):

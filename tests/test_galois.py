@@ -67,6 +67,20 @@ def test_anti_monotonicity_top_bottom(s3):
     assert report.anti_monotone_pairs > 0
 
 
+def test_galois_map_runs_no_closure_check(s3, monkeypatch):
+    # fixed points and (bi)commutants are certified by their commutator
+    # residuals, the character count and the bicommutant residual
+    calls = []
+    honest = algebras._require_closed
+    monkeypatch.setattr(algebras, "_require_closed",
+                        lambda a: calls.append(a.dim) or honest(a))
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    assert report.injective and not report.violations
+    assert calls == []
+    StarAlgebra.from_span([np.eye(6)], 6)   # the counter does see a boundary
+    assert calls == [1]
+
+
 def test_subgroup_equivalence_full_sigma(fixture_groups):
     # with every irrep retained, fixture subgroups fall into singleton classes
     for name in ("Z2", "Z4", "Z6", "S3", "D4", "Q8"):
@@ -85,6 +99,22 @@ def test_subgroup_equivalence_trivial_only(s3):
     )
     eq = galois.subgroup_equivalence(s3, subs, [trivial_index])
     assert len(eq.classes) == 1         # every span is the scalar line
+
+
+def test_subgroup_equivalence_classes_follow_first_appearance(s3):
+    # through the trivial and sign irreps, S3's subgroups split by
+    # whether they contain an odd permutation; order is first appearance
+    subs = groups.enumerate_subgroups(s3)
+    table = reps.irrep_table(s3)
+    one_dim = [i for i, d in enumerate(table.dims) if d == 1]
+    eq = galois.subgroup_equivalence(s3, subs, one_dim)
+    odd = [any(s3.element_order(a) == 2 for a in h.members) for h in subs]
+    expected: dict = {}
+    for j, flag in enumerate(odd):
+        expected.setdefault(flag, []).append(j)
+    assert eq.classes == tuple(tuple(c) for c in expected.values())
+    assert len(eq.classes) == 2
+    assert galois.subgroup_equivalence(s3, [], one_dim).classes == ()
 
 
 def test_conjugate_subgroups_inequivalent(s3):

@@ -157,6 +157,17 @@ def test_subspace_intersection_of_lines_uses_the_global_rank_rule(angle, dim):
         assert e1.residual(inter.basis) < 1e-12
 
 
+def test_subspace_distance_is_the_worse_containment_residual():
+    e1 = Subspace.from_span(np.array([[1.0, 0.0, 0.0]], dtype=complex), 3)
+    tilted = Subspace.from_span(np.array([[np.cos(0.3), np.sin(0.3), 0.0]], dtype=complex), 3)
+    plane = Subspace.from_span(np.eye(3, dtype=complex)[:2], 3)
+    assert abs(e1.distance(tilted) - np.sin(0.3)) < 1e-15
+    assert tilted.distance(e1) == e1.distance(tilted)
+    # the line lies in the plane, but not the plane in the line
+    assert plane.containment_residual(e1) < 1e-15
+    assert abs(plane.distance(e1) - 1.0) < 1e-15 and abs(e1.distance(plane) - 1.0) < 1e-15
+
+
 def test_spectral_blocks_cut_at_eigenvalue_gaps():
     h = np.diag([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
     blocks = spectral_blocks(h)
@@ -322,3 +333,27 @@ def test_spectral_blocks_is_called_only_by_random_split():
                   if isinstance(node, ast.Call) and "spectral_blocks" in (
                       getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert found == [("linalg", True)]
+
+
+def _calls_by_function(name: str) -> list:
+    """(module, enclosing function) of every call to ``name`` in the package."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found += [(path.stem, owner.get(id(node)), node) for node in calls]
+    return found
+
+
+def test_closure_is_required_only_where_it_is_not_a_theorem():
+    # commutants and intersections of *-algebras are algebras by construction
+    callers = sorted((mod, fn) for mod, fn, _ in _calls_by_function("_require_closed"))
+    assert callers == [("algebras", "algebra_from_generators"),
+                       ("algebras", "commutant_of_matrices"),
+                       ("algebras", "from_span")]
+    # the constructor takes (ambient_dim, basis) and checks shapes only
+    built = _calls_by_function("StarAlgebra")
+    assert built and all(not node.keywords for _, _, node in built)

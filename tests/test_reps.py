@@ -149,6 +149,23 @@ def test_invariant_isometries_reject_a_split_that_is_not_invariant(s3, monkeypat
         reps.invariant_isometries(reg, 0)
 
 
+def test_decompose_certifies_multiplicities_by_the_character_norm(s3, monkeypatch):
+    # <chi, chi> = 6 for the regular representation of S3; dropping one
+    # 2-dimensional piece leaves multiplicities whose squares sum to 3
+    reg = reps.regular_rep(s3)
+    honest = reps.invariant_isometries
+
+    def dropped(rep, seed, tol=linalg.DEFAULT_TOL):
+        pieces = honest(rep, seed, tol)
+        j = next(i for i, q in enumerate(pieces) if q.shape[1] == 2)
+        return pieces[:j] + pieces[j + 1:]
+
+    assert reps.decompose(reg, seed=9).blocks
+    monkeypatch.setattr(reps, "invariant_isometries", dropped)
+    with pytest.raises(DecompositionFailed, match="squared multiplicities 3"):
+        reps.decompose(reg, seed=9)
+
+
 def test_decompose_regular_s3(s3):
     reg = reps.regular_rep(s3)
     dec = reps.decompose(reg, seed=9)
