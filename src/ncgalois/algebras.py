@@ -114,12 +114,13 @@ class StarAlgebra:
         return self.membership_residual(a) <= tol.rank_threshold(scale)
 
     def coordinates(self, a: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt coefficients of ``a`` in the basis."""
-        flat = self.basis.reshape(self.dim, -1)
-        return flat.conj() @ np.asarray(a, dtype=np.complex128).reshape(-1)
+        """Hilbert-Schmidt coefficients of ``a``, or of each matrix of a stack, in the basis."""
+        a = np.asarray(a, dtype=np.complex128)
+        return a.reshape(*a.shape[:-2], -1) @ self.basis.reshape(self.dim, -1).conj().T
 
     def from_coordinates(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(c, dtype=np.complex128), self.basis)
+        """The matrix, or stack of matrices, with coefficients ``c`` (last axis)."""
+        return np.einsum("...k,kij->...ij", np.asarray(c, dtype=np.complex128), self.basis)
 
     def equals(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.equals(other._subspace, tol)

@@ -98,6 +98,8 @@ def _run(args) -> str:
 
     tol = Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
     seed = args.seed if args.seed is not None else spec.get("seed")
+    if seed is not None:
+        seed = reporting.spec_int(seed, "seed")
     if args.command in _NEEDS_SEED and seed is None:
         raise SpecValidationError(
             f"command {args.command!r} is randomized and needs a seed"
@@ -357,7 +359,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
     kind = base_spec["kind"]
     if kind in ("full", "diagonal", "scalars"):
         reporting.reject_unknown_fields(base_spec, {"kind", "dim"}, "base")
-        dim = int(base_spec["dim"])
+        dim = reporting.spec_int(base_spec["dim"], "base dim")
         base = {
             "full": algebras.StarAlgebra.full,
             "diagonal": algebras.StarAlgebra.diagonal,
@@ -366,7 +368,8 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
     elif kind == "span":
         reporting.reject_unknown_fields(base_spec, {"kind", "matrices", "dim"}, "base")
         mats = [reporting.matrix_from_json(mj) for mj in base_spec["matrices"]]
-        base = algebras.StarAlgebra.from_span(mats, int(base_spec["dim"]), tol=tol)
+        base = algebras.StarAlgebra.from_span(
+            mats, reporting.spec_int(base_spec["dim"], "base dim"), tol=tol)
     else:
         raise SpecValidationError(f"unknown base kind {kind!r}")
 
@@ -378,12 +381,12 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
         reporting.reject_unknown_fields(action_spec, {"kind", "unitaries"}, "action")
         data = np.array([reporting.matrix_from_json(mj)
                          for mj in action_spec["unitaries"]])
-        action = crossed.ad_action(group, base, data, tol)
+        action = crossed.ad_action(group, base, data)
     elif akind == "table":
         reporting.reject_unknown_fields(action_spec, {"kind", "tables"}, "action")
         data = np.array([reporting.matrix_from_json(mj)
                          for mj in action_spec["tables"]])
-        action = crossed.table_action(group, base, data, tol)
+        action = crossed.table_action(group, base, data)
     else:
         raise SpecValidationError(f"unknown action kind {akind!r}")
 
@@ -434,7 +437,9 @@ def _cmd_martingale(spec, seed, tol, load_json_field, resolve):
     if rep.group != group:
         raise SpecValidationError("representation belongs to a different group")
 
-    chain = [groups.Subgroup(group, tuple(members)) for members in spec["chain"]]
+    chain = [groups.Subgroup(group, tuple(reporting.spec_int(m, "chain member")
+                                          for m in members))
+             for members in spec["chain"]]
     x = reporting.matrix_from_json(load_json_field(spec["x"], "x"))
     state = ncprob.State(
         reporting.matrix_from_json(load_json_field(spec["state"], "state"))

@@ -24,8 +24,11 @@ from . import galois as gal
 from .algebras import StarAlgebra
 from .errors import NotInvariantAlgebra, ParentMismatch
 from .groups import FiniteGroup
-from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
+from .linalg import DEFAULT_TOL, Tolerance, compress, dagger
 from .reps import UnitaryRep
+
+# largest Frobenius residual an automorphism check forgives, per matrix
+_ACTION_RESIDUAL = 1e-8
 
 
 class GroupAction:
@@ -34,86 +37,78 @@ class GroupAction:
     ``kind="ad"``: ``matrices[g]`` are unitaries on the base's space and
     the action is conjugation.  ``kind="table"``: ``tables[g]`` act on
     Hilbert-Schmidt coordinates of the base algebra.  Both forms are
-    validated as automorphism families: multiplicative, adjoint-
-    preserving, compatible with the group law, and base-preserving.
+    validated as automorphism families: base-preserving, multiplicative
+    on every pair of basis elements, adjoint-preserving, the identity at
+    the identity, and compatible with the group law on every pair of
+    group elements.
     """
 
-    def __init__(self, group: FiniteGroup, base: StarAlgebra, kind: str,
-                 data, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, group: FiniteGroup, base: StarAlgebra, kind: str, data):
         if kind not in ("ad", "table"):
             raise ValueError(f"unknown action kind {kind!r}")
         self.group = group
         self.base = base
         self.kind = kind
         data = np.asarray(data, dtype=np.complex128)
-        if kind == "ad":
-            if data.shape != (group.order, base.ambient_dim, base.ambient_dim):
-                raise ParentMismatch(f"need one unitary per element, got {data.shape}")
-        else:
-            if data.shape != (group.order, base.dim, base.dim):
-                raise ParentMismatch(
-                    f"need one coordinate map per element, got {data.shape}"
-                )
+        if kind == "ad" and data.shape != (group.order, base.ambient_dim, base.ambient_dim):
+            raise ParentMismatch(f"need one unitary per element, got {data.shape}")
+        if kind == "table" and data.shape != (group.order, base.dim, base.dim):
+            raise ParentMismatch(f"need one coordinate map per element, got {data.shape}")
         self.data = data
-        self._validate(tol)
+        self._validate()
 
-    def apply(self, g: int, a: np.ndarray) -> np.ndarray:
+    def images(self, stack, elements=None) -> np.ndarray:
+        """alpha_h(B) for each listed element h (default: all) and each B in the stack.
+
+        Returns shape (elements, stack, n, n).
+        """
+        data = self.data if elements is None else self.data[elements]
+        stack = np.asarray(stack, dtype=np.complex128)
         if self.kind == "ad":
-            u = self.data[g]
-            return u @ np.asarray(a, dtype=np.complex128) @ dagger(u)
-        coords = self.base.coordinates(a)
-        return self.base.from_coordinates(self.data[g] @ coords)
+            return compress(stack[None], dagger(data)[:, None])
+        return self.base.from_coordinates(self.base.coordinates(stack) @ data.swapaxes(1, 2))
 
-    def _validate(self, tol: Tolerance) -> None:
+    def _validate(self) -> None:
+        """Every check on every element, basis element and pair, as stacked arrays.
+
+        A residual is the Frobenius norm of one matrix; an error names the
+        worst one by its index: group element(s) first, then basis element(s).
+        """
         g, base = self.group, self.base
-        probe = base.basis
-        for h in range(g.order):
-            moved = np.array([self.apply(h, b) for b in probe])
-            res = max(base.membership_residual(x) for x in moved)
-            if res > 1e-8:
+        basis, k, n = base.basis, base.dim, base.ambient_dim
+        moved = self.images(basis)                       # moved[h, i] = alpha_h(B_i)
+        flat = moved.reshape(-1, n * n).T
+        products = (basis[:, None] @ basis[None]).reshape(k * k, n, n)
+        twice = self.images(moved.reshape(-1, n, n)).reshape(g.order, g.order, k, n, n)
+        checks = {
+            "does not preserve the base algebra":
+                np.linalg.norm(flat - base.subspace().project(flat), axis=0)
+                .reshape(g.order, k),
+            "is not multiplicative": _frobs(self.images(products).reshape(g.order, k, k, n, n)
+                                            - moved[:, :, None] @ moved[:, None]),
+            "is not *-preserving": _frobs(self.images(dagger(basis)) - dagger(moved)),
+            # twice[h1, h2] = alpha_h1(alpha_h2(B)) against alpha_{h1 h2}(B)
+            "violates the group law": _frobs(twice - moved[g.mult]),
+            "is not trivial at the identity": _frobs(moved[g.identity] - basis),
+        }
+        for what, res in checks.items():
+            if np.max(res) > _ACTION_RESIDUAL:
+                worst = tuple(map(int, np.unravel_index(np.argmax(res), res.shape)))
                 raise NotInvariantAlgebra(
-                    f"element {h} does not preserve the base algebra "
-                    f"(residual {res:.3e})"
-                )
-            # *-automorphism on the base
-            for i in range(min(len(probe), 4)):
-                for j in range(min(len(probe), 4)):
-                    lhs = self.apply(h, probe[i] @ probe[j])
-                    rhs = self.apply(h, probe[i]) @ self.apply(h, probe[j])
-                    if frob(lhs - rhs) > 1e-8:
-                        raise NotInvariantAlgebra(
-                            f"action of {h} is not multiplicative"
-                        )
-                star = frob(self.apply(h, dagger(probe[i]))
-                            - dagger(self.apply(h, probe[i])))
-                if star > 1e-8:
-                    raise NotInvariantAlgebra(f"action of {h} is not *-preserving")
-        # group law on a spanning probe
-        for h1 in range(g.order):
-            for h2 in range(g.order):
-                h12 = g.op(h1, h2)
-                for b in probe[: min(len(probe), 3)]:
-                    lhs = self.apply(h1, self.apply(h2, b))
-                    rhs = self.apply(h12, b)
-                    if frob(lhs - rhs) > 1e-8:
-                        raise NotInvariantAlgebra(
-                            f"action violates the group law at ({h1},{h2})"
-                        )
-        ident = max(
-            frob(self.apply(g.identity, b) - b) for b in probe
-        )
-        if ident > 1e-8:
-            raise NotInvariantAlgebra("identity element does not act trivially")
+                    f"action {what}: residual {np.max(res):.3e} at {worst}")
 
 
-def ad_action(group: FiniteGroup, base: StarAlgebra, unitaries,
-              tol: Tolerance = DEFAULT_TOL) -> GroupAction:
-    return GroupAction(group, base, "ad", unitaries, tol)
+def _frobs(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack."""
+    return np.linalg.norm(stack, axis=(-2, -1))
 
 
-def table_action(group: FiniteGroup, base: StarAlgebra, tables,
-                 tol: Tolerance = DEFAULT_TOL) -> GroupAction:
-    return GroupAction(group, base, "table", tables, tol)
+def ad_action(group: FiniteGroup, base: StarAlgebra, unitaries) -> GroupAction:
+    return GroupAction(group, base, "ad", unitaries)
+
+
+def table_action(group: FiniteGroup, base: StarAlgebra, tables) -> GroupAction:
+    return GroupAction(group, base, "table", tables)
 
 
 def _embed_base(action: GroupAction, a: np.ndarray) -> np.ndarray:
@@ -121,8 +116,8 @@ def _embed_base(action: GroupAction, a: np.ndarray) -> np.ndarray:
     group = action.group
     n = action.base.ambient_dim
     out = np.zeros((n * group.order, n * group.order), dtype=np.complex128)
-    for slot in range(group.order):
-        block = action.apply(group.inv(slot), a)
+    blocks = action.images(np.asarray(a)[None], group.inverse)[:, 0]
+    for slot, block in enumerate(blocks):
         out[slot * n:(slot + 1) * n, slot * n:(slot + 1) * n] = block
     return out
 
@@ -179,14 +174,9 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
 
 def covariance_check(cp: CrossedProduct) -> float:
     """max over g and base basis A of |U_g pi(A) U_g* - pi(alpha_g(A))|."""
-    worst = 0.0
-    for g in range(cp.group.order):
-        u = cp.translation.matrices[g]
-        for b, image in zip(cp.base.basis, cp.base_images):
-            lhs = u @ image @ dagger(u)
-            rhs = cp.embed_base(cp.action.apply(g, b))
-            worst = max(worst, frob(lhs - rhs))
-    return float(worst)
+    lhs = compress(cp.base_images[None], dagger(cp.translation.matrices)[:, None])
+    rhs = [[cp.embed_base(m) for m in row] for row in cp.action.images(cp.base.basis)]
+    return float(np.max(_frobs(lhs - np.array(rhs))))
 
 
 def crossed_galois(cp: CrossedProduct, tol: Tolerance = DEFAULT_TOL):

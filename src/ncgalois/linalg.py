@@ -303,76 +303,50 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
     )
 
 
-def _block_classes(blocks):
-    """Blocks as one unitary plus index arrays, grouped by block size.
+def _block_coordinates(sizes) -> tuple:
+    """Index pairs ``(rows, cols)`` of the block-diagonal coordinates.
 
-    Coordinates of the block-diagonal subspace are ordered by size class,
-    then block, then row-major entry (p, q) inside the block.
+    With v = hstack(blocks), coordinate i is entry (rows[i], cols[i]) of a
+    matrix in the rotated basis v: the entries (p, q) of each block, block
+    by block, row-major.  There are sum_j e_j^2 of them.
     """
-    v = np.hstack(blocks)
-    bounds = np.cumsum([0] + [q.shape[1] for q in blocks])
-    by_size: dict = {}
-    for j, q in enumerate(blocks):
-        by_size.setdefault(q.shape[1], []).append(np.arange(bounds[j], bounds[j + 1]))
-    return v, [(e, np.array(idx)) for e, idx in sorted(by_size.items())]
+    starts = np.cumsum([0, *sizes[:-1]])
+    rows, cols = np.hstack([np.indices((e, e)).reshape(2, -1) + s
+                            for s, e in zip(starts, sizes)])
+    return rows, cols
 
 
-def _conjugation_sum(rot: np.ndarray, classes) -> np.ndarray:
-    """sum_i kron(R_i, conj R_i) restricted to the block-diagonal coordinates.
+def _reduced_sylvester_gram(rot: np.ndarray, sizes) -> np.ndarray:
+    """Normal matrix sum_k L_k* L_k of the maps L_k: X -> R_k X - X R_k.
 
-    On row-major vecs, kron(R, conj R) is the map Y -> R Y R*.  Each pair
-    of size classes is one batched matmul over the stack, so no n^2 x n^2
-    array is formed.
+    Restricted to the block-diagonal coordinates of the rotated stack R,
+    entry (pq, rs) is
+
+        delta_qs (sum R*R)_pr + delta_pr conj(sum RR*)_qs - x - x*,
+
+    with x[(pq), (rs)] = sum_k conj(R_k[r, p]) R_k[s, q].  The rows of x
+    that belong to one block of size e are one (n e) x (n e) matmul over
+    the stack, gathered at the coordinates, so no n^2 x n^2 array is formed
+    unless the block is everything.
     """
-    k = rot.shape[0]
-    rows = []
-    for ea, ia in classes:
-        row = []
-        for eb, ib in classes:
-            na, nb = len(ia), len(ib)
-            a = rot[:, ia[:, :, None, None], ib[None, None, :, :]]
-            a = a.transpose(1, 3, 0, 2, 4).reshape(na * nb, k, ea * eb)
-            z = a.transpose(0, 2, 1) @ a.conj()
-            z = z.reshape(na, nb, ea, eb, ea, eb).transpose(0, 2, 4, 1, 3, 5)
-            row.append(z.reshape(na * ea * ea, nb * eb * eb))
-        rows.append(row)
-    return np.block(rows)
-
-
-def _lift(y: np.ndarray, v: np.ndarray, classes) -> np.ndarray:
-    """Row-major vecs of V Y V* for block-diagonal coordinate columns y."""
-    n, c = v.shape[0], y.shape[1]
-    out = np.zeros((c, n, n), dtype=np.complex128)
-    at = 0
-    for e, ia in classes:
-        size = len(ia) * e * e
-        blk = y[at:at + size].T.reshape(c, len(ia), e, e)
-        vj = v[:, ia]
-        out += np.einsum("nJp,cJpq,mJq->cnm", vj, blk, vj.conj(), optimize=True)
-        at += size
-    return out.reshape(c, n * n).T
-
-
-def _reduced_sylvester_gram(rot: np.ndarray, classes) -> np.ndarray:
-    """Normal matrix sum_i L_i* L_i of the maps L_i: X -> R_i X - X R_i.
-
-    Restricted to the block-diagonal coordinates of the rotated stack; the
-    tests hold it against the unreduced n^2 x n^2 form.
-    """
-    rot_adj = dagger(rot)
-    x = _conjugation_sum(rot_adj, classes)
-    p1 = np.sum(rot_adj @ rot, axis=0)   # sum R*R
-    p2 = np.sum(rot @ rot_adj, axis=0)   # sum RR*
-    gram = -x - dagger(x)
-    at = 0
-    for e, ia in classes:
-        eye = np.eye(e, dtype=np.complex128)
-        for idx in ia:
-            blk = np.ix_(idx, idx)
-            gram[at:at + e * e, at:at + e * e] += (
-                np.kron(p1[blk], eye) + np.kron(eye, p2[blk].conj())
-            )
-            at += e * e
+    k, n, _ = rot.shape
+    rows, cols = _block_coordinates(sizes)
+    x = np.empty((len(rows), len(rows)), dtype=np.complex128)
+    start = at = 0
+    for e in sizes:
+        u = rot[:, :, start:start + e].reshape(k, n * e)
+        # z[p, c, q, d] = x[(rs), (pq)] with r, s = start + c, start + d
+        z = (dagger(u) @ u).reshape(n, e, n, e)
+        x[at:at + e * e] = z[rows, :, cols, :].reshape(-1, e * e).T
+        start, at = start + e, at + e * e
+    gram = -x
+    gram -= dagger(x)
+    p1 = np.sum(dagger(rot) @ rot, axis=0)   # sum R*R
+    p2 = np.sum(rot @ dagger(rot), axis=0)   # sum RR*
+    i, j = np.nonzero(cols[:, None] == cols)   # delta_qs
+    gram[i, j] += p1[rows[i], rows[j]]
+    i, j = np.nonzero(rows[:, None] == rows)   # delta_pr
+    gram[i, j] += p2[cols[i], cols[j]].conj()
     return gram
 
 
@@ -383,19 +357,25 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
     Returns the row-major vecs of a commutant basis as columns.  When the
     span of the stack is closed under adjoints, the kernel is solved only
     on the block-diagonal subspace of ``random_split`` (drawn with the
-    fixed ``_SPLIT_SEED``), whose dimension is
-    sum_j e_j^2 instead of n^2.  ``star_closed=False`` uses the trivial
-    split h = 1, that is the full n^2 x n^2 gram.
+    fixed ``_SPLIT_SEED``), in the coordinates ``(rows, cols)`` of
+    ``_block_coordinates``, whose number is sum_j e_j^2 instead of n^2.
+    ``star_closed=False`` uses the trivial split h = 1: one block, the
+    full n^2 x n^2 gram.  A kernel vector y lifts to V Y V* by writing
+    it at (rows, cols) and conjugating by v.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
     blocks = (random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
               if star_closed else [np.eye(n, dtype=np.complex128)])
-    v, classes = _block_classes(blocks)
-    rot = compress(mats, v)
-    return _lift(kernel_of_gram(_reduced_sylvester_gram(rot, classes), tol, scale=scale),
-                 v, classes)
+    v = np.hstack(blocks)
+    sizes = [q.shape[1] for q in blocks]
+    y = kernel_of_gram(_reduced_sylvester_gram(compress(mats, v), sizes), tol, scale=scale)
+    rows, cols = _block_coordinates(sizes)
+    full = np.zeros((y.shape[1], n, n), dtype=np.complex128)
+    full[:, rows, cols] = y.T
+    del y   # freed before the conjugation's two temporaries of the same size
+    return compress(full, dagger(v)).reshape(-1, n * n).T
 
 
 def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:

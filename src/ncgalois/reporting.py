@@ -87,6 +87,13 @@ def reject_unknown_fields(obj: dict, allowed, what: str) -> None:
         raise SpecValidationError(f"unknown {what} fields: {sorted(extra)}")
 
 
+def spec_int(value, what: str) -> int:
+    """An integer field of a spec; a float or a boolean is an error, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise SpecValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -105,7 +112,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise SpecValidationError(
             'matrix object must have exactly the fields "rows", "cols", "entries"'
         )
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = spec_int(obj["rows"], "matrix rows"), spec_int(obj["cols"], "matrix cols")
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise SpecValidationError(
@@ -133,7 +140,9 @@ def group_from_json(obj) -> FiniteGroup:
     if "mult_table" not in obj:
         raise SpecValidationError('group object needs a "mult_table"')
     table = obj["mult_table"]
-    if "order" in obj and int(obj["order"]) != len(table):
+    for entry in np.asarray(table, dtype=object).ravel():
+        spec_int(entry, "mult_table entry")
+    if "order" in obj and spec_int(obj["order"], "group order") != len(table):
         raise SpecValidationError("declared order does not match the table size")
     return FiniteGroup(table, labels=obj.get("labels"))
 
@@ -193,7 +202,7 @@ def rep_from_json(obj, resolve_path=None) -> UnitaryRep:
             group = group_from_json(json.load(fh))
     else:
         group = group_from_json(group_field)
-    dim = int(obj["dim"])
+    dim = spec_int(obj["dim"], "representation dim")
     mats = np.array(
         [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]],
         dtype=np.complex128,

@@ -41,8 +41,7 @@ class UnitaryRep:
     identity element maps to the identity matrix.
     """
 
-    def __init__(self, group: FiniteGroup, matrices, check: bool = True,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, group: FiniteGroup, matrices, check: bool = True):
         mats = np.asarray(matrices, dtype=np.complex128)
         if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
             raise ParentMismatch(
@@ -53,9 +52,9 @@ class UnitaryRep:
         self.matrices = mats
         self.matrices.setflags(write=False)
         if check:
-            self._validate(tol)
+            self._validate()
 
-    def _validate(self, tol: Tolerance) -> None:
+    def _validate(self) -> None:
         g, mats, d = self.group, self.matrices, self.dim
         eye = np.eye(d)
         err = max(frob(dagger(m) @ m - eye) for m in mats)
@@ -399,11 +398,15 @@ def schur_check(rep1: UnitaryRep, rep2: UnitaryRep,
     """Check the coefficient orthogonality relations on two irreducibles.
 
     For identical irreducibles the inner products must equal
-    ``(1/d) delta_ik delta_jl``; for inequivalent ones they vanish.
+    ``(1/d) delta_ik delta_jl``; for inequivalent ones they vanish.  Each
+    input is certified irreducible by its character norm <chi, chi> = 1,
+    the commutant dimension (Serre, section 2.3).
     """
     for r in (rep1, rep2):
-        if not is_irreducible(r):
-            raise NotIrreducible("schur_check requires irreducible inputs")
+        chi = r.character()
+        norm = character_inner(r.group, chi, chi).real
+        if abs(norm - 1.0) > 1e-6:
+            raise NotIrreducible(f"schur_check needs irreducible inputs: <chi, chi> = {norm:.6g}")
     if rep1.group != rep2.group:
         raise ParentMismatch("representations of different groups")
     order = rep1.group.order

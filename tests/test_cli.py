@@ -277,3 +277,54 @@ def test_byte_determinism_across_threads_s4(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _shifted(table, by):
+    return [[entry + by for entry in row] for row in table]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("analyze-group", {"group": {"mult_table": _shifted([[0, 1], [1, 0]], 0.4)}}),
+    ("analyze-group", {"group": {**reporting.group_to_json(groups.symmetric_group(3)),
+                                 "order": 6.5}}),
+    ("analyze-group", {"group": {"order": True, "mult_table": [[0]]}}),
+    ("decompose", {"representation": {**reporting.rep_to_json(
+        reps.regular_rep(groups.symmetric_group(3))), "dim": 6.7}, "seed": 1}),
+    ("crossed", _crossed_spec(base_extra={"dim": 2.9})),
+    ("decompose", {"representation": "s3_reg.json", "seed": True}),
+], ids=["mult-table", "order", "bool-order", "rep-dim", "base-dim", "bool-seed"])
+def test_non_integer_spec_values_rejected(workspace, tmp_path, capsys, command, payload):
+    # int() would truncate each of these to a valid value
+    spec = write_spec(workspace, f"non-integer-{command}.json", payload)
+    assert run_cli([command, spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "SpecValidationError"
+    assert "must be an integer" in error["detail"]
+
+
+def test_irreps_runs_no_commutant_kernel_outside_the_table(workspace, tmp_path, monkeypatch):
+    # the table's irreps are certified by their character norms, not by kernels
+    from ncgalois import linalg
+
+    inside, outside = [0], []
+    table, kernel = reps.irrep_table, linalg.commutant_kernel
+
+    def counted_table(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return table(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def counted_kernel(*args, **kwargs):
+        if not inside[0]:
+            outside.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(reps, "irrep_table", counted_table)
+    monkeypatch.setattr(linalg, "commutant_kernel", counted_kernel)
+    spec = write_spec(workspace, "s4-irreps.json",
+                      {"group": reporting.group_to_json(groups.symmetric_group(4))})
+    assert run_cli(["irreps", spec, "--out", tmp_path / "r.json"]) == 0
+    assert outside == []
+    assert load_report(tmp_path / "r.json")["report"]["dims"] == [1, 1, 2, 3, 3]

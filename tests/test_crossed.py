@@ -149,3 +149,11 @@ def test_crossed_galois_s3_swap_factor(s3):
     assert all(r.bicommutant_ok for r in report.rows)
     assert report.anti_monotone_pairs > 0
     assert not report.violations
+
+
+def test_action_validation_checks_every_basis_pair(z2):
+    # swapping the coordinates of E21 and E22 of M3 is an involution that
+    # preserves M3, but alpha(E22)^2 = E21^2 = 0 != alpha(E22^2) = E21
+    swap = np.eye(9, dtype=complex)[[0, 1, 2, 3, 4, 5, 6, 8, 7]]
+    with pytest.raises(NotInvariantAlgebra, match="not multiplicative"):
+        crossed.table_action(z2, StarAlgebra.full(3), np.array([np.eye(9), swap]))

@@ -230,6 +230,35 @@ def test_commutant_kernel_equals_full_gram_kernel(stack):
     assert _same_span(linalg.commutant_kernel(stack, star_closed=False), reference)
 
 
+@pytest.mark.parametrize("one_block", [False, True], ids=["split", "one-block"])
+@pytest.mark.parametrize("stack", _star_closed_stacks())
+def test_reduced_gram_is_the_full_gram_at_the_block_coordinates(stack, one_block):
+    # coordinate i is entry (rows[i], cols[i]), that is row-major vec index rows*n + cols
+    n = stack.shape[1]
+    blocks = ([np.eye(n, dtype=complex)] if one_block else
+              linalg.random_split(stack, np.random.default_rng(linalg._SPLIT_SEED)))
+    sizes = [q.shape[1] for q in blocks]
+    rot = linalg.compress(stack, np.hstack(blocks))
+    gram = linalg._reduced_sylvester_gram(rot, sizes)
+    rows, cols = linalg._block_coordinates(sizes)
+    assert len(rows) == sum(e * e for e in sizes)
+    idx = rows * n + cols
+    reference = sylvester_gram(rot)[np.ix_(idx, idx)]
+    assert np.max(np.abs(gram - reference)) <= 1e-12 * max(1.0, linalg.frob(gram))
+
+
+@pytest.mark.parametrize("sizes", [[6], [1, 2, 3], [3, 1, 2]])
+def test_reduced_gram_of_a_stack_that_is_not_star_closed(rng, sizes):
+    # on a *-closed stack x is Hermitian and sum RR* is central; a random
+    # stack has neither, so every term of the closed form shows
+    rot = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
+    rows, cols = linalg._block_coordinates(sizes)
+    idx = rows * 6 + cols
+    reference = sylvester_gram(rot)[np.ix_(idx, idx)]
+    gram = linalg._reduced_sylvester_gram(rot, sizes)
+    assert np.max(np.abs(gram - reference)) <= 1e-12 * linalg.frob(gram)
+
+
 def test_intertwiner_aligns_an_irrep_with_its_conjugate():
     irrep = reps.irrep_table(groups.symmetric_group(3)).irreps[-1]
     assert irrep.dim == 2
