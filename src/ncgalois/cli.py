@@ -20,16 +20,6 @@ import json
 import os
 import sys
 
-_COMMANDS = (
-    "analyze-group",
-    "irreps",
-    "decompose",
-    "galois",
-    "modular",
-    "crossed",
-    "martingale",
-)
-
 _NEEDS_SEED = {"decompose", "modular", "crossed", "martingale"}
 
 
@@ -46,7 +36,7 @@ def _pin_blas_threads() -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ncgalois", description=__doc__)
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     parser.add_argument("spec", help="path to the experiment spec (JSON)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the spec's seed")
@@ -62,12 +52,8 @@ def main(argv=None) -> int:
 
     try:
         report_text = _run(args)
-    except errors.VALIDATION_ERRORS as exc:
-        print(json.dumps({"error": "validation", "kind": type(exc).__name__,
-                          "detail": str(exc)}), file=sys.stdout)
-        return 1
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError,
-            ValueError) as exc:
+    except (*errors.VALIDATION_ERRORS, json.JSONDecodeError, FileNotFoundError,
+            KeyError, TypeError, ValueError) as exc:
         print(json.dumps({"error": "validation", "kind": type(exc).__name__,
                           "detail": str(exc)}), file=sys.stdout)
         return 1
@@ -309,7 +295,7 @@ def _cmd_modular(spec, seed, tol, load_json_field, resolve):
     from .algebras import StarAlgebra
 
     _check_fields(spec, ["state"])
-    rho = reporting.matrix_from_json(load_json_field(spec["state"], "state"))
+    rho = reporting.matrix_from_json(load_json_field(spec["state"], "state"), "state")
     state = ncprob.State(rho).require_faithful()
     n = state.dim
 
@@ -367,7 +353,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
         }[kind](dim)
     elif kind == "span":
         reporting.reject_unknown_fields(base_spec, {"kind", "matrices", "dim"}, "base")
-        mats = [reporting.matrix_from_json(mj) for mj in base_spec["matrices"]]
+        mats = [reporting.matrix_from_json(mj, "base matrix") for mj in base_spec["matrices"]]
         base = algebras.StarAlgebra.from_span(
             mats, reporting.spec_int(base_spec["dim"], "base dim"), tol=tol)
     else:
@@ -379,12 +365,12 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
     akind = action_spec["kind"]
     if akind == "ad":
         reporting.reject_unknown_fields(action_spec, {"kind", "unitaries"}, "action")
-        data = np.array([reporting.matrix_from_json(mj)
+        data = np.array([reporting.matrix_from_json(mj, "action unitary")
                          for mj in action_spec["unitaries"]])
         action = crossed.ad_action(group, base, data)
     elif akind == "table":
         reporting.reject_unknown_fields(action_spec, {"kind", "tables"}, "action")
-        data = np.array([reporting.matrix_from_json(mj)
+        data = np.array([reporting.matrix_from_json(mj, "action table")
                          for mj in action_spec["tables"]])
         action = crossed.table_action(group, base, data)
     else:
@@ -440,9 +426,9 @@ def _cmd_martingale(spec, seed, tol, load_json_field, resolve):
     chain = [groups.Subgroup(group, tuple(reporting.spec_int(m, "chain member")
                                           for m in members))
              for members in spec["chain"]]
-    x = reporting.matrix_from_json(load_json_field(spec["x"], "x"))
+    x = reporting.matrix_from_json(load_json_field(spec["x"], "x"), "x")
     state = ncprob.State(
-        reporting.matrix_from_json(load_json_field(spec["state"], "state"))
+        reporting.matrix_from_json(load_json_field(spec["state"], "state"), "state")
     ).require_faithful()
 
     m = StarAlgebra.full(rep.dim)

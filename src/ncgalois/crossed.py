@@ -25,7 +25,7 @@ from .algebras import StarAlgebra
 from .errors import NotInvariantAlgebra, ParentMismatch
 from .groups import FiniteGroup
 from .linalg import DEFAULT_TOL, Tolerance, compress, dagger
-from .reps import UnitaryRep
+from .reps import UnitaryRep, permutation_rep
 
 # largest Frobenius residual an automorphism check forgives, per matrix
 _ACTION_RESIDUAL = 1e-8
@@ -111,15 +111,14 @@ def table_action(group: FiniteGroup, base: StarAlgebra, tables) -> GroupAction:
     return GroupAction(group, base, "table", tables)
 
 
-def _embed_base(action: GroupAction, a: np.ndarray) -> np.ndarray:
-    """pi(A): block-diagonal with blocks alpha_{g^-1}(A), slot-major."""
+def _embed_base(action: GroupAction, stack: np.ndarray) -> np.ndarray:
+    """pi(A) for each A in the stack: block-diagonal with blocks alpha_{g^-1}(A), slot-major."""
     group = action.group
     n = action.base.ambient_dim
-    out = np.zeros((n * group.order, n * group.order), dtype=np.complex128)
-    blocks = action.images(np.asarray(a)[None], group.inverse)[:, 0]
-    for slot, block in enumerate(blocks):
-        out[slot * n:(slot + 1) * n, slot * n:(slot + 1) * n] = block
-    return out
+    out = np.zeros((len(stack), group.order, n, group.order, n), dtype=np.complex128)
+    slots = np.arange(group.order)
+    out[:, slots, :, slots, :] = action.images(stack, group.inverse)
+    return out.reshape(len(stack), n * group.order, n * group.order)
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,6 @@ class CrossedProduct:
     base_images: np.ndarray       # pi(B_k) on the carrier, one per base basis element
     translation: UnitaryRep       # U_g, left-translation permutation blocks
     algebra: StarAlgebra          # generated by both families
-
-    def embed_base(self, a: np.ndarray) -> np.ndarray:
-        return _embed_base(self.action, a)
 
 
 def crossed_product(base: StarAlgebra, action: GroupAction,
@@ -148,17 +144,13 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
     n = base.ambient_dim
     carrier = n * group.order
 
-    u_mats = np.zeros((group.order, carrier, carrier), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for g in range(group.order):
-        for slot in range(group.order):
-            src = group.op(group.inv(g), slot)
-            u_mats[g, slot * n:(slot + 1) * n, src * n:(src + 1) * n] = eye
-    translation = UnitaryRep(group, u_mats)
+    # U_g moves carrier point (s, i), at index s*n + i, to (g*s, i)
+    moved = group.mult[:, :, None] * n + np.arange(n)
+    translation = permutation_rep(group, moved.reshape(group.order, carrier))
 
-    images = np.array([_embed_base(action, b) for b in base.basis])
+    images = _embed_base(action, base.basis)
     generated = alg.algebra_from_generators(
-        np.concatenate([images, u_mats]), carrier, tol
+        np.concatenate([images, translation.matrices]), carrier, tol
     )
     cp = CrossedProduct(
         base=base, group=group, action=action, carrier_dim=carrier,
@@ -175,8 +167,9 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
 def covariance_check(cp: CrossedProduct) -> float:
     """max over g and base basis A of |U_g pi(A) U_g* - pi(alpha_g(A))|."""
     lhs = compress(cp.base_images[None], dagger(cp.translation.matrices)[:, None])
-    rhs = [[cp.embed_base(m) for m in row] for row in cp.action.images(cp.base.basis)]
-    return float(np.max(_frobs(lhs - np.array(rhs))))
+    moved = cp.action.images(cp.base.basis)
+    rhs = _embed_base(cp.action, moved.reshape(-1, *moved.shape[2:])).reshape(lhs.shape)
+    return float(np.max(_frobs(lhs - rhs)))
 
 
 def crossed_galois(cp: CrossedProduct, tol: Tolerance = DEFAULT_TOL):

@@ -53,31 +53,28 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise NotLatinSquare("table entries must lie in 0..n-1")
 
-        full = frozenset(range(n))
-        for a in range(n):
-            if frozenset(table[a]) != full:
-                raise NotLatinSquare(f"row {a} repeats an element")
-            if frozenset(table[:, a]) != full:
-                raise NotLatinSquare(f"column {a} repeats an element")
+        # a row or column is a permutation exactly when it sorts to 0..n-1;
+        # row a is reported before column a, and both before row a + 1
+        idx = np.arange(n)
+        bad_rows = np.any(np.sort(table, axis=1) != idx, axis=1)
+        bad_cols = np.any(np.sort(table, axis=0) != idx[:, None], axis=0)
+        if bad_rows.any() or bad_cols.any():
+            a = int(np.argmax(bad_rows | bad_cols))
+            what = "row" if bad_rows[a] else "column"
+            raise NotLatinSquare(f"{what} {a} repeats an element")
 
         # cheap axioms first: identity and inverses are reachable failures
         # even on tables whose associativity never gets examined
-        identity = None
-        for e in range(n):
-            if np.array_equal(table[e], np.arange(n)) and np.array_equal(
-                table[:, e], np.arange(n)
-            ):
-                identity = e
-                break
-        if identity is None:
+        is_identity = np.all(table == idx, axis=1) & np.all(table == idx[:, None], axis=0)
+        if not is_identity.any():
             raise NoIdentity("no two-sided identity element")
+        identity = int(np.argmax(is_identity))
 
-        inverse = np.full(n, -1, dtype=np.intp)
-        for a in range(n):
-            hits = np.nonzero(table[a] == identity)[0]
-            if hits.size != 1 or table[hits[0], a] != identity:
-                raise NoInverse(f"element {a} has no two-sided inverse")
-            inverse[a] = hits[0]
+        # rows are Latin, so each a has exactly one right inverse; it must be a left one too
+        inverse = np.argmax(table == identity, axis=1)
+        one_sided = table[inverse, idx] != identity
+        if one_sided.any():
+            raise NoInverse(f"element {int(np.argmax(one_sided))} has no two-sided inverse")
 
         # (a*b)*c == a*(b*c) for all triples, vectorized over (a, b, c)
         left = table[table, :]            # left[a, b, c]  = (a*b)*c
@@ -144,17 +141,25 @@ class Subgroup:
         members = tuple(sorted(set(int(m) for m in self.members)))
         object.__setattr__(self, "members", members)
         g = self.parent
+        if members and (members[0] < 0 or members[-1] >= g.order):
+            raise ParentMismatch(f"subgroup members must lie in 0..{g.order - 1}")
         if g.identity not in members:
             raise NoIdentity("subgroup does not contain the identity")
-        member_set = frozenset(members)
-        for a in members:
-            if g.inv(a) not in member_set:
-                raise NoInverse(f"subgroup not closed under inverse at {a}")
-            for b in members:
-                if g.op(a, b) not in member_set:
-                    raise NotAssociative(
-                        f"subgroup not closed under product at ({a},{b})"
-                    )
+        # the first failing member a, its inverse checked before its products a*b
+        m = np.array(members, dtype=np.intp)
+        inside = np.zeros(g.order, dtype=bool)
+        inside[m] = True
+        closed = inside[g.mult[np.ix_(m, m)]]
+        has_inverse = inside[g.inverse[m]]
+        failing = ~has_inverse | ~closed.all(axis=1)
+        if failing.any():
+            i = int(np.argmax(failing))
+            if not has_inverse[i]:
+                raise NoInverse(f"subgroup not closed under inverse at {members[i]}")
+            b = members[int(np.argmin(closed[i]))]
+            raise NotAssociative(
+                f"subgroup not closed under product at ({members[i]},{b})"
+            )
 
     @property
     def order(self) -> int:
@@ -168,63 +173,59 @@ class Subgroup:
 
 
 def closure(group: FiniteGroup, seed) -> tuple:
-    """Smallest subgroup member set containing ``seed``."""
-    members = {group.identity}
-    members.update(int(s) for s in seed)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for a in frontier:
-            inv = group.inv(a)
-            if inv not in members:
-                members.add(inv)
-                new.append(inv)
-        for a in list(members):
-            for b in list(members):
-                c = group.op(a, b)
-                if c not in members:
-                    members.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(members))
+    """Smallest subgroup member set containing ``seed``.
+
+    In a finite group a nonempty set closed under products is a subgroup,
+    so the closure only multiplies: every step adds all products of the
+    members found so far, until nothing new appears.
+    """
+    mask = np.zeros(group.order, dtype=bool)
+    mask[group.identity] = True
+    mask[np.asarray(list(seed), dtype=np.intp)] = True
+    while True:
+        m = np.flatnonzero(mask)
+        mask[group.mult[np.ix_(m, m)]] = True
+        if mask.sum() == m.size:
+            return tuple(m.tolist())
 
 
 def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BOUND):
     """All subgroups, each exactly once, sorted by (size, member list).
 
-    Exact brute force: close every cyclic subgroup, then saturate under
-    pairwise joins.  Every subgroup is the join of the cyclic subgroups of
-    its elements, so the fixpoint contains the full lattice.
+    Exact cyclic extension (Neubüser 1960): every subgroup is the join of
+    the cyclic subgroups of its elements, so joining each subgroup found
+    with each cyclic subgroup, once, from a worklist reaches the full lattice.
     """
     if group.order > order_bound:
         raise OrderBoundExceeded(
             f"group order {group.order} exceeds bound {order_bound}"
         )
-    found = {closure(group, [a]) for a in range(group.order)}
-    found.add((group.identity,))
-    while True:
-        fresh = set()
-        for h1, h2 in itertools.combinations(sorted(found), 2):
-            j = closure(group, h1 + h2)
-            if j not in found:
-                fresh.add(j)
-        if not fresh:
-            break
-        found |= fresh
+    cyclic = sorted({closure(group, [a]) for a in range(group.order)})
+    found = {(group.identity,), *cyclic}
+    work = list(found)
+    while work:
+        h = work.pop()
+        members = set(h)
+        for c in cyclic:
+            if not members.issuperset(c):
+                j = closure(group, h + c)
+                if j not in found:
+                    found.add(j)
+                    work.append(j)
     members_sorted = sorted(found, key=lambda m: (len(m), m))
     return [Subgroup(group, m) for m in members_sorted]
 
 
+def conjugation_table(group: FiniteGroup) -> np.ndarray:
+    """conj[g, x] = g * x * g^-1 for every pair."""
+    return group.mult[group.mult, group.inverse[:, None]]
+
+
 def conjugacy_classes(group: FiniteGroup):
     """Partition of the element set into conjugacy classes."""
-    seen = set()
-    classes = []
-    for a in range(group.order):
-        if a in seen:
-            continue
-        orbit = {group.conjugate(g, a) for g in range(group.order)}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
+    # each element is labelled by the least member of its class
+    least = conjugation_table(group).min(axis=0)
+    classes = [tuple(np.flatnonzero(least == r).tolist()) for r in np.unique(least)]
     classes.sort(key=lambda c: (len(c), c))
     return classes
 
@@ -232,10 +233,10 @@ def conjugacy_classes(group: FiniteGroup):
 def is_normal(subgroup: Subgroup) -> bool:
     """True iff the subgroup is a union of conjugacy classes."""
     g = subgroup.parent
-    members = set(subgroup.members)
-    return all(
-        g.conjugate(x, h) in members for h in subgroup.members for x in range(g.order)
-    )
+    members = list(subgroup.members)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[members] = True
+    return bool(inside[conjugation_table(g)[:, members]].all())
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,13 @@ def reject_unknown_fields(obj: dict, allowed, what: str) -> None:
         raise SpecValidationError(f"unknown {what} fields: {sorted(extra)}")
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise SpecValidationError at the first NaN or infinite entry, named by ``what``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise SpecValidationError(f"non-finite entry in {what} at {tuple(map(int, bad[0]))}")
+
+
 def spec_int(value, what: str) -> int:
     """An integer field of a spec; a float or a boolean is an error, not truncated."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
@@ -107,7 +114,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """A matrix object of a spec; ``what`` names its field in error messages."""
     if not isinstance(obj, dict) or set(obj) != {"rows", "cols", "entries"}:
         raise SpecValidationError(
             'matrix object must have exactly the fields "rows", "cols", "entries"'
@@ -118,8 +126,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise SpecValidationError(
             f"matrix has {len(entries)} entries, expected {rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    matrix = np.array([complex(re, im) for re, im in entries],
+                      dtype=np.complex128).reshape(rows, cols)
+    _require_finite(matrix, what)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -211,4 +221,5 @@ def rep_from_json(obj, resolve_path=None) -> UnitaryRep:
         raise SpecValidationError(
             f"matrices have shape {mats.shape}, expected {(group.order, dim, dim)}"
         )
+    _require_finite(mats, "representation matrices")
     return UnitaryRep(group, mats)

@@ -1,10 +1,10 @@
 """Unitary representations of finite groups and the Peter-Weyl toolkit.
 
 The decomposition strategy is the randomized commutant split: a random
-Hermitian element of the commutant (``linalg.random_split`` on the kernel
-the Schur test already computes) commutes with the representation, so its
-eigenspaces are invariant; recursing until the restricted commutant is
-scalar yields irreducible pieces.  Tables of irreducibles are computed
+Hermitian element of the commutant (``linalg.random_split`` on the
+commutant kernel) commutes with the representation, so its eigenspaces
+are invariant; recursing until the character norm <chi, chi> of each
+piece is 1 yields irreducible pieces.  Tables of irreducibles are computed
 once per group from the regular representation and canonicalized so that
 identical inputs give identical tables across runs.
 """
@@ -57,16 +57,17 @@ class UnitaryRep:
     def _validate(self) -> None:
         g, mats, d = self.group, self.matrices, self.dim
         eye = np.eye(d)
+        # each check passes only on a residual <= its bound, so NaN fails
         err = max(frob(dagger(m) @ m - eye) for m in mats)
-        if err > 1e-8 * max(1.0, d):
+        if not err <= 1e-8 * max(1.0, d):
             raise NotAHomomorphism(f"matrices not unitary, residual {err:.3e}")
-        if frob(mats[g.identity] - eye) > 1e-8:
+        if not frob(mats[g.identity] - eye) <= 1e-8:
             raise NotAHomomorphism("identity element does not map to identity matrix")
         # matrices[a] @ matrices[b] == matrices[a*b] for all pairs
         prod = mats[:, None] @ mats[None]
         expected = mats[g.mult]
         err = float(np.max(np.abs(prod - expected)))
-        if err > 1e-8:
+        if not err <= 1e-8:
             raise NotAHomomorphism(f"homomorphism violated, residual {err:.3e}")
 
     def matrix(self, a: int) -> np.ndarray:
@@ -91,24 +92,35 @@ def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
     """Left regular representation on C^order: U_a e_b = e_{a*b}."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for a in range(n):
-        mats[a, group.mult[a], np.arange(n)] = 1.0
-    return UnitaryRep(group, mats, check=False)
+    return permutation_rep(group, group.mult)
 
 
 def permutation_rep(group: FiniteGroup, action) -> UnitaryRep:
     """Representation by permutation matrices for a given action table.
 
-    ``action[g][i]`` is the image of point ``i`` under element ``g``.
+    ``action[g][i]`` is the image of point ``i`` under element ``g``, and
+    U_g e_i = e_{action[g][i]}.  The table is checked exactly: every row is
+    a permutation, the identity fixes every point, and
+    ``action[a*b] == action[a][action[b]]`` for every pair (a, b).
     """
     act = np.asarray(action, dtype=np.intp)
+    if act.ndim != 2 or act.shape[0] != group.order:
+        raise ParentMismatch(f"need one row of point images per element, got shape {act.shape}")
     npts = act.shape[1]
+    points = np.arange(npts)
+    bad_rows = np.any(np.sort(act, axis=1) != points, axis=1)
+    if bad_rows.any():
+        raise NotAHomomorphism(f"row {int(np.argmax(bad_rows))} of the action is not a permutation")
+    if np.any(act[group.identity] != points):
+        raise NotAHomomorphism("the identity element moves a point")
+    elements = np.arange(group.order)
+    broken = np.any(act[group.mult] != act[elements[:, None, None], act[None]], axis=2)
+    if broken.any():
+        a, b = map(int, np.argwhere(broken)[0])
+        raise NotAHomomorphism(f"action[{a}*{b}] != action[{a}][action[{b}]]")
     mats = np.zeros((group.order, npts, npts), dtype=np.complex128)
-    for g in range(group.order):
-        mats[g, act[g], np.arange(npts)] = 1.0
-    return UnitaryRep(group, mats)
+    mats[elements[:, None], act, points] = 1.0
+    return UnitaryRep(group, mats, check=False)
 
 
 def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
@@ -172,27 +184,17 @@ def average_conjugation(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# commutant dimension (the algebras module has the full story)
-
-
-def commutant_dimension(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> int:
-    return linalg.commutant_kernel(rep.matrices, tol).shape[1]
-
-
-def is_irreducible(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Schur test: scalar commutant."""
-    return commutant_dimension(rep, tol) == 1
-
-
-# ---------------------------------------------------------------------------
 # splitting into irreducible invariant subspaces
 
 
 def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL):
     """Isometries onto irreducible invariant subspaces, deterministically seeded.
 
-    Each split piece q must carry an invariant subspace: U q = q (q* U q)
-    must hold to 1e-9 k on the k-dimensional carrier being split.
+    A carrier is irreducible when its character norm <chi, chi>, the
+    commutant dimension (Serre, section 2.3), is 1; only a reducible one
+    is split, by its commutant kernel.  Each split piece q must carry an
+    invariant subspace: U q = q (q* U q) must hold to 1e-9 k on the
+    k-dimensional carrier being split.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -201,10 +203,11 @@ def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TO
         q = stack.pop()
         k = q.shape[1]
         sub = linalg.compress(rep.matrices, q)
-        kernel = linalg.commutant_kernel(sub, tol)
-        if kernel.shape[1] == 1:
+        chi = np.einsum("gii->g", sub)
+        if abs(character_inner(rep.group, chi, chi).real - 1.0) <= 1e-6:
             out.append(q)
             continue
+        kernel = linalg.commutant_kernel(sub, tol)
         for piece in linalg.random_split(kernel.T.reshape(-1, k, k), rng, 2, tol):
             moved = sub @ piece - piece @ linalg.compress(sub, piece)
             res = float(np.max(np.linalg.norm(moved, axis=(1, 2))))

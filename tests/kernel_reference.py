@@ -1,7 +1,11 @@
 """Reference constructions the tests hold the package's kernels against."""
 
+import itertools
+
 import numpy as np
 
+from ncgalois.errors import OrderBoundExceeded
+from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
 from ncgalois.linalg import dagger
 
 
@@ -31,3 +35,51 @@ def sylvester_gram(mats: np.ndarray) -> np.ndarray:
     x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     eye = np.eye(n, dtype=np.complex128)
     return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
+
+
+def closure(group: FiniteGroup, seed) -> tuple:
+    """Smallest subgroup member set containing ``seed``, one product at a time."""
+    members = {group.identity}
+    members.update(int(s) for s in seed)
+    frontier = list(members)
+    while frontier:
+        new = []
+        for a in frontier:
+            inv = group.inv(a)
+            if inv not in members:
+                members.add(inv)
+                new.append(inv)
+        for a in list(members):
+            for b in list(members):
+                c = group.op(a, b)
+                if c not in members:
+                    members.add(c)
+                    new.append(c)
+        frontier = new
+    return tuple(sorted(members))
+
+
+def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BOUND):
+    """All subgroups, each exactly once, sorted by (size, member list).
+
+    Exact brute force: close every cyclic subgroup, then saturate under
+    pairwise joins.  Every subgroup is the join of the cyclic subgroups of
+    its elements, so the fixpoint contains the full lattice.
+    """
+    if group.order > order_bound:
+        raise OrderBoundExceeded(
+            f"group order {group.order} exceeds bound {order_bound}"
+        )
+    found = {closure(group, [a]) for a in range(group.order)}
+    found.add((group.identity,))
+    while True:
+        fresh = set()
+        for h1, h2 in itertools.combinations(sorted(found), 2):
+            j = closure(group, h1 + h2)
+            if j not in found:
+                fresh.add(j)
+        if not fresh:
+            break
+        found |= fresh
+    members_sorted = sorted(found, key=lambda m: (len(m), m))
+    return [Subgroup(group, m) for m in members_sorted]

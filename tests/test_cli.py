@@ -302,6 +302,45 @@ def test_non_integer_spec_values_rejected(workspace, tmp_path, capsys, command, 
     assert "must be an integer" in error["detail"]
 
 
+def _with_entry(obj, value):
+    """A matrix or representation object whose first entry is ``value``."""
+    obj = json.loads(json.dumps(obj))
+    first = obj["entries"] if "entries" in obj else obj["matrices"][0][0]
+    first[0][0] = value
+    return obj
+
+
+def _martingale_spec(**fields):
+    s3 = groups.symmetric_group(3)
+    return {"group": "s3.json", "representation": "s3_perm.json",
+            "chain": [list(range(6)), [s3.identity]],
+            "x": reporting.matrix_to_json(np.eye(3, dtype=complex)),
+            "state": reporting.matrix_to_json(np.eye(3, dtype=complex) / 3),
+            "seed": 5, **fields}
+
+
+@pytest.mark.parametrize("command, payload, where", [
+    ("decompose", {"representation": _with_entry(reporting.rep_to_json(
+        reps.regular_rep(groups.symmetric_group(3))), float("nan")), "seed": 1},
+     "representation matrices at (0, 0, 0)"),
+    ("modular", {"state": _with_entry(reporting.matrix_to_json(
+        np.diag([0.5, 0.3, 0.2]).astype(complex)), float("inf")), "seed": 1}, "state at (0, 0)"),
+    ("martingale", _martingale_spec(x=_with_entry(
+        reporting.matrix_to_json(np.eye(3, dtype=complex)), float("nan"))), "x at (0, 0)"),
+    ("crossed", {**_crossed_spec(), "action": {"kind": "ad", "unitaries": [
+        reporting.matrix_to_json(np.eye(2, dtype=complex)),
+        _with_entry(reporting.matrix_to_json(np.eye(2, dtype=complex)), float("nan"))]}},
+     "action unitary at (0, 0)"),
+], ids=["representation", "state", "x", "ad-unitary"])
+def test_non_finite_spec_values_rejected(workspace, tmp_path, capsys, command, payload, where):
+    # json.load accepts NaN and Infinity, which no residual bound can catch
+    spec = write_spec(workspace, f"non-finite-{command}.json", payload)
+    assert run_cli([command, spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "SpecValidationError"
+    assert error["detail"] == f"non-finite entry in {where}"
+
+
 def test_irreps_runs_no_commutant_kernel_outside_the_table(workspace, tmp_path, monkeypatch):
     # the table's irreps are certified by their character norms, not by kernels
     from ncgalois import linalg

@@ -157,3 +157,25 @@ def test_action_validation_checks_every_basis_pair(z2):
     swap = np.eye(9, dtype=complex)[[0, 1, 2, 3, 4, 5, 6, 8, 7]]
     with pytest.raises(NotInvariantAlgebra, match="not multiplicative"):
         crossed.table_action(z2, StarAlgebra.full(3), np.array([np.eye(9), swap]))
+
+
+def test_carrier_matrices_equal_the_slot_by_slot_construction(s3):
+    # U_g has the identity block at (slot, g^-1 * slot); pi(A) has the block
+    # alpha_{g^-1}(A) at (slot, slot)
+    base = StarAlgebra.diagonal(3)
+    perm = reps.permutation_rep(s3, groups.symmetric_action(3))
+    act = crossed.ad_action(s3, base, perm.matrices)
+    cp = crossed.crossed_product(base, act)
+    n, order = 3, s3.order
+    u_mats = np.zeros((order, 18, 18))
+    images = np.zeros((base.dim, 18, 18), dtype=complex)
+    for g in range(order):
+        for slot in range(order):
+            src = s3.op(s3.inv(g), slot)
+            u_mats[g, slot * n:(slot + 1) * n, src * n:(src + 1) * n] = np.eye(n)
+    for k, b in enumerate(base.basis):
+        for slot in range(order):
+            block = act.images(b[None], [s3.inv(slot)])[0, 0]
+            images[k, slot * n:(slot + 1) * n, slot * n:(slot + 1) * n] = block
+    assert np.array_equal(cp.translation.matrices, u_mats)
+    assert np.array_equal(cp.base_images, images)

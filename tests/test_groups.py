@@ -1,11 +1,16 @@
+import ast
 import itertools
+from pathlib import Path
 
+import kernel_reference
 import numpy as np
 import pytest
 
 from ncgalois import groups
 from ncgalois.errors import (
     NoIdentity,
+    NoInverse,
+    NotAssociative,
     NotLatinSquare,
     OrderBoundExceeded,
     ParentMismatch,
@@ -133,6 +138,65 @@ def test_normality_in_s3(s3):
 def test_subgroup_validation(s3):
     with pytest.raises(Exception):
         Subgroup(s3, (0, 1, 3))  # not closed
+
+
+def _direct_product(g, h):
+    n, m = g.order, h.order
+    return FiniteGroup((g.mult[:, None, :, None] * m + h.mult[None, :, None, :])
+                       .reshape(n * m, n * m))
+
+
+def test_subgroup_lattice_equals_the_saturation_reference(fixture_groups):
+    # cyclic extension against the all-pairs saturation, up to order 48
+    cases = dict(fixture_groups)
+    cases["S4xZ2"] = _direct_product(groups.symmetric_group(4), groups.cyclic_group(2))
+    for name, g in cases.items():
+        found = [s.members for s in enumerate_subgroups(g)]
+        assert found == [s.members for s in kernel_reference.enumerate_subgroups(g)], name
+    assert len(found) == 98
+
+
+def test_conjugation_table_and_classes_match_the_group_operations(fixture_groups):
+    for g in fixture_groups.values():
+        table = groups.conjugation_table(g)
+        assert all(table[a, x] == g.conjugate(a, x)
+                   for a in range(g.order) for x in range(g.order))
+        orbits = {tuple(sorted({g.conjugate(a, x) for a in range(g.order)}))
+                  for x in range(g.order)}
+        assert set(groups.conjugacy_classes(g)) == orbits
+
+
+@pytest.mark.parametrize("members, error, message", [
+    ((1, 2), NoIdentity, "subgroup does not contain the identity"),
+    ((0, 3), NoInverse, "subgroup not closed under inverse at 3"),
+    ((0, 1, 2), NotAssociative, "subgroup not closed under product at (1,2)"),
+    # 1 fails a product before 3 fails its inverse
+    ((0, 1, 3), NotAssociative, "subgroup not closed under product at (1,3)"),
+    ((0, 1, 3, 4, 5), NotAssociative, "subgroup not closed under product at (1,4)"),
+    ((0, 6), ParentMismatch, "subgroup members must lie in 0..5"),
+    ((-1, 0), ParentMismatch, "subgroup members must lie in 0..5"),
+])
+def test_subgroup_validation_names_the_first_failure(s3, members, error, message):
+    with pytest.raises(error) as exc:
+        Subgroup(s3, members)
+    assert str(exc.value) == message
+
+
+def test_group_facts_are_decided_on_the_table():
+    # the module-level functions of groups, reps and crossed, and Subgroup,
+    # index mult and inverse instead of calling the per-element methods
+    package = Path(groups.__file__).parent
+    offenders = []
+    for module in ("groups", "reps", "crossed"):
+        body = ast.parse((package / f"{module}.py").read_text()).body
+        body += [node for cls in body if isinstance(cls, ast.ClassDef)
+                 and cls.name == "Subgroup" for node in cls.body]
+        offenders += sorted({f"{module}.{fn.name}" for fn in body
+                             if isinstance(fn, ast.FunctionDef)
+                             for node in ast.walk(fn) if isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Attribute)
+                             and node.func.attr in ("op", "inv", "conjugate")})
+    assert offenders == []
 
 
 def test_convolution_function_convention_z2():

@@ -29,6 +29,19 @@ def test_rep_validation_rejects_non_homomorphism():
         reps.UnitaryRep(z2, bad)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda act: act[:, [0, 0, 2]], "row 0 of the action is not a permutation"),
+    (lambda act: act[[0, 2, 1, 3, 4, 5]], r"action\[1\*2\] != action\[1\]\[action\[2\]\]"),
+    (lambda act: act[[1, 0, 2, 3, 4, 5]], "the identity element moves a point"),
+], ids=["not-a-permutation", "two-rows-swapped", "identity-moves"])
+def test_permutation_rep_checks_the_action_table_exactly(s3, corrupt, message):
+    act = groups.symmetric_action(3)
+    assert np.array_equal(reps.permutation_rep(s3, act).matrices @ np.arange(3),
+                          np.argsort(act, axis=1))
+    with pytest.raises(NotAHomomorphism, match=message):
+        reps.permutation_rep(s3, corrupt(act))
+
+
 def test_regular_rep_is_permutation(s3):
     reg = reps.regular_rep(s3)
     assert reg.dim == 6
@@ -125,7 +138,7 @@ def test_irrep_table_memoized(s3):
 
 def test_decompose_irreducible_block(s3, s3_table):
     two_dim = s3_table.irreps[-1]
-    assert reps.is_irreducible(two_dim)
+    assert linalg.commutant_kernel(two_dim.matrices).shape[1] == 1  # scalar commutant
     dec = reps.decompose(two_dim, seed=4)
     assert dec.blocks == ((2, 1),)
 
@@ -211,7 +224,7 @@ def test_decompose_commutant_accounting(d4, rng):
     dec = reps.decompose(rep, seed=3)
     mults = sorted(m for _, m in dec.blocks)
     assert mults == [1, 2]
-    assert reps.commutant_dimension(rep) == 5
+    assert linalg.commutant_kernel(rep.matrices).shape[1] == 5
 
 
 # -- coefficients, characters, orthogonality --------------------------------
