@@ -19,7 +19,8 @@ Each algebra is certified where it is built.  Closure residuals
 (``_require_closed``) run only where closure is not a theorem: on outside
 spans (``from_span``), grown spans (``algebra_from_generators``) and
 commutants of families that are not *-closed.  Every commutant kernel is
-checked against its defining equation BX = XB; intersections of two
+checked against its defining equation BX = XB (``commutator_residual``),
+a fixed-point kernel on its subgroup's generators; intersections of two
 *-algebras are not re-checked.
 """
 
@@ -37,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     NotContained,
     NotInvariantAlgebra,
+    ParentMismatch,
 )
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
@@ -210,8 +212,8 @@ def commutant_of_matrices(mats, ambient_dim: int,
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
     if _is_star_closed(mats, tol):
-        return _commutant(mats, True, tol)
-    return _require_closed(_commutant(mats, False, tol))
+        return _commutant(mats, mats, True, tol)
+    return _require_closed(_commutant(mats, mats, False, tol))
 
 
 def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
@@ -223,29 +225,27 @@ def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
     return span.residual(adj[:, norms > 0] / norms[norms > 0]) <= _CLOSURE_RESIDUAL
 
 
-def _commutant_basis(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> np.ndarray:
-    """Commutant kernel vecs as columns, certified by the defining equation.
-
-    ||BX - XB||_F <= _CLOSURE_RESIDUAL max(||B||_F, 1) for every member B and
-    basis element X, one member at a time (no (members, basis, n, n) array).
-    """
-    n = mats.shape[1]
-    kernel = linalg.commutant_kernel(mats, tol, star_closed=star_closed)
-    basis = kernel.T.reshape(-1, n, n)
+def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
+    """Worst ||BX - XB||_F / max(||B||_F, 1) over members B and basis X, one B at a time."""
     worst = 0.0
-    for b in mats:
+    for b in family:
         moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
         worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
+    return worst
+
+
+def _commutant(mats: np.ndarray, family: np.ndarray, star_closed: bool,
+               tol: Tolerance) -> StarAlgebra:
+    """Commutant of ``mats``, certified on ``family``, which generates the same
+    algebra (``mats`` itself, or the generators of a subgroup image)."""
+    n = mats.shape[1]
+    basis = linalg.commutant_kernel(mats, tol, star_closed=star_closed).T.reshape(-1, n, n)
+    worst = commutator_residual(family, basis)
     if worst > _CLOSURE_RESIDUAL:
         raise ClosureFailed(
             f"commutant basis fails to commute with the family, residual {worst:.3e}"
         )
-    return kernel
-
-
-def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
-    n = mats.shape[1]
-    return StarAlgebra(n, _commutant_basis(mats, star_closed, tol).T.reshape(-1, n, n))
+    return StarAlgebra(n, basis)
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -255,7 +255,7 @@ def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     solved on the reduced block-diagonal subspace, and the commutant is a
     unital *-algebra by construction.
     """
-    return _commutant(a.basis, True, tol)
+    return _commutant(a.basis, a.basis, True, tol)
 
 
 def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -402,33 +402,34 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
 
     U X U* = X for a unitary U exactly when X commutes with U, so the fixed
     space of the whole matrix algebra is the commutant U(H)' of the subgroup
-    image, intersected with M when M is not full; the action is checked to
-    preserve M first.  When M is full the dimension must equal the
-    character inner product (1/|H|) sum_h |chi_U(h)|^2 (Serre, section 2.3).
+    image, intersected with M when M is not full.  The invariance of M and
+    the kernel's certificate run on the generators; for a full M the dimension
+    must equal the character count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
-    _check_invariance(m, rep, subgroup.members, tol)
+    if subgroup.parent != rep.group:
+        raise ParentMismatch("subgroup of another group than the representation's")
+    _check_invariance(m, rep, subgroup.generators, tol)
     mats = rep.matrices[list(subgroup.members)]
-    fixed = Subspace(rep.dim ** 2, _commutant_basis(mats, True, tol))
-    if m.is_full:
-        chi = np.trace(mats, axis1=1, axis2=2)
-        expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
-        if abs(fixed.dim - expected) > 1e-6:
-            raise DecompositionFailed(
-                f"fixed-point algebra has dimension {fixed.dim}, "
-                f"the character formula gives {expected:.6g}"
-            )
-    else:
-        fixed = fixed.intersect(m.subspace(), tol)
-    basis = fixed.basis.T.reshape(-1, rep.dim, rep.dim)
-    return StarAlgebra(rep.dim, basis)
+    fixed = _commutant(mats, rep.matrices[list(subgroup.generators)], True, tol)
+    if not m.is_full:
+        inter = fixed.subspace().intersect(m.subspace(), tol)
+        return StarAlgebra(rep.dim, inter.basis.T.reshape(-1, rep.dim, rep.dim))
+    chi = np.trace(mats, axis1=1, axis2=2)
+    expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
+    if abs(fixed.dim - expected) > 1e-6:
+        raise DecompositionFailed(
+            f"fixed-point algebra has dimension {fixed.dim}, "
+            f"the character formula gives {expected:.6g}"
+        )
+    return fixed
 
 
-def _check_invariance(m: StarAlgebra, rep: UnitaryRep, members, tol: Tolerance) -> None:
+def _check_invariance(m: StarAlgebra, rep: UnitaryRep, generators, tol: Tolerance) -> None:
     if m.is_full:
         return
-    for h in members:
+    for h in generators:
         moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
         res = m.subspace().residual(moved.reshape(m.dim, -1).T)
         if res > 1e-8:

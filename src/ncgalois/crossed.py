@@ -39,8 +39,8 @@ class GroupAction:
     Hilbert-Schmidt coordinates of the base algebra.  Both forms are
     validated as automorphism families: base-preserving, multiplicative
     on every pair of basis elements, adjoint-preserving, the identity at
-    the identity, and compatible with the group law on every pair of
-    group elements.
+    the identity, and compatible with the group law: alpha_a alpha_s =
+    alpha_{as} for every element a and every generator s of the group.
     """
 
     def __init__(self, group: FiniteGroup, base: StarAlgebra, kind: str, data):
@@ -69,17 +69,20 @@ class GroupAction:
         return self.base.from_coordinates(self.base.coordinates(stack) @ data.swapaxes(1, 2))
 
     def _validate(self) -> None:
-        """Every check on every element, basis element and pair, as stacked arrays.
+        """Every check on every element and basis element, as stacked arrays.
 
         A residual is the Frobenius norm of one matrix; an error names the
         worst one by its index: group element(s) first, then basis element(s).
         """
         g, base = self.group, self.base
         basis, k, n = base.basis, base.dim, base.ambient_dim
+        gens = list(g.generators)
         moved = self.images(basis)                       # moved[h, i] = alpha_h(B_i)
         flat = moved.reshape(-1, n * n).T
         products = (basis[:, None] @ basis[None]).reshape(k * k, n, n)
-        twice = self.images(moved.reshape(-1, n, n)).reshape(g.order, g.order, k, n, n)
+        law = np.zeros((g.order, g.order, k))      # [a, s, i], filled at generators s
+        law[:, gens] = _frobs(self.images(moved[gens].reshape(-1, n, n))
+                              .reshape(g.order, len(gens), k, n, n) - moved[g.mult[:, gens]])
         checks = {
             "does not preserve the base algebra":
                 np.linalg.norm(flat - base.subspace().project(flat), axis=0)
@@ -87,8 +90,7 @@ class GroupAction:
             "is not multiplicative": _frobs(self.images(products).reshape(g.order, k, k, n, n)
                                             - moved[:, :, None] @ moved[:, None]),
             "is not *-preserving": _frobs(self.images(dagger(basis)) - dagger(moved)),
-            # twice[h1, h2] = alpha_h1(alpha_h2(B)) against alpha_{h1 h2}(B)
-            "violates the group law": _frobs(twice - moved[g.mult]),
+            "violates the group law": law,
             "is not trivial at the identity": _frobs(moved[g.identity] - basis),
         }
         for what, res in checks.items():

@@ -65,10 +65,6 @@ class NotAHomomorphism(NCGaloisError):
     pass
 
 
-class SingularMatrix(NCGaloisError):
-    pass
-
-
 class ZeroVector(NCGaloisError):
     pass
 
@@ -138,7 +134,6 @@ VALIDATION_ERRORS = (
     ParentMismatch,
     DimensionMismatch,
     NotAHomomorphism,
-    SingularMatrix,
     ZeroVector,
     NotAState,
     NotFaithful,

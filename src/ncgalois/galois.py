@@ -6,7 +6,7 @@ per subgroup, the fixed algebra, its double-(relative-)commutant test,
 anti-monotonicity along the subgroup lattice, and the partition of
 subgroups into span-equivalence classes; when the action is proper the
 map must be injective across classes and any failure is recorded as a
-violation rather than silently accepted.
+violation rather than silently accepted.  Subgroup checks use generators.
 """
 
 from __future__ import annotations
@@ -124,11 +124,6 @@ class _Interner:
         return len(self._seen) - 1
 
 
-def _detect_mode(m: StarAlgebra, pi: rp.UnitaryRep, tol: Tolerance) -> str:
-    inside = all(m.contains_matrix(u, tol) for u in pi.matrices)
-    return "inner" if inside else "spatial"
-
-
 def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
                mode: str = "auto", subgroups=None,
                tol: Tolerance = DEFAULT_TOL) -> GaloisReport:
@@ -136,14 +131,15 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
 
     ``mode="inner"`` tests the double relative commutant identity
     ``(M^H)'' cap M twice == M^H``; ``mode="spatial"`` tests the plain
-    double commutant.  ``"auto"`` picks "inner" exactly when every action
-    unitary lies in M.  Fixed algebras are interned by ``Subspace.equals``
+    double commutant.  ``"auto"`` picks "inner" exactly when the generators'
+    unitaries lie in M.  Fixed algebras are interned by ``Subspace.equals``
     (``_Interner``), so distinctness checks are exact set operations on ids.
     """
     if pi.group != group:
         raise ValueError("representation and group disagree")
     if mode == "auto":
-        mode = _detect_mode(m, pi, tol)
+        inside = all(m.contains_matrix(pi.matrices[s], tol) for s in group.generators)
+        mode = "inner" if inside else "spatial"
     if mode not in ("inner", "spatial"):
         raise ValueError(f"unknown mode {mode!r}")
     if subgroups is None:
@@ -180,14 +176,14 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
         )
         report.fixed_algebras[sub.members] = fixed
 
-    # anti-monotonicity across every comparable pair in the lattice
-    for i, s1 in enumerate(subgroups):
-        small = report.fixed_algebras[s1.members]
+    # anti-monotonicity of every pair H1 < H2: M^{H2} lies in M, so it lies
+    # in M^{H1} exactly when it commutes with the unitaries of H1's generators
+    for s1 in subgroups:
+        gens = pi.matrices[list(s1.generators)]
         for s2 in subgroups:
             if s1.members == s2.members or not s2.contains(s1):
                 continue
-            bigger_group = report.fixed_algebras[s2.members]
-            res = small.subspace().containment_residual(bigger_group.subspace())
+            res = alg.commutator_residual(gens, report.fixed_algebras[s2.members].basis)
             report.anti_monotone_pairs += 1
             if res > _RESIDUAL_BOUND:
                 report.violations.append(

@@ -93,6 +93,7 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ParentMismatch("labels length does not match group order")
+        self.generators = generating_set(self, range(n))
 
     # -- basic operations --------------------------------------------------
     def op(self, a: int, b: int) -> int:
@@ -132,10 +133,11 @@ def group_from_table(mult, labels=None) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup, stored as a sorted member tuple."""
+    """A validated subgroup, stored as a sorted member tuple, with its ``generating_set``."""
 
     parent: FiniteGroup
     members: tuple = field(default=())
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple(sorted(set(int(m) for m in self.members)))
@@ -160,6 +162,7 @@ class Subgroup:
             raise NotAssociative(
                 f"subgroup not closed under product at ({members[i]},{b})"
             )
+        object.__setattr__(self, "generators", generating_set(g, members))
 
     @property
     def order(self) -> int:
@@ -187,6 +190,15 @@ def closure(group: FiniteGroup, seed) -> tuple:
         mask[group.mult[np.ix_(m, m)]] = True
         if mask.sum() == m.size:
             return tuple(m.tolist())
+
+
+def generating_set(group: FiniteGroup, members) -> tuple:
+    """Greedy generators: each ascending member not in the closure of those kept."""
+    kept: list = []
+    for a in members:
+        if a not in closure(group, kept):
+            kept.append(a)
+    return tuple(kept)
 
 
 def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BOUND):

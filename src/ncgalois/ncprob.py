@@ -98,6 +98,8 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     A unital idempotent map onto the fixed-point algebra of the subgroup
     action.  ``a`` is one matrix or a (k, n, n) stack.
     """
+    if subgroup.parent != rep.group:
+        raise ParentMismatch("subgroup of another group than the representation's")
     a = np.asarray(a, dtype=np.complex128)
     mats = rep.matrices[list(subgroup.members)]
     return sandwich_sum(mats, a, dagger(mats)) / subgroup.order

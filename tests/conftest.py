@@ -27,3 +27,15 @@ def d4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def direct_product(g, h):
+    """G x H on pairs (a, b) at index a * |H| + b."""
+    n, m = g.order, h.order
+    return groups.FiniteGroup((g.mult[:, None, :, None] * m + h.mult[None, :, None, :])
+                              .reshape(n * m, n * m))
+
+
+@pytest.fixture(scope="session")
+def s4_times_z2():
+    return direct_product(groups.symmetric_group(4), groups.cyclic_group(2))

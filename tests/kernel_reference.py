@@ -6,7 +6,7 @@ import numpy as np
 
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
-from ncgalois.linalg import dagger
+from ncgalois.linalg import dagger, frob
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,3 +83,49 @@ def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BO
         found |= fresh
     members_sorted = sorted(found, key=lambda m: (len(m), m))
     return [Subgroup(group, m) for m in members_sorted]
+
+
+# ---------------------------------------------------------------------------
+# group-image checks on every pair or every member, which the package runs
+# on generators instead
+
+
+def is_homomorphism_all_pairs(group: FiniteGroup, mats: np.ndarray) -> bool:
+    """Unitarity, U(e) = 1 and U(a)U(b) = U(ab) on all |G|^2 pairs, at the package's bounds."""
+    d = mats.shape[1]
+    eye = np.eye(d)
+    unitary = max(frob(dagger(m) @ m - eye) for m in mats) <= 1e-8 * max(1.0, d)
+    identity = frob(mats[group.identity] - eye) <= 1e-8
+    pairs = float(np.max(np.abs(mats[:, None] @ mats[None] - mats[group.mult]))) <= 1e-8
+    return bool(unitary and identity and pairs)
+
+
+def ad_group_law_all_pairs(group: FiniteGroup, basis: np.ndarray, unitaries) -> float:
+    """Worst |U_a U_b B (U_a U_b)* - U_ab B U_ab*|_F over all pairs (a, b) and basis B."""
+    u = np.asarray(unitaries, dtype=np.complex128)
+    moved = u[:, None] @ basis[None] @ dagger(u)[:, None]            # (a, B)
+    twice = u[:, None, None] @ moved[None] @ dagger(u)[:, None, None]  # (a, b, B)
+    return float(np.max(np.linalg.norm(twice - moved[group.mult], axis=(-2, -1))))
+
+
+def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float:
+    """Worst |U_h X - X U_h|_F / max(|U_h|_F, 1) over every member h and basis element X."""
+    worst = 0.0
+    for h in subgroup.members:
+        b = rep.matrices[h]
+        moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
+        worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
+    return worst
+
+
+def anti_monotone_by_projection(fixed_algebras: dict, subgroups, bound: float = 1e-9) -> list:
+    """Pairs (H1, H2), H1 < H2, with M^{H2} outside M^{H1} by a projection residual > bound."""
+    flagged = []
+    for s1 in subgroups:
+        small = fixed_algebras[s1.members].subspace()
+        for s2 in subgroups:
+            if s1.members != s2.members and s2.contains(s1):
+                res = small.containment_residual(fixed_algebras[s2.members].subspace())
+                if res > bound:
+                    flagged.append((s1.members, s2.members))
+    return flagged

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from kernel_reference import random_hermitian
+from kernel_reference import all_members_certificate, random_hermitian
 
-from ncgalois import groups, linalg, reps
+from ncgalois import groups, linalg, ncprob, reps
 from ncgalois.algebras import (
     StarAlgebra,
     algebra_from_generators,
@@ -13,6 +13,7 @@ from ncgalois.algebras import (
     center,
     commutant,
     commutant_of_matrices,
+    commutator_residual,
     fixed_point_algebra,
     group_image_algebra,
     is_factor,
@@ -24,6 +25,7 @@ from ncgalois.errors import (
     DecompositionFailed,
     NotContained,
     NotInvariantAlgebra,
+    ParentMismatch,
 )
 from ncgalois.linalg import DEFAULT_TOL, dagger, frob
 
@@ -126,6 +128,34 @@ def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
         commutant(s3_perm_algebra)
     with pytest.raises(ClosureFailed, match="commute"):
         fixed_point_algebra(StarAlgebra.full(3), s3_perm, top)
+
+
+def test_generator_certificate_matches_the_all_members_reference(s3):
+    # the fixed algebras of the regular S3 lattice pass both certificates;
+    # with one stray vector appended, both give the same verdict
+    reg = reps.regular_rep(s3)
+    stray = (unit(6, 0, 1) + unit(6, 1, 0))[None] / np.sqrt(2)
+    caught = []
+    for sub in groups.enumerate_subgroups(s3):
+        basis = fixed_point_algebra(StarAlgebra.full(6), reg, sub).basis
+        gens = reg.matrices[list(sub.generators)]
+        assert commutator_residual(gens, basis) <= 1e-9
+        assert all_members_certificate(reg, sub, basis) <= 1e-9
+        padded = np.concatenate([basis, stray])
+        verdict = commutator_residual(gens, padded) > 1e-9
+        assert verdict == (all_members_certificate(reg, sub, padded) > 1e-9), sub.members
+        caught.append(verdict)
+    # the stray vector commutes with the images of {0} and {0, 1} only
+    assert caught == [False, False, True, True, True, True]
+
+
+def test_a_subgroup_of_another_group_is_rejected(s3_perm):
+    # a Z6 subgroup read on S3's table would give a 1-dimensional "fixed algebra"
+    foreign = groups.Subgroup(groups.cyclic_group(6), (0, 3))
+    with pytest.raises(ParentMismatch):
+        fixed_point_algebra(StarAlgebra.diagonal(3), s3_perm, foreign)
+    with pytest.raises(ParentMismatch):
+        ncprob.conditional_expectation(np.eye(3), s3_perm, foreign)
 
 
 def test_commutant_is_order_reversing(s3_perm_algebra):

@@ -1,3 +1,4 @@
+import kernel_reference
 import numpy as np
 import pytest
 
@@ -149,6 +150,28 @@ def test_crossed_galois_s3_swap_factor(s3):
     assert all(r.bicommutant_ok for r in report.rows)
     assert report.anti_monotone_pairs > 0
     assert not report.violations
+
+
+def test_group_law_on_generators_matches_all_pairs(s3, rng):
+    # the crossed-s3-m3 action: S3 permuting C^3 in a seeded random basis;
+    # element 4 is a 3-cycle, not one of the generators (1, 2)
+    base = StarAlgebra.full(3)
+    perm = reps.permutation_rep(s3, groups.symmetric_action(3)).matrices
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    good = q @ perm @ q.conj().T
+    phased = good.copy()
+    phased[4] *= 1j                 # Ad of a phase is the same automorphism
+    corrupted = good.copy()
+    corrupted[4] = good[5]          # two elements share one automorphism
+    assert s3.generators == (1, 2)
+    for unitaries, valid in ((good, True), (phased, True), (corrupted, False)):
+        reference = kernel_reference.ad_group_law_all_pairs(s3, base.basis, unitaries)
+        assert (reference <= 1e-8) == valid
+        if valid:
+            crossed.ad_action(s3, base, unitaries)
+        else:
+            with pytest.raises(NotInvariantAlgebra, match="violates the group law"):
+                crossed.ad_action(s3, base, unitaries)
 
 
 def test_action_validation_checks_every_basis_pair(z2):

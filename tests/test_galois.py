@@ -1,8 +1,10 @@
+import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, galois, groups, reps
+from ncgalois import algebras, crossed, galois, groups, reps
 from ncgalois.algebras import StarAlgebra
+from ncgalois.linalg import DEFAULT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,46 @@ def test_anti_monotonicity_top_bottom(s3):
         assert fixed[s.members].contains_algebra(whole)
         assert m.contains_algebra(fixed[s.members])
     assert report.anti_monotone_pairs > 0
+
+
+def _anti_monotone(report) -> list:
+    return [v[1] for v in report.violations if v[0] == "anti-monotone"]
+
+
+def test_anti_monotone_audit_matches_the_projection_reference(fixture_groups, s3):
+    # generator audit against the projection audit on every fixture's regular
+    # lattice and on S3 acting on M3 (crossed); neither flags a pair
+    cases = []
+    for g in fixture_groups.values():
+        report = galois.galois_map(StarAlgebra.full(g.order), reps.regular_rep(g), g)
+        cases.append((report, groups.enumerate_subgroups(g)))
+    perm = reps.permutation_rep(s3, groups.symmetric_action(3))
+    cp = crossed.crossed_product(StarAlgebra.full(3),
+                                 crossed.ad_action(s3, StarAlgebra.full(3), perm.matrices))
+    cases.append((crossed.crossed_galois(cp)[0], groups.enumerate_subgroups(s3)))
+    for report, subs in cases:
+        assert report.anti_monotone_pairs > 0
+        assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
+            report.fixed_algebras, subs) == []
+
+
+def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, monkeypatch):
+    # negative control: M^{S3} replaced by the full algebra lies in no M^{H1}
+    # of a nontrivial H1 < S3; the audit records each pair and does not raise
+    top = tuple(range(6))
+    honest = algebras.fixed_point_algebra
+
+    def patched(m, rep, sub, tol=DEFAULT_TOL):
+        return StarAlgebra.full(6) if sub.members == top else honest(m, rep, sub, tol)
+
+    monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
+    subs = groups.enumerate_subgroups(s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    flagged = [v for v in report.violations if v[0] == "anti-monotone"]
+    assert [v[1] for v in flagged] == [(s.members, top) for s in subs[1:-1]]
+    assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
+        report.fixed_algebras, subs)
+    assert all(v[2] > 1e-9 for v in flagged)
 
 
 def test_galois_map_runs_no_closure_check(s3, monkeypatch):

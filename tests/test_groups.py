@@ -140,20 +140,34 @@ def test_subgroup_validation(s3):
         Subgroup(s3, (0, 1, 3))  # not closed
 
 
-def _direct_product(g, h):
-    n, m = g.order, h.order
-    return FiniteGroup((g.mult[:, None, :, None] * m + h.mult[None, :, None, :])
-                       .reshape(n * m, n * m))
-
-
-def test_subgroup_lattice_equals_the_saturation_reference(fixture_groups):
+def test_subgroup_lattice_equals_the_saturation_reference(fixture_groups, s4_times_z2):
     # cyclic extension against the all-pairs saturation, up to order 48
     cases = dict(fixture_groups)
-    cases["S4xZ2"] = _direct_product(groups.symmetric_group(4), groups.cyclic_group(2))
+    cases["S4xZ2"] = s4_times_z2
     for name, g in cases.items():
         found = [s.members for s in enumerate_subgroups(g)]
         assert found == [s.members for s in kernel_reference.enumerate_subgroups(g)], name
     assert len(found) == 98
+
+
+def test_generators_are_greedy_and_generate_every_subgroup(fixture_groups, s4_times_z2):
+    cases = dict(fixture_groups)
+    cases["S4xZ2"] = s4_times_z2
+    for name, g in cases.items():
+        subs = enumerate_subgroups(g)
+        for sub in subs:
+            gens = sub.generators
+            assert groups.closure(g, gens) == sub.members, (name, sub.members)
+            assert all(gens[i] not in groups.closure(g, gens[:i]) for i in range(len(gens)))
+            # derived from the members alone: a fresh subgroup and a second run agree
+            assert Subgroup(g, sub.members).generators == gens
+            assert groups.generating_set(g, sub.members) == gens
+        assert g.generators == subs[-1].generators
+        assert groups.closure(g, g.generators) == tuple(range(g.order))
+    assert max(len(s.generators) for s in subs) == 4     # S4 x Z2
+    s4 = enumerate_subgroups(fixture_groups["S4"])
+    assert max(len(s.generators) for s in s4) == 3
+    assert sum(len(s.generators) for s in s4) == 45
 
 
 def test_conjugation_table_and_classes_match_the_group_operations(fixture_groups):

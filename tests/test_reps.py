@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+
+import kernel_reference
 import numpy as np
 import pytest
 
@@ -40,6 +44,50 @@ def test_permutation_rep_checks_the_action_table_exactly(s3, corrupt, message):
                           np.argsort(act, axis=1))
     with pytest.raises(NotAHomomorphism, match=message):
         reps.permutation_rep(s3, corrupt(act))
+
+
+def _accepts(group, mats) -> bool:
+    try:
+        reps.UnitaryRep(group, mats)
+    except NotAHomomorphism:
+        return False
+    return True
+
+
+def test_homomorphism_check_on_generators_matches_all_pairs(fixture_groups):
+    # every fixture's regular representation, then every swap of the matrices
+    # of two non-identity elements of S3, D4 and Q8
+    for name, g in fixture_groups.items():
+        mats = reps.regular_rep(g).matrices
+        assert _accepts(g, mats) and kernel_reference.is_homomorphism_all_pairs(g, mats), name
+    rejected = 0
+    for name in ("S3", "D4", "Q8"):
+        g = fixture_groups[name]
+        mats = reps.regular_rep(g).matrices
+        others = [a for a in range(g.order) if a != g.identity]
+        for a, b in itertools.combinations(others, 2):
+            swapped = mats.copy()
+            swapped[[a, b]] = mats[[b, a]]
+            verdict = kernel_reference.is_homomorphism_all_pairs(g, swapped)
+            assert _accepts(g, swapped) == verdict, (name, a, b)
+            rejected += not verdict
+    assert rejected > 0
+    # r1 <-> r3 is the inversion automorphism of Z4: both checks accept it
+    z4 = fixture_groups["Z4"]
+    swapped = reps.regular_rep(z4).matrices[[0, 3, 2, 1]]
+    assert _accepts(z4, swapped) and kernel_reference.is_homomorphism_all_pairs(z4, swapped)
+
+
+def test_validating_the_order_48_regular_rep_stays_small(s4_times_z2):
+    # the all-pairs check formed a |G|^2 stack of 48 x 48 matrices (283 MB)
+    mats = reps.regular_rep(s4_times_z2).matrices
+    tracemalloc.start()
+    try:
+        reps.UnitaryRep(s4_times_z2, mats, check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_regular_rep_is_permutation(s3):
