@@ -6,10 +6,13 @@ algebra comparisons and intersections into numerically stable projection
 arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
 ``linalg.commutant_kernel`` from a single normal matrix so one
 eigendecomposition does the whole job even for large bases; the same
-kernel serves the Schur test in ``reps``.  A fixed-point algebra is the
-commutant of the subgroup image, so it takes the same kernel.  Commutants
-of *-closed families are solved on the block-diagonal subspace of a
-seeded Hermitian element (``linalg.random_split``) instead of all n^2
+kernel serves the Schur test in ``reps``.  A fixed-point algebra of the
+full matrix algebra is the commutant of the subgroup image, so it takes
+the same kernel; in a non-full M it is solved in M's own coordinates, as
+the SVD nullspace of the d x d maps of the generators
+(``fixed_coordinates``), with no n^2 kernel and no intersection.
+Commutants of *-closed families are solved on the block-diagonal subspace
+of a seeded Hermitian element (``linalg.random_split``) instead of all n^2
 coordinates; the same split of a center and of a multiplicity commutant
 gives the block structure.  Membership is measured by projection
 residuals of the algebra's ``Subspace``, and multiplicity copies are
@@ -20,7 +23,7 @@ Each algebra is certified where it is built.  Closure residuals
 spans (``from_span``), grown spans (``algebra_from_generators``) and
 commutants of families that are not *-closed.  Every commutant kernel is
 checked against its defining equation BX = XB (``commutator_residual``),
-a fixed-point kernel on its subgroup's generators; intersections of two
+a fixed-point basis on its subgroup's generators; intersections of two
 *-algebras are not re-checked.
 """
 
@@ -118,7 +121,8 @@ class StarAlgebra:
     def coordinates(self, a: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt coefficients of ``a``, or of each matrix of a stack, in the basis."""
         a = np.asarray(a, dtype=np.complex128)
-        return a.reshape(*a.shape[:-2], -1) @ self.basis.reshape(self.dim, -1).conj().T
+        flat = a.reshape(*a.shape[:-2], self.ambient_dim ** 2)
+        return flat @ self.basis.reshape(self.dim, -1).conj().T
 
     def from_coordinates(self, c: np.ndarray) -> np.ndarray:
         """The matrix, or stack of matrices, with coefficients ``c`` (last axis)."""
@@ -190,11 +194,6 @@ def algebra_from_generators(generators, ambient_dim: int,
     raise ClosureFailed("span growth did not stabilize within n^2 steps")
 
 
-def group_image_algebra(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """Algebra generated by the image of a unitary representation."""
-    return algebra_from_generators(rep.matrices, rep.dim, tol)
-
-
 # ---------------------------------------------------------------------------
 # commutants
 
@@ -240,12 +239,17 @@ def _commutant(mats: np.ndarray, family: np.ndarray, star_closed: bool,
     algebra (``mats`` itself, or the generators of a subgroup image)."""
     n = mats.shape[1]
     basis = linalg.commutant_kernel(mats, tol, star_closed=star_closed).T.reshape(-1, n, n)
+    return StarAlgebra(n, _require_commuting(family, basis))
+
+
+def _require_commuting(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The basis of a commutant kernel, once it commutes with the family."""
     worst = commutator_residual(family, basis)
     if worst > _CLOSURE_RESIDUAL:
         raise ClosureFailed(
             f"commutant basis fails to commute with the family, residual {worst:.3e}"
         )
-    return StarAlgebra(n, basis)
+    return basis
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -400,22 +404,34 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                         tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Elements of M invariant under conjugation by the subgroup's unitaries.
 
-    U X U* = X for a unitary U exactly when X commutes with U, so the fixed
-    space of the whole matrix algebra is the commutant U(H)' of the subgroup
-    image, intersected with M when M is not full.  The invariance of M and
-    the kernel's certificate run on the generators; for a full M the dimension
-    must equal the character count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).
+    For a full M, U X U* = X for a unitary U exactly when X commutes with U,
+    so the fixed algebra is the commutant U(H)', of dimension the character
+    count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).  A non-full M is solved in
+    its own coordinates: one compression of its basis by each generator's
+    unitary checks that M is invariant and gives the d x d map of Ad U_s,
+    and M^H is their joint ``fixed_coordinates``.  Either basis must commute
+    with the unitaries of H's generators.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
-    _check_invariance(m, rep, subgroup.generators, tol)
-    mats = rep.matrices[list(subgroup.members)]
-    fixed = _commutant(mats, rep.matrices[list(subgroup.generators)], True, tol)
+    n, gens = rep.dim, rep.matrices[list(subgroup.generators)]
     if not m.is_full:
-        inter = fixed.subspace().intersect(m.subspace(), tol)
-        return StarAlgebra(rep.dim, inter.basis.T.reshape(-1, rep.dim, rep.dim))
+        flat = m.basis.reshape(m.dim, -1)
+        maps = np.empty((len(gens), m.dim, m.dim), dtype=np.complex128)
+        for i, (h, u) in enumerate(zip(subgroup.generators, gens)):
+            moved = linalg.compress(m.basis, dagger(u))
+            maps[i] = m.coordinates(moved)    # row j: the coordinates of U B_j U*
+            residual = moved.reshape(m.dim, -1) - maps[i] @ flat
+            res = float(np.max(np.linalg.norm(residual, axis=1)))
+            if res > 1e-8:
+                raise NotInvariantAlgebra(
+                    f"conjugation by element {h} leaves the algebra (residual {res:.3e})")
+        basis = (fixed_coordinates(maps, tol).T @ flat).reshape(-1, n, n)
+        return StarAlgebra(n, _require_commuting(gens, basis))
+    mats = rep.matrices[list(subgroup.members)]
+    fixed = _commutant(mats, gens, True, tol)
     chi = np.trace(mats, axis1=1, axis2=2)
     expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
     if abs(fixed.dim - expected) > 1e-6:
@@ -426,16 +442,15 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     return fixed
 
 
-def _check_invariance(m: StarAlgebra, rep: UnitaryRep, generators, tol: Tolerance) -> None:
-    if m.is_full:
-        return
-    for h in generators:
-        moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
-        res = m.subspace().residual(moved.reshape(m.dim, -1).T)
-        if res > 1e-8:
-            raise NotInvariantAlgebra(
-                f"conjugation by element {h} leaves the algebra (residual {res:.3e})"
-            )
+def fixed_coordinates(maps: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns c with c A = c for every map A of the stack.
+
+    Row j of a map holds the coordinates of the image of basis element j, so
+    these are the fixed coordinate vectors: the SVD nullspace of the stacked
+    A^T - 1 under the global rank rule.  An empty stack fixes everything.
+    """
+    d = maps.shape[-1]
+    return linalg.nullspace((maps.swapaxes(-1, -2) - np.eye(d)).reshape(-1, d), tol).basis
 
 
 @dataclass(frozen=True)

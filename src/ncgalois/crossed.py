@@ -11,6 +11,10 @@ Actions may be given spatially (conjugation by unitaries) or abstractly
 (linear maps on the base's basis coordinates); the abstract form is the
 reason crossed products are here at all, since it becomes spatial on the
 carrier.
+
+The crossed algebra has the canonical basis P_j U_g, so no closure is
+grown; its fixed algebras and their pull-backs to the base are nullspaces
+of coordinate maps (``algebras.fixed_coordinates``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from . import galois as gal
 from .algebras import StarAlgebra
 from .errors import NotInvariantAlgebra, ParentMismatch
 from .groups import FiniteGroup
-from .linalg import DEFAULT_TOL, Tolerance, compress, dagger
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, compress, dagger
 from .reps import UnitaryRep, permutation_rep
 
 # largest Frobenius residual an automorphism check forgives, per matrix
@@ -131,16 +135,20 @@ class CrossedProduct:
     carrier_dim: int
     base_images: np.ndarray       # pi(B_k) on the carrier, one per base basis element
     translation: UnitaryRep       # U_g, left-translation permutation blocks
-    algebra: StarAlgebra          # generated by both families
+    algebra: StarAlgebra          # canonical basis P_j U_g, group-element-major
 
 
 def crossed_product(base: StarAlgebra, action: GroupAction,
                     tol: Tolerance = DEFAULT_TOL) -> CrossedProduct:
-    """Assemble the carrier, both generating families, and their algebra.
+    """Assemble the carrier, both families, and the algebra on its canonical basis.
 
-    Covariance and the double-commutant self-test run as part of the
-    construction; a violation is a hard error because nothing downstream
-    makes sense without it.
+    The products P_j U_g, with P_j an orthonormal basis of pi(M), are
+    orthonormal (for h != g, U_h U_g* moves every slot of the block-diagonal
+    pi(M)) and span a closed space, since pi(A) U_g pi(B) U_h =
+    pi(A alpha_g(B)) U_{gh} (Williams, Crossed Products of C*-Algebras, 2007).
+    Covariance and the double-commutant self-test certify the construction;
+    a violation is a hard error because nothing downstream makes sense
+    without it.
     """
     group = action.group
     n = base.ambient_dim
@@ -151,17 +159,17 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
     translation = permutation_rep(group, moved.reshape(group.order, carrier))
 
     images = _embed_base(action, base.basis)
-    generated = alg.algebra_from_generators(
-        np.concatenate([images, translation.matrices]), carrier, tol
-    )
+    span = Subspace.from_span(images.reshape(base.dim, -1), carrier ** 2, tol)
+    canonical = span.basis.T.reshape(1, -1, carrier, carrier) @ translation.matrices[:, None]
+    algebra = StarAlgebra(carrier, canonical.reshape(-1, carrier, carrier))
     cp = CrossedProduct(
         base=base, group=group, action=action, carrier_dim=carrier,
-        base_images=images, translation=translation, algebra=generated,
+        base_images=images, translation=translation, algebra=algebra,
     )
     residual = covariance_check(cp)
     if residual > 1e-10:
         raise NotInvariantAlgebra(f"covariance violated, residual {residual:.3e}")
-    if not alg.bicommutant_check(generated, tol):
+    if not alg.bicommutant_check(cp.algebra, tol):
         raise NotInvariantAlgebra("crossed-product algebra failed its bicommutant test")
     return cp
 
@@ -177,16 +185,16 @@ def covariance_check(cp: CrossedProduct) -> float:
 def crossed_galois(cp: CrossedProduct, tol: Tolerance = DEFAULT_TOL):
     """Spatial-case correspondence on the crossed product, with pull-backs.
 
-    Runs the subgroup-to-fixed-algebra analysis for the translation
-    action on the generated algebra, then intersects each fixed algebra
-    with the embedded base to report the pulled-back invariant
-    subalgebras.
+    Runs the subgroup-to-fixed-algebra analysis for the translation action
+    on the crossed algebra.  Since U_h pi(A) U_h* = pi(alpha_h(A)) and pi is
+    injective, each fixed algebra meets the embedded base in pi(M^{alpha(H)}),
+    whose dimension comes from the base's own maps at H's generators.
     """
     report = gal.galois_map(cp.algebra, cp.translation, cp.group,
                             mode="spatial", tol=tol)
-    base_span = StarAlgebra.from_span(cp.base_images, cp.carrier_dim, tol=tol)
+    maps = cp.base.coordinates(cp.action.images(cp.base.basis))
     pullbacks = {}
-    for sub_members, fixed in report.fixed_algebras.items():
-        inter = fixed.subspace().intersect(base_span.subspace(), tol)
-        pullbacks[sub_members] = inter.dim
+    for row in report.rows:
+        fixed = alg.fixed_coordinates(maps[list(row.subgroup.generators)], tol)
+        pullbacks[row.subgroup.members] = fixed.shape[1]
     return report, pullbacks

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 
+from ncgalois import algebras
+from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
-from ncgalois.linalg import dagger, frob
+from ncgalois.linalg import DEFAULT_TOL, Tolerance, dagger, frob
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,3 +131,31 @@ def anti_monotone_by_projection(fixed_algebras: dict, subgroups, bound: float = 
                 if res > bound:
                     flagged.append((s1.members, s2.members))
     return flagged
+
+
+# ---------------------------------------------------------------------------
+# the crossed path built generically, which the package replaces by the
+# canonical basis P_j U_g, fixed coordinates in a non-full M, and the base's
+# own fixed coordinates
+
+
+def generated_crossed_algebra(cp, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """The crossed algebra grown as the closure of the pi(B_k) and every U_g."""
+    family = np.concatenate([cp.base_images, cp.translation.matrices])
+    return algebras.algebra_from_generators(family, cp.carrier_dim, tol)
+
+
+def fixed_point_by_intersection(m: StarAlgebra, rep, subgroup: Subgroup,
+                                tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """M^H as the n^2 commutant kernel of every member's unitary, intersected with M."""
+    n = rep.dim
+    fixed = algebras.commutant_of_matrices(rep.matrices[list(subgroup.members)], n, tol)
+    inter = fixed.subspace().intersect(m.subspace(), tol)
+    return StarAlgebra(n, inter.basis.T.reshape(-1, n, n))
+
+
+def pullbacks_by_intersection(cp, fixed_algebras: dict, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """M^H intersected with the span of the embedded base, per subgroup's members."""
+    base_span = StarAlgebra.from_span(cp.base_images, cp.carrier_dim, tol=tol).subspace()
+    return {members: fixed.subspace().intersect(base_span, tol)
+            for members, fixed in fixed_algebras.items()}

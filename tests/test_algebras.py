@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from kernel_reference import all_members_certificate, random_hermitian
+from kernel_reference import (
+    all_members_certificate,
+    fixed_point_by_intersection,
+    random_hermitian,
+)
 
 from ncgalois import groups, linalg, ncprob, reps
 from ncgalois.algebras import (
@@ -14,8 +18,8 @@ from ncgalois.algebras import (
     commutant,
     commutant_of_matrices,
     commutator_residual,
+    fixed_coordinates,
     fixed_point_algebra,
-    group_image_algebra,
     is_factor,
     relative_commutant,
 )
@@ -23,6 +27,7 @@ from ncgalois.errors import (
     CenterSplitFailed,
     ClosureFailed,
     DecompositionFailed,
+    DimensionMismatch,
     NotContained,
     NotInvariantAlgebra,
     ParentMismatch,
@@ -37,7 +42,7 @@ def s3_perm(s3):
 
 @pytest.fixture(scope="module")
 def s3_perm_algebra(s3_perm):
-    return group_image_algebra(s3_perm)
+    return algebra_from_generators(s3_perm.matrices, s3_perm.dim)
 
 
 def unit(n, i, j):
@@ -58,9 +63,21 @@ def test_generated_by_matrix_units_is_full():
     assert a.dim == 4 and a.is_full
 
 
+def test_generators_of_mixed_shapes_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="generator shape"):
+        algebra_from_generators([np.eye(2), np.eye(3)], 2)
+
+
 def test_s3_permutation_image_dimension(s3_perm_algebra):
     # brute-force span closure gives 1 + 4 = 5 (trivial block + 2x2 block)
     assert s3_perm_algebra.dim == 5
+
+
+def test_coordinates_of_an_empty_stack():
+    # the trivial subgroup has no generators: an empty stack of images has
+    # no coordinates, and an empty stack of maps fixes every coordinate
+    assert StarAlgebra.full(2).coordinates(np.zeros((0, 2, 2))).shape == (0, 4)
+    assert np.array_equal(fixed_coordinates(np.zeros((0, 4, 4))), np.eye(4))
 
 
 def test_star_algebra_rejects_non_closed_span():
@@ -212,7 +229,8 @@ def test_block_structure_s3_image(s3_perm_algebra):
 
 def test_block_structure_with_multiplicity(s3):
     # regular-rep image of S3: blocks (1,1), (1,1), (2,2)
-    reg_alg = group_image_algebra(reps.regular_rep(s3))
+    reg = reps.regular_rep(s3)
+    reg_alg = algebra_from_generators(reg.matrices, reg.dim)
     assert reg_alg.dim == 6
     structure = block_structure(reg_alg, seed=5)
     assert structure.blocks == ((1, 1), (1, 1), (2, 2))
@@ -271,6 +289,24 @@ def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypa
         fixed_point_algebra(StarAlgebra.full(6), reg, top)
 
 
+def test_non_full_fixed_algebras_equal_the_kernel_intersection_reference(
+        s3, d4, s3_perm, s3_perm_algebra):
+    # M^H in M's coordinates against the n^2 commutant kernel intersected
+    # with M, on every subgroup of each invariant non-full algebra
+    reg = reps.regular_rep(s3)
+    d4_table = reps.irrep_table(d4)
+    d4_rep = reps.direct_sum(d4_table.irreps[0], d4_table.irreps[4], d4_table.irreps[4])
+    cases = [(StarAlgebra.diagonal(3), s3_perm), (s3_perm_algebra, s3_perm),
+             (algebra_from_generators(reg.matrices, reg.dim), reg),
+             (algebra_from_generators(d4_rep.matrices, d4_rep.dim), d4_rep)]
+    for m, rep in cases:
+        assert not m.is_full
+        for sub in groups.enumerate_subgroups(rep.group):
+            fixed = fixed_point_algebra(m, rep, sub)
+            reference = fixed_point_by_intersection(m, rep, sub)
+            assert fixed.dim == reference.dim and fixed.equals(reference), sub.members
+
+
 def test_fixed_point_requires_invariance(s3_perm, s3):
     # the diagonal algebra is not preserved by arbitrary permutations? it is;
     # use a non-invariant one-dimensional + off-diagonal span instead
@@ -279,7 +315,7 @@ def test_fixed_point_requires_invariance(s3_perm, s3):
     sub = StarAlgebra.from_span(
         basis + [unit(3, 0, 0) + unit(3, 1, 1)], 3
     )
-    with pytest.raises(NotInvariantAlgebra):
+    with pytest.raises(NotInvariantAlgebra, match="conjugation by element"):
         fixed_point_algebra(sub, s3_perm, groups.Subgroup(s3, tuple(range(6))))
 
 
@@ -311,6 +347,6 @@ def test_averaging_image_equals_fixed_algebra(s3_perm, s3, rng):
 def test_commutant_dim_equals_sum_of_squared_multiplicities(d4):
     table = reps.irrep_table(d4)
     rep = reps.direct_sum(table.irreps[0], table.irreps[4], table.irreps[4])
-    alg = group_image_algebra(rep)
+    alg = algebra_from_generators(rep.matrices, rep.dim)
     c = commutant(alg)
     assert c.dim == 1 + 4  # multiplicities 1 and 2

@@ -1,16 +1,37 @@
+import collections
+import importlib.util
+import json
+import tracemalloc
+from pathlib import Path
+
 import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import crossed, groups, reps
+from ncgalois import algebras, crossed, groups, reporting, reps
 from ncgalois.algebras import StarAlgebra, block_structure, is_factor
 from ncgalois.errors import NotInvariantAlgebra
-from ncgalois.linalg import frob
+from ncgalois.linalg import Subspace, frob
 
 
 @pytest.fixture(scope="module")
 def z2():
     return groups.cyclic_group(2)
+
+
+@pytest.fixture(scope="module")
+def crossed_s3_m3(tmp_path_factory):
+    """(base, action) of the crossed-s3-m3 benchmark spec at seed 101, read as the CLI reads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = tmp_path_factory.mktemp("crossed-s3-m3")
+    body = json.loads(Path(workloads.write_inputs("crossed-s3-m3", 101, str(out))).read_text())
+    group = reporting.group_from_json(json.loads((out / body["group"]).read_text()))
+    unitaries = np.array([reporting.matrix_from_json(u) for u in body["action"]["unitaries"]])
+    base = StarAlgebra.full(3)
+    return base, crossed.ad_action(group, base, unitaries)
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +223,106 @@ def test_carrier_matrices_equal_the_slot_by_slot_construction(s3):
             images[k, slot * n:(slot + 1) * n, slot * n:(slot + 1) * n] = block
     assert np.array_equal(cp.translation.matrices, u_mats)
     assert np.array_equal(cp.base_images, images)
+
+
+_CROSSED_FIXTURES = ("Z1-diag2", "Z2-scalars", "Z2-swap-ad", "Z2-swap-table",
+                     "Z2-inner-M2", "S3-diag3", "crossed-s3-m3")
+
+
+def _crossed_fixture(name, s3, crossed_s3_m3):
+    z1, z2 = groups.cyclic_group(1), groups.cyclic_group(2)
+    eye2, swap = np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    diag2, diag3 = StarAlgebra.diagonal(2), StarAlgebra.diagonal(3)
+    if name == "Z1-diag2":
+        return diag2, crossed.ad_action(z1, diag2, eye2[None])
+    if name == "Z2-scalars":
+        return StarAlgebra.scalars(1), crossed.ad_action(z2, StarAlgebra.scalars(1),
+                                                         np.ones((2, 1, 1), dtype=complex))
+    if name == "Z2-swap-ad":
+        return diag2, crossed.ad_action(z2, diag2, np.array([eye2, swap]))
+    if name == "Z2-swap-table":
+        return diag2, crossed.table_action(z2, diag2, np.array([eye2, swap]))
+    if name == "Z2-inner-M2":
+        m2 = StarAlgebra.full(2)
+        return m2, crossed.ad_action(z2, m2, np.array([eye2, np.diag([1.0, -1.0])]))
+    if name == "S3-diag3":
+        perm = reps.permutation_rep(s3, groups.symmetric_action(3))
+        return diag3, crossed.ad_action(s3, diag3, perm.matrices)
+    return crossed_s3_m3
+
+
+@pytest.mark.parametrize("name", _CROSSED_FIXTURES)
+def test_crossed_path_equals_the_generic_reference(name, s3, crossed_s3_m3):
+    # the canonical basis against the generated closure, each fixed algebra
+    # against the n^2 kernel intersected with the crossed algebra, and each
+    # pull-back pi(M^{alpha(H)}) against the intersection with the embedded base
+    base, action = _crossed_fixture(name, s3, crossed_s3_m3)
+    cp = crossed.crossed_product(base, action)
+    generated = kernel_reference.generated_crossed_algebra(cp)
+    assert cp.algebra.dim == generated.dim == base.dim * action.group.order
+    assert cp.algebra.equals(generated)
+    flat = cp.algebra.basis.reshape(cp.algebra.dim, -1)
+    assert frob(flat.conj() @ flat.T - np.eye(cp.algebra.dim)) < 1e-12
+
+    report, pullbacks = crossed.crossed_galois(cp)
+    reference = kernel_reference.pullbacks_by_intersection(cp, report.fixed_algebras)
+    maps = base.coordinates(action.images(base.basis))
+    images = cp.base_images.reshape(base.dim, -1)
+    for row in report.rows:
+        members = row.subgroup.members
+        fixed = report.fixed_algebras[members]
+        by_kernel = kernel_reference.fixed_point_by_intersection(
+            cp.algebra, cp.translation, row.subgroup)
+        assert fixed.dim == by_kernel.dim and fixed.equals(by_kernel), members
+        coords = algebras.fixed_coordinates(maps[list(row.subgroup.generators)])
+        pulled = Subspace.from_span(coords.T @ images, cp.carrier_dim ** 2)
+        assert pullbacks[members] == pulled.dim == reference[members].dim, members
+        assert pulled.equals(reference[members]), members
+
+
+def test_crossed_path_grows_no_closure_and_intersects_nothing(crossed_s3_m3, monkeypatch):
+    # the canonical basis is closed by covariance and the fixed algebras and
+    # pull-backs are coordinate nullspaces, so none of the generic paths runs
+    calls = collections.Counter()
+
+    def count(owner, name, wrap=lambda f: f):
+        honest = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(
+            lambda *args, **kwargs: calls.update([name]) or honest(*args, **kwargs)))
+
+    count(algebras, "_require_closed")
+    count(algebras, "algebra_from_generators")
+    count(StarAlgebra, "from_span", staticmethod)
+    count(Subspace, "intersect")
+    cp = crossed.crossed_product(*crossed_s3_m3)
+    report, pullbacks = crossed.crossed_galois(cp)
+    assert [r.fixed_dim for r in report.rows] == [54, 28, 28, 28, 18, 10]
+    assert pullbacks == {(0,): 9, (0, 1): 5, (0, 2): 5, (0, 5): 5, (0, 3, 4): 3,
+                         (0, 1, 2, 3, 4, 5): 2}
+    assert not report.violations
+    assert calls == {}
+    StarAlgebra.from_span([np.eye(2)], 2)   # the counters do see a boundary
+    assert calls == {"from_span": 1, "_require_closed": 1}
+
+
+@pytest.mark.parametrize("name, n", [("Z2", 2), ("S3", 3), ("S4", 4)])
+def test_full_base_under_ad_gives_the_packer_raeburn_blocks(name, n, fixture_groups):
+    # M_n x|_Ad G is M_n (x) C[G] (Packer and Raeburn, 1989): one block
+    # (n d, d) for each irrep of dimension d; S4 on M4 has dimension 384
+    g = fixture_groups[name]
+    if name == "Z2":
+        unitaries = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
+    else:
+        unitaries = reps.permutation_rep(g, groups.symmetric_action(n)).matrices
+    expected = sorted((n * r.dim, r.dim) for r in reps.irrep_table(g).irreps)
+    base = StarAlgebra.full(n)
+    tracemalloc.start()
+    try:
+        cp = crossed.crossed_product(base, crossed.ad_action(g, base, unitaries))
+        blocks = block_structure(cp.algebra, seed=0).blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cp.algebra.dim == n * n * g.order
+    assert list(blocks) == expected
+    assert peak <= 400 * 2 ** 20
