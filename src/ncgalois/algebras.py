@@ -23,8 +23,11 @@ Each algebra is certified where it is built.  Closure residuals
 spans (``from_span``), grown spans (``algebra_from_generators``) and
 commutants of families that are not *-closed.  Every commutant kernel is
 checked against its defining equation BX = XB (``commutator_residual``),
-a fixed-point basis on its subgroup's generators; intersections of two
-*-algebras are not re-checked.
+a fixed-point basis on its subgroup's generators, together with the
+character count in a full M (``_certified_fixed``); intersections of two
+*-algebras are not re-checked.  A fixed algebra of a conjugate subgroup is
+transported by one conjugation (``transported_fixed_algebra``) and takes
+the same certificate.
 """
 
 from __future__ import annotations
@@ -211,8 +214,8 @@ def commutant_of_matrices(mats, ambient_dim: int,
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
     if _is_star_closed(mats, tol):
-        return _commutant(mats, mats, True, tol)
-    return _require_closed(_commutant(mats, mats, False, tol))
+        return _commutant(mats, True, tol)
+    return _require_closed(_commutant(mats, False, tol))
 
 
 def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
@@ -233,13 +236,11 @@ def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
     return worst
 
 
-def _commutant(mats: np.ndarray, family: np.ndarray, star_closed: bool,
-               tol: Tolerance) -> StarAlgebra:
-    """Commutant of ``mats``, certified on ``family``, which generates the same
-    algebra (``mats`` itself, or the generators of a subgroup image)."""
+def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
+    """Commutant of ``mats``, certified on ``mats``."""
     n = mats.shape[1]
     basis = linalg.commutant_kernel(mats, tol, star_closed=star_closed).T.reshape(-1, n, n)
-    return StarAlgebra(n, _require_commuting(family, basis))
+    return StarAlgebra(n, _require_commuting(mats, basis))
 
 
 def _require_commuting(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -259,7 +260,7 @@ def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     solved on the reduced block-diagonal subspace, and the commutant is a
     unital *-algebra by construction.
     """
-    return _commutant(a.basis, a.basis, True, tol)
+    return _commutant(a.basis, True, tol)
 
 
 def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -409,37 +410,67 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).  A non-full M is solved in
     its own coordinates: one compression of its basis by each generator's
     unitary checks that M is invariant and gives the d x d map of Ad U_s,
-    and M^H is their joint ``fixed_coordinates``.  Either basis must commute
-    with the unitaries of H's generators.
+    and M^H is their joint ``fixed_coordinates``.  Either basis is certified
+    by ``_certified_fixed``.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
-    n, gens = rep.dim, rep.matrices[list(subgroup.generators)]
+    n = rep.dim
     if not m.is_full:
-        flat = m.basis.reshape(m.dim, -1)
-        maps = np.empty((len(gens), m.dim, m.dim), dtype=np.complex128)
-        for i, (h, u) in enumerate(zip(subgroup.generators, gens)):
-            moved = linalg.compress(m.basis, dagger(u))
-            maps[i] = m.coordinates(moved)    # row j: the coordinates of U B_j U*
-            residual = moved.reshape(m.dim, -1) - maps[i] @ flat
-            res = float(np.max(np.linalg.norm(residual, axis=1)))
-            if res > 1e-8:
-                raise NotInvariantAlgebra(
-                    f"conjugation by element {h} leaves the algebra (residual {res:.3e})")
-        basis = (fixed_coordinates(maps, tol).T @ flat).reshape(-1, n, n)
-        return StarAlgebra(n, _require_commuting(gens, basis))
-    mats = rep.matrices[list(subgroup.members)]
-    fixed = _commutant(mats, gens, True, tol)
-    chi = np.trace(mats, axis1=1, axis2=2)
-    expected = float(np.sum(np.abs(chi) ** 2)) / len(mats)
-    if abs(fixed.dim - expected) > 1e-6:
-        raise DecompositionFailed(
-            f"fixed-point algebra has dimension {fixed.dim}, "
-            f"the character formula gives {expected:.6g}"
-        )
-    return fixed
+        maps = _conjugation_maps(m, rep, subgroup.generators)
+        basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
+    else:
+        mats = rep.matrices[list(subgroup.members)]
+        basis = linalg.commutant_kernel(mats, tol, star_closed=True).T
+    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n))
+
+
+def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep: UnitaryRep,
+                              subgroup: Subgroup, g: int) -> StarAlgebra:
+    """M^H as U_g M^K U_g*, for the fixed algebra M^K of K = g^-1 H g.
+
+    Ad U_g is a *-automorphism of an invariant M that carries M^K onto
+    M^{gKg^-1} (conjugate the equation U_k X U_k* = X by U_g), so one
+    compression replaces the kernel.  The result keeps its own certificate
+    (``_certified_fixed``), and a non-full M must be invariant under Ad U_g.
+    """
+    if not m.is_full:   # every unitary preserves the full algebra
+        _conjugation_maps(m, rep, (g,))
+    moved = linalg.compress(fixed.basis, dagger(rep.matrices[g]))
+    return _certified_fixed(m, rep, subgroup, moved)
+
+
+def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
+    """The d x d coordinate map of Ad U_h on M for each element h, once M is invariant."""
+    flat = m.basis.reshape(m.dim, -1)
+    maps = np.empty((len(elements), m.dim, m.dim), dtype=np.complex128)
+    for i, h in enumerate(elements):
+        moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
+        maps[i] = m.coordinates(moved)    # row j: the coordinates of U B_j U*
+        residual = moved.reshape(m.dim, -1) - maps[i] @ flat
+        res = float(np.max(np.linalg.norm(residual, axis=1)))
+        if res > 1e-8:
+            raise NotInvariantAlgebra(
+                f"conjugation by element {h} leaves the algebra (residual {res:.3e})")
+    return maps
+
+
+def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
+                     basis: np.ndarray) -> StarAlgebra:
+    """M^H from its basis, once the basis commutes with the unitaries of H's
+    generators and, in a full M, its size is the character count."""
+    _require_commuting(rep.matrices[list(subgroup.generators)], basis)
+    if m.is_full:
+        chi = np.trace(rep.matrices[list(subgroup.members)], axis1=1, axis2=2)
+        expected = float(np.sum(np.abs(chi) ** 2)) / subgroup.order
+        if abs(len(basis) - expected) > 1e-6:
+            raise DecompositionFailed(
+                f"fixed-point algebra has dimension {len(basis)}, "
+                f"the character formula gives {expected:.6g}"
+            )
+    return StarAlgebra(rep.dim, basis)
 
 
 def fixed_coordinates(maps: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -7,6 +7,13 @@ anti-monotonicity along the subgroup lattice, and the partition of
 subgroups into span-equivalence classes; when the action is proper the
 map must be injective across classes and any failure is recorded as a
 violation rather than silently accepted.  Subgroup checks use generators.
+
+The map is equivariant: M^{gHg^-1} = U_g M^H U_g*.  So one fixed-point
+kernel and one bicommutant test run per conjugacy class of the given
+subgroups, on its first member; every other row is transported by one
+conjugation and re-certified on its own generators (and, in a full M, by
+its character count).  A transported row's ``bicommutant_residual`` is
+its representative's, which Ad U_g leaves unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from . import algebras as alg
 from . import reps as rp
 from .algebras import StarAlgebra
-from .groups import FiniteGroup, Subgroup, enumerate_subgroups
+from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
 from .linalg import DEFAULT_TOL, Subspace, Tolerance
 
 _RESIDUAL_BOUND = 1e-9
@@ -155,26 +162,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
         missing=properness.missing,
     )
 
-    interner = _Interner(m.ambient_dim ** 2, tol)
-    for sub in subgroups:
-        fixed = alg.fixed_point_algebra(m, pi, sub, tol)
-        fixed_id = interner.id_of(fixed.subspace())
-        if mode == "inner":
-            once = alg.relative_commutant(fixed, m, tol)
-            twice = alg.relative_commutant(once, m, tol)
-        else:
-            once = alg.commutant(fixed, tol)
-            twice = alg.commutant(once, tol)
-        residual = twice.subspace().distance(fixed.subspace())
-        ok = residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim
-        if not ok:
-            report.violations.append(
-                ("bicommutant", sub.members, float(residual))
-            )
-        report.rows.append(
-            GaloisRow(sub, fixed.dim, fixed_id, ok, float(residual))
-        )
-        report.fixed_algebras[sub.members] = fixed
+    _fill_rows(report, m, pi, subgroups, tol)
 
     # anti-monotonicity of every pair H1 < H2: M^{H2} lies in M, so it lies
     # in M^{H1} exactly when it commutes with the unitaries of H1's generators
@@ -230,6 +218,48 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
                 else:
                     seen[fid] = cls
     return report
+
+
+def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
+               tol: Tolerance) -> None:
+    """Rows, fixed algebras and bicommutant violations, one kernel per conjugacy class.
+
+    The first subgroup of each class (``subgroup_classes``) gets its fixed
+    algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
+    U_g M^K U_g* (``transported_fixed_algebra``), re-certified on its own
+    generators, and its representative's bicommutant verdict and residual:
+    Ad U_g is a *-automorphism of M, so it carries (relative) commutants to
+    (relative) commutants, and the Hilbert-Schmidt distance is unitarily
+    invariant.  Ids still come from ``Subspace.equals`` on every row.
+    """
+    interner = _Interner(m.ambient_dim ** 2, tol)
+    classes = subgroup_classes(report.group, subgroups)
+    verdicts: dict = {}   # representative index -> (ok, residual)
+    for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
+        if r == j:
+            fixed = alg.fixed_point_algebra(m, pi, sub, tol)
+            verdicts[j] = _bicommutant(fixed, m, report.mode, tol)
+        else:
+            rep_fixed = report.fixed_algebras[subgroups[r].members]
+            fixed = alg.transported_fixed_algebra(rep_fixed, m, pi, sub, g)
+        fixed_id = interner.id_of(fixed.subspace())
+        ok, residual = verdicts[r]
+        if not ok:
+            report.violations.append(("bicommutant", sub.members, residual))
+        report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual))
+        report.fixed_algebras[sub.members] = fixed
+
+
+def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, mode: str, tol: Tolerance):
+    """(ok, residual) of the double (relative) commutant test on one fixed algebra."""
+    if mode == "inner":
+        once = alg.relative_commutant(fixed, m, tol)
+        twice = alg.relative_commutant(once, m, tol)
+    else:
+        once = alg.commutant(fixed, tol)
+        twice = alg.commutant(once, tol)
+    residual = float(twice.subspace().distance(fixed.subspace()))
+    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual
 
 
 def is_minimal_action(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,

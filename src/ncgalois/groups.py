@@ -242,6 +242,29 @@ def conjugacy_classes(group: FiniteGroup):
     return classes
 
 
+def subgroup_classes(group: FiniteGroup, subgroups) -> list:
+    """(representative index, g) for each subgroup H, with g * R * g^-1 = H.
+
+    The representative R is the first of the given subgroups in H's
+    conjugacy class, and maps to itself by the identity; for every other H,
+    g is the least element that carries R onto H.  Only the given subgroups
+    are compared, by their exact member sets under the conjugation table.
+    """
+    conj = conjugation_table(group)
+    found: dict = {}   # members of a conjugate of a representative -> (index, g)
+    out = []
+    for j, h in enumerate(subgroups):
+        if h.parent != group:
+            raise ParentMismatch("subgroup of another group")
+        if h.members not in found:
+            found[h.members] = (j, group.identity)
+            images = np.sort(conj[:, list(h.members)], axis=1)
+            for g, image in enumerate(images):
+                found.setdefault(tuple(image.tolist()), (j, g))
+        out.append(found[h.members])
+    return out
+
+
 def is_normal(subgroup: Subgroup) -> bool:
     """True iff the subgroup is a union of conjugacy classes."""
     g = subgroup.parent

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from ncgalois import algebras
+from ncgalois import algebras, galois
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
@@ -118,6 +118,31 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
         moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
         worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
     return worst
+
+
+def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL) -> None:
+    """``galois._fill_rows`` with a fixed-point kernel and a bicommutant test on every row."""
+    mode = report.mode
+    interner = galois._Interner(m.ambient_dim ** 2, tol)
+    for sub in subgroups:
+        fixed = algebras.fixed_point_algebra(m, pi, sub, tol)
+        fixed_id = interner.id_of(fixed.subspace())
+        if mode == "inner":
+            once = algebras.relative_commutant(fixed, m, tol)
+            twice = algebras.relative_commutant(once, m, tol)
+        else:
+            once = algebras.commutant(fixed, tol)
+            twice = algebras.commutant(once, tol)
+        residual = twice.subspace().distance(fixed.subspace())
+        ok = residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
+        if not ok:
+            report.violations.append(
+                ("bicommutant", sub.members, float(residual))
+            )
+        report.rows.append(
+            galois.GaloisRow(sub, fixed.dim, fixed_id, ok, float(residual))
+        )
+        report.fixed_algebras[sub.members] = fixed
 
 
 def anti_monotone_by_projection(fixed_algebras: dict, subgroups, bound: float = 1e-9) -> list:

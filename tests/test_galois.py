@@ -1,9 +1,13 @@
+import collections
+import json
+
 import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, crossed, galois, groups, reps
+from ncgalois import algebras, cli, crossed, galois, groups, reporting, reps
 from ncgalois.algebras import StarAlgebra
+from ncgalois.errors import ClosureFailed, NotInvariantAlgebra
 from ncgalois.linalg import DEFAULT_TOL
 
 
@@ -220,17 +224,23 @@ def test_mode_detection_spatial():
     assert dims == {(0,): 2, (0, 1): 1}
 
 
+def _rotated_regular(group):
+    """The regular representation conjugated by a unitary drawn at seed 41."""
+    reg = reps.regular_rep(group)
+    rng = np.random.default_rng(41)
+    q, r = np.linalg.qr(rng.standard_normal((group.order,) * 2)
+                        + 1j * rng.standard_normal((group.order,) * 2))
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    return reps.UnitaryRep(group, w @ reg.matrices @ w.conj().T)
+
+
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
 def test_galois_verdicts_survive_a_unitary_change_of_basis(name):
     # metamorphic: conjugating the regular representation by a seeded
     # random unitary must change no dimension, class or verdict
     group = groups.FIXTURE_GROUPS[name]()
     reg = reps.regular_rep(group)
-    rng = np.random.default_rng(41)
-    q, r = np.linalg.qr(rng.standard_normal((group.order,) * 2)
-                        + 1j * rng.standard_normal((group.order,) * 2))
-    w = q * (np.diag(r) / np.abs(np.diag(r)))
-    turned = reps.UnitaryRep(group, w @ reg.matrices @ w.conj().T)
+    turned = _rotated_regular(group)
 
     m = StarAlgebra.full(group.order)
     plain = galois.galois_map(m, reg, group)
@@ -263,3 +273,151 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
     interner = galois._Interner(4)
     ids = [interner.id_of(x.subspace()) for x in (a, b, diagonal, b)]
     assert ids == [0, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# one kernel per conjugacy class: transported rows against the direct path
+
+_DIRECT_CASES = ([f"regular-{name}" for name in groups.FIXTURE_GROUPS]
+                 + ["permutation-S4"] + [f"rotated-{name}" for name in ("S3", "D4", "Q8", "A4")]
+                 + ["crossed-S3-M3"])
+
+
+def _galois_case(name):
+    """A thunk that runs the case's lattice and returns its GaloisReport."""
+    kind, _, group_name = name.partition("-")
+    if kind == "crossed":
+        s3 = groups.symmetric_group(3)
+        perm = reps.permutation_rep(s3, groups.symmetric_action(3))
+        cp = crossed.crossed_product(StarAlgebra.full(3),
+                                     crossed.ad_action(s3, StarAlgebra.full(3), perm.matrices))
+        return lambda: crossed.crossed_galois(cp)[0]
+    group = groups.FIXTURE_GROUPS[group_name]()
+    if kind == "regular":
+        rep = reps.regular_rep(group)
+    elif kind == "rotated":
+        rep = _rotated_regular(group)
+    else:   # S4 on 4 points: improper, so ids coincide across classes
+        rep = reps.permutation_rep(group, groups.symmetric_action(4))
+    return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep, group)
+
+
+@pytest.mark.parametrize("name", _DIRECT_CASES)
+def test_transported_rows_equal_the_direct_path(name, monkeypatch):
+    # every field but the transported rows' residuals agrees with a run that
+    # solves a fixed-point kernel and a bicommutant test on every row, and
+    # every transported fixed algebra equals the directly computed one
+    run = _galois_case(name)
+    fast = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "_fill_rows", kernel_reference.every_row)
+        direct = run()
+
+    def verdicts(report):
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok)
+                for r in report.rows]
+        return (rows, report.equivalence_classes, report.collision_candidates,
+                report.anti_monotone_pairs, report.injective, report.proper,
+                [v[:2] for v in report.violations])
+
+    assert verdicts(fast) == verdicts(direct)
+    assert fast.fixed_algebras.keys() == direct.fixed_algebras.keys()
+    for members, fixed in direct.fixed_algebras.items():
+        assert fast.fixed_algebras[members].equals(fixed), members
+    if name == "permutation-S4":
+        assert not fast.proper and not fast.injective
+    classes = groups.subgroup_classes(fast.group, [r.subgroup for r in fast.rows])
+    transported = sum(r != j for j, (r, _) in enumerate(classes))
+    assert transported == {"S3": 2, "D4": 2, "A4": 5, "S4": 19}.get(name.split("-")[1], 0)
+
+
+def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch):
+    # S4's 30 subgroups fall into 11 conjugacy classes
+    def counted():
+        calls = collections.Counter()
+        with monkeypatch.context() as patch:
+            for fn in ("fixed_point_algebra", "relative_commutant"):
+                honest = getattr(algebras, fn)
+                patch.setattr(algebras, fn, lambda *a, _f=honest, _n=fn, **k:
+                              calls.update([_n]) or _f(*a, **k))
+            report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+        assert len(report.rows) == 30 and not report.violations
+        return calls
+
+    assert counted() == {"fixed_point_algebra": 11, "relative_commutant": 22}
+    monkeypatch.setattr(galois, "_fill_rows", kernel_reference.every_row)
+    assert counted() == {"fixed_point_algebra": 30, "relative_commutant": 60}
+
+
+def _with_identity_for_the_first_transported_row(group, subgroups):
+    classes = groups.subgroup_classes(group, subgroups)
+    j = next(j for j, (r, _) in enumerate(classes) if r != j)
+    classes[j] = (classes[j][0], group.identity)
+    return classes
+
+
+def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
+        s3, monkeypatch, tmp_path):
+    # negative control: carried by the identity, the fixed algebra of the
+    # first order-2 subgroup does not commute with the generator of the
+    # second, its conjugate
+    monkeypatch.setattr(galois, "subgroup_classes",
+                        _with_identity_for_the_first_transported_row)
+    made = []
+
+    class Recorded(galois.GaloisReport):
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            made.append(self)
+
+    monkeypatch.setattr(galois, "GaloisReport", Recorded)
+    subs = groups.enumerate_subgroups(s3)
+    with pytest.raises(ClosureFailed, match="fails to commute"):
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    # rows before the bad one were written, the bad one and later ones were not
+    assert [r.subgroup.members for r in made[0].rows] == [s.members for s in subs[:2]]
+    assert list(made[0].fixed_algebras) == [s.members for s in subs[:2]]
+
+    # through the CLI: a numerical failure, and no report file
+    (tmp_path / "reg.json").write_text(json.dumps(reporting.rep_to_json(reps.regular_rep(s3))))
+    (tmp_path / "spec.json").write_text(json.dumps({"representation": "reg.json"}))
+    out = tmp_path / "report.json"
+    assert cli.main(["galois", str(tmp_path / "spec.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
+    # negative control: the bicommutant test of the representative of S3's
+    # three order-2 subgroups fails; each of the three rows records its own
+    # violation with its own members, and the run completes
+    honest = galois._bicommutant
+    calls = []
+
+    def failing(fixed, m, mode, tol):
+        calls.append(fixed.dim)
+        return (False, 0.5) if fixed.dim == 18 else honest(fixed, m, mode, tol)
+
+    monkeypatch.setattr(galois, "_bicommutant", failing)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
+    assert calls == [36, 18, 12, 6]
+    assert report.violations == [("bicommutant", members, 0.5) for members in order_two]
+    assert [(r.bicommutant_ok, r.bicommutant_residual) for r in report.rows
+            if r.subgroup.order == 2] == [(False, 0.5)] * 3
+    assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
+
+
+def test_transport_into_a_non_invariant_algebra_is_refused(s3):
+    # M = M2 + C on the points {0, 1} | {2} is invariant under the swap of 0
+    # and 1 but not under the elements that carry it to the swap of 1 and 2,
+    # so M^{<(12)>} is not U_g M^{<(01)>} U_g*; the transport refuses it
+    perm = reps.permutation_rep(s3, groups.symmetric_action(3))
+    e = np.eye(3)
+    m = StarAlgebra.from_span([np.outer(e[a], e[b]) for a in (0, 1) for b in (0, 1)]
+                              + [np.outer(e[2], e[2])], 3)
+    swap01, swap12 = groups.Subgroup(s3, (0, 2)), groups.Subgroup(s3, (0, 1))
+    assert [r for r, _ in groups.subgroup_classes(s3, [swap01, swap12])] == [0, 0]
+    alone = galois.galois_map(m, perm, s3, subgroups=[swap01])
+    assert [r.fixed_dim for r in alone.rows] == [3]
+    with pytest.raises(NotInvariantAlgebra, match="conjugation by element"):
+        galois.galois_map(m, perm, s3, subgroups=[swap01, swap12])

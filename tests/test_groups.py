@@ -180,6 +180,48 @@ def test_conjugation_table_and_classes_match_the_group_operations(fixture_groups
         assert set(groups.conjugacy_classes(g)) == orbits
 
 
+def _conjugate_members(g, a, members) -> tuple:
+    return tuple(sorted(g.conjugate(a, x) for x in members))
+
+
+def test_subgroup_classes_count_match_and_pick_the_first_representative(
+        fixture_groups, s4_times_z2):
+    expected = {"Z2": 2, "Z4": 3, "Z6": 4, "S3": 4, "D4": 8, "Q8": 6, "A4": 5, "S4": 11,
+                "S4xZ2": 33}
+    cases = dict(fixture_groups)
+    cases["S4xZ2"] = s4_times_z2
+    for name, g in cases.items():
+        subs = enumerate_subgroups(g)
+        classes = groups.subgroup_classes(g, subs)
+        assert len({r for r, _ in classes}) == expected[name], name
+        for j, (r, a) in enumerate(classes):
+            # a carries the representative's members exactly onto the row's
+            assert _conjugate_members(g, a, subs[r].members) == subs[j].members, (name, j)
+            # the representative is the first subgroup of the class in the given order
+            conjugates = {_conjugate_members(g, b, subs[j].members) for b in range(g.order)}
+            assert r == min(i for i, s in enumerate(subs) if s.members in conjugates)
+            assert (r != j) or a == g.identity
+
+
+def test_subgroup_classes_use_only_the_given_subgroups_in_their_order(s4):
+    subs = enumerate_subgroups(s4)
+    backwards = subs[::-1]
+    classes = groups.subgroup_classes(s4, backwards)
+    for j, (r, a) in enumerate(classes):
+        assert r <= j
+        assert _conjugate_members(s4, a, backwards[r].members) == backwards[j].members
+    # a partial list: the three Klein subgroups other than the normal one,
+    # all conjugate, so each is carried from the first one given
+    klein = [s for s in subs if s.order == 4 and not is_normal(s)
+             and all(s4.element_order(x) <= 2 for x in s.members)]
+    assert len(klein) == 3
+    classes = groups.subgroup_classes(s4, klein)
+    assert [r for r, _ in classes] == [0, 0, 0]
+    assert groups.subgroup_classes(s4, []) == []
+    with pytest.raises(ParentMismatch):
+        groups.subgroup_classes(groups.symmetric_group(3), subs)
+
+
 @pytest.mark.parametrize("members, error, message", [
     ((1, 2), NoIdentity, "subgroup does not contain the identity"),
     ((0, 3), NoInverse, "subgroup not closed under inverse at 3"),
