@@ -4,13 +4,19 @@ An algebra is stored as an orthonormal basis (Hilbert-Schmidt inner
 product) of a subspace of the n^2-dimensional matrix space, which turns
 algebra comparisons and intersections into numerically stable projection
 arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
-``linalg.commutant_kernel`` from a single normal matrix so one
+``linalg.commutant_kernel`` from a single normal matrix so at most one
 eigendecomposition does the whole job even for large bases; the same
-kernel serves the Schur test in ``reps``.  A fixed-point algebra of the
-full matrix algebra is the commutant of the subgroup image, so it takes
-the same kernel; in a non-full M it is solved in M's own coordinates, as
-the SVD nullspace of the d x d maps of the generators
-(``fixed_coordinates``), with no n^2 kernel and no intersection.
+kernel serves the Schur test in ``reps``.  None runs for an abelian
+*-closed family (U(H) for abelian H, and the commutant of an abelian
+algebra): its split blocks are joint eigenspaces, the block-diagonal
+subspace is the whole commutant, and the normal matrix is null up to
+rounding, which ``linalg.kernel_of_gram`` recognizes below the lowest
+cut its rank rule can choose, so the decision is the one eigh would
+make.  A fixed-point algebra of the full matrix algebra is the commutant
+of the subgroup image, so it takes the same kernel; in a non-full M it is
+solved in M's own coordinates, as the SVD nullspace of the d x d maps of
+the generators (``fixed_coordinates``), with no n^2 kernel and no
+intersection.
 Commutants of *-closed families are solved on the block-diagonal subspace
 of a seeded Hermitian element (``linalg.random_split``) instead of all n^2
 coordinates; the same split of a center and of a multiplicity commutant

@@ -140,7 +140,17 @@ def kernel_of_gram(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     for the degenerate case where the map itself (not just its kernel
     directions) vanishes and the gram is all rounding noise.  Returns
     kernel vectors as columns.
+
+    No eigendecomposition runs when ``frob(gram) <= floor**2``, with
+    ``floor`` the cut at ``s_ref = scale``: since ``s_ref >= scale``, no
+    cut is lower, and every eigenvalue is at most ``frob(gram)``, so the
+    rule would keep every direction.  The kernel is then the whole space,
+    returned as the identity columns.  This is the case of an abelian
+    *-closed stack, whose block-diagonal subspace is its whole commutant.
     """
+    floor = max(tol.rank_threshold(scale), 1e-5 * scale)
+    if frob(gram) <= floor * floor:
+        return np.eye(gram.shape[0], dtype=np.complex128)
     w, v = np.linalg.eigh((gram + dagger(gram)) / 2.0)
     s = np.sqrt(np.clip(w, 0.0, None))
     smax = s[-1] if s.size else 0.0
@@ -167,6 +177,11 @@ def matrix_imaginary_power(p, t: float, tol: Tolerance = DEFAULT_TOL) -> np.ndar
         raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} is not positive")
     phases = np.exp(1j * t * np.log(w))
     return (v * phases) @ dagger(v)
+
+
+def _worst_column(r: np.ndarray) -> float:
+    """Largest column norm of r; 0 when r has no columns."""
+    return float(np.max(np.linalg.norm(r, axis=0))) if r.shape[1] else 0.0
 
 
 class Subspace:
@@ -214,8 +229,7 @@ class Subspace:
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim == 1:
             x = x[:, None]
-        r = x - self.project(x)
-        return float(np.max(np.linalg.norm(r, axis=0))) if x.shape[1] else 0.0
+        return _worst_column(x - self.project(x))
 
     def contains(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
@@ -229,8 +243,15 @@ class Subspace:
         return self.residual(other.basis)
 
     def distance(self, other: "Subspace") -> float:
-        """Worst containment residual in either direction; 0 for equal subspaces."""
-        return max(self.containment_residual(other), other.containment_residual(self))
+        """Worst containment residual in either direction; 0 for equal subspaces.
+
+        Both directions share the cross-Gram c = P* Q of the two bases:
+        Q - P c and P - Q c* are the residuals of each basis on the other.
+        """
+        self._check_ambient(other)
+        p, q = self.basis, other.basis
+        c = dagger(p) @ q
+        return max(_worst_column(q - p @ c), _worst_column(p - q @ dagger(c)))
 
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         self._check_ambient(other)

@@ -349,6 +349,32 @@ def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch)
     assert counted() == {"fixed_point_algebra": 30, "relative_commutant": 60}
 
 
+def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
+    # the abelian classes' commutants and second commutants have null reduced
+    # grams, which once cost eigensolves of sizes up to 576 = 24^2
+    sizes = []
+    honest = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args: sizes.append(a.shape[0]) or honest(a, *args))
+    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+    assert report.injective and not report.violations
+    assert max(sizes) <= 160
+
+
+@pytest.mark.slow
+def test_the_order_48_regular_lattice(s4_times_z2):
+    # S4 x Z2 on 48 points: about half a minute and 2.2 GB at one BLAS thread
+    rep = reps.regular_rep(s4_times_z2)
+    report = galois.galois_map(StarAlgebra.full(48), rep, s4_times_z2)
+    subgroups = [r.subgroup for r in report.rows]
+    assert len(report.rows) == 98
+    assert len({r for r, _ in groups.subgroup_classes(s4_times_z2, subgroups)}) == 33
+    assert report.violations == [] and report.injective and report.proper
+    assert report.anti_monotone_pairs == 727
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
 def _with_identity_for_the_first_transported_row(group, subgroups):
     classes = groups.subgroup_classes(group, subgroups)
     j = next(j for j, (r, _) in enumerate(classes) if r != j)

@@ -168,6 +168,21 @@ def test_subspace_distance_is_the_worse_containment_residual():
     assert abs(plane.distance(e1) - 1.0) < 1e-15 and abs(e1.distance(plane) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (2, 5), (4, 1), (0, 3), (3, 0), (0, 0)])
+def test_subspace_distance_is_both_containment_residuals(dims, rng):
+    def random_subspace(dim):
+        x = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        return Subspace.from_span(x, 7)
+
+    a, b = (random_subspace(d) for d in dims)
+    expected = max(a.containment_residual(b), b.containment_residual(a))
+    assert abs(a.distance(b) - expected) <= 1e-14
+    assert abs(b.distance(a) - expected) <= 1e-14
+    # a subspace against itself, or a rotated basis of itself
+    spin = Subspace(7, a.basis @ _random_unitary(a.dim, rng)) if a.dim else a
+    assert a.distance(spin) <= 1e-14
+
+
 def test_spectral_blocks_cut_at_eigenvalue_gaps():
     h = np.diag([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
     blocks = spectral_blocks(h)
@@ -217,6 +232,21 @@ def _star_closed_stacks():
     space = modular.gns(StarAlgebra.full(3), State(rho / np.trace(rho).real))
     left = np.array([space.left_mult_matrix(b) for b in space.algebra.basis])
     stacks.append(pytest.param(left, id="modular-left-multiplications"))
+    return stacks + _abelian_stacks()
+
+
+def _abelian_stacks():
+    # the split's blocks are joint eigenspaces, so the reduced gram is null
+    stacks = [pytest.param(reps.regular_rep(g).matrices, id=f"abelian-{name}-regular")
+              for name, g in (("Z4", groups.cyclic_group(4)),
+                              ("Z2xZ2", groups.klein_four_group()),
+                              ("Z6", groups.cyclic_group(6)))]
+    phases = np.exp(1j * np.array([[0.3, 0.3, 1.1, 2.0, 2.0],
+                                   [0.7, 0.7, 0.7, 1.9, 1.9]]))
+    w = _random_unitary(5, np.random.default_rng(41))
+    diag = np.array([np.diag(p) for p in (*phases, *phases.conj())])
+    stacks.append(pytest.param(w @ diag @ w.conj().T, id="abelian-rotated-diagonal-unitaries"))
+    stacks.append(pytest.param(np.eye(3, dtype=complex)[None], id="abelian-identity"))
     return stacks
 
 
@@ -228,6 +258,68 @@ def test_commutant_kernel_equals_full_gram_kernel(stack):
     assert reference.shape[1] >= 1
     assert _same_span(linalg.commutant_kernel(stack), reference)
     assert _same_span(linalg.commutant_kernel(stack, star_closed=False), reference)
+
+
+@pytest.mark.parametrize("stack", _abelian_stacks())
+def test_an_abelian_stack_solves_no_gram_eigensystem(stack, monkeypatch):
+    # only the n x n split element is diagonalized, never an e^2-sized gram
+    n = stack.shape[1]
+    sizes = []
+    honest = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args: sizes.append(a.shape[0]) or honest(a, *args))
+    linalg.commutant_kernel(stack)
+    assert sizes == [n]
+
+
+def _floor(scale, tol=linalg.DEFAULT_TOL):
+    return max(tol.rank_threshold(scale), 1e-5 * scale)
+
+
+def _rank_one_gram(n, frobenius, rng):
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return frobenius * np.outer(x, x.conj()) / np.vdot(x, x).real
+
+
+def _no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran on a null gram")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 37.0])
+def test_a_zero_gram_is_all_kernel_without_an_eigensolve(scale, monkeypatch):
+    _no_eigh(monkeypatch)
+    y = linalg.kernel_of_gram(np.zeros((6, 6), dtype=complex), scale=scale)
+    np.testing.assert_array_equal(y, np.eye(6))
+
+
+@pytest.mark.parametrize("scale", [1.0, 37.0])
+def test_a_gram_just_below_the_floor_is_all_kernel_without_an_eigensolve(
+        scale, rng, monkeypatch):
+    # a rank-one gram has lambda_max = frob, the worst case of the bound
+    floor = _floor(scale)
+    gram = _rank_one_gram(6, floor * floor * (1 - 1e-6), rng)
+    # the eigh rule would keep every direction too
+    s = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+    assert np.all(s <= _floor(max(s[-1], scale)))
+    _no_eigh(monkeypatch)
+    np.testing.assert_array_equal(linalg.kernel_of_gram(gram, scale=scale), np.eye(6))
+
+
+@pytest.mark.parametrize("scale", [1.0, 37.0])
+def test_a_gram_just_above_the_floor_takes_the_eigensolve(scale, rng, monkeypatch):
+    floor = _floor(scale)
+    gram = _rank_one_gram(6, floor * floor * (1 + 1e-6), rng)
+    calls = []
+    honest = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args: calls.append(a.shape) or honest(a, *args))
+    y = linalg.kernel_of_gram(gram, scale=scale)
+    assert calls == [(6, 6)]
+    # its one direction sits just above the cut, so it leaves the kernel
+    assert y.shape == (6, 5)
+    assert linalg.frob(gram @ y) <= 1e-12 * linalg.frob(gram)
 
 
 @pytest.mark.parametrize("one_block", [False, True], ids=["split", "one-block"])
