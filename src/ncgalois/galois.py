@@ -14,6 +14,14 @@ subgroups, on its first member; every other row is transported by one
 conjugation and re-certified on its own generators (and, in a full M, by
 its character count).  A transported row's ``bicommutant_residual`` is
 its representative's, which Ad U_g leaves unchanged.
+
+Rows are streamed: each fixed algebra is certified, interned and audited
+for anti-monotonicity against the subgroups below it as soon as it is
+built, and then dropped, so nothing dense outlives the conjugacy class
+that transports it and the report holds no basis.  The interner keeps a
+fingerprint, a dimension and a row index per id; on a match it rebuilds
+the earlier space (a representative's kernel, then its transport) and
+confirms it by ``Subspace.equals``.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ class GaloisReport:
     collision_candidates: list = field(default_factory=list)
     anti_monotone_pairs: int = 0
     violations: list = field(default_factory=list)
-    fixed_algebras: dict = field(default_factory=dict)
 
     @property
     def injective(self) -> bool:
@@ -98,10 +105,11 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
         ])
         return Subspace.from_span(rows, rows.shape[1], tol)
 
-    interner = _Interner(sum(table.irreps[i].dim ** 2 for i in irrep_indices), tol)
+    interner = _Interner(sum(table.irreps[i].dim ** 2 for i in irrep_indices),
+                         lambda j: joint_span(subgroups[j]), tol)
     classes: dict = {}
     for j, h in enumerate(subgroups):
-        classes.setdefault(interner.id_of(joint_span(h)), []).append(j)
+        classes.setdefault(interner.id_of(joint_span(h), j), []).append(j)
     return SubgroupEquivalence(tuple(tuple(c) for c in classes.values()))
 
 
@@ -112,22 +120,25 @@ class _Interner:
     fingerprint P r, the projection of one seeded probe r, which costs
     O(n^2 d) and does not depend on the basis; ``Subspace.equals`` then
     confirms the match, so no rounding boundary can split equal subspaces.
+    Only (fingerprint, dim, key) is kept per id: the earlier space is
+    rebuilt from its key by ``rebuild`` when a candidate matches it.
     """
 
-    def __init__(self, ambient_dim: int, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, rebuild, tol: Tolerance = DEFAULT_TOL):
         rng = np.random.default_rng(_PROBE_SEED)
         self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
         self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self._probe)
+        self._rebuild = rebuild   # key -> the Subspace interned under that key
         self._tol = tol
-        self._seen: list = []   # (fingerprint, subspace) of each id
+        self._seen: list = []     # (fingerprint, dim, key) of each id
 
-    def id_of(self, space: Subspace) -> int:
+    def id_of(self, space: Subspace, key) -> int:
         fp = space.project(self._probe)
-        for i, (fp0, space0) in enumerate(self._seen):
-            if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
-                    and space.equals(space0, self._tol)):
+        for i, (fp0, dim0, key0) in enumerate(self._seen):
+            if (dim0 == space.dim and np.linalg.norm(fp - fp0) <= self._bound
+                    and space.equals(self._rebuild(key0), self._tol)):
                 return i
-        self._seen.append((fp, space))
+        self._seen.append((fp, space.dim, key))
         return len(self._seen) - 1
 
 
@@ -163,20 +174,6 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
     )
 
     _fill_rows(report, m, pi, subgroups, tol)
-
-    # anti-monotonicity of every pair H1 < H2: M^{H2} lies in M, so it lies
-    # in M^{H1} exactly when it commutes with the unitaries of H1's generators
-    for s1 in subgroups:
-        gens = pi.matrices[list(s1.generators)]
-        for s2 in subgroups:
-            if s1.members == s2.members or not s2.contains(s1):
-                continue
-            res = alg.commutator_residual(gens, report.fixed_algebras[s2.members].basis)
-            report.anti_monotone_pairs += 1
-            if res > _RESIDUAL_BOUND:
-                report.violations.append(
-                    ("anti-monotone", (s1.members, s2.members), float(res))
-                )
 
     # equivalence classes over Sigma' and collision candidates versus full Sigma
     eq_present = subgroup_equivalence(group, subgroups, properness.present, tol)
@@ -222,7 +219,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
 
 def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
                tol: Tolerance) -> None:
-    """Rows, fixed algebras and bicommutant violations, one kernel per conjugacy class.
+    """Rows and their violations, one kernel per conjugacy class, streamed.
 
     The first subgroup of each class (``subgroup_classes``) gets its fixed
     algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
@@ -230,24 +227,66 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     generators, and its representative's bicommutant verdict and residual:
     Ad U_g is a *-automorphism of M, so it carries (relative) commutants to
     (relative) commutants, and the Hilbert-Schmidt distance is unitarily
-    invariant.  Ids still come from ``Subspace.equals`` on every row.
+    invariant.  A representative's basis is kept until the last row of its
+    class; rebuilding an earlier row solves its representative's kernel
+    again unless that basis is still kept.
     """
-    interner = _Interner(m.ambient_dim ** 2, tol)
     classes = subgroup_classes(report.group, subgroups)
+    last = {r: j for j, (r, _) in enumerate(classes)}
+    kept: dict = {}       # representative index -> fixed algebra, until its last row
     verdicts: dict = {}   # representative index -> (ok, residual)
-    for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
+
+    def fixed_algebra(j: int) -> StarAlgebra:
+        r, g = classes[j]
+        base = kept.get(r)
+        if base is None:
+            base = alg.fixed_point_algebra(m, pi, subgroups[r], tol)
         if r == j:
-            fixed = alg.fixed_point_algebra(m, pi, sub, tol)
+            return base
+        return alg.transported_fixed_algebra(base, m, pi, subgroups[j], g)
+
+    def row(j: int):
+        r = classes[j][0]
+        fixed = fixed_algebra(j)
+        if r == j:
             verdicts[j] = _bicommutant(fixed, m, report.mode, tol)
-        else:
-            rep_fixed = report.fixed_algebras[subgroups[r].members]
-            fixed = alg.transported_fixed_algebra(rep_fixed, m, pi, sub, g)
-        fixed_id = interner.id_of(fixed.subspace())
-        ok, residual = verdicts[r]
+            kept[j] = fixed
+        if last[r] == j:
+            del kept[r]
+        return fixed, verdicts[r]
+
+    _stream_rows(report, m, pi, subgroups, row, fixed_algebra, tol)
+
+
+def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
+                 row, rebuild, tol: Tolerance) -> None:
+    """Intern, audit and record row j from ``row(j) -> (fixed, (ok, residual))``,
+    in order, keeping no basis; ``rebuild(j)`` gives row j's fixed algebra again.
+
+    Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
+    built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
+    with the unitaries of H1's generators.  Bicommutant violations come in
+    row order, then anti-monotone ones with H1 outer and H2 inner.
+    """
+    interner = _Interner(m.ambient_dim ** 2, lambda j: rebuild(j).subspace(), tol)
+    residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
+    for j, sub in enumerate(subgroups):
+        fixed, (ok, residual) = row(j)
+        for i, low in enumerate(subgroups):
+            if low.members != sub.members and sub.contains(low):
+                gens = pi.matrices[list(low.generators)]
+                residuals[i, j] = alg.commutator_residual(gens, fixed.basis)
+        fixed_id = interner.id_of(fixed.subspace(), j)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
         report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual))
-        report.fixed_algebras[sub.members] = fixed
+        del fixed   # before the next row is built
+    for (i, j), res in sorted(residuals.items()):
+        report.anti_monotone_pairs += 1
+        if res > _RESIDUAL_BOUND:
+            report.violations.append(
+                ("anti-monotone", (subgroups[i].members, subgroups[j].members), float(res))
+            )
 
 
 def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, mode: str, tol: Tolerance):

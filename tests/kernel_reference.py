@@ -123,10 +123,12 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
 def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL) -> None:
     """``galois._fill_rows`` with a fixed-point kernel and a bicommutant test on every row."""
     mode = report.mode
-    interner = galois._Interner(m.ambient_dim ** 2, tol)
-    for sub in subgroups:
-        fixed = algebras.fixed_point_algebra(m, pi, sub, tol)
-        fixed_id = interner.id_of(fixed.subspace())
+
+    def fixed_algebra(j):
+        return algebras.fixed_point_algebra(m, pi, subgroups[j], tol)
+
+    def row(j):
+        fixed = fixed_algebra(j)
         if mode == "inner":
             once = algebras.relative_commutant(fixed, m, tol)
             twice = algebras.relative_commutant(once, m, tol)
@@ -135,14 +137,62 @@ def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TO
             twice = algebras.commutant(once, tol)
         residual = twice.subspace().distance(fixed.subspace())
         ok = residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
-        if not ok:
-            report.violations.append(
-                ("bicommutant", sub.members, float(residual))
-            )
-        report.rows.append(
-            galois.GaloisRow(sub, fixed.dim, fixed_id, ok, float(residual))
-        )
-        report.fixed_algebras[sub.members] = fixed
+        return fixed, (ok, float(residual))
+
+    galois._stream_rows(report, m, pi, subgroups, row, fixed_algebra, tol)
+
+
+class StoringInterner:
+    """``galois._Interner`` as it was before rows were streamed: it keeps every
+    interned subspace and compares a candidate with the stored one, with no rebuild."""
+
+    def __init__(self, ambient_dim: int, rebuild=None, tol: Tolerance = DEFAULT_TOL):
+        rng = np.random.default_rng(galois._PROBE_SEED)
+        self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
+        self._bound = galois._FINGERPRINT_MATCH * np.linalg.norm(self._probe)
+        self._tol = tol
+        self._seen: list = []   # (fingerprint, subspace) of each id
+
+    def id_of(self, space, key=None) -> int:
+        fp = space.project(self._probe)
+        for i, (fp0, space0) in enumerate(self._seen):
+            if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
+                    and space.equals(space0, self._tol)):
+                return i
+        self._seen.append((fp, space))
+        return len(self._seen) - 1
+
+
+def record_fixed_algebras(monkeypatch) -> dict:
+    """Patch the two builders of fixed algebras that ``galois`` calls so that
+    each result is recorded, by its subgroup's members, in the returned dict.
+
+    ``galois_map`` keeps no fixed basis; tests that compare the bases read
+    them here.  A rebuild by the interner records an equal algebra again.
+    """
+    built: dict = {}
+    for name, at in (("fixed_point_algebra", 2), ("transported_fixed_algebra", 3)):
+        def recording(*args, _honest=getattr(algebras, name), _at=at, **kwargs):
+            fixed = _honest(*args, **kwargs)
+            built[args[_at].members] = fixed
+            return fixed
+        monkeypatch.setattr(algebras, name, recording)
+    return built
+
+
+def anti_monotone_by_generators(pi, fixed_algebras: dict, subgroups, bound: float = 1e-9) -> list:
+    """``galois_map``'s audit before rows were streamed, H1 outer and H2 inner:
+    (pair, residual) for each H1 < H2 whose M^{H2} fails to commute with H1's generators."""
+    flagged = []
+    for s1 in subgroups:
+        gens = pi.matrices[list(s1.generators)]
+        for s2 in subgroups:
+            if s1.members == s2.members or not s2.contains(s1):
+                continue
+            res = algebras.commutator_residual(gens, fixed_algebras[s2.members].basis)
+            if res > bound:
+                flagged.append(((s1.members, s2.members), float(res)))
+    return flagged
 
 
 def anti_monotone_by_projection(fixed_algebras: dict, subgroups, bound: float = 1e-9) -> list:

@@ -1,5 +1,6 @@
 import collections
 import json
+import tracemalloc
 
 import kernel_reference
 import numpy as np
@@ -30,8 +31,9 @@ def test_galois_z2_on_m2(z2_sign_action):
     assert all(r.bicommutant_ok for r in report.rows)
 
 
-def test_galois_s3_regular_injective(s3):
+def test_galois_s3_regular_injective(s3, monkeypatch):
     reg = reps.regular_rep(s3)
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     report = galois.galois_map(StarAlgebra.full(6), reg, s3)
     assert report.proper
     assert len(report.rows) == 6
@@ -41,7 +43,7 @@ def test_galois_s3_regular_injective(s3):
     for row in report.rows:
         assert row.fixed_dim == 36 // row.subgroup.order
     # fixed algebras pairwise distinct as subspaces, not just by id
-    algs = list(report.fixed_algebras.values())
+    algs = list(fixed.values())
     for i in range(len(algs)):
         for j in range(i + 1, len(algs)):
             assert not algs[i].equals(algs[j])
@@ -58,12 +60,12 @@ def test_galois_s3_permutation_not_proper(s3):
     assert dims == [2, 3, 5, 5, 5, 9]
 
 
-def test_anti_monotonicity_top_bottom(s3):
+def test_anti_monotonicity_top_bottom(s3, monkeypatch):
     reg = reps.regular_rep(s3)
     m = StarAlgebra.full(6)
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     report = galois.galois_map(m, reg, s3)
     subs = groups.enumerate_subgroups(s3)
-    fixed = report.fixed_algebras
     whole = fixed[tuple(range(6))]
     trivial = fixed[(s3.identity,)]
     assert trivial.equals(m)
@@ -77,21 +79,25 @@ def _anti_monotone(report) -> list:
     return [v[1] for v in report.violations if v[0] == "anti-monotone"]
 
 
-def test_anti_monotone_audit_matches_the_projection_reference(fixture_groups, s3):
+def test_anti_monotone_audit_matches_the_projection_reference(fixture_groups, s3,
+                                                              monkeypatch):
     # generator audit against the projection audit on every fixture's regular
     # lattice and on S3 acting on M3 (crossed); neither flags a pair
     cases = []
     for g in fixture_groups.values():
-        report = galois.galois_map(StarAlgebra.full(g.order), reps.regular_rep(g), g)
-        cases.append((report, groups.enumerate_subgroups(g)))
+        with monkeypatch.context() as patch:
+            fixed = kernel_reference.record_fixed_algebras(patch)
+            report = galois.galois_map(StarAlgebra.full(g.order), reps.regular_rep(g), g)
+        cases.append((report, fixed, groups.enumerate_subgroups(g)))
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
     cp = crossed.crossed_product(StarAlgebra.full(3),
                                  crossed.ad_action(s3, StarAlgebra.full(3), perm.matrices))
-    cases.append((crossed.crossed_galois(cp)[0], groups.enumerate_subgroups(s3)))
-    for report, subs in cases:
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
+    cases.append((crossed.crossed_galois(cp)[0], fixed, groups.enumerate_subgroups(s3)))
+    for report, fixed, subs in cases:
         assert report.anti_monotone_pairs > 0
         assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
-            report.fixed_algebras, subs) == []
+            fixed, subs) == []
 
 
 def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, monkeypatch):
@@ -104,13 +110,41 @@ def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, mo
         return StarAlgebra.full(6) if sub.members == top else honest(m, rep, sub, tol)
 
     monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(s3)
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
     flagged = [v for v in report.violations if v[0] == "anti-monotone"]
     assert [v[1] for v in flagged] == [(s.members, top) for s in subs[1:-1]]
     assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
-        report.fixed_algebras, subs)
+        fixed, subs)
     assert all(v[2] > 1e-9 for v in flagged)
+
+
+def test_several_anti_monotone_violations_come_in_the_h1_outer_order(d4, monkeypatch):
+    # negative control: the fixed algebras of D4's three (normal) order-4
+    # subgroups replaced by the full algebra fail against every nontrivial
+    # H1 below them; the streamed audit lists the pairs, their order and
+    # residuals as the loop over H1 then H2 does.  No patched subgroup lies
+    # below another, so the projection reference reads honest M^{H1}
+    m, rep = StarAlgebra.full(8), reps.regular_rep(d4)
+    honest = algebras.fixed_point_algebra
+
+    def patched(m, rep, sub, tol=DEFAULT_TOL):
+        return m if sub.order == 4 else honest(m, rep, sub, tol)
+
+    monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
+    subs = groups.enumerate_subgroups(d4)
+    report = galois.galois_map(m, rep, d4)
+    streamed = [(v[1], v[2]) for v in report.violations if v[0] == "anti-monotone"]
+    assert streamed == kernel_reference.anti_monotone_by_generators(rep, fixed, subs)
+    pairs = [pair for pair, _ in streamed]
+    assert pairs == kernel_reference.anti_monotone_by_projection(fixed, subs)
+    assert len(pairs) == 7 and len({top for _, top in pairs}) == 3
+    assert all(res > galois._RESIDUAL_BOUND for _, res in streamed)
+    # the center lies below all three, so H2 outer would give another order
+    position = {s.members: i for i, s in enumerate(subs)}
+    assert pairs != sorted(pairs, key=lambda p: (position[p[1]], position[p[0]]))
 
 
 def test_galois_map_runs_no_closure_check(s3, monkeypatch):
@@ -269,10 +303,73 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
     assert np.round(pa, 6)[0, 0] != np.round(pb, 6)[0, 0]
     assert a.equals(b)
 
-    diagonal = StarAlgebra.diagonal(2)
-    interner = galois._Interner(4)
-    ids = [interner.id_of(x.subspace()) for x in (a, b, diagonal, b)]
+    spaces = [x.subspace() for x in (a, b, StarAlgebra.diagonal(2), b)]
+    interner = galois._Interner(4, spaces.__getitem__)
+    ids = [interner.id_of(space, k) for k, space in enumerate(spaces)]
     assert ids == [0, 0, 1, 0]
+
+
+def _improper_action(name):
+    """S3 or S4 on its points, or S3 through the trivial and sign characters."""
+    group = groups.FIXTURE_GROUPS[name[:2]]()
+    perm = reps.permutation_rep(group, groups.symmetric_action(int(name[1])))
+    if name.endswith("sign"):
+        signs = np.linalg.det(perm.matrices).real
+        return group, reps.UnitaryRep(group, np.array([np.diag([1.0, s]) for s in signs]))
+    return group, perm
+
+
+@pytest.mark.parametrize("name, rebuilt", [
+    ("S3", [[], [], []]),
+    ("S4", [[28], [28], []]),                     # A4 and S4 share span{1, J}
+    ("S3-sign", [[1, 1, 0, 1], [1, 1, 0, 1], []]),  # two algebras for six rows
+])
+def test_the_rebuilding_interner_equals_the_storing_one_on_improper_lattices(
+        name, rebuilt, monkeypatch):
+    # on an improper action fixed algebras can coincide and the interner
+    # matches; the ids, classes and collision candidates are those of the
+    # interner that stores every space, with at most one rebuild per row
+    # (the rebuilt keys, pinned per interner: rows, then classes over
+    # Sigma', then over Sigma)
+    group, rep = _improper_action(name)
+
+    def run():
+        report = galois.galois_map(StarAlgebra.full(rep.dim), rep, group)
+        assert not report.proper and not report.violations
+        return ([r.fixed_id for r in report.rows], report.equivalence_classes,
+                report.collision_candidates, report.injective)
+
+    keys: list = []
+
+    class Counted(galois._Interner):
+        def __init__(self, ambient_dim, rebuild, tol=DEFAULT_TOL):
+            mine: list = []
+            keys.append(mine)
+            super().__init__(ambient_dim, lambda key: mine.append(key) or rebuild(key), tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "_Interner", Counted)
+        streamed = run()
+    monkeypatch.setattr(galois, "_Interner", kernel_reference.StoringInterner)
+    assert streamed == run()
+    assert keys == rebuilt
+
+
+def test_galois_map_holds_no_fixed_basis(s4):
+    # the S4 regular lattice's fixed bases are 5,616 matrices of 24 x 24 (52 MB);
+    # streamed rows keep the traced peak near one class and the report small
+    m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
+    galois.galois_map(m, rep, s4)     # warm-up: the irrep table memo
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = galois.galois_map(m, rep, s4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 30 and report.injective and not report.violations
+    assert peak <= 32 * 2 ** 20
+    assert held - before < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +405,12 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
     # solves a fixed-point kernel and a bicommutant test on every row, and
     # every transported fixed algebra equals the directly computed one
     run = _galois_case(name)
-    fast = run()
+    with monkeypatch.context() as patch:
+        fast_fixed = kernel_reference.record_fixed_algebras(patch)
+        fast = run()
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_fill_rows", kernel_reference.every_row)
+        direct_fixed = kernel_reference.record_fixed_algebras(patch)
         direct = run()
 
     def verdicts(report):
@@ -321,9 +421,9 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
                 [v[:2] for v in report.violations])
 
     assert verdicts(fast) == verdicts(direct)
-    assert fast.fixed_algebras.keys() == direct.fixed_algebras.keys()
-    for members, fixed in direct.fixed_algebras.items():
-        assert fast.fixed_algebras[members].equals(fixed), members
+    assert fast_fixed.keys() == direct_fixed.keys()
+    for members, fixed in direct_fixed.items():
+        assert fast_fixed[members].equals(fixed), members
     if name == "permutation-S4":
         assert not fast.proper and not fast.injective
     classes = groups.subgroup_classes(fast.group, [r.subgroup for r in fast.rows])
@@ -363,9 +463,17 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
 
 @pytest.mark.slow
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: about half a minute and 2.2 GB at one BLAS thread
+    # S4 x Z2 on 48 points: about half a minute and 0.55 GB at one BLAS
+    # thread; the streamed rows keep the traced peak under 1 GB, where the
+    # stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
-    report = galois.galois_map(StarAlgebra.full(48), rep, s4_times_z2)
+    tracemalloc.start()
+    try:
+        report = galois.galois_map(StarAlgebra.full(48), rep, s4_times_z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 30
     subgroups = [r.subgroup for r in report.rows]
     assert len(report.rows) == 98
     assert len({r for r, _ in groups.subgroup_classes(s4_times_z2, subgroups)}) == 33
@@ -397,12 +505,13 @@ def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
             made.append(self)
 
     monkeypatch.setattr(galois, "GaloisReport", Recorded)
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(s3)
     with pytest.raises(ClosureFailed, match="fails to commute"):
         galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
     # rows before the bad one were written, the bad one and later ones were not
     assert [r.subgroup.members for r in made[0].rows] == [s.members for s in subs[:2]]
-    assert list(made[0].fixed_algebras) == [s.members for s in subs[:2]]
+    assert list(fixed) == [s.members for s in subs[:2]]
 
     # through the CLI: a numerical failure, and no report file
     (tmp_path / "reg.json").write_text(json.dumps(reporting.rep_to_json(reps.regular_rep(s3))))
