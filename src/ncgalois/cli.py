@@ -82,6 +82,9 @@ def _run(args) -> str:
     if not isinstance(spec, dict):
         raise SpecValidationError("experiment spec must be a JSON object")
 
+    for option, value in (("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
+        if not 0.0 <= value < float("inf"):   # NaN fails both comparisons
+            raise SpecValidationError(f"{option} must be finite and non-negative, got {value}")
     tol = Tolerance(abs_eps=args.tol_abs, rel_eps=args.tol_rel)
     seed = args.seed if args.seed is not None else spec.get("seed")
     if seed is not None:

@@ -19,9 +19,9 @@ Rows are streamed: each fixed algebra is certified, interned and audited
 for anti-monotonicity against the subgroups below it as soon as it is
 built, and then dropped, so nothing dense outlives the conjugacy class
 that transports it and the report holds no basis.  The interner keeps a
-fingerprint, a dimension and a row index per id; on a match it rebuilds
-the earlier space (a representative's kernel, then its transport) and
-confirms it by ``Subspace.equals``.
+fingerprint, a dimension and a row index per id; a match is confirmed by
+the anti-monotone audit's own test, M^{H_j} commuting with the unitaries
+of the earlier H_i's generators, which at equal dimension is equality.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import algebras as alg
 from . import reps as rp
 from .algebras import StarAlgebra
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
-from .linalg import DEFAULT_TOL, Subspace, Tolerance
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, frob
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -47,7 +47,7 @@ _PROBE_SEED = 0
 class GaloisRow:
     subgroup: Subgroup
     fixed_dim: int
-    fixed_id: int                 # intern id; equal ids <=> Subspace.equals
+    fixed_id: int                 # intern id; equal ids <=> equal fixed algebras
     bicommutant_ok: bool
     bicommutant_residual: float
 
@@ -89,7 +89,9 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
     span is exactly the group-algebra image whose commutant is the fixed
     algebra, so equal spans and equal fixed algebras are the same thing.
     Classes are the ``_Interner`` ids of the joint spans, in order of first
-    appearance, with ascending members.
+    appearance, with ascending members.  A span matches an earlier one when
+    it holds the joint images of the earlier subgroup's generators, which
+    with 1 generate the earlier span as an algebra.
     """
     table = rp.irrep_table(group, tol)
     if irrep_indices is None:
@@ -98,45 +100,44 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
     if not irrep_indices:
         return SubgroupEquivalence((tuple(range(len(subgroups))),))
 
-    def joint_span(h: Subgroup) -> Subspace:
-        rows = np.hstack([
-            table.irreps[i].matrices[list(h.members)].reshape(h.order, -1)
-            for i in irrep_indices
-        ])
-        return Subspace.from_span(rows, rows.shape[1], tol)
+    def joint_image(g: int) -> np.ndarray:
+        return np.concatenate([table.irreps[i].matrices[g].reshape(-1) for i in irrep_indices])
 
-    interner = _Interner(sum(table.irreps[i].dim ** 2 for i in irrep_indices),
-                         lambda j: joint_span(subgroups[j]), tol)
+    ambient_dim = sum(table.irreps[i].dim ** 2 for i in irrep_indices)
+    interner = _Interner(ambient_dim)
     classes: dict = {}
     for j, h in enumerate(subgroups):
-        classes.setdefault(interner.id_of(joint_span(h), j), []).append(j)
+        span = Subspace.from_span([joint_image(g) for g in h.members], ambient_dim, tol)
+        span_id = interner.id_of(span, j, lambda i: all(   # as StarAlgebra.contains_matrix
+            span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
+            for v in map(joint_image, subgroups[i].generators)))
+        classes.setdefault(span_id, []).append(j)
     return SubgroupEquivalence(tuple(tuple(c) for c in classes.values()))
 
 
 class _Interner:
-    """Ids of subspaces up to ``Subspace.equals``, in order of first appearance.
+    """Ids of equal subspaces, in order of first appearance.
 
     A candidate must have the same dimension and nearly the same
     fingerprint P r, the projection of one seeded probe r, which costs
-    O(n^2 d) and does not depend on the basis; ``Subspace.equals`` then
-    confirms the match, so no rounding boundary can split equal subspaces.
-    Only (fingerprint, dim, key) is kept per id: the earlier space is
-    rebuilt from its key by ``rebuild`` when a candidate matches it.
+    O(n^2 d) and does not depend on the basis; ``contains(key)`` then
+    confirms the match by a containment between the candidate and the
+    space first interned under ``key``, which at equal dimension is
+    equality, so no rounding boundary can split equal subspaces.  Only
+    (fingerprint, dim, key) is kept per id.
     """
 
-    def __init__(self, ambient_dim: int, rebuild, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int):
         rng = np.random.default_rng(_PROBE_SEED)
         self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
         self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self._probe)
-        self._rebuild = rebuild   # key -> the Subspace interned under that key
-        self._tol = tol
         self._seen: list = []     # (fingerprint, dim, key) of each id
 
-    def id_of(self, space: Subspace, key) -> int:
+    def id_of(self, space: Subspace, key, contains) -> int:
         fp = space.project(self._probe)
         for i, (fp0, dim0, key0) in enumerate(self._seen):
             if (dim0 == space.dim and np.linalg.norm(fp - fp0) <= self._bound
-                    and space.equals(self._rebuild(key0), self._tol)):
+                    and contains(key0)):
                 return i
         self._seen.append((fp, space.dim, key))
         return len(self._seen) - 1
@@ -150,8 +151,8 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
     ``mode="inner"`` tests the double relative commutant identity
     ``(M^H)'' cap M twice == M^H``; ``mode="spatial"`` tests the plain
     double commutant.  ``"auto"`` picks "inner" exactly when the generators'
-    unitaries lie in M.  Fixed algebras are interned by ``Subspace.equals``
-    (``_Interner``), so distinctness checks are exact set operations on ids.
+    unitaries lie in M.  Equal fixed algebras share an id (``_Interner``),
+    so distinctness checks are exact set operations on ids.
     """
     if pi.group != group:
         raise ValueError("representation and group disagree")
@@ -203,17 +204,12 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
             )
     # ... and across classes they must differ whenever the action is proper
     if properness.proper:
-        by_class = [report.rows[cls[0]].fixed_id for cls in eq_present.classes]
-        if len(set(by_class)) != len(by_class):
-            seen: dict = {}
-            for cls, fid in zip(eq_present.classes, by_class):
-                if fid in seen:
-                    report.violations.append(
-                        ("injectivity", (subgroups[seen[fid][0]].members,
-                                         subgroups[cls[0]].members), None)
-                    )
-                else:
-                    seen[fid] = cls
+        first: dict = {}   # fixed id -> first subgroup of the first class with it
+        for cls in eq_present.classes:
+            j = first.setdefault(report.rows[cls[0]].fixed_id, cls[0])
+            if j != cls[0]:
+                report.violations.append(
+                    ("injectivity", (subgroups[j].members, subgroups[cls[0]].members), None))
     return report
 
 
@@ -227,56 +223,51 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     generators, and its representative's bicommutant verdict and residual:
     Ad U_g is a *-automorphism of M, so it carries (relative) commutants to
     (relative) commutants, and the Hilbert-Schmidt distance is unitarily
-    invariant.  A representative's basis is kept until the last row of its
-    class; rebuilding an earlier row solves its representative's kernel
-    again unless that basis is still kept.
+    invariant.  A representative's basis is kept, for transport only, until
+    the last row of its class.
     """
     classes = subgroup_classes(report.group, subgroups)
     last = {r: j for j, (r, _) in enumerate(classes)}
     kept: dict = {}       # representative index -> fixed algebra, until its last row
     verdicts: dict = {}   # representative index -> (ok, residual)
 
-    def fixed_algebra(j: int) -> StarAlgebra:
-        r, g = classes[j]
-        base = kept.get(r)
-        if base is None:
-            base = alg.fixed_point_algebra(m, pi, subgroups[r], tol)
-        if r == j:
-            return base
-        return alg.transported_fixed_algebra(base, m, pi, subgroups[j], g)
-
     def row(j: int):
-        r = classes[j][0]
-        fixed = fixed_algebra(j)
+        r, g = classes[j]
         if r == j:
+            fixed = kept[j] = alg.fixed_point_algebra(m, pi, subgroups[j], tol)
             verdicts[j] = _bicommutant(fixed, m, report.mode, tol)
-            kept[j] = fixed
+        else:
+            fixed = alg.transported_fixed_algebra(kept[r], m, pi, subgroups[j], g)
         if last[r] == j:
             del kept[r]
         return fixed, verdicts[r]
 
-    _stream_rows(report, m, pi, subgroups, row, fixed_algebra, tol)
+    _stream_rows(report, m, pi, subgroups, row)
 
 
 def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
-                 row, rebuild, tol: Tolerance) -> None:
+                 row) -> None:
     """Intern, audit and record row j from ``row(j) -> (fixed, (ok, residual))``,
-    in order, keeping no basis; ``rebuild(j)`` gives row j's fixed algebra again.
+    in order, keeping no basis.
 
     Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
     built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
-    with the unitaries of H1's generators.  Bicommutant violations come in
+    with the unitaries of H1's generators.  The interner confirms a match
+    with an earlier row by the same test.  Bicommutant violations come in
     row order, then anti-monotone ones with H1 outer and H2 inner.
     """
-    interner = _Interner(m.ambient_dim ** 2, lambda j: rebuild(j).subspace(), tol)
+    def residual_to(i: int, basis: np.ndarray) -> float:
+        return alg.commutator_residual(pi.matrices[list(subgroups[i].generators)], basis)
+
+    interner = _Interner(m.ambient_dim ** 2)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, sub in enumerate(subgroups):
         fixed, (ok, residual) = row(j)
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
-                gens = pi.matrices[list(low.generators)]
-                residuals[i, j] = alg.commutator_residual(gens, fixed.basis)
-        fixed_id = interner.id_of(fixed.subspace(), j)
+                residuals[i, j] = residual_to(i, fixed.basis)
+        fixed_id = interner.id_of(
+            fixed.subspace(), j, lambda i: residual_to(i, fixed.basis) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
         report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual))

@@ -124,11 +124,8 @@ def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TO
     """``galois._fill_rows`` with a fixed-point kernel and a bicommutant test on every row."""
     mode = report.mode
 
-    def fixed_algebra(j):
-        return algebras.fixed_point_algebra(m, pi, subgroups[j], tol)
-
     def row(j):
-        fixed = fixed_algebra(j)
+        fixed = algebras.fixed_point_algebra(m, pi, subgroups[j], tol)
         if mode == "inner":
             once = algebras.relative_commutant(fixed, m, tol)
             twice = algebras.relative_commutant(once, m, tol)
@@ -139,21 +136,21 @@ def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TO
         ok = residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
         return fixed, (ok, float(residual))
 
-    galois._stream_rows(report, m, pi, subgroups, row, fixed_algebra, tol)
+    galois._stream_rows(report, m, pi, subgroups, row)
 
 
 class StoringInterner:
     """``galois._Interner`` as it was before rows were streamed: it keeps every
-    interned subspace and compares a candidate with the stored one, with no rebuild."""
+    interned subspace and confirms a match by ``Subspace.equals`` on the stored one."""
 
-    def __init__(self, ambient_dim: int, rebuild=None, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, ambient_dim: int, tol: Tolerance = DEFAULT_TOL):
         rng = np.random.default_rng(galois._PROBE_SEED)
         self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
         self._bound = galois._FINGERPRINT_MATCH * np.linalg.norm(self._probe)
         self._tol = tol
         self._seen: list = []   # (fingerprint, subspace) of each id
 
-    def id_of(self, space, key=None) -> int:
+    def id_of(self, space, key=None, contains=None) -> int:
         fp = space.project(self._probe)
         for i, (fp0, space0) in enumerate(self._seen):
             if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
@@ -168,7 +165,7 @@ def record_fixed_algebras(monkeypatch) -> dict:
     each result is recorded, by its subgroup's members, in the returned dict.
 
     ``galois_map`` keeps no fixed basis; tests that compare the bases read
-    them here.  A rebuild by the interner records an equal algebra again.
+    them here.
     """
     built: dict = {}
     for name, at in (("fixed_point_algebra", 2), ("transported_fixed_algebra", 3)):

@@ -198,6 +198,19 @@ def test_unknown_fields_rejected(workspace, tmp_path, capsys, command, payload, 
     assert error["error"] == "validation" and error["detail"] == detail
 
 
+@pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_invalid_tolerance_rejected(workspace, tmp_path, capsys, option, value):
+    # a NaN, negative or infinite tolerance is a bad input, not a numerical failure
+    spec = write_spec(workspace, "g.json", {"representation": "s3_reg.json"})
+    out = tmp_path / "x.json"
+    assert run_cli(["galois", spec, option, value, "--out", out]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation" and error["kind"] == "SpecValidationError"
+    assert error["detail"].startswith(f"{option} must be finite and non-negative")
+    assert not out.exists()
+
+
 def test_malformed_group_file_exit_code(workspace, tmp_path, capsys):
     spec = write_spec(workspace, "bad.json",
                       {"group": {"order": 2, "mult_table": [[0, 1], [1, 1]]}})

@@ -304,55 +304,10 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
     assert a.equals(b)
 
     spaces = [x.subspace() for x in (a, b, StarAlgebra.diagonal(2), b)]
-    interner = galois._Interner(4, spaces.__getitem__)
-    ids = [interner.id_of(space, k) for k, space in enumerate(spaces)]
+    interner = galois._Interner(4)
+    ids = [interner.id_of(space, k, lambda key: space.contains(spaces[key]))
+           for k, space in enumerate(spaces)]
     assert ids == [0, 0, 1, 0]
-
-
-def _improper_action(name):
-    """S3 or S4 on its points, or S3 through the trivial and sign characters."""
-    group = groups.FIXTURE_GROUPS[name[:2]]()
-    perm = reps.permutation_rep(group, groups.symmetric_action(int(name[1])))
-    if name.endswith("sign"):
-        signs = np.linalg.det(perm.matrices).real
-        return group, reps.UnitaryRep(group, np.array([np.diag([1.0, s]) for s in signs]))
-    return group, perm
-
-
-@pytest.mark.parametrize("name, rebuilt", [
-    ("S3", [[], [], []]),
-    ("S4", [[28], [28], []]),                     # A4 and S4 share span{1, J}
-    ("S3-sign", [[1, 1, 0, 1], [1, 1, 0, 1], []]),  # two algebras for six rows
-])
-def test_the_rebuilding_interner_equals_the_storing_one_on_improper_lattices(
-        name, rebuilt, monkeypatch):
-    # on an improper action fixed algebras can coincide and the interner
-    # matches; the ids, classes and collision candidates are those of the
-    # interner that stores every space, with at most one rebuild per row
-    # (the rebuilt keys, pinned per interner: rows, then classes over
-    # Sigma', then over Sigma)
-    group, rep = _improper_action(name)
-
-    def run():
-        report = galois.galois_map(StarAlgebra.full(rep.dim), rep, group)
-        assert not report.proper and not report.violations
-        return ([r.fixed_id for r in report.rows], report.equivalence_classes,
-                report.collision_candidates, report.injective)
-
-    keys: list = []
-
-    class Counted(galois._Interner):
-        def __init__(self, ambient_dim, rebuild, tol=DEFAULT_TOL):
-            mine: list = []
-            keys.append(mine)
-            super().__init__(ambient_dim, lambda key: mine.append(key) or rebuild(key), tol)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(galois, "_Interner", Counted)
-        streamed = run()
-    monkeypatch.setattr(galois, "_Interner", kernel_reference.StoringInterner)
-    assert streamed == run()
-    assert keys == rebuilt
 
 
 def test_galois_map_holds_no_fixed_basis(s4):
@@ -378,6 +333,10 @@ def test_galois_map_holds_no_fixed_basis(s4):
 _DIRECT_CASES = ([f"regular-{name}" for name in groups.FIXTURE_GROUPS]
                  + ["permutation-S4"] + [f"rotated-{name}" for name in ("S3", "D4", "Q8", "A4")]
                  + ["crossed-S3-M3"])
+# improper lattices where fixed algebras coincide: S3 on its points has no two
+# equal ones, S4 on its points gives A4 and S4 the same span{1, J}, and S3
+# through the trivial and sign characters has two algebras for six rows
+_IMPROPER_CASES = ["permutation-S3", "permutation-S4", "sign-S3"]
 
 
 def _galois_case(name):
@@ -394,8 +353,11 @@ def _galois_case(name):
         rep = reps.regular_rep(group)
     elif kind == "rotated":
         rep = _rotated_regular(group)
-    else:   # S4 on 4 points: improper, so ids coincide across classes
-        rep = reps.permutation_rep(group, groups.symmetric_action(4))
+    else:   # on its points, or through trivial and sign: improper
+        rep = reps.permutation_rep(group, groups.symmetric_action(int(group_name[1])))
+        if kind == "sign":
+            signs = np.linalg.det(rep.matrices).real
+            rep = reps.UnitaryRep(group, np.array([np.diag([1.0, s]) for s in signs]))
     return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep, group)
 
 
@@ -429,6 +391,57 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
     classes = groups.subgroup_classes(fast.group, [r.subgroup for r in fast.rows])
     transported = sum(r != j for j, (r, _) in enumerate(classes))
     assert transported == {"S3": 2, "D4": 2, "A4": 5, "S4": 19}.get(name.split("-")[1], 0)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
+def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
+    # with the fingerprint filter open, every earlier id of equal dimension
+    # reaches the containment test; the ids, classes and collision candidates
+    # are those of the interner that stores every space and compares by
+    # Subspace.equals, and one fixed-point kernel runs per conjugacy class
+    run = _galois_case(name)
+
+    def interned(report):
+        return ([r.fixed_id for r in report.rows], report.equivalence_classes,
+                report.collision_candidates, report.injective)
+
+    kernels = []
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "_FINGERPRINT_MATCH", np.inf)
+        honest = algebras.fixed_point_algebra
+        patch.setattr(algebras, "fixed_point_algebra",
+                      lambda *a, **k: kernels.append(a[2]) or honest(*a, **k))
+        confirmed = run()
+    monkeypatch.setattr(galois, "_Interner", kernel_reference.StoringInterner)
+    assert interned(confirmed) == interned(run())
+    classes = groups.subgroup_classes(confirmed.group, [r.subgroup for r in confirmed.rows])
+    per_class = sum(r == j for j, (r, _) in enumerate(classes))
+    assert len(kernels) == per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
+    if name in _IMPROPER_CASES:
+        assert not confirmed.proper and not confirmed.violations
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "S4"])
+def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
+    # each regular matrix moved by a seeded perturbation of Frobenius norm
+    # 1e-12, well inside UnitaryRep's validation, must change no dimension,
+    # id, class, verdict, violation kind or pair count
+    group = groups.FIXTURE_GROUPS[name]()
+    reg = reps.regular_rep(group)
+    rng = np.random.default_rng(12)
+    noise = rng.standard_normal(reg.matrices.shape) + 1j * rng.standard_normal(reg.matrices.shape)
+    noise *= 1e-12 / np.linalg.norm(noise, axis=(1, 2), keepdims=True)
+    noisy = reps.UnitaryRep(group, reg.matrices + noise)
+
+    def verdicts(report):
+        rows = [(r.fixed_dim, r.fixed_id, r.bicommutant_ok) for r in report.rows]
+        return (rows, report.equivalence_classes, report.collision_candidates,
+                report.injective, report.proper, [v[0] for v in report.violations],
+                report.anti_monotone_pairs)
+
+    m = StarAlgebra.full(group.order)
+    assert verdicts(galois.galois_map(m, noisy, group)) == verdicts(
+        galois.galois_map(m, reg, group))
 
 
 def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch):
