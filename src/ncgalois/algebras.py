@@ -17,23 +17,26 @@ of the subgroup image, so it takes the same kernel; in a non-full M it is
 solved in M's own coordinates, as the SVD nullspace of the d x d maps of
 the generators (``fixed_coordinates``), with no n^2 kernel and no
 intersection.
-Commutants of *-closed families are solved on the block-diagonal subspace
-of a seeded Hermitian element (``linalg.random_split``) instead of all n^2
-coordinates; the same split of a center and of a multiplicity commutant
-gives the block structure.  Membership is measured by projection
-residuals of the algebra's ``Subspace``, and multiplicity copies are
-aligned by ``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
+Every commutant is that of a *-closed family, solved on the block-diagonal
+subspace of a seeded Hermitian element (``linalg.random_split``) instead of
+all n^2 coordinates; ``commutant_of_matrices`` rejects a family whose span
+is not closed under adjoints.  The same split of a center and of a
+multiplicity commutant gives the block structure.  Membership is measured
+by projection residuals of the algebra's ``Subspace``, and multiplicity
+copies are aligned by ``linalg.intertwiner``, the finder ``reps.decompose``
+uses too.
 
 Each algebra is certified where it is built.  Closure residuals
 (``_require_closed``) run only where closure is not a theorem: on outside
-spans (``from_span``), grown spans (``algebra_from_generators``) and
-commutants of families that are not *-closed.  Every commutant kernel is
-checked against its defining equation BX = XB (``commutator_residual``),
-a fixed-point basis on its subgroup's generators, together with the
-character count in a full M (``_certified_fixed``); intersections of two
-*-algebras are not re-checked.  A fixed algebra of a conjugate subgroup is
-transported by one conjugation (``transported_fixed_algebra``) and takes
-the same certificate.
+spans (``from_span``) and grown spans (``algebra_from_generators``); the
+commutant of a *-closed family is a unital *-algebra.  Every commutant
+kernel is checked against its defining equation BX = XB
+(``commutator_residual``), a fixed-point basis on its subgroup's
+generators, together with the character count in a full M
+(``_certified_fixed``); intersections of two *-algebras are not
+re-checked.  A fixed algebra of a conjugate subgroup is transported by one
+conjugation (``transported_fixed_algebra``) and takes the same
+certificate.
 """
 
 from __future__ import annotations
@@ -209,19 +212,18 @@ def algebra_from_generators(generators, ambient_dim: int,
 
 def commutant_of_matrices(mats, ambient_dim: int,
                           tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """All matrices commuting with every element of the given family.
+    """All matrices commuting with every element of a *-closed family.
 
-    The kernel is reduced to a block-diagonal subspace only when the span
-    of the family is closed under adjoints; otherwise the full Sylvester
-    gram is solved, and since the commutant of such a family need not be
-    a *-algebra, its closure is checked.
+    The span of the family must be closed under adjoints, which makes the
+    commutant a unital *-algebra and lets the kernel be solved on the
+    block-diagonal subspace of a split; any other family is rejected.
     """
     mats = np.asarray(mats, dtype=np.complex128).reshape(-1, ambient_dim, ambient_dim)
     if mats.shape[0] == 0:
         return StarAlgebra.full(ambient_dim)
-    if _is_star_closed(mats, tol):
-        return _commutant(mats, True, tol)
-    return _require_closed(_commutant(mats, False, tol))
+    if not _is_star_closed(mats, tol):
+        raise ClosureFailed("the family is not closed under adjoints")
+    return _commutant(mats, tol)
 
 
 def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
@@ -242,10 +244,10 @@ def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
     return worst
 
 
-def _commutant(mats: np.ndarray, star_closed: bool, tol: Tolerance) -> StarAlgebra:
-    """Commutant of ``mats``, certified on ``mats``."""
+def _commutant(mats: np.ndarray, tol: Tolerance) -> StarAlgebra:
+    """Commutant of the *-closed family ``mats``, certified on ``mats``."""
     n = mats.shape[1]
-    basis = linalg.commutant_kernel(mats, tol, star_closed=star_closed).T.reshape(-1, n, n)
+    basis = linalg.commutant_kernel(mats, tol).T.reshape(-1, n, n)
     return StarAlgebra(n, _require_commuting(mats, basis))
 
 
@@ -266,7 +268,7 @@ def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     solved on the reduced block-diagonal subspace, and the commutant is a
     unital *-algebra by construction.
     """
-    return _commutant(a.basis, True, tol)
+    return _commutant(a.basis, tol)
 
 
 def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -429,7 +431,7 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
         basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
     else:
         mats = rep.matrices[list(subgroup.members)]
-        basis = linalg.commutant_kernel(mats, tol, star_closed=True).T
+        basis = linalg.commutant_kernel(mats, tol).T
     return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n))
 
 

@@ -238,8 +238,6 @@ class Subspace:
     def containment_residual(self, other: "Subspace") -> float:
         """Worst projection residual of other's basis vectors onto self."""
         self._check_ambient(other)
-        if other.dim == 0:
-            return 0.0
         return self.residual(other.basis)
 
     def distance(self, other: "Subspace") -> float:
@@ -371,24 +369,21 @@ def _reduced_sylvester_gram(rot: np.ndarray, sizes) -> np.ndarray:
     return gram
 
 
-def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL,
-                     star_closed: bool = True) -> np.ndarray:
+def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Joint kernel of the Sylvester maps X -> B X - X B over a matrix stack.
 
-    Returns the row-major vecs of a commutant basis as columns.  When the
-    span of the stack is closed under adjoints, the kernel is solved only
+    Returns the row-major vecs of a commutant basis as columns.  The span
+    of the stack must be closed under adjoints: the kernel is solved only
     on the block-diagonal subspace of ``random_split`` (drawn with the
     fixed ``_SPLIT_SEED``), in the coordinates ``(rows, cols)`` of
     ``_block_coordinates``, whose number is sum_j e_j^2 instead of n^2.
-    ``star_closed=False`` uses the trivial split h = 1: one block, the
-    full n^2 x n^2 gram.  A kernel vector y lifts to V Y V* by writing
-    it at (rows, cols) and conjugating by v.
+    A kernel vector y lifts to V Y V* by writing it at (rows, cols) and
+    conjugating by v.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    blocks = (random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
-              if star_closed else [np.eye(n, dtype=np.complex128)])
+    blocks = random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
     v = np.hstack(blocks)
     sizes = [q.shape[1] for q in blocks]
     y = kernel_of_gram(_reduced_sylvester_gram(compress(mats, v), sizes), tol, scale=scale)

@@ -250,10 +250,6 @@ class Filtration:
     algebras: tuple       # of StarAlgebra, increasing
     dense_in_ambient: bool
 
-    @property
-    def length(self) -> int:
-        return len(self.chain)
-
 
 def filtration_from_chain(m: StarAlgebra, rep: UnitaryRep, chain,
                           tol: Tolerance = DEFAULT_TOL) -> Filtration:
@@ -286,10 +282,6 @@ class Martingale:
     source: np.ndarray
     filtration: Filtration
     elements: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
 
 
 def martingale_from(x, filtration: Filtration, bound: float = 1e-9) -> Martingale:

@@ -161,15 +161,12 @@ def group_from_json(obj) -> FiniteGroup:
 # representations
 
 
-def rep_to_json(rep: UnitaryRep, inline_group: bool = True) -> dict:
+def rep_to_json(rep: UnitaryRep) -> dict:
     mats = [
         [[[float(v.real), float(v.imag)] for v in row] for row in m]
         for m in rep.matrices
     ]
-    obj = {"dim": rep.dim, "matrices": mats}
-    if inline_group:
-        obj["group"] = group_to_json(rep.group)
-    return obj
+    return {"dim": rep.dim, "matrices": mats, "group": group_to_json(rep.group)}
 
 
 def irrep_table_to_json(table) -> dict:
@@ -188,16 +185,13 @@ def irrep_table_to_json(table) -> dict:
     }
 
 
-def algebra_to_json(algebra, structure=None) -> dict:
-    """Basis matrices plus an optional block-structure summary."""
-    obj = {
+def algebra_to_json(algebra) -> dict:
+    """Ambient and algebra dimensions plus the basis matrices."""
+    return {
         "ambient_dim": algebra.ambient_dim,
         "dim": algebra.dim,
         "basis": [matrix_to_json(b) for b in algebra.basis],
     }
-    if structure is not None:
-        obj["block_structure"] = [[int(n), int(m)] for n, m in structure.blocks]
-    return obj
 
 
 def rep_from_json(obj, resolve_path=None) -> UnitaryRep:

@@ -60,15 +60,8 @@ class UnitaryRep:
             raise NotAHomomorphism(f"matrices not unitary, residual {err:.3e}")
         _check_homomorphism(self.group, self.matrices)
 
-    def matrix(self, a: int) -> np.ndarray:
-        return self.matrices[a]
-
     def character(self) -> np.ndarray:
         return np.einsum("gii->g", self.matrices)
-
-    def conjugated(self, u: np.ndarray) -> "UnitaryRep":
-        """The equivalent representation u* . rep(g) . u."""
-        return UnitaryRep(self.group, linalg.compress(self.matrices, u), check=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -369,10 +362,6 @@ def matrix_coefficients(rep: UnitaryRep) -> np.ndarray:
     return rep.matrices.transpose(1, 2, 0).copy()
 
 
-def character(rep: UnitaryRep) -> np.ndarray:
-    return rep.character()
-
-
 def character_inner(group: FiniteGroup, chi1, chi2) -> complex:
     """(1/order) sum_g chi1(g) conj(chi2(g)); counts common multiplicities."""
     chi1 = np.asarray(chi1, dtype=np.complex128)
@@ -450,10 +439,7 @@ def peter_weyl_basis(table: IrrepTable) -> tuple:
 
 def fourier(table: IrrepTable, f) -> list:
     """Per-irrep blocks ``fhat(sigma) = sum_g f(g) sigma(g)`` (measure convention)."""
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
-    if f.shape[0] != table.group.order:
-        raise ParentMismatch("function length does not match group order")
-    return [np.einsum("g,gij->ij", f, rep.matrices) for rep in table.irreps]
+    return [measure_rep(rep, f) for rep in table.irreps]
 
 
 def inverse_fourier(table: IrrepTable, blocks) -> np.ndarray:

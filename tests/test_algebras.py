@@ -121,10 +121,15 @@ def test_commutant_of_s3_image(s3_perm_algebra):
 
 
 def test_commutant_of_non_star_closed_family_is_not_reduced():
-    # the Jordan block's commutant span{1, J} is not *-closed; reducing by
-    # a split of J + J* would wrongly return only the scalars
+    # the commutant kernel is solved only on a split of a *-closed span, so
+    # a family whose span is not closed under adjoints is rejected: for the
+    # Jordan block J, reducing by a split of J + J* would drop span{1, J}
+    # to the scalars
     with pytest.raises(ClosureFailed):
         commutant_of_matrices([[[0, 1], [0, 0]]], 2)
+    # span{E11, E12} is rejected too, though its commutant is the scalars
+    with pytest.raises(ClosureFailed, match="not closed under adjoints"):
+        commutant_of_matrices([unit(2, 0, 0), unit(2, 0, 1)], 2)
 
 
 def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
@@ -133,8 +138,8 @@ def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
     # by the kernel's own commutator residual, before any count or closure
     honest = linalg.commutant_kernel
 
-    def padded(mats, tol=DEFAULT_TOL, star_closed=True):
-        kernel = honest(mats, tol, star_closed=star_closed)
+    def padded(mats, tol=DEFAULT_TOL):
+        kernel = honest(mats, tol)
         n = mats.shape[1]
         stray = ((unit(n, 0, 1) + unit(n, 1, 0)) / np.sqrt(2)).reshape(-1, 1)
         return np.hstack([kernel, stray])

@@ -315,6 +315,20 @@ def test_non_integer_spec_values_rejected(workspace, tmp_path, capsys, command, 
     assert "must be an integer" in error["detail"]
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+@pytest.mark.parametrize("kind", ["full", "diagonal", "scalars", "span"])
+def test_crossed_base_dim_below_one_rejected(workspace, tmp_path, capsys, kind, dim):
+    # an empty or negative carrier is a bad input, not a numerical failure
+    base = {"kind": kind, "dim": dim}
+    if kind == "span":
+        base["matrices"] = [reporting.matrix_to_json(np.eye(2, dtype=complex))]
+    spec = write_spec(workspace, f"base-dim-{kind}.json", {**_crossed_spec(), "base": base})
+    assert run_cli(["crossed", spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation" and error["kind"] == "SpecValidationError"
+    assert "base dim" in error["detail"]
+
+
 def _with_entry(obj, value):
     """A matrix or representation object whose first entry is ``value``."""
     obj = json.loads(json.dumps(obj))
