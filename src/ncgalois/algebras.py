@@ -10,10 +10,11 @@ kernel serves the Schur test in ``reps``.  None runs for an abelian
 *-closed family (U(H) for abelian H, and the commutant of an abelian
 algebra): its split blocks are joint eigenspaces, the block-diagonal
 subspace is the whole commutant, and the normal matrix is null up to
-rounding, which ``linalg.kernel_of_gram`` recognizes below the lowest
-cut its rank rule can choose, so the decision is the one eigh would
-make.  A fixed-point algebra of the full matrix algebra is the commutant
-of the subgroup image, so it takes the same kernel; in a non-full M it is
+rounding: its trace is below the square of the lowest cut that
+``linalg.kernel_of_gram``'s rank rule can choose, so the kernel keeps
+every direction, as eigh would, without forming the normal matrix.  A
+fixed-point algebra of the full matrix algebra is the commutant of the
+subgroup image, so it takes the same kernel; in a non-full M it is
 solved in M's own coordinates, as the SVD nullspace of the d x d maps of
 the generators (``fixed_coordinates``), with no n^2 kernel and no
 intersection.
@@ -236,11 +237,14 @@ def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:
 
 
 def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
-    """Worst ||BX - XB||_F / max(||B||_F, 1) over members B and basis X, one B at a time."""
+    """Worst ||BX - XB||_F / max(||B||_F, 1) over members B and basis X,
+    one B and one panel of ``linalg._PANEL`` basis elements at a time."""
     worst = 0.0
-    for b in family:
-        moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
-        worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
+    for at in range(0, len(basis), linalg._PANEL):
+        panel = basis[at:at + linalg._PANEL]
+        for b in family:
+            moved = np.linalg.norm(b @ panel - panel @ b, axis=(1, 2))
+            worst = max(worst, float(np.max(moved)) / max(frob(b), 1.0))
     return worst
 
 

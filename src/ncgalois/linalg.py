@@ -31,6 +31,9 @@ _EIGENVALUE_GAP = 1e-8
 _SPLIT_SEED = 0
 # randomized steps (splits, intertwiners) give up after this many draws
 _MAX_RESAMPLES = 8
+# kernel lifts, subspace distances and commutator certificates run over
+# this many vectors at a time, so their transients stay a panel wide
+_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -142,13 +145,14 @@ def kernel_of_gram(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     kernel vectors as columns.
 
     No eigendecomposition runs when ``frob(gram) <= floor**2``, with
-    ``floor`` the cut at ``s_ref = scale``: since ``s_ref >= scale``, no
-    cut is lower, and every eigenvalue is at most ``frob(gram)``, so the
-    rule would keep every direction.  The kernel is then the whole space,
-    returned as the identity columns.  This is the case of an abelian
-    *-closed stack, whose block-diagonal subspace is its whole commutant.
+    ``floor = _gram_floor(scale, tol)`` the cut at ``s_ref = scale``: since
+    ``s_ref >= scale``, no cut is lower, and every eigenvalue is at most
+    ``frob(gram)``, so the rule would keep every direction.  The kernel is
+    then the whole space, returned as the identity columns.
+    ``commutant_kernel`` makes the same decision on the gram's trace
+    before forming it, so the grams it hands over are mostly not null.
     """
-    floor = max(tol.rank_threshold(scale), 1e-5 * scale)
+    floor = _gram_floor(scale, tol)
     if frob(gram) <= floor * floor:
         return np.eye(gram.shape[0], dtype=np.complex128)
     w, v = np.linalg.eigh((gram + dagger(gram)) / 2.0)
@@ -158,6 +162,11 @@ def kernel_of_gram(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     cut = max(tol.rank_threshold(s_ref), 1e-5 * s_ref)
     keep = s <= cut
     return _fix_phases(v[:, keep])
+
+
+def _gram_floor(scale: float, tol: Tolerance) -> float:
+    """The lowest cut ``kernel_of_gram`` can choose for a map of this scale."""
+    return max(tol.rank_threshold(scale), 1e-5 * scale)
 
 
 def matrix_real_power(p, exponent: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -245,11 +254,23 @@ class Subspace:
 
         Both directions share the cross-Gram c = P* Q of the two bases:
         Q - P c and P - Q c* are the residuals of each basis on the other.
+        c is built a panel of P's columns at a time, and each residual a
+        panel of its columns at a time, so besides c no transient is wider
+        than a panel.
         """
         self._check_ambient(other)
         p, q = self.basis, other.basis
-        c = dagger(p) @ q
-        return max(_worst_column(q - p @ c), _worst_column(p - q @ dagger(c)))
+        c = np.empty((p.shape[1], q.shape[1]), dtype=np.complex128)
+        for i in range(0, p.shape[1], _PANEL):
+            c[i:i + _PANEL] = dagger(p[:, i:i + _PANEL]) @ q
+        worst = 0.0
+        for j in range(0, q.shape[1], _PANEL):
+            panel = slice(j, j + _PANEL)
+            worst = max(worst, _worst_column(q[:, panel] - p @ c[:, panel]))
+        for i in range(0, p.shape[1], _PANEL):
+            panel = slice(i, i + _PANEL)
+            worst = max(worst, _worst_column(p[:, panel] - q @ dagger(c[panel])))
+        return worst
 
     def equals(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
@@ -360,13 +381,33 @@ def _reduced_sylvester_gram(rot: np.ndarray, sizes) -> np.ndarray:
         start, at = start + e, at + e * e
     gram = -x
     gram -= dagger(x)
-    p1 = np.sum(dagger(rot) @ rot, axis=0)   # sum R*R
-    p2 = np.sum(rot @ dagger(rot), axis=0)   # sum RR*
+    p1 = dagger(rot[0]) @ rot[0]   # sum R*R, one member at a time
+    p2 = rot[0] @ dagger(rot[0])   # sum RR*
+    for r in rot[1:]:
+        p1 += dagger(r) @ r
+        p2 += r @ dagger(r)
     i, j = np.nonzero(cols[:, None] == cols)   # delta_qs
     gram[i, j] += p1[rows[i], rows[j]]
     i, j = np.nonzero(rows[:, None] == rows)   # delta_pr
     gram[i, j] += p2[cols[i], cols[j]].conj()
     return gram
+
+
+def _gram_trace(rot: np.ndarray, sizes) -> float:
+    """Trace of ``_reduced_sylvester_gram(rot, sizes)`` in O(k n^2), with no D x D array.
+
+    Summed over the coordinates (p, q) of a block J of size e, the diagonal
+    of the closed form gives, for each member R of the stack,
+
+        e (||R[:, J]||^2 + ||R[J, :]||^2) - 2 |tr R[J, J]|^2.
+    """
+    starts = np.cumsum([0, *sizes[:-1]])
+    squares = np.abs(rot[0]) ** 2
+    for r in rot[1:]:
+        squares += np.abs(r) ** 2
+    norms = np.add.reduceat(squares.sum(axis=0) + squares.sum(axis=1), starts)
+    traces = np.add.reduceat(rot.diagonal(axis1=1, axis2=2), starts, axis=1)
+    return float(np.dot(sizes, norms) - 2.0 * np.sum(np.abs(traces) ** 2))
 
 
 def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -377,8 +418,14 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     on the block-diagonal subspace of ``random_split`` (drawn with the
     fixed ``_SPLIT_SEED``), in the coordinates ``(rows, cols)`` of
     ``_block_coordinates``, whose number is sum_j e_j^2 instead of n^2.
-    A kernel vector y lifts to V Y V* by writing it at (rows, cols) and
-    conjugating by v.
+
+    The reduced gram is PSD, so its Frobenius norm is at most its trace.
+    When ``_gram_trace`` is within ``kernel_of_gram``'s lowest cut squared,
+    the kernel is the whole block-diagonal subspace and no gram is formed.
+    This is the case of an abelian stack, whose split blocks are joint
+    eigenspaces, and of a one-element stack.  A kernel vector y lifts to
+    V Y V* by writing it at (rows, cols) and conjugating by v; the lifts
+    are written into the result a panel of ``_PANEL`` vectors at a time.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
@@ -386,12 +433,25 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     blocks = random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
     v = np.hstack(blocks)
     sizes = [q.shape[1] for q in blocks]
-    y = kernel_of_gram(_reduced_sylvester_gram(compress(mats, v), sizes), tol, scale=scale)
     rows, cols = _block_coordinates(sizes)
-    full = np.zeros((y.shape[1], n, n), dtype=np.complex128)
-    full[:, rows, cols] = y.T
-    del y   # freed before the conjugation's two temporaries of the same size
-    return compress(full, dagger(v)).reshape(-1, n * n).T
+    rot = compress(mats, v)
+    floor = _gram_floor(scale, tol)
+    y = None   # the identity columns: every block-diagonal coordinate
+    if _gram_trace(rot, sizes) > floor * floor:
+        y = kernel_of_gram(_reduced_sylvester_gram(rot, sizes), tol, scale=scale)
+    del rot
+    count = len(rows) if y is None else y.shape[1]
+    back = dagger(v)
+    out = np.empty((count, n, n), dtype=np.complex128)
+    for at in range(0, count, _PANEL):
+        panel = np.zeros((min(_PANEL, count - at), n, n), dtype=np.complex128)
+        if y is None:
+            here = slice(at, at + len(panel))
+            panel[np.arange(len(panel)), rows[here], cols[here]] = 1.0
+        else:
+            panel[:, rows, cols] = y[:, at:at + len(panel)].T
+        out[at:at + len(panel)] = compress(panel, back)
+    return out.reshape(count, n * n).T
 
 
 def compress(stack: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tests/golden_reports.py OUT_DIR
+    python3 tests/golden_reports.py OUT_DIR [--compare REF_DIR]
 
 Each report comes from this checkout's CLI, run in its own process, which
 pins BLAS to one thread: the four benchmark workloads at seed 101 (inputs
@@ -12,8 +12,14 @@ from ``perfbench/workloads.py``); ``analyze-group``, ``irreps`` (seed 3) and
 on S3 and S4 acting on their points and on S3 through its trivial and sign
 characters.  Specs go to OUT_DIR/inputs/<name>/ and reports to
 OUT_DIR/<name>.json, so two checkouts compare by one ``diff -r``.
+
+With ``--compare REF_DIR`` the new reports are then held against the ones
+another checkout wrote to REF_DIR: each report that differs is printed with
+the JSON path, old value and new value of every differing entry, and the
+script exits 1 on any difference, a missing report included.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -76,7 +82,53 @@ def main(out_dir: str) -> None:
                        env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+_MISSING = "<missing>"
+
+
+def _differences(old, new, path: str = "$"):
+    """(JSON path, old value, new value) of every entry where two documents differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _differences(old.get(key, _MISSING), new.get(key, _MISSING),
+                                    f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _differences(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def compare(out_dir: str, ref_dir: str) -> int:
+    """Print every report of out_dir that differs from ref_dir's; the number of them."""
+    def reports(where):
+        return {f for f in os.listdir(where) if f.endswith(".json")}
+
+    names = sorted(reports(out_dir) | reports(ref_dir))
+    differing = 0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (ref_dir, out_dir)]
+        if not all(os.path.exists(p) for p in paths):
+            differing += 1
+            print(f"{name}: only in {ref_dir if os.path.exists(paths[0]) else out_dir}")
+            continue
+        blobs = [open(p, "rb").read() for p in paths]
+        if blobs[0] == blobs[1]:
+            continue
+        differing += 1
+        found = list(_differences(*(json.loads(b) for b in blobs)))
+        print(f"{name}: {len(found)} differing entries" if found else
+              f"{name}: equal as JSON, different bytes")
+        for path, old, new in found:
+            print(f"  {path}: {old!r} -> {new!r}")
+    print(f"{differing} of {len(names)} reports differ")
+    return differing
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--compare", metavar="REF_DIR")
+    args = parser.parse_args()
+    main(args.out_dir)
+    if args.compare and compare(args.out_dir, args.compare):
+        sys.exit(1)

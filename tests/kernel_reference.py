@@ -4,11 +4,11 @@ import itertools
 
 import numpy as np
 
-from ncgalois import algebras, galois
+from ncgalois import algebras, galois, linalg
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
-from ncgalois.linalg import DEFAULT_TOL, Tolerance, dagger, frob
+from ncgalois.linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,6 +37,48 @@ def sylvester_gram(mats: np.ndarray) -> np.ndarray:
     x = z.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     eye = np.eye(n, dtype=np.complex128)
     return np.kron(p1, eye) + np.kron(eye, p2.conj()) - x - dagger(x)
+
+
+# ---------------------------------------------------------------------------
+# the kernel, the subspace distance and the commutator certificate with the
+# whole answer in one product, which the package writes a panel at a time
+
+
+def commutant_kernel_in_one_shot(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """``linalg.commutant_kernel`` deciding on the formed gram and lifting
+    every kernel vector in one conjugation."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    n = mats.shape[1]
+    scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
+    blocks = linalg.random_split(mats, np.random.default_rng(linalg._SPLIT_SEED), tol=tol)
+    v = np.hstack(blocks)
+    sizes = [q.shape[1] for q in blocks]
+    gram = linalg._reduced_sylvester_gram(linalg.compress(mats, v), sizes)
+    y = linalg.kernel_of_gram(gram, tol, scale=scale)
+    rows, cols = linalg._block_coordinates(sizes)
+    full = np.zeros((y.shape[1], n, n), dtype=np.complex128)
+    full[:, rows, cols] = y.T
+    return linalg.compress(full, dagger(v)).reshape(-1, n * n).T
+
+
+def _worst_column(r: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(r, axis=0))) if r.shape[1] else 0.0
+
+
+def distance_in_one_shot(a: Subspace, b: Subspace) -> float:
+    """``Subspace.distance`` with the whole cross-Gram and both residuals formed at once."""
+    p, q = a.basis, b.basis
+    c = dagger(p) @ q
+    return max(_worst_column(q - p @ c), _worst_column(p - q @ dagger(c)))
+
+
+def commutator_residual_in_one_shot(family: np.ndarray, basis: np.ndarray) -> float:
+    """``algebras.commutator_residual`` against the whole basis, one member at a time."""
+    worst = 0.0
+    for b in family:
+        moved = np.linalg.norm(b @ basis - basis @ b, axis=(1, 2))
+        worst = max(worst, float(np.max(moved, initial=0.0)) / max(frob(b), 1.0))
+    return worst
 
 
 def closure(group: FiniteGroup, seed) -> tuple:

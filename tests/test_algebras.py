@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from kernel_reference import (
     all_members_certificate,
+    commutator_residual_in_one_shot,
     fixed_point_by_intersection,
     random_hermitian,
 )
@@ -169,6 +170,21 @@ def test_generator_certificate_matches_the_all_members_reference(s3):
         caught.append(verdict)
     # the stray vector commutes with the images of {0} and {0, 1} only
     assert caught == [False, False, True, True, True, True]
+
+
+@pytest.mark.parametrize("order", [1, 2, 6], ids=["trivial", "Z2", "S3"])
+def test_commutator_residual_in_panels_is_the_one_shot_residual(s4, order, rng):
+    # fixed bases of S4 regular subgroups (576, 288 and 96 elements, all
+    # wider than one panel) and a random basis, against every member of S4
+    reg = reps.regular_rep(s4)
+    sub = next(h for h in groups.enumerate_subgroups(s4) if h.order == order)
+    fixed = fixed_point_algebra(StarAlgebra.full(24), reg, sub).basis
+    noise = rng.standard_normal((130, 24, 24)) + 1j * rng.standard_normal((130, 24, 24))
+    for basis in (fixed, noise):
+        assert len(basis) > linalg._PANEL
+        residual = commutator_residual(reg.matrices, basis)
+        assert residual == commutator_residual_in_one_shot(reg.matrices, basis)
+    assert commutator_residual(reg.matrices, np.zeros((0, 24, 24))) == 0.0
 
 
 def test_a_subgroup_of_another_group_is_rejected(s3_perm):

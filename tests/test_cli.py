@@ -198,6 +198,21 @@ def test_unknown_fields_rejected(workspace, tmp_path, capsys, command, payload, 
     assert error["error"] == "validation" and error["detail"] == detail
 
 
+@pytest.mark.parametrize("part, obj, detail", [
+    ("base", {"kind": "diagonal"}, "missing base fields: ['dim']"),
+    ("base", {"kind": "span", "dim": 2}, "missing base fields: ['matrices']"),
+    ("action", {"kind": "ad"}, "missing action fields: ['unitaries']"),
+    ("action", {"kind": "table"}, "missing action fields: ['tables']"),
+], ids=["base-dim", "span-matrices", "ad-unitaries", "table-tables"])
+def test_missing_crossed_fields_are_named(workspace, tmp_path, capsys, part, obj, detail):
+    # a missing field is a bad input named by the validator, not a KeyError
+    spec = write_spec(workspace, f"missing-{part}.json", {**_crossed_spec(), part: obj})
+    assert run_cli(["crossed", spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation" and error["kind"] == "SpecValidationError"
+    assert error["detail"] == detail
+
+
 @pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_invalid_tolerance_rejected(workspace, tmp_path, capsys, option, value):

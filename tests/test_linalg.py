@@ -1,9 +1,15 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from kernel_reference import random_hermitian, sylvester_gram
+from kernel_reference import (
+    commutant_kernel_in_one_shot,
+    distance_in_one_shot,
+    random_hermitian,
+    sylvester_gram,
+)
 
 from ncgalois import groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra, algebra_from_generators
@@ -183,6 +189,18 @@ def test_subspace_distance_is_both_containment_residuals(dims, rng):
     assert a.distance(spin) <= 1e-14
 
 
+@pytest.mark.parametrize("dims", [(576, 576), (576, 300), (70, 576), (576, 0)])
+def test_subspace_distance_in_panels_is_the_one_shot_distance(dims, rng):
+    def random_subspace(dim):
+        x = rng.standard_normal((dim, 600)) + 1j * rng.standard_normal((dim, 600))
+        return Subspace.from_span(x, 600)
+
+    a, b = (random_subspace(d) for d in dims)
+    near = Subspace(600, a.basis @ _random_unitary(a.dim, rng))   # distance ~ 1e-15
+    for x, y in ((a, b), (b, a), (a, near)):
+        assert x.distance(y) == distance_in_one_shot(x, y)
+
+
 def test_spectral_blocks_cut_at_eigenvalue_gaps():
     h = np.diag([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
     blocks = spectral_blocks(h)
@@ -269,6 +287,83 @@ def test_an_abelian_stack_solves_no_gram_eigensystem(stack, monkeypatch):
                         lambda a, *args: sizes.append(a.shape[0]) or honest(a, *args))
     linalg.commutant_kernel(stack)
     assert sizes == [n]
+
+
+def _split_gram(stack):
+    """(rotated stack, block sizes, formed reduced gram, scale) of ``commutant_kernel``."""
+    blocks = linalg.random_split(stack, np.random.default_rng(linalg._SPLIT_SEED))
+    sizes = [q.shape[1] for q in blocks]
+    rot = linalg.compress(stack, np.hstack(blocks))
+    scale = float(np.sqrt(np.sum(np.abs(stack) ** 2)))
+    return rot, sizes, linalg._reduced_sylvester_gram(rot, sizes), scale
+
+
+@pytest.mark.parametrize("stack", _star_closed_stacks())
+def test_gram_trace_is_the_trace_of_the_formed_gram(stack):
+    rot, sizes, gram, scale = _split_gram(stack)
+    trace = linalg._gram_trace(rot, sizes)
+    # a null gram's trace is rounding noise, so it is measured against scale^2
+    assert abs(trace - np.trace(gram).real) <= 1e-12 * max(abs(trace), scale ** 2)
+
+
+@pytest.mark.parametrize("stack", _star_closed_stacks())
+def test_the_trace_makes_the_formed_grams_null_decision(stack, request):
+    rot, sizes, gram, scale = _split_gram(stack)
+    floor = _floor(scale)
+    null = linalg._gram_trace(rot, sizes) <= floor * floor
+    assert null == (linalg.frob(gram) <= floor * floor)
+    if request.node.callspec.id.startswith("abelian"):
+        assert null
+
+
+def _s4_regular_subgroup_image(order):
+    s4 = groups.symmetric_group(4)
+    sub = next(h for h in groups.enumerate_subgroups(s4) if h.order == order)
+    return reps.regular_rep(s4).matrices[list(sub.members)]
+
+
+# kernels of 576, 288 (a null gram) and 96 (a gram with an eigensolve) vectors
+_WIDE_STACKS = [
+    pytest.param(np.eye(24, dtype=complex)[None], id="identity-M24"),
+    pytest.param(_s4_regular_subgroup_image(2), id="Z2-in-S4-regular"),
+    pytest.param(_s4_regular_subgroup_image(6), id="S3-in-S4-regular"),
+]
+
+
+@pytest.mark.parametrize("stack", _WIDE_STACKS + _star_closed_stacks())
+def test_commutant_kernel_is_the_one_shot_lift(stack):
+    # the panelled lift and the trace's null test give the old bytes
+    kernel = linalg.commutant_kernel(stack)
+    assert np.array_equal(kernel, commutant_kernel_in_one_shot(stack))
+
+
+def test_wide_stacks_have_kernels_wider_than_a_panel():
+    widths = [linalg.commutant_kernel(p.values[0]).shape[1] for p in _WIDE_STACKS]
+    assert min(widths) > linalg._PANEL
+
+
+@pytest.mark.parametrize("stack", _WIDE_STACKS[:2] + _abelian_stacks())
+def test_a_null_stack_forms_no_reduced_gram(stack, monkeypatch):
+    reference = commutant_kernel_in_one_shot(stack)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduced gram was formed for a null stack")
+    monkeypatch.setattr(linalg, "_reduced_sylvester_gram", refuse)
+    assert np.array_equal(linalg.commutant_kernel(stack), reference)
+
+
+def test_the_null_lift_holds_little_beside_its_result():
+    # U({1}) in M32: the kernel is all of M32, lifted a panel at a time
+    stack = np.eye(32, dtype=complex)[None]
+    linalg.commutant_kernel(stack)   # warm-up
+    tracemalloc.start()
+    try:
+        kernel = linalg.commutant_kernel(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (1024, 1024)
+    assert peak <= 1.25 * kernel.nbytes
 
 
 def _floor(scale, tol=linalg.DEFAULT_TOL):
