@@ -133,19 +133,9 @@ def _run(args) -> str:
 
 
 def _check_fields(spec: dict, required, optional=()):
-    _check_object(spec, required, {*optional, "seed"}, "spec")
+    from .reporting import check_fields
 
-
-def _check_object(obj: dict, required, optional, what: str):
-    """Reject the fields of a spec object outside ``required`` and ``optional``,
-    then name every missing required one."""
-    from .errors import SpecValidationError
-    from .reporting import reject_unknown_fields
-
-    reject_unknown_fields(obj, {*required, *optional}, what)
-    missing = set(required) - set(obj)
-    if missing:
-        raise SpecValidationError(f"missing {what} fields: {sorted(missing)}")
+    check_fields(spec, required, {*optional, "seed"}, "spec")
 
 
 def _load_group(spec, load_json_field):
@@ -349,7 +339,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
     if kind not in ("full", "diagonal", "scalars", "span"):
         raise SpecValidationError(f"unknown base kind {kind!r}")
     fields = {"kind", "matrices", "dim"} if kind == "span" else {"kind", "dim"}
-    _check_object(base_spec, fields, (), "base")
+    reporting.check_fields(base_spec, fields, (), "base")
     dim = reporting.spec_int(base_spec["dim"], "base dim")
     if dim < 1:
         raise SpecValidationError(f"base dim must be at least 1, got {dim}")
@@ -368,12 +358,12 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
         raise SpecValidationError('action must be an object with a "kind"')
     akind = action_spec["kind"]
     if akind == "ad":
-        _check_object(action_spec, {"kind", "unitaries"}, (), "action")
+        reporting.check_fields(action_spec, {"kind", "unitaries"}, (), "action")
         data = np.array([reporting.matrix_from_json(mj, "action unitary")
                          for mj in action_spec["unitaries"]])
         action = crossed.ad_action(group, base, data)
     elif akind == "table":
-        _check_object(action_spec, {"kind", "tables"}, (), "action")
+        reporting.check_fields(action_spec, {"kind", "tables"}, (), "action")
         data = np.array([reporting.matrix_from_json(mj, "action table")
                          for mj in action_spec["tables"]])
         action = crossed.table_action(group, base, data)

@@ -8,12 +8,19 @@ subgroups into span-equivalence classes; when the action is proper the
 map must be injective across classes and any failure is recorded as a
 violation rather than silently accepted.  Subgroup checks use generators.
 
+The bicommutant test solves (M^H)' and then (M^H)'' (relative to M in
+inner mode) by the Sylvester kernel, and certifies the second against the
+definition M^H = U(H)' cap M: it must commute with the unitaries of H's
+generators and, in a non-full M, lie in M.  Then it lies in M^H, and at
+the dimension of M^H, which in a full M the character count has fixed, it
+is M^H; no distance in the n^2-dimensional matrix space is formed.
+
 The map is equivariant: M^{gHg^-1} = U_g M^H U_g*.  So one fixed-point
 kernel and one bicommutant test run per conjugacy class of the given
 subgroups, on its first member; every other row is transported by one
 conjugation and re-certified on its own generators (and, in a full M, by
 its character count).  A transported row's ``bicommutant_residual`` is
-its representative's, which Ad U_g leaves unchanged.
+its representative's, which Ad U_g carries.
 
 Rows are streamed: each fixed algebra is certified, interned and audited
 for anti-monotonicity against the subgroups below it as soon as it is
@@ -221,10 +228,11 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
     U_g M^K U_g* (``transported_fixed_algebra``), re-certified on its own
     generators, and its representative's bicommutant verdict and residual:
-    Ad U_g is a *-automorphism of M, so it carries (relative) commutants to
-    (relative) commutants, and the Hilbert-Schmidt distance is unitarily
-    invariant.  A representative's basis is kept, for transport only, until
-    the last row of its class.
+    Ad U_g is a *-automorphism of M and a Hilbert-Schmidt isometry, so it
+    carries (relative) commutants to (relative) commutants, U(K)' to U(H)'
+    and M onto M, and with them the commutator and containment residuals
+    of the certificate.  A representative's basis is kept, for transport
+    only, until the last row of its class.
     """
     classes = subgroup_classes(report.group, subgroups)
     last = {r: j for j, (r, _) in enumerate(classes)}
@@ -235,7 +243,7 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
         r, g = classes[j]
         if r == j:
             fixed = kept[j] = alg.fixed_point_algebra(m, pi, subgroups[j], tol)
-            verdicts[j] = _bicommutant(fixed, m, report.mode, tol)
+            verdicts[j] = _bicommutant(fixed, m, pi, subgroups[j], report.mode, tol)
         else:
             fixed = alg.transported_fixed_algebra(kept[r], m, pi, subgroups[j], g)
         if last[r] == j:
@@ -280,15 +288,25 @@ def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgro
             )
 
 
-def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, mode: str, tol: Tolerance):
-    """(ok, residual) of the double (relative) commutant test on one fixed algebra."""
+def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,
+                 mode: str, tol: Tolerance):
+    """(ok, residual) of the double (relative) commutant test on fixed = M^H.
+
+    ``twice`` is solved from ``once``, and ``once`` from ``fixed``; the
+    residual is its commutator residual on the unitaries of H's generators,
+    and in a non-full M also its containment residual in M.  Under the bound
+    ``twice`` lies in U(H)' cap M = M^H, so at the dimension of ``fixed`` it
+    is M^H.
+    """
     if mode == "inner":
         once = alg.relative_commutant(fixed, m, tol)
         twice = alg.relative_commutant(once, m, tol)
     else:
         once = alg.commutant(fixed, tol)
         twice = alg.commutant(once, tol)
-    residual = float(twice.subspace().distance(fixed.subspace()))
+    residual = alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
+    if not m.is_full:
+        residual = max(residual, m.subspace().containment_residual(twice.subspace()))
     return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual
 
 

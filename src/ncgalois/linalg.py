@@ -31,8 +31,8 @@ _EIGENVALUE_GAP = 1e-8
 _SPLIT_SEED = 0
 # randomized steps (splits, intertwiners) give up after this many draws
 _MAX_RESAMPLES = 8
-# kernel lifts, subspace distances and commutator certificates run over
-# this many vectors at a time, so their transients stay a panel wide
+# kernel rotations and lifts, subspace distances and commutator certificates
+# run over this many vectors at a time, so their transients stay a panel wide
 _PANEL = 64
 
 
@@ -423,9 +423,10 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     When ``_gram_trace`` is within ``kernel_of_gram``'s lowest cut squared,
     the kernel is the whole block-diagonal subspace and no gram is formed.
     This is the case of an abelian stack, whose split blocks are joint
-    eigenspaces, and of a one-element stack.  A kernel vector y lifts to
-    V Y V* by writing it at (rows, cols) and conjugating by v; the lifts
-    are written into the result a panel of ``_PANEL`` vectors at a time.
+    eigenspaces, and of a one-element stack.  The stack is rotated into
+    v's basis, and a kernel vector y lifts to V Y V* by writing it at
+    (rows, cols) and conjugating by v; both are written into one
+    preallocated array a panel of ``_PANEL`` matrices at a time.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
@@ -434,7 +435,9 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     v = np.hstack(blocks)
     sizes = [q.shape[1] for q in blocks]
     rows, cols = _block_coordinates(sizes)
-    rot = compress(mats, v)
+    rot = np.empty_like(mats)
+    for at in range(0, len(mats), _PANEL):
+        rot[at:at + _PANEL] = compress(mats[at:at + _PANEL], v)
     floor = _gram_floor(scale, tol)
     y = None   # the identity columns: every block-diagonal coordinate
     if _gram_trace(rot, sizes) > floor * floor:

@@ -80,11 +80,15 @@ def sha256_of_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def reject_unknown_fields(obj: dict, allowed, what: str) -> None:
-    """Raise SpecValidationError naming every key of ``obj`` outside ``allowed``."""
-    extra = set(obj) - set(allowed)
+def check_fields(obj: dict, required, optional, what: str) -> None:
+    """Raise SpecValidationError naming every key of the spec object ``obj``
+    outside ``required`` and ``optional``, then every missing required one."""
+    extra = set(obj) - set(required) - set(optional)
     if extra:
         raise SpecValidationError(f"unknown {what} fields: {sorted(extra)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise SpecValidationError(f"missing {what} fields: {sorted(missing)}")
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -146,9 +150,7 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise SpecValidationError("group object must be a JSON object")
-    reject_unknown_fields(obj, {"order", "mult_table", "labels"}, "group")
-    if "mult_table" not in obj:
-        raise SpecValidationError('group object needs a "mult_table"')
+    check_fields(obj, {"mult_table"}, {"order", "labels"}, "group")
     table = obj["mult_table"]
     for entry in np.asarray(table, dtype=object).ravel():
         spec_int(entry, "mult_table entry")
@@ -197,8 +199,8 @@ def algebra_to_json(algebra) -> dict:
 def rep_from_json(obj, resolve_path=None) -> UnitaryRep:
     if not isinstance(obj, dict):
         raise SpecValidationError("representation object must be a JSON object")
-    reject_unknown_fields(obj, {"group", "dim", "matrices"}, "representation")
-    group_field = obj.get("group")
+    check_fields(obj, {"group", "dim", "matrices"}, (), "representation")
+    group_field = obj["group"]
     if isinstance(group_field, str):
         if resolve_path is None:
             raise SpecValidationError("cannot resolve a group file path here")

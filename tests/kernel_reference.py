@@ -164,21 +164,25 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
 
 def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL) -> None:
     """``galois._fill_rows`` with a fixed-point kernel and a bicommutant test on every row."""
-    mode = report.mode
-
     def row(j):
         fixed = algebras.fixed_point_algebra(m, pi, subgroups[j], tol)
-        if mode == "inner":
-            once = algebras.relative_commutant(fixed, m, tol)
-            twice = algebras.relative_commutant(once, m, tol)
-        else:
-            once = algebras.commutant(fixed, tol)
-            twice = algebras.commutant(once, tol)
-        residual = twice.subspace().distance(fixed.subspace())
-        ok = residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
-        return fixed, (ok, float(residual))
+        return fixed, galois._bicommutant(fixed, m, pi, subgroups[j], report.mode, tol)
 
     galois._stream_rows(report, m, pi, subgroups, row)
+
+
+def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
+                            tol: Tolerance = DEFAULT_TOL):
+    """``galois._bicommutant`` with the residual the subspace distance in C^{n^2}
+    between the second (relative) commutant and the fixed algebra."""
+    if mode == "inner":
+        once = algebras.relative_commutant(fixed, m, tol)
+        twice = algebras.relative_commutant(once, m, tol)
+    else:
+        once = algebras.commutant(fixed, tol)
+        twice = algebras.commutant(once, tol)
+    residual = float(twice.subspace().distance(fixed.subspace()))
+    return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual
 
 
 class StoringInterner:

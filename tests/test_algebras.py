@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from kernel_reference import (
@@ -185,6 +187,23 @@ def test_commutator_residual_in_panels_is_the_one_shot_residual(s4, order, rng):
         residual = commutator_residual(reg.matrices, basis)
         assert residual == commutator_residual_in_one_shot(reg.matrices, basis)
     assert commutator_residual(reg.matrices, np.zeros((0, 24, 24))) == 0.0
+
+
+def test_the_commutant_of_a_whole_basis_holds_little_beside_its_input():
+    # M32's 1024-element basis is the stack: its rotated copy is the one
+    # transient of its size, written a panel at a time (twice the input, the
+    # copy and its matmul temporary, before)
+    m = StarAlgebra.full(32)
+    commutant(StarAlgebra.full(4))   # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scalars = commutant(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scalars.dim == 1
+    assert peak - before <= 1.25 * m.basis.nbytes
 
 
 def test_a_subgroup_of_another_group_is_rejected(s3_perm):

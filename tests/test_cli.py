@@ -213,6 +213,18 @@ def test_missing_crossed_fields_are_named(workspace, tmp_path, capsys, part, obj
     assert error["detail"] == detail
 
 
+@pytest.mark.parametrize("field", ["group", "dim", "matrices"])
+def test_missing_representation_fields_are_named(workspace, tmp_path, capsys, field):
+    # every command that takes a representation reads it through rep_from_json
+    rep = reporting.rep_to_json(reps.regular_rep(groups.cyclic_group(2)))
+    del rep[field]
+    spec = write_spec(workspace, f"missing-rep-{field}.json", {"representation": rep, "seed": 1})
+    assert run_cli(["decompose", spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "validation" and error["kind"] == "SpecValidationError"
+    assert error["detail"] == f"missing representation fields: ['{field}']"
+
+
 @pytest.mark.parametrize("option", ["--tol-abs", "--tol-rel"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_invalid_tolerance_rejected(workspace, tmp_path, capsys, option, value):

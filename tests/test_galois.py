@@ -6,7 +6,7 @@ import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, cli, crossed, galois, groups, reporting, reps
+from ncgalois import algebras, cli, crossed, galois, groups, linalg, reporting, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import ClosureFailed, NotInvariantAlgebra
 from ncgalois.linalg import DEFAULT_TOL
@@ -323,8 +323,19 @@ def test_galois_map_holds_no_fixed_basis(s4):
     finally:
         tracemalloc.stop()
     assert len(report.rows) == 30 and report.injective and not report.violations
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 14 * 2 ** 20
     assert held - before < 2 ** 20
+
+
+def test_galois_map_forms_no_subspace_distance_on_s4(s4, monkeypatch):
+    # each bicommutant row is certified on its subgroup's generators; the
+    # distance in C^576 once cost three products with the 576-wide bases
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subspace distance was formed")
+    monkeypatch.setattr(linalg.Subspace, "distance", refuse)
+    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+    assert len(report.rows) == 30 and report.injective and not report.violations
+    assert all(r.bicommutant_ok for r in report.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +430,78 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     assert len(kernels) == per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
     if name in _IMPROPER_CASES:
         assert not confirmed.proper and not confirmed.violations
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
+def test_the_generator_certificate_agrees_with_the_distance_reference(name, monkeypatch):
+    # the bicommutant rows certified on generators (and containment in a
+    # non-full M) give the verdicts, dims, ids and classes of the subspace
+    # distance to the fixed algebra, and both residuals stay in the bound
+    run = _galois_case(name)
+
+    def verdicts(report):
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok)
+                for r in report.rows]
+        return rows, report.equivalence_classes, report.violations
+
+    certified = run()
+    monkeypatch.setattr(galois, "_bicommutant", kernel_reference.bicommutant_by_distance)
+    reference = run()
+    assert verdicts(certified) == verdicts(reference)
+    assert all(r.bicommutant_ok for r in certified.rows)
+    for report in (certified, reference):
+        assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
+def _doctor_second_commutants(monkeypatch, solver: str, basis_of) -> None:
+    """Give the second of each pair of ``algebras.<solver>`` calls, the
+    bicommutant test's ``twice`` solved from ``once``, the basis ``basis_of(twice)``."""
+    honest, made = getattr(algebras, solver), []
+
+    def solve(*args, **kwargs):
+        made.append(honest(*args, **kwargs))
+        if len(made) % 2:
+            return made[-1]
+        return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
+    monkeypatch.setattr(algebras, solver, solve)
+
+
+_E01 = np.zeros((1, 6, 6), dtype=complex)
+_E01[0, 0, 1] = 1.0
+
+
+@pytest.mark.parametrize("doctor, leaves", [
+    (lambda basis: np.concatenate([_E01, basis[1:]]), True),
+    (lambda basis: basis[1:], False),
+], ids=["E01-swapped-in", "one-element-short"])
+def test_a_doctored_second_commutant_fails_its_class(s3, monkeypatch, doctor, leaves):
+    # negative controls on the twice of S3's order-2 class, of dimension 18:
+    # with one element swapped for the matrix unit E_01 of M6, which no
+    # regular unitary but the identity's commutes with, it leaves M^H; with
+    # one element dropped it still commutes, and the dimension alone fails it
+    _doctor_second_commutants(monkeypatch, "relative_commutant", lambda twice: (
+        doctor(twice.basis) if twice.dim == 18 else twice.basis))
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
+    assert [v[:2] for v in report.violations] == [("bicommutant", h) for h in order_two]
+    assert all((v[2] > galois._RESIDUAL_BOUND) == leaves for v in report.violations)
+    assert [r.bicommutant_ok for r in report.rows] == [r.subgroup.order != 2
+                                                       for r in report.rows]
+
+
+def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatch):
+    # negative control, spatial mode on the diagonal M of M2 under the swap:
+    # each twice has its last element swapped for the swap itself, outside M
+    # but commuting with the generator, so only the containment in M fails it
+    z2 = groups.cyclic_group(2)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
+    _doctor_second_commutants(monkeypatch, "commutant", lambda twice: np.concatenate(
+        [twice.basis[:-1], swap[None] / np.sqrt(2.0)]))
+    report = galois.galois_map(StarAlgebra.diagonal(2), rep, z2)
+    assert report.mode == "spatial"
+    assert [v[:2] for v in report.violations] == [("bicommutant", (0,)), ("bicommutant", (0, 1))]
+    assert all(abs(v[2] - 1.0) <= 1e-12 for v in report.violations)
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "S4"])
@@ -542,9 +625,9 @@ def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
     honest = galois._bicommutant
     calls = []
 
-    def failing(fixed, m, mode, tol):
+    def failing(fixed, m, pi, subgroup, mode, tol):
         calls.append(fixed.dim)
-        return (False, 0.5) if fixed.dim == 18 else honest(fixed, m, mode, tol)
+        return (False, 0.5) if fixed.dim == 18 else honest(fixed, m, pi, subgroup, mode, tol)
 
     monkeypatch.setattr(galois, "_bicommutant", failing)
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)

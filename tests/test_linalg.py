@@ -330,9 +330,18 @@ _WIDE_STACKS = [
 ]
 
 
-@pytest.mark.parametrize("stack", _WIDE_STACKS + _star_closed_stacks())
+def _conjugated_full_basis(n, seed):
+    w = _random_unitary(n, np.random.default_rng(seed))
+    return w @ np.eye(n * n, dtype=complex).reshape(n * n, n, n) @ w.conj().T
+
+
+# a stack longer than a panel, rotated into place a panel at a time
+_LONG_STACKS = [pytest.param(_conjugated_full_basis(10, 9), id="conjugated-M10-basis")]
+
+
+@pytest.mark.parametrize("stack", _WIDE_STACKS + _LONG_STACKS + _star_closed_stacks())
 def test_commutant_kernel_is_the_one_shot_lift(stack):
-    # the panelled lift and the trace's null test give the old bytes
+    # the panelled rotation and lift and the trace's null test give the old bytes
     kernel = linalg.commutant_kernel(stack)
     assert np.array_equal(kernel, commutant_kernel_in_one_shot(stack))
 
@@ -340,6 +349,7 @@ def test_commutant_kernel_is_the_one_shot_lift(stack):
 def test_wide_stacks_have_kernels_wider_than_a_panel():
     widths = [linalg.commutant_kernel(p.values[0]).shape[1] for p in _WIDE_STACKS]
     assert min(widths) > linalg._PANEL
+    assert min(len(p.values[0]) for p in _LONG_STACKS) > linalg._PANEL
 
 
 @pytest.mark.parametrize("stack", _WIDE_STACKS[:2] + _abelian_stacks())
