@@ -58,7 +58,7 @@ from .errors import (
 )
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
-from .reps import UnitaryRep, average_conjugation
+from .reps import UnitaryRep
 
 _CLOSURE_RESIDUAL = 1e-9
 
@@ -299,10 +299,6 @@ def center(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     return relative_commutant(m, m, tol)
 
 
-def is_factor(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return center(m, tol).dim == 1
-
-
 # ---------------------------------------------------------------------------
 # block (type-I) structure
 
@@ -317,10 +313,6 @@ class BlockStructure:
 
     blocks: tuple
     unitary: np.ndarray
-
-    @property
-    def total_dim(self) -> int:
-        return sum(n * m for n, m in self.blocks)
 
 
 def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
@@ -410,7 +402,7 @@ def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float
 
 
 # ---------------------------------------------------------------------------
-# fixed-point algebras and averaging
+# fixed-point algebras
 
 
 def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
@@ -495,26 +487,3 @@ def fixed_coordinates(maps: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     d = maps.shape[-1]
     return linalg.nullspace((maps.swapaxes(-1, -2) - np.eye(d)).reshape(-1, d), tol).basis
 
-
-@dataclass(frozen=True)
-class AveragingReport:
-    invariant_part: np.ndarray
-    fluctuation: np.ndarray
-    state_residuals: tuple
-
-
-def averaging_projection(a, rep: UnitaryRep, invariant_states=(),
-                         tol: Tolerance = DEFAULT_TOL) -> AveragingReport:
-    """Split a into its invariant average and the state-annihilated rest.
-
-    Returns ``(a_avg, a - a_avg)`` where ``a_avg`` is the group average of
-    the conjugates; every supplied invariant state must kill the
-    fluctuation part, and the residuals are reported.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    avg = average_conjugation(rep, a)
-    rest = a - avg
-    residuals = tuple(
-        float(abs(np.trace(np.asarray(rho) @ rest))) for rho in invariant_states
-    )
-    return AveragingReport(avg, rest, residuals)

@@ -248,7 +248,7 @@ def _cmd_galois(spec, seed, tol, load_json_field, resolve):
     mode = spec.get("mode", "auto")
     m = StarAlgebra.full(rep.dim)
     report = gal.galois_map(m, rep, rep.group, mode=mode, tol=tol)
-    minimal, witness = gal.is_minimal_action(m, rep, rep.group, tol)
+    minimal, witness = gal.is_minimal_action(report)
 
     body = {
         "mode": report.mode,

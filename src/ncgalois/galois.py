@@ -19,8 +19,8 @@ The map is equivariant: M^{gHg^-1} = U_g M^H U_g*.  So one fixed-point
 kernel and one bicommutant test run per conjugacy class of the given
 subgroups, on its first member; every other row is transported by one
 conjugation and re-certified on its own generators (and, in a full M, by
-its character count).  A transported row's ``bicommutant_residual`` is
-its representative's, which Ad U_g carries.
+its character count).  A transported row's ``bicommutant_residual`` and
+``commutant_dim`` are its representative's, which Ad U_g carries.
 
 Rows are streamed: each fixed algebra is certified, interned and audited
 for anti-monotonicity against the subgroups below it as soon as it is
@@ -57,6 +57,7 @@ class GaloisRow:
     fixed_id: int                 # intern id; equal ids <=> equal fixed algebras
     bicommutant_ok: bool
     bicommutant_residual: float
+    commutant_dim: int            # dim of the first (relative) commutant of M^H
 
 
 @dataclass
@@ -227,17 +228,17 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     The first subgroup of each class (``subgroup_classes``) gets its fixed
     algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
     U_g M^K U_g* (``transported_fixed_algebra``), re-certified on its own
-    generators, and its representative's bicommutant verdict and residual:
-    Ad U_g is a *-automorphism of M and a Hilbert-Schmidt isometry, so it
-    carries (relative) commutants to (relative) commutants, U(K)' to U(H)'
-    and M onto M, and with them the commutator and containment residuals
-    of the certificate.  A representative's basis is kept, for transport
-    only, until the last row of its class.
+    generators, and its representative's ``_bicommutant`` triple: Ad U_g is
+    a *-automorphism of M and a Hilbert-Schmidt isometry, so it carries
+    (relative) commutants to (relative) commutants of the same dimension,
+    U(K)' to U(H)' and M onto M, and with them the residuals of the
+    certificate.  A representative's basis is kept, for transport only,
+    until the last row of its class.
     """
     classes = subgroup_classes(report.group, subgroups)
     last = {r: j for j, (r, _) in enumerate(classes)}
     kept: dict = {}       # representative index -> fixed algebra, until its last row
-    verdicts: dict = {}   # representative index -> (ok, residual)
+    verdicts: dict = {}   # representative index -> (ok, residual, commutant dim)
 
     def row(j: int):
         r, g = classes[j]
@@ -255,8 +256,8 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
 def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
                  row) -> None:
-    """Intern, audit and record row j from ``row(j) -> (fixed, (ok, residual))``,
-    in order, keeping no basis.
+    """Intern, audit and record row j from
+    ``row(j) -> (fixed, (ok, residual, commutant_dim))``, in order, keeping no basis.
 
     Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
     built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
@@ -270,7 +271,7 @@ def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgro
     interner = _Interner(m.ambient_dim ** 2)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, sub in enumerate(subgroups):
-        fixed, (ok, residual) = row(j)
+        fixed, (ok, residual, commutant_dim) = row(j)
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
                 residuals[i, j] = residual_to(i, fixed.basis)
@@ -278,7 +279,7 @@ def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgro
             fixed.subspace(), j, lambda i: residual_to(i, fixed.basis) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
-        report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual))
+        report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual, commutant_dim))
         del fixed   # before the next row is built
     for (i, j), res in sorted(residuals.items()):
         report.anti_monotone_pairs += 1
@@ -290,7 +291,7 @@ def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgro
 
 def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,
                  mode: str, tol: Tolerance):
-    """(ok, residual) of the double (relative) commutant test on fixed = M^H.
+    """(ok, residual, dim once) of the double (relative) commutant test on fixed = M^H.
 
     ``twice`` is solved from ``once``, and ``once`` from ``fixed``; the
     residual is its commutator residual on the unitaries of H's generators,
@@ -307,17 +308,15 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     residual = alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
     if not m.is_full:
         residual = max(residual, m.subspace().containment_residual(twice.subspace()))
-    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual
+    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
 
 
-def is_minimal_action(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
-                      tol: Tolerance = DEFAULT_TOL):
-    """Whether the relative commutant of the full fixed algebra is scalar.
+def is_minimal_action(report: GaloisReport):
+    """``(flag, witness_dim)`` read off the last row, which must be G's; solves nothing.
 
-    Returns ``(flag, witness_dim)``: the dimension of ``(M^G)' cap M`` is
-    the witness; the action is minimal exactly when it equals 1.
+    In a full M or in inner mode a row's first commutant is (M^H)' cap M, so
+    G's row holds dim (M^G)' cap M: the action is minimal exactly when it is 1.
     """
-    top = Subgroup(group, tuple(range(group.order)))
-    fixed = alg.fixed_point_algebra(m, pi, top, tol)
-    rc = alg.relative_commutant(fixed, m, tol)
-    return rc.dim == 1, rc.dim
+    if not report.rows or report.rows[-1].subgroup.order != report.group.order:
+        raise ValueError("the report's last row is not the whole group")
+    return report.rows[-1].commutant_dim == 1, report.rows[-1].commutant_dim

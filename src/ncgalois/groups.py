@@ -126,11 +126,6 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def group_from_table(mult, labels=None) -> FiniteGroup:
-    """Validate a multiplication table and build the group."""
-    return FiniteGroup(mult, labels)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A validated subgroup, stored as a sorted member tuple, with its ``generating_set``."""
@@ -399,13 +394,6 @@ def quaternion_group() -> FiniteGroup:
             s3, x3 = mul[(x1, x2)]
             table[a, b] = encode(s1 * s2 * s3, x3)
     return FiniteGroup(table, labels=labels)
-
-
-def klein_four_group() -> FiniteGroup:
-    return FiniteGroup(
-        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
-        labels=["e", "a", "b", "ab"],
-    )
 
 
 FIXTURE_GROUPS = {

@@ -227,9 +227,6 @@ class Subspace:
         rank = int(np.sum(s > cut))
         return Subspace(ambient_dim, _fix_phases(vh[:rank].T))
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ dagger(self.basis)
-
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.basis @ (dagger(self.basis) @ x)
 

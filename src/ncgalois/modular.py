@@ -65,9 +65,6 @@ class GNSSpace:
     def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.conj(x) @ self.gram @ y)
 
-    def coords(self, a: np.ndarray) -> np.ndarray:
-        return self.algebra.coordinates(a)
-
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of X -> a X on coordinates."""
         basis = self.algebra.basis
@@ -414,15 +411,3 @@ def connes_cocycle(rho1, rho2, t: float, rho3=None,
         balanced_weight=float(balanced_weight),
     )
 
-
-def centralizer_residual(rho, a, t_grid=(0.5, 1.0, 2.0),
-                         tol: Tolerance = DEFAULT_TOL):
-    """Fixed points of the flow versus commutation with the density.
-
-    Returns ``(max_t |sigma^t(a) - a|, |[rho, a]|)``; the first vanishes
-    for all t exactly when the second does.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    flow = max(frob(modular_flow(rho, t, a, tol) - a) for t in t_grid)
-    comm = frob(rho @ a - a @ rho)
-    return float(flow), float(comm)

@@ -60,17 +60,6 @@ class State:
             raise NotFaithful(f"min eigenvalue {self._min_eig:.3e}")
         return self
 
-    @staticmethod
-    def maximally_mixed(dim: int) -> "State":
-        return State(np.eye(dim, dtype=np.complex128) / dim)
-
-    @staticmethod
-    def random_faithful(dim: int, rng: np.random.Generator,
-                        floor: float = 0.05) -> "State":
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = a @ dagger(a) + floor * np.eye(dim)
-        return State(rho / np.trace(rho).real)
-
     def is_invariant(self, rep: UnitaryRep, members=None, tol: float = 1e-10) -> bool:
         """Invariance under the (sub)group action: the density commutes."""
         mats = rep.matrices if members is None else rep.matrices[list(members)]

@@ -77,12 +77,6 @@ def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
         raise NotAHomomorphism(f"homomorphism violated, residual {err:.3e}")
 
 
-def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
-    mats = np.broadcast_to(np.eye(dim, dtype=np.complex128),
-                           (group.order, dim, dim)).copy()
-    return UnitaryRep(group, mats, check=False)
-
-
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
     """Left regular representation on C^order: U_a e_b = e_{a*b}."""
     return permutation_rep(group, group.mult)
@@ -162,12 +156,6 @@ def weyl_operator(rep: UnitaryRep, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
         raise ZeroVector("cannot average the orbit of the zero vector")
     orbit = rep.matrices @ u
     return np.einsum("gi,gj->ij", orbit, orbit.conj()) / rep.group.order
-
-
-def average_conjugation(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
-    """(1/order) sum_g U_g a U_g*; lands in the commutant of the image."""
-    mats = rep.matrices
-    return linalg.sandwich_sum(mats, a, dagger(mats)) / rep.group.order
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Reference constructions the tests hold the package's kernels against."""
+"""Reference constructions the tests hold the package's kernels against, and
+test inputs (the Klein four-group, trivial representations, states) that the
+package itself never builds."""
 
 import itertools
 
@@ -9,6 +11,31 @@ from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
 from ncgalois.linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
+from ncgalois.ncprob import State
+from ncgalois.reps import UnitaryRep
+
+
+def klein_four_group() -> FiniteGroup:
+    return FiniteGroup(
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+        labels=["e", "a", "b", "ab"],
+    )
+
+
+def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
+    mats = np.broadcast_to(np.eye(dim, dtype=np.complex128),
+                           (group.order, dim, dim)).copy()
+    return UnitaryRep(group, mats, check=False)
+
+
+def maximally_mixed(dim: int) -> State:
+    return State(np.eye(dim, dtype=np.complex128) / dim)
+
+
+def random_faithful(dim: int, rng: np.random.Generator, floor: float = 0.05) -> State:
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ dagger(a) + floor * np.eye(dim)
+    return State(rho / np.trace(rho).real)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,7 +209,7 @@ def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mo
         once = algebras.commutant(fixed, tol)
         twice = algebras.commutant(once, tol)
     residual = float(twice.subspace().distance(fixed.subspace()))
-    return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual
+    return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
 
 
 class StoringInterner:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 
+import kernel_reference
 import numpy as np
 import pytest
 
@@ -215,7 +216,7 @@ def test_criterion_6_martingale_suite():
         reg = reps.regular_rep(group)
         m = StarAlgebra.full(group.order)
         filt = ncprob.filtration_from_chain(m, reg, chain)
-        phi = State.maximally_mixed(group.order)
+        phi = kernel_reference.maximally_mixed(group.order)
         for _ in range(5):
             n = group.order
             x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -253,7 +254,7 @@ def test_criterion_7_modular_suite():
         for n in (2, 3, 4):
             if states_checked >= 50:
                 break
-            phi = State.random_faithful(n, rng)
+            phi = kernel_reference.random_faithful(n, rng)
             md = modular.tomita(modular.gns(StarAlgebra.full(n), phi))
             identity_worst = max(
                 identity_worst, max(modular.modular_identity_residuals(md).values())

@@ -13,7 +13,6 @@ from ncgalois import groups, linalg, ncprob, reps
 from ncgalois.algebras import (
     StarAlgebra,
     algebra_from_generators,
-    averaging_projection,
     bicommutant_check,
     block_structure,
     block_structure_residual,
@@ -23,7 +22,6 @@ from ncgalois.algebras import (
     commutator_residual,
     fixed_coordinates,
     fixed_point_algebra,
-    is_factor,
     relative_commutant,
 )
 from ncgalois.errors import (
@@ -242,13 +240,11 @@ def test_relative_commutant_and_center(s3_perm_algebra):
     m = StarAlgebra.full(3)
     assert relative_commutant(StarAlgebra.scalars(3), m).equals(m)
     assert center(StarAlgebra.full(4)).dim == 1
-    assert is_factor(StarAlgebra.full(4))
 
     # M2 + M1 block algebra inside M3: center has two minimal projections
     basis = [unit(3, i, j) for i in range(2) for j in range(2)] + [unit(3, 2, 2)]
     block = StarAlgebra.from_span(basis, 3)
     assert center(block).dim == 2
-    assert not is_factor(block)
 
     with pytest.raises(NotContained):
         relative_commutant(m, StarAlgebra.diagonal(3))
@@ -274,7 +270,7 @@ def test_block_structure_with_multiplicity(s3):
     assert reg_alg.dim == 6
     structure = block_structure(reg_alg, seed=5)
     assert structure.blocks == ((1, 1), (1, 1), (2, 2))
-    assert structure.total_dim == 6
+    assert sum(n * m for n, m in structure.blocks) == 6
     assert block_structure_residual(reg_alg, structure) < 1e-9
 
 
@@ -359,18 +355,20 @@ def test_fixed_point_requires_invariance(s3_perm, s3):
         fixed_point_algebra(sub, s3_perm, groups.Subgroup(s3, tuple(range(6))))
 
 
-def test_averaging_projection(s3_perm, rng):
+def test_averaging_projection(s3_perm, s3, rng):
+    # the averaging projection onto M^G is the conditional expectation of the whole group
+    whole = groups.Subgroup(s3, tuple(range(6)))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    out = averaging_projection(a, s3_perm, invariant_states=[np.eye(3) / 3])
+    avg = ncprob.conditional_expectation(a, s3_perm, whole)
     # idempotent as a map
-    again = averaging_projection(out.invariant_part, s3_perm)
-    assert frob(again.invariant_part - out.invariant_part) < 1e-12
+    again = ncprob.conditional_expectation(avg, s3_perm, whole)
+    assert frob(again - avg) < 1e-12
     # trace preserved, fluctuation annihilated by the invariant state
-    assert abs(np.trace(out.invariant_part) - np.trace(a)) < 1e-12
-    assert out.state_residuals[0] < 1e-12
+    assert abs(np.trace(avg) - np.trace(a)) < 1e-12
+    assert abs(np.trace(np.eye(3) / 3 @ (a - avg))) < 1e-12
 
     e11 = unit(3, 0, 0)
-    avg = averaging_projection(e11, s3_perm).invariant_part
+    avg = ncprob.conditional_expectation(e11, s3_perm, whole)
     np.testing.assert_allclose(avg, np.eye(3) / 3.0, atol=1e-13)
 
 
@@ -380,7 +378,7 @@ def test_averaging_image_equals_fixed_algebra(s3_perm, s3, rng):
     fixed = fixed_point_algebra(m, s3_perm, top)
     for _ in range(10):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        avg = averaging_projection(a, s3_perm).invariant_part
+        avg = ncprob.conditional_expectation(a, s3_perm, top)
         assert fixed.membership_residual(avg) < 1e-9
 
 

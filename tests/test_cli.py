@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import groups, reporting, reps
+from ncgalois import algebras, groups, reporting, reps
 from ncgalois.cli import main
 
 
@@ -87,6 +88,25 @@ def test_galois_report(workspace, tmp_path):
     assert body["proper"] and body["injective"]
     assert len(body["rows"]) == 6
     assert all(r["bicommutant_ok"] for r in body["rows"])
+
+
+def test_galois_solves_one_fixed_point_algebra_per_subgroup_class(tmp_path, monkeypatch):
+    # the minimal-action witness is the top row's first commutant, so S4
+    # regular solves one fixed-point algebra per conjugacy class of its
+    # subgroups and none again for M^G
+    s4 = groups.symmetric_group(4)
+    (tmp_path / "s4_reg.json").write_text(json.dumps(reporting.rep_to_json(reps.regular_rep(s4))))
+    spec = write_spec(tmp_path, "s4.json", {"representation": "s4_reg.json"})
+    calls, honest = [], algebras.fixed_point_algebra
+    monkeypatch.setattr(algebras, "fixed_point_algebra",
+                        lambda *args, **kwargs: calls.append(args[2]) or honest(*args, **kwargs))
+    out = tmp_path / "r.json"
+    assert run_cli(["galois", spec, "--out", out]) == 0
+    classes = groups.subgroup_classes(s4, groups.enumerate_subgroups(s4))
+    assert len(calls) == len({r for r, _ in classes}) == 11
+    body = load_report(out)["report"]
+    # (M^G)' is the span of the 24 left translations
+    assert body["minimal_action_witness_dim"] == 24 and not body["minimal_action"]
 
 
 def test_modular_report(workspace, tmp_path):
@@ -188,7 +208,7 @@ def _z2_with(extra):
     ("crossed", _crossed_spec(action_extra={"oops": 1}), "unknown action fields: ['oops']"),
     ("analyze-group", {"group": _z2_with({"oops": 1})}, "unknown group fields: ['oops']"),
     ("decompose", {"representation": {**reporting.rep_to_json(
-        reps.trivial_rep(groups.cyclic_group(2))), "oops": 1}, "seed": 1},
+        kernel_reference.trivial_rep(groups.cyclic_group(2))), "oops": 1}, "seed": 1},
      "unknown representation fields: ['oops']"),
 ], ids=["spec", "base", "action", "group", "representation"])
 def test_unknown_fields_rejected(workspace, tmp_path, capsys, command, payload, detail):

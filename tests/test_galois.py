@@ -204,22 +204,30 @@ def test_conjugate_subgroups_inequivalent(s3):
 
 
 def test_minimal_action_cases(s3):
+    # the witness dim (M^G)' cap M is the first commutant of the top row
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
-    flag, witness = galois.is_minimal_action(StarAlgebra.full(3), perm, s3)
-    assert not flag and witness == 5    # commutant of span{1, ones} is M1 + M2
+    report = galois.galois_map(StarAlgebra.full(3), perm, s3)
+    assert report.rows[-1].subgroup.order == 6
+    # commutant of span{1, ones} is M1 + M2
+    assert galois.is_minimal_action(report) == (False, 5)
+    # a report without G's row last has no witness
+    lower = [r.subgroup for r in report.rows if r.subgroup.order < 6]
+    below = galois.galois_map(StarAlgebra.full(3), perm, s3, subgroups=lower)
+    with pytest.raises(ValueError, match="whole group"):
+        galois.is_minimal_action(below)
 
     # trivial group: relative commutant of M in M is all of M
     z1 = groups.cyclic_group(1)
-    triv = reps.trivial_rep(z1, dim=2)
+    triv = kernel_reference.trivial_rep(z1, dim=2)
     diag = StarAlgebra.diagonal(2)
-    flag, witness = galois.is_minimal_action(diag, triv, z1)
-    assert not flag and witness == 2
+    report = galois.galois_map(diag, triv, z1, mode="inner")
+    assert galois.is_minimal_action(report) == (False, 2)
 
     # inner actions with scalar fixed algebra are never minimal on M_n, n>1:
     # pauli conjugations on M2 fix only scalars, whose relative commutant is M2.
     # the paulis form a projective (not linear) representation of the klein
     # group; conjugation is still an honest action, so skip the linear check
-    z2z2 = groups.klein_four_group()
+    z2z2 = kernel_reference.klein_four_group()
     paulis = np.array([
         np.eye(2),
         [[0, 1], [1, 0]],
@@ -235,8 +243,7 @@ def test_minimal_action_cases(s3):
         StarAlgebra.full(2), rep, groups.Subgroup(z2z2, (0, 1, 2, 3))
     )
     assert fixed.dim == 1
-    flag, witness = galois.is_minimal_action(StarAlgebra.full(2), rep, z2z2)
-    assert not flag and witness == 4
+    assert algebras.relative_commutant(fixed, StarAlgebra.full(2)).dim == 4
 
 
 def test_spatial_mode_uses_plain_commutant(s3):
@@ -299,7 +306,7 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
     eps = 1e-11
     u = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
     b = StarAlgebra.from_span(u @ a.basis @ u.conj().T, 2)
-    pa, pb = a.subspace().projector(), b.subspace().projector()
+    pa, pb = (x.basis @ x.basis.conj().T for x in (a.subspace(), b.subspace()))
     assert np.round(pa, 6)[0, 0] != np.round(pb, 6)[0, 0]
     assert a.equals(b)
 
@@ -387,8 +394,8 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
         direct = run()
 
     def verdicts(report):
-        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok)
-                for r in report.rows]
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok,
+                 r.commutant_dim) for r in report.rows]
         return (rows, report.equivalence_classes, report.collision_candidates,
                 report.anti_monotone_pairs, report.injective, report.proper,
                 [v[:2] for v in report.violations])
@@ -627,15 +634,16 @@ def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
 
     def failing(fixed, m, pi, subgroup, mode, tol):
         calls.append(fixed.dim)
-        return (False, 0.5) if fixed.dim == 18 else honest(fixed, m, pi, subgroup, mode, tol)
+        # (M^H)' = U(H)'' is the span of U(H), of dimension 2
+        return (False, 0.5, 2) if fixed.dim == 18 else honest(fixed, m, pi, subgroup, mode, tol)
 
     monkeypatch.setattr(galois, "_bicommutant", failing)
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
     assert calls == [36, 18, 12, 6]
     assert report.violations == [("bicommutant", members, 0.5) for members in order_two]
-    assert [(r.bicommutant_ok, r.bicommutant_residual) for r in report.rows
-            if r.subgroup.order == 2] == [(False, 0.5)] * 3
+    assert [(r.bicommutant_ok, r.bicommutant_residual, r.commutant_dim) for r in report.rows
+            if r.subgroup.order == 2] == [(False, 0.5, 2)] * 3
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
 
 

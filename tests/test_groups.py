@@ -21,7 +21,6 @@ from ncgalois.groups import (
     convolve,
     delta,
     enumerate_subgroups,
-    group_from_table,
     involute,
     is_normal,
 )
@@ -38,7 +37,7 @@ def brute_force_s3_table():
 
 
 def test_z2_from_table():
-    g = group_from_table([[0, 1], [1, 0]])
+    g = FiniteGroup([[0, 1], [1, 0]])
     assert g.order == 2 and g.identity == 0
     assert g.inv(1) == 1
 
@@ -51,9 +50,9 @@ def test_s3_matches_brute_force():
 
 def test_invalid_tables():
     with pytest.raises(NotLatinSquare):
-        group_from_table([[0, 1], [1, 1]])
+        FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(NotLatinSquare):
-        group_from_table([[0, 1, 2], [1, 2, 0]])
+        FiniteGroup([[0, 1, 2], [1, 2, 0]])
     # order-5 loop with two-sided inverses, still not associative
     loop = [[0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],
@@ -61,17 +60,17 @@ def test_invalid_tables():
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0]]
     with pytest.raises(groups.NotAssociative):
-        group_from_table(loop)
+        FiniteGroup(loop)
     # loop in which 3 has only a one-sided inverse
     with pytest.raises(groups.NoInverse):
-        group_from_table([[0, 1, 2, 3, 4],
-                          [1, 0, 3, 4, 2],
-                          [2, 3, 4, 0, 1],
-                          [3, 4, 1, 2, 0],
-                          [4, 2, 0, 1, 3]])
+        FiniteGroup([[0, 1, 2, 3, 4],
+                     [1, 0, 3, 4, 2],
+                     [2, 3, 4, 0, 1],
+                     [3, 4, 1, 2, 0],
+                     [4, 2, 0, 1, 3]])
     # latin square whose rows/columns are fine but no two-sided identity
     with pytest.raises(NoIdentity):
-        group_from_table([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
+        FiniteGroup([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
 
 
 def test_subgroups_of_s3_by_brute_force(s3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from kernel_reference import maximally_mixed, random_faithful
 
 from ncgalois import algebras, groups, reps
 from ncgalois.algebras import StarAlgebra
@@ -52,7 +53,7 @@ def test_state_validation():
     assert not pure.faithful
     with pytest.raises(NotFaithful):
         pure.require_faithful()
-    assert State.maximally_mixed(3).faithful
+    assert maximally_mixed(3).faithful
 
 
 def test_average_state_orbit(s3_perm):
@@ -75,7 +76,7 @@ def test_average_state_fixed_point(s3_perm):
 
 
 def test_averaging_preserves_faithfulness(s3_perm, rng):
-    psi = State.random_faithful(3, rng)
+    psi = random_faithful(3, rng)
     assert average_state(psi, s3_perm).faithful
 
 
@@ -176,7 +177,7 @@ def test_stacked_axiom_table_equals_the_per_matrix_loop():
     chain = [subs[-1], v4, z2, groups.Subgroup(a4, (a4.identity,))]
     assert [h.order for h in chain] == [12, 4, 2, 1]
     rng = np.random.default_rng(4)
-    phi = average_state(State.random_faithful(12, rng), rep)
+    phi = average_state(random_faithful(12, rng), rep)
     for h in chain:
         table = verify_cond_exp_axioms(rep, h, phi, seed=9).residuals
         reference = _per_matrix_axiom_table(rep, h, phi, seed=9)

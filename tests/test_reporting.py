@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncgalois import groups, reporting, reps
+from ncgalois import reporting, reps
 from ncgalois.errors import IncompleteTable, SpecValidationError
 
 

@@ -131,7 +131,7 @@ def test_unitarize_rejects_non_homomorphism():
 
 def test_weyl_trivial_rep():
     z2 = groups.cyclic_group(2)
-    triv = reps.trivial_rep(z2, dim=2)
+    triv = kernel_reference.trivial_rep(z2, dim=2)
     u = np.array([1.0, 0.0])
     k = reps.weyl_operator(triv, u)
     np.testing.assert_allclose(k, np.outer(u, u))
@@ -239,7 +239,7 @@ def test_decompose_regular_s3(s3):
 
 
 def test_decompose_trivial_multiplicity(s3):
-    triv3 = reps.trivial_rep(s3, dim=3)
+    triv3 = kernel_reference.trivial_rep(s3, dim=3)
     dec = reps.decompose(triv3, seed=1)
     assert len(dec.blocks) == 1
     idx, mult = dec.blocks[0]
@@ -439,7 +439,7 @@ def test_properness(s3, s3_perm, fixture_groups):
     assert rep_report.proper and rep_report.missing == ()
 
     z2 = fixture_groups["Z2"]
-    triv = reps.trivial_rep(z2)
+    triv = kernel_reference.trivial_rep(z2)
     out = reps.is_proper(triv)
     assert not out.proper and len(out.missing) == 1
 
