@@ -119,7 +119,7 @@ def _run(args) -> str:
         return value
 
     handler = _HANDLERS[args.command]
-    body, violations = handler(spec, seed, tol, load_json_field, resolve)
+    body, violations = handler(spec, seed, tol, load_json_field)
 
     envelope = {
         "command": args.command,
@@ -144,14 +144,17 @@ def _load_group(spec, load_json_field):
     return reporting.group_from_json(load_json_field(spec["group"], "group"))
 
 
-def _load_rep(spec, load_json_field, resolve, field="representation"):
+def _load_rep(spec, load_json_field):
     from . import reporting
 
-    return reporting.rep_from_json(load_json_field(spec[field], field),
-                                   resolve_path=resolve)
+    obj = load_json_field(spec["representation"], "representation")
+    if isinstance(obj, dict) and isinstance(obj.get("group"), str):
+        # a group given as a path is an input file like the others
+        obj = {**obj, "group": load_json_field(obj["group"], "representation.group")}
+    return reporting.rep_from_json(obj)
 
 
-def _cmd_analyze_group(spec, seed, tol, load_json_field, resolve):
+def _cmd_analyze_group(spec, seed, tol, load_json_field):
     from . import groups
 
     _check_fields(spec, ["group"])
@@ -172,7 +175,7 @@ def _cmd_analyze_group(spec, seed, tol, load_json_field, resolve):
     return body, []
 
 
-def _cmd_irreps(spec, seed, tol, load_json_field, resolve):
+def _cmd_irreps(spec, seed, tol, load_json_field):
     import numpy as np
 
     from . import reporting, reps
@@ -210,14 +213,14 @@ def _cmd_irreps(spec, seed, tol, load_json_field, resolve):
     return body, violations
 
 
-def _cmd_decompose(spec, seed, tol, load_json_field, resolve):
+def _cmd_decompose(spec, seed, tol, load_json_field):
     import numpy as np
 
     from . import reps
     from .linalg import compress, dagger, frob
 
     _check_fields(spec, ["representation"])
-    rep = _load_rep(spec, load_json_field, resolve)
+    rep = _load_rep(spec, load_json_field)
     dec = reps.decompose(rep, seed, tol)
     u = dec.intertwiner
     unit_res = float(frob(dagger(u) @ u - np.eye(rep.dim)))
@@ -239,15 +242,15 @@ def _cmd_decompose(spec, seed, tol, load_json_field, resolve):
     return body, violations
 
 
-def _cmd_galois(spec, seed, tol, load_json_field, resolve):
+def _cmd_galois(spec, seed, tol, load_json_field):
     from . import galois as gal
     from .algebras import StarAlgebra
 
     _check_fields(spec, ["representation"], optional=["mode"])
-    rep = _load_rep(spec, load_json_field, resolve)
+    rep = _load_rep(spec, load_json_field)
     mode = spec.get("mode", "auto")
     m = StarAlgebra.full(rep.dim)
-    report = gal.galois_map(m, rep, rep.group, mode=mode, tol=tol)
+    report = gal.galois_map(m, rep, mode=mode, tol=tol)
     minimal, witness = gal.is_minimal_action(report)
 
     body = {
@@ -281,7 +284,7 @@ def _cmd_galois(spec, seed, tol, load_json_field, resolve):
     return body, violations
 
 
-def _cmd_modular(spec, seed, tol, load_json_field, resolve):
+def _cmd_modular(spec, seed, tol, load_json_field):
     import numpy as np
 
     from . import modular, ncprob, reporting
@@ -323,7 +326,7 @@ def _cmd_modular(spec, seed, tol, load_json_field, resolve):
     return body, violations
 
 
-def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
+def _cmd_crossed(spec, seed, tol, load_json_field):
     import numpy as np
 
     from . import algebras, crossed, reporting
@@ -404,14 +407,14 @@ def _cmd_crossed(spec, seed, tol, load_json_field, resolve):
     return body, violations
 
 
-def _cmd_martingale(spec, seed, tol, load_json_field, resolve):
+def _cmd_martingale(spec, seed, tol, load_json_field):
     from . import groups, ncprob, reporting
     from .algebras import StarAlgebra
     from .errors import SpecValidationError
 
     _check_fields(spec, ["group", "representation", "chain", "x", "state"])
     group = _load_group(spec, load_json_field)
-    rep = _load_rep(spec, load_json_field, resolve)
+    rep = _load_rep(spec, load_json_field)
     if rep.group != group:
         raise SpecValidationError("representation belongs to a different group")
 
@@ -430,8 +433,8 @@ def _cmd_martingale(spec, seed, tol, load_json_field, resolve):
 
     axiom_tables = {}
     violations = []
-    for sub in chain:
-        report = ncprob.verify_cond_exp_axioms(rep, sub, state, seed=seed)
+    for t, sub in enumerate(chain):
+        report = ncprob.verify_cond_exp_axioms(filtration, t, state, seed=seed)
         key = ",".join(map(str, sub.members))
         axiom_tables[key] = report.residuals
         for name, value in report.violations:

@@ -190,8 +190,7 @@ def crossed_galois(cp: CrossedProduct, tol: Tolerance = DEFAULT_TOL):
     injective, each fixed algebra meets the embedded base in pi(M^{alpha(H)}),
     whose dimension comes from the base's own maps at H's generators.
     """
-    report = gal.galois_map(cp.algebra, cp.translation, cp.group,
-                            mode="spatial", tol=tol)
+    report = gal.galois_map(cp.algebra, cp.translation, mode="spatial", tol=tol)
     maps = cp.base.coordinates(cp.action.images(cp.base.basis))
     pullbacks = {}
     for row in report.rows:

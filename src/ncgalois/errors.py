@@ -121,9 +121,9 @@ class SpecValidationError(NCGaloisError):
     pass
 
 
-# Bad inputs (malformed files, violated axioms, mismatched shapes) versus
-# numerical trouble (tolerance collisions, failed iterations).  The CLI
-# maps the first family to exit 1 and the second to exit 2.
+# Bad inputs (malformed files, violated axioms, mismatched shapes).  The CLI
+# maps them to exit 1, and every other NCGaloisError, numerical trouble
+# (tolerance collisions, failed iterations), to exit 2.
 VALIDATION_ERRORS = (
     SpecValidationError,
     NotLatinSquare,
@@ -139,15 +139,4 @@ VALIDATION_ERRORS = (
     NotFaithful,
     NotContained,
     NotInvariantAlgebra,
-)
-
-NUMERICAL_ERRORS = (
-    NoConvergence,
-    DecompositionFailed,
-    CenterSplitFailed,
-    ClosureFailed,
-    NotIrreducible,
-    NotHermitian,
-    NotPositiveDefinite,
-    IncompleteTable,
 )

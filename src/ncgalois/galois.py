@@ -34,6 +34,7 @@ of the earlier H_i's generators, which at equal dimension is equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -79,48 +80,39 @@ class GaloisReport:
         return len(set(ids)) == len(ids)
 
 
-@dataclass(frozen=True)
-class SubgroupEquivalence:
-    classes: tuple  # tuple of tuples of subgroup indices
-
-
-def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices=None,
-                         tol: Tolerance = DEFAULT_TOL) -> SubgroupEquivalence:
-    """Partition subgroups by the span of their images in the retained irreps.
+def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
+                         tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """Partition subgroups by the span of their images in the given irreps.
 
     Two subgroups are equivalent when the elements span the same subspace
-    through the direct sum of the retained irreps (defaults to all of
-    them).  The comparison is joint across irreps: componentwise spans
-    would never separate subgroups seen through one-dimensional irreps,
-    where every span is the scalar line, and the correspondence between
-    classes and fixed algebras would fail on abelian groups.  The joint
-    span is exactly the group-algebra image whose commutant is the fixed
-    algebra, so equal spans and equal fixed algebras are the same thing.
-    Classes are the ``_Interner`` ids of the joint spans, in order of first
-    appearance, with ascending members.  A span matches an earlier one when
-    it holds the joint images of the earlier subgroup's generators, which
-    with 1 generate the earlier span as an algebra.
+    through the direct sum of the retained irreps.  The comparison is joint
+    across irreps: componentwise spans would never separate subgroups seen
+    through one-dimensional irreps, where every span is the scalar line, and
+    the correspondence between classes and fixed algebras would fail on
+    abelian groups.  The joint span is exactly the group-algebra image whose
+    commutant is the fixed algebra, so equal spans and equal fixed algebras
+    are the same thing.  The classes, tuples of subgroup indices, are the
+    ``_Interner`` ids of the joint spans, in order of first appearance, with
+    ascending members.  A span matches an earlier one when it holds the
+    joint images of the earlier subgroup's generators, which with 1
+    generate the earlier span as an algebra.
     """
     table = rp.irrep_table(group, tol)
-    if irrep_indices is None:
-        irrep_indices = range(len(table.irreps))
     irrep_indices = list(irrep_indices)
     if not irrep_indices:
-        return SubgroupEquivalence((tuple(range(len(subgroups))),))
-
-    def joint_image(g: int) -> np.ndarray:
-        return np.concatenate([table.irreps[i].matrices[g].reshape(-1) for i in irrep_indices])
-
-    ambient_dim = sum(table.irreps[i].dim ** 2 for i in irrep_indices)
-    interner = _Interner(ambient_dim)
+        return (tuple(range(len(subgroups))),)
+    # row g is the joint image of g: each retained irrep's matrix, flattened
+    images = np.concatenate([table.irreps[i].matrices.reshape(group.order, -1)
+                             for i in irrep_indices], axis=1)
+    interner = _Interner(images.shape[1])
     classes: dict = {}
     for j, h in enumerate(subgroups):
-        span = Subspace.from_span([joint_image(g) for g in h.members], ambient_dim, tol)
+        span = Subspace.from_span(images[list(h.members)], images.shape[1], tol)
         span_id = interner.id_of(span, j, lambda i: all(   # as StarAlgebra.contains_matrix
             span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
-            for v in map(joint_image, subgroups[i].generators)))
+            for v in images[list(subgroups[i].generators)]))
         classes.setdefault(span_id, []).append(j)
-    return SubgroupEquivalence(tuple(tuple(c) for c in classes.values()))
+    return tuple(tuple(c) for c in classes.values())
 
 
 class _Interner:
@@ -151,10 +143,9 @@ class _Interner:
         return len(self._seen) - 1
 
 
-def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
-               mode: str = "auto", subgroups=None,
+def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, mode: str = "auto", subgroups=None,
                tol: Tolerance = DEFAULT_TOL) -> GaloisReport:
-    """Compute H -> M^H over the whole subgroup lattice and audit it.
+    """Compute H -> M^H over the whole subgroup lattice of ``pi.group`` and audit it.
 
     ``mode="inner"`` tests the double relative commutant identity
     ``(M^H)'' cap M twice == M^H``; ``mode="spatial"`` tests the plain
@@ -162,8 +153,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
     unitaries lie in M.  Equal fixed algebras share an id (``_Interner``),
     so distinctness checks are exact set operations on ids.
     """
-    if pi.group != group:
-        raise ValueError("representation and group disagree")
+    group = pi.group
     if mode == "auto":
         inside = all(m.contains_matrix(pi.matrices[s], tol) for s in group.generators)
         mode = "inner" if inside else "spatial"
@@ -171,6 +161,8 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
         raise ValueError(f"unknown mode {mode!r}")
     if subgroups is None:
         subgroups = enumerate_subgroups(group)
+    if len({h.members for h in subgroups}) != len(subgroups):
+        raise ValueError("a subgroup is given twice")
 
     table = rp.irrep_table(group, tol)
     properness = rp.is_proper(pi, table, tol)
@@ -184,27 +176,17 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
 
     _fill_rows(report, m, pi, subgroups, tol)
 
-    # equivalence classes over Sigma' and collision candidates versus full Sigma
-    eq_present = subgroup_equivalence(group, subgroups, properness.present, tol)
-    if properness.missing:
-        eq_full = subgroup_equivalence(group, subgroups, None, tol)
-    else:
-        eq_full = eq_present  # Sigma' is already every irrep
-    report.equivalence_classes = [list(c) for c in eq_present.classes]
-    full_class_of = {}
-    for ci, cls in enumerate(eq_full.classes):
-        for j in cls:
-            full_class_of[j] = ci
-    for cls in eq_present.classes:
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                if full_class_of[cls[a]] != full_class_of[cls[b]]:
-                    report.collision_candidates.append(
-                        (subgroups[cls[a]].members, subgroups[cls[b]].members)
-                    )
+    # equivalence classes over Sigma'; over all of Sigma each class is one
+    # subgroup, since C[G] is the direct sum of the End(V_rho) (Fourier
+    # injectivity) and the subgroups are distinct, so every pair within a
+    # class is a collision candidate
+    classes = subgroup_equivalence(group, subgroups, properness.present, tol)
+    report.equivalence_classes = [list(c) for c in classes]
+    report.collision_candidates = [(subgroups[a].members, subgroups[b].members)
+                                   for cls in classes for a, b in combinations(cls, 2)]
 
     # within a class the fixed algebras must agree ...
-    for cls in eq_present.classes:
+    for cls in classes:
         ids = {report.rows[j].fixed_id for j in cls}
         if len(ids) > 1:
             report.violations.append(
@@ -213,7 +195,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
     # ... and across classes they must differ whenever the action is proper
     if properness.proper:
         first: dict = {}   # fixed id -> first subgroup of the first class with it
-        for cls in eq_present.classes:
+        for cls in classes:
             j = first.setdefault(report.rows[cls[0]].fixed_id, cls[0])
             if j != cls[0]:
                 report.violations.append(
@@ -223,7 +205,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, group: FiniteGroup,
 
 def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
                tol: Tolerance) -> None:
-    """Rows and their violations, one kernel per conjugacy class, streamed.
+    """Rows and their violations, one kernel per conjugacy class, in order, keeping no basis.
 
     The first subgroup of each class (``subgroup_classes``) gets its fixed
     algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
@@ -234,30 +216,6 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     U(K)' to U(H)' and M onto M, and with them the residuals of the
     certificate.  A representative's basis is kept, for transport only,
     until the last row of its class.
-    """
-    classes = subgroup_classes(report.group, subgroups)
-    last = {r: j for j, (r, _) in enumerate(classes)}
-    kept: dict = {}       # representative index -> fixed algebra, until its last row
-    verdicts: dict = {}   # representative index -> (ok, residual, commutant dim)
-
-    def row(j: int):
-        r, g = classes[j]
-        if r == j:
-            fixed = kept[j] = alg.fixed_point_algebra(m, pi, subgroups[j], tol)
-            verdicts[j] = _bicommutant(fixed, m, pi, subgroups[j], report.mode, tol)
-        else:
-            fixed = alg.transported_fixed_algebra(kept[r], m, pi, subgroups[j], g)
-        if last[r] == j:
-            del kept[r]
-        return fixed, verdicts[r]
-
-    _stream_rows(report, m, pi, subgroups, row)
-
-
-def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
-                 row) -> None:
-    """Intern, audit and record row j from
-    ``row(j) -> (fixed, (ok, residual, commutant_dim))``, in order, keeping no basis.
 
     Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
     built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
@@ -268,10 +226,21 @@ def _stream_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgro
     def residual_to(i: int, basis: np.ndarray) -> float:
         return alg.commutator_residual(pi.matrices[list(subgroups[i].generators)], basis)
 
+    classes = subgroup_classes(report.group, subgroups)
+    last = {r: j for j, (r, _) in enumerate(classes)}
+    kept: dict = {}       # representative index -> fixed algebra, until its last row
+    verdicts: dict = {}   # representative index -> (ok, residual, commutant dim)
     interner = _Interner(m.ambient_dim ** 2)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
-    for j, sub in enumerate(subgroups):
-        fixed, (ok, residual, commutant_dim) = row(j)
+    for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
+        if r == j:
+            fixed = kept[j] = alg.fixed_point_algebra(m, pi, sub, tol)
+            verdicts[j] = _bicommutant(fixed, m, pi, sub, report.mode, tol)
+        else:
+            fixed = alg.transported_fixed_algebra(kept[r], m, pi, sub, g)
+        if last[r] == j:
+            del kept[r]
+        ok, residual, commutant_dim = verdicts[r]
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
                 residuals[i, j] = residual_to(i, fixed.basis)

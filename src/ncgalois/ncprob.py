@@ -104,19 +104,21 @@ class CondExpReport:
         return not self.violations
 
 
-def verify_cond_exp_axioms(rep: UnitaryRep, subgroup: Subgroup, phi: State,
+def verify_cond_exp_axioms(filtration: Filtration, t: int, phi: State,
                            seed: int = 0, samples: int = 20,
                            bound: float = 1e-9) -> CondExpReport:
-    """Audit the defining and derived conditional-expectation properties.
+    """Audit the conditional expectation onto the filtration's t-th algebra.
 
     Checks, on matrix units and a seeded random panel: operator-norm
     contraction, identity on the fixed algebra, state preservation,
     the bimodule property, idempotence, unitality, and positivity of the
-    Schwarz gap ``E(X*X) - E(X)* E(X)``.  Each check applies E once to
-    a (k, n, n) stack.  A non-invariant state shows up
-    as a recorded violation of state preservation; nothing passes
-    silently.
+    Schwarz gap ``E(X*X) - E(X)* E(X)``.  The representation, the subgroup
+    H_t and M^{H_t} are the filtration's own, so no algebra is solved
+    again.  Each check applies E once to a (k, n, n) stack.  A non-invariant
+    state shows up as a recorded violation of state preservation; nothing
+    passes silently.
     """
+    rep, subgroup, fixed = filtration.rep, filtration.chain[t], filtration.algebras[t]
     n = rep.dim
     rng = np.random.default_rng(seed)
     e = lambda x: conditional_expectation(x, rep, subgroup)
@@ -137,7 +139,6 @@ def verify_cond_exp_axioms(rep: UnitaryRep, subgroup: Subgroup, phi: State,
     if contraction > bound:
         violations.append(("contraction", contraction))
 
-    fixed = alg.fixed_point_algebra(StarAlgebra.full(n), rep, subgroup)
     identity_res = float(np.max(norms(e(fixed.basis) - fixed.basis)))
     residuals["identity_on_subalgebra"] = identity_res
     if identity_res > bound:

@@ -196,18 +196,11 @@ def algebra_to_json(algebra) -> dict:
     }
 
 
-def rep_from_json(obj, resolve_path=None) -> UnitaryRep:
+def rep_from_json(obj) -> UnitaryRep:
     if not isinstance(obj, dict):
         raise SpecValidationError("representation object must be a JSON object")
     check_fields(obj, {"group", "dim", "matrices"}, (), "representation")
-    group_field = obj["group"]
-    if isinstance(group_field, str):
-        if resolve_path is None:
-            raise SpecValidationError("cannot resolve a group file path here")
-        with open(resolve_path(group_field)) as fh:
-            group = group_from_json(json.load(fh))
-    else:
-        group = group_from_json(group_field)
+    group = group_from_json(obj["group"])
     dim = spec_int(obj["dim"], "representation dim")
     mats = np.array(
         [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]],

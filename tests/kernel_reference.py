@@ -189,13 +189,11 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
     return worst
 
 
-def every_row(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL) -> None:
-    """``galois._fill_rows`` with a fixed-point kernel and a bicommutant test on every row."""
-    def row(j):
-        fixed = algebras.fixed_point_algebra(m, pi, subgroups[j], tol)
-        return fixed, galois._bicommutant(fixed, m, pi, subgroups[j], report.mode, tol)
-
-    galois._stream_rows(report, m, pi, subgroups, row)
+def own_classes(group: FiniteGroup, subgroups) -> list:
+    """``groups.subgroup_classes`` with every subgroup its own representative:
+    patched into ``galois``, it has ``galois_map`` solve a fixed-point kernel
+    and a bicommutant test on every row."""
+    return [(j, group.identity) for j in range(len(subgroups))]
 
 
 def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,

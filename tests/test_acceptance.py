@@ -109,7 +109,7 @@ def test_criterion_4_galois_inner_case():
         reg = reps.regular_rep(group)
         m = StarAlgebra.full(group.order)
         start = time.perf_counter()
-        report = galois.galois_map(m, reg, group, mode="inner")
+        report = galois.galois_map(m, reg, mode="inner")
         elapsed = time.perf_counter() - start
         if name == "S4":
             s4_elapsed = elapsed
@@ -137,7 +137,8 @@ def test_criterion_5_conditional_expectation_axioms():
     assert phi.faithful
     worst = 0.0
     for sub in groups.enumerate_subgroups(s3):
-        report = ncprob.verify_cond_exp_axioms(perm, sub, phi, seed=17,
+        filtration = ncprob.filtration_from_chain(StarAlgebra.full(3), perm, [sub])
+        report = ncprob.verify_cond_exp_axioms(filtration, 0, phi, seed=17,
                                                samples=40, bound=1e-9)
         assert report.ok, (sub.members, report.violations)
         worst = max(
@@ -153,7 +154,8 @@ def test_criterion_5_conditional_expectation_axioms():
     # nothing else on a subgroup acting non-trivially
     bad = State(np.diag([0.6, 0.3, 0.1]))
     top = groups.Subgroup(s3, tuple(range(6)))
-    control = ncprob.verify_cond_exp_axioms(perm, top, bad, seed=17)
+    filtration = ncprob.filtration_from_chain(StarAlgebra.full(3), perm, [top])
+    control = ncprob.verify_cond_exp_axioms(filtration, 0, bad, seed=17)
     names = [v[0] for v in control.violations]
     negative_ok = "state_preservation" in names
     ok = worst < 1e-9 and negative_ok

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import kernel_reference
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from ncgalois import algebras, groups, reporting, reps
 from ncgalois.cli import main
+from ncgalois.linalg import DEFAULT_TOL, Tolerance
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,19 @@ def test_galois_solves_one_fixed_point_algebra_per_subgroup_class(tmp_path, monk
     assert body["minimal_action_witness_dim"] == 24 and not body["minimal_action"]
 
 
+def test_a_representations_group_file_is_hashed(workspace, tmp_path):
+    # a representation may name its group by path; that file is an input too
+    rep = reporting.rep_to_json(reps.regular_rep(groups.symmetric_group(3)))
+    (workspace / "s3_reg_by_path.json").write_text(json.dumps({**rep, "group": "s3.json"}))
+    spec = write_spec(workspace, "gp.json", {"representation": "s3_reg_by_path.json"})
+    out = tmp_path / "r.json"
+    assert run_cli(["galois", spec, "--out", out]) == 0
+    inputs = load_report(out)["inputs"]
+    assert inputs["representation"]["path"] == "s3_reg_by_path.json"
+    assert inputs["representation.group"] == {
+        "path": "s3.json", "sha256": reporting.sha256_of_file(workspace / "s3.json")}
+
+
 def test_modular_report(workspace, tmp_path):
     rho = reporting.matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex))
     spec = write_spec(workspace, "m.json", {"state": rho, "seed": 1})
@@ -182,6 +198,23 @@ def test_martingale_flags_noninvariant_state(workspace, tmp_path):
     report = load_report(out)
     assert any(v["check"].startswith("cond_exp:state_preservation")
                for v in report["violations"])
+
+
+def test_martingale_solves_each_chain_algebra_once_at_the_cli_tolerance(tmp_path, monkeypatch):
+    # the axiom audit reads M^{H_t} off the filtration, so the A4 benchmark
+    # chain of four subgroups makes four fixed-point solves, all at --tol-*
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    spec = workloads.write_inputs("martingale-a4-regular", 101, str(tmp_path))
+    tols, honest = [], algebras.fixed_point_algebra
+    monkeypatch.setattr(algebras, "fixed_point_algebra", lambda m, rep, sub, tol=DEFAULT_TOL:
+                        tols.append(tol) or honest(m, rep, sub, tol))
+    out = tmp_path / "r.json"
+    assert run_cli(["martingale", spec, "--tol-rel", "1e-8", "--out", out]) == 0
+    assert tols == [Tolerance(abs_eps=1e-12, rel_eps=1e-8)] * 4
+    assert load_report(out)["violations"] == []
 
 
 def _crossed_spec(base_extra=None, action_extra=None):

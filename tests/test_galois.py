@@ -15,13 +15,11 @@ from ncgalois.linalg import DEFAULT_TOL
 @pytest.fixture(scope="module")
 def z2_sign_action():
     z2 = groups.cyclic_group(2)
-    rep = reps.UnitaryRep(z2, np.array([np.eye(2), np.diag([1.0, -1.0])]))
-    return z2, rep
+    return reps.UnitaryRep(z2, np.array([np.eye(2), np.diag([1.0, -1.0])]))
 
 
 def test_galois_z2_on_m2(z2_sign_action):
-    z2, rep = z2_sign_action
-    report = galois.galois_map(StarAlgebra.full(2), rep, z2)
+    report = galois.galois_map(StarAlgebra.full(2), z2_sign_action)
     assert report.mode == "inner"
     assert report.proper
     dims = {r.subgroup.members: r.fixed_dim for r in report.rows}
@@ -34,7 +32,7 @@ def test_galois_z2_on_m2(z2_sign_action):
 def test_galois_s3_regular_injective(s3, monkeypatch):
     reg = reps.regular_rep(s3)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
-    report = galois.galois_map(StarAlgebra.full(6), reg, s3)
+    report = galois.galois_map(StarAlgebra.full(6), reg)
     assert report.proper
     assert len(report.rows) == 6
     assert report.injective
@@ -51,7 +49,7 @@ def test_galois_s3_regular_injective(s3, monkeypatch):
 
 def test_galois_s3_permutation_not_proper(s3):
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
-    report = galois.galois_map(StarAlgebra.full(3), perm, s3)
+    report = galois.galois_map(StarAlgebra.full(3), perm)
     assert not report.proper
     assert len(report.missing) == 1     # the sign representation is invisible
     assert report.collision_candidates == []
@@ -64,7 +62,7 @@ def test_anti_monotonicity_top_bottom(s3, monkeypatch):
     reg = reps.regular_rep(s3)
     m = StarAlgebra.full(6)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
-    report = galois.galois_map(m, reg, s3)
+    report = galois.galois_map(m, reg)
     subs = groups.enumerate_subgroups(s3)
     whole = fixed[tuple(range(6))]
     trivial = fixed[(s3.identity,)]
@@ -87,7 +85,7 @@ def test_anti_monotone_audit_matches_the_projection_reference(fixture_groups, s3
     for g in fixture_groups.values():
         with monkeypatch.context() as patch:
             fixed = kernel_reference.record_fixed_algebras(patch)
-            report = galois.galois_map(StarAlgebra.full(g.order), reps.regular_rep(g), g)
+            report = galois.galois_map(StarAlgebra.full(g.order), reps.regular_rep(g))
         cases.append((report, fixed, groups.enumerate_subgroups(g)))
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
     cp = crossed.crossed_product(StarAlgebra.full(3),
@@ -112,7 +110,7 @@ def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, mo
     monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(s3)
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     flagged = [v for v in report.violations if v[0] == "anti-monotone"]
     assert [v[1] for v in flagged] == [(s.members, top) for s in subs[1:-1]]
     assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
@@ -135,7 +133,7 @@ def test_several_anti_monotone_violations_come_in_the_h1_outer_order(d4, monkeyp
     monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(d4)
-    report = galois.galois_map(m, rep, d4)
+    report = galois.galois_map(m, rep)
     streamed = [(v[1], v[2]) for v in report.violations if v[0] == "anti-monotone"]
     assert streamed == kernel_reference.anti_monotone_by_generators(rep, fixed, subs)
     pairs = [pair for pair, _ in streamed]
@@ -154,7 +152,7 @@ def test_galois_map_runs_no_closure_check(s3, monkeypatch):
     honest = algebras._require_closed
     monkeypatch.setattr(algebras, "_require_closed",
                         lambda a: calls.append(a.dim) or honest(a))
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     assert report.injective and not report.violations
     assert calls == []
     StarAlgebra.from_span([np.eye(6)], 6)   # the counter does see a boundary
@@ -163,11 +161,11 @@ def test_galois_map_runs_no_closure_check(s3, monkeypatch):
 
 def test_subgroup_equivalence_full_sigma(fixture_groups):
     # with every irrep retained, fixture subgroups fall into singleton classes
-    for name in ("Z2", "Z4", "Z6", "S3", "D4", "Q8"):
-        g = fixture_groups[name]
+    for name, g in fixture_groups.items():
         subs = groups.enumerate_subgroups(g)
-        eq = galois.subgroup_equivalence(g, subs)
-        assert all(len(c) == 1 for c in eq.classes), name
+        every = range(len(reps.irrep_table(g).irreps))
+        classes = galois.subgroup_equivalence(g, subs, every)
+        assert all(len(c) == 1 for c in classes), name
 
 
 def test_subgroup_equivalence_trivial_only(s3):
@@ -177,8 +175,8 @@ def test_subgroup_equivalence_trivial_only(s3):
         i for i, chi in enumerate(table.characters)
         if np.allclose(chi, np.ones(6))
     )
-    eq = galois.subgroup_equivalence(s3, subs, [trivial_index])
-    assert len(eq.classes) == 1         # every span is the scalar line
+    classes = galois.subgroup_equivalence(s3, subs, [trivial_index])
+    assert len(classes) == 1            # every span is the scalar line
 
 
 def test_subgroup_equivalence_classes_follow_first_appearance(s3):
@@ -187,32 +185,32 @@ def test_subgroup_equivalence_classes_follow_first_appearance(s3):
     subs = groups.enumerate_subgroups(s3)
     table = reps.irrep_table(s3)
     one_dim = [i for i, d in enumerate(table.dims) if d == 1]
-    eq = galois.subgroup_equivalence(s3, subs, one_dim)
+    classes = galois.subgroup_equivalence(s3, subs, one_dim)
     odd = [any(s3.element_order(a) == 2 for a in h.members) for h in subs]
     expected: dict = {}
     for j, flag in enumerate(odd):
         expected.setdefault(flag, []).append(j)
-    assert eq.classes == tuple(tuple(c) for c in expected.values())
-    assert len(eq.classes) == 2
-    assert galois.subgroup_equivalence(s3, [], one_dim).classes == ()
+    assert classes == tuple(tuple(c) for c in expected.values())
+    assert len(classes) == 2
+    assert galois.subgroup_equivalence(s3, [], one_dim) == ()
 
 
 def test_conjugate_subgroups_inequivalent(s3):
     subs = [s for s in groups.enumerate_subgroups(s3) if s.order == 2]
-    eq = galois.subgroup_equivalence(s3, subs)
-    assert all(len(c) == 1 for c in eq.classes)
+    classes = galois.subgroup_equivalence(s3, subs, range(len(reps.irrep_table(s3).irreps)))
+    assert all(len(c) == 1 for c in classes)
 
 
 def test_minimal_action_cases(s3):
     # the witness dim (M^G)' cap M is the first commutant of the top row
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
-    report = galois.galois_map(StarAlgebra.full(3), perm, s3)
+    report = galois.galois_map(StarAlgebra.full(3), perm)
     assert report.rows[-1].subgroup.order == 6
     # commutant of span{1, ones} is M1 + M2
     assert galois.is_minimal_action(report) == (False, 5)
     # a report without G's row last has no witness
     lower = [r.subgroup for r in report.rows if r.subgroup.order < 6]
-    below = galois.galois_map(StarAlgebra.full(3), perm, s3, subgroups=lower)
+    below = galois.galois_map(StarAlgebra.full(3), perm, subgroups=lower)
     with pytest.raises(ValueError, match="whole group"):
         galois.is_minimal_action(below)
 
@@ -220,7 +218,7 @@ def test_minimal_action_cases(s3):
     z1 = groups.cyclic_group(1)
     triv = kernel_reference.trivial_rep(z1, dim=2)
     diag = StarAlgebra.diagonal(2)
-    report = galois.galois_map(diag, triv, z1, mode="inner")
+    report = galois.galois_map(diag, triv, mode="inner")
     assert galois.is_minimal_action(report) == (False, 2)
 
     # inner actions with scalar fixed algebra are never minimal on M_n, n>1:
@@ -249,7 +247,7 @@ def test_minimal_action_cases(s3):
 def test_spatial_mode_uses_plain_commutant(s3):
     # permutation unitaries viewed as acting on M3 but compared spatially
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
-    report = galois.galois_map(StarAlgebra.full(3), perm, s3, mode="spatial")
+    report = galois.galois_map(StarAlgebra.full(3), perm, mode="spatial")
     assert report.mode == "spatial"
     assert all(r.bicommutant_ok for r in report.rows)
 
@@ -259,7 +257,7 @@ def test_mode_detection_spatial():
     z2 = groups.cyclic_group(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
-    report = galois.galois_map(StarAlgebra.diagonal(2), rep, z2)
+    report = galois.galois_map(StarAlgebra.diagonal(2), rep)
     assert report.mode == "spatial"
     dims = {r.subgroup.members: r.fixed_dim for r in report.rows}
     assert dims == {(0,): 2, (0, 1): 1}
@@ -284,8 +282,8 @@ def test_galois_verdicts_survive_a_unitary_change_of_basis(name):
     turned = _rotated_regular(group)
 
     m = StarAlgebra.full(group.order)
-    plain = galois.galois_map(m, reg, group)
-    rotated = galois.galois_map(m, turned, group)
+    plain = galois.galois_map(m, reg)
+    rotated = galois.galois_map(m, turned)
     assert not plain.violations and not rotated.violations
     assert [r.fixed_dim for r in rotated.rows] == [r.fixed_dim for r in plain.rows]
     assert rotated.equivalence_classes == plain.equivalence_classes
@@ -321,11 +319,11 @@ def test_galois_map_holds_no_fixed_basis(s4):
     # the S4 regular lattice's fixed bases are 5,616 matrices of 24 x 24 (52 MB);
     # streamed rows keep the traced peak near one class and the report small
     m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
-    galois.galois_map(m, rep, s4)     # warm-up: the irrep table memo
+    galois.galois_map(m, rep)     # warm-up: the irrep table memo
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = galois.galois_map(m, rep, s4)
+        report = galois.galois_map(m, rep)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +338,7 @@ def test_galois_map_forms_no_subspace_distance_on_s4(s4, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a subspace distance was formed")
     monkeypatch.setattr(linalg.Subspace, "distance", refuse)
-    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
     assert len(report.rows) == 30 and report.injective and not report.violations
     assert all(r.bicommutant_ok for r in report.rows)
 
@@ -376,7 +374,7 @@ def _galois_case(name):
         if kind == "sign":
             signs = np.linalg.det(rep.matrices).real
             rep = reps.UnitaryRep(group, np.array([np.diag([1.0, s]) for s in signs]))
-    return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep, group)
+    return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep)
 
 
 @pytest.mark.parametrize("name", _DIRECT_CASES)
@@ -389,7 +387,7 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
         fast_fixed = kernel_reference.record_fixed_algebras(patch)
         fast = run()
     with monkeypatch.context() as patch:
-        patch.setattr(galois, "_fill_rows", kernel_reference.every_row)
+        patch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
         direct_fixed = kernel_reference.record_fixed_algebras(patch)
         direct = run()
 
@@ -437,6 +435,9 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     assert len(kernels) == per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
     if name in _IMPROPER_CASES:
         assert not confirmed.proper and not confirmed.violations
+    # the pairs within a class over the present irreps: none on a proper lattice
+    candidates = {"permutation-S4": 1, "sign-S3": 7}.get(name, 0)
+    assert len(confirmed.collision_candidates) == candidates
 
 
 @pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
@@ -488,7 +489,7 @@ def test_a_doctored_second_commutant_fails_its_class(s3, monkeypatch, doctor, le
     # one element dropped it still commutes, and the dimension alone fails it
     _doctor_second_commutants(monkeypatch, "relative_commutant", lambda twice: (
         doctor(twice.basis) if twice.dim == 18 else twice.basis))
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
     assert [v[:2] for v in report.violations] == [("bicommutant", h) for h in order_two]
     assert all((v[2] > galois._RESIDUAL_BOUND) == leaves for v in report.violations)
@@ -505,7 +506,7 @@ def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatc
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
     _doctor_second_commutants(monkeypatch, "commutant", lambda twice: np.concatenate(
         [twice.basis[:-1], swap[None] / np.sqrt(2.0)]))
-    report = galois.galois_map(StarAlgebra.diagonal(2), rep, z2)
+    report = galois.galois_map(StarAlgebra.diagonal(2), rep)
     assert report.mode == "spatial"
     assert [v[:2] for v in report.violations] == [("bicommutant", (0,)), ("bicommutant", (0, 1))]
     assert all(abs(v[2] - 1.0) <= 1e-12 for v in report.violations)
@@ -530,8 +531,8 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
                 report.anti_monotone_pairs)
 
     m = StarAlgebra.full(group.order)
-    assert verdicts(galois.galois_map(m, noisy, group)) == verdicts(
-        galois.galois_map(m, reg, group))
+    assert verdicts(galois.galois_map(m, noisy)) == verdicts(
+        galois.galois_map(m, reg))
 
 
 def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch):
@@ -543,12 +544,12 @@ def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch)
                 honest = getattr(algebras, fn)
                 patch.setattr(algebras, fn, lambda *a, _f=honest, _n=fn, **k:
                               calls.update([_n]) or _f(*a, **k))
-            report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+            report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
         assert len(report.rows) == 30 and not report.violations
         return calls
 
     assert counted() == {"fixed_point_algebra": 11, "relative_commutant": 22}
-    monkeypatch.setattr(galois, "_fill_rows", kernel_reference.every_row)
+    monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
     assert counted() == {"fixed_point_algebra": 30, "relative_commutant": 60}
 
 
@@ -559,7 +560,7 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
     honest = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *args: sizes.append(a.shape[0]) or honest(a, *args))
-    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4), s4)
+    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
     assert report.injective and not report.violations
     assert max(sizes) <= 160
 
@@ -573,7 +574,7 @@ def test_the_order_48_regular_lattice(s4_times_z2):
     rep = reps.regular_rep(s4_times_z2)
     tracemalloc.start()
     try:
-        report = galois.galois_map(StarAlgebra.full(48), rep, s4_times_z2)
+        report = galois.galois_map(StarAlgebra.full(48), rep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -585,6 +586,45 @@ def test_the_order_48_regular_lattice(s4_times_z2):
     assert report.anti_monotone_pairs == 727
     assert all(r.bicommutant_ok for r in report.rows)
     assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
+@pytest.fixture(scope="module")
+def s5_on_irreps():
+    """S5 on the direct sum of its irreps (n = 26, its smallest proper carrier),
+    its 156 subgroups, found past the order bound, and their lattice's report."""
+    s5 = groups.symmetric_group(5)
+    rep = reps.direct_sum(*reps.irrep_table(s5).irreps)
+    subgroups = groups.enumerate_subgroups(s5, order_bound=s5.order)
+    return rep, subgroups, galois.galois_map(StarAlgebra.full(rep.dim), rep,
+                                             subgroups=subgroups)
+
+
+def test_the_s5_lattice_on_its_irreps(s5_on_irreps):
+    # a lattice past order 48, in seconds on its 26-dimensional carrier
+    rep, subgroups, report = s5_on_irreps
+    assert rep.dim == 26 and len(report.rows) == 156
+    assert len({r for r, _ in groups.subgroup_classes(rep.group, subgroups)}) == 19
+    assert report.anti_monotone_pairs == 1089
+    assert report.proper and report.injective and report.violations == []
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
+@pytest.mark.slow
+def test_the_s5_lattice_solves_every_row_alike(s5_on_irreps, monkeypatch):
+    # the 137 transported rows against a fixed-point kernel and a
+    # bicommutant test on each of the 156 rows
+    rep, subgroups, report = s5_on_irreps
+    monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
+    direct = galois.galois_map(StarAlgebra.full(rep.dim), rep, subgroups=subgroups)
+
+    def verdicts(report):
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok,
+                 r.commutant_dim) for r in report.rows]
+        return (rows, report.equivalence_classes, report.collision_candidates,
+                report.anti_monotone_pairs, report.violations)
+
+    assert verdicts(report) == verdicts(direct)
 
 
 def _with_identity_for_the_first_transported_row(group, subgroups):
@@ -612,7 +652,7 @@ def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(s3)
     with pytest.raises(ClosureFailed, match="fails to commute"):
-        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     # rows before the bad one were written, the bad one and later ones were not
     assert [r.subgroup.members for r in made[0].rows] == [s.members for s in subs[:2]]
     assert list(fixed) == [s.members for s in subs[:2]]
@@ -638,13 +678,22 @@ def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
         return (False, 0.5, 2) if fixed.dim == 18 else honest(fixed, m, pi, subgroup, mode, tol)
 
     monkeypatch.setattr(galois, "_bicommutant", failing)
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
     assert calls == [36, 18, 12, 6]
     assert report.violations == [("bicommutant", members, 0.5) for members in order_two]
     assert [(r.bicommutant_ok, r.bicommutant_residual, r.commutant_dim) for r in report.rows
             if r.subgroup.order == 2] == [(False, 0.5, 2)] * 3
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
+
+
+def test_a_subgroup_given_twice_is_refused(s3):
+    # collision candidates are the pairs within a class over the present
+    # irreps, which holds only for distinct subgroups
+    order_two = [s for s in groups.enumerate_subgroups(s3) if s.order == 2]
+    with pytest.raises(ValueError, match="given twice"):
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3),
+                          subgroups=[order_two[0], order_two[1], order_two[0]])
 
 
 def test_transport_into_a_non_invariant_algebra_is_refused(s3):
@@ -657,7 +706,7 @@ def test_transport_into_a_non_invariant_algebra_is_refused(s3):
                               + [np.outer(e[2], e[2])], 3)
     swap01, swap12 = groups.Subgroup(s3, (0, 2)), groups.Subgroup(s3, (0, 1))
     assert [r for r, _ in groups.subgroup_classes(s3, [swap01, swap12])] == [0, 0]
-    alone = galois.galois_map(m, perm, s3, subgroups=[swap01])
+    alone = galois.galois_map(m, perm, subgroups=[swap01])
     assert [r.fixed_dim for r in alone.rows] == [3]
     with pytest.raises(NotInvariantAlgebra, match="conjugation by element"):
-        galois.galois_map(m, perm, s3, subgroups=[swap01, swap12])
+        galois.galois_map(m, perm, subgroups=[swap01, swap12])

@@ -114,7 +114,8 @@ def test_cond_exp_lands_in_fixed_algebra(s3_perm, s3, s3_subgroups, rng):
 
 def test_axioms_pass_on_invariant_state(s3_perm, a3):
     phi = average_state(State(np.diag([0.5, 0.3, 0.2])), s3_perm)
-    report = verify_cond_exp_axioms(s3_perm, a3, phi, seed=1, samples=30)
+    filtration = filtration_from_chain(StarAlgebra.full(3), s3_perm, [a3])
+    report = verify_cond_exp_axioms(filtration, 0, phi, seed=1, samples=30)
     assert report.ok, report.violations
     assert report.residuals["contraction_gap"] <= 1e-9
     assert report.residuals["schwarz_min_eig"] >= -1e-10
@@ -122,7 +123,8 @@ def test_axioms_pass_on_invariant_state(s3_perm, a3):
 
 def test_axioms_flag_noninvariant_state(s3_perm, a3):
     phi = State(np.diag([0.6, 0.3, 0.1]))      # not permutation invariant
-    report = verify_cond_exp_axioms(s3_perm, a3, phi, seed=1)
+    filtration = filtration_from_chain(StarAlgebra.full(3), s3_perm, [a3])
+    report = verify_cond_exp_axioms(filtration, 0, phi, seed=1)
     names = [v[0] for v in report.violations]
     assert "state_preservation" in names
     assert "contraction" not in names           # only axiom (iii) must fail
@@ -178,8 +180,9 @@ def test_stacked_axiom_table_equals_the_per_matrix_loop():
     assert [h.order for h in chain] == [12, 4, 2, 1]
     rng = np.random.default_rng(4)
     phi = average_state(random_faithful(12, rng), rep)
-    for h in chain:
-        table = verify_cond_exp_axioms(rep, h, phi, seed=9).residuals
+    filtration = filtration_from_chain(StarAlgebra.full(12), rep, chain)
+    for t, h in enumerate(chain):
+        table = verify_cond_exp_axioms(filtration, t, phi, seed=9).residuals
         reference = _per_matrix_axiom_table(rep, h, phi, seed=9)
         assert table.keys() == reference.keys()
         for name, value in reference.items():
