@@ -31,13 +31,18 @@ Each algebra is certified where it is built.  Closure residuals
 (``_require_closed``) run only where closure is not a theorem: on outside
 spans (``from_span``) and grown spans (``algebra_from_generators``); the
 commutant of a *-closed family is a unital *-algebra.  Every commutant
-kernel is checked against its defining equation BX = XB
-(``commutator_residual``), a fixed-point basis on its subgroup's
-generators, together with the character count in a full M
+kernel solved here is checked against its defining equation BX = XB
+(``commutator_residual``) on its whole family, a fixed-point basis on its
+subgroup's generators, together with the character count in a full M
 (``_certified_fixed``); intersections of two *-algebras are not
 re-checked.  A fixed algebra of a conjugate subgroup is transported by one
 conjugation (``transported_fixed_algebra``) and takes the same
-certificate.
+certificate.  The bicommutant test of ``galois`` in a full M does not walk
+a basis: it solves (M^H)' and (M^H)'' by ``linalg.commutant_kernel``
+itself and certifies the first by the character rank of H and the
+membership of every U(h), the second on H's generators at the dimension
+of M^H.  A relative commutant in a non-full M (``relative_commutant``) is
+still certified on its family, the whole basis of M^H.
 """
 
 from __future__ import annotations

@@ -13,7 +13,15 @@ inner mode) by the Sylvester kernel, and certifies the second against the
 definition M^H = U(H)' cap M: it must commute with the unitaries of H's
 generators and, in a non-full M, lie in M.  Then it lies in M^H, and at
 the dimension of M^H, which in a full M the character count has fixed, it
-is M^H; no distance in the n^2-dimensional matrix space is formed.
+is M^H; no distance in the n^2-dimensional matrix space is formed.  In a
+full M the first commutant is span U(H), the commutant of U(H)' (double
+commutant theorem), of dimension the rank of the |H| x |H| character
+matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6).  It is certified by that
+rank and by every U(h), h in H, lying in it, and neither kernel walks a
+basis: |H| membership residuals replace a commutator walk over the up to
+n^2 elements of M^H's basis.  In a non-full M both commutants come from
+``algebras`` (relative ones in inner mode), each certified there on its
+whole family.
 
 The map is equivariant: M^{gHg^-1} = U_g M^H U_g*.  So one fixed-point
 kernel and one bicommutant test run per conjugacy class of the given
@@ -42,7 +50,7 @@ from . import algebras as alg
 from . import reps as rp
 from .algebras import StarAlgebra
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, frob
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, frob
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -220,11 +228,19 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
     built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
     with the unitaries of H1's generators.  The interner confirms a match
-    with an earlier row by the same test.  Bicommutant violations come in
+    with an earlier row by the same test.  Both read each element's
+    residual on the row's basis from one memo, so an element shared by
+    several H1 is multiplied once per row.  Bicommutant violations come in
     row order, then anti-monotone ones with H1 outer and H2 inner.
     """
-    def residual_to(i: int, basis: np.ndarray) -> float:
-        return alg.commutator_residual(pi.matrices[list(subgroups[i].generators)], basis)
+    def residual_to(i: int, basis: np.ndarray, memo: dict) -> float:
+        """``commutator_residual`` of H_i's generators on ``basis``: the worst of
+        their own residuals, which ``memo`` holds per element for that basis."""
+        gens = subgroups[i].generators
+        for s in gens:
+            if s not in memo:
+                memo[s] = alg.commutator_residual(pi.matrices[[s]], basis)
+        return max((memo[s] for s in gens), default=0.0)
 
     classes = subgroup_classes(report.group, subgroups)
     last = {r: j for j, (r, _) in enumerate(classes)}
@@ -241,11 +257,12 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
         if last[r] == j:
             del kept[r]
         ok, residual, commutant_dim = verdicts[r]
+        memo: dict = {}   # element -> its commutator residual on this row's basis
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
-                residuals[i, j] = residual_to(i, fixed.basis)
+                residuals[i, j] = residual_to(i, fixed.basis, memo)
         fixed_id = interner.id_of(
-            fixed.subspace(), j, lambda i: residual_to(i, fixed.basis) <= _RESIDUAL_BOUND)
+            fixed.subspace(), j, lambda i: residual_to(i, fixed.basis, memo) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
         report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual, commutant_dim))
@@ -266,9 +283,16 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     residual is its commutator residual on the unitaries of H's generators,
     and in a non-full M also its containment residual in M.  Under the bound
     ``twice`` lies in U(H)' cap M = M^H, so at the dimension of ``fixed`` it
-    is M^H.
+    is M^H.  In a full M both are ``_solve_commutant`` kernels, and ``once``
+    must also be span U(H) (``_first_commutant_ok``); a failing ``once``
+    fails the row, and the residual stays ``twice``'s.
     """
-    if mode == "inner":
+    once_ok = True
+    if m.is_full:
+        once = _solve_commutant(fixed.basis, tol)
+        twice = _solve_commutant(once.basis, tol)
+        once_ok = _first_commutant_ok(once, pi, subgroup)
+    elif mode == "inner":
         once = alg.relative_commutant(fixed, m, tol)
         twice = alg.relative_commutant(once, m, tol)
     else:
@@ -277,7 +301,39 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     residual = alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
     if not m.is_full:
         residual = max(residual, m.subspace().containment_residual(twice.subspace()))
-    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
+    return once_ok and residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
+
+
+def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
+    """The Sylvester kernel of a *-closed family as an algebra, with no
+    commutator certificate: ``_bicommutant`` certifies both of its kernels."""
+    n = family.shape[1]
+    return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
+
+
+def _character_matrix(pi: rp.UnitaryRep, subgroup: Subgroup) -> np.ndarray:
+    """K[a, b] = chi(a^-1 b) over the members a, b of H, chi the character of ``pi``.
+
+    K is convolution by chi on C[H]: its eigenvalue is |H| m_rho / d_rho,
+    at least 1, on the d_rho^2 functions of each constituent rho of U|_H,
+    and 0 elsewhere (Serre, 2.4-2.6).  So its rank, read at the cut 1/2,
+    is dim span U(H).
+    """
+    group, h = pi.group, np.asarray(subgroup.members)
+    chi = np.trace(pi.matrices, axis1=1, axis2=2)
+    return chi[group.mult[np.ix_(group.inverse[h], h)]]
+
+
+def _first_commutant_ok(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup) -> bool:
+    """Whether ``once`` is span U(H) = (M^H)' in a full M: every U(h), h in H,
+    lies in it within the bound, relative to ||U_h||_F, at the dimension
+    rank K (``_character_matrix``)."""
+    rank = int(np.sum(np.linalg.eigvalsh(_character_matrix(pi, subgroup)) > 0.5))
+    if once.dim != rank:
+        return False
+    units = pi.matrices[list(subgroup.members)].reshape(subgroup.order, -1)
+    units = units / np.linalg.norm(units, axis=1)[:, None]
+    return once.subspace().residual(units.T) <= _RESIDUAL_BOUND
 
 
 def is_minimal_action(report: GaloisReport):

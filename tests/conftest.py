@@ -39,3 +39,8 @@ def direct_product(g, h):
 @pytest.fixture(scope="session")
 def s4_times_z2():
     return direct_product(groups.symmetric_group(4), groups.cyclic_group(2))
+
+
+@pytest.fixture(scope="session")
+def s4_times_s3():
+    return direct_product(groups.symmetric_group(4), groups.symmetric_group(3))

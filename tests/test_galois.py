@@ -461,17 +461,17 @@ def test_the_generator_certificate_agrees_with_the_distance_reference(name, monk
         assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
 
 
-def _doctor_second_commutants(monkeypatch, solver: str, basis_of) -> None:
-    """Give the second of each pair of ``algebras.<solver>`` calls, the
+def _doctor_second_commutants(monkeypatch, module, solver: str, basis_of) -> None:
+    """Give the second of each pair of ``module.<solver>`` calls, the
     bicommutant test's ``twice`` solved from ``once``, the basis ``basis_of(twice)``."""
-    honest, made = getattr(algebras, solver), []
+    honest, made = getattr(module, solver), []
 
     def solve(*args, **kwargs):
         made.append(honest(*args, **kwargs))
         if len(made) % 2:
             return made[-1]
         return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
-    monkeypatch.setattr(algebras, solver, solve)
+    monkeypatch.setattr(module, solver, solve)
 
 
 _E01 = np.zeros((1, 6, 6), dtype=complex)
@@ -486,8 +486,9 @@ def test_a_doctored_second_commutant_fails_its_class(s3, monkeypatch, doctor, le
     # negative controls on the twice of S3's order-2 class, of dimension 18:
     # with one element swapped for the matrix unit E_01 of M6, which no
     # regular unitary but the identity's commutes with, it leaves M^H; with
-    # one element dropped it still commutes, and the dimension alone fails it
-    _doctor_second_commutants(monkeypatch, "relative_commutant", lambda twice: (
+    # one element dropped it still commutes, and the dimension alone fails it.
+    # In a full M both kernels of the test are galois._solve_commutant
+    _doctor_second_commutants(monkeypatch, galois, "_solve_commutant", lambda twice: (
         doctor(twice.basis) if twice.dim == 18 else twice.basis))
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
@@ -504,7 +505,7 @@ def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatc
     z2 = groups.cyclic_group(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
-    _doctor_second_commutants(monkeypatch, "commutant", lambda twice: np.concatenate(
+    _doctor_second_commutants(monkeypatch, algebras, "commutant", lambda twice: np.concatenate(
         [twice.basis[:-1], swap[None] / np.sqrt(2.0)]))
     report = galois.galois_map(StarAlgebra.diagonal(2), rep)
     assert report.mode == "spatial"
@@ -536,21 +537,102 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
 
 
 def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch):
-    # S4's 30 subgroups fall into 11 conjugacy classes
+    # S4's 30 subgroups fall into 11 conjugacy classes; in a full M the two
+    # commutants of each bicommutant test are galois._solve_commutant kernels,
+    # and algebras.relative_commutant is never called
     def counted():
         calls = collections.Counter()
         with monkeypatch.context() as patch:
-            for fn in ("fixed_point_algebra", "relative_commutant"):
-                honest = getattr(algebras, fn)
-                patch.setattr(algebras, fn, lambda *a, _f=honest, _n=fn, **k:
+            for module, fn in ((algebras, "fixed_point_algebra"),
+                               (algebras, "relative_commutant"), (galois, "_solve_commutant")):
+                honest = getattr(module, fn)
+                patch.setattr(module, fn, lambda *a, _f=honest, _n=fn, **k:
                               calls.update([_n]) or _f(*a, **k))
             report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
         assert len(report.rows) == 30 and not report.violations
         return calls
 
-    assert counted() == {"fixed_point_algebra": 11, "relative_commutant": 22}
+    assert counted() == {"fixed_point_algebra": 11, "_solve_commutant": 22}
     monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
-    assert counted() == {"fixed_point_algebra": 30, "relative_commutant": 60}
+    assert counted() == {"fixed_point_algebra": 30, "_solve_commutant": 60}
+
+
+@pytest.mark.parametrize("name", ["regular-S4", "regular-A4", "regular-D4", "permutation-S4"])
+def test_the_character_rank_is_the_first_commutant_dimension(name):
+    # rank K, K[a, b] = chi(a^-1 b) on H, is dim (M^H)' on every subgroup, and
+    # the cut at 1/2 has a margin: kept eigenvalues |H| m / d >= 1, dropped
+    # ones rounding zeros
+    kind, _, group_name = name.partition("-")
+    group = groups.FIXTURE_GROUPS[group_name]()
+    rep = (reps.regular_rep(group) if kind == "regular"
+           else reps.permutation_rep(group, groups.symmetric_action(4)))
+    m = StarAlgebra.full(rep.dim)
+    for sub in groups.enumerate_subgroups(group):
+        eig = np.linalg.eigvalsh(galois._character_matrix(rep, sub))
+        kept, dropped = eig[eig > 0.5], eig[eig <= 0.5]
+        fixed = algebras.fixed_point_algebra(m, rep, sub)
+        assert len(kept) == algebras.commutant(fixed).dim, sub.members
+        assert np.min(kept) >= 1.0
+        assert np.max(np.abs(dropped), initial=0.0) <= 1e-9
+
+
+def _doctor_first_commutants(monkeypatch, basis_of) -> None:
+    """Give the first of each pair of ``galois._solve_commutant`` calls, the
+    bicommutant test's ``once``, the basis ``basis_of(once)``, and solve
+    ``twice`` from the honest ``once``, so only the first certificate can fail."""
+    honest, made = galois._solve_commutant, []
+
+    def solve(family, tol):
+        if len(made) % 2:
+            family = made[-1].basis
+        made.append(honest(family, tol))
+        if len(made) % 2:
+            return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
+        return made[-1]
+    monkeypatch.setattr(galois, "_solve_commutant", solve)
+
+
+def _with_e01_added(basis):
+    """The basis and E_01 made orthogonal to it, normalized."""
+    flat = basis.reshape(len(basis), -1)
+    e = _E01.reshape(-1) - flat.T @ (flat.conj() @ _E01.reshape(-1))
+    return np.concatenate([basis, (e / np.linalg.norm(e)).reshape(_E01.shape)])
+
+
+@pytest.mark.parametrize("doctor, dim", [
+    (lambda basis: np.concatenate([_E01, basis[1:]]), 2),
+    (lambda basis: basis[1:], 1),
+    (_with_e01_added, 3),
+], ids=["E01-swapped-in", "one-element-short", "one-element-extra"])
+def test_a_doctored_first_commutant_fails_its_class(s3, monkeypatch, doctor, dim):
+    # negative controls on the once of S3's order-2 class, span U(H) of
+    # dimension 2: with E_01 swapped in, U(h) leaves it; with one element
+    # dropped, it falls below rank K (and U(h) leaves it too); with one
+    # orthonormal element added, it holds U(H) and only rank K fails it.
+    # Each is a recorded violation at the honest twice's residual, and the
+    # run completes
+    _doctor_first_commutants(monkeypatch, lambda once: (
+        doctor(once.basis) if once.dim == 2 else once.basis))
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+    order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
+    assert [v[:2] for v in report.violations] == [("bicommutant", h) for h in order_two]
+    assert all(v[2] <= galois._RESIDUAL_BOUND for v in report.violations)
+    assert [(r.bicommutant_ok, r.commutant_dim) for r in report.rows
+            if r.subgroup.order == 2] == [(False, dim)] * 3
+    assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
+
+
+def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
+    # every commutator_residual family is a subgroup's generators or one
+    # element of the memoized audit; the bicommutant kernels once walked up
+    # to 576 elements of M^H
+    sizes = []
+    honest = algebras.commutator_residual
+    monkeypatch.setattr(algebras, "commutator_residual",
+                        lambda family, basis: sizes.append(len(family)) or honest(family, basis))
+    report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
+    assert len(report.rows) == 30 and not report.violations
+    assert sizes and max(sizes) <= max(len(r.subgroup.generators) for r in report.rows)
 
 
 def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
@@ -584,6 +666,19 @@ def test_the_order_48_regular_lattice(s4_times_z2):
     assert len({r for r, _ in groups.subgroup_classes(s4_times_z2, subgroups)}) == 33
     assert report.violations == [] and report.injective and report.proper
     assert report.anti_monotone_pairs == 727
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
+@pytest.mark.slow
+def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3):
+    # order 144 on the direct sum of its irreps (n = 40), past the order bound
+    rep = reps.direct_sum(*reps.irrep_table(s4_times_s3).irreps)
+    subgroups = groups.enumerate_subgroups(s4_times_s3, order_bound=144)
+    report = galois.galois_map(StarAlgebra.full(rep.dim), rep, subgroups=subgroups)
+    assert rep.dim == 40 and len(report.rows) == 372
+    assert report.anti_monotone_pairs == 4869
+    assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
     assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
 
