@@ -35,9 +35,10 @@ kernel solved here is checked against its defining equation BX = XB
 (``commutator_residual``) on its whole family, a fixed-point basis on its
 subgroup's generators, together with the character count in a full M
 (``_certified_fixed``); intersections of two *-algebras are not
-re-checked.  A fixed algebra of a conjugate subgroup is transported by one
-conjugation (``transported_fixed_algebra``) and takes the same
-certificate.  The bicommutant test of ``galois`` in a full M does not walk
+re-checked.  A fixed algebra of a conjugate subgroup is not built here:
+``galois`` reads it through its class representative's, as U_g M^K U_g*,
+checking a non-full M invariant under Ad U_g (``_conjugation_maps``).  The
+bicommutant test of ``galois`` in a full M does not walk
 a basis: it solves (M^H)' and (M^H)'' by ``linalg.commutant_kernel``
 itself and certifies the first by the character rank of H and the
 membership of every U(h), the second on H's generators at the dimension
@@ -434,21 +435,6 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
         mats = rep.matrices[list(subgroup.members)]
         basis = linalg.commutant_kernel(mats, tol).T
     return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n))
-
-
-def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep: UnitaryRep,
-                              subgroup: Subgroup, g: int) -> StarAlgebra:
-    """M^H as U_g M^K U_g*, for the fixed algebra M^K of K = g^-1 H g.
-
-    Ad U_g is a *-automorphism of an invariant M that carries M^K onto
-    M^{gKg^-1} (conjugate the equation U_k X U_k* = X by U_g), so one
-    compression replaces the kernel.  The result keeps its own certificate
-    (``_certified_fixed``), and a non-full M must be invariant under Ad U_g.
-    """
-    if not m.is_full:   # every unitary preserves the full algebra
-        _conjugation_maps(m, rep, (g,))
-    moved = linalg.compress(fixed.basis, dagger(rep.matrices[g]))
-    return _certified_fixed(m, rep, subgroup, moved)
 
 
 def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:

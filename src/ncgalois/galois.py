@@ -23,20 +23,27 @@ n^2 elements of M^H's basis.  In a non-full M both commutants come from
 ``algebras`` (relative ones in inner mode), each certified there on its
 whole family.
 
-The map is equivariant: M^{gHg^-1} = U_g M^H U_g*.  So one fixed-point
+The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So one fixed-point
 kernel and one bicommutant test run per conjugacy class of the given
-subgroups, on its first member; every other row is transported by one
-conjugation and re-certified on its own generators (and, in a full M, by
-its character count).  A transported row's ``bicommutant_residual`` and
-``commutant_dim`` are its representative's, which Ad U_g carries.
+subgroups, on its first member K, and no other row builds a basis: a
+conjugate H = gKg^-1 is read through M^K.  Ad U_g is a Hilbert-Schmidt
+isometry, so the commutator residual of U_s on U_g M^K U_g* is that of
+U_{g^-1 s g} on M^K, and one memo per class holds each element's residual
+on M^K once.  H's certificate on its own generators, its anti-monotone
+audit and the interner's confirmation all read that memo, and its
+fingerprint is Ad U_g P_K Ad U_g* of the probe.  In a non-full M each
+conjugating g must leave M invariant.  A conjugate row's
+``bicommutant_residual`` and ``commutant_dim`` are its representative's,
+which Ad U_g carries.
 
-Rows are streamed: each fixed algebra is certified, interned and audited
-for anti-monotonicity against the subgroups below it as soon as it is
-built, and then dropped, so nothing dense outlives the conjugacy class
-that transports it and the report holds no basis.  The interner keeps a
-fingerprint, a dimension and a row index per id; a match is confirmed by
-the anti-monotone audit's own test, M^{H_j} commuting with the unitaries
-of the earlier H_i's generators, which at equal dimension is equality.
+Rows are streamed: each row is certified, interned and audited for
+anti-monotonicity against the subgroups below it as soon as it is
+reached, so nothing dense outlives the conjugacy class whose
+representative's basis it reads, and the report holds no basis.  The
+interner keeps a fingerprint, a dimension and a row index per id; a match
+is confirmed by the anti-monotone audit's own test, M^{H_j} commuting with
+the unitaries of the earlier H_i's generators, which at equal dimension is
+equality.
 """
 
 from __future__ import annotations
@@ -49,8 +56,11 @@ import numpy as np
 from . import algebras as alg
 from . import reps as rp
 from .algebras import StarAlgebra
-from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, frob
+from .errors import ClosureFailed
+from .groups import (FiniteGroup, Subgroup, conjugation_table, enumerate_subgroups,
+                     subgroup_classes)
+from .linalg import (DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress, dagger,
+                     frob)
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -116,9 +126,10 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
     classes: dict = {}
     for j, h in enumerate(subgroups):
         span = Subspace.from_span(images[list(h.members)], images.shape[1], tol)
-        span_id = interner.id_of(span, j, lambda i: all(   # as StarAlgebra.contains_matrix
-            span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
-            for v in images[list(subgroups[i].generators)]))
+        span_id = interner.id_of(
+            span.project, span.dim, j, lambda i: all(   # as StarAlgebra.contains_matrix
+                span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
+                for v in images[list(subgroups[i].generators)]))
         classes.setdefault(span_id, []).append(j)
     return tuple(tuple(c) for c in classes.values())
 
@@ -127,8 +138,9 @@ class _Interner:
     """Ids of equal subspaces, in order of first appearance.
 
     A candidate must have the same dimension and nearly the same
-    fingerprint P r, the projection of one seeded probe r, which costs
-    O(n^2 d) and does not depend on the basis; ``contains(key)`` then
+    fingerprint P r, the projection of one seeded probe r, which does not
+    depend on the basis and needs none: ``id_of`` takes the projection P
+    itself, as a function of a vector.  ``contains(key)`` then
     confirms the match by a containment between the candidate and the
     space first interned under ``key``, which at equal dimension is
     equality, so no rounding boundary can split equal subspaces.  Only
@@ -141,13 +153,12 @@ class _Interner:
         self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self._probe)
         self._seen: list = []     # (fingerprint, dim, key) of each id
 
-    def id_of(self, space: Subspace, key, contains) -> int:
-        fp = space.project(self._probe)
+    def id_of(self, project, dim: int, key, contains) -> int:
+        fp = project(self._probe)
         for i, (fp0, dim0, key0) in enumerate(self._seen):
-            if (dim0 == space.dim and np.linalg.norm(fp - fp0) <= self._bound
-                    and contains(key0)):
+            if dim0 == dim and np.linalg.norm(fp - fp0) <= self._bound and contains(key0):
                 return i
-        self._seen.append((fp, space.dim, key))
+        self._seen.append((fp, dim, key))
         return len(self._seen) - 1
 
 
@@ -215,64 +226,83 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
                tol: Tolerance) -> None:
     """Rows and their violations, one kernel per conjugacy class, in order, keeping no basis.
 
-    The first subgroup of each class (``subgroup_classes``) gets its fixed
-    algebra and bicommutant test computed; every conjugate H = gKg^-1 takes
-    U_g M^K U_g* (``transported_fixed_algebra``), re-certified on its own
-    generators, and its representative's ``_bicommutant`` triple: Ad U_g is
-    a *-automorphism of M and a Hilbert-Schmidt isometry, so it carries
-    (relative) commutants to (relative) commutants of the same dimension,
-    U(K)' to U(H)' and M onto M, and with them the residuals of the
-    certificate.  A representative's basis is kept, for transport only,
-    until the last row of its class.
+    The first subgroup K of each class (``subgroup_classes``) gets its fixed
+    algebra and bicommutant test computed, and its basis is kept, with one
+    memo of its elements' residuals, until the last row of its class.  A
+    conjugate H = gKg^-1 builds no basis: M^H = U_g M^K U_g* (Ad U_g is a
+    *-automorphism of M, checked on g in a non-full M), and
+    ||[U_s, U_g X U_g*]||_F = ||[U_{g^-1 s g}, X]||_F, so H's certificate on
+    its own generators reads the memo at the conjugated elements.  H takes
+    its representative's ``_bicommutant`` triple, which Ad U_g carries with
+    the (relative) commutants.
 
-    Anti-monotonicity of every pair H1 < H2 is checked when M^{H2} is
-    built: M^{H2} lies in M, so it lies in M^{H1} exactly when it commutes
-    with the unitaries of H1's generators.  The interner confirms a match
-    with an earlier row by the same test.  Both read each element's
-    residual on the row's basis from one memo, so an element shared by
-    several H1 is multiplied once per row.  Bicommutant violations come in
-    row order, then anti-monotone ones with H1 outer and H2 inner.
+    Anti-monotonicity of every pair H1 < H2 is checked when the row of H2
+    is reached: M^{H2} lies in M, so it lies in M^{H1} exactly when it
+    commutes with the unitaries of H1's generators.  The interner confirms
+    a match with an earlier row by the same test, and fingerprints M^H by
+    Ad U_g P_K Ad U_g*.  Bicommutant violations come in row order, then
+    anti-monotone ones with H1 outer and H2 inner.
     """
-    def residual_to(i: int, basis: np.ndarray, memo: dict) -> float:
-        """``commutator_residual`` of H_i's generators on ``basis``: the worst of
-        their own residuals, which ``memo`` holds per element for that basis."""
-        gens = subgroups[i].generators
-        for s in gens:
-            if s not in memo:
-                memo[s] = alg.commutator_residual(pi.matrices[[s]], basis)
-        return max((memo[s] for s in gens), default=0.0)
-
-    classes = subgroup_classes(report.group, subgroups)
+    group = report.group
+    conj = conjugation_table(group)
+    classes = subgroup_classes(group, subgroups)
     last = {r: j for j, (r, _) in enumerate(classes)}
-    kept: dict = {}       # representative index -> fixed algebra, until its last row
-    verdicts: dict = {}   # representative index -> (ok, residual, commutant dim)
+    # representative index -> (M^K, element -> its residual on M^K, _bicommutant triple)
+    kept: dict = {}
     interner = _Interner(m.ambient_dim ** 2)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
         if r == j:
-            fixed = kept[j] = alg.fixed_point_algebra(m, pi, sub, tol)
-            verdicts[j] = _bicommutant(fixed, m, pi, sub, report.mode, tol)
-        else:
-            fixed = alg.transported_fixed_algebra(kept[r], m, pi, sub, g)
-        if last[r] == j:
-            del kept[r]
-        ok, residual, commutant_dim = verdicts[r]
-        memo: dict = {}   # element -> its commutator residual on this row's basis
+            fixed = alg.fixed_point_algebra(m, pi, sub, tol)
+            kept[j] = fixed, {}, _bicommutant(fixed, m, pi, sub, report.mode, tol)
+        elif not m.is_full:   # every unitary preserves the full algebra
+            alg._conjugation_maps(m, pi, (g,))
+        fixed, memo, (ok, residual, commutant_dim) = kept.pop(r) if last[r] == j else kept[r]
+        to_k = conj[group.inverse[g]]   # s -> g^-1 s g
+
+        def residual_to(i: int) -> float:
+            """``commutator_residual`` of H_i's generators on M^H: the worst of
+            their conjugates' own residuals on M^K, each computed once per class."""
+            gens = [int(to_k[s]) for s in subgroups[i].generators]
+            for t in gens:
+                if t not in memo:
+                    memo[t] = alg.commutator_residual(pi.matrices[[t]], fixed.basis)
+            return max((memo[t] for t in gens), default=0.0)
+
+        if r != j and (worst := residual_to(j)) > _RESIDUAL_BOUND:
+            raise ClosureFailed(
+                f"conjugated fixed-point algebra fails to commute with the unitaries of "
+                f"its subgroup's generators, residual {worst:.3e}")
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
-                residuals[i, j] = residual_to(i, fixed.basis, memo)
-        fixed_id = interner.id_of(
-            fixed.subspace(), j, lambda i: residual_to(i, fixed.basis, memo) <= _RESIDUAL_BOUND)
+                residuals[i, j] = residual_to(i)
+        fixed_id = interner.id_of(_conjugated_projection(fixed.subspace(), pi.matrices[g]),
+                                  fixed.dim, j, lambda i: residual_to(i) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
         report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual, commutant_dim))
-        del fixed   # before the next row is built
+        del fixed, memo   # before the next row is built
     for (i, j), res in sorted(residuals.items()):
         report.anti_monotone_pairs += 1
         if res > _RESIDUAL_BOUND:
             report.violations.append(
                 ("anti-monotone", (subgroups[i].members, subgroups[j].members), float(res))
             )
+
+
+def _conjugated_projection(space: Subspace, u: np.ndarray):
+    """The orthogonal projection onto U S U*, S a subspace of flattened n x n
+    matrices, as Ad U P_S Ad U* (Ad U is Hilbert-Schmidt unitary): O(n^3 + n^2
+    dim S) per matrix, with no basis of U S U*.  It maps one flattened matrix,
+    or each column of a stack of them."""
+    n = u.shape[0]
+
+    def project(v: np.ndarray) -> np.ndarray:
+        inside = compress(v.T.reshape(-1, n, n), u).reshape(-1, n * n).T
+        back = space.project(inside).T.reshape(-1, n, n)
+        return compress(back, dagger(u)).reshape(-1, n * n).T.reshape(v.shape)
+
+    return project
 
 
 def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,

@@ -212,7 +212,8 @@ def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mo
 
 class StoringInterner:
     """``galois._Interner`` as it was before rows were streamed: it keeps every
-    interned subspace and confirms a match by ``Subspace.equals`` on the stored one."""
+    interned subspace, materialized as the range of the projection it is
+    given, and confirms a match by ``Subspace.equals`` on the stored one."""
 
     def __init__(self, ambient_dim: int, tol: Tolerance = DEFAULT_TOL):
         rng = np.random.default_rng(galois._PROBE_SEED)
@@ -221,8 +222,13 @@ class StoringInterner:
         self._tol = tol
         self._seen: list = []   # (fingerprint, subspace) of each id
 
-    def id_of(self, space, key=None, contains=None) -> int:
-        fp = space.project(self._probe)
+    def id_of(self, project, dim, key=None, contains=None) -> int:
+        fp = project(self._probe)
+        # the projections of dim + 8 seeded random vectors span its range
+        n, rng = len(self._probe), np.random.default_rng(1)
+        draws = rng.standard_normal((n, min(dim + 8, n))) + 0j
+        space = Subspace.from_span(project(draws).T, n, self._tol)
+        assert space.dim == dim, (space.dim, dim)
         for i, (fp0, space0) in enumerate(self._seen):
             if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
                     and space.equals(space0, self._tol)):
@@ -231,20 +237,54 @@ class StoringInterner:
         return len(self._seen) - 1
 
 
-def record_fixed_algebras(monkeypatch) -> dict:
-    """Patch the two builders of fixed algebras that ``galois`` calls so that
-    each result is recorded, by its subgroup's members, in the returned dict.
+def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep,
+                              subgroup: Subgroup, g: int) -> StarAlgebra:
+    """M^H as the basis U_g M^K U_g*, for the fixed algebra M^K of K = g^-1 H g,
+    certified as a solved fixed-point basis is (``algebras._certified_fixed``);
+    a non-full M must be invariant under Ad U_g.  ``galois`` reads each
+    conjugate row through its representative instead and builds no basis."""
+    if not m.is_full:
+        algebras._conjugation_maps(m, rep, (g,))
+    moved = linalg.compress(fixed.basis, dagger(rep.matrices[g]))
+    return algebras._certified_fixed(m, rep, subgroup, moved)
 
-    ``galois_map`` keeps no fixed basis; tests that compare the bases read
-    them here.
+
+def record_fixed_algebras(monkeypatch) -> dict:
+    """Patch ``galois`` so that the fixed algebra of each row it writes is
+    recorded, by its subgroup's members, in the returned dict.
+
+    A class representative's is the one ``algebras.fixed_point_algebra``
+    solves.  ``galois_map`` builds no basis for a conjugate row, so its
+    algebra is rebuilt here by ``transported_fixed_algebra`` from the
+    representative's, with the classes ``galois.subgroup_classes`` gave, as
+    the row is written; a row that raises is not recorded.  ``galois_map``
+    keeps no fixed basis; tests that compare the bases read them here.
     """
     built: dict = {}
-    for name, at in (("fixed_point_algebra", 2), ("transported_fixed_algebra", 3)):
-        def recording(*args, _honest=getattr(algebras, name), _at=at, **kwargs):
-            fixed = _honest(*args, **kwargs)
-            built[args[_at].members] = fixed
-            return fixed
-        monkeypatch.setattr(algebras, name, recording)
+    solved: dict = {}     # members -> (fixed algebra, M, representation)
+    conjugates: dict = {}   # members -> (representative's members, g)
+
+    def solving(m, rep, subgroup, *args, _honest=algebras.fixed_point_algebra, **kwargs):
+        fixed = _honest(m, rep, subgroup, *args, **kwargs)
+        solved[subgroup.members] = fixed, m, rep
+        return fixed
+
+    def classes(group, subgroups, _honest=galois.subgroup_classes):
+        found = _honest(group, subgroups)
+        conjugates.update((h.members, (subgroups[r].members, g))
+                          for h, (r, g) in zip(subgroups, found))
+        return found
+
+    def written(subgroup, *fields, _honest=galois.GaloisRow):
+        r, g = conjugates[subgroup.members]
+        fixed, m, rep = solved[r]
+        built[subgroup.members] = (fixed if r == subgroup.members else
+                                   transported_fixed_algebra(fixed, m, rep, subgroup, g))
+        return _honest(subgroup, *fields)
+
+    monkeypatch.setattr(algebras, "fixed_point_algebra", solving)
+    monkeypatch.setattr(galois, "subgroup_classes", classes)
+    monkeypatch.setattr(galois, "GaloisRow", written)
     return built
 
 

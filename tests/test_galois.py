@@ -310,7 +310,8 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
 
     spaces = [x.subspace() for x in (a, b, StarAlgebra.diagonal(2), b)]
     interner = galois._Interner(4)
-    ids = [interner.id_of(space, k, lambda key: space.contains(spaces[key]))
+    ids = [interner.id_of(space.project, space.dim, k,
+                          lambda key: space.contains(spaces[key]))
            for k, space in enumerate(spaces)]
     assert ids == [0, 0, 1, 0]
 
@@ -344,7 +345,7 @@ def test_galois_map_forms_no_subspace_distance_on_s4(s4, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one kernel per conjugacy class: transported rows against the direct path
+# one kernel per conjugacy class: conjugate rows against the direct path
 
 _DIRECT_CASES = ([f"regular-{name}" for name in groups.FIXTURE_GROUPS]
                  + ["permutation-S4"] + [f"rotated-{name}" for name in ("S3", "D4", "Q8", "A4")]
@@ -379,9 +380,10 @@ def _galois_case(name):
 
 @pytest.mark.parametrize("name", _DIRECT_CASES)
 def test_transported_rows_equal_the_direct_path(name, monkeypatch):
-    # every field but the transported rows' residuals agrees with a run that
+    # every field but the conjugate rows' residuals agrees with a run that
     # solves a fixed-point kernel and a bicommutant test on every row, and
-    # every transported fixed algebra equals the directly computed one
+    # every conjugate algebra, U_g M^K U_g* by the reference transport,
+    # equals the directly solved one
     run = _galois_case(name)
     with monkeypatch.context() as patch:
         fast_fixed = kernel_reference.record_fixed_algebras(patch)
@@ -635,6 +637,73 @@ def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
     assert sizes and max(sizes) <= max(len(r.subgroup.generators) for r in report.rows)
 
 
+def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypatch):
+    # besides each representative's fixed-point certificate and twice residual,
+    # every commutator residual is one element t of a representative K on M^K,
+    # at most once per (class, t), and no fixed basis is conjugated by a group
+    # unitary; the 19 conjugate rows once took 3600 conjugated basis elements,
+    # 113 calls and 14448 element x basis products
+    rep = reps.regular_rep(s4)
+    representatives = {}   # id of M^K's basis -> (K, the basis, kept alive)
+    honest_fixed = algebras.fixed_point_algebra
+
+    def solving(m, pi, sub, tol=DEFAULT_TOL):
+        fixed = honest_fixed(m, pi, sub, tol)
+        representatives[id(fixed.basis)] = sub, fixed.basis
+        return fixed
+
+    calls, on_classes = [], collections.Counter()
+    honest = algebras.commutator_residual
+
+    def counting(family, basis):
+        calls.append(len(family) * len(basis))
+        if id(basis) in representatives:
+            sub = representatives[id(basis)][0]
+            assert len(family) == 1
+            t = int(np.flatnonzero((rep.matrices == family[0]).all(axis=(1, 2)))[0])
+            assert t in sub.members
+            on_classes[sub.members, t] += 1
+        return honest(family, basis)
+
+    conjugated = []
+    honest_compress = linalg.compress
+    moving = np.delete(rep.matrices, s4.identity, axis=0)   # the kernels compress by 1
+
+    def compressing(stack, q):
+        if np.ndim(stack) == 3 and len(stack) > 1 and any(
+                np.array_equal(q, u) or np.array_equal(q, u.conj().T) for u in moving):
+            conjugated.append(len(stack))
+        return honest_compress(stack, q)
+
+    monkeypatch.setattr(algebras, "fixed_point_algebra", solving)
+    monkeypatch.setattr(algebras, "commutator_residual", counting)
+    monkeypatch.setattr(linalg, "compress", compressing)
+    monkeypatch.setattr(galois, "compress", compressing)
+    report = galois.galois_map(StarAlgebra.full(24), rep)
+    assert len(report.rows) == 30 and report.injective and not report.violations
+    assert len(representatives) == 11 and conjugated == []
+    assert max(on_classes.values()) == 1
+    assert len(calls) - sum(on_classes.values()) == 2 * len(representatives)
+    assert (len(calls), sum(calls)) == (66, 7872)
+
+
+def test_the_conjugated_projection_is_the_transported_algebras(s4):
+    # Ad U_g P_K Ad U_g* against the projection onto the basis U_g M^K U_g*,
+    # on one flattened matrix and on a column stack
+    m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
+    subgroups = groups.enumerate_subgroups(s4)
+    probes = np.random.default_rng(5).standard_normal((576, 3)) + 0j
+    for sub, (r, g) in zip(subgroups, groups.subgroup_classes(s4, subgroups)):
+        if subgroups[r].order not in (3, 4):
+            continue
+        fixed = algebras.fixed_point_algebra(m, rep, subgroups[r])
+        moved = kernel_reference.transported_fixed_algebra(fixed, m, rep, sub, g)
+        project = galois._conjugated_projection(fixed.subspace(), rep.matrices[g])
+        assert np.allclose(project(probes), moved.subspace().project(probes), atol=1e-10)
+        assert np.allclose(project(probes[:, 0]), moved.subspace().project(probes[:, 0]),
+                           atol=1e-10)
+
+
 def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
     # the abelian classes' commutants and second commutants have null reduced
     # grams, which once cost eigensolves of sizes up to 576 = 24^2
@@ -683,6 +752,22 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3):
     assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
 
 
+@pytest.mark.slow
+def test_the_a5_regular_lattice():
+    # order 60 on its regular representation (n = 60), past the order bound;
+    # its 59 subgroups fall into 9 conjugacy classes, and the run takes about
+    # 0.65 GB at one BLAS thread
+    a5 = groups.alternating_group(5)
+    subgroups = groups.enumerate_subgroups(a5, order_bound=a5.order)
+    report = galois.galois_map(StarAlgebra.full(60), reps.regular_rep(a5), subgroups=subgroups)
+    assert a5.order == 60 and len(report.rows) == 59
+    assert len({r for r, _ in groups.subgroup_classes(a5, subgroups)}) == 9
+    assert report.anti_monotone_pairs == 246
+    assert report.proper and report.injective and report.violations == []
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
 @pytest.fixture(scope="module")
 def s5_on_irreps():
     """S5 on the direct sum of its irreps (n = 26, its smallest proper carrier),
@@ -707,7 +792,7 @@ def test_the_s5_lattice_on_its_irreps(s5_on_irreps):
 
 @pytest.mark.slow
 def test_the_s5_lattice_solves_every_row_alike(s5_on_irreps, monkeypatch):
-    # the 137 transported rows against a fixed-point kernel and a
+    # the 137 conjugate rows against a fixed-point kernel and a
     # bicommutant test on each of the 156 rows
     rep, subgroups, report = s5_on_irreps
     monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
@@ -794,7 +879,7 @@ def test_a_subgroup_given_twice_is_refused(s3):
 def test_transport_into_a_non_invariant_algebra_is_refused(s3):
     # M = M2 + C on the points {0, 1} | {2} is invariant under the swap of 0
     # and 1 but not under the elements that carry it to the swap of 1 and 2,
-    # so M^{<(12)>} is not U_g M^{<(01)>} U_g*; the transport refuses it
+    # so M^{<(12)>} is not U_g M^{<(01)>} U_g*; its conjugate row refuses it
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
     e = np.eye(3)
     m = StarAlgebra.from_span([np.outer(e[a], e[b]) for a in (0, 1) for b in (0, 1)]

@@ -149,6 +149,17 @@ def test_subgroup_lattice_equals_the_saturation_reference(fixture_groups, s4_tim
     assert len(found) == 98
 
 
+@pytest.mark.slow
+def test_the_s5_lattice_equals_the_saturation_reference():
+    # past the order bound: S5's 156 subgroups, which the Galois lattice of S5
+    # on its irreps runs on, against the all-pairs saturation (about a minute)
+    s5 = groups.symmetric_group(5)
+    found = [s.members for s in enumerate_subgroups(s5, order_bound=s5.order)]
+    assert len(found) == 156
+    assert found == [s.members for s in
+                     kernel_reference.enumerate_subgroups(s5, order_bound=s5.order)]
+
+
 def test_generators_are_greedy_and_generate_every_subgroup(fixture_groups, s4_times_z2):
     cases = dict(fixture_groups)
     cases["S4xZ2"] = s4_times_z2
