@@ -35,15 +35,7 @@ kernel solved here is checked against its defining equation BX = XB
 (``commutator_residual``) on its whole family, a fixed-point basis on its
 subgroup's generators, together with the character count in a full M
 (``_certified_fixed``); intersections of two *-algebras are not
-re-checked.  A fixed algebra of a conjugate subgroup is not built here:
-``galois`` reads it through its class representative's, as U_g M^K U_g*,
-checking a non-full M invariant under Ad U_g (``_conjugation_maps``).  The
-bicommutant test of ``galois`` in a full M does not walk
-a basis: it solves (M^H)' and (M^H)'' by ``linalg.commutant_kernel``
-itself and certifies the first by the character rank of H and the
-membership of every U(h), the second on H's generators at the dimension
-of M^H.  A relative commutant in a non-full M (``relative_commutant``) is
-still certified on its family, the whole basis of M^H.
+re-checked.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def main(argv=None) -> int:
 
     try:
         report_text = _run(args)
-    except (*errors.VALIDATION_ERRORS, json.JSONDecodeError, FileNotFoundError,
+    except (errors.ValidationError, json.JSONDecodeError, FileNotFoundError,
             KeyError, TypeError, ValueError) as exc:
         print(json.dumps({"error": "validation", "kind": type(exc).__name__,
                           "detail": str(exc)}), file=sys.stdout)
@@ -132,10 +132,10 @@ def _run(args) -> str:
     return reporting.dumps_canonical(envelope)
 
 
-def _check_fields(spec: dict, required, optional=()):
+def _check_fields(spec: dict, required):
     from .reporting import check_fields
 
-    check_fields(spec, required, {*optional, "seed"}, "spec")
+    check_fields(spec, required, {"seed"}, "spec")
 
 
 def _load_group(spec, load_json_field):
@@ -246,11 +246,9 @@ def _cmd_galois(spec, seed, tol, load_json_field):
     from . import galois as gal
     from .algebras import StarAlgebra
 
-    _check_fields(spec, ["representation"], optional=["mode"])
+    _check_fields(spec, ["representation"])
     rep = _load_rep(spec, load_json_field)
-    mode = spec.get("mode", "auto")
-    m = StarAlgebra.full(rep.dim)
-    report = gal.galois_map(m, rep, mode=mode, tol=tol)
+    report = gal.galois_map(StarAlgebra.full(rep.dim), rep, tol=tol)
     minimal, witness = gal.is_minimal_action(report)
 
     body = {

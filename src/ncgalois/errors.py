@@ -9,6 +9,14 @@ class NCGaloisError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ValidationError(NCGaloisError):
+    """Bad inputs (malformed files, violated axioms, mismatched shapes).
+
+    The CLI maps them to exit 1, and every other NCGaloisError, numerical
+    trouble (tolerance collisions, failed iterations), to exit 2.
+    """
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -25,7 +33,7 @@ class NotPositiveDefinite(NCGaloisError):
     pass
 
 
-class DimensionMismatch(NCGaloisError):
+class DimensionMismatch(ValidationError):
     pass
 
 
@@ -33,27 +41,27 @@ class DimensionMismatch(NCGaloisError):
 # groups
 
 
-class NotLatinSquare(NCGaloisError):
+class NotLatinSquare(ValidationError):
     pass
 
 
-class NotAssociative(NCGaloisError):
+class NotAssociative(ValidationError):
     pass
 
 
-class NoIdentity(NCGaloisError):
+class NoIdentity(ValidationError):
     pass
 
 
-class NoInverse(NCGaloisError):
+class NoInverse(ValidationError):
     pass
 
 
-class OrderBoundExceeded(NCGaloisError):
+class OrderBoundExceeded(ValidationError):
     pass
 
 
-class ParentMismatch(NCGaloisError):
+class ParentMismatch(ValidationError):
     pass
 
 
@@ -61,11 +69,11 @@ class ParentMismatch(NCGaloisError):
 # representations
 
 
-class NotAHomomorphism(NCGaloisError):
+class NotAHomomorphism(ValidationError):
     pass
 
 
-class ZeroVector(NCGaloisError):
+class ZeroVector(ValidationError):
     pass
 
 
@@ -85,7 +93,7 @@ class IncompleteTable(NCGaloisError):
 # algebras
 
 
-class NotContained(NCGaloisError):
+class NotContained(ValidationError):
     pass
 
 
@@ -93,7 +101,7 @@ class CenterSplitFailed(NCGaloisError):
     pass
 
 
-class NotInvariantAlgebra(NCGaloisError):
+class NotInvariantAlgebra(ValidationError):
     pass
 
 
@@ -105,11 +113,11 @@ class ClosureFailed(NCGaloisError):
 # states / probability
 
 
-class NotFaithful(NCGaloisError):
+class NotFaithful(ValidationError):
     pass
 
 
-class NotAState(NCGaloisError):
+class NotAState(ValidationError):
     pass
 
 
@@ -117,26 +125,5 @@ class NotAState(NCGaloisError):
 # cli
 
 
-class SpecValidationError(NCGaloisError):
+class SpecValidationError(ValidationError):
     pass
-
-
-# Bad inputs (malformed files, violated axioms, mismatched shapes).  The CLI
-# maps them to exit 1, and every other NCGaloisError, numerical trouble
-# (tolerance collisions, failed iterations), to exit 2.
-VALIDATION_ERRORS = (
-    SpecValidationError,
-    NotLatinSquare,
-    NotAssociative,
-    NoIdentity,
-    NoInverse,
-    OrderBoundExceeded,
-    ParentMismatch,
-    DimensionMismatch,
-    NotAHomomorphism,
-    ZeroVector,
-    NotAState,
-    NotFaithful,
-    NotContained,
-    NotInvariantAlgebra,
-)

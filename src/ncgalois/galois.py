@@ -169,12 +169,13 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, mode: str = "auto", subgroups=
     ``mode="inner"`` tests the double relative commutant identity
     ``(M^H)'' cap M twice == M^H``; ``mode="spatial"`` tests the plain
     double commutant.  ``"auto"`` picks "inner" exactly when the generators'
-    unitaries lie in M.  Equal fixed algebras share an id (``_Interner``),
-    so distinctness checks are exact set operations on ids.
+    unitaries lie in M (always in a full M).  Equal fixed algebras share an
+    id (``_Interner``), so distinctness checks are exact set operations on ids.
     """
     group = pi.group
     if mode == "auto":
-        inside = all(m.contains_matrix(pi.matrices[s], tol) for s in group.generators)
+        inside = m.is_full or all(m.contains_matrix(pi.matrices[s], tol)
+                                  for s in group.generators)
         mode = "inner" if inside else "spatial"
     if mode not in ("inner", "spatial"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -60,10 +60,11 @@ class State:
             raise NotFaithful(f"min eigenvalue {self._min_eig:.3e}")
         return self
 
-    def is_invariant(self, rep: UnitaryRep, members=None, tol: float = 1e-10) -> bool:
-        """Invariance under the (sub)group action: the density commutes."""
-        mats = rep.matrices if members is None else rep.matrices[list(members)]
-        return all(frob(u @ self.density - self.density @ u) <= tol for u in mats)
+    def is_invariant(self, rep: UnitaryRep, members) -> bool:
+        """Invariance under the subgroup of ``members``: the density commutes with
+        their unitaries to within 1e-10."""
+        return all(frob(u @ self.density - self.density @ u) <= 1e-10
+                   for u in rep.matrices[list(members)])
 
 
 def average_state(psi: State, rep: UnitaryRep) -> State:
@@ -274,11 +275,11 @@ class Martingale:
     elements: tuple
 
 
-def martingale_from(x, filtration: Filtration, bound: float = 1e-9) -> Martingale:
+def martingale_from(x, filtration: Filtration) -> Martingale:
     """Project one observable through the whole filtration.
 
     Verifies adaptedness and the martingale property
-    ``E_{H_s}(X_t) = X_s`` for every s < t before returning.
+    ``E_{H_s}(X_t) = X_s`` for every s < t before returning, within 1e-9·max(1, norm).
     """
     x = np.asarray(x, dtype=np.complex128)
     rep = filtration.rep
@@ -287,7 +288,7 @@ def martingale_from(x, filtration: Filtration, bound: float = 1e-9) -> Martingal
     )
     for a, xt in zip(filtration.algebras, elements):
         res = a.membership_residual(xt)
-        if res > bound * max(1.0, frob(xt)):
+        if res > 1e-9 * max(1.0, frob(xt)):
             raise ParentMismatch(f"element is not adapted, residual {res:.3e}")
     for s in range(len(elements)):
         for t in range(s + 1, len(elements)):
@@ -295,7 +296,7 @@ def martingale_from(x, filtration: Filtration, bound: float = 1e-9) -> Martingal
                 conditional_expectation(elements[t], rep, filtration.chain[s])
                 - elements[s]
             )
-            if res > bound * max(1.0, frob(x)):
+            if res > 1e-9 * max(1.0, frob(x)):
                 raise ParentMismatch(
                     f"martingale property failed at ({s},{t}): {res:.3e}"
                 )
@@ -311,12 +312,11 @@ class ConvergenceReport:
     state_invariant: bool
 
 
-def convergence_check(mart: Martingale, phi: State,
-                      slack: float = 1e-10) -> ConvergenceReport:
+def convergence_check(mart: Martingale, phi: State) -> ConvergenceReport:
     """Monotone second moments and exact terminal recovery.
 
-    ``phi(X_t* X_t)`` must be nondecreasing in t; when the last subgroup
-    is trivial the final element must reproduce the source observable.
+    ``phi(X_t* X_t)`` must be nondecreasing in t up to 1e-10; when the last
+    subgroup is trivial the final element must reproduce the source observable.
     Monotonicity is guaranteed only for a state invariant under the top
     subgroup; non-invariant states are reported, not rejected, so they
     can serve as negative controls.
@@ -327,7 +327,7 @@ def convergence_check(mart: Martingale, phi: State,
         float(phi.expect(dagger(xt) @ xt).real) for xt in mart.elements
     )
     nondecreasing = all(
-        moments[i] <= moments[i + 1] + slack for i in range(len(moments) - 1)
+        moments[i] <= moments[i + 1] + 1e-10 for i in range(len(moments) - 1)
     )
     trivial_end = mart.filtration.chain[-1].order == 1
     terminal = (

@@ -109,13 +109,14 @@ def spec_int(value, what: str) -> int:
 # matrices
 
 
+def _pairs(a: np.ndarray) -> list:
+    """An array as nested lists with each entry an ``[re, im]`` pair of floats."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _pairs(m.reshape(-1))}
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
@@ -164,26 +165,15 @@ def group_from_json(obj) -> FiniteGroup:
 
 
 def rep_to_json(rep: UnitaryRep) -> dict:
-    mats = [
-        [[[float(v.real), float(v.imag)] for v in row] for row in m]
-        for m in rep.matrices
-    ]
-    return {"dim": rep.dim, "matrices": mats, "group": group_to_json(rep.group)}
+    return {"dim": rep.dim, "matrices": _pairs(rep.matrices), "group": group_to_json(rep.group)}
 
 
 def irrep_table_to_json(table) -> dict:
     """Characters and matrices of every irreducible, canonically ordered."""
     return {
         "dims": list(table.dims),
-        "characters": [
-            [[float(c.real), float(c.imag)] for c in chi]
-            for chi in table.characters
-        ],
-        "matrices": [
-            [[[[float(v.real), float(v.imag)] for v in row] for row in m]
-             for m in rep.matrices]
-            for rep in table.irreps
-        ],
+        "characters": _pairs(table.characters),
+        "matrices": [_pairs(rep.matrices) for rep in table.irreps],
     }
 
 

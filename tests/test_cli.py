@@ -474,3 +474,58 @@ def test_irreps_runs_no_commutant_kernel_outside_the_table(workspace, tmp_path, 
     assert run_cli(["irreps", spec, "--out", tmp_path / "r.json"]) == 0
     assert outside == []
     assert load_report(tmp_path / "r.json")["report"]["dims"] == [1, 1, 2, 3, 3]
+
+
+_VALIDATION = ("SpecValidationError", "NotLatinSquare", "NotAssociative", "NoIdentity",
+               "NoInverse", "OrderBoundExceeded", "ParentMismatch", "DimensionMismatch",
+               "NotAHomomorphism", "ZeroVector", "NotAState", "NotFaithful", "NotContained",
+               "NotInvariantAlgebra")
+_NUMERICAL = ("NotHermitian", "NoConvergence", "NotPositiveDefinite", "NotIrreducible",
+              "DecompositionFailed", "IncompleteTable", "CenterSplitFailed", "ClosureFailed")
+
+
+def _leaf_errors():
+    """Names of the package's error classes that no other class extends."""
+    from ncgalois import errors
+
+    classes, stack = [], [errors.NCGaloisError]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        classes += [c for c in subclasses if not c.__subclasses__()]
+        stack += subclasses
+    return {c.__name__ for c in classes}
+
+
+def test_every_error_class_is_classified_once():
+    assert _leaf_errors() == {*_VALIDATION, *_NUMERICAL}
+    assert len(_VALIDATION) + len(_NUMERICAL) == 22
+
+
+@pytest.mark.parametrize("name, code, kind", [
+    *((name, 1, "validation") for name in _VALIDATION),
+    *((name, 2, "numerical") for name in _NUMERICAL),
+])
+def test_the_exception_class_decides_the_exit_code(workspace, tmp_path, capsys, monkeypatch,
+                                                   name, code, kind):
+    from ncgalois import cli, errors
+
+    def planted(*args):
+        raise getattr(errors, name)("planted")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze-group", planted)
+    spec = write_spec(workspace, "planted.json", {"group": "s3.json"})
+    out = tmp_path / "x.json"
+    assert run_cli(["analyze-group", spec, "--out", out]) == code
+    assert json.loads(capsys.readouterr().out) == {"error": kind, "kind": name,
+                                                   "detail": "planted"}
+    assert not out.exists()
+
+
+def test_a_galois_spec_with_a_mode_is_rejected(workspace, tmp_path, capsys):
+    # the CLI builds the full algebra, where the mode is always "inner"
+    spec = write_spec(workspace, "g-mode.json", {"representation": "s3_reg.json",
+                                                 "mode": "inner"})
+    assert run_cli(["galois", spec, "--out", tmp_path / "x.json"]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error == {"error": "validation", "kind": "SpecValidationError",
+                     "detail": "unknown spec fields: ['mode']"}
