@@ -250,17 +250,16 @@ def _commutant(mats: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """Commutant of the *-closed family ``mats``, certified on ``mats``."""
     n = mats.shape[1]
     basis = linalg.commutant_kernel(mats, tol).T.reshape(-1, n, n)
-    return StarAlgebra(n, _require_commuting(mats, basis))
+    _require_commuting(commutator_residual(mats, basis))
+    return StarAlgebra(n, basis)
 
 
-def _require_commuting(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The basis of a commutant kernel, once it commutes with the family."""
-    worst = commutator_residual(family, basis)
+def _require_commuting(worst: float) -> None:
+    """Refuse a commutant kernel whose commutator residual on its family is ``worst``."""
     if worst > _CLOSURE_RESIDUAL:
         raise ClosureFailed(
             f"commutant basis fails to commute with the family, residual {worst:.3e}"
         )
-    return basis
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -404,7 +403,7 @@ def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float
 
 
 def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
-                        tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+                        tol: Tolerance = DEFAULT_TOL, residuals: dict | None = None) -> StarAlgebra:
     """Elements of M invariant under conjugation by the subgroup's unitaries.
 
     For a full M, U X U* = X for a unitary U exactly when X commutes with U,
@@ -413,7 +412,8 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     its own coordinates: one compression of its basis by each generator's
     unitary checks that M is invariant and gives the d x d map of Ad U_s,
     and M^H is their joint ``fixed_coordinates``.  Either basis is certified
-    by ``_certified_fixed``.
+    by ``_certified_fixed``, and a dict given as ``residuals`` receives its
+    commutator residual on each generator's unitary, keyed by the generator.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
@@ -426,7 +426,7 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     else:
         mats = rep.matrices[list(subgroup.members)]
         basis = linalg.commutant_kernel(mats, tol).T
-    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n))
+    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n), residuals)
 
 
 def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
@@ -445,10 +445,14 @@ def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
 
 
 def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
-                     basis: np.ndarray) -> StarAlgebra:
+                     basis: np.ndarray, residuals: dict | None = None) -> StarAlgebra:
     """M^H from its basis, once the basis commutes with the unitaries of H's
-    generators and, in a full M, its size is the character count."""
-    _require_commuting(rep.matrices[list(subgroup.generators)], basis)
+    generators and, in a full M, its size is the character count.  Each
+    generator's residual is taken once, and copied into ``residuals`` when given."""
+    found = {s: commutator_residual(rep.matrices[[s]], basis) for s in subgroup.generators}
+    _require_commuting(max(found.values(), default=0.0))
+    if residuals is not None:
+        residuals.update(found)
     if m.is_full:
         chi = np.trace(rep.matrices[list(subgroup.members)], axis1=1, axis2=2)
         expected = float(np.sum(np.abs(chi) ** 2)) / subgroup.order

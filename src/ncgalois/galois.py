@@ -8,20 +8,18 @@ subgroups into span-equivalence classes; when the action is proper the
 map must be injective across classes and any failure is recorded as a
 violation rather than silently accepted.  Subgroup checks use generators.
 
-The bicommutant test solves (M^H)' and then (M^H)'' (relative to M in
-inner mode) by the Sylvester kernel, and certifies the second against the
-definition M^H = U(H)' cap M: it must commute with the unitaries of H's
-generators and, in a non-full M, lie in M.  Then it lies in M^H, and at
-the dimension of M^H, which in a full M the character count has fixed, it
-is M^H; no distance in the n^2-dimensional matrix space is formed.  In a
-full M the first commutant is span U(H), the commutant of U(H)' (double
-commutant theorem), of dimension the rank of the |H| x |H| character
-matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6).  It is certified by that
-rank and by every U(h), h in H, lying in it, and neither kernel walks a
-basis: |H| membership residuals replace a commutator walk over the up to
-n^2 elements of M^H's basis.  In a non-full M both commutants come from
-``algebras`` (relative ones in inner mode), each certified there on its
-whole family.
+In a full M the bicommutant test solves one commutant, (M^H)', by the
+Sylvester kernel, and certifies it to be span U(H), the commutant of U(H)'
+(double commutant theorem): its dimension must be the rank of the
+|H| x |H| character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and
+every U(h), h in H, must lie in it; the worst membership residual is the
+row's.  Then (M^H)'' = U(H)' is M^H by definition, which
+``algebras.fixed_point_algebra`` has solved and certified, so no second
+commutant is solved and no basis of M^H is walked.  In a non-full M both
+commutants come from ``algebras`` (relative ones in inner mode), and the
+second must commute with the unitaries of H's generators and lie in M, so
+at the dimension of M^H it is M^H = U(H)' cap M.  No distance in the
+n^2-dimensional matrix space is formed.
 
 The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So one fixed-point
 kernel and one bicommutant test run per conjugacy class of the given
@@ -29,7 +27,8 @@ subgroups, on its first member K, and no other row builds a basis: a
 conjugate H = gKg^-1 is read through M^K.  Ad U_g is a Hilbert-Schmidt
 isometry, so the commutator residual of U_s on U_g M^K U_g* is that of
 U_{g^-1 s g} on M^K, and one memo per class holds each element's residual
-on M^K once.  H's certificate on its own generators, its anti-monotone
+on M^K once, seeded with K's own generators' from its fixed-point
+certificate.  H's certificate on its own generators, its anti-monotone
 audit and the interner's confirmation all read that memo, and its
 fingerprint is Ad U_g P_K Ad U_g* of the probe.  In a non-full M each
 conjugating g must leave M invariant.  A conjugate row's
@@ -229,8 +228,8 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
     The first subgroup K of each class (``subgroup_classes``) gets its fixed
     algebra and bicommutant test computed, and its basis is kept, with one
-    memo of its elements' residuals, until the last row of its class.  A
-    conjugate H = gKg^-1 builds no basis: M^H = U_g M^K U_g* (Ad U_g is a
+    memo of its elements' residuals, seeded with those of K's generators that
+    certified M^K, until the last row of its class.  A conjugate H = gKg^-1 builds no basis: M^H = U_g M^K U_g* (Ad U_g is a
     *-automorphism of M, checked on g in a non-full M), and
     ||[U_s, U_g X U_g*]||_F = ||[U_{g^-1 s g}, X]||_F, so H's certificate on
     its own generators reads the memo at the conjugated elements.  H takes
@@ -254,8 +253,8 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
         if r == j:
-            fixed = alg.fixed_point_algebra(m, pi, sub, tol)
-            kept[j] = fixed, {}, _bicommutant(fixed, m, pi, sub, report.mode, tol)
+            fixed = alg.fixed_point_algebra(m, pi, sub, tol, residuals=(memo := {}))
+            kept[j] = fixed, memo, _bicommutant(fixed, m, pi, sub, report.mode, tol)
         elif not m.is_full:   # every unitary preserves the full algebra
             alg._conjugation_maps(m, pi, (g,))
         fixed, memo, (ok, residual, commutant_dim) = kept.pop(r) if last[r] == j else kept[r]
@@ -310,34 +309,31 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
                  mode: str, tol: Tolerance):
     """(ok, residual, dim once) of the double (relative) commutant test on fixed = M^H.
 
-    ``twice`` is solved from ``once``, and ``once`` from ``fixed``; the
-    residual is its commutator residual on the unitaries of H's generators,
-    and in a non-full M also its containment residual in M.  Under the bound
-    ``twice`` lies in U(H)' cap M = M^H, so at the dimension of ``fixed`` it
-    is M^H.  In a full M both are ``_solve_commutant`` kernels, and ``once``
-    must also be span U(H) (``_first_commutant_ok``); a failing ``once``
-    fails the row, and the residual stays ``twice``'s.
+    ``once`` is solved from ``fixed``.  In a full M it is a bare kernel, and
+    ``_first_commutant_certificate`` gives the verdict and residual: as span
+    U(H), its commutant is U(H)' = ``fixed``, so no ``twice`` is solved.  In a
+    non-full M ``twice`` is solved from ``once``, and the residual is its
+    commutator residual on the unitaries of H's generators maxed with its
+    containment residual in M: under the bound it lies in U(H)' cap M = M^H,
+    which at the dimension of ``fixed`` it is.
     """
-    once_ok = True
     if m.is_full:
         once = _solve_commutant(fixed.basis, tol)
-        twice = _solve_commutant(once.basis, tol)
-        once_ok = _first_commutant_ok(once, pi, subgroup)
-    elif mode == "inner":
+        return (*_first_commutant_certificate(once, pi, subgroup), once.dim)
+    if mode == "inner":
         once = alg.relative_commutant(fixed, m, tol)
         twice = alg.relative_commutant(once, m, tol)
     else:
         once = alg.commutant(fixed, tol)
         twice = alg.commutant(once, tol)
-    residual = alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
-    if not m.is_full:
-        residual = max(residual, m.subspace().containment_residual(twice.subspace()))
-    return once_ok and residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
+    residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis),
+                   m.subspace().containment_residual(twice.subspace()))
+    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
 
 
 def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """The Sylvester kernel of a *-closed family as an algebra, with no
-    commutator certificate: ``_bicommutant`` certifies both of its kernels."""
+    commutator certificate: ``_bicommutant`` certifies it by the character rank."""
     n = family.shape[1]
     return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
 
@@ -355,16 +351,15 @@ def _character_matrix(pi: rp.UnitaryRep, subgroup: Subgroup) -> np.ndarray:
     return chi[group.mult[np.ix_(group.inverse[h], h)]]
 
 
-def _first_commutant_ok(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup) -> bool:
-    """Whether ``once`` is span U(H) = (M^H)' in a full M: every U(h), h in H,
-    lies in it within the bound, relative to ||U_h||_F, at the dimension
-    rank K (``_character_matrix``)."""
+def _first_commutant_certificate(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup):
+    """(ok, residual): whether ``once`` is span U(H) = (M^H)' in a full M, that is
+    of dimension rank K (``_character_matrix``) with every U(h)/||U_h||_F, h in
+    H, in it within the bound, and the worst of those membership residuals."""
     rank = int(np.sum(np.linalg.eigvalsh(_character_matrix(pi, subgroup)) > 0.5))
-    if once.dim != rank:
-        return False
     units = pi.matrices[list(subgroup.members)].reshape(subgroup.order, -1)
     units = units / np.linalg.norm(units, axis=1)[:, None]
-    return once.subspace().residual(units.T) <= _RESIDUAL_BOUND
+    residual = once.subspace().residual(units.T)
+    return once.dim == rank and residual <= _RESIDUAL_BOUND, residual
 
 
 def is_minimal_action(report: GaloisReport):

@@ -210,6 +210,45 @@ def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mo
     return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
 
 
+def bicommutant_by_two_solves(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
+                              tol: Tolerance = DEFAULT_TOL, _honest=galois._bicommutant):
+    """``galois._bicommutant`` with a second commutant in a full M too: there
+    ``twice`` is solved from ``once`` by ``galois._solve_commutant``, ``once``
+    must pass its character-rank certificate, and the residual is twice's
+    commutator residual on the unitaries of H's generators, at the dimension
+    of ``fixed``.  ``galois`` reads (M^H)'' = U(H)' as M^H instead.  A
+    non-full M solves both (relative) commutants on either path."""
+    if not m.is_full:
+        return _honest(fixed, m, pi, subgroup, mode, tol)
+    once = galois._solve_commutant(fixed.basis, tol)
+    twice = galois._solve_commutant(once.basis, tol)
+    once_ok = galois._first_commutant_certificate(once, pi, subgroup)[0]
+    residual = algebras.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
+    ok = once_ok and residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
+    return ok, residual, once.dim
+
+
+def orbital_lattice(group: FiniteGroup, action, subgroups) -> list:
+    """(dim M^H, id) per subgroup H, M = M_N under the permutation
+    representation of the action table, in integer arithmetic only.
+
+    M^H is spanned by the indicators of the orbits of H on pairs of points
+    (orbitals; Wielandt, *Finite Permutation Groups*, 1964, ch. V), so its
+    dimension is their number, and two subgroups have equal fixed algebras
+    exactly when they have the same orbitals.  The pair (x, y) is labelled
+    by min over h in H of act[h, x] N + act[h, y], the least code of its
+    orbit, and the ids follow the first appearance of each labelling, as
+    ``galois._Interner``'s do."""
+    act = np.asarray(action).reshape(group.order, -1)
+    n = act.shape[1]
+    ids, rows = {}, []
+    for h in subgroups:
+        moved = act[list(h.members)]
+        labels = np.min(moved[:, :, None] * n + moved[:, None, :], axis=0)
+        rows.append((len(np.unique(labels)), ids.setdefault(labels.tobytes(), len(ids))))
+    return rows
+
+
 class StoringInterner:
     """``galois._Interner`` as it was before rows were streamed: it keeps every
     interned subspace, materialized as the range of the projection it is

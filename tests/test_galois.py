@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import tracemalloc
 
@@ -104,8 +105,8 @@ def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, mo
     top = tuple(range(6))
     honest = algebras.fixed_point_algebra
 
-    def patched(m, rep, sub, tol=DEFAULT_TOL):
-        return StarAlgebra.full(6) if sub.members == top else honest(m, rep, sub, tol)
+    def patched(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
+        return StarAlgebra.full(6) if sub.members == top else honest(m, rep, sub, tol, residuals)
 
     monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
@@ -127,8 +128,8 @@ def test_several_anti_monotone_violations_come_in_the_h1_outer_order(d4, monkeyp
     m, rep = StarAlgebra.full(8), reps.regular_rep(d4)
     honest = algebras.fixed_point_algebra
 
-    def patched(m, rep, sub, tol=DEFAULT_TOL):
-        return m if sub.order == 4 else honest(m, rep, sub, tol)
+    def patched(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
+        return m if sub.order == 4 else honest(m, rep, sub, tol, residuals)
 
     monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
@@ -463,41 +464,100 @@ def test_the_generator_certificate_agrees_with_the_distance_reference(name, monk
         assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
 
 
-def _doctor_second_commutants(monkeypatch, module, solver: str, basis_of) -> None:
-    """Give the second of each pair of ``module.<solver>`` calls, the
+def _bicommutant_verdicts(report):
+    """Each row's test verdict, first commutant, fixed dimension and id, the
+    classes and the violation kinds: what one commutant must keep of two."""
+    rows = [(r.subgroup.members, r.bicommutant_ok, r.commutant_dim, r.fixed_dim, r.fixed_id)
+            for r in report.rows]
+    return rows, report.equivalence_classes, [v[0] for v in report.violations]
+
+
+def _against_two_solves(report, run, monkeypatch) -> None:
+    """A report against ``run()``'s with ``galois._bicommutant`` solving (M^H)''
+    too (``kernel_reference.bicommutant_by_two_solves``)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "_bicommutant", kernel_reference.bicommutant_by_two_solves)
+        two = run()
+    assert _bicommutant_verdicts(report) == _bicommutant_verdicts(two)
+    for each in (report, two):
+        assert max(r.bicommutant_residual for r in each.rows) <= galois._RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
+def test_one_commutant_gives_the_two_solve_verdicts(name, monkeypatch):
+    # in a full M the certified first commutant stands for the second; a
+    # non-full M (crossed-S3-M3) solves both on either path
+    run = _galois_case(name)
+    _against_two_solves(run(), run, monkeypatch)
+
+
+def _permutation_lattice(group, action):
+    """The report on M_N through the permutation representation of the
+    action table, over every subgroup, past the order bound too."""
+    rep = reps.permutation_rep(group, action)
+    subgroups = groups.enumerate_subgroups(group, order_bound=group.order)
+    return galois.galois_map(StarAlgebra.full(rep.dim), rep, subgroups=subgroups)
+
+
+def _orbital_mismatches(report, action) -> list:
+    """Rows whose (fixed_dim, fixed_id) differ from the exact orbital
+    reference's, and the injectivity verdict when it differs."""
+    exact = kernel_reference.orbital_lattice(report.group, action,
+                                             [r.subgroup for r in report.rows])
+    found = [(r.subgroup.members, (r.fixed_dim, r.fixed_id), e)
+             for r, e in zip(report.rows, exact) if (r.fixed_dim, r.fixed_id) != e]
+    ids = [i for _, i in exact]
+    if report.injective != (len(set(ids)) == len(ids)):
+        found.append(("injective", report.injective))
+    return found
+
+
+@pytest.mark.parametrize("name", [*groups.FIXTURE_GROUPS, "S4-on-points"])
+def test_the_lattice_equals_the_exact_orbital_reference(name):
+    # regular lattices and S4 on its points: dims are orbital counts and ids
+    # orbital partitions, decided in integers
+    group = groups.FIXTURE_GROUPS[name.split("-")[0]]()
+    action = groups.symmetric_action(4) if name == "S4-on-points" else group.mult
+    report = _permutation_lattice(group, action)
+    assert _orbital_mismatches(report, action) == []
+    assert report.injective == (name != "S4-on-points")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fixed_id", lambda rows: rows[2].fixed_id),
+    ("fixed_id", lambda rows: len(rows)),
+    ("fixed_dim", lambda rows: rows[1].fixed_dim + 1),
+], ids=["merged-with-the-next-row", "a-fresh-id", "dim-off-by-one"])
+def test_a_doctored_report_differs_from_the_orbital_reference(s4, field, value):
+    # negative controls on S4 regular's row 1: an id merged with the next
+    # row's, which also makes the lattice not injective, an id out of the
+    # order of first appearance, or a dimension one too large
+    report = _permutation_lattice(s4, s4.mult)
+    report.rows[1] = dataclasses.replace(report.rows[1], **{field: value(report.rows)})
+    assert _orbital_mismatches(report, s4.mult) != []
+
+
+def test_the_orbital_reference_tells_the_actions_apart(s4):
+    # negative control: S4 regular's report read against S4 on its points
+    report = _permutation_lattice(s4, s4.mult)
+    assert _orbital_mismatches(report, groups.symmetric_action(4)) != []
+
+
+def _doctor_second_commutants(monkeypatch, basis_of) -> None:
+    """Give the second of each pair of ``algebras.commutant`` calls, a spatial
     bicommutant test's ``twice`` solved from ``once``, the basis ``basis_of(twice)``."""
-    honest, made = getattr(module, solver), []
+    honest, made = algebras.commutant, []
 
     def solve(*args, **kwargs):
         made.append(honest(*args, **kwargs))
         if len(made) % 2:
             return made[-1]
         return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
-    monkeypatch.setattr(module, solver, solve)
+    monkeypatch.setattr(algebras, "commutant", solve)
 
 
 _E01 = np.zeros((1, 6, 6), dtype=complex)
 _E01[0, 0, 1] = 1.0
-
-
-@pytest.mark.parametrize("doctor, leaves", [
-    (lambda basis: np.concatenate([_E01, basis[1:]]), True),
-    (lambda basis: basis[1:], False),
-], ids=["E01-swapped-in", "one-element-short"])
-def test_a_doctored_second_commutant_fails_its_class(s3, monkeypatch, doctor, leaves):
-    # negative controls on the twice of S3's order-2 class, of dimension 18:
-    # with one element swapped for the matrix unit E_01 of M6, which no
-    # regular unitary but the identity's commutes with, it leaves M^H; with
-    # one element dropped it still commutes, and the dimension alone fails it.
-    # In a full M both kernels of the test are galois._solve_commutant
-    _doctor_second_commutants(monkeypatch, galois, "_solve_commutant", lambda twice: (
-        doctor(twice.basis) if twice.dim == 18 else twice.basis))
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
-    order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
-    assert [v[:2] for v in report.violations] == [("bicommutant", h) for h in order_two]
-    assert all((v[2] > galois._RESIDUAL_BOUND) == leaves for v in report.violations)
-    assert [r.bicommutant_ok for r in report.rows] == [r.subgroup.order != 2
-                                                       for r in report.rows]
 
 
 def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatch):
@@ -507,7 +567,7 @@ def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatc
     z2 = groups.cyclic_group(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
-    _doctor_second_commutants(monkeypatch, algebras, "commutant", lambda twice: np.concatenate(
+    _doctor_second_commutants(monkeypatch, lambda twice: np.concatenate(
         [twice.basis[:-1], swap[None] / np.sqrt(2.0)]))
     report = galois.galois_map(StarAlgebra.diagonal(2), rep)
     assert report.mode == "spatial"
@@ -538,9 +598,9 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
         galois.galois_map(m, reg))
 
 
-def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch):
-    # S4's 30 subgroups fall into 11 conjugacy classes; in a full M the two
-    # commutants of each bicommutant test are galois._solve_commutant kernels,
+def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
+    # S4's 30 subgroups fall into 11 conjugacy classes; in a full M each
+    # bicommutant test solves one galois._solve_commutant kernel, (M^H)',
     # and algebras.relative_commutant is never called
     def counted():
         calls = collections.Counter()
@@ -554,9 +614,9 @@ def test_one_kernel_and_two_relative_commutants_per_class_on_s4(s4, monkeypatch)
         assert len(report.rows) == 30 and not report.violations
         return calls
 
-    assert counted() == {"fixed_point_algebra": 11, "_solve_commutant": 22}
+    assert counted() == {"fixed_point_algebra": 11, "_solve_commutant": 11}
     monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
-    assert counted() == {"fixed_point_algebra": 30, "_solve_commutant": 60}
+    assert counted() == {"fixed_point_algebra": 30, "_solve_commutant": 30}
 
 
 @pytest.mark.parametrize("name", ["regular-S4", "regular-A4", "regular-D4", "permutation-S4"])
@@ -579,18 +639,13 @@ def test_the_character_rank_is_the_first_commutant_dimension(name):
 
 
 def _doctor_first_commutants(monkeypatch, basis_of) -> None:
-    """Give the first of each pair of ``galois._solve_commutant`` calls, the
-    bicommutant test's ``once``, the basis ``basis_of(once)``, and solve
-    ``twice`` from the honest ``once``, so only the first certificate can fail."""
-    honest, made = galois._solve_commutant, []
+    """Give each ``galois._solve_commutant`` call, a full bicommutant test's
+    ``once``, the basis ``basis_of(once)``."""
+    honest = galois._solve_commutant
 
     def solve(family, tol):
-        if len(made) % 2:
-            family = made[-1].basis
-        made.append(honest(family, tol))
-        if len(made) % 2:
-            return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
-        return made[-1]
+        once = honest(family, tol)
+        return StarAlgebra(once.ambient_dim, basis_of(once))
     monkeypatch.setattr(galois, "_solve_commutant", solve)
 
 
@@ -601,24 +656,24 @@ def _with_e01_added(basis):
     return np.concatenate([basis, (e / np.linalg.norm(e)).reshape(_E01.shape)])
 
 
-@pytest.mark.parametrize("doctor, dim", [
-    (lambda basis: np.concatenate([_E01, basis[1:]]), 2),
-    (lambda basis: basis[1:], 1),
-    (_with_e01_added, 3),
+@pytest.mark.parametrize("doctor, dim, leaves", [
+    (lambda basis: np.concatenate([_E01, basis[1:]]), 2, True),
+    (lambda basis: basis[1:], 1, True),
+    (_with_e01_added, 3, False),
 ], ids=["E01-swapped-in", "one-element-short", "one-element-extra"])
-def test_a_doctored_first_commutant_fails_its_class(s3, monkeypatch, doctor, dim):
+def test_a_doctored_first_commutant_fails_its_class(s3, monkeypatch, doctor, dim, leaves):
     # negative controls on the once of S3's order-2 class, span U(H) of
     # dimension 2: with E_01 swapped in, U(h) leaves it; with one element
-    # dropped, it falls below rank K (and U(h) leaves it too); with one
-    # orthonormal element added, it holds U(H) and only rank K fails it.
-    # Each is a recorded violation at the honest twice's residual, and the
-    # run completes
+    # dropped, it falls below rank K and U(h) leaves it too, both above the
+    # bound; with one orthonormal element added, it holds U(H) within the
+    # bound and only rank K fails it.  Each is a recorded violation at the
+    # worst membership residual, and the run completes
     _doctor_first_commutants(monkeypatch, lambda once: (
         doctor(once.basis) if once.dim == 2 else once.basis))
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
     assert [v[:2] for v in report.violations] == [("bicommutant", h) for h in order_two]
-    assert all(v[2] <= galois._RESIDUAL_BOUND for v in report.violations)
+    assert all((v[2] > galois._RESIDUAL_BOUND) == leaves for v in report.violations)
     assert [(r.bicommutant_ok, r.commutant_dim) for r in report.rows
             if r.subgroup.order == 2] == [(False, dim)] * 3
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
@@ -638,17 +693,20 @@ def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
 
 
 def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypatch):
-    # besides each representative's fixed-point certificate and twice residual,
-    # every commutator residual is one element t of a representative K on M^K,
-    # at most once per (class, t), and no fixed basis is conjugated by a group
-    # unitary; the 19 conjugate rows once took 3600 conjugated basis elements,
-    # 113 calls and 14448 element x basis products
+    # besides each representative's fixed-point certificate, one call per
+    # generator of K, every commutator residual is one element t of a
+    # representative K on M^K, at most once per (class, t) and never for a
+    # generator of K, whose residual the certificate seeded, and no fixed
+    # basis is conjugated by a group unitary; the 19 conjugate rows once took
+    # 3600 conjugated basis elements, 113 calls and 14448 element x basis
+    # products, and with a twice residual per class and an unseeded memo
+    # 66 calls and 7872 products
     rep = reps.regular_rep(s4)
     representatives = {}   # id of M^K's basis -> (K, the basis, kept alive)
     honest_fixed = algebras.fixed_point_algebra
 
-    def solving(m, pi, sub, tol=DEFAULT_TOL):
-        fixed = honest_fixed(m, pi, sub, tol)
+    def solving(m, pi, sub, tol=DEFAULT_TOL, residuals=None):
+        fixed = honest_fixed(m, pi, sub, tol, residuals)
         representatives[id(fixed.basis)] = sub, fixed.basis
         return fixed
 
@@ -661,7 +719,7 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
             sub = representatives[id(basis)][0]
             assert len(family) == 1
             t = int(np.flatnonzero((rep.matrices == family[0]).all(axis=(1, 2)))[0])
-            assert t in sub.members
+            assert t in sub.members and t not in sub.generators
             on_classes[sub.members, t] += 1
         return honest(family, basis)
 
@@ -683,8 +741,27 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
     assert len(report.rows) == 30 and report.injective and not report.violations
     assert len(representatives) == 11 and conjugated == []
     assert max(on_classes.values()) == 1
-    assert len(calls) - sum(on_classes.values()) == 2 * len(representatives)
-    assert (len(calls), sum(calls)) == (66, 7872)
+    generators = sum(len(sub.generators) for sub, _ in representatives.values())
+    assert len(calls) - sum(on_classes.values()) == generators
+    assert (len(calls), sum(calls)) == (44, 3456)
+
+
+def test_the_class_memo_reads_the_certificates_residuals(s3, monkeypatch):
+    # negative control: the certificate of S3's order-2 representative hands
+    # back a planted residual for its generator, honest basis and all; the
+    # next row, a conjugate whose generator is carried to it, reads the
+    # planted number instead of computing one, and refuses the row
+    honest = algebras.fixed_point_algebra
+
+    def planted(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
+        fixed = honest(m, rep, sub, tol, residuals)
+        if sub.order == 2:
+            residuals.update(dict.fromkeys(sub.generators, 1.0))
+        return fixed
+
+    monkeypatch.setattr(algebras, "fixed_point_algebra", planted)
+    with pytest.raises(ClosureFailed, match="residual 1.000e"):
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
 
 
 def test_the_conjugated_projection_is_the_transported_algebras(s4):
@@ -716,12 +793,10 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
     assert max(sizes) <= 160
 
 
-@pytest.mark.slow
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: under a minute and about 0.4 GB at one BLAS
-    # thread; streamed rows and panelled kernel transients keep the traced
-    # peak (about 330 MiB) under 400 MiB, where the stored bases alone once
-    # took 1.95 GiB
+    # S4 x Z2 on 48 points: about 10 s and 0.35 GB at one BLAS thread;
+    # streamed rows and panelled kernel transients keep the traced peak
+    # under 400 MiB, where the stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
     tracemalloc.start()
     try:
@@ -753,19 +828,30 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3):
 
 
 @pytest.mark.slow
-def test_the_a5_regular_lattice():
+def test_the_a5_regular_lattice(monkeypatch):
     # order 60 on its regular representation (n = 60), past the order bound;
     # its 59 subgroups fall into 9 conjugacy classes, and the run takes about
-    # 0.65 GB at one BLAS thread
+    # 0.65 GB at one BLAS thread; its rows against their orbitals, and one
+    # commutant per row against two
     a5 = groups.alternating_group(5)
-    subgroups = groups.enumerate_subgroups(a5, order_bound=a5.order)
-    report = galois.galois_map(StarAlgebra.full(60), reps.regular_rep(a5), subgroups=subgroups)
+    report = _permutation_lattice(a5, a5.mult)
+    subgroups = [r.subgroup for r in report.rows]
     assert a5.order == 60 and len(report.rows) == 59
     assert len({r for r, _ in groups.subgroup_classes(a5, subgroups)}) == 9
     assert report.anti_monotone_pairs == 246
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
-    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+    assert _orbital_mismatches(report, a5.mult) == []
+    _against_two_solves(report, lambda: _permutation_lattice(a5, a5.mult), monkeypatch)
+
+
+@pytest.mark.slow
+def test_the_order_48_regular_lattice_against_both_references(s4_times_z2, monkeypatch):
+    # one commutant per row against two, and the rows against their orbitals
+    report = _permutation_lattice(s4_times_z2, s4_times_z2.mult)
+    assert _orbital_mismatches(report, s4_times_z2.mult) == []
+    _against_two_solves(report, lambda: _permutation_lattice(s4_times_z2, s4_times_z2.mult),
+                        monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -788,6 +874,13 @@ def test_the_s5_lattice_on_its_irreps(s5_on_irreps):
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
     assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+
+
+def test_the_s5_lattice_gives_the_two_solve_verdicts(s5_on_irreps, monkeypatch):
+    # 156 rows in 19 classes past the order bound, one commutant per row against two
+    rep, subgroups, report = s5_on_irreps
+    _against_two_solves(report, lambda: galois.galois_map(
+        StarAlgebra.full(rep.dim), rep, subgroups=subgroups), monkeypatch)
 
 
 @pytest.mark.slow
