@@ -9,16 +9,21 @@ map must be injective across classes and any failure is recorded as a
 violation rather than silently accepted.  Subgroup checks use generators.
 
 In a full M the bicommutant test solves one commutant, (M^H)', by the
-Sylvester kernel, and certifies it to be span U(H), the commutant of U(H)'
-(double commutant theorem): its dimension must be the rank of the
-|H| x |H| character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and
-every U(h), h in H, must lie in it; the worst membership residual is the
-row's.  Then (M^H)'' = U(H)' is M^H by definition, which
-``algebras.fixed_point_algebra`` has solved and certified, so no second
-commutant is solved and no basis of M^H is walked.  In a non-full M both
-commutants come from ``algebras`` (relative ones in inner mode), and the
-second must commute with the unitaries of H's generators and lie in M, so
-at the dimension of M^H it is M^H = U(H)' cap M.  No distance in the
+Sylvester kernel on a seeded pair a, b of random elements of M^H and
+their adjoints (two generic elements generate a semisimple matrix
+algebra: Dixon, Math. Comp. 1970; Murota, Kanno, Kojima and Kojima, JJIAM
+2010), and certifies it to be span U(H), the commutant of U(H)' (double
+commutant theorem): its dimension must be the rank of the |H| x |H|
+character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and every U(h),
+h in H, must lie in it; the worst membership residual is the row's.
+{a, b, a*, b*}' contains (M^H)', so a pair that fails to generate M^H
+only enlarges the solved space and fails on rank.  Then (M^H)'' = U(H)'
+is M^H by definition, which ``algebras.fixed_point_algebra`` has solved
+and certified, so no second commutant is solved and no basis of M^H is
+walked.  In a non-full M both commutants come from ``algebras`` (relative
+ones in inner mode), and the second must commute with the unitaries of
+H's generators and lie in M, so at the dimension of M^H it is
+M^H = U(H)' cap M.  No distance in the
 n^2-dimensional matrix space is formed.
 
 The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So one fixed-point
@@ -66,6 +71,8 @@ _RESIDUAL_BOUND = 1e-9
 _FINGERPRINT_MATCH = 1e-6
 # the interning probe is drawn from a generator with this seed
 _PROBE_SEED = 0
+# each full bicommutant test draws its generating pair of M^H with this seed
+_PAIR_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -309,16 +316,24 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
                  mode: str, tol: Tolerance):
     """(ok, residual, dim once) of the double (relative) commutant test on fixed = M^H.
 
-    ``once`` is solved from ``fixed``.  In a full M it is a bare kernel, and
-    ``_first_commutant_certificate`` gives the verdict and residual: as span
-    U(H), its commutant is U(H)' = ``fixed``, so no ``twice`` is solved.  In a
-    non-full M ``twice`` is solved from ``once``, and the residual is its
-    commutator residual on the unitaries of H's generators maxed with its
-    containment residual in M: under the bound it lies in U(H)' cap M = M^H,
-    which at the dimension of ``fixed`` it is.
+    In a full M ``once`` is the bare kernel of a, b, a*, b*, where a and b
+    are complex Gaussian combinations of ``fixed``'s basis drawn with
+    ``_PAIR_SEED``, and ``_first_commutant_certificate`` gives the verdict
+    and residual.  M^H lies in U(H)', as its fixed-point certificate
+    showed, so ``once`` contains (M^H)', which contains span U(H): at rank K
+    with every U(h) inside it is span U(H) for every draw, and a pair that
+    does not generate M^H fails on rank.  As span U(H), its commutant is
+    U(H)' = ``fixed``, so no ``twice`` is solved.  In a non-full M ``once``
+    is solved from ``fixed`` and ``twice`` from ``once``, and the residual
+    is ``twice``'s commutator residual on the unitaries of H's generators
+    maxed with its containment residual in M: under the bound it lies in
+    U(H)' cap M = M^H, which at the dimension of ``fixed`` it is.
     """
     if m.is_full:
-        once = _solve_commutant(fixed.basis, tol)
+        rng = np.random.default_rng(_PAIR_SEED)
+        c = rng.standard_normal((2, fixed.dim)) + 1j * rng.standard_normal((2, fixed.dim))
+        pair = np.tensordot(c, fixed.basis, axes=1)
+        once = _solve_commutant(np.concatenate([pair, dagger(pair)]), tol)
         return (*_first_commutant_certificate(once, pi, subgroup), once.dim)
     if mode == "inner":
         once = alg.relative_commutant(fixed, m, tol)
@@ -333,7 +348,8 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
 def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """The Sylvester kernel of a *-closed family as an algebra, with no
-    commutator certificate: ``_bicommutant`` certifies it by the character rank."""
+    commutator certificate: ``_bicommutant`` passes a generating pair of
+    M^H and its adjoints, and certifies the kernel by the character rank."""
     n = family.shape[1]
     return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
 
@@ -354,7 +370,9 @@ def _character_matrix(pi: rp.UnitaryRep, subgroup: Subgroup) -> np.ndarray:
 def _first_commutant_certificate(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup):
     """(ok, residual): whether ``once`` is span U(H) = (M^H)' in a full M, that is
     of dimension rank K (``_character_matrix``) with every U(h)/||U_h||_F, h in
-    H, in it within the bound, and the worst of those membership residuals."""
+    H, in it within the bound, and the worst of those membership residuals.
+    ``once`` need only contain span U(H), as any commutant of elements of
+    M^H does: the rank then decides equality."""
     rank = int(np.sum(np.linalg.eigvalsh(_character_matrix(pi, subgroup)) > 0.5))
     units = pi.matrices[list(subgroup.members)].reshape(subgroup.order, -1)
     units = units / np.linalg.norm(units, axis=1)[:, None]

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import kernel_reference
@@ -472,21 +475,25 @@ def _bicommutant_verdicts(report):
     return rows, report.equivalence_classes, [v[0] for v in report.violations]
 
 
-def _against_two_solves(report, run, monkeypatch) -> None:
-    """A report against ``run()``'s with ``galois._bicommutant`` solving (M^H)''
-    too (``kernel_reference.bicommutant_by_two_solves``)."""
+def _against_two_solves(report, run, monkeypatch, reference_bound: float = 1e-11) -> None:
+    """A report against ``run()``'s with ``galois._bicommutant`` solving (M^H)'
+    on M^H's whole basis and (M^H)'' too
+    (``kernel_reference.bicommutant_by_two_solves``): the same verdicts and
+    ``commutant_dim`` on every row, the report's worst residual within 1e-11
+    and the reference's within ``reference_bound``."""
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_bicommutant", kernel_reference.bicommutant_by_two_solves)
         two = run()
     assert _bicommutant_verdicts(report) == _bicommutant_verdicts(two)
-    for each in (report, two):
-        assert max(r.bicommutant_residual for r in each.rows) <= galois._RESIDUAL_BOUND
+    assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
+    assert max(r.bicommutant_residual for r in two.rows) <= reference_bound
 
 
 @pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
 def test_one_commutant_gives_the_two_solve_verdicts(name, monkeypatch):
-    # in a full M the certified first commutant stands for the second; a
-    # non-full M (crossed-S3-M3) solves both on either path
+    # in a full M the first commutant, solved on a seeded pair of M^H and
+    # certified, stands for the one solved on M^H's basis and for the second;
+    # a non-full M (crossed-S3-M3) solves both on either path
     run = _galois_case(name)
     _against_two_solves(run(), run, monkeypatch)
 
@@ -600,8 +607,11 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
 
 def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
     # S4's 30 subgroups fall into 11 conjugacy classes; in a full M each
-    # bicommutant test solves one galois._solve_commutant kernel, (M^H)',
-    # and algebras.relative_commutant is never called
+    # bicommutant test solves one galois._solve_commutant kernel, (M^H)', on
+    # a pair of M^H and its adjoints, never on M^H's basis (576 matrices on
+    # the trivial row), and algebras.relative_commutant is never called
+    families = []
+
     def counted():
         calls = collections.Counter()
         with monkeypatch.context() as patch:
@@ -610,13 +620,18 @@ def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
                 honest = getattr(module, fn)
                 patch.setattr(module, fn, lambda *a, _f=honest, _n=fn, **k:
                               calls.update([_n]) or _f(*a, **k))
+            solve = galois._solve_commutant
+            patch.setattr(galois, "_solve_commutant",
+                          lambda family, tol: families.append(len(family)) or solve(family, tol))
             report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
         assert len(report.rows) == 30 and not report.violations
         return calls
 
     assert counted() == {"fixed_point_algebra": 11, "_solve_commutant": 11}
+    assert families == [4] * 11
     monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
     assert counted() == {"fixed_point_algebra": 30, "_solve_commutant": 30}
+    assert families == [4] * 41
 
 
 @pytest.mark.parametrize("name", ["regular-S4", "regular-A4", "regular-D4", "permutation-S4"])
@@ -677,6 +692,27 @@ def test_a_doctored_first_commutant_fails_its_class(s3, monkeypatch, doctor, dim
     assert [(r.bicommutant_ok, r.commutant_dim) for r in report.rows
             if r.subgroup.order == 2] == [(False, dim)] * 3
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
+
+
+def test_a_pair_that_misses_m_h_fails_every_class_of_s4(s4):
+    # negative controls for the seeded pair on each non-trivial class of S4
+    # regular: drawn from the scalars, a pair that does not generate M^H, its
+    # commutant is all of M_24, which holds U(H), so rank K alone fails it;
+    # drawn from M^H's basis with E_01 swapped in, it generates M_24, whose
+    # commutant, the scalars, leaves each U(h), h != e, above the bound
+    rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
+    subs = groups.enumerate_subgroups(s4)
+    e01 = np.zeros((1, 24, 24), dtype=complex)
+    e01[0, 0, 1] = 1.0
+    classes = sorted({r for r, _ in groups.subgroup_classes(s4, subs)})
+    for sub in [subs[r] for r in classes if subs[r].order > 1]:
+        ok, residual, dim = galois._bicommutant(StarAlgebra.scalars(24), m, rep, sub,
+                                                "inner", DEFAULT_TOL)
+        assert (ok, dim) == (False, 576) and residual <= galois._RESIDUAL_BOUND, sub.members
+        fixed = algebras.fixed_point_algebra(m, rep, sub)
+        swapped = StarAlgebra(24, np.concatenate([e01, fixed.basis[1:]]))
+        ok, residual, dim = galois._bicommutant(swapped, m, rep, sub, "inner", DEFAULT_TOL)
+        assert not ok and residual > galois._RESIDUAL_BOUND, sub.members
 
 
 def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
@@ -794,7 +830,7 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
 
 
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: about 10 s and 0.35 GB at one BLAS thread;
+    # S4 x Z2 on 48 points: about 7 s and 0.35 GB at one BLAS thread;
     # streamed rows and panelled kernel transients keep the traced peak
     # under 400 MiB, where the stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
@@ -815,16 +851,65 @@ def test_the_order_48_regular_lattice(s4_times_z2):
 
 
 @pytest.mark.slow
-def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3):
-    # order 144 on the direct sum of its irreps (n = 40), past the order bound
+def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3, monkeypatch):
+    # order 144 on the direct sum of its irreps (n = 40), past the order
+    # bound, and one commutant per row against two
     rep = reps.direct_sum(*reps.irrep_table(s4_times_s3).irreps)
     subgroups = groups.enumerate_subgroups(s4_times_s3, order_bound=144)
-    report = galois.galois_map(StarAlgebra.full(rep.dim), rep, subgroups=subgroups)
+
+    def run():
+        return galois.galois_map(StarAlgebra.full(rep.dim), rep, subgroups=subgroups)
+
+    report = run()
     assert rep.dim == 40 and len(report.rows) == 372
     assert report.anti_monotone_pairs == 4869
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
-    assert max(r.bicommutant_residual for r in report.rows) <= galois._RESIDUAL_BOUND
+    # the reference's twice reads 1.04e-11 on an order-8 class, above every
+    # other lattice's 1e-12; the report's membership residuals stay near 1e-12
+    _against_two_solves(report, run, monkeypatch, reference_bound=galois._RESIDUAL_BOUND)
+
+
+# the order-48 regular lattice in a fresh process, at the BLAS thread count
+# of its environment: argv[1] holds the group table, stdout gets the rows
+_LATTICE_IN_A_PROCESS = """
+import json, sys
+import numpy as np
+from ncgalois import galois, groups, reps
+from ncgalois.algebras import StarAlgebra
+group = groups.FiniteGroup(np.load(sys.argv[1]))
+report = galois.galois_map(StarAlgebra.full(group.order), reps.regular_rep(group))
+print(json.dumps({
+    "rows": [[r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok, r.commutant_dim]
+             for r in report.rows],
+    "classes": report.equivalence_classes,
+    "violations": [[v[0], repr(v[1])] for v in report.violations],
+    "residual": max(r.bicommutant_residual for r in report.rows),
+}))
+"""
+
+
+@pytest.mark.slow
+def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path):
+    # S4 x Z2 regular in two processes, at one BLAS thread and at two: the
+    # same dims, ids, verdicts, first commutants, classes and violations,
+    # and both worst residuals within 1e-11
+    np.save(tmp_path / "mult.npy", s4_times_z2.mult)
+    src = os.path.dirname(os.path.dirname(galois.__file__))
+
+    def run(threads: str) -> dict:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _LATTICE_IN_A_PROCESS,
+                               str(tmp_path / "mult.npy")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    one, two = run("1"), run("2")
+    assert max(one.pop("residual"), two.pop("residual")) <= 1e-11
+    assert len(one["rows"]) == 98 and one == two
 
 
 @pytest.mark.slow
