@@ -14,10 +14,14 @@ rounding: its trace is below the square of the lowest cut that
 ``linalg.kernel_of_gram``'s rank rule can choose, so the kernel keeps
 every direction, as eigh would, without forming the normal matrix.  A
 fixed-point algebra of the full matrix algebra is the commutant of the
-subgroup image, so it takes the same kernel; in a non-full M it is
-solved in M's own coordinates, as the SVD nullspace of the d x d maps of
-the generators (``fixed_coordinates``), with no n^2 kernel and no
-intersection.
+subgroup image, so it takes the same kernel, unless every unitary is a
+permutation matrix: then it is spanned by the normalized indicators of
+the subgroup's orbitals, read off the action table in integers with no
+kernel, and carries that partition, from which ``partition_residual``
+gives any permutation's commutator residual on it in O(n^2).  In a
+non-full M it is solved in M's own coordinates, as the SVD nullspace of
+the d x d maps of the generators (``fixed_coordinates``), with no n^2
+kernel and no intersection.
 Every commutant is that of a *-closed family, solved on the block-diagonal
 subspace of a seeded Hermitian element (``linalg.random_split``) instead of
 all n^2 coordinates; ``commutant_of_matrices`` rejects a family whose span
@@ -66,10 +70,13 @@ class StarAlgebra:
 
     ``basis`` is an (k, n, n) array of Hilbert-Schmidt orthonormal
     matrices.  The constructor checks shapes only; every construction path
-    certifies its own result (see the module docstring).
+    certifies its own result (see the module docstring).  ``orbitals``, set
+    only by ``fixed_point_algebra`` on a permutation representation, is the
+    (n, n) class of each pair of points when basis element c is the
+    normalized indicator of class c.
     """
 
-    def __init__(self, ambient_dim: int, basis):
+    def __init__(self, ambient_dim: int, basis, orbitals: np.ndarray | None = None):
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 3 or b.shape[1] != ambient_dim or b.shape[2] != ambient_dim:
             raise DimensionMismatch(
@@ -78,6 +85,7 @@ class StarAlgebra:
         self.ambient_dim = int(ambient_dim)
         self.basis = b
         self.basis.setflags(write=False)
+        self.orbitals = orbitals
         self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(b.shape[0], -1).T)
 
     # -- construction ------------------------------------------------------
@@ -137,7 +145,9 @@ class StarAlgebra:
 
     def from_coordinates(self, c: np.ndarray) -> np.ndarray:
         """The matrix, or stack of matrices, with coefficients ``c`` (last axis)."""
-        return np.einsum("...k,kij->...ij", np.asarray(c, dtype=np.complex128), self.basis)
+        c = np.asarray(c, dtype=np.complex128)
+        flat = c @ self.basis.reshape(self.dim, -1)
+        return flat.reshape(*c.shape[:-1], self.ambient_dim, self.ambient_dim)
 
     def equals(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.equals(other._subspace, tol)
@@ -244,6 +254,24 @@ def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
             moved = np.linalg.norm(b @ panel - panel @ b, axis=(1, 2))
             worst = max(worst, float(np.max(moved)) / max(frob(b), 1.0))
     return worst
+
+
+def partition_residual(orbitals: np.ndarray, perm: np.ndarray) -> float:
+    """``commutator_residual`` of the permutation matrix P, P e_x = e_{perm[x]},
+    on the normalized indicators X_C of the classes C of a partition of the
+    pairs of points, ``orbitals[x, y]`` the class of (x, y), in O(n^2).
+
+    ||P X_C - X_C P||_F = ||P X_C P* - X_C||_F, and P X_C P* indicates PC, so
+    it is sqrt(|C delta PC| / |C|) = sqrt(2 (|C| - |C cap PC|) / |C|), maxed
+    over C and divided by ||P||_F = sqrt(n).  This holds for any partition.
+    """
+    n = len(perm)
+    back = np.empty_like(perm)
+    back[perm] = np.arange(n)
+    carried = orbitals[back[:, None], back]   # (u, v) in PC exactly when carried[u, v] = C
+    sizes = np.bincount(orbitals.ravel())
+    kept = np.bincount(orbitals[orbitals == carried], minlength=len(sizes))
+    return float(np.sqrt(np.max(2.0 * (sizes - kept) / sizes))) / max(np.sqrt(n), 1.0)
 
 
 def _commutant(mats: np.ndarray, tol: Tolerance) -> StarAlgebra:
@@ -408,10 +436,16 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
 
     For a full M, U X U* = X for a unitary U exactly when X commutes with U,
     so the fixed algebra is the commutant U(H)', of dimension the character
-    count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).  A non-full M is solved in
+    count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).  When every U_g is a
+    permutation matrix (``UnitaryRep.action``), U(H)' is spanned by the
+    indicators of the orbits of H on pairs of points, its orbitals
+    (Wielandt, *Finite Permutation Groups*, 1964, ch. V): they are disjoint,
+    so normalized they are Hilbert-Schmidt orthonormal, and no kernel is
+    solved; the algebra carries the partition as ``orbitals``.  Any other
+    full M takes the Sylvester kernel of U(H).  A non-full M is solved in
     its own coordinates: one compression of its basis by each generator's
     unitary checks that M is invariant and gives the d x d map of Ad U_s,
-    and M^H is their joint ``fixed_coordinates``.  Either basis is certified
+    and M^H is their joint ``fixed_coordinates``.  Every basis is certified
     by ``_certified_fixed``, and a dict given as ``residuals`` receives its
     commutator residual on each generator's unitary, keyed by the generator.
     """
@@ -419,14 +453,37 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
         raise DimensionMismatch("representation does not act on the algebra's space")
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
-    n = rep.dim
+    n, orbitals = rep.dim, None
     if not m.is_full:
         maps = _conjugation_maps(m, rep, subgroup.generators)
         basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
+    elif rep.action is not None:
+        orbitals = _orbital_partition(rep.action, subgroup)
+        basis = _orbital_indicators(orbitals)
     else:
         mats = rep.matrices[list(subgroup.members)]
         basis = linalg.commutant_kernel(mats, tol).T
-    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n), residuals)
+    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n), residuals, orbitals)
+
+
+def _orbital_partition(action: np.ndarray, subgroup: Subgroup) -> np.ndarray:
+    """The (n, n) orbital of each pair of points under H, numbered 0, 1, ... in
+    the order of their least codes: (x, y) has the code x n + y, and its
+    orbit's least code is min over h in H of act[h, x] n + act[h, y]."""
+    moved = action[list(subgroup.members)]
+    n = moved.shape[1]
+    least = np.min(moved[:, :, None] * n + moved[:, None, :], axis=0)
+    return np.unique(least, return_inverse=True)[1].reshape(n, n)
+
+
+def _orbital_indicators(orbitals: np.ndarray) -> np.ndarray:
+    """The (k, n, n) normalized indicators of the k classes of ``orbitals``, in class order."""
+    n = orbitals.shape[0]
+    flat = orbitals.ravel()
+    sizes = np.bincount(flat)
+    basis = np.zeros((len(sizes), n * n), dtype=np.complex128)
+    basis[flat, np.arange(n * n)] = 1.0 / np.sqrt(sizes)[flat]
+    return basis.reshape(-1, n, n)
 
 
 def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
@@ -445,10 +502,13 @@ def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
 
 
 def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
-                     basis: np.ndarray, residuals: dict | None = None) -> StarAlgebra:
+                     basis: np.ndarray, residuals: dict | None = None,
+                     orbitals: np.ndarray | None = None) -> StarAlgebra:
     """M^H from its basis, once the basis commutes with the unitaries of H's
-    generators and, in a full M, its size is the character count.  Each
-    generator's residual is taken once, and copied into ``residuals`` when given."""
+    generators and, in a full M, its size is the character count, which for
+    a permutation character is the number of orbitals (Burnside), so it
+    checks an orbital basis independently.  Each generator's residual is
+    taken once, and copied into ``residuals`` when given."""
     found = {s: commutator_residual(rep.matrices[[s]], basis) for s in subgroup.generators}
     _require_commuting(max(found.values(), default=0.0))
     if residuals is not None:
@@ -461,7 +521,7 @@ def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                 f"fixed-point algebra has dimension {len(basis)}, "
                 f"the character formula gives {expected:.6g}"
             )
-    return StarAlgebra(rep.dim, basis)
+    return StarAlgebra(rep.dim, basis, orbitals)
 
 
 def fixed_coordinates(maps: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -27,18 +27,21 @@ M^H = U(H)' cap M.  No distance in the
 n^2-dimensional matrix space is formed.
 
 The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So one fixed-point
-kernel and one bicommutant test run per conjugacy class of the given
+algebra and one bicommutant test are built per conjugacy class of the given
 subgroups, on its first member K, and no other row builds a basis: a
 conjugate H = gKg^-1 is read through M^K.  Ad U_g is a Hilbert-Schmidt
 isometry, so the commutator residual of U_s on U_g M^K U_g* is that of
 U_{g^-1 s g} on M^K, and one memo per class holds each element's residual
 on M^K once, seeded with K's own generators' from its fixed-point
-certificate.  H's certificate on its own generators, its anti-monotone
-audit and the interner's confirmation all read that memo, and its
-fingerprint is Ad U_g P_K Ad U_g* of the probe.  In a non-full M each
-conjugating g must leave M invariant.  A conjugate row's
-``bicommutant_residual`` and ``commutant_dim`` are its representative's,
-which Ad U_g carries.
+certificate.  A miss on an M^K that carries its orbitals (a permutation
+representation in a full M) is read off them in O(n^2) by
+``algebras.partition_residual``, the same number as the dense residual,
+which any other algebra takes.  H's certificate on its own generators,
+its anti-monotone audit and the interner's confirmation all read that
+memo, and its fingerprint is Ad U_g P_K Ad U_g* of the probe.  In a
+non-full M each conjugating g must leave M invariant.  A conjugate
+row's ``bicommutant_residual`` and ``commutant_dim`` are its
+representative's, which Ad U_g carries.
 
 Rows are streamed: each row is certified, interned and audited for
 anti-monotonicity against the subgroups below it as soon as it is
@@ -269,11 +272,14 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
         def residual_to(i: int) -> float:
             """``commutator_residual`` of H_i's generators on M^H: the worst of
-            their conjugates' own residuals on M^K, each computed once per class."""
+            their conjugates' own residuals on M^K, each computed once per class,
+            and read off M^K's orbitals when it carries them."""
             gens = [int(to_k[s]) for s in subgroups[i].generators]
             for t in gens:
                 if t not in memo:
-                    memo[t] = alg.commutator_residual(pi.matrices[[t]], fixed.basis)
+                    memo[t] = (alg.commutator_residual(pi.matrices[[t]], fixed.basis)
+                               if fixed.orbitals is None
+                               else alg.partition_residual(fixed.orbitals, pi.action[t]))
             return max((memo[t] for t in gens), default=0.0)
 
         if r != j and (worst := residual_to(j)) > _RESIDUAL_BOUND:

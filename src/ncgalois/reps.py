@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,19 @@ class UnitaryRep:
 
     def character(self) -> np.ndarray:
         return np.einsum("gii->g", self.matrices)
+
+    @cached_property
+    def action(self) -> np.ndarray | None:
+        """The point table act[g, x], U_g e_x = e_{act[g, x]}, when every matrix
+        is exactly a 0/1 permutation matrix, else None.  The comparison is
+        exact, with no tolerance, and is made once per representation."""
+        mats = self.matrices
+        if not (np.all((mats == 0) | (mats == 1)) and np.all(mats.sum(axis=1) == 1)
+                and np.all(mats.sum(axis=2) == 1)):
+            return None
+        act = np.argmax(mats.real, axis=1)
+        act.setflags(write=False)
+        return act
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"

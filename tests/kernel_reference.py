@@ -189,6 +189,30 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
     return worst
 
 
+def rotated(rep: UnitaryRep, seed: int = 41) -> UnitaryRep:
+    """``rep`` conjugated by a unitary drawn at ``seed``: an equivalent
+    representation whose matrices are not permutation matrices, so that a
+    full M^H takes the Sylvester kernel."""
+    rng = np.random.default_rng(seed)
+    n = rep.dim
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    return UnitaryRep(rep.group, w @ rep.matrices @ w.conj().T)
+
+
+def fixed_point_by_kernel(m: StarAlgebra, rep, subgroup: Subgroup,
+                          tol: Tolerance = DEFAULT_TOL, residuals=None) -> StarAlgebra:
+    """``algebras.fixed_point_algebra`` in a full M on the Sylvester path, for
+    a permutation representation too: the kernel of U(H) by
+    ``linalg.commutant_kernel``, certified by ``algebras._certified_fixed``.
+    The algebra carries no orbitals, so ``galois`` computes its class memo
+    densely."""
+    assert m.is_full
+    basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
+    return algebras._certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim),
+                                     residuals)
+
+
 def own_classes(group: FiniteGroup, subgroups) -> list:
     """``groups.subgroup_classes`` with every subgroup its own representative:
     patched into ``galois``, it has ``galois_map`` solve a fixed-point kernel

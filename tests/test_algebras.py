@@ -7,6 +7,7 @@ from kernel_reference import (
     commutator_residual_in_one_shot,
     fixed_point_by_intersection,
     random_hermitian,
+    rotated,
 )
 
 from ncgalois import groups, linalg, ncprob, reps
@@ -136,8 +137,11 @@ def test_commutant_of_non_star_closed_family_is_not_reduced():
 def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
         s3, s3_perm, s3_perm_algebra, monkeypatch):
     # one stray unit vector appended to the Sylvester kernel must be caught
-    # by the kernel's own commutator residual, before any count or closure
+    # by the kernel's own commutator residual, before any count or closure;
+    # the fixed-point algebra is that of S3 on its points in a rotated basis,
+    # since on permutation matrices it is read off the orbitals, with no kernel
     honest = linalg.commutant_kernel
+    turned = rotated(s3_perm)
 
     def padded(mats, tol=DEFAULT_TOL):
         kernel = honest(mats, tol)
@@ -150,7 +154,7 @@ def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
     with pytest.raises(ClosureFailed, match="commute"):
         commutant(s3_perm_algebra)
     with pytest.raises(ClosureFailed, match="commute"):
-        fixed_point_algebra(StarAlgebra.full(3), s3_perm, top)
+        fixed_point_algebra(StarAlgebra.full(3), turned, top)
 
 
 def test_generator_certificate_matches_the_all_members_reference(s3):
@@ -325,8 +329,9 @@ def test_fixed_point_sign_action():
 
 def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypatch):
     # cutting one eigenspace of the split in two drops commutant elements
-    # that mix its halves, so the dimension misses the character count
-    reg = reps.regular_rep(s3)
+    # that mix its halves, so the dimension misses the character count; the
+    # regular representation is rotated, so that the kernel is solved at all
+    reg = rotated(reps.regular_rep(s3))
     honest = linalg.random_split
 
     def cut(stack, rng, parts=1, tol=DEFAULT_TOL):

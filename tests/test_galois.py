@@ -12,7 +12,7 @@ import pytest
 
 from ncgalois import algebras, cli, crossed, galois, groups, linalg, reporting, reps
 from ncgalois.algebras import StarAlgebra
-from ncgalois.errors import ClosureFailed, NotInvariantAlgebra
+from ncgalois.errors import ClosureFailed, DecompositionFailed, NotInvariantAlgebra
 from ncgalois.linalg import DEFAULT_TOL
 
 
@@ -267,23 +267,13 @@ def test_mode_detection_spatial():
     assert dims == {(0,): 2, (0, 1): 1}
 
 
-def _rotated_regular(group):
-    """The regular representation conjugated by a unitary drawn at seed 41."""
-    reg = reps.regular_rep(group)
-    rng = np.random.default_rng(41)
-    q, r = np.linalg.qr(rng.standard_normal((group.order,) * 2)
-                        + 1j * rng.standard_normal((group.order,) * 2))
-    w = q * (np.diag(r) / np.abs(np.diag(r)))
-    return reps.UnitaryRep(group, w @ reg.matrices @ w.conj().T)
-
-
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
 def test_galois_verdicts_survive_a_unitary_change_of_basis(name):
     # metamorphic: conjugating the regular representation by a seeded
     # random unitary must change no dimension, class or verdict
     group = groups.FIXTURE_GROUPS[name]()
     reg = reps.regular_rep(group)
-    turned = _rotated_regular(group)
+    turned = kernel_reference.rotated(reg)
 
     m = StarAlgebra.full(group.order)
     plain = galois.galois_map(m, reg)
@@ -373,7 +363,7 @@ def _galois_case(name):
     if kind == "regular":
         rep = reps.regular_rep(group)
     elif kind == "rotated":
-        rep = _rotated_regular(group)
+        rep = kernel_reference.rotated(reps.regular_rep(group))
     else:   # on its points, or through trivial and sign: improper
         rep = reps.permutation_rep(group, groups.symmetric_action(int(group_name[1])))
         if kind == "sign":
@@ -548,6 +538,109 @@ def test_the_orbital_reference_tells_the_actions_apart(s4):
     # negative control: S4 regular's report read against S4 on its points
     report = _permutation_lattice(s4, s4.mult)
     assert _orbital_mismatches(report, groups.symmetric_action(4)) != []
+
+
+_ORBITAL_CASES = [f"regular-{name}" for name in groups.FIXTURE_GROUPS] + [
+    "permutation-S3", "permutation-S4"]
+
+
+@pytest.mark.parametrize("name", _ORBITAL_CASES)
+def test_the_orbital_path_gives_the_kernel_paths_verdicts(name, monkeypatch):
+    # every permutation lattice of the fixtures through its orbital fixed
+    # algebras and through the Sylvester kernel of U(H), whose memo is then
+    # dense: the same rows, commutants, classes and violations, and both
+    # equal to the exact orbital reference
+    run = _galois_case(name)
+    kind, _, group_name = name.partition("-")
+    group = groups.FIXTURE_GROUPS[group_name]()
+    action = group.mult if kind == "regular" else groups.symmetric_action(int(group_name[1]))
+    carried = []
+    honest = algebras.fixed_point_algebra
+
+    def solving(*args, **kwargs):
+        fixed = honest(*args, **kwargs)
+        carried.append(fixed.orbitals is not None)
+        return fixed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "fixed_point_algebra", solving)
+        orbital = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "fixed_point_algebra", kernel_reference.fixed_point_by_kernel)
+        kernel = run()
+
+    def verdicts(report):
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok,
+                 r.commutant_dim) for r in report.rows]
+        return (rows, report.equivalence_classes, report.collision_candidates,
+                report.anti_monotone_pairs, report.injective, report.proper,
+                report.violations)
+
+    assert carried and all(carried)
+    assert verdicts(orbital) == verdicts(kernel)
+    assert _orbital_mismatches(orbital, action) == _orbital_mismatches(kernel, action) == []
+    assert max(r.bicommutant_residual for r in orbital.rows) <= 1e-11
+
+
+def test_the_memo_residual_read_off_the_orbitals_is_the_dense_one(s4):
+    # for every S4 regular representative K and every t in G, in K or not,
+    # the closed form sqrt(|C delta tC| / |C|) / sqrt(n), maxed over the
+    # orbitals C, is commutator_residual on the orbital basis, zero exactly
+    # for t in K (194 nonzero of 264); it holds for the indicators of any
+    # partition, here a seeded one with five classes
+    rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
+    subs = groups.enumerate_subgroups(s4)
+    labels = np.random.default_rng(3).integers(0, 5, (24, 24))
+    cases = [(None, labels, algebras._orbital_indicators(labels))]
+    for r in sorted({r for r, _ in groups.subgroup_classes(s4, subs)}):
+        fixed = algebras.fixed_point_algebra(m, rep, subs[r])
+        cases.append((subs[r], fixed.orbitals, fixed.basis))
+    moved = 0
+    for sub, orbitals, basis in cases:
+        for t in range(s4.order):
+            dense = algebras.commutator_residual(rep.matrices[[t]], basis)
+            assert abs(algebras.partition_residual(orbitals, rep.action[t]) - dense) <= 1e-15
+            if sub is not None:
+                assert (dense == 0) == (t in sub.members)
+                moved += dense > 0
+    assert moved == 194
+
+
+@pytest.mark.parametrize("doctor, error, match", [
+    (lambda orbitals, sub: np.where(orbitals == 1, 0, orbitals - (orbitals > 1)),
+     DecompositionFailed, "the character formula gives"),
+    (lambda orbitals, sub: algebras._orbital_partition(groups.symmetric_group(4).mult.T, sub),
+     ClosureFailed, "fails to commute"),
+], ids=["two-orbitals-merged", "right-translations"])
+def test_a_doctored_partition_fails_the_fixed_point_certificate(s4, doctor, error, match):
+    # negative controls on each non-trivial class of S4 regular: the first two
+    # orbitals merged, an invariant set one orbital short of the character
+    # count, or the orbitals of H acting by right translations x -> x h, a
+    # partition of the same size whose indicators U(H) moves
+    rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
+    subs = groups.enumerate_subgroups(s4)
+    for r in sorted({r for r, _ in groups.subgroup_classes(s4, subs)} - {0}):
+        sub = subs[r]
+        honest = algebras.fixed_point_algebra(m, rep, sub)
+        basis = algebras._orbital_indicators(doctor(honest.orbitals, sub))
+        with pytest.raises(error, match=match):
+            algebras._certified_fixed(m, rep, sub, basis)
+
+
+def test_non_permutation_carriers_take_the_sylvester_kernel(s3):
+    # U_g must be exactly 0/1: rotated, signed or noisy carriers keep the
+    # kernel path and carry no orbitals, as does a non-full M
+    reg = reps.regular_rep(s3)
+    noisy = reps.UnitaryRep(s3, reg.matrices + 1e-13 * np.eye(6))
+    signs = np.linalg.det(reps.permutation_rep(s3, groups.symmetric_action(3)).matrices).real
+    signed = reps.UnitaryRep(s3, np.array([np.diag([1.0, s]) for s in signs]))
+    top = groups.Subgroup(s3, tuple(range(6)))
+    assert np.array_equal(reg.action, s3.mult)
+    for rep in (kernel_reference.rotated(reg), noisy, signed):
+        assert rep.action is None
+        assert algebras.fixed_point_algebra(StarAlgebra.full(rep.dim), rep, top).orbitals is None
+    image = algebras.algebra_from_generators(reg.matrices, 6)
+    assert algebras.fixed_point_algebra(image, reg, top).orbitals is None
 
 
 def _doctor_second_commutants(monkeypatch, basis_of) -> None:
@@ -729,35 +822,38 @@ def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
 
 
 def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypatch):
-    # besides each representative's fixed-point certificate, one call per
-    # generator of K, every commutator residual is one element t of a
-    # representative K on M^K, at most once per (class, t) and never for a
-    # generator of K, whose residual the certificate seeded, and no fixed
-    # basis is conjugated by a group unitary; the 19 conjugate rows once took
-    # 3600 conjugated basis elements, 113 calls and 14448 element x basis
-    # products, and with a twice residual per class and an unseeded memo
-    # 66 calls and 7872 products
+    # every commutator residual is a representative's fixed-point certificate,
+    # one call per generator of K; every other residual is one element t of
+    # a representative K on M^K, read off its orbitals at most once per
+    # (class, t) and never for a generator of K, whose residual the
+    # certificate seeded, and no fixed basis is conjugated by a group
+    # unitary; the 19 conjugate rows once took 3600 conjugated basis
+    # elements, 113 calls and 14448 element x basis products, with a twice
+    # residual per class and an unseeded memo 66 calls and 7872 products,
+    # and with each memo miss a dense residual 44 calls and 3456 products
     rep = reps.regular_rep(s4)
-    representatives = {}   # id of M^K's basis -> (K, the basis, kept alive)
+    representatives = {}   # id of M^K's orbitals -> (K, the orbitals, kept alive)
     honest_fixed = algebras.fixed_point_algebra
 
     def solving(m, pi, sub, tol=DEFAULT_TOL, residuals=None):
         fixed = honest_fixed(m, pi, sub, tol, residuals)
-        representatives[id(fixed.basis)] = sub, fixed.basis
+        representatives[id(fixed.orbitals)] = sub, fixed.orbitals
         return fixed
 
     calls, on_classes = [], collections.Counter()
     honest = algebras.commutator_residual
+    honest_partition = algebras.partition_residual
 
     def counting(family, basis):
         calls.append(len(family) * len(basis))
-        if id(basis) in representatives:
-            sub = representatives[id(basis)][0]
-            assert len(family) == 1
-            t = int(np.flatnonzero((rep.matrices == family[0]).all(axis=(1, 2)))[0])
-            assert t in sub.members and t not in sub.generators
-            on_classes[sub.members, t] += 1
         return honest(family, basis)
+
+    def reading(orbitals, perm):
+        sub = representatives[id(orbitals)][0]
+        t = int(np.flatnonzero((rep.action == perm).all(axis=1))[0])
+        assert t in sub.members and t not in sub.generators
+        on_classes[sub.members, t] += 1
+        return honest_partition(orbitals, perm)
 
     conjugated = []
     honest_compress = linalg.compress
@@ -771,6 +867,7 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
 
     monkeypatch.setattr(algebras, "fixed_point_algebra", solving)
     monkeypatch.setattr(algebras, "commutator_residual", counting)
+    monkeypatch.setattr(algebras, "partition_residual", reading)
     monkeypatch.setattr(linalg, "compress", compressing)
     monkeypatch.setattr(galois, "compress", compressing)
     report = galois.galois_map(StarAlgebra.full(24), rep)
@@ -778,8 +875,8 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
     assert len(representatives) == 11 and conjugated == []
     assert max(on_classes.values()) == 1
     generators = sum(len(sub.generators) for sub, _ in representatives.values())
-    assert len(calls) - sum(on_classes.values()) == generators
-    assert (len(calls), sum(calls)) == (44, 3456)
+    assert len(calls) == generators
+    assert (len(calls), sum(calls), sum(on_classes.values())) == (19, 2208, 25)
 
 
 def test_the_class_memo_reads_the_certificates_residuals(s3, monkeypatch):
@@ -830,7 +927,7 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
 
 
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: about 7 s and 0.35 GB at one BLAS thread;
+    # S4 x Z2 on 48 points: about 6 s and 0.33 GB at one BLAS thread;
     # streamed rows and panelled kernel transients keep the traced peak
     # under 400 MiB, where the stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
