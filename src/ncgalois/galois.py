@@ -38,8 +38,8 @@ representation in a full M) is read off them in O(n^2) by
 ``algebras.partition_residual``, the same number as the dense residual,
 which any other algebra takes.  H's certificate on its own generators,
 its anti-monotone audit and the interner's confirmation all read that
-memo, and its fingerprint is Ad U_g P_K Ad U_g* of the probe.  In a
-non-full M each conjugating g must leave M invariant.  A conjugate
+memo, and its fingerprint reads H's own unitaries, not M^K (below).  In
+a non-full M each conjugating g must leave M invariant.  A conjugate
 row's ``bicommutant_residual`` and ``commutant_dim`` are its
 representative's, which Ad U_g carries.
 
@@ -47,8 +47,13 @@ Rows are streamed: each row is certified, interned and audited for
 anti-monotonicity against the subgroups below it as soon as it is
 reached, so nothing dense outlives the conjugacy class whose
 representative's basis it reads, and the report holds no basis.  The
-interner keeps a fingerprint, a dimension and a row index per id; a match
-is confirmed by the anti-monotone audit's own test, M^{H_j} commuting with
+interner keeps a fingerprint, a dimension and a row index per id.  A row's
+fingerprint is E_H P_M r for the seeded probe r, with E_H = (1/|H|) sum_h
+Ad U_h the conditional expectation (``ncprob.conditional_expectation``):
+E_H is the Hilbert-Schmidt projection onto U(H)', and it commutes with P_M
+because each Ad U_h preserves M and the inner product, so E_H P_M r is
+P_{M^H} r.  The probe is projected onto M once per lattice.  A match is
+confirmed by the anti-monotone audit's own test, M^{H_j} commuting with
 the unitaries of the earlier H_i's generators, which at equal dimension is
 equality.
 """
@@ -61,13 +66,13 @@ from itertools import combinations
 import numpy as np
 
 from . import algebras as alg
+from . import ncprob
 from . import reps as rp
 from .algebras import StarAlgebra
 from .errors import ClosureFailed
 from .groups import (FiniteGroup, Subgroup, conjugation_table, enumerate_subgroups,
                      subgroup_classes)
-from .linalg import (DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress, dagger,
-                     frob)
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, dagger, frob
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -120,7 +125,8 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
     commutant is the fixed algebra, so equal spans and equal fixed algebras
     are the same thing.  The classes, tuples of subgroup indices, are the
     ``_Interner`` ids of the joint spans, in order of first appearance, with
-    ascending members.  A span matches an earlier one when it holds the
+    ascending members.  A span's fingerprint is its projection of the
+    interner's probe, and it matches an earlier span when it holds the
     joint images of the earlier subgroup's generators, which with 1
     generate the earlier span as an algebra.
     """
@@ -136,7 +142,8 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
     for j, h in enumerate(subgroups):
         span = Subspace.from_span(images[list(h.members)], images.shape[1], tol)
         span_id = interner.id_of(
-            span.project, span.dim, j, lambda i: all(   # as StarAlgebra.contains_matrix
+            span.project(interner.probe), span.dim, j,
+            lambda i: all(   # as StarAlgebra.contains_matrix
                 span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
                 for v in images[list(subgroups[i].generators)]))
         classes.setdefault(span_id, []).append(j)
@@ -147,9 +154,9 @@ class _Interner:
     """Ids of equal subspaces, in order of first appearance.
 
     A candidate must have the same dimension and nearly the same
-    fingerprint P r, the projection of one seeded probe r, which does not
-    depend on the basis and needs none: ``id_of`` takes the projection P
-    itself, as a function of a vector.  ``contains(key)`` then
+    fingerprint P r, the orthogonal projection of the seeded ``probe`` r
+    onto the subspace, which does not depend on a basis: ``id_of`` takes
+    that vector, however the caller computed it.  ``contains(key)`` then
     confirms the match by a containment between the candidate and the
     space first interned under ``key``, which at equal dimension is
     equality, so no rounding boundary can split equal subspaces.  Only
@@ -158,12 +165,11 @@ class _Interner:
 
     def __init__(self, ambient_dim: int):
         rng = np.random.default_rng(_PROBE_SEED)
-        self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
-        self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self._probe)
+        self.probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
+        self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self.probe)
         self._seen: list = []     # (fingerprint, dim, key) of each id
 
-    def id_of(self, project, dim: int, key, contains) -> int:
-        fp = project(self._probe)
+    def id_of(self, fp: np.ndarray, dim: int, key, contains) -> int:
         for i, (fp0, dim0, key0) in enumerate(self._seen):
             if dim0 == dim and np.linalg.norm(fp - fp0) <= self._bound and contains(key0):
                 return i
@@ -239,8 +245,9 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     The first subgroup K of each class (``subgroup_classes``) gets its fixed
     algebra and bicommutant test computed, and its basis is kept, with one
     memo of its elements' residuals, seeded with those of K's generators that
-    certified M^K, until the last row of its class.  A conjugate H = gKg^-1 builds no basis: M^H = U_g M^K U_g* (Ad U_g is a
-    *-automorphism of M, checked on g in a non-full M), and
+    certified M^K, until the last row of its class.  A conjugate H = gKg^-1
+    builds no basis: M^H = U_g M^K U_g* (Ad U_g is a *-automorphism of M,
+    checked on g in a non-full M), and
     ||[U_s, U_g X U_g*]||_F = ||[U_{g^-1 s g}, X]||_F, so H's certificate on
     its own generators reads the memo at the conjugated elements.  H takes
     its representative's ``_bicommutant`` triple, which Ad U_g carries with
@@ -250,8 +257,9 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     is reached: M^{H2} lies in M, so it lies in M^{H1} exactly when it
     commutes with the unitaries of H1's generators.  The interner confirms
     a match with an earlier row by the same test, and fingerprints M^H by
-    Ad U_g P_K Ad U_g*.  Bicommutant violations come in row order, then
-    anti-monotone ones with H1 outer and H2 inner.
+    the conditional expectation E_H of the probe, projected onto M once.
+    Bicommutant violations come in row order, then anti-monotone ones with
+    H1 outer and H2 inner.
     """
     group = report.group
     conj = conjugation_table(group)
@@ -259,7 +267,10 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     last = {r: j for j, (r, _) in enumerate(classes)}
     # representative index -> (M^K, element -> its residual on M^K, _bicommutant triple)
     kept: dict = {}
-    interner = _Interner(m.ambient_dim ** 2)
+    n = m.ambient_dim
+    interner = _Interner(n * n)
+    # E_H commutes with P_M, so E_H P_M r = P_{M^H} r
+    probe = (interner.probe if m.is_full else m.subspace().project(interner.probe)).reshape(n, n)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
         if r == j:
@@ -289,7 +300,7 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
                 residuals[i, j] = residual_to(i)
-        fixed_id = interner.id_of(_conjugated_projection(fixed.subspace(), pi.matrices[g]),
+        fixed_id = interner.id_of(ncprob.conditional_expectation(probe, pi, sub).reshape(-1),
                                   fixed.dim, j, lambda i: residual_to(i) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
@@ -301,21 +312,6 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
             report.violations.append(
                 ("anti-monotone", (subgroups[i].members, subgroups[j].members), float(res))
             )
-
-
-def _conjugated_projection(space: Subspace, u: np.ndarray):
-    """The orthogonal projection onto U S U*, S a subspace of flattened n x n
-    matrices, as Ad U P_S Ad U* (Ad U is Hilbert-Schmidt unitary): O(n^3 + n^2
-    dim S) per matrix, with no basis of U S U*.  It maps one flattened matrix,
-    or each column of a stack of them."""
-    n = u.shape[0]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        inside = compress(v.T.reshape(-1, n, n), u).reshape(-1, n * n).T
-        back = space.project(inside).T.reshape(-1, n, n)
-        return compress(back, dagger(u)).reshape(-1, n * n).T.reshape(v.shape)
-
-    return project
 
 
 def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,

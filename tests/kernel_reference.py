@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from ncgalois import algebras, galois, linalg
+from ncgalois import algebras, galois, linalg, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
@@ -273,31 +273,32 @@ def orbital_lattice(group: FiniteGroup, action, subgroups) -> list:
     return rows
 
 
-class StoringInterner:
-    """``galois._Interner`` as it was before rows were streamed: it keeps every
-    interned subspace, materialized as the range of the projection it is
-    given, and confirms a match by ``Subspace.equals`` on the stored one."""
+def interned_by_equality(m: StarAlgebra, rep, subgroups, irrep_indices,
+                         tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """(fixed ids, equivalence classes) as ``galois_map`` interns them, with no
+    fingerprint and nothing streamed: every row's M^H solved on its own
+    subgroup, and every subgroup's span of joint images in the given irreps
+    (as ``galois.subgroup_equivalence`` forms it), each numbered by
+    ``Subspace.equals`` against the spaces before it, in order of first
+    appearance.  A class lists its subgroups' indices, ascending."""
+    def numbered(spaces) -> list:
+        seen, ids = [], []
+        for space in spaces:
+            ids.append(next((i for i, s in enumerate(seen) if s.equals(space, tol)), len(seen)))
+            if ids[-1] == len(seen):
+                seen.append(space)
+        return ids
 
-    def __init__(self, ambient_dim: int, tol: Tolerance = DEFAULT_TOL):
-        rng = np.random.default_rng(galois._PROBE_SEED)
-        self._probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
-        self._bound = galois._FINGERPRINT_MATCH * np.linalg.norm(self._probe)
-        self._tol = tol
-        self._seen: list = []   # (fingerprint, subspace) of each id
-
-    def id_of(self, project, dim, key=None, contains=None) -> int:
-        fp = project(self._probe)
-        # the projections of dim + 8 seeded random vectors span its range
-        n, rng = len(self._probe), np.random.default_rng(1)
-        draws = rng.standard_normal((n, min(dim + 8, n))) + 0j
-        space = Subspace.from_span(project(draws).T, n, self._tol)
-        assert space.dim == dim, (space.dim, dim)
-        for i, (fp0, space0) in enumerate(self._seen):
-            if (space0.dim == space.dim and np.linalg.norm(fp - fp0) <= self._bound
-                    and space.equals(space0, self._tol)):
-                return i
-        self._seen.append((fp, space))
-        return len(self._seen) - 1
+    fixed = [algebras.fixed_point_algebra(m, rep, h, tol).subspace() for h in subgroups]
+    table = reps.irrep_table(rep.group, tol)
+    images = np.concatenate([table.irreps[i].matrices.reshape(rep.group.order, -1)
+                             for i in irrep_indices], axis=1)
+    spans = [Subspace.from_span(images[list(h.members)], images.shape[1], tol)
+             for h in subgroups]
+    classes: dict = {}
+    for j, span_id in enumerate(numbered(spans)):
+        classes.setdefault(span_id, []).append(j)
+    return numbered(fixed), list(classes.values())
 
 
 def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep,

@@ -10,7 +10,7 @@ import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, cli, crossed, galois, groups, linalg, reporting, reps
+from ncgalois import algebras, cli, crossed, galois, groups, linalg, ncprob, reporting, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import ClosureFailed, DecompositionFailed, NotInvariantAlgebra
 from ncgalois.linalg import DEFAULT_TOL
@@ -304,7 +304,7 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
 
     spaces = [x.subspace() for x in (a, b, StarAlgebra.diagonal(2), b)]
     interner = galois._Interner(4)
-    ids = [interner.id_of(space.project, space.dim, k,
+    ids = [interner.id_of(space.project(interner.probe), space.dim, k,
                           lambda key: space.contains(spaces[key]))
            for k, space in enumerate(spaces)]
     assert ids == [0, 0, 1, 0]
@@ -372,6 +372,14 @@ def _galois_case(name):
     return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep)
 
 
+def _recorded_inputs(patch) -> list:
+    """Patch ``galois.galois_map`` to append its (M, representation) to the list returned."""
+    inputs, honest = [], galois.galois_map
+    patch.setattr(galois, "galois_map",
+                  lambda m, pi, *a, **k: inputs.append((m, pi)) or honest(m, pi, *a, **k))
+    return inputs
+
+
 @pytest.mark.parametrize("name", _DIRECT_CASES)
 def test_transported_rows_equal_the_direct_path(name, monkeypatch):
     # every field but the conjugate rows' residuals agrees with a run that
@@ -408,25 +416,24 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
 @pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
 def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     # with the fingerprint filter open, every earlier id of equal dimension
-    # reaches the containment test; the ids, classes and collision candidates
-    # are those of the interner that stores every space and compares by
-    # Subspace.equals, and one fixed-point kernel runs per conjugacy class
+    # reaches the containment test; the ids and classes are those of the
+    # reference that solves every row's space and compares by Subspace.equals,
+    # and one fixed-point kernel runs per conjugacy class
     run = _galois_case(name)
-
-    def interned(report):
-        return ([r.fixed_id for r in report.rows], report.equivalence_classes,
-                report.collision_candidates, report.injective)
-
     kernels = []
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_FINGERPRINT_MATCH", np.inf)
         honest = algebras.fixed_point_algebra
         patch.setattr(algebras, "fixed_point_algebra",
                       lambda *a, **k: kernels.append(a[2]) or honest(*a, **k))
+        inputs = _recorded_inputs(patch)
         confirmed = run()
-    monkeypatch.setattr(galois, "_Interner", kernel_reference.StoringInterner)
-    assert interned(confirmed) == interned(run())
-    classes = groups.subgroup_classes(confirmed.group, [r.subgroup for r in confirmed.rows])
+    subgroups = [r.subgroup for r in confirmed.rows]
+    ids, spans = kernel_reference.interned_by_equality(*inputs[0], subgroups, confirmed.present)
+    assert [r.fixed_id for r in confirmed.rows] == ids
+    assert confirmed.equivalence_classes == spans
+    assert confirmed.injective == (len(set(ids)) == len(ids))
+    classes = groups.subgroup_classes(confirmed.group, subgroups)
     per_class = sum(r == j for j, (r, _) in enumerate(classes))
     assert len(kernels) == per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
     if name in _IMPROPER_CASES:
@@ -869,7 +876,6 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
     monkeypatch.setattr(algebras, "commutator_residual", counting)
     monkeypatch.setattr(algebras, "partition_residual", reading)
     monkeypatch.setattr(linalg, "compress", compressing)
-    monkeypatch.setattr(galois, "compress", compressing)
     report = galois.galois_map(StarAlgebra.full(24), rep)
     assert len(report.rows) == 30 and report.injective and not report.violations
     assert len(representatives) == 11 and conjugated == []
@@ -897,21 +903,33 @@ def test_the_class_memo_reads_the_certificates_residuals(s3, monkeypatch):
         galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
 
 
-def test_the_conjugated_projection_is_the_transported_algebras(s4):
-    # Ad U_g P_K Ad U_g* against the projection onto the basis U_g M^K U_g*,
-    # on one flattened matrix and on a column stack
-    m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
-    subgroups = groups.enumerate_subgroups(s4)
-    probes = np.random.default_rng(5).standard_normal((576, 3)) + 0j
-    for sub, (r, g) in zip(subgroups, groups.subgroup_classes(s4, subgroups)):
-        if subgroups[r].order not in (3, 4):
-            continue
-        fixed = algebras.fixed_point_algebra(m, rep, subgroups[r])
-        moved = kernel_reference.transported_fixed_algebra(fixed, m, rep, sub, g)
-        project = galois._conjugated_projection(fixed.subspace(), rep.matrices[g])
-        assert np.allclose(project(probes), moved.subspace().project(probes), atol=1e-10)
-        assert np.allclose(project(probes[:, 0]), moved.subspace().project(probes[:, 0]),
-                           atol=1e-10)
+@pytest.mark.parametrize("name", ["regular-S4", "rotated-S3", "crossed-S3-M3"])
+def test_the_fingerprint_is_the_projection_onto_the_transported_algebra(name, monkeypatch):
+    # each row's fingerprint, E_H of the probe projected onto M, against the
+    # projection of the probe onto U_g M^K U_g* built by the reference transport
+    run = _galois_case(name)
+    interned = []
+    honest = galois._Interner.id_of
+    with monkeypatch.context() as patch:
+        patch.setattr(galois._Interner, "id_of",
+                      lambda *a: interned.append(a) or honest(*a))
+        inputs = _recorded_inputs(patch)
+        built = kernel_reference.record_fixed_algebras(patch)
+        report = run()
+    m, rep = inputs[0]
+    # the rows' interner is made first; the joint image spans' comes after
+    fingerprints = {key: fp for interner, fp, _, key, _ in interned
+                    if interner is interned[0][0]}
+    probe = galois._Interner(rep.dim ** 2).probe
+    assert len(fingerprints) == len(report.rows) == len(built)
+    for j, row in enumerate(report.rows):
+        expected = built[row.subgroup.members].subspace().project(probe)
+        assert np.linalg.norm(fingerprints[j] - expected) <= 1e-10, row.subgroup.members
+        if not m.is_full:
+            # negative control: the average of the unprojected probe leaves M
+            unprojected = ncprob.conditional_expectation(probe.reshape(rep.dim, rep.dim), rep,
+                                                         row.subgroup).reshape(-1)
+            assert np.linalg.norm(unprojected - expected) > 1e-3 * np.linalg.norm(probe)
 
 
 def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
@@ -927,7 +945,7 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
 
 
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: about 6 s and 0.33 GB at one BLAS thread;
+    # S4 x Z2 on 48 points: about 4 s and 0.31 GB at one BLAS thread;
     # streamed rows and panelled kernel transients keep the traced peak
     # under 400 MiB, where the stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
@@ -1012,11 +1030,18 @@ def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path)
 @pytest.mark.slow
 def test_the_a5_regular_lattice(monkeypatch):
     # order 60 on its regular representation (n = 60), past the order bound;
-    # its 59 subgroups fall into 9 conjugacy classes, and the run takes about
-    # 0.65 GB at one BLAS thread; its rows against their orbitals, and one
-    # commutant per row against two
+    # its 59 subgroups fall into 9 conjugacy classes, and the test takes about
+    # 12 s and 0.68 GB at one BLAS thread; the first run's traced peak is about
+    # 400 MiB, where fingerprints projected through each M^K's basis took 597;
+    # its rows against their orbitals, and one commutant per row against two
     a5 = groups.alternating_group(5)
-    report = _permutation_lattice(a5, a5.mult)
+    tracemalloc.start()
+    try:
+        report = _permutation_lattice(a5, a5.mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 * 2 ** 20
     subgroups = [r.subgroup for r in report.rows]
     assert a5.order == 60 and len(report.rows) == 59
     assert len({r for r, _ in groups.subgroup_classes(a5, subgroups)}) == 9
