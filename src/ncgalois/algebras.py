@@ -514,7 +514,7 @@ def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     if residuals is not None:
         residuals.update(found)
     if m.is_full:
-        chi = np.trace(rep.matrices[list(subgroup.members)], axis1=1, axis2=2)
+        chi = rep.character()[list(subgroup.members)]
         expected = float(np.sum(np.abs(chi) ** 2)) / subgroup.order
         if abs(len(basis) - expected) > 1e-6:
             raise DecompositionFailed(

@@ -71,8 +71,6 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> str:
-    import numpy as np
-
     from . import reporting
     from .errors import SpecValidationError
     from .linalg import Tolerance
@@ -275,11 +273,12 @@ def _cmd_galois(spec, seed, tol, load_json_field):
         "minimal_action": minimal,
         "minimal_action_witness_dim": witness,
     }
-    violations = [
-        {"check": kind, "where": where, "residual": res}
-        for kind, where, res in report.violations
-    ]
-    return body, violations
+    return body, _violation_rows(report.violations)
+
+
+def _violation_rows(violations) -> list:
+    """The report rows of a ``GaloisReport``'s (check, where, residual) violations."""
+    return [{"check": check, "where": where, "residual": res} for check, where, res in violations]
 
 
 def _cmd_modular(spec, seed, tol, load_json_field):
@@ -358,28 +357,20 @@ def _cmd_crossed(spec, seed, tol, load_json_field):
     if not isinstance(action_spec, dict) or "kind" not in action_spec:
         raise SpecValidationError('action must be an object with a "kind"')
     akind = action_spec["kind"]
-    if akind == "ad":
-        reporting.check_fields(action_spec, {"kind", "unitaries"}, (), "action")
-        data = np.array([reporting.matrix_from_json(mj, "action unitary")
-                         for mj in action_spec["unitaries"]])
-        action = crossed.ad_action(group, base, data)
-    elif akind == "table":
-        reporting.check_fields(action_spec, {"kind", "tables"}, (), "action")
-        data = np.array([reporting.matrix_from_json(mj, "action table")
-                         for mj in action_spec["tables"]])
-        action = crossed.table_action(group, base, data)
-    else:
+    if akind not in ("ad", "table"):
         raise SpecValidationError(f"unknown action kind {akind!r}")
+    field, noun, make = {"ad": ("unitaries", "unitary", crossed.ad_action),
+                         "table": ("tables", "table", crossed.table_action)}[akind]
+    reporting.check_fields(action_spec, {"kind", field}, (), "action")
+    data = np.array([reporting.matrix_from_json(mj, f"action {noun}")
+                     for mj in action_spec[field]])
+    action = make(group, base, data)
 
     cp = crossed.crossed_product(base, action, tol)
     structure = algebras.block_structure(cp.algebra, seed=seed, tol=tol)
     structure_residual = algebras.block_structure_residual(cp.algebra, structure)
     gal_report, pullbacks = crossed.crossed_galois(cp, tol)
 
-    violations = [
-        {"check": kind_, "where": where, "residual": res}
-        for kind_, where, res in gal_report.violations
-    ]
     cov = crossed.covariance_check(cp)
 
     body = {
@@ -402,7 +393,7 @@ def _cmd_crossed(spec, seed, tol, load_json_field):
             ",".join(map(str, members)): dim for members, dim in pullbacks.items()
         },
     }
-    return body, violations
+    return body, _violation_rows(gal_report.violations)
 
 
 def _cmd_martingale(spec, seed, tol, load_json_field):

@@ -365,8 +365,7 @@ def _character_matrix(pi: rp.UnitaryRep, subgroup: Subgroup) -> np.ndarray:
     is dim span U(H).
     """
     group, h = pi.group, np.asarray(subgroup.members)
-    chi = np.trace(pi.matrices, axis1=1, axis2=2)
-    return chi[group.mult[np.ix_(group.inverse[h], h)]]
+    return pi.character()[group.mult[np.ix_(group.inverse[h], h)]]
 
 
 def _first_commutant_certificate(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup):

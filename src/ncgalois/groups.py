@@ -188,11 +188,14 @@ def closure(group: FiniteGroup, seed) -> tuple:
 
 
 def generating_set(group: FiniteGroup, members) -> tuple:
-    """Greedy generators: each ascending member not in the closure of those kept."""
+    """Greedy generators: each ascending member not in the closure of those kept,
+    which is taken again only when a generator is kept."""
     kept: list = []
+    span = {group.identity}
     for a in members:
-        if a not in closure(group, kept):
+        if a not in span:
             kept.append(a)
+            span = set(closure(group, kept))
     return tuple(kept)
 
 

@@ -124,10 +124,12 @@ def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
         return Subspace(a.shape[1], np.eye(a.shape[1], dtype=np.complex128))
     # the reduced SVD already has every row of V* when a is not wide
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cut = tol.rank_threshold(s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    basis = vh[rank:].conj().T
-    return Subspace(a.shape[1], basis)
+    return Subspace(a.shape[1], vh[_rank(s, tol):].conj().T)
+
+
+def _rank(s: np.ndarray, tol: Tolerance) -> int:
+    """Number of the descending singular values ``s`` above the global rank rule's cut."""
+    return int(np.sum(s > tol.rank_threshold(s[0] if s.size else 0.0)))
 
 
 def kernel_of_gram(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL,
@@ -223,9 +225,7 @@ class Subspace:
         if m.shape[0] == 0 or frob(m) == 0.0:
             return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
         _, s, vh = np.linalg.svd(m, full_matrices=False)
-        cut = tol.rank_threshold(s[0])
-        rank = int(np.sum(s > cut))
-        return Subspace(ambient_dim, _fix_phases(vh[:rank].T))
+        return Subspace(ambient_dim, _fix_phases(vh[:_rank(s, tol)].T))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.basis @ (dagger(self.basis) @ x)

@@ -131,36 +131,7 @@ def verify_cond_exp_axioms(filtration: Filtration, t: int, phi: State,
     panel = np.concatenate([drawn, units])
     e_panel = e(panel)
 
-    residuals = {}
-    violations = []
-
-    contraction = float(np.max(np.linalg.norm(e_panel, 2, axis=(1, 2))
-                               - np.linalg.norm(panel, 2, axis=(1, 2))))
-    residuals["contraction_gap"] = max(contraction, 0.0)
-    if contraction > bound:
-        violations.append(("contraction", contraction))
-
-    identity_res = float(np.max(norms(e(fixed.basis) - fixed.basis)))
-    residuals["identity_on_subalgebra"] = identity_res
-    if identity_res > bound:
-        violations.append(("identity_on_subalgebra", identity_res))
-
-    expect = lambda x: np.trace(phi.density @ x, axis1=1, axis2=2)
-    state_res = float(np.max(np.abs(expect(e_panel) - expect(panel))))
-    residuals["state_preservation"] = state_res
-    if state_res > bound:
-        violations.append(("state_preservation", state_res))
-
-    idem = float(np.max(norms(e(e_panel) - e_panel)))
-    residuals["idempotence"] = idem
-    if idem > bound:
-        violations.append(("idempotence", idem))
-
-    unital = frob(e(np.eye(n)) - np.eye(n))
-    residuals["unitality"] = float(unital)
-    if unital > bound:
-        violations.append(("unitality", float(unital)))
-
+    # then the bimodule samples: a, b in the fixed algebra, x anywhere
     left, right, middle = [], [], []
     for _ in range(samples):
         left.append(fixed.from_coordinates(rng.standard_normal(fixed.dim)
@@ -169,10 +140,24 @@ def verify_cond_exp_axioms(filtration: Filtration, t: int, phi: State,
                                             + 1j * rng.standard_normal(fixed.dim)))
         middle.append(random_matrix(n, rng))
     a, b, x = (np.reshape(t, (-1, n, n)) for t in (left, right, middle))
-    bimodule = float(np.max(norms(e(a @ x @ b) - a @ e(x) @ b), initial=0.0))
-    residuals["bimodule"] = bimodule
-    if bimodule > bound:
-        violations.append(("bimodule", bimodule))
+    expect = lambda x: np.trace(phi.density @ x, axis1=1, axis2=2)
+
+    # (violation, residual, value) in check order, each a violation above ``bound``
+    table = (
+        ("contraction", "contraction_gap",
+         max(float(np.max(np.linalg.norm(e_panel, 2, axis=(1, 2))
+                          - np.linalg.norm(panel, 2, axis=(1, 2)))), 0.0)),
+        ("identity_on_subalgebra", "identity_on_subalgebra",
+         float(np.max(norms(e(fixed.basis) - fixed.basis)))),
+        ("state_preservation", "state_preservation",
+         float(np.max(np.abs(expect(e_panel) - expect(panel))))),
+        ("idempotence", "idempotence", float(np.max(norms(e(e_panel) - e_panel)))),
+        ("unitality", "unitality", frob(e(np.eye(n)) - np.eye(n))),
+        ("bimodule", "bimodule",
+         float(np.max(norms(e(a @ x @ b) - a @ e(x) @ b), initial=0.0))),
+    )
+    residuals = {name: value for _, name, value in table}
+    violations = [(check, value) for check, _, value in table if value > bound]
 
     gap = e(dagger(panel) @ panel) - dagger(e_panel) @ e_panel
     w = np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)
@@ -214,17 +199,13 @@ def independence_check(alg1: StarAlgebra, alg2: StarAlgebra, phi: State,
     if expectation is None:
         expectation = lambda x: phi.expect(x) * np.eye(n, dtype=np.complex128)
 
-    comm = max(
-        frob(a @ b - b @ a) for a in alg1.basis for b in alg2.basis
-    )
-    fact = max(
-        abs(phi.expect(a @ b) - phi.expect(a) * phi.expect(b))
-        for a in alg1.basis for b in alg2.basis
-    )
-    e_fact = max(
-        frob(expectation(a @ b) - expectation(a) @ expectation(b))
-        for a in alg1.basis for b in alg2.basis
-    )
+    comm = alg.commutator_residual(alg1.basis, alg2.basis)
+    fact = e_fact = 0.0
+    for a in alg1.basis:
+        for b in alg2.basis:
+            ab = a @ b
+            fact = max(fact, abs(phi.expect(ab) - phi.expect(a) * phi.expect(b)))
+            e_fact = max(e_fact, frob(expectation(ab) - expectation(a) @ expectation(b)))
     independent = comm <= bound and fact <= bound
     e_independent = e_fact <= bound
     implication_ok = (not independent) or e_independent

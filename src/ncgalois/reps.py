@@ -227,13 +227,21 @@ class IrrepTable:
         return tuple(r.dim for r in self.irreps)
 
     def index_of_character(self, chi: np.ndarray) -> int:
-        diffs = np.max(np.abs(self.characters - np.asarray(chi)[None, :]), axis=1)
-        best = int(np.argmin(diffs))
-        if diffs[best] > _CHARACTER_MATCH:
+        best, distance = _nearest_character(self.characters, chi)
+        if best is None:
             raise DecompositionFailed(
-                f"character matches no table entry (distance {diffs[best]:.3e})"
+                f"character matches no table entry (distance {distance:.3e})"
             )
         return best
+
+
+def _nearest_character(characters, chi) -> tuple:
+    """(index, distance) of the row of ``characters`` nearest chi in the max norm,
+    the index None when that distance exceeds ``_CHARACTER_MATCH``: the one rule
+    by which two characters are equal, so a distance at the bound is a match."""
+    diffs = np.max(np.abs(np.asarray(characters) - np.asarray(chi)), axis=1)
+    best = int(np.argmin(diffs))
+    return (best if diffs[best] <= _CHARACTER_MATCH else None), float(diffs[best])
 
 
 _TABLE_CACHE: dict = {}
@@ -260,10 +268,7 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     for q in pieces:
         mats = linalg.compress(reg.matrices, q)
         chi = np.einsum("gii->g", mats)
-        for chi0, _ in reps_by_char:
-            if np.max(np.abs(chi0 - chi)) < _CHARACTER_MATCH:
-                break
-        else:
+        if not reps_by_char or _nearest_character([c for c, _ in reps_by_char], chi)[0] is None:
             reps_by_char.append((chi, UnitaryRep(group, mats)))
 
     def sort_key(item):
@@ -400,9 +405,7 @@ def schur_check(rep1: UnitaryRep, rep2: UnitaryRep,
         raise ParentMismatch("representations of different groups")
     order = rep1.group.order
     values = np.einsum("gij,gkl->ijkl", rep1.matrices, rep2.matrices.conj()) / order
-    equivalent = bool(
-        np.max(np.abs(rep1.character() - rep2.character())) < _CHARACTER_MATCH
-    )
+    equivalent = _nearest_character([rep1.character()], rep2.character())[0] is not None
     d1, d2 = rep1.dim, rep2.dim
     if equivalent and d1 == d2:
         eye = np.eye(d1)
@@ -496,9 +499,7 @@ def is_proper(pi: UnitaryRep, table: IrrepTable | None = None,
     if table is None:
         table = irrep_table(pi.group, tol)
     flat = pi.matrices.reshape(pi.group.order, -1)
-    s = np.linalg.svd(flat, compute_uv=False)
-    cut = tol.rank_threshold(float(s[0])) if s.size else 0.0
-    rank = int(np.sum(s > cut))
+    rank = linalg._rank(np.linalg.svd(flat, compute_uv=False), tol)
     mults = multiplicities(pi, table)
     present = tuple(int(i) for i in np.nonzero(mults)[0])
     missing = tuple(int(i) for i in np.nonzero(mults == 0)[0])

@@ -103,6 +103,19 @@ def test_covariance_detector_catches_corruption(z2, swap_action):
     assert crossed.covariance_check(bad) >= 0.1
 
 
+@pytest.mark.parametrize("doctor, message", [
+    ("covariance_check", "covariance violated"),
+    ("bicommutant_check", "failed its bicommutant test"),
+])
+def test_a_failed_self_test_is_a_hard_error(swap_action, monkeypatch, doctor, message):
+    if doctor == "covariance_check":
+        monkeypatch.setattr(crossed, "covariance_check", lambda cp: 1.0)
+    else:
+        monkeypatch.setattr(algebras, "bicommutant_check", lambda a, tol: False)
+    with pytest.raises(NotInvariantAlgebra, match=message):
+        crossed.crossed_product(StarAlgebra.diagonal(2), swap_action)
+
+
 def test_trivial_action_commutes(z2):
     base = StarAlgebra.full(2)
     act = crossed.ad_action(z2, base, np.array([np.eye(2), np.eye(2)]))

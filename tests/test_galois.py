@@ -62,6 +62,27 @@ def test_galois_s3_permutation_not_proper(s3):
     assert dims == [2, 3, 5, 5, 5, 9]
 
 
+def test_a_class_with_two_fixed_ids_is_recorded_once(s3, monkeypatch):
+    # negative control: a doctored partition merges the singleton classes of
+    # the trivial subgroup and an order-2 subgroup, whose fixed algebras differ
+    honest = galois.subgroup_equivalence
+
+    def merged(group, subgroups, irrep_indices, tol=DEFAULT_TOL):
+        classes = honest(group, subgroups, irrep_indices, tol)
+        return ((*classes[0], *classes[1]), *classes[2:])
+
+    monkeypatch.setattr(galois, "subgroup_equivalence", merged)
+    subs = groups.enumerate_subgroups(s3)
+    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+    assert report.rows[0].fixed_id != report.rows[1].fixed_id
+    assert report.violations == [("class-not-constant", (subs[0].members, subs[1].members), None)]
+
+
+def test_an_unknown_mode_is_a_value_error(s3):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), mode="bogus")
+
+
 def test_anti_monotonicity_top_bottom(s3, monkeypatch):
     reg = reps.regular_rep(s3)
     m = StarAlgebra.full(6)

@@ -180,6 +180,28 @@ def test_generators_are_greedy_and_generate_every_subgroup(fixture_groups, s4_ti
     assert sum(len(s.generators) for s in s4) == 45
 
 
+def _greedy_reference(g, members) -> tuple:
+    # the greedy rule with the closure of the kept generators taken at every member
+    kept: list = []
+    for a in members:
+        if a not in groups.closure(g, kept):
+            kept.append(a)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_generating_sets_close_once_per_kept_generator(name, fixture_groups, monkeypatch):
+    g = fixture_groups["S4"] if name == "S4" else groups.alternating_group(5)
+    subs = enumerate_subgroups(g, order_bound=g.order)
+    expected = [_greedy_reference(g, sub.members) for sub in subs]
+    calls = []
+    honest = groups.closure
+    monkeypatch.setattr(groups, "closure", lambda *a: calls.append(a) or honest(*a))
+    found = [groups.generating_set(g, sub.members) for sub in subs]
+    assert found == expected
+    assert len(calls) == sum(len(gens) for gens in found)
+
+
 def test_conjugation_table_and_classes_match_the_group_operations(fixture_groups):
     for g in fixture_groups.values():
         table = groups.conjugation_table(g)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from kernel_reference import maximally_mixed, random_faithful
 
-from ncgalois import algebras, groups, reps
+from ncgalois import algebras, groups, ncprob, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import NotAState, NotFaithful, ParentMismatch
 from ncgalois.linalg import dagger, frob
@@ -128,6 +128,26 @@ def test_axioms_flag_noninvariant_state(s3_perm, a3):
     names = [v[0] for v in report.violations]
     assert "state_preservation" in names
     assert "contraction" not in names           # only axiom (iii) must fail
+
+
+def test_a_doctored_expectation_fails_every_axiom_in_table_order(s3_perm, a3, monkeypatch):
+    # negative control: 2 E(x)^T breaks every axiom; each violation carries
+    # its residual, in the order of the checks
+    phi = average_state(State(np.diag([0.5, 0.3, 0.2])), s3_perm)
+    filtration = filtration_from_chain(StarAlgebra.full(3), s3_perm, [a3])
+    honest = ncprob.conditional_expectation
+    monkeypatch.setattr(ncprob, "conditional_expectation",
+                        lambda x, rep, sub: 2 * np.swapaxes(honest(x, rep, sub), -1, -2))
+    report = verify_cond_exp_axioms(filtration, 0, phi, seed=1)
+    residual_of = {"contraction": "contraction_gap", "schwarz": "schwarz_min_eig"}
+    assert [name for name, _ in report.violations] == [
+        "contraction", "identity_on_subalgebra", "state_preservation", "idempotence",
+        "unitality", "bimodule", "schwarz"]
+    assert list(report.residuals) == [residual_of.get(name, name) for name, _ in report.violations]
+    for name, value in report.violations:
+        assert value == report.residuals[residual_of.get(name, name)]
+    assert report.residuals["schwarz_min_eig"] < -1e-10
+    assert min(v for name, v in report.violations if name != "schwarz") > 1e-9
 
 
 def _per_matrix_axiom_table(rep, subgroup, phi, seed, samples=20):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -451,3 +452,20 @@ def test_properness(s3, s3_perm, fixture_groups):
     missing_chi = table.characters[missing_idx]
     assert table.irreps[missing_idx].dim == 1
     assert np.min(missing_chi.real) < 0  # distinguishes sign from trivial
+
+
+def test_a_character_at_the_match_bound_is_a_match(s3):
+    # one rule for every site: distance <= _CHARACTER_MATCH matches, above does not
+    table = reps.irrep_table(s3)
+    exact = np.round(table.characters.real)        # S3's characters are integers
+    two_dim = int(np.argmax(exact[:, s3.identity]))
+    at = int(np.flatnonzero(exact[two_dim] == 0)[0])
+    chi = exact[two_dim].copy()
+    chi[at] = reps._CHARACTER_MATCH
+    assert reps._nearest_character(exact, chi) == (two_dim, reps._CHARACTER_MATCH)
+    doctored = dataclasses.replace(table, characters=exact)
+    assert doctored.index_of_character(chi) == two_dim
+    chi[at] = np.nextafter(reps._CHARACTER_MATCH, 1.0)
+    assert reps._nearest_character(exact, chi)[0] is None
+    with pytest.raises(DecompositionFailed, match="matches no table entry"):
+        doctored.index_of_character(chi)
