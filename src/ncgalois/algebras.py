@@ -63,6 +63,8 @@ from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep
 
 _CLOSURE_RESIDUAL = 1e-9
+# each generating pair of an algebra is drawn from a generator with this seed
+_PAIR_SEED = 1
 
 
 class StarAlgebra:
@@ -233,6 +235,22 @@ def commutant_of_matrices(mats, ambient_dim: int,
     if not _is_star_closed(mats, tol):
         raise ClosureFailed("the family is not closed under adjoints")
     return _commutant(mats, tol)
+
+
+def _generating_pair(basis: np.ndarray) -> np.ndarray:
+    """a, b, a*, b* for two complex Gaussian combinations a, b of ``basis``,
+    drawn from a generator seeded with ``_PAIR_SEED``.
+
+    Two generic elements generate a matrix *-algebra (Dixon, Math. Comp.
+    1970), so the commutant of these four is the commutant of the span of
+    ``basis``; a caller that relies on it certifies the generation, by a
+    rank or a dimension, since a pair that does not generate only enlarges
+    the commutant.
+    """
+    rng = np.random.default_rng(_PAIR_SEED)
+    c = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+    pair = np.tensordot(c, basis, axes=1)
+    return np.concatenate([pair, dagger(pair)])
 
 
 def _is_star_closed(mats: np.ndarray, tol: Tolerance) -> bool:

@@ -72,15 +72,13 @@ from .algebras import StarAlgebra
 from .errors import ClosureFailed
 from .groups import (FiniteGroup, Subgroup, conjugation_table, enumerate_subgroups,
                      subgroup_classes)
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, dagger, frob
+from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, frob
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
 _FINGERPRINT_MATCH = 1e-6
 # the interning probe is drawn from a generator with this seed
 _PROBE_SEED = 0
-# each full bicommutant test draws its generating pair of M^H with this seed
-_PAIR_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -318,9 +316,9 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
                  mode: str, tol: Tolerance):
     """(ok, residual, dim once) of the double (relative) commutant test on fixed = M^H.
 
-    In a full M ``once`` is the bare kernel of a, b, a*, b*, where a and b
-    are complex Gaussian combinations of ``fixed``'s basis drawn with
-    ``_PAIR_SEED``, and ``_first_commutant_certificate`` gives the verdict
+    In a full M ``once`` is the bare kernel of a, b, a*, b*, the seeded
+    generating pair ``algebras._generating_pair`` of ``fixed``'s basis,
+    and ``_first_commutant_certificate`` gives the verdict
     and residual.  M^H lies in U(H)', as its fixed-point certificate
     showed, so ``once`` contains (M^H)', which contains span U(H): at rank K
     with every U(h) inside it is span U(H) for every draw, and a pair that
@@ -332,10 +330,7 @@ def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     U(H)' cap M = M^H, which at the dimension of ``fixed`` it is.
     """
     if m.is_full:
-        rng = np.random.default_rng(_PAIR_SEED)
-        c = rng.standard_normal((2, fixed.dim)) + 1j * rng.standard_normal((2, fixed.dim))
-        pair = np.tensordot(c, fixed.basis, axes=1)
-        once = _solve_commutant(np.concatenate([pair, dagger(pair)]), tol)
+        once = _solve_commutant(alg._generating_pair(fixed.basis), tol)
         return (*_first_commutant_certificate(once, pi, subgroup), once.dim)
     if mode == "inner":
         once = alg.relative_commutant(fixed, m, tol)

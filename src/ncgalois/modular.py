@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StarAlgebra, commutant_of_matrices
-from .errors import NotFaithful, NotPositiveDefinite, ParentMismatch
+from .algebras import StarAlgebra, _generating_pair, commutant_of_matrices
+from .errors import ClosureFailed, NotFaithful, NotPositiveDefinite, ParentMismatch
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -97,18 +97,18 @@ def gns(m: StarAlgebra, phi: State, tol: Tolerance = DEFAULT_TOL) -> GNSSpace:
     cyclic = m.coordinates(np.eye(m.ambient_dim))
     space = GNSSpace(m, phi, gram, cyclic)
 
-    # left multiplication must be a homomorphism and adjoint-compatible
+    # left multiplication must be a homomorphism and adjoint-compatible; a
+    # failure is numerical, since every algebra's left action is one
     probe = basis[: min(len(basis), 6)]
-    for a in probe:
-        la = space.left_mult_matrix(a)
-        for b in probe:
-            lb = space.left_mult_matrix(b)
+    lefts = [space.left_mult_matrix(a) for a in probe]
+    for a, la in zip(probe, lefts):
+        for b, lb in zip(probe, lefts):
             lab = space.left_mult_matrix(a @ b)
             if frob(la @ lb - lab) > 1e-8 * max(1.0, frob(lab)):
-                raise ParentMismatch("left multiplication failed to be multiplicative")
+                raise ClosureFailed("left multiplication failed to be multiplicative")
         lad = space.left_mult_matrix(dagger(a))
         if frob(gram @ lad - dagger(la) @ gram) > 1e-8:
-            raise ParentMismatch("left multiplication failed the adjoint relation")
+            raise ClosureFailed("left multiplication failed the adjoint relation")
     return space
 
 
@@ -266,29 +266,46 @@ def tomita_takesaki_residuals(md: ModularData, tol: Tolerance = DEFAULT_TOL) -> 
     """J M J inside the commutant, and flow invariance of M at each t of ``_FLOW_GRID``.
 
     M here is the left-multiplication algebra on the GNS space; its
-    commutant is computed independently (Sylvester kernel), so the
-    containment JMJ <= M' is a genuine cross-check.
+    commutant is solved independently (``_left_commutant``: a Sylvester
+    kernel on a generating pair, certified by dim M' = n^2), so the
+    containment JMJ <= M' is a genuine cross-check.  Ad Delta^(it) is a
+    Hilbert-Schmidt isometry, so it carries the orthonormal basis Q of the
+    left span to an orthonormal basis u Q_k u* of the moved span, whose
+    distance from the left span is the flow residual with no second SVD.
     """
     space = md.gns_space
-    n = space.algebra.ambient_dim
     d = space.dim
     left = np.array([space.left_mult_matrix(b) for b in space.algebra.basis])
     left_span = Subspace.from_span(left.reshape(d, -1), d * d, tol)
-    comm = commutant_of_matrices(left, d, tol)
-    comm_span = comm.subspace()
+    comm_span = _left_commutant(space, tol).subspace()
 
-    jmj = np.array([
-        md.j_conj @ l.conj() @ md.j_conj.conj() for l in left
-    ])
+    jmj = md.j_conj @ left.conj() @ md.j_conj.conj()
     jmj_res = comm_span.residual(jmj.reshape(d, -1).T)
 
+    q = left_span.basis.T.reshape(-1, d, d)
     flow_res = 0.0
     for t in _FLOW_GRID:
-        u = md.delta_power(1j * t)
-        moved = compress(left, dagger(u))
-        moved_span = Subspace.from_span(moved.reshape(d, -1), d * d, tol)
-        flow_res = max(flow_res, left_span.distance(moved_span))
+        moved = compress(q, dagger(md.delta_power(1j * t))).reshape(len(q), -1).T
+        flow_res = max(flow_res, left_span.distance(Subspace(d * d, moved)))
     return {"jmj_in_commutant": float(jmj_res), "flow_invariance": float(flow_res)}
+
+
+def _left_commutant(space: GNSSpace, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """M' on the GNS space of a full block M = M_n, from a generating pair of M.
+
+    The kernel is solved on the left multiplications of the seeded pair
+    a, b of ``algebras._generating_pair`` and of a*, b*, and certified by
+    its commutator residual on those four.  M acts as M_n (x) 1, so
+    dim M' = n^2 = ``space.dim``; a pair that fails to generate M only
+    enlarges the kernel, so a dimension other than n^2 raises.
+    """
+    pair = np.array([space.left_mult_matrix(x) for x in _generating_pair(space.algebra.basis)])
+    comm = commutant_of_matrices(pair, space.dim, tol)
+    if comm.dim != space.dim:
+        raise ClosureFailed(
+            f"the generating pair's commutant has dim {comm.dim}, not dim M' = {space.dim}"
+        )
+    return comm
 
 
 # ---------------------------------------------------------------------------

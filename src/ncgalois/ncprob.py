@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebras as alg
 from .algebras import StarAlgebra
-from .errors import NotAState, NotFaithful, ParentMismatch
+from .errors import ClosureFailed, NotAState, NotFaithful, ParentMismatch
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frob, sandwich_sum
 from .reps import UnitaryRep
@@ -200,12 +200,14 @@ def independence_check(alg1: StarAlgebra, alg2: StarAlgebra, phi: State,
         expectation = lambda x: phi.expect(x) * np.eye(n, dtype=np.complex128)
 
     comm = alg.commutator_residual(alg1.basis, alg2.basis)
+    second = [(b, phi.expect(b), expectation(b)) for b in alg2.basis]
     fact = e_fact = 0.0
     for a in alg1.basis:
-        for b in alg2.basis:
+        phi_a, e_a = phi.expect(a), expectation(a)
+        for b, phi_b, e_b in second:
             ab = a @ b
-            fact = max(fact, abs(phi.expect(ab) - phi.expect(a) * phi.expect(b)))
-            e_fact = max(e_fact, frob(expectation(ab) - expectation(a) @ expectation(b)))
+            fact = max(fact, abs(phi.expect(ab) - phi_a * phi_b))
+            e_fact = max(e_fact, frob(expectation(ab) - e_a @ e_b))
     independent = comm <= bound and fact <= bound
     e_independent = e_fact <= bound
     implication_ok = (not independent) or e_independent
@@ -242,7 +244,7 @@ def filtration_from_chain(m: StarAlgebra, rep: UnitaryRep, chain,
     )
     for a, b in zip(algebras_list, algebras_list[1:]):
         if not b.contains_algebra(a, tol):
-            raise ParentMismatch("fixed algebras failed to increase along the chain")
+            raise ClosureFailed("fixed algebras failed to increase along the chain")
     dense = algebras_list[-1].dim == m.dim
     return Filtration(rep, chain, algebras_list, dense)
 
@@ -270,7 +272,7 @@ def martingale_from(x, filtration: Filtration) -> Martingale:
     for a, xt in zip(filtration.algebras, elements):
         res = a.membership_residual(xt)
         if res > 1e-9 * max(1.0, frob(xt)):
-            raise ParentMismatch(f"element is not adapted, residual {res:.3e}")
+            raise ClosureFailed(f"element is not adapted, residual {res:.3e}")
     for s in range(len(elements)):
         for t in range(s + 1, len(elements)):
             res = frob(
@@ -278,7 +280,7 @@ def martingale_from(x, filtration: Filtration) -> Martingale:
                 - elements[s]
             )
             if res > 1e-9 * max(1.0, frob(x)):
-                raise ParentMismatch(
+                raise ClosureFailed(
                     f"martingale property failed at ({s},{t}): {res:.3e}"
                 )
     return Martingale(x, filtration, elements)

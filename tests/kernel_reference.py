@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from ncgalois import algebras, galois, linalg, reps
+from ncgalois import algebras, galois, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
@@ -406,3 +406,26 @@ def pullbacks_by_intersection(cp, fixed_algebras: dict, tol: Tolerance = DEFAULT
     base_span = StarAlgebra.from_span(cp.base_images, cp.carrier_dim, tol=tol).subspace()
     return {members: fixed.subspace().intersect(base_span, tol)
             for members, fixed in fixed_algebras.items()}
+
+
+# ---------------------------------------------------------------------------
+# the Tomita-Takesaki check on the whole family of left multiplications, which
+# the package solves on a generating pair and moves by a conjugated basis
+
+
+def tomita_takesaki_by_whole_family(md, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """(M' as a Subspace, residuals) of ``modular.tomita_takesaki_residuals``
+    with M' the commutant of all d left multiplications, certified on all of
+    them, and each moved span orthonormalized by its own SVD."""
+    space = md.gns_space
+    d = space.dim
+    left = np.array([space.left_mult_matrix(b) for b in space.algebra.basis])
+    left_span = Subspace.from_span(left.reshape(d, -1), d * d, tol)
+    comm_span = algebras.commutant_of_matrices(left, d, tol).subspace()
+    jmj = np.array([md.j_conj @ x.conj() @ md.j_conj.conj() for x in left])
+    flow = 0.0
+    for t in modular._FLOW_GRID:
+        moved = linalg.compress(left, dagger(md.delta_power(1j * t)))
+        flow = max(flow, left_span.distance(Subspace.from_span(moved.reshape(d, -1), d * d, tol)))
+    return comm_span, {"jmj_in_commutant": float(comm_span.residual(jmj.reshape(d, -1).T)),
+                       "flow_invariance": float(flow)}

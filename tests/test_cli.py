@@ -9,7 +9,7 @@ import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, groups, reporting, reps
+from ncgalois import algebras, groups, modular, ncprob, reporting, reps
 from ncgalois.cli import main
 from ncgalois.linalg import DEFAULT_TOL, Tolerance
 
@@ -519,6 +519,67 @@ def test_the_exception_class_decides_the_exit_code(workspace, tmp_path, capsys, 
     assert json.loads(capsys.readouterr().out) == {"error": kind, "kind": name,
                                                    "detail": "planted"}
     assert not out.exists()
+
+
+def _doubled_left_mult():
+    honest = modular.GNSSpace.left_mult_matrix
+    return lambda self, a: 2.0 * honest(self, a)
+
+
+def _similar_left_mult():
+    # S L_a S^-1 for a fixed non-unitary S: still multiplicative, no longer adjoint-compatible
+    honest = modular.GNSSpace.left_mult_matrix
+
+    def similar(self, a):
+        s = np.arange(1.0, self.dim + 1.0)
+        return (s[:, None] * honest(self, a)) / s[None, :]
+    return similar
+
+
+def _conditional_expectation_failing_after(calls):
+    # the first ``calls`` expectations are honest, each later one returns its argument
+    honest, seen = ncprob.conditional_expectation, []
+
+    def planted(x, rep, subgroup):
+        seen.append(x)
+        return honest(x, rep, subgroup) if len(seen) <= calls else x
+    return planted
+
+
+def _scalars_for_the_trivial_subgroup():
+    honest = algebras.fixed_point_algebra
+    return lambda m, rep, sub, tol=DEFAULT_TOL: (
+        algebras.StarAlgebra.scalars(m.ambient_dim) if sub.order == 1
+        else honest(m, rep, sub, tol))
+
+
+@pytest.mark.parametrize("command, owner, name, make, detail", [
+    ("modular", modular.GNSSpace, "left_mult_matrix", _doubled_left_mult,
+     "left multiplication failed to be multiplicative"),
+    ("modular", modular.GNSSpace, "left_mult_matrix", _similar_left_mult,
+     "left multiplication failed the adjoint relation"),
+    ("martingale", algebras, "fixed_point_algebra", _scalars_for_the_trivial_subgroup,
+     "fixed algebras failed to increase along the chain"),
+    ("martingale", ncprob, "conditional_expectation",
+     lambda: _conditional_expectation_failing_after(0), "element is not adapted"),
+    ("martingale", ncprob, "conditional_expectation",
+     lambda: _conditional_expectation_failing_after(2), "martingale property failed at (0,1)"),
+], ids=["gns-multiplicative", "gns-adjoint", "filtration-increasing", "adapted",
+        "martingale-property"])
+def test_a_failed_certificate_is_numerical(workspace, tmp_path, capsys, monkeypatch,
+                                           command, owner, name, make, detail):
+    # a planted defect in a certificate the package computes exits 2, not as bad input
+    monkeypatch.setattr(owner, name, make())
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 0] = 1.0
+    payload = ({"state": reporting.matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex)),
+                "seed": 1} if command == "modular"
+               else _martingale_spec(x=reporting.matrix_to_json(unit)))
+    spec = write_spec(workspace, f"planted-{command}.json", payload)
+    assert run_cli([command, spec, "--out", tmp_path / "x.json"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "numerical" and error["kind"] == "ClosureFailed"
+    assert error["detail"].startswith(detail)
 
 
 def test_a_galois_spec_with_a_mode_is_rejected(workspace, tmp_path, capsys):

@@ -1,10 +1,13 @@
+import dataclasses
+
+import kernel_reference
 import numpy as np
 import pytest
 from kernel_reference import maximally_mixed, random_faithful
 
-from ncgalois import modular
+from ncgalois import algebras, modular
 from ncgalois.algebras import StarAlgebra
-from ncgalois.errors import NotFaithful, ParentMismatch
+from ncgalois.errors import ClosureFailed, NotFaithful, ParentMismatch
 from ncgalois.linalg import dagger, frob
 from ncgalois.modular import (
     connes_cocycle,
@@ -110,6 +113,69 @@ def test_tomita_takesaki_theorem(rng):
         res = tomita_takesaki_residuals(md)
         assert res["jmj_in_commutant"] < 1e-9
         assert res["flow_invariance"] < 1e-9
+
+
+def _seeded_modular_data(n):
+    return tomita(gns(StarAlgebra.full(n), random_faithful(n, np.random.default_rng(100 + n))))
+
+
+def _agrees_with_whole_family(n):
+    # the pair's commutant is the whole family's, and both paths' residuals pass
+    md = _seeded_modular_data(n)
+    reference, whole = kernel_reference.tomita_takesaki_by_whole_family(md)
+    pair = modular._left_commutant(md.gns_space).subspace()
+    assert pair.dim == reference.dim == n * n
+    assert pair.distance(reference) <= 1e-9
+    for res in (whole, tomita_takesaki_residuals(md)):
+        assert res["jmj_in_commutant"] <= 1e-9
+        assert res["flow_invariance"] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tomita_takesaki_agrees_with_the_whole_family(n):
+    _agrees_with_whole_family(n)
+
+
+@pytest.mark.slow
+def test_tomita_takesaki_agrees_with_the_whole_family_at_n10():
+    _agrees_with_whole_family(10)
+
+
+def test_a_pair_that_does_not_generate_fails_on_the_commutant_dimension(monkeypatch):
+    # a pair from the diagonal subalgebra has the commutant D_n (x) M_n, of dim n^3
+    monkeypatch.setattr(modular, "_generating_pair",
+                        lambda basis: algebras._generating_pair(StarAlgebra.diagonal(3).basis))
+    with pytest.raises(ClosureFailed, match="commutant has dim 27, not dim M' = 9"):
+        tomita_takesaki_residuals(_seeded_modular_data(3))
+
+
+def test_a_conjugation_that_keeps_m_fails_jmj_in_commutant():
+    # the plain coordinate conjugation maps each left multiplication L_a to L_conj(a), in M
+    md = _seeded_modular_data(3)
+    plain = dataclasses.replace(md, j_conj=np.eye(9, dtype=complex))
+    res = tomita_takesaki_residuals(plain)
+    assert res["jmj_in_commutant"] > 1e-3
+    assert res["flow_invariance"] < 1e-9
+
+
+def test_a_random_unitary_flow_fails_flow_invariance(monkeypatch):
+    md = _seeded_modular_data(3)
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    monkeypatch.setattr(modular.ModularData, "delta_power", lambda self, z: u)
+    res = tomita_takesaki_residuals(md)
+    assert res["flow_invariance"] > 1e-3
+    assert res["jmj_in_commutant"] < 1e-9
+
+
+def test_gns_takes_each_probe_left_multiplication_once(monkeypatch):
+    # 6 probe elements, 36 products and 6 adjoints
+    calls = []
+    honest = modular.GNSSpace.left_mult_matrix
+    monkeypatch.setattr(modular.GNSSpace, "left_mult_matrix",
+                        lambda self, a: calls.append(a) or honest(self, a))
+    gns(StarAlgebra.full(3), random_faithful(3, np.random.default_rng(1)))
+    assert len(calls) == 48
 
 
 # -- flow and KMS --------------------------------------------------------------

@@ -264,6 +264,21 @@ def test_e_independence_with_group_expectation(s3, s3_perm, a3):
     assert report.implication_ok
 
 
+def test_independence_takes_each_factor_expectation_once():
+    # k1 k2 + k1 + k2 = 99 expectations on two full M3 algebras, not 3 k1 k2 = 243
+    m3 = StarAlgebra.full(3)
+    phi = State(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    calls = []
+
+    def expectation(x):
+        calls.append(x)
+        return phi.expect(x) * np.eye(3, dtype=np.complex128)
+
+    report = independence_check(m3, m3, phi, expectation=expectation)
+    assert len(calls) == 99
+    assert report == independence_check(m3, m3, phi)
+
+
 # -- filtrations and martingales -----------------------------------------------
 
 
