@@ -17,11 +17,9 @@ fixed-point algebra of the full matrix algebra is the commutant of the
 subgroup image, so it takes the same kernel, unless every unitary is a
 permutation matrix: then it is spanned by the normalized indicators of
 the subgroup's orbitals, read off the action table in integers with no
-kernel, and carries that partition, from which ``partition_residual``
-gives any permutation's commutator residual on it in O(n^2).  In a
-non-full M it is solved in M's own coordinates, as the SVD nullspace of
-the d x d maps of the generators (``fixed_coordinates``), with no n^2
-kernel and no intersection.
+kernel.  In a non-full M it is solved in M's own coordinates, as the SVD
+nullspace of the d x d maps of the generators (``fixed_coordinates``),
+with no n^2 kernel and no intersection.
 Every commutant is that of a *-closed family, solved on the block-diagonal
 subspace of a seeded Hermitian element (``linalg.random_split``) instead of
 all n^2 coordinates; ``commutant_of_matrices`` rejects a family whose span
@@ -72,13 +70,10 @@ class StarAlgebra:
 
     ``basis`` is an (k, n, n) array of Hilbert-Schmidt orthonormal
     matrices.  The constructor checks shapes only; every construction path
-    certifies its own result (see the module docstring).  ``orbitals``, set
-    only by ``fixed_point_algebra`` on a permutation representation, is the
-    (n, n) class of each pair of points when basis element c is the
-    normalized indicator of class c.
+    certifies its own result (see the module docstring).
     """
 
-    def __init__(self, ambient_dim: int, basis, orbitals: np.ndarray | None = None):
+    def __init__(self, ambient_dim: int, basis):
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 3 or b.shape[1] != ambient_dim or b.shape[2] != ambient_dim:
             raise DimensionMismatch(
@@ -87,7 +82,6 @@ class StarAlgebra:
         self.ambient_dim = int(ambient_dim)
         self.basis = b
         self.basis.setflags(write=False)
-        self.orbitals = orbitals
         self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(b.shape[0], -1).T)
 
     # -- construction ------------------------------------------------------
@@ -274,24 +268,6 @@ def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
     return worst
 
 
-def partition_residual(orbitals: np.ndarray, perm: np.ndarray) -> float:
-    """``commutator_residual`` of the permutation matrix P, P e_x = e_{perm[x]},
-    on the normalized indicators X_C of the classes C of a partition of the
-    pairs of points, ``orbitals[x, y]`` the class of (x, y), in O(n^2).
-
-    ||P X_C - X_C P||_F = ||P X_C P* - X_C||_F, and P X_C P* indicates PC, so
-    it is sqrt(|C delta PC| / |C|) = sqrt(2 (|C| - |C cap PC|) / |C|), maxed
-    over C and divided by ||P||_F = sqrt(n).  This holds for any partition.
-    """
-    n = len(perm)
-    back = np.empty_like(perm)
-    back[perm] = np.arange(n)
-    carried = orbitals[back[:, None], back]   # (u, v) in PC exactly when carried[u, v] = C
-    sizes = np.bincount(orbitals.ravel())
-    kept = np.bincount(orbitals[orbitals == carried], minlength=len(sizes))
-    return float(np.sqrt(np.max(2.0 * (sizes - kept) / sizes))) / max(np.sqrt(n), 1.0)
-
-
 def _commutant(mats: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """Commutant of the *-closed family ``mats``, certified on ``mats``."""
     n = mats.shape[1]
@@ -449,39 +425,34 @@ def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float
 
 
 def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
-                        tol: Tolerance = DEFAULT_TOL, residuals: dict | None = None) -> StarAlgebra:
+                        tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Elements of M invariant under conjugation by the subgroup's unitaries.
 
     For a full M, U X U* = X for a unitary U exactly when X commutes with U,
     so the fixed algebra is the commutant U(H)', of dimension the character
-    count (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3).  When every U_g is a
-    permutation matrix (``UnitaryRep.action``), U(H)' is spanned by the
-    indicators of the orbits of H on pairs of points, its orbitals
-    (Wielandt, *Finite Permutation Groups*, 1964, ch. V): they are disjoint,
-    so normalized they are Hilbert-Schmidt orthonormal, and no kernel is
-    solved; the algebra carries the partition as ``orbitals``.  Any other
+    count (``_character_count``).  When every U_g is a permutation matrix
+    (``UnitaryRep.action``), U(H)' is spanned by the indicators of the
+    orbits of H on pairs of points, its orbitals (Wielandt, *Finite
+    Permutation Groups*, 1964, ch. V): they are disjoint, so normalized they
+    are Hilbert-Schmidt orthonormal, and no kernel is solved.  Any other
     full M takes the Sylvester kernel of U(H).  A non-full M is solved in
     its own coordinates: one compression of its basis by each generator's
     unitary checks that M is invariant and gives the d x d map of Ad U_s,
     and M^H is their joint ``fixed_coordinates``.  Every basis is certified
-    by ``_certified_fixed``, and a dict given as ``residuals`` receives its
-    commutator residual on each generator's unitary, keyed by the generator.
+    by ``_certified_fixed``.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
-    n, orbitals = rep.dim, None
     if not m.is_full:
         maps = _conjugation_maps(m, rep, subgroup.generators)
         basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
     elif rep.action is not None:
-        orbitals = _orbital_partition(rep.action, subgroup)
-        basis = _orbital_indicators(orbitals)
+        basis = _orbital_indicators(_orbital_partition(rep.action, subgroup))
     else:
-        mats = rep.matrices[list(subgroup.members)]
-        basis = linalg.commutant_kernel(mats, tol).T
-    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, n, n), residuals, orbitals)
+        basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
+    return _certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
 
 
 def _orbital_partition(action: np.ndarray, subgroup: Subgroup) -> np.ndarray:
@@ -519,27 +490,25 @@ def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
     return maps
 
 
+def _character_count(rep: UnitaryRep, subgroup: Subgroup) -> float:
+    """dim U(H)' = (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3), the dimension of M^H
+    in a full M; for a permutation character, the number of orbitals (Burnside)."""
+    chi = rep.character()[list(subgroup.members)]
+    return float(np.sum(np.abs(chi) ** 2)) / subgroup.order
+
+
 def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
-                     basis: np.ndarray, residuals: dict | None = None,
-                     orbitals: np.ndarray | None = None) -> StarAlgebra:
+                     basis: np.ndarray) -> StarAlgebra:
     """M^H from its basis, once the basis commutes with the unitaries of H's
-    generators and, in a full M, its size is the character count, which for
-    a permutation character is the number of orbitals (Burnside), so it
-    checks an orbital basis independently.  Each generator's residual is
-    taken once, and copied into ``residuals`` when given."""
-    found = {s: commutator_residual(rep.matrices[[s]], basis) for s in subgroup.generators}
-    _require_commuting(max(found.values(), default=0.0))
-    if residuals is not None:
-        residuals.update(found)
-    if m.is_full:
-        chi = rep.character()[list(subgroup.members)]
-        expected = float(np.sum(np.abs(chi) ** 2)) / subgroup.order
-        if abs(len(basis) - expected) > 1e-6:
-            raise DecompositionFailed(
-                f"fixed-point algebra has dimension {len(basis)}, "
-                f"the character formula gives {expected:.6g}"
-            )
-    return StarAlgebra(rep.dim, basis, orbitals)
+    generators and, in a full M, its size is ``_character_count``, which
+    checks an orbital basis independently."""
+    _require_commuting(commutator_residual(rep.matrices[list(subgroup.generators)], basis))
+    if m.is_full and abs(len(basis) - (expected := _character_count(rep, subgroup))) > 1e-6:
+        raise DecompositionFailed(
+            f"fixed-point algebra has dimension {len(basis)}, "
+            f"the character formula gives {expected:.6g}"
+        )
+    return StarAlgebra(rep.dim, basis)
 
 
 def fixed_coordinates(maps: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -8,58 +8,49 @@ subgroups into span-equivalence classes; when the action is proper the
 map must be injective across classes and any failure is recorded as a
 violation rather than silently accepted.  Subgroup checks use generators.
 
-In a full M the bicommutant test solves one commutant, (M^H)', by the
-Sylvester kernel on a seeded pair a, b of random elements of M^H and
-their adjoints (two generic elements generate a semisimple matrix
-algebra: Dixon, Math. Comp. 1970; Murota, Kanno, Kojima and Kojima, JJIAM
-2010), and certifies it to be span U(H), the commutant of U(H)' (double
-commutant theorem): its dimension must be the rank of the |H| x |H|
-character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and every U(h),
-h in H, must lie in it; the worst membership residual is the row's.
-{a, b, a*, b*}' contains (M^H)', so a pair that fails to generate M^H
-only enlarges the solved space and fails on rank.  Then (M^H)'' = U(H)'
-is M^H by definition, which ``algebras.fixed_point_algebra`` has solved
-and certified, so no second commutant is solved and no basis of M^H is
-walked.  In a non-full M both commutants come from ``algebras`` (relative
-ones in inner mode), and the second must commute with the unitaries of
-H's generators and lie in M, so at the dimension of M^H it is
-M^H = U(H)' cap M.  No distance in the
-n^2-dimensional matrix space is formed.
+Each row reads one element of M^H: y = E_H P_M r, the conditional
+expectation E_H = (1/|H|) sum_h Ad U_h (``ncprob.conditional_expectation``)
+of a seeded probe r projected onto M once per lattice.  E_H is the
+Hilbert-Schmidt projection onto U(H)', and it commutes with P_M because
+each Ad U_h preserves M and the inner product, so y is P_{M^H} r, whose
+coordinates in any orthonormal basis of M^H are i.i.d. complex Gaussians.
+So y alone decides, with probability 1, what a basis of M^H would: the
+row is certified by the commutator residual of y on the unitaries of H's
+generators, M^{H2} lies in M^{H1} exactly when y_2 commutes with the
+unitaries of H1's generators (the anti-monotone audit of H1 < H2, and the
+interner's confirmation of a match, which at equal dimension is equality),
+and y is the interner's fingerprint.  No row forms a basis of M^H.
 
-The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So one fixed-point
-algebra and one bicommutant test are built per conjugacy class of the given
-subgroups, on its first member K, and no other row builds a basis: a
-conjugate H = gKg^-1 is read through M^K.  Ad U_g is a Hilbert-Schmidt
-isometry, so the commutator residual of U_s on U_g M^K U_g* is that of
-U_{g^-1 s g} on M^K, and one memo per class holds each element's residual
-on M^K once, seeded with K's own generators' from its fixed-point
-certificate.  A miss on an M^K that carries its orbitals (a permutation
-representation in a full M) is read off them in O(n^2) by
-``algebras.partition_residual``, the same number as the dense residual,
-which any other algebra takes.  H's certificate on its own generators,
-its anti-monotone audit and the interner's confirmation all read that
-memo, and its fingerprint reads H's own unitaries, not M^K (below).  In
-a non-full M each conjugating g must leave M invariant.  A conjugate
-row's ``bicommutant_residual`` and ``commutant_dim`` are its
-representative's, which Ad U_g carries.
+The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So the dimension and
+the bicommutant test are computed once per conjugacy class of the given
+subgroups, on its first member K, and a conjugate row takes them (in a
+non-full M each conjugating g must leave M invariant).  In a full M the
+test solves one commutant, (M^K)', by the Sylvester kernel on a seeded
+pair a, b = E_K(G1), E_K(G2) of random elements of M^K and their
+adjoints (two generic elements generate a semisimple matrix algebra:
+Dixon, Math. Comp. 1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010),
+and certifies it to be span U(K), the commutant of U(K)' (double
+commutant theorem): its dimension must be the rank of the |K| x |K|
+character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and every U(k)
+must lie in it; the worst membership residual is the row's.  Then
+(M^K)'' = U(K)' is M^K by definition, so no second commutant is solved.
+dim M^K is the character count (1/|K|) sum_k |chi(k)|^2, certified by the
+isotypic multiplicities of span U(K): sum_rho m_rho^2 (Serre, 2.6).  In a
+non-full M, M^K comes from ``algebras.fixed_point_algebra`` and both
+(relative) commutants from ``algebras``, and the second must commute with
+the unitaries of K's generators and lie in M, so at the dimension of M^K
+it is M^K = U(K)' cap M.  No distance in the n^2-dimensional matrix space
+is formed.
 
 Rows are streamed: each row is certified, interned and audited for
 anti-monotonicity against the subgroups below it as soon as it is
-reached, so nothing dense outlives the conjugacy class whose
-representative's basis it reads, and the report holds no basis.  The
-interner keeps a fingerprint, a dimension and a row index per id.  A row's
-fingerprint is E_H P_M r for the seeded probe r, with E_H = (1/|H|) sum_h
-Ad U_h the conditional expectation (``ncprob.conditional_expectation``):
-E_H is the Hilbert-Schmidt projection onto U(H)', and it commutes with P_M
-because each Ad U_h preserves M and the inner product, so E_H P_M r is
-P_{M^H} r.  The probe is projected onto M once per lattice.  A match is
-confirmed by the anti-monotone audit's own test, M^{H_j} commuting with
-the unitaries of the earlier H_i's generators, which at equal dimension is
-equality.
+reached, and the report holds no basis.  The interner keeps a
+fingerprint, a dimension and a row index per id.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -69,10 +60,10 @@ from . import algebras as alg
 from . import ncprob
 from . import reps as rp
 from .algebras import StarAlgebra
-from .errors import ClosureFailed
-from .groups import (FiniteGroup, Subgroup, conjugation_table, enumerate_subgroups,
-                     subgroup_classes)
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, frob
+from .errors import ClosureFailed, DecompositionFailed
+from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
+from .linalg import (DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress, dagger, frob,
+                     random_split)
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -238,33 +229,24 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, mode: str = "auto", subgroups=
 
 def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroups,
                tol: Tolerance) -> None:
-    """Rows and their violations, one kernel per conjugacy class, in order, keeping no basis.
+    """Rows and their violations, one class solve per conjugacy class, in order, keeping no basis.
 
-    The first subgroup K of each class (``subgroup_classes``) gets its fixed
-    algebra and bicommutant test computed, and its basis is kept, with one
-    memo of its elements' residuals, seeded with those of K's generators that
-    certified M^K, until the last row of its class.  A conjugate H = gKg^-1
-    builds no basis: M^H = U_g M^K U_g* (Ad U_g is a *-automorphism of M,
-    checked on g in a non-full M), and
-    ||[U_s, U_g X U_g*]||_F = ||[U_{g^-1 s g}, X]||_F, so H's certificate on
-    its own generators reads the memo at the conjugated elements.  H takes
-    its representative's ``_bicommutant`` triple, which Ad U_g carries with
-    the (relative) commutants.
-
-    Anti-monotonicity of every pair H1 < H2 is checked when the row of H2
-    is reached: M^{H2} lies in M, so it lies in M^{H1} exactly when it
-    commutes with the unitaries of H1's generators.  The interner confirms
-    a match with an earlier row by the same test, and fingerprints M^H by
-    the conditional expectation E_H of the probe, projected onto M once.
-    Bicommutant violations come in row order, then anti-monotone ones with
-    H1 outer and H2 inner.
+    The first subgroup K of each class (``subgroup_classes``) gets its
+    fixed dimension and bicommutant test from ``_solve_class``, and a
+    conjugate H = gKg^-1 takes them: M^H = U_g M^K U_g* (Ad U_g is a
+    *-automorphism of M, checked on g in a non-full M), which carries the
+    (relative) commutants.  Every row then reads one element, y = E_H P_M r
+    at unit Frobenius norm, the conditional expectation of the probe: its
+    commutator residual on the unitaries of H's generators certifies the
+    row, and that on the generators of each H1 < H is the anti-monotone
+    audit of the pair, since y is generic in M^H and M^H lies in M^{H1}
+    exactly when it commutes with H1's generators.  The interner
+    fingerprints M^H by y and confirms a match with an earlier row by the
+    audit's test.  Bicommutant violations come in row order, then
+    anti-monotone ones with H1 outer and H2 inner.
     """
-    group = report.group
-    conj = conjugation_table(group)
-    classes = subgroup_classes(group, subgroups)
-    last = {r: j for j, (r, _) in enumerate(classes)}
-    # representative index -> (M^K, element -> its residual on M^K, _bicommutant triple)
-    kept: dict = {}
+    classes = subgroup_classes(report.group, subgroups)
+    solved: dict = {}   # representative index -> _solve_class's (dim, ok, residual, dim once)
     n = m.ambient_dim
     interner = _Interner(n * n)
     # E_H commutes with P_M, so E_H P_M r = P_{M^H} r
@@ -272,38 +254,29 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
     for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
         if r == j:
-            fixed = alg.fixed_point_algebra(m, pi, sub, tol, residuals=(memo := {}))
-            kept[j] = fixed, memo, _bicommutant(fixed, m, pi, sub, report.mode, tol)
+            solved[j] = _solve_class(m, pi, sub, report.mode, tol)
         elif not m.is_full:   # every unitary preserves the full algebra
             alg._conjugation_maps(m, pi, (g,))
-        fixed, memo, (ok, residual, commutant_dim) = kept.pop(r) if last[r] == j else kept[r]
-        to_k = conj[group.inverse[g]]   # s -> g^-1 s g
+        fixed_dim, ok, residual, commutant_dim = solved[r]
+        y = ncprob.conditional_expectation(probe, pi, sub)
+        unit = y[None] / frob(y)
 
-        def residual_to(i: int) -> float:
-            """``commutator_residual`` of H_i's generators on M^H: the worst of
-            their conjugates' own residuals on M^K, each computed once per class,
-            and read off M^K's orbitals when it carries them."""
-            gens = [int(to_k[s]) for s in subgroups[i].generators]
-            for t in gens:
-                if t not in memo:
-                    memo[t] = (alg.commutator_residual(pi.matrices[[t]], fixed.basis)
-                               if fixed.orbitals is None
-                               else alg.partition_residual(fixed.orbitals, pi.action[t]))
-            return max((memo[t] for t in gens), default=0.0)
+        def residual_on(i: int) -> float:
+            """``commutator_residual`` of H_i's generators on y / ||y||_F."""
+            return alg.commutator_residual(pi.matrices[list(subgroups[i].generators)], unit)
 
-        if r != j and (worst := residual_to(j)) > _RESIDUAL_BOUND:
+        if (worst := residual_on(j)) > _RESIDUAL_BOUND:
             raise ClosureFailed(
-                f"conjugated fixed-point algebra fails to commute with the unitaries of "
+                f"the conditional expectation fails to commute with the unitaries of "
                 f"its subgroup's generators, residual {worst:.3e}")
         for i, low in enumerate(subgroups):
             if low.members != sub.members and sub.contains(low):
-                residuals[i, j] = residual_to(i)
-        fixed_id = interner.id_of(ncprob.conditional_expectation(probe, pi, sub).reshape(-1),
-                                  fixed.dim, j, lambda i: residual_to(i) <= _RESIDUAL_BOUND)
+                residuals[i, j] = residual_on(i)
+        fixed_id = interner.id_of(y.reshape(-1), fixed_dim, j,
+                                  lambda i: residual_on(i) <= _RESIDUAL_BOUND)
         if not ok:
             report.violations.append(("bicommutant", sub.members, residual))
-        report.rows.append(GaloisRow(sub, fixed.dim, fixed_id, ok, residual, commutant_dim))
-        del fixed, memo   # before the next row is built
+        report.rows.append(GaloisRow(sub, fixed_dim, fixed_id, ok, residual, commutant_dim))
     for (i, j), res in sorted(residuals.items()):
         report.anti_monotone_pairs += 1
         if res > _RESIDUAL_BOUND:
@@ -312,40 +285,76 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
             )
 
 
-def _bicommutant(fixed: StarAlgebra, m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,
-                 mode: str, tol: Tolerance):
-    """(ok, residual, dim once) of the double (relative) commutant test on fixed = M^H.
+def _solve_class(m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup, mode: str,
+                 tol: Tolerance) -> tuple:
+    """(dim M^K, ok, residual, dim once) of a class representative K (module docstring).
 
-    In a full M ``once`` is the bare kernel of a, b, a*, b*, the seeded
-    generating pair ``algebras._generating_pair`` of ``fixed``'s basis,
-    and ``_first_commutant_certificate`` gives the verdict
-    and residual.  M^H lies in U(H)', as its fixed-point certificate
-    showed, so ``once`` contains (M^H)', which contains span U(H): at rank K
-    with every U(h) inside it is span U(H) for every draw, and a pair that
-    does not generate M^H fails on rank.  As span U(H), its commutant is
-    U(H)' = ``fixed``, so no ``twice`` is solved.  In a non-full M ``once``
-    is solved from ``fixed`` and ``twice`` from ``once``, and the residual
-    is ``twice``'s commutator residual on the unitaries of H's generators
-    maxed with its containment residual in M: under the bound it lies in
-    U(H)' cap M = M^H, which at the dimension of ``fixed`` it is.
+    In a full M, ``once`` is the bare kernel of a, b, a*, b* for
+    a, b = E_K(G1), E_K(G2), two complex Gaussians drawn from a generator
+    seeded with ``algebras._PAIR_SEED``, judged by
+    ``_first_commutant_certificate``, and the dimension is the character
+    count, certified on a passing ``once`` by ``_require_isotypic_count``.
+    In a non-full M, ``twice`` must commute with the unitaries of K's
+    generators and lie in M, at the dimension of M^K.
     """
-    if m.is_full:
-        once = _solve_commutant(alg._generating_pair(fixed.basis), tol)
-        return (*_first_commutant_certificate(once, pi, subgroup), once.dim)
-    if mode == "inner":
-        once = alg.relative_commutant(fixed, m, tol)
-        twice = alg.relative_commutant(once, m, tol)
-    else:
-        once = alg.commutant(fixed, tol)
-        twice = alg.commutant(once, tol)
-    residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis),
-                   m.subspace().containment_residual(twice.subspace()))
-    return residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
+    if not m.is_full:
+        fixed = alg.fixed_point_algebra(m, pi, subgroup, tol)
+        if mode == "inner":
+            once = alg.relative_commutant(fixed, m, tol)
+            twice = alg.relative_commutant(once, m, tol)
+        else:
+            once = alg.commutant(fixed, tol)
+            twice = alg.commutant(once, tol)
+        residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)],
+                                               twice.basis),
+                       m.subspace().containment_residual(twice.subspace()))
+        return (fixed.dim, residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual,
+                once.dim)
+    rng = np.random.default_rng(alg._PAIR_SEED)
+    shape = (2, pi.dim, pi.dim)
+    pair = ncprob.conditional_expectation(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pi, subgroup)
+    once = _solve_commutant(np.concatenate([pair, dagger(pair)]), tol)
+    ok, residual = _first_commutant_certificate(once, pi, subgroup)
+    count = alg._character_count(pi, subgroup)
+    if ok:
+        _require_isotypic_count(once, pi, subgroup, count, rng, tol)
+    return round(count), ok, residual, once.dim
+
+
+def _require_isotypic_count(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup,
+                            count: float, rng: np.random.Generator, tol: Tolerance) -> None:
+    """Raise ``DecompositionFailed`` unless sum_rho m_rho^2 over the constituents
+    rho of U|_H, read off ``once`` = span U(H), is ``count``.
+
+    z = E_H(sum_h c_h U_h) weighs each H-class of U(H) at random, so it is
+    central in span U(H): its spectral blocks are the isotypic components,
+    of rank d_rho m_rho, and span U(H) compressed to one is End(V_rho) (x) 1,
+    of dimension d_rho^2 (Serre, 2.6).
+    """
+    members = list(subgroup.members)
+    c = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
+    z = ncprob.conditional_expectation(np.tensordot(c, pi.matrices[members], axes=1), pi,
+                                       subgroup)
+    total = 0
+    for q in random_split(z[None], rng, tol=tol):
+        e = q.shape[1]
+        d2 = Subspace.from_span(compress(once.basis, q).reshape(once.dim, -1), e * e, tol).dim
+        d = math.isqrt(d2)
+        if d * d != d2 or e % d:
+            raise DecompositionFailed(
+                f"an isotypic block of rank {e} carries a span of dimension {d2}, "
+                f"not d^2 for a d that divides {e}")
+        total += (e // d) ** 2
+    if abs(total - count) > 1e-6:
+        raise DecompositionFailed(
+            f"the isotypic multiplicities give dim M^H = {total}, "
+            f"the character formula gives {count:.6g}")
 
 
 def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """The Sylvester kernel of a *-closed family as an algebra, with no
-    commutator certificate: ``_bicommutant`` passes a generating pair of
+    commutator certificate: ``_solve_class`` passes a generating pair of
     M^H and its adjoints, and certifies the kernel by the character rank."""
     n = family.shape[1]
     return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))

@@ -268,15 +268,17 @@ def tomita_takesaki_residuals(md: ModularData, tol: Tolerance = DEFAULT_TOL) -> 
     M here is the left-multiplication algebra on the GNS space; its
     commutant is solved independently (``_left_commutant``: a Sylvester
     kernel on a generating pair, certified by dim M' = n^2), so the
-    containment JMJ <= M' is a genuine cross-check.  Ad Delta^(it) is a
-    Hilbert-Schmidt isometry, so it carries the orthonormal basis Q of the
-    left span to an orthonormal basis u Q_k u* of the moved span, whose
-    distance from the left span is the flow residual with no second SVD.
+    containment JMJ <= M' is a genuine cross-check.  tr(L_A* L_B) =
+    n tr(A* B) on M = M_n, so the left multiplications of M's orthonormal
+    basis, scaled by 1/sqrt(n), are an orthonormal basis Q of the left span
+    with no SVD.  Ad Delta^(it) is a Hilbert-Schmidt isometry, so it
+    carries Q to an orthonormal basis u Q_k u* of the moved span, whose
+    distance from the left span is the flow residual.
     """
     space = md.gns_space
     d = space.dim
     left = np.array([space.left_mult_matrix(b) for b in space.algebra.basis])
-    left_span = Subspace.from_span(left.reshape(d, -1), d * d, tol)
+    left_span = Subspace(d * d, left.reshape(d, -1).T / np.sqrt(space.algebra.ambient_dim))
     comm_span = _left_commutant(space, tol).subspace()
 
     jmj = md.j_conj @ left.conj() @ md.j_conj.conj()

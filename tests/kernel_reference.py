@@ -201,55 +201,111 @@ def rotated(rep: UnitaryRep, seed: int = 41) -> UnitaryRep:
 
 
 def fixed_point_by_kernel(m: StarAlgebra, rep, subgroup: Subgroup,
-                          tol: Tolerance = DEFAULT_TOL, residuals=None) -> StarAlgebra:
+                          tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """``algebras.fixed_point_algebra`` in a full M on the Sylvester path, for
     a permutation representation too: the kernel of U(H) by
-    ``linalg.commutant_kernel``, certified by ``algebras._certified_fixed``.
-    The algebra carries no orbitals, so ``galois`` computes its class memo
-    densely."""
+    ``linalg.commutant_kernel``, certified by ``algebras._certified_fixed``."""
     assert m.is_full
     basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
-    return algebras._certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim),
-                                     residuals)
+    return algebras._certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
 
 
 def own_classes(group: FiniteGroup, subgroups) -> list:
     """``groups.subgroup_classes`` with every subgroup its own representative:
-    patched into ``galois``, it has ``galois_map`` solve a fixed-point kernel
+    patched into ``galois``, it has ``galois_map`` solve a fixed dimension
     and a bicommutant test on every row."""
     return [(j, group.identity) for j in range(len(subgroups))]
 
 
-def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
-                            tol: Tolerance = DEFAULT_TOL):
-    """``galois._bicommutant`` with the residual the subspace distance in C^{n^2}
-    between the second (relative) commutant and the fixed algebra."""
+def _both_commutants(fixed: StarAlgebra, m: StarAlgebra, mode: str, tol: Tolerance) -> tuple:
+    """(once, twice): the first and second relative commutants in M in inner
+    mode, the plain commutants in spatial mode."""
     if mode == "inner":
         once = algebras.relative_commutant(fixed, m, tol)
-        twice = algebras.relative_commutant(once, m, tol)
-    else:
-        once = algebras.commutant(fixed, tol)
-        twice = algebras.commutant(once, tol)
+        return once, algebras.relative_commutant(once, m, tol)
+    once = algebras.commutant(fixed, tol)
+    return once, algebras.commutant(once, tol)
+
+
+def bicommutant_by_basis_pair(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
+                              tol: Tolerance = DEFAULT_TOL):
+    """(ok, residual, dim once) of the double (relative) commutant test on a
+    basis of M^H: in a full M ``once`` is solved on the seeded pair of
+    ``fixed``'s basis, ``algebras._generating_pair``, and certified by
+    ``galois._first_commutant_certificate``; in a non-full M both (relative)
+    commutants are solved, and ``twice`` must commute with the unitaries of
+    H's generators and lie in M.  ``galois`` draws its pair as E_H of two
+    Gaussian matrices and forms no basis of M^H."""
+    if m.is_full:
+        once = galois._solve_commutant(algebras._generating_pair(fixed.basis), tol)
+        return (*galois._first_commutant_certificate(once, pi, subgroup), once.dim)
+    once, twice = _both_commutants(fixed, m, mode, tol)
+    residual = max(algebras.commutator_residual(pi.matrices[list(subgroup.generators)],
+                                                twice.basis),
+                   m.subspace().containment_residual(twice.subspace()))
+    return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
+
+
+def bicommutant_by_distance(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
+                            tol: Tolerance = DEFAULT_TOL):
+    """The double (relative) commutant test on a basis of M^H, with the residual
+    the subspace distance in C^{n^2} between the second (relative) commutant
+    and the fixed algebra."""
+    once, twice = _both_commutants(fixed, m, mode, tol)
     residual = float(twice.subspace().distance(fixed.subspace()))
     return residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim, residual, once.dim
 
 
 def bicommutant_by_two_solves(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
-                              tol: Tolerance = DEFAULT_TOL, _honest=galois._bicommutant):
-    """``galois._bicommutant`` with a second commutant in a full M too: there
-    ``twice`` is solved from ``once`` by ``galois._solve_commutant``, ``once``
-    must pass its character-rank certificate, and the residual is twice's
-    commutator residual on the unitaries of H's generators, at the dimension
-    of ``fixed``.  ``galois`` reads (M^H)'' = U(H)' as M^H instead.  A
-    non-full M solves both (relative) commutants on either path."""
+                              tol: Tolerance = DEFAULT_TOL):
+    """The double commutant test on a basis of M^H with a second commutant in
+    a full M too: there ``twice`` is solved from ``once`` by
+    ``galois._solve_commutant``, ``once`` must pass its character-rank
+    certificate, and the residual is twice's commutator residual on the
+    unitaries of H's generators, at the dimension of ``fixed``.  ``galois``
+    reads (M^H)'' = U(H)' as M^H instead.  A non-full M solves both
+    (relative) commutants on either path."""
     if not m.is_full:
-        return _honest(fixed, m, pi, subgroup, mode, tol)
+        return bicommutant_by_basis_pair(fixed, m, pi, subgroup, mode, tol)
     once = galois._solve_commutant(fixed.basis, tol)
     twice = galois._solve_commutant(once.basis, tol)
     once_ok = galois._first_commutant_certificate(once, pi, subgroup)[0]
     residual = algebras.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
     ok = once_ok and residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
     return ok, residual, once.dim
+
+
+def solved_from_basis(bicommutant):
+    """A stand-in for ``galois._solve_class`` that solves M^K by
+    ``algebras.fixed_point_algebra`` and tests it by
+    ``bicommutant(fixed, m, pi, subgroup, mode, tol)``, one of the above."""
+    def solve(m: StarAlgebra, pi, subgroup, mode: str, tol: Tolerance = DEFAULT_TOL):
+        fixed = algebras.fixed_point_algebra(m, pi, subgroup, tol)
+        return (fixed.dim, *bicommutant(fixed, m, pi, subgroup, mode, tol))
+    return solve
+
+
+def fill_rows_by_basis(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL):
+    """``galois._fill_rows`` from a basis of every row's M^H, as the rows were
+    once made: M^H solved on the row's own subgroup (``fixed_point_by_kernel``
+    in a full M, a permutation representation included;
+    ``algebras.fixed_point_algebra`` in a non-full M), tested by
+    ``bicommutant_by_basis_pair``, numbered by ``Subspace.equals`` against
+    the algebras before it, and audited by projection on every pair
+    H1 < H2, H1 outer; an anti-monotone violation carries no residual."""
+    fixed = {h.members: (fixed_point_by_kernel if m.is_full else algebras.fixed_point_algebra)(
+        m, pi, h, tol) for h in subgroups}
+    ids = _numbered([f.subspace() for f in fixed.values()], tol)
+    for h, fixed_id in zip(subgroups, ids):
+        f = fixed[h.members]
+        ok, residual, dim = bicommutant_by_basis_pair(f, m, pi, h, report.mode, tol)
+        if not ok:
+            report.violations.append(("bicommutant", h.members, residual))
+        report.rows.append(galois.GaloisRow(h, f.dim, fixed_id, ok, residual, dim))
+    report.anti_monotone_pairs = sum(high.contains(low) for low in subgroups
+                                     for high in subgroups if low.members != high.members)
+    report.violations += [("anti-monotone", pair, None)
+                          for pair in anti_monotone_by_projection(fixed, subgroups)]
 
 
 def orbital_lattice(group: FiniteGroup, action, subgroups) -> list:
@@ -281,14 +337,6 @@ def interned_by_equality(m: StarAlgebra, rep, subgroups, irrep_indices,
     (as ``galois.subgroup_equivalence`` forms it), each numbered by
     ``Subspace.equals`` against the spaces before it, in order of first
     appearance.  A class lists its subgroups' indices, ascending."""
-    def numbered(spaces) -> list:
-        seen, ids = [], []
-        for space in spaces:
-            ids.append(next((i for i, s in enumerate(seen) if s.equals(space, tol)), len(seen)))
-            if ids[-1] == len(seen):
-                seen.append(space)
-        return ids
-
     fixed = [algebras.fixed_point_algebra(m, rep, h, tol).subspace() for h in subgroups]
     table = reps.irrep_table(rep.group, tol)
     images = np.concatenate([table.irreps[i].matrices.reshape(rep.group.order, -1)
@@ -296,17 +344,28 @@ def interned_by_equality(m: StarAlgebra, rep, subgroups, irrep_indices,
     spans = [Subspace.from_span(images[list(h.members)], images.shape[1], tol)
              for h in subgroups]
     classes: dict = {}
-    for j, span_id in enumerate(numbered(spans)):
+    for j, span_id in enumerate(_numbered(spans, tol)):
         classes.setdefault(span_id, []).append(j)
-    return numbered(fixed), list(classes.values())
+    return _numbered(fixed, tol), list(classes.values())
+
+
+def _numbered(spaces, tol: Tolerance) -> list:
+    """Ids of the spaces by ``Subspace.equals`` against the distinct ones
+    before them, in order of first appearance."""
+    seen, ids = [], []
+    for space in spaces:
+        ids.append(next((i for i, s in enumerate(seen) if s.equals(space, tol)), len(seen)))
+        if ids[-1] == len(seen):
+            seen.append(space)
+    return ids
 
 
 def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep,
                               subgroup: Subgroup, g: int) -> StarAlgebra:
     """M^H as the basis U_g M^K U_g*, for the fixed algebra M^K of K = g^-1 H g,
     certified as a solved fixed-point basis is (``algebras._certified_fixed``);
-    a non-full M must be invariant under Ad U_g.  ``galois`` reads each
-    conjugate row through its representative instead and builds no basis."""
+    a non-full M must be invariant under Ad U_g.  ``galois`` builds no basis
+    of M^H."""
     if not m.is_full:
         algebras._conjugation_maps(m, rep, (g,))
     moved = linalg.compress(fixed.basis, dagger(rep.matrices[g]))
@@ -317,21 +376,20 @@ def record_fixed_algebras(monkeypatch) -> dict:
     """Patch ``galois`` so that the fixed algebra of each row it writes is
     recorded, by its subgroup's members, in the returned dict.
 
-    A class representative's is the one ``algebras.fixed_point_algebra``
-    solves.  ``galois_map`` builds no basis for a conjugate row, so its
-    algebra is rebuilt here by ``transported_fixed_algebra`` from the
-    representative's, with the classes ``galois.subgroup_classes`` gave, as
-    the row is written; a row that raises is not recorded.  ``galois_map``
-    keeps no fixed basis; tests that compare the bases read them here.
+    ``galois_map`` forms no basis of M^H, so a class representative's
+    algebra is solved here by ``algebras.fixed_point_algebra`` as its row is
+    written, and a conjugate row's is rebuilt by ``transported_fixed_algebra``
+    from the representative's, with the classes ``galois.subgroup_classes``
+    gave; a row that raises is not recorded.  Tests that compare the bases
+    read them here.
     """
     built: dict = {}
-    solved: dict = {}     # members -> (fixed algebra, M, representation)
+    inputs: list = []       # (M, representation) of each lattice
     conjugates: dict = {}   # members -> (representative's members, g)
 
-    def solving(m, rep, subgroup, *args, _honest=algebras.fixed_point_algebra, **kwargs):
-        fixed = _honest(m, rep, subgroup, *args, **kwargs)
-        solved[subgroup.members] = fixed, m, rep
-        return fixed
+    def filling(report, m, rep, *args, _honest=galois._fill_rows):
+        inputs.append((m, rep))
+        return _honest(report, m, rep, *args)
 
     def classes(group, subgroups, _honest=galois.subgroup_classes):
         found = _honest(group, subgroups)
@@ -341,27 +399,29 @@ def record_fixed_algebras(monkeypatch) -> dict:
 
     def written(subgroup, *fields, _honest=galois.GaloisRow):
         r, g = conjugates[subgroup.members]
-        fixed, m, rep = solved[r]
-        built[subgroup.members] = (fixed if r == subgroup.members else
-                                   transported_fixed_algebra(fixed, m, rep, subgroup, g))
+        m, rep = inputs[-1]
+        built[subgroup.members] = (
+            algebras.fixed_point_algebra(m, rep, subgroup) if r == subgroup.members
+            else transported_fixed_algebra(built[r], m, rep, subgroup, g))
         return _honest(subgroup, *fields)
 
-    monkeypatch.setattr(algebras, "fixed_point_algebra", solving)
+    monkeypatch.setattr(galois, "_fill_rows", filling)
     monkeypatch.setattr(galois, "subgroup_classes", classes)
     monkeypatch.setattr(galois, "GaloisRow", written)
     return built
 
 
-def anti_monotone_by_generators(pi, fixed_algebras: dict, subgroups, bound: float = 1e-9) -> list:
+def anti_monotone_by_generators(pi, elements: dict, subgroups, bound: float = 1e-9) -> list:
     """``galois_map``'s audit before rows were streamed, H1 outer and H2 inner:
-    (pair, residual) for each H1 < H2 whose M^{H2} fails to commute with H1's generators."""
+    (pair, residual) for each H1 < H2 whose stack ``elements[H2's members]``
+    of elements of M^{H2} fails to commute with H1's generators."""
     flagged = []
     for s1 in subgroups:
         gens = pi.matrices[list(s1.generators)]
         for s2 in subgroups:
             if s1.members == s2.members or not s2.contains(s1):
                 continue
-            res = algebras.commutator_residual(gens, fixed_algebras[s2.members].basis)
+            res = algebras.commutator_residual(gens, elements[s2.members])
             if res > bound:
                 flagged.append(((s1.members, s2.members), float(res)))
     return flagged

@@ -176,22 +176,6 @@ def test_generator_certificate_matches_the_all_members_reference(s3):
     assert caught == [False, False, True, True, True, True]
 
 
-@pytest.mark.parametrize("name", ["S4", "D4"])
-def test_the_certificate_hands_out_each_generators_residual(name):
-    # the residuals a fixed-point certificate takes, one generator at a time,
-    # are bitwise those of that generator alone, which galois's class memo
-    # would compute, and their max is the family's residual
-    group = groups.FIXTURE_GROUPS[name]()
-    reg, m = reps.regular_rep(group), StarAlgebra.full(group.order)
-    for sub in groups.enumerate_subgroups(group):
-        found = {}
-        basis = fixed_point_algebra(m, reg, sub, residuals=found).basis
-        assert found == {s: commutator_residual(reg.matrices[[s]], basis)
-                         for s in sub.generators}
-        family = commutator_residual(reg.matrices[list(sub.generators)], basis)
-        assert max(found.values(), default=0.0) == family
-
-
 @pytest.mark.parametrize("order", [1, 2, 6], ids=["trivial", "Z2", "S3"])
 def test_commutator_residual_in_panels_is_the_one_shot_residual(s4, order, rng):
     # fixed bases of S4 regular subgroups (576, 288 and 96 elements, all

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ import kernel_reference
 import numpy as np
 import pytest
 
-from ncgalois import algebras, groups, modular, ncprob, reporting, reps
+from ncgalois import algebras, galois, groups, modular, ncprob, reporting, reps
 from ncgalois.cli import main
 from ncgalois.linalg import DEFAULT_TOL, Tolerance
 
@@ -93,20 +94,22 @@ def test_galois_report(workspace, tmp_path):
     assert all(r["bicommutant_ok"] for r in body["rows"])
 
 
-def test_galois_solves_one_fixed_point_algebra_per_subgroup_class(tmp_path, monkeypatch):
+def test_galois_solves_one_commutant_per_subgroup_class(tmp_path, monkeypatch):
     # the minimal-action witness is the top row's first commutant, so S4
-    # regular solves one fixed-point algebra per conjugacy class of its
-    # subgroups and none again for M^G
+    # regular solves one first commutant per conjugacy class of its subgroups,
+    # no fixed-point algebra, and nothing again for M^G
     s4 = groups.symmetric_group(4)
     (tmp_path / "s4_reg.json").write_text(json.dumps(reporting.rep_to_json(reps.regular_rep(s4))))
     spec = write_spec(tmp_path, "s4.json", {"representation": "s4_reg.json"})
-    calls, honest = [], algebras.fixed_point_algebra
-    monkeypatch.setattr(algebras, "fixed_point_algebra",
-                        lambda *args, **kwargs: calls.append(args[2]) or honest(*args, **kwargs))
+    calls = {"fixed_point_algebra": [], "_solve_commutant": []}
+    for module, name in ((algebras, "fixed_point_algebra"), (galois, "_solve_commutant")):
+        monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), _n=name:
+                            calls[_n].append(len(args[0])) or _f(*args))
     out = tmp_path / "r.json"
     assert run_cli(["galois", spec, "--out", out]) == 0
     classes = groups.subgroup_classes(s4, groups.enumerate_subgroups(s4))
-    assert len(calls) == len({r for r, _ in classes}) == 11
+    assert len(calls["_solve_commutant"]) == len({r for r, _ in classes}) == 11
+    assert calls["fixed_point_algebra"] == []
     body = load_report(out)["report"]
     # (M^G)' is the span of the 24 left translations
     assert body["minimal_action_witness_dim"] == 24 and not body["minimal_action"]
@@ -580,6 +583,52 @@ def test_a_failed_certificate_is_numerical(workspace, tmp_path, capsys, monkeypa
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == "numerical" and error["kind"] == "ClosureFailed"
     assert error["detail"].startswith(detail)
+
+
+def _wrapped(owner, name, change):
+    """``owner.name`` with ``change`` applied to what it returns."""
+    honest = getattr(owner, name)
+    return lambda *args, **kwargs: change(honest(*args, **kwargs))
+
+
+@pytest.mark.parametrize("command, owner, name, make, check", [
+    ("irreps", reps, "peter_weyl_basis",
+     lambda: _wrapped(reps, "peter_weyl_basis", lambda found: (2.0 * found[0], *found[1:])),
+     "peter_weyl_orthonormality"),
+    ("decompose", reps, "decompose",
+     lambda: _wrapped(reps, "decompose", lambda dec: dataclasses.replace(
+         dec, intertwiner=dec.intertwiner[:, ::-1])), "block_diagonalization"),
+    ("modular", modular, "tomita",
+     lambda: _wrapped(modular, "tomita", lambda md: dataclasses.replace(md, delta=2.0 * md.delta)),
+     "identity:delta_equals_fs"),
+    ("modular", modular, "kms_residual",
+     lambda: (lambda rho, a, b, beta, tol, _f=modular.kms_residual: _f(rho, a, b, 2 * beta, tol)),
+     "kms_at_beta_1"),
+    ("martingale", ncprob, "martingale_from",
+     lambda: _wrapped(ncprob, "martingale_from", lambda mart: dataclasses.replace(
+         mart, elements=mart.elements[::-1])), "moment_monotonicity"),
+], ids=["peter-weyl", "block-diagonalization", "modular-identity", "kms", "moments"])
+def test_a_planted_defect_is_a_recorded_violation(workspace, tmp_path, monkeypatch, command,
+                                                  owner, name, make, check):
+    # a planted defect upstream of each property check the CLI records itself:
+    # a Peter-Weyl basis scaled by 2, an intertwiner with its columns reversed,
+    # Delta doubled, the KMS residual taken at beta = 2, and the martingale
+    # read backwards, whose moments then decrease; each lands in the report's
+    # violations under its check's name, and the run exits 0
+    unit = np.zeros((3, 3), dtype=complex)
+    unit[0, 0] = 1.0
+    payload = {"irreps": {"group": "s3.json", "seed": 3},
+               "decompose": {"representation": "s3_reg.json", "seed": 7},
+               "modular": {"state": reporting.matrix_to_json(
+                   np.diag([0.5, 0.3, 0.2]).astype(complex)), "seed": 1},
+               "martingale": _martingale_spec(x=reporting.matrix_to_json(unit))}[command]
+    spec = write_spec(workspace, f"defect-{check}.json", payload)
+    out = tmp_path / "r.json"
+    assert run_cli([command, spec, "--out", out]) == 0
+    assert check not in [v["check"] for v in load_report(out)["violations"]]
+    monkeypatch.setattr(owner, name, make())
+    assert run_cli([command, spec, "--out", out]) == 0
+    assert check in [v["check"] for v in load_report(out)["violations"]]
 
 
 def test_a_galois_spec_with_a_mode_is_rejected(workspace, tmp_path, capsys):

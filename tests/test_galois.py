@@ -123,49 +123,70 @@ def test_anti_monotone_audit_matches_the_projection_reference(fixture_groups, s3
             fixed, subs) == []
 
 
+def _unit_expectations(m, rep, subgroups) -> dict:
+    """Each subgroup's y_H = E_H of the interning probe at unit Frobenius norm,
+    as a one-element stack, by its members: the element galois audits."""
+    n = rep.dim
+    probe = galois._Interner(n * n).probe
+    if not m.is_full:
+        probe = m.subspace().project(probe)
+    found = {}
+    for h in subgroups:
+        y = ncprob.conditional_expectation(probe.reshape(n, n), rep, h)
+        found[h.members] = y[None] / np.linalg.norm(y)
+    return found
+
+
+def _planted_containments(monkeypatch, planted) -> None:
+    """Have ``Subgroup.contains`` also claim each (high, low) of ``planted``,
+    given as member tuples: pairs H1 < H2 the audit checks though H1 is not
+    below H2, so that M^{H2} fails against H1's generators."""
+    honest = groups.Subgroup.contains
+    monkeypatch.setattr(groups.Subgroup, "contains", lambda high, low: (
+        honest(high, low) or (high.members, low.members) in planted))
+
+
 def test_anti_monotone_violation_is_recorded_with_its_commutator_residual(s3, monkeypatch):
-    # negative control: M^{S3} replaced by the full algebra lies in no M^{H1}
-    # of a nontrivial H1 < S3; the audit records each pair and does not raise
-    top = tuple(range(6))
-    honest = algebras.fixed_point_algebra
-
-    def patched(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
-        return StarAlgebra.full(6) if sub.members == top else honest(m, rep, sub, tol, residuals)
-
-    monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
-    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
+    # negative control: A3 claimed to hold S3's three order-2 subgroups; M^{A3}
+    # lies in no M^{<t>} of a transposition t, and the audit records each pair
+    # with the residual ||[U_t, y]||_F / sqrt(6) of the one element
+    # y = E_{A3}(r) / ||E_{A3}(r)||_F, and does not raise
     subs = groups.enumerate_subgroups(s3)
-    report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+    a3, order_two = subs[-2].members, [s for s in subs if s.order == 2]
+    rep, m = reps.regular_rep(s3), StarAlgebra.full(6)
+    _planted_containments(monkeypatch, {(a3, t.members) for t in order_two})
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
+    report = galois.galois_map(m, rep)
     flagged = [v for v in report.violations if v[0] == "anti-monotone"]
-    assert [v[1] for v in flagged] == [(s.members, top) for s in subs[1:-1]]
+    assert [v[1] for v in flagged] == [(t.members, a3) for t in order_two]
     assert _anti_monotone(report) == kernel_reference.anti_monotone_by_projection(
         fixed, subs)
-    assert all(v[2] > 1e-9 for v in flagged)
+    y = _unit_expectations(m, rep, [subs[-2]])[a3][0]
+    for (_, (low, _), res), t in zip(flagged, order_two):
+        u = rep.matrices[t.generators[0]]
+        assert res == pytest.approx(np.linalg.norm(u @ y - y @ u) / np.sqrt(6), rel=1e-12)
+        assert res > galois._RESIDUAL_BOUND
 
 
 def test_several_anti_monotone_violations_come_in_the_h1_outer_order(d4, monkeypatch):
-    # negative control: the fixed algebras of D4's three (normal) order-4
-    # subgroups replaced by the full algebra fail against every nontrivial
-    # H1 below them; the streamed audit lists the pairs, their order and
-    # residuals as the loop over H1 then H2 does.  No patched subgroup lies
-    # below another, so the projection reference reads honest M^{H1}
+    # negative control: each of D4's three order-4 subgroups claimed to hold
+    # all five order-2 subgroups; the streamed audit lists the eight planted
+    # pairs, their order and residuals as the loop over H1 then H2 does on
+    # the elements galois reads, and the projection reference flags the same
     m, rep = StarAlgebra.full(8), reps.regular_rep(d4)
-    honest = algebras.fixed_point_algebra
-
-    def patched(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
-        return m if sub.order == 4 else honest(m, rep, sub, tol, residuals)
-
-    monkeypatch.setattr(algebras, "fixed_point_algebra", patched)
-    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     subs = groups.enumerate_subgroups(d4)
+    _planted_containments(monkeypatch, {(high.members, low.members) for high in subs
+                                        for low in subs if (high.order, low.order) == (4, 2)})
+    fixed = kernel_reference.record_fixed_algebras(monkeypatch)
     report = galois.galois_map(m, rep)
     streamed = [(v[1], v[2]) for v in report.violations if v[0] == "anti-monotone"]
-    assert streamed == kernel_reference.anti_monotone_by_generators(rep, fixed, subs)
+    assert streamed == kernel_reference.anti_monotone_by_generators(
+        rep, _unit_expectations(m, rep, subs), subs)
     pairs = [pair for pair, _ in streamed]
     assert pairs == kernel_reference.anti_monotone_by_projection(fixed, subs)
-    assert len(pairs) == 7 and len({top for _, top in pairs}) == 3
+    assert len(pairs) == 8 and len({top for _, top in pairs}) == 3
     assert all(res > galois._RESIDUAL_BOUND for _, res in streamed)
-    # the center lies below all three, so H2 outer would give another order
+    # H2 outer would give another order
     position = {s.members: i for i, s in enumerate(subs)}
     assert pairs != sorted(pairs, key=lambda p: (position[p[1]], position[p[0]]))
 
@@ -333,7 +354,7 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
 
 def test_galois_map_holds_no_fixed_basis(s4):
     # the S4 regular lattice's fixed bases are 5,616 matrices of 24 x 24 (52 MB);
-    # streamed rows keep the traced peak near one class and the report small
+    # no row forms one, the traced peak is about 1.4 MiB and the report small
     m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
     galois.galois_map(m, rep)     # warm-up: the irrep table memo
     tracemalloc.start()
@@ -393,6 +414,17 @@ def _galois_case(name):
     return lambda: galois.galois_map(StarAlgebra.full(rep.dim), rep)
 
 
+def _counted(patch, *seams) -> collections.Counter:
+    """Patch each (module, name) of ``seams`` to count its calls, by name, in the
+    returned counter, which lists every seam, called or not."""
+    calls = collections.Counter({fn: 0 for _, fn in seams})
+    for module, fn in seams:
+        honest = getattr(module, fn)
+        patch.setattr(module, fn,
+                      lambda *a, _f=honest, _n=fn, **k: calls.update([_n]) or _f(*a, **k))
+    return calls
+
+
 def _recorded_inputs(patch) -> list:
     """Patch ``galois.galois_map`` to append its (M, representation) to the list returned."""
     inputs, honest = [], galois.galois_map
@@ -439,14 +471,12 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     # with the fingerprint filter open, every earlier id of equal dimension
     # reaches the containment test; the ids and classes are those of the
     # reference that solves every row's space and compares by Subspace.equals,
-    # and one fixed-point kernel runs per conjugacy class
+    # and one class solve runs per conjugacy class: one first commutant in a
+    # full M, with no fixed-point algebra, one fixed-point algebra otherwise
     run = _galois_case(name)
-    kernels = []
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_FINGERPRINT_MATCH", np.inf)
-        honest = algebras.fixed_point_algebra
-        patch.setattr(algebras, "fixed_point_algebra",
-                      lambda *a, **k: kernels.append(a[2]) or honest(*a, **k))
+        calls = _counted(patch, (algebras, "fixed_point_algebra"), (galois, "_solve_commutant"))
         inputs = _recorded_inputs(patch)
         confirmed = run()
     subgroups = [r.subgroup for r in confirmed.rows]
@@ -456,7 +486,10 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     assert confirmed.injective == (len(set(ids)) == len(ids))
     classes = groups.subgroup_classes(confirmed.group, subgroups)
     per_class = sum(r == j for j, (r, _) in enumerate(classes))
-    assert len(kernels) == per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
+    assert per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
+    full = inputs[0][0].is_full
+    assert calls == {"fixed_point_algebra": 0 if full else per_class,
+                     "_solve_commutant": per_class if full else 0}
     if name in _IMPROPER_CASES:
         assert not confirmed.proper and not confirmed.violations
     # the pairs within a class over the present irreps: none on a proper lattice
@@ -477,7 +510,8 @@ def test_the_generator_certificate_agrees_with_the_distance_reference(name, monk
         return rows, report.equivalence_classes, report.violations
 
     certified = run()
-    monkeypatch.setattr(galois, "_bicommutant", kernel_reference.bicommutant_by_distance)
+    monkeypatch.setattr(galois, "_solve_class", kernel_reference.solved_from_basis(
+        kernel_reference.bicommutant_by_distance))
     reference = run()
     assert verdicts(certified) == verdicts(reference)
     assert all(r.bicommutant_ok for r in certified.rows)
@@ -494,13 +528,14 @@ def _bicommutant_verdicts(report):
 
 
 def _against_two_solves(report, run, monkeypatch, reference_bound: float = 1e-11) -> None:
-    """A report against ``run()``'s with ``galois._bicommutant`` solving (M^H)'
-    on M^H's whole basis and (M^H)'' too
+    """A report against ``run()``'s with ``galois._solve_class`` solving M^K and
+    (M^K)' on M^K's whole basis and (M^K)'' too
     (``kernel_reference.bicommutant_by_two_solves``): the same verdicts and
     ``commutant_dim`` on every row, the report's worst residual within 1e-11
     and the reference's within ``reference_bound``."""
     with monkeypatch.context() as patch:
-        patch.setattr(galois, "_bicommutant", kernel_reference.bicommutant_by_two_solves)
+        patch.setattr(galois, "_solve_class", kernel_reference.solved_from_basis(
+            kernel_reference.bicommutant_by_two_solves))
         two = run()
     assert _bicommutant_verdicts(report) == _bicommutant_verdicts(two)
     assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
@@ -572,66 +607,49 @@ _ORBITAL_CASES = [f"regular-{name}" for name in groups.FIXTURE_GROUPS] + [
     "permutation-S3", "permutation-S4"]
 
 
-@pytest.mark.parametrize("name", _ORBITAL_CASES)
-def test_the_orbital_path_gives_the_kernel_paths_verdicts(name, monkeypatch):
-    # every permutation lattice of the fixtures through its orbital fixed
-    # algebras and through the Sylvester kernel of U(H), whose memo is then
-    # dense: the same rows, commutants, classes and violations, and both
-    # equal to the exact orbital reference
+@pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
+def test_the_rows_equal_the_basis_reference(name, monkeypatch):
+    # every fixture lattice against its rows made from a basis of every M^H
+    # (kernel_reference.fill_rows_by_basis: the Sylvester kernel of U(H) in a
+    # full M, a seeded pair of the basis, ids by Subspace.equals, audits by
+    # projection): the same dims, ids, verdicts, first commutants, classes,
+    # candidates, pair count and violation kinds
     run = _galois_case(name)
-    kind, _, group_name = name.partition("-")
-    group = groups.FIXTURE_GROUPS[group_name]()
-    action = group.mult if kind == "regular" else groups.symmetric_action(int(group_name[1]))
-    carried = []
-    honest = algebras.fixed_point_algebra
-
-    def solving(*args, **kwargs):
-        fixed = honest(*args, **kwargs)
-        carried.append(fixed.orbitals is not None)
-        return fixed
-
-    with monkeypatch.context() as patch:
-        patch.setattr(algebras, "fixed_point_algebra", solving)
-        orbital = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(algebras, "fixed_point_algebra", kernel_reference.fixed_point_by_kernel)
-        kernel = run()
 
     def verdicts(report):
         rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok,
                  r.commutant_dim) for r in report.rows]
         return (rows, report.equivalence_classes, report.collision_candidates,
                 report.anti_monotone_pairs, report.injective, report.proper,
-                report.violations)
+                [v[:2] for v in report.violations])
 
-    assert carried and all(carried)
-    assert verdicts(orbital) == verdicts(kernel)
-    assert _orbital_mismatches(orbital, action) == _orbital_mismatches(kernel, action) == []
-    assert max(r.bicommutant_residual for r in orbital.rows) <= 1e-11
+    report = run()
+    monkeypatch.setattr(galois, "_fill_rows", kernel_reference.fill_rows_by_basis)
+    assert verdicts(report) == verdicts(run())
+    assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
 
 
-def test_the_memo_residual_read_off_the_orbitals_is_the_dense_one(s4):
-    # for every S4 regular representative K and every t in G, in K or not,
-    # the closed form sqrt(|C delta tC| / |C|) / sqrt(n), maxed over the
-    # orbitals C, is commutator_residual on the orbital basis, zero exactly
-    # for t in K (194 nonzero of 264); it holds for the indicators of any
-    # partition, here a seeded one with five classes
-    rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
-    subs = groups.enumerate_subgroups(s4)
-    labels = np.random.default_rng(3).integers(0, 5, (24, 24))
-    cases = [(None, labels, algebras._orbital_indicators(labels))]
-    for r in sorted({r for r, _ in groups.subgroup_classes(s4, subs)}):
-        fixed = algebras.fixed_point_algebra(m, rep, subs[r])
-        cases.append((subs[r], fixed.orbitals, fixed.basis))
-    moved = 0
-    for sub, orbitals, basis in cases:
-        for t in range(s4.order):
-            dense = algebras.commutator_residual(rep.matrices[[t]], basis)
-            assert abs(algebras.partition_residual(orbitals, rep.action[t]) - dense) <= 1e-15
-            if sub is not None:
-                assert (dense == 0) == (t in sub.members)
-                moved += dense > 0
-    assert moved == 194
+@pytest.mark.parametrize("name", _ORBITAL_CASES)
+def test_the_orbital_path_gives_the_kernel_paths_verdicts(name, monkeypatch):
+    # every permutation lattice of the fixtures: fixed_point_algebra's orbital
+    # basis, read with no kernel, spans the Sylvester kernel of U(H) on every
+    # subgroup, and the report's dims are both bases' sizes and equal the
+    # exact orbital reference
+    kind, _, group_name = name.partition("-")
+    group = groups.FIXTURE_GROUPS[group_name]()
+    action = group.mult if kind == "regular" else groups.symmetric_action(int(group_name[1]))
+    rep = reps.permutation_rep(group, action)
+    m = StarAlgebra.full(rep.dim)
+    report = _galois_case(name)()
+    calls = _counted(monkeypatch, (algebras, "_orbital_partition"),
+                     (linalg, "commutant_kernel"))
+    for row in report.rows:
+        orbital = algebras.fixed_point_algebra(m, rep, row.subgroup)
+        kernel = kernel_reference.fixed_point_by_kernel(m, rep, row.subgroup)
+        assert orbital.equals(kernel) and row.fixed_dim == orbital.dim, row.subgroup.members
+    # one kernel per row, the reference's
+    assert calls == {"_orbital_partition": len(report.rows), "commutant_kernel": len(report.rows)}
+    assert _orbital_mismatches(report, action) == []
 
 
 @pytest.mark.parametrize("doctor, error, match", [
@@ -649,26 +667,30 @@ def test_a_doctored_partition_fails_the_fixed_point_certificate(s4, doctor, erro
     subs = groups.enumerate_subgroups(s4)
     for r in sorted({r for r, _ in groups.subgroup_classes(s4, subs)} - {0}):
         sub = subs[r]
-        honest = algebras.fixed_point_algebra(m, rep, sub)
-        basis = algebras._orbital_indicators(doctor(honest.orbitals, sub))
+        orbitals = algebras._orbital_partition(rep.action, sub)
+        basis = algebras._orbital_indicators(doctor(orbitals, sub))
         with pytest.raises(error, match=match):
             algebras._certified_fixed(m, rep, sub, basis)
 
 
-def test_non_permutation_carriers_take_the_sylvester_kernel(s3):
+def test_non_permutation_carriers_take_the_sylvester_kernel(s3, monkeypatch):
     # U_g must be exactly 0/1: rotated, signed or noisy carriers keep the
-    # kernel path and carry no orbitals, as does a non-full M
+    # kernel path and read no orbitals, as does a non-full M
     reg = reps.regular_rep(s3)
     noisy = reps.UnitaryRep(s3, reg.matrices + 1e-13 * np.eye(6))
     signs = np.linalg.det(reps.permutation_rep(s3, groups.symmetric_action(3)).matrices).real
     signed = reps.UnitaryRep(s3, np.array([np.diag([1.0, s]) for s in signs]))
     top = groups.Subgroup(s3, tuple(range(6)))
     assert np.array_equal(reg.action, s3.mult)
+    image = algebras.algebra_from_generators(reg.matrices, 6)
+    calls = _counted(monkeypatch, (algebras, "_orbital_partition"))
     for rep in (kernel_reference.rotated(reg), noisy, signed):
         assert rep.action is None
-        assert algebras.fixed_point_algebra(StarAlgebra.full(rep.dim), rep, top).orbitals is None
-    image = algebras.algebra_from_generators(reg.matrices, 6)
-    assert algebras.fixed_point_algebra(image, reg, top).orbitals is None
+        algebras.fixed_point_algebra(StarAlgebra.full(rep.dim), rep, top)
+    algebras.fixed_point_algebra(image, reg, top)
+    assert calls == {"_orbital_partition": 0}
+    algebras.fixed_point_algebra(StarAlgebra.full(6), reg, top)   # the counter does see one
+    assert calls == {"_orbital_partition": 1}
 
 
 def _doctor_second_commutants(monkeypatch, basis_of) -> None:
@@ -727,20 +749,16 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
 
 
 def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
-    # S4's 30 subgroups fall into 11 conjugacy classes; in a full M each
-    # bicommutant test solves one galois._solve_commutant kernel, (M^H)', on
-    # a pair of M^H and its adjoints, never on M^H's basis (576 matrices on
-    # the trivial row), and algebras.relative_commutant is never called
+    # S4's 30 subgroups fall into 11 conjugacy classes; in a full M each class
+    # solves one galois._solve_commutant kernel, (M^K)', on a pair of M^K and
+    # its adjoints, never on a basis of M^K (576 matrices on the trivial row),
+    # and algebras.fixed_point_algebra and relative_commutant are never called
     families = []
 
     def counted():
-        calls = collections.Counter()
         with monkeypatch.context() as patch:
-            for module, fn in ((algebras, "fixed_point_algebra"),
-                               (algebras, "relative_commutant"), (galois, "_solve_commutant")):
-                honest = getattr(module, fn)
-                patch.setattr(module, fn, lambda *a, _f=honest, _n=fn, **k:
-                              calls.update([_n]) or _f(*a, **k))
+            calls = _counted(patch, (algebras, "fixed_point_algebra"),
+                             (algebras, "relative_commutant"), (galois, "_solve_commutant"))
             solve = galois._solve_commutant
             patch.setattr(galois, "_solve_commutant",
                           lambda family, tol: families.append(len(family)) or solve(family, tol))
@@ -748,10 +766,12 @@ def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
         assert len(report.rows) == 30 and not report.violations
         return calls
 
-    assert counted() == {"fixed_point_algebra": 11, "_solve_commutant": 11}
+    assert counted() == {"fixed_point_algebra": 0, "relative_commutant": 0,
+                         "_solve_commutant": 11}
     assert families == [4] * 11
     monkeypatch.setattr(galois, "subgroup_classes", kernel_reference.own_classes)
-    assert counted() == {"fixed_point_algebra": 30, "_solve_commutant": 30}
+    assert counted() == {"fixed_point_algebra": 0, "relative_commutant": 0,
+                         "_solve_commutant": 30}
     assert families == [4] * 41
 
 
@@ -815,25 +835,27 @@ def test_a_doctored_first_commutant_fails_its_class(s3, monkeypatch, doctor, dim
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
 
 
-def test_a_pair_that_misses_m_h_fails_every_class_of_s4(s4):
+def test_a_pair_that_misses_m_h_fails_every_class_of_s4(s4, monkeypatch):
     # negative controls for the seeded pair on each non-trivial class of S4
-    # regular: drawn from the scalars, a pair that does not generate M^H, its
-    # commutant is all of M_24, which holds U(H), so rank K alone fails it;
-    # drawn from M^H's basis with E_01 swapped in, it generates M_24, whose
-    # commutant, the scalars, leaves each U(h), h != e, above the bound
+    # regular: two scalars in place of E_K(G1), E_K(G2), a pair that does not
+    # generate M^K, its commutant is all of M_24, which holds U(K), so rank K
+    # alone fails it; E_K(G1) and E_K(G2) + E_01, which generate M_24, whose
+    # commutant, the scalars, leaves each U(k), k != e, above the bound
     rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
     subs = groups.enumerate_subgroups(s4)
-    e01 = np.zeros((1, 24, 24), dtype=complex)
-    e01[0, 0, 1] = 1.0
+    e01 = np.zeros((2, 24, 24), dtype=complex)
+    e01[1, 0, 1] = 1.0
+    honest = ncprob.conditional_expectation
     classes = sorted({r for r, _ in groups.subgroup_classes(s4, subs)})
-    for sub in [subs[r] for r in classes if subs[r].order > 1]:
-        ok, residual, dim = galois._bicommutant(StarAlgebra.scalars(24), m, rep, sub,
-                                                "inner", DEFAULT_TOL)
-        assert (ok, dim) == (False, 576) and residual <= galois._RESIDUAL_BOUND, sub.members
-        fixed = algebras.fixed_point_algebra(m, rep, sub)
-        swapped = StarAlgebra(24, np.concatenate([e01, fixed.basis[1:]]))
-        ok, residual, dim = galois._bicommutant(swapped, m, rep, sub, "inner", DEFAULT_TOL)
-        assert not ok and residual > galois._RESIDUAL_BOUND, sub.members
+    for doctor, leaves in ((lambda pair: np.eye(24) * np.array([1.0, 2.0])[:, None, None], False),
+                           (lambda pair: pair + e01, True)):
+        # the pair is the one stack galois averages
+        monkeypatch.setattr(ncprob, "conditional_expectation", lambda x, pi, sub, _d=doctor: (
+            _d(honest(x, pi, sub)) if np.ndim(x) == 3 else honest(x, pi, sub)))
+        for sub in [subs[r] for r in classes if subs[r].order > 1]:
+            dim, ok, residual, once = galois._solve_class(m, rep, sub, "inner", DEFAULT_TOL)
+            assert not ok and (residual > galois._RESIDUAL_BOUND) == leaves, sub.members
+            assert (dim, once) == (576 // sub.order, 1 if leaves else 576)
 
 
 def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
@@ -850,38 +872,21 @@ def test_no_commutator_certificate_walks_a_basis_on_s4(s4, monkeypatch):
 
 
 def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypatch):
-    # every commutator residual is a representative's fixed-point certificate,
-    # one call per generator of K; every other residual is one element t of
-    # a representative K on M^K, read off its orbitals at most once per
-    # (class, t) and never for a generator of K, whose residual the
-    # certificate seeded, and no fixed basis is conjugated by a group
-    # unitary; the 19 conjugate rows once took 3600 conjugated basis
-    # elements, 113 calls and 14448 element x basis products, with a twice
-    # residual per class and an unseeded memo 66 calls and 7872 products,
-    # and with each memo miss a dense residual 44 calls and 3456 products
+    # the 19 conjugate rows take their representative's class solve, which runs
+    # 11 times, and no fixed basis is conjugated by a group unitary; every
+    # commutator residual is one family of a subgroup's generators on one
+    # element, y_H: the 30 rows' own certificates and the 120 audited pairs,
+    # with no confirmation on this injective lattice; the class memo this
+    # replaces took 19 certificate calls on 2208 basis products and 25
+    # orbital reads
     rep = reps.regular_rep(s4)
-    representatives = {}   # id of M^K's orbitals -> (K, the orbitals, kept alive)
-    honest_fixed = algebras.fixed_point_algebra
-
-    def solving(m, pi, sub, tol=DEFAULT_TOL, residuals=None):
-        fixed = honest_fixed(m, pi, sub, tol, residuals)
-        representatives[id(fixed.orbitals)] = sub, fixed.orbitals
-        return fixed
-
-    calls, on_classes = [], collections.Counter()
-    honest = algebras.commutator_residual
-    honest_partition = algebras.partition_residual
+    subs = groups.enumerate_subgroups(s4)
+    solved, calls = [], []
+    honest_solve, honest = galois._solve_class, algebras.commutator_residual
 
     def counting(family, basis):
-        calls.append(len(family) * len(basis))
+        calls.append((len(family), len(basis)))
         return honest(family, basis)
-
-    def reading(orbitals, perm):
-        sub = representatives[id(orbitals)][0]
-        t = int(np.flatnonzero((rep.action == perm).all(axis=1))[0])
-        assert t in sub.members and t not in sub.generators
-        on_classes[sub.members, t] += 1
-        return honest_partition(orbitals, perm)
 
     conjugated = []
     honest_compress = linalg.compress
@@ -893,35 +898,25 @@ def test_conjugate_rows_are_read_through_their_representative_on_s4(s4, monkeypa
             conjugated.append(len(stack))
         return honest_compress(stack, q)
 
-    monkeypatch.setattr(algebras, "fixed_point_algebra", solving)
+    monkeypatch.setattr(galois, "_solve_class", lambda m, pi, sub, *a: (
+        solved.append(sub.members) or honest_solve(m, pi, sub, *a)))
     monkeypatch.setattr(algebras, "commutator_residual", counting)
-    monkeypatch.setattr(algebras, "partition_residual", reading)
     monkeypatch.setattr(linalg, "compress", compressing)
+    monkeypatch.setattr(galois, "compress", compressing)
     report = galois.galois_map(StarAlgebra.full(24), rep)
     assert len(report.rows) == 30 and report.injective and not report.violations
-    assert len(representatives) == 11 and conjugated == []
-    assert max(on_classes.values()) == 1
-    generators = sum(len(sub.generators) for sub, _ in representatives.values())
-    assert len(calls) == generators
-    assert (len(calls), sum(calls), sum(on_classes.values())) == (19, 2208, 25)
-
-
-def test_the_class_memo_reads_the_certificates_residuals(s3, monkeypatch):
-    # negative control: the certificate of S3's order-2 representative hands
-    # back a planted residual for its generator, honest basis and all; the
-    # next row, a conjugate whose generator is carried to it, reads the
-    # planted number instead of computing one, and refuses the row
-    honest = algebras.fixed_point_algebra
-
-    def planted(m, rep, sub, tol=DEFAULT_TOL, residuals=None):
-        fixed = honest(m, rep, sub, tol, residuals)
-        if sub.order == 2:
-            residuals.update(dict.fromkeys(sub.generators, 1.0))
-        return fixed
-
-    monkeypatch.setattr(algebras, "fixed_point_algebra", planted)
-    with pytest.raises(ClosureFailed, match="residual 1.000e"):
-        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+    classes = groups.subgroup_classes(s4, subs)
+    assert solved == [h.members for j, (h, (r, _)) in enumerate(zip(subs, classes)) if r == j]
+    assert len(solved) == 11 and conjugated == []
+    assert report.anti_monotone_pairs == 120 and len(calls) == 150
+    assert {size for _, size in calls} == {1}
+    below = sum(len(low.generators) for high in subs for low in subs
+                if low.members != high.members and high.contains(low))
+    assert sum(k for k, _ in calls) == sum(len(h.generators) for h in subs) + below
+    for row, (r, _) in zip(report.rows, classes):
+        first = report.rows[r]
+        assert (row.fixed_dim, row.bicommutant_residual, row.commutant_dim) == (
+            first.fixed_dim, first.bicommutant_residual, first.commutant_dim)
 
 
 @pytest.mark.parametrize("name", ["regular-S4", "rotated-S3", "crossed-S3-M3"])
@@ -966,9 +961,9 @@ def test_no_null_gram_is_diagonalized_on_s4(s4, monkeypatch):
 
 
 def test_the_order_48_regular_lattice(s4_times_z2):
-    # S4 x Z2 on 48 points: about 4 s and 0.31 GB at one BLAS thread;
-    # streamed rows and panelled kernel transients keep the traced peak
-    # under 400 MiB, where the stored bases alone once took 1.95 GiB
+    # S4 x Z2 on 48 points: under 2 s traced and 0.14 GB at one BLAS thread;
+    # no row forms a basis of M^H, so the traced peak is about 12 MiB, where
+    # the stored bases alone once took 1.95 GiB
     rep = reps.regular_rep(s4_times_z2)
     tracemalloc.start()
     try:
@@ -1052,9 +1047,10 @@ def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path)
 def test_the_a5_regular_lattice(monkeypatch):
     # order 60 on its regular representation (n = 60), past the order bound;
     # its 59 subgroups fall into 9 conjugacy classes, and the test takes about
-    # 12 s and 0.68 GB at one BLAS thread; the first run's traced peak is about
-    # 400 MiB, where fingerprints projected through each M^K's basis took 597;
-    # its rows against their orbitals, and one commutant per row against two
+    # 10 s and 0.66 GB at one BLAS thread, mostly the reference's; the first
+    # run's traced peak is about 21 MiB, where a basis of M^K per class took
+    # 400 and fingerprints projected through it 597; its rows against their
+    # orbitals, and one commutant per row against two
     a5 = groups.alternating_group(5)
     tracemalloc.start()
     try:
@@ -1071,6 +1067,38 @@ def test_the_a5_regular_lattice(monkeypatch):
     assert all(r.bicommutant_ok for r in report.rows)
     assert _orbital_mismatches(report, a5.mult) == []
     _against_two_solves(report, lambda: _permutation_lattice(a5, a5.mult), monkeypatch)
+
+
+class _FullMatrixAlgebra:
+    """M_n as ``galois_map`` reads a full M, by its size alone:
+    ``StarAlgebra.full(n)`` holds the n^2 x n^2 identity as its basis, which
+    is 3.3 GB at n = 120."""
+
+    is_full = True
+
+    def __init__(self, n: int):
+        self.ambient_dim = n
+
+
+@pytest.mark.slow
+def test_the_s5_regular_lattice():
+    # order 120 on its regular representation (n = 120), its 156 subgroups
+    # found past the order bound, in 19 conjugacy classes: about 10 s and
+    # 0.26 GB at one BLAS thread, with no basis of any M^H; its rows against
+    # their orbitals.  The worst bicommutant residual, 1.4e-10 on an order-6
+    # class (dim M^H = 2400), comes from the commutant kernel's split: two
+    # eigenvalues of its seeded element lie 3.9e-8 apart, just past the
+    # collision gap, so their eigenvectors mix at eps / gap
+    s5 = groups.symmetric_group(5)
+    subgroups = groups.enumerate_subgroups(s5, order_bound=s5.order)
+    report = galois.galois_map(_FullMatrixAlgebra(120), reps.regular_rep(s5),
+                               subgroups=subgroups)
+    assert len(report.rows) == 156
+    assert len({r for r, _ in groups.subgroup_classes(s5, subgroups)}) == 19
+    assert report.anti_monotone_pairs == 1089
+    assert report.proper and report.injective and report.violations == []
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert _orbital_mismatches(report, s5.mult) == []
 
 
 @pytest.mark.slow
@@ -1128,20 +1156,29 @@ def test_the_s5_lattice_solves_every_row_alike(s5_on_irreps, monkeypatch):
     assert verdicts(report) == verdicts(direct)
 
 
-def _with_identity_for_the_first_transported_row(group, subgroups):
-    classes = groups.subgroup_classes(group, subgroups)
-    j = next(j for j, (r, _) in enumerate(classes) if r != j)
-    classes[j] = (classes[j][0], group.identity)
-    return classes
+def _dropping_a_member(rows, member=-1):
+    """A stand-in for ``ncprob.conditional_expectation`` that, on the interning
+    probe for a subgroup whose members are in ``rows``, averages over every
+    member but ``members[member]``, still dividing by |H|."""
+    honest = ncprob.conditional_expectation
+
+    def expectation(x, rep, sub):
+        probe = galois._Interner(rep.dim ** 2).probe.reshape(rep.dim, rep.dim)
+        if sub.members not in rows or np.shape(x) != probe.shape or not np.array_equal(x, probe):
+            return honest(x, rep, sub)
+        mats = rep.matrices[np.delete(np.array(sub.members), member)]
+        return linalg.sandwich_sum(mats, x, mats.conj().transpose(0, 2, 1)) / sub.order
+    return expectation
 
 
-def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
+def test_a_row_whose_expectation_drops_a_member_raises_and_is_not_written(
         s3, monkeypatch, tmp_path):
-    # negative control: carried by the identity, the fixed algebra of the
-    # first order-2 subgroup does not commute with the generator of the
-    # second, its conjugate
-    monkeypatch.setattr(galois, "subgroup_classes",
-                        _with_identity_for_the_first_transported_row)
+    # negative control: E_H of the first conjugate row, S3's second order-2
+    # subgroup, averages over its identity alone, so y fails to commute with
+    # the unitary of the subgroup's generator
+    subs = groups.enumerate_subgroups(s3)
+    assert [r for r, _ in groups.subgroup_classes(s3, subs)][:3] == [0, 1, 1]
+    monkeypatch.setattr(ncprob, "conditional_expectation", _dropping_a_member({subs[2].members}))
     made = []
 
     class Recorded(galois.GaloisReport):
@@ -1151,7 +1188,6 @@ def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
 
     monkeypatch.setattr(galois, "GaloisReport", Recorded)
     fixed = kernel_reference.record_fixed_algebras(monkeypatch)
-    subs = groups.enumerate_subgroups(s3)
     with pytest.raises(ClosureFailed, match="fails to commute"):
         galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     # rows before the bad one were written, the bad one and later ones were not
@@ -1166,25 +1202,58 @@ def test_a_transported_row_with_the_wrong_element_raises_and_is_not_written(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("member", [0, -1], ids=["identity", "last"])
+def test_an_expectation_that_drops_a_member_fails_every_row_of_s4(s4, monkeypatch, member):
+    # negative controls on each non-trivial subgroup of S4 regular, alone in
+    # its lattice: E_H averaged over every member but the identity, or but
+    # the last, leaves the row's own certificate above the bound
+    m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
+    subs = [h for h in groups.enumerate_subgroups(s4) if h.order > 1]
+    monkeypatch.setattr(ncprob, "conditional_expectation",
+                        _dropping_a_member({h.members for h in subs}, member))
+    for h in subs:
+        with pytest.raises(ClosureFailed, match="fails to commute"):
+            galois.galois_map(m, rep, subgroups=[h])
+
+
+@pytest.mark.parametrize("doctor, match", [
+    (lambda patch: patch.setattr(algebras, "_character_count", lambda rep, sub, _f=(
+        algebras._character_count): _f(rep, sub) + 1.0), "the character formula gives"),
+    (lambda patch: patch.setattr(galois, "random_split", lambda *a, _f=linalg.random_split, **k:
+                                 [np.hstack(_f(*a, **k))]), "isotypic block"),
+], ids=["count-plus-one", "isotypic-blocks-merged"])
+def test_a_doctored_character_count_fails_the_isotypic_certificate(s3, monkeypatch, doctor,
+                                                                   match):
+    # negative controls for the dimension certificate on S3 regular: a
+    # character count one too large disagrees with sum m^2 read off the first
+    # commutant, and the isotypic blocks of an order-2 subgroup merged into
+    # one carry span U(H) = 1 + 1 dimensions, not a square
+    doctor(monkeypatch)
+    with pytest.raises(DecompositionFailed, match=match):
+        galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+
+
 def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
     # negative control: the bicommutant test of the representative of S3's
     # three order-2 subgroups fails; each of the three rows records its own
-    # violation with its own members, and the run completes
-    honest = galois._bicommutant
+    # violation with its own members and its representative's dimension, and
+    # the run completes
+    honest = galois._solve_class
     calls = []
 
-    def failing(fixed, m, pi, subgroup, mode, tol):
-        calls.append(fixed.dim)
+    def failing(m, pi, subgroup, mode, tol):
+        calls.append(subgroup.order)
+        found = honest(m, pi, subgroup, mode, tol)
         # (M^H)' = U(H)'' is the span of U(H), of dimension 2
-        return (False, 0.5, 2) if fixed.dim == 18 else honest(fixed, m, pi, subgroup, mode, tol)
+        return (found[0], False, 0.5, 2) if subgroup.order == 2 else found
 
-    monkeypatch.setattr(galois, "_bicommutant", failing)
+    monkeypatch.setattr(galois, "_solve_class", failing)
     report = galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
     order_two = [r.subgroup.members for r in report.rows if r.subgroup.order == 2]
-    assert calls == [36, 18, 12, 6]
+    assert calls == [1, 2, 3, 6]
     assert report.violations == [("bicommutant", members, 0.5) for members in order_two]
-    assert [(r.bicommutant_ok, r.bicommutant_residual, r.commutant_dim) for r in report.rows
-            if r.subgroup.order == 2] == [(False, 0.5, 2)] * 3
+    assert [(r.fixed_dim, r.bicommutant_ok, r.bicommutant_residual, r.commutant_dim)
+            for r in report.rows if r.subgroup.order == 2] == [(18, False, 0.5, 2)] * 3
     assert all(r.bicommutant_ok for r in report.rows if r.subgroup.order != 2)
 
 
