@@ -3,7 +3,9 @@
 An algebra is stored as an orthonormal basis (Hilbert-Schmidt inner
 product) of a subspace of the n^2-dimensional matrix space, which turns
 algebra comparisons and intersections into numerically stable projection
-arithmetic.  Commutants are joint kernels of Sylvester maps, computed by
+arithmetic.  The full algebra M_n (``StarAlgebra.full``) is stored by its
+size and builds its basis, the n^2 x n^2 identity, only on first read.
+Commutants are joint kernels of Sylvester maps, computed by
 ``linalg.commutant_kernel`` from a single normal matrix so at most one
 eigendecomposition does the whole job even for large bases; the same
 kernel serves the Schur test in ``reps``.  None runs for an abelian
@@ -42,6 +44,7 @@ re-checked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +73,40 @@ class StarAlgebra:
 
     ``basis`` is an (k, n, n) array of Hilbert-Schmidt orthonormal
     matrices.  The constructor checks shapes only; every construction path
-    certifies its own result (see the module docstring).
+    certifies its own result (see the module docstring).  A basis of None is
+    the full algebra M_n (``full``), stored by its size ``dim`` = n^2: its
+    basis, the n^2 x n^2 identity, and the ``Subspace`` behind ``subspace``,
+    ``equals`` and ``contains_algebra`` are built on first read, so a caller
+    that reads only ``ambient_dim``, ``dim`` and ``is_full`` never holds them.
     """
 
-    def __init__(self, ambient_dim: int, basis):
+    def __init__(self, ambient_dim: int, basis=None):
+        self.ambient_dim = int(ambient_dim)
+        if basis is None:
+            self.dim = self.ambient_dim ** 2
+            return
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 3 or b.shape[1] != ambient_dim or b.shape[2] != ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} does not fit ambient dimension {ambient_dim}"
             )
-        self.ambient_dim = int(ambient_dim)
+        b.setflags(write=False)
+        self.dim = b.shape[0]
+        # instance attributes shadow the cached properties, which build M_n's
         self.basis = b
-        self.basis.setflags(write=False)
-        self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(b.shape[0], -1).T)
+        self._subspace = Subspace(ambient_dim * ambient_dim, b.reshape(self.dim, -1).T)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The full algebra's basis, the matrix units in row-major order."""
+        n = self.ambient_dim
+        b = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+        b.setflags(write=False)
+        return b
+
+    @functools.cached_property
+    def _subspace(self) -> Subspace:
+        return Subspace(self.ambient_dim ** 2, self.basis.reshape(self.dim, -1).T)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -96,10 +120,7 @@ class StarAlgebra:
 
     @staticmethod
     def full(ambient_dim: int) -> "StarAlgebra":
-        basis = np.eye(ambient_dim ** 2, dtype=np.complex128).reshape(
-            ambient_dim ** 2, ambient_dim, ambient_dim
-        )
-        return StarAlgebra(ambient_dim, basis)
+        return StarAlgebra(ambient_dim)
 
     @staticmethod
     def scalars(ambient_dim: int) -> "StarAlgebra":
@@ -114,10 +135,6 @@ class StarAlgebra:
         return StarAlgebra(ambient_dim, basis)
 
     # -- views ---------------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     @property
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim ** 2

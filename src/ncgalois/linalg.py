@@ -27,6 +27,11 @@ from .errors import (
 
 # eigenvalues of a generic Hermitian closer than this belong to one block
 _EIGENVALUE_GAP = 1e-8
+# eigenvectors of a unit-norm Hermitian whose eigenvalues lie g apart mix at
+# about u / g, u the unit roundoff (Davis and Kahan, SIAM J. Numer. Anal.
+# 1970), so a split with a gap past _EIGENVALUE_GAP but within this one is
+# redrawn: beyond it the mixing stays under 1e-11
+_MIXING_GAP = 2.0 ** -53 / 1e-11
 # commutant_kernel splits with a generator of this seed, so results repeat
 _SPLIT_SEED = 0
 # randomized steps (splits, intertwiners) give up after this many draws
@@ -296,16 +301,21 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
+def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list | None:
     """Eigenvector blocks of a Hermitian matrix, one per eigenvalue cluster.
 
     A new block starts wherever consecutive ascending eigenvalues differ by
     more than the collision gap.  Applied to a generic Hermitian element of
     a commutant or center, this is the split step of the randomized
-    decomposition (Dixon, Math. Comp. 1970).
+    decomposition (Dixon, Math. Comp. 1970).  None when two consecutive
+    eigenvalues differ by more than the collision gap but at most
+    ``_MIXING_GAP``: their blocks would be accurate only to u / gap.
     """
     w, v = hermitian_eig(h, tol)
-    edges = np.nonzero(np.diff(w) > _EIGENVALUE_GAP)[0]
+    gaps = np.diff(w)
+    if np.any((gaps > _EIGENVALUE_GAP) & (gaps <= _MIXING_GAP)):
+        return None
+    edges = np.nonzero(gaps > _EIGENVALUE_GAP)[0]
     bounds = [0, *(e + 1 for e in edges), len(w)]
     return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
@@ -322,7 +332,8 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
     1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010).  Applied to a
     basis of a commutant or a center, the blocks are invariant subspaces
     or central supports.  Redraws until there are at least ``parts``
-    blocks; fewer means eigenvalues collided in this draw.
+    blocks, fewer meaning that eigenvalues collided in this draw, and while
+    two eigenvalues nearly collide (``spectral_blocks`` gives None).
     """
     stack = np.asarray(stack, dtype=np.complex128)
     k = stack.shape[0]
@@ -333,7 +344,7 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
         # at unit norm the absolute collision gap of spectral_blocks is far
         # above the rounding of h, so no true eigenspace is cut
         blocks = spectral_blocks(h / max(frob(h), 1.0), tol)
-        if len(blocks) >= parts:
+        if blocks is not None and len(blocks) >= parts:
             return blocks
     raise CenterSplitFailed(
         f"could not separate {parts} spectral components after {_MAX_RESAMPLES} draws"

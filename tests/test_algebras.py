@@ -75,6 +75,17 @@ def test_s3_permutation_image_dimension(s3_perm_algebra):
     assert s3_perm_algebra.dim == 5
 
 
+def test_the_full_algebra_builds_its_basis_on_first_read():
+    # M_3 is held by its size until a caller reads its basis, which is then
+    # the matrix units, and its subspace the whole of C^9
+    m = StarAlgebra.full(3)
+    assert vars(m) == {"ambient_dim": 3, "dim": 9} and m.is_full
+    units = algebra_from_generators([unit(3, i, j) for i in range(3) for j in range(3)], 3)
+    assert m.contains_algebra(units) and units.equals(m)
+    assert np.array_equal(m.basis.reshape(9, 9), np.eye(9)) and not m.basis.flags.writeable
+    assert m.subspace().dim == 9 and m.basis is m.basis
+
+
 def test_coordinates_of_an_empty_stack():
     # the trivial subgroup has no generators: an empty stack of images has
     # no coordinates, and an empty stack of maps fixes every coordinate
@@ -194,8 +205,10 @@ def test_commutator_residual_in_panels_is_the_one_shot_residual(s4, order, rng):
 def test_the_commutant_of_a_whole_basis_holds_little_beside_its_input():
     # M32's 1024-element basis is the stack: its rotated copy is the one
     # transient of its size, written a panel at a time (twice the input, the
-    # copy and its matmul temporary, before)
+    # copy and its matmul temporary, before); a full M builds its basis on
+    # first read, so the input is read before tracing starts
     m = StarAlgebra.full(32)
+    m.basis
     commutant(StarAlgebra.full(4))   # warm-up
     tracemalloc.start()
     try:

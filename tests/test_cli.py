@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import kernel_reference
@@ -113,6 +114,26 @@ def test_galois_solves_one_commutant_per_subgroup_class(tmp_path, monkeypatch):
     body = load_report(out)["report"]
     # (M^G)' is the span of the 24 left translations
     assert body["minimal_action_witness_dim"] == 24 and not body["minimal_action"]
+
+
+def test_galois_on_order_48_builds_no_identity_basis(s4_times_z2, tmp_path):
+    # S4 x Z2 regular, at the CLI's order bound: M = M_48 is read by its size,
+    # so the traced peak is about 31 MiB with a cold irrep table, where the
+    # 2304 x 2304 identity basis alone took 85 MB (a 94.5 MiB peak)
+    (tmp_path / "rep.json").write_text(
+        json.dumps(reporting.rep_to_json(reps.regular_rep(s4_times_z2))))
+    spec = write_spec(tmp_path, "g48.json", {"representation": "rep.json"})
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["galois", spec, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
+    body = load_report(out)["report"]
+    assert len(body["rows"]) == 98 and body["injective"] and body["proper"]
+    assert load_report(out)["violations"] == []
 
 
 def test_a_representations_group_file_is_hashed(workspace, tmp_path):

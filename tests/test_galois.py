@@ -354,17 +354,20 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
 
 def test_galois_map_holds_no_fixed_basis(s4):
     # the S4 regular lattice's fixed bases are 5,616 matrices of 24 x 24 (52 MB);
-    # no row forms one, the traced peak is about 1.4 MiB and the report small
-    m, rep = StarAlgebra.full(24), reps.regular_rep(s4)
-    galois.galois_map(m, rep)     # warm-up: the irrep table memo
+    # no row forms one, the traced peak is about 1.4 MiB and the report small;
+    # M = M_24 is read by its size, so its 576 x 576 identity basis is never built
+    rep = reps.regular_rep(s4)
+    galois.galois_map(StarAlgebra.full(24), rep)     # warm-up: the irrep table memo
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        m = StarAlgebra.full(24)
         report = galois.galois_map(m, rep)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(report.rows) == 30 and report.injective and not report.violations
+    assert "basis" not in vars(m) and "_subspace" not in vars(m)
     assert peak <= 14 * 2 ** 20
     assert held - before < 2 ** 20
 
@@ -527,19 +530,18 @@ def _bicommutant_verdicts(report):
     return rows, report.equivalence_classes, [v[0] for v in report.violations]
 
 
-def _against_two_solves(report, run, monkeypatch, reference_bound: float = 1e-11) -> None:
+def _against_two_solves(report, run, monkeypatch) -> None:
     """A report against ``run()``'s with ``galois._solve_class`` solving M^K and
     (M^K)' on M^K's whole basis and (M^K)'' too
     (``kernel_reference.bicommutant_by_two_solves``): the same verdicts and
-    ``commutant_dim`` on every row, the report's worst residual within 1e-11
-    and the reference's within ``reference_bound``."""
+    ``commutant_dim`` on every row, and both worst residuals within 1e-11."""
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_solve_class", kernel_reference.solved_from_basis(
             kernel_reference.bicommutant_by_two_solves))
         two = run()
     assert _bicommutant_verdicts(report) == _bicommutant_verdicts(two)
     assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
-    assert max(r.bicommutant_residual for r in two.rows) <= reference_bound
+    assert max(r.bicommutant_residual for r in two.rows) <= 1e-11
 
 
 @pytest.mark.parametrize("name", list(dict.fromkeys(_DIRECT_CASES + _IMPROPER_CASES)))
@@ -996,36 +998,37 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3, monkeypatch):
     assert report.anti_monotone_pairs == 4869
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
-    # the reference's twice reads 1.04e-11 on an order-8 class, above every
-    # other lattice's 1e-12; the report's membership residuals stay near 1e-12
-    _against_two_solves(report, run, monkeypatch, reference_bound=galois._RESIDUAL_BOUND)
+    # the reference's twice read 1.04e-11 on an order-8 class while its split
+    # had two eigenvalues 6.3e-6 apart; a near collision is redrawn, and it
+    # reads 4.6e-13
+    _against_two_solves(report, run, monkeypatch)
 
 
-# the order-48 regular lattice in a fresh process, at the BLAS thread count
-# of its environment: argv[1] holds the group table, stdout gets the rows
+# a regular lattice over every subgroup in a fresh process, at the BLAS
+# thread count of its environment: argv[1] holds the group table, stdout gets
+# the rows and the process's max RSS
 _LATTICE_IN_A_PROCESS = """
-import json, sys
+import json, resource, sys
 import numpy as np
 from ncgalois import galois, groups, reps
 from ncgalois.algebras import StarAlgebra
 group = groups.FiniteGroup(np.load(sys.argv[1]))
-report = galois.galois_map(StarAlgebra.full(group.order), reps.regular_rep(group))
+report = galois.galois_map(StarAlgebra.full(group.order), reps.regular_rep(group),
+                           subgroups=groups.enumerate_subgroups(group, order_bound=group.order))
 print(json.dumps({
     "rows": [[r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok, r.commutant_dim]
              for r in report.rows],
     "classes": report.equivalence_classes,
     "violations": [[v[0], repr(v[1])] for v in report.violations],
     "residual": max(r.bicommutant_residual for r in report.rows),
+    "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
 """
 
 
-@pytest.mark.slow
-def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path):
-    # S4 x Z2 regular in two processes, at one BLAS thread and at two: the
-    # same dims, ids, verdicts, first commutants, classes and violations,
-    # and both worst residuals within 1e-11
-    np.save(tmp_path / "mult.npy", s4_times_z2.mult)
+def _regular_lattice_at_one_and_two_threads(group, tmp_path) -> tuple:
+    """The ``_LATTICE_IN_A_PROCESS`` output of ``group`` at one BLAS thread and at two."""
+    np.save(tmp_path / "mult.npy", group.mult)
     src = os.path.dirname(os.path.dirname(galois.__file__))
 
     def run(threads: str) -> dict:
@@ -1038,9 +1041,32 @@ def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    one, two = run("1"), run("2")
+    return run("1"), run("2")
+
+
+@pytest.mark.slow
+def test_the_order_48_regular_lattice_is_thread_invariant(s4_times_z2, tmp_path):
+    # S4 x Z2 regular in two processes, at one BLAS thread and at two: the
+    # same dims, ids, verdicts, first commutants, classes and violations,
+    # both worst residuals within 1e-11, and each process under 128 MiB max
+    # RSS (about 53), where M_48's identity basis alone is 85 MB
+    one, two = _regular_lattice_at_one_and_two_threads(s4_times_z2, tmp_path)
     assert max(one.pop("residual"), two.pop("residual")) <= 1e-11
+    assert max(one.pop("max_rss_kib"), two.pop("max_rss_kib")) <= 128 * 1024
     assert len(one["rows"]) == 98 and one == two
+
+
+@pytest.mark.slow
+def test_the_s5_regular_lattice_is_thread_invariant(tmp_path):
+    # S5 regular (n = 120) in two processes, at one BLAS thread and at two:
+    # equal rows, classes and violations, both worst residuals within 1e-11,
+    # and each process under 0.5 GB max RSS (about 0.24 GB), where the
+    # 14400 x 14400 identity basis of M_120 alone is 3.3 GB
+    s5 = groups.symmetric_group(5)
+    one, two = _regular_lattice_at_one_and_two_threads(s5, tmp_path)
+    assert max(one.pop("residual"), two.pop("residual")) <= 1e-11
+    assert max(one.pop("max_rss_kib"), two.pop("max_rss_kib")) <= 512 * 1024
+    assert len(one["rows"]) == 156 and one == two
 
 
 @pytest.mark.slow
@@ -1069,30 +1095,21 @@ def test_the_a5_regular_lattice(monkeypatch):
     _against_two_solves(report, lambda: _permutation_lattice(a5, a5.mult), monkeypatch)
 
 
-class _FullMatrixAlgebra:
-    """M_n as ``galois_map`` reads a full M, by its size alone:
-    ``StarAlgebra.full(n)`` holds the n^2 x n^2 identity as its basis, which
-    is 3.3 GB at n = 120."""
-
-    is_full = True
-
-    def __init__(self, n: int):
-        self.ambient_dim = n
-
-
 @pytest.mark.slow
 def test_the_s5_regular_lattice():
     # order 120 on its regular representation (n = 120), its 156 subgroups
     # found past the order bound, in 19 conjugacy classes: about 10 s and
-    # 0.26 GB at one BLAS thread, with no basis of any M^H; its rows against
-    # their orbitals.  The worst bicommutant residual, 1.4e-10 on an order-6
-    # class (dim M^H = 2400), comes from the commutant kernel's split: two
-    # eigenvalues of its seeded element lie 3.9e-8 apart, just past the
-    # collision gap, so their eigenvectors mix at eps / gap
+    # 0.24 GB at one BLAS thread, with no basis of any M^H, and none of M_120
+    # (3.3 GB); its rows against their orbitals.  The worst bicommutant
+    # residual read 1.4e-10 on an order-6 class (dim M^H = 2400) while the
+    # commutant kernel's split had two eigenvalues 3.9e-8 apart, whose
+    # eigenvectors mix at eps / gap; a near collision is redrawn
     s5 = groups.symmetric_group(5)
     subgroups = groups.enumerate_subgroups(s5, order_bound=s5.order)
-    report = galois.galois_map(_FullMatrixAlgebra(120), reps.regular_rep(s5),
-                               subgroups=subgroups)
+    m = StarAlgebra.full(120)
+    report = galois.galois_map(m, reps.regular_rep(s5), subgroups=subgroups)
+    assert "basis" not in vars(m)
+    assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
     assert len(report.rows) == 156
     assert len({r for r, _ in groups.subgroup_classes(s5, subgroups)}) == 19
     assert report.anti_monotone_pairs == 1089

@@ -15,6 +15,7 @@ from kernel_reference import (
 from ncgalois import groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra, algebra_from_generators
 from ncgalois.errors import (
+    CenterSplitFailed,
     DecompositionFailed,
     DimensionMismatch,
     NotHermitian,
@@ -489,6 +490,23 @@ def test_random_split_of_regular_image_shrinks_to_sum_of_cubes():
     assert sorted(q.shape[1] for q in blocks) == [1, 1, 2, 2]
     v = np.hstack(blocks)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("gap, sizes", [(1e-9, [1, 2]), (1e-6, None), (1e-3, [1, 1, 1])])
+def test_random_split_redraws_a_near_collision(gap, sizes):
+    # every draw is a multiple of one diagonal matrix, so h at unit norm has
+    # the gap of its two upper eigenvalues: within the collision gap they
+    # share a block, past _MIXING_GAP they split, and in between every draw
+    # is refused, since the split's eigenvectors would mix at eps / gap
+    assert linalg._EIGENVALUE_GAP < 1e-6 <= linalg._MIXING_GAP < 1e-3
+    d = np.diag([-0.8, 0.6, 0.6 + gap]).astype(np.complex128)
+    stack = (1e3 * d / np.linalg.norm(d))[None]
+    rng = np.random.default_rng(3)
+    if sizes is None:
+        with pytest.raises(CenterSplitFailed):
+            linalg.random_split(stack, rng)
+    else:
+        assert sorted(q.shape[1] for q in linalg.random_split(stack, rng)) == sizes
 
 
 def test_dagger_of_a_stack_is_the_adjoint_of_each_matrix(rng):
