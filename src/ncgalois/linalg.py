@@ -233,7 +233,9 @@ class Subspace:
         return Subspace(ambient_dim, _fix_phases(vh[:_rank(s, tol)].T))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return self.basis @ (dagger(self.basis) @ x)
+        """B B* x for a vector or columns x; B* x is formed as (x* B)*, so only
+        x is conjugated and the basis is never copied."""
+        return self.basis @ (x.conj().T @ self.basis).conj().T
 
     def residual(self, x: np.ndarray) -> float:
         """Distance of (each column of) x from the subspace, worst case."""

@@ -189,15 +189,32 @@ def all_members_certificate(rep, subgroup: Subgroup, basis: np.ndarray) -> float
     return worst
 
 
+def seeded_unitary(n: int, seed: int = 41) -> np.ndarray:
+    """The n x n unitary that ``rotated`` conjugates by at ``seed``."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def rotated(rep: UnitaryRep, seed: int = 41) -> UnitaryRep:
-    """``rep`` conjugated by a unitary drawn at ``seed``: an equivalent
+    """``rep`` conjugated by ``seeded_unitary(rep.dim, seed)``: an equivalent
     representation whose matrices are not permutation matrices, so that a
     full M^H takes the Sylvester kernel."""
-    rng = np.random.default_rng(seed)
-    n = rep.dim
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = seeded_unitary(rep.dim, seed)
     return UnitaryRep(rep.group, w @ rep.matrices @ w.conj().T)
+
+
+def conditional_expectation_by_loop(a: np.ndarray, rep: UnitaryRep,
+                                    subgroup: Subgroup) -> np.ndarray:
+    """E_H(a) = (1/|H|) sum_h U_h a U_h*, one member and one matrix of the
+    stack at a time, for any representation."""
+    a = np.asarray(a, dtype=np.complex128)
+    out = np.zeros_like(a)
+    for h in subgroup.members:
+        u = rep.matrices[h]
+        for i in np.ndindex(a.shape[:-2]):
+            out[i] += u @ a[i] @ u.conj().T
+    return out / subgroup.order
 
 
 def fixed_point_by_kernel(m: StarAlgebra, rep, subgroup: Subgroup,

@@ -1006,9 +1006,10 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3, monkeypatch):
 
 # a regular lattice over every subgroup in a fresh process, at the BLAS
 # thread count of its environment: argv[1] holds the group table, stdout gets
-# the rows and the process's max RSS
+# the rows and the process's max RSS, read as VmHWM, the peak of its own
+# memory map (ru_maxrss keeps the peak of the forking test process across exec)
 _LATTICE_IN_A_PROCESS = """
-import json, resource, sys
+import json, sys
 import numpy as np
 from ncgalois import galois, groups, reps
 from ncgalois.algebras import StarAlgebra
@@ -1021,7 +1022,8 @@ print(json.dumps({
     "classes": report.equivalence_classes,
     "violations": [[v[0], repr(v[1])] for v in report.violations],
     "residual": max(r.bicommutant_residual for r in report.rows),
-    "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "max_rss_kib": int(next(line for line in open("/proc/self/status")
+                            if line.startswith("VmHWM:")).split()[1]),
 }))
 """
 

@@ -1,8 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from kernel_reference import maximally_mixed, random_faithful
+from kernel_reference import (
+    conditional_expectation_by_loop,
+    maximally_mixed,
+    random_faithful,
+    rotated,
+    seeded_unitary,
+)
 
-from ncgalois import algebras, groups, ncprob, reps
+from ncgalois import algebras, groups, ncprob, reporting, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import NotAState, NotFaithful, ParentMismatch
 from ncgalois.linalg import dagger, frob
@@ -154,25 +165,18 @@ def _per_matrix_axiom_table(rep, subgroup, phi, seed, samples=20):
     # the audit one matrix at a time, drawing in the same order
     n = rep.dim
     rng = np.random.default_rng(seed)
-    mats = rep.matrices[list(subgroup.members)]
-
-    def e(x):
-        out = np.zeros((n, n), dtype=complex)
-        for u in mats:
-            out += u @ x @ u.conj().T
-        return out / len(mats)
-
+    e = lambda x: conditional_expectation_by_loop(x, rep, subgroup)
     panel = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
              for _ in range(samples)]
-    panel += [unit(n, i, j) for i in range(n) for j in range(n)]
     fixed = algebras.fixed_point_algebra(StarAlgebra.full(n), rep, subgroup)
-    bimodule = 0.0
+    identity = bimodule = 0.0
     for _ in range(samples):
         a = fixed.from_coordinates(rng.standard_normal(fixed.dim)
                                    + 1j * rng.standard_normal(fixed.dim))
         b = fixed.from_coordinates(rng.standard_normal(fixed.dim)
                                    + 1j * rng.standard_normal(fixed.dim))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        identity = max(identity, frob(e(a) - a), frob(e(b) - b))
         bimodule = max(bimodule, frob(e(a @ x @ b) - a @ e(x) @ b))
     schwarz = 0.0
     for x in panel:
@@ -181,7 +185,7 @@ def _per_matrix_axiom_table(rep, subgroup, phi, seed, samples=20):
     opnorm = lambda x: np.linalg.norm(x, 2)
     return {
         "contraction_gap": max(0.0, max(opnorm(e(x)) - opnorm(x) for x in panel)),
-        "identity_on_subalgebra": max(frob(e(b) - b) for b in fixed.basis),
+        "identity_on_subalgebra": identity,
         "state_preservation": max(abs(phi.expect(e(x)) - phi.expect(x)) for x in panel),
         "idempotence": max(frob(e(e(x)) - e(x)) for x in panel),
         "unitality": frob(e(np.eye(n)) - np.eye(n)),
@@ -190,7 +194,10 @@ def _per_matrix_axiom_table(rep, subgroup, phi, seed, samples=20):
     }
 
 
-def test_stacked_axiom_table_equals_the_per_matrix_loop():
+@pytest.fixture(scope="module")
+def a4_tower():
+    """A4 regular (n = 12), its chain 12 > 4 > 2 > 1, an A4-invariant faithful
+    state and the chain's filtration."""
     a4 = groups.alternating_group(4)
     rep = reps.regular_rep(a4)
     subs = groups.enumerate_subgroups(a4)
@@ -198,15 +205,104 @@ def test_stacked_axiom_table_equals_the_per_matrix_loop():
     z2 = next(s for s in subs if s.order == 2 and v4.contains(s))
     chain = [subs[-1], v4, z2, groups.Subgroup(a4, (a4.identity,))]
     assert [h.order for h in chain] == [12, 4, 2, 1]
-    rng = np.random.default_rng(4)
-    phi = average_state(random_faithful(12, rng), rep)
-    filtration = filtration_from_chain(StarAlgebra.full(12), rep, chain)
+    phi = average_state(random_faithful(12, np.random.default_rng(4)), rep)
+    return rep, chain, phi, filtration_from_chain(StarAlgebra.full(12), rep, chain)
+
+
+def test_stacked_axiom_table_equals_the_per_matrix_loop(a4_tower):
+    rep, chain, phi, filtration = a4_tower
     for t, h in enumerate(chain):
         table = verify_cond_exp_axioms(filtration, t, phi, seed=9).residuals
         reference = _per_matrix_axiom_table(rep, h, phi, seed=9)
         assert table.keys() == reference.keys()
         for name, value in reference.items():
             assert abs(table[name] - value) <= 1e-14, (h.order, name)
+
+
+def test_the_audit_applies_e_to_at_most_samples_matrices(a4_tower, monkeypatch):
+    # a panel of fixed size: no call applies E to more than `samples` matrices
+    rep, chain, phi, filtration = a4_tower
+    honest, sizes = ncprob.conditional_expectation, []
+
+    def counted(x, rep, sub):
+        sizes.append(len(x) if np.ndim(x) == 3 else 1)
+        return honest(x, rep, sub)
+
+    monkeypatch.setattr(ncprob, "conditional_expectation", counted)
+    for t in range(len(chain)):
+        assert verify_cond_exp_axioms(filtration, t, phi, seed=9, samples=5).ok
+    assert sizes and max(sizes) == 5
+
+
+def test_a_defect_along_one_matrix_unit_is_flagged_on_the_seeded_panel(a4_tower, monkeypatch):
+    # negative control: E exact except along the unit E_01, where it adds
+    # 1e-6 x_01; every seeded draw has a component along E_01, so a defect
+    # in that one direction shows on the fixed panel
+    rep, chain, phi, filtration = a4_tower
+    honest = ncprob.conditional_expectation
+
+    def doctored(x, rep, sub):
+        out = honest(x, rep, sub)
+        out[..., 0, 1] += 1e-6 * np.asarray(x)[..., 0, 1]
+        return out
+
+    monkeypatch.setattr(ncprob, "conditional_expectation", doctored)
+    for t in range(len(chain)):
+        names = [name for name, _ in verify_cond_exp_axioms(filtration, t, phi, seed=9).violations]
+        assert {"identity_on_subalgebra", "state_preservation", "idempotence",
+                "bimodule"} <= set(names), (t, names)
+
+
+def test_an_idempotent_onto_a_rotated_algebra_fails_the_identity_on_the_subalgebra(
+        a4_tower, monkeypatch):
+    # negative control: W E(W* x W) W* is a unital, positive, idempotent map
+    # onto W M^H W*; only an independent source of M^H (the filtration's
+    # basis, not images of E) tells it from E
+    rep, chain, phi, filtration = a4_tower
+    honest, w = ncprob.conditional_expectation, seeded_unitary(rep.dim)
+    monkeypatch.setattr(ncprob, "conditional_expectation",
+                        lambda x, rep, sub: w @ honest(dagger(w) @ x @ w, rep, sub) @ dagger(w))
+    names = [name for name, _ in verify_cond_exp_axioms(filtration, 1, phi, seed=9).violations]
+    assert names == ["identity_on_subalgebra", "state_preservation", "bimodule"]
+
+
+def _permutation_reps(fixture_groups):
+    """The regular representation of every fixture group, and S3 and S4 on their points."""
+    yield from (reps.regular_rep(g) for g in fixture_groups.values())
+    for k in (3, 4):
+        yield reps.permutation_rep(groups.symmetric_group(k), groups.symmetric_action(k))
+
+
+def test_the_orbital_mean_equals_the_loop_on_every_subgroup(fixture_groups, rng, monkeypatch):
+    # E_H on a permutation representation takes no sandwich sum, and equals
+    # the plain loop on one matrix and on a stack
+    def refused(*args):
+        raise AssertionError("a permutation representation took the sandwich sum")
+
+    monkeypatch.setattr(ncprob, "sandwich_sum", refused)
+    for rep in _permutation_reps(fixture_groups):
+        assert rep.action is not None
+        n = rep.dim
+        one = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        stack = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        for sub in groups.enumerate_subgroups(rep.group):
+            for x in (one, stack):
+                got = conditional_expectation(x, rep, sub)
+                assert got.shape == x.shape
+                want = conditional_expectation_by_loop(x, rep, sub)
+                assert frob(got - want) <= 1e-14 * max(1.0, frob(x)), (n, sub.members)
+
+
+def test_a_rotated_regular_representation_agrees_with_the_conjugated_orbital_mean(s4, rng):
+    # W U W* has no point table, so E_H is the sandwich sum; it must equal
+    # W E_H(W* X W) W* with E_H the orbital mean of the regular representation
+    rep = reps.regular_rep(s4)
+    turned, w = rotated(rep), seeded_unitary(rep.dim)
+    assert turned.action is None
+    x = rng.standard_normal((2, 24, 24)) + 1j * rng.standard_normal((2, 24, 24))
+    for sub in groups.enumerate_subgroups(s4):
+        want = w @ conditional_expectation(dagger(w) @ x @ w, rep, sub) @ dagger(w)
+        assert frob(conditional_expectation(x, turned, sub) - want) <= 1e-13 * frob(x)
 
 
 def test_contraction_on_large_panel(s3_perm, a3, rng):
@@ -356,3 +452,50 @@ def test_convergence_flags_noninvariant_state(s3, s3_perm, s3_subgroups):
     mart = martingale_from(unit(3, 0, 0), filt)
     conv = convergence_check(mart, State(np.diag([0.6, 0.3, 0.1])))
     assert not conv.state_invariant   # negative control is reported, not fatal
+
+
+# the CLI in a fresh process: argv holds its arguments, stderr gets the
+# process's max RSS in KiB, read as VmHWM, the peak of its own memory map
+# (ru_maxrss keeps the peak of the forking test process across exec)
+_CLI_IN_A_PROCESS = """
+import sys
+from ncgalois import cli
+status = cli.main(sys.argv[1:])
+print(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")).split()[1],
+      file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.slow
+def test_the_a5_regular_tower_through_the_cli(tmp_path):
+    # A5 regular (n = 60), chain 60 > 12 > 4 > 1 (fixed dims 60, 300, 900,
+    # 3600), through `cli.main` in its own process: no violation, and under
+    # 0.75 GB max RSS (about 0.41 GB, most of it the filtration's stored bases)
+    a5 = groups.alternating_group(5)
+    rep = reps.regular_rep(a5)
+    subs = groups.enumerate_subgroups(a5, order_bound=a5.order)
+    a4 = next(s for s in subs if s.order == 12)
+    v4 = next(s for s in subs if s.order == 4 and a4.contains(s))
+    x = np.random.default_rng(5).standard_normal((60, 60)).astype(complex)
+    files = {"group": reporting.group_to_json(a5), "representation": reporting.rep_to_json(rep),
+             "x": reporting.matrix_to_json(x),
+             "state": reporting.matrix_to_json(np.eye(60, dtype=complex) / 60)}
+    for field, payload in files.items():
+        (tmp_path / f"{field}.json").write_text(json.dumps(payload))
+    spec = {field: f"{field}.json" for field in files}
+    spec.update(chain=[list(range(60)), list(a4.members), list(v4.members), [a5.identity]],
+                seed=3)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    src = os.path.dirname(os.path.dirname(ncprob.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IN_A_PROCESS, "martingale",
+                           str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) <= 0.75e9 / 1024            # KiB
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["violations"] == []
+    assert len(report["report"]["axiom_tables"]) == 4
+    assert report["report"]["top_algebra_equals_ambient"]
+    assert report["report"]["terminal_residual"] <= 1e-10
