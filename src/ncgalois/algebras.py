@@ -466,10 +466,20 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
         maps = _conjugation_maps(m, rep, subgroup.generators)
         basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
     elif rep.action is not None:
-        basis = _orbital_indicators(_orbital_partition(rep.action, subgroup))
+        basis = _orbital_indicators(_orbitals(rep, subgroup))
     else:
         basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
     return _certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
+
+
+def _orbitals(rep: UnitaryRep, subgroup: Subgroup) -> np.ndarray:
+    """``_orbital_partition`` of ``rep.action`` under H, computed once per
+    (representation, subgroup) and kept on the representation."""
+    labels = rep._orbitals.get(subgroup.members)
+    if labels is None:
+        labels = rep._orbitals[subgroup.members] = _orbital_partition(rep.action, subgroup)
+        labels.setflags(write=False)
+    return labels
 
 
 def _orbital_partition(action: np.ndarray, subgroup: Subgroup) -> np.ndarray:

@@ -46,6 +46,12 @@ Rows are streamed: each row is certified, interned and audited for
 anti-monotonicity against the subgroups below it as soon as it is
 reached, and the report holds no basis.  The interner keeps a
 fingerprint, a dimension and a row index per id.
+
+The group side reads the multiplication table only: properness and its
+Sigma' come from the class-sum characters (``reps.character_table``),
+and the equivalence classes from translates by the central idempotent of
+Sigma' (``subgroup_equivalence``), so no irrep matrix and no regular
+representation is formed.
 """
 
 from __future__ import annotations
@@ -112,28 +118,35 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
     the correspondence between classes and fixed algebras would fail on
     abelian groups.  The joint span is exactly the group-algebra image whose
     commutant is the fixed algebra, so equal spans and equal fixed algebras
-    are the same thing.  The classes, tuples of subgroup indices, are the
-    ``_Interner`` ids of the joint spans, in order of first appearance, with
-    ascending members.  A span's fingerprint is its projection of the
+    are the same thing.
+
+    No irrep matrix is formed.  With e = sum_rho (d_rho/|G|) conj(chi_rho)
+    the central idempotent of the retained irreps (``reps.character_table``,
+    indices in its order), C[G] e is isomorphic to the direct sum of their
+    End(V_rho), by an isomorphism that takes the translate h e to the joint
+    image of h.  So the span of H's joint images is the span of its
+    translates h e, whose entry at x is e(h^-1 x): |G| coordinates read off
+    ``mult``, with e at unit norm.  The classes, tuples of subgroup indices,
+    are the ``_Interner`` ids of these spans, in order of first appearance,
+    with ascending members.  A span's fingerprint is its projection of the
     interner's probe, and it matches an earlier span when it holds the
-    joint images of the earlier subgroup's generators, which with 1
-    generate the earlier span as an algebra.
+    translates of the earlier subgroup's generators, which with 1 generate
+    the earlier span as an algebra.
     """
-    table = rp.irrep_table(group, tol)
     irrep_indices = list(irrep_indices)
     if not irrep_indices:
         return (tuple(range(len(subgroups))),)
-    # row g is the joint image of g: each retained irrep's matrix, flattened
-    images = np.concatenate([table.irreps[i].matrices.reshape(group.order, -1)
-                             for i in irrep_indices], axis=1)
-    interner = _Interner(images.shape[1])
+    table = rp.character_table(group, tol)
+    e = np.asarray(table.dims)[irrep_indices] @ table.characters[irrep_indices].conj()
+    images = (e / np.linalg.norm(e))[group.mult[group.inverse]]   # row h: h e
+    interner = _Interner(group.order)
     classes: dict = {}
     for j, h in enumerate(subgroups):
-        span = Subspace.from_span(images[list(h.members)], images.shape[1], tol)
+        span = Subspace.from_span(images[list(h.members)], group.order, tol)
         span_id = interner.id_of(
             span.project(interner.probe), span.dim, j,
-            lambda i: all(   # as StarAlgebra.contains_matrix
-                span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
+            lambda i: all(   # as StarAlgebra.contains_matrix, on unit vectors
+                span.residual(v) <= tol.rank_threshold(1.0)
                 for v in images[list(subgroups[i].generators)]))
         classes.setdefault(span_id, []).append(j)
     return tuple(tuple(c) for c in classes.values())
@@ -188,8 +201,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, mode: str = "auto", subgroups=
     if len({h.members for h in subgroups}) != len(subgroups):
         raise ValueError("a subgroup is given twice")
 
-    table = rp.irrep_table(group, tol)
-    properness = rp.is_proper(pi, table, tol)
+    properness = rp.is_proper(pi, tol)
     report = GaloisReport(
         group=group,
         mode=mode,

@@ -9,6 +9,9 @@ Two convolution conventions coexist and every call site names the one it
 uses: ``"measure"`` is the plain sum (``delta_e`` is the unit) and
 ``"function"`` carries the ``1/order`` weight of the normalized average.
 Mixing them is the classic source of silent factor-of-``order`` bugs.
+
+Subgroup lattices are enumerated up to conjugacy by frontier closures
+(``enumerate_subgroups``), for groups up to ``SUBGROUP_ORDER_BOUND``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .errors import (
     ParentMismatch,
 )
 
-SUBGROUP_ORDER_BOUND = 48
+SUBGROUP_ORDER_BOUND = 240
+# the associativity check compares (a*b)*c with a*(b*c) this many table
+# entries at a time, so its transients stay a few MB at any order
+_PANEL_ENTRIES = 2 ** 19
 
 
 class FiniteGroup:
@@ -76,16 +82,23 @@ class FiniteGroup:
         if one_sided.any():
             raise NoInverse(f"element {int(np.argmax(one_sided))} has no two-sided inverse")
 
-        # (a*b)*c == a*(b*c) for all triples, vectorized over (a, b, c)
-        left = table[table, :]            # left[a, b, c]  = (a*b)*c
-        right = table[:, table]           # right[a, b, c] = a*(b*c)
-        bad = np.argwhere(left != right)
-        if bad.size:
-            a, b, c = map(int, bad[0])
-            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        # (a*b)*c == a*(b*c) for all triples, a panel of rows a at a time; the
+        # first failing triple is the least (a, b, c), as over the whole cube
+        rows = max(1, _PANEL_ENTRIES // (n * n))
+        for start in range(0, n, rows):
+            panel = table[start:start + rows]
+            # left[a, b, c] = (a*b)*c and right[a, b, c] = a*(b*c), a in the panel
+            bad = np.argwhere(table[panel, :] != panel[:, table])
+            if bad.size:
+                a, b, c = map(int, bad[0])
+                a += start
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
         self.mult = table
         self.mult.setflags(write=False)
+        # the table as nested lists: closures grow Python sets of ints, which
+        # beat numpy indexing at these sizes
+        self._rows = table.tolist()
         self.order = n
         self.identity = identity
         self.inverse = inverse
@@ -174,17 +187,24 @@ def closure(group: FiniteGroup, seed) -> tuple:
     """Smallest subgroup member set containing ``seed``.
 
     In a finite group a nonempty set closed under products is a subgroup,
-    so the closure only multiplies: every step adds all products of the
-    members found so far, until nothing new appears.
+    and the set reached from the identity by right multiplication by the
+    seed is closed under products.  So only the members found in the last
+    round are multiplied, each by every seed element: O(|J| |S|) for a
+    closure J of a seed S.
     """
-    mask = np.zeros(group.order, dtype=bool)
-    mask[group.identity] = True
-    mask[np.asarray(list(seed), dtype=np.intp)] = True
-    while True:
-        m = np.flatnonzero(mask)
-        mask[group.mult[np.ix_(m, m)]] = True
-        if mask.sum() == m.size:
-            return tuple(m.tolist())
+    return _grown(group, {group.identity}, {group.identity}, [int(s) for s in seed])
+
+
+def _grown(group: FiniteGroup, members: set, frontier: set, gens) -> tuple:
+    """Sorted ``members`` once closed under right multiplication by ``gens``,
+    where every member outside ``frontier`` has already been multiplied by
+    each of ``gens``; ``members`` is grown in place."""
+    rows = group._rows
+    while frontier:
+        frontier = {rows[x][s] for x in frontier for s in gens}
+        frontier -= members
+        members |= frontier
+    return tuple(sorted(members))
 
 
 def generating_set(group: FiniteGroup, members) -> tuple:
@@ -205,23 +225,42 @@ def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BO
     Exact cyclic extension (Neubüser 1960): every subgroup is the join of
     the cyclic subgroups of its elements, so joining each subgroup found
     with each cyclic subgroup, once, from a worklist reaches the full lattice.
+    It runs up to conjugacy: gHg^-1 joined with <a> is the conjugate by g of
+    H joined with <g^-1 a g>, so only the first subgroup found in each class
+    is joined, and all its conjugates are read off ``conjugation_table``
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
+    That subgroup H is kept with the generators it was found from, and its
+    join with <a> grows H by right multiplication by them and a, starting
+    from H a (``closure``), so no member of H is multiplied by H's own
+    generators again.
     """
     if group.order > order_bound:
         raise OrderBoundExceeded(
             f"group order {group.order} exceeds bound {order_bound}"
         )
-    cyclic = sorted({closure(group, [a]) for a in range(group.order)})
-    found = {(group.identity,), *cyclic}
-    work = list(found)
+    rows = group._rows
+    conj = conjugation_table(group)
+    cyclic: dict = {}   # members of <a> -> its least generator a
+    for a in range(group.order):
+        cyclic.setdefault(closure(group, [a]), a)
+    found: set = set()
+    work = []           # (members, generators) of the first subgroup found in each class
+
+    def add(members: tuple, gens: tuple) -> None:
+        if members not in found:
+            found.update(map(tuple, np.sort(conj[:, list(members)], axis=1).tolist()))
+            work.append((members, gens))
+
+    add((group.identity,), ())
+    for c, a in cyclic.items():
+        add(c, (a,))
     while work:
-        h = work.pop()
+        h, gens = work.pop()
         members = set(h)
-        for c in cyclic:
-            if not members.issuperset(c):
-                j = closure(group, h + c)
-                if j not in found:
-                    found.add(j)
-                    work.append(j)
+        for a in cyclic.values():
+            if a not in members:
+                frontier = {rows[x][a] for x in h}
+                add(_grown(group, members | frontier, frontier, gens + (a,)), gens + (a,))
     members_sorted = sorted(found, key=lambda m: (len(m), m))
     return [Subgroup(group, m) for m in members_sorted]
 
@@ -233,9 +272,11 @@ def conjugation_table(group: FiniteGroup) -> np.ndarray:
 
 def conjugacy_classes(group: FiniteGroup):
     """Partition of the element set into conjugacy classes."""
-    # each element is labelled by the least member of its class
+    # each element is labelled by the least member of its class, and the
+    # least members are the elements that label themselves
     least = conjugation_table(group).min(axis=0)
-    classes = [tuple(np.flatnonzero(least == r).tolist()) for r in np.unique(least)]
+    classes = [tuple(np.flatnonzero(least == r).tolist())
+               for r in np.flatnonzero(least == np.arange(group.order))]
     classes.sort(key=lambda c: (len(c), c))
     return classes
 

@@ -95,8 +95,9 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     permutation matrix (``rep.action``), U_h a U_h* moves the entry (x, y)
     of ``a`` to (h x, h y), and the sum over H visits each pair of an orbital
     of H |H|/|orbital| times: the average is the mean of ``a`` over each
-    orbital (``algebras._orbital_partition``), in O(k n^2).  Any other
-    representation takes the sandwich sum of the |H| conjugates.
+    orbital (``algebras._orbitals``, labelled once per subgroup), in
+    O(k n^2).  Any other representation takes the sandwich sum of the |H|
+    conjugates.
     """
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
@@ -104,7 +105,7 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     if rep.action is None:
         mats = rep.matrices[list(subgroup.members)]
         return sandwich_sum(mats, a, dagger(mats)) / subgroup.order
-    labels = alg._orbital_partition(rep.action, subgroup).ravel()
+    labels = alg._orbitals(rep, subgroup).ravel()
     sizes = np.bincount(labels)
     flat = a.reshape(-1, labels.size)
     # one bin per (matrix, orbital) pair of the stack

@@ -4,9 +4,13 @@ The decomposition strategy is the randomized commutant split: a random
 Hermitian element of the commutant (``linalg.random_split`` on the
 commutant kernel) commutes with the representation, so its eigenspaces
 are invariant; recursing until the character norm <chi, chi> of each
-piece is 1 yields irreducible pieces.  Tables of irreducibles are computed
-once per group from the regular representation and canonicalized so that
-identical inputs give identical tables across runs.
+piece is 1 yields irreducible pieces.
+
+The character table comes from the multiplication table alone, by the
+same split of the class-sum algebra (``character_table``); it fixes the
+canonical order of the irreducibles and is all that ``is_proper`` and the
+Galois correspondence read.  The irreducible matrices (``irrep_table``)
+are split once per group off the regular representation, in that order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import (
     ParentMismatch,
     ZeroVector,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, conjugacy_classes
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
 
 _CHARACTER_MATCH = 1e-8
@@ -51,6 +55,9 @@ class UnitaryRep:
         self.dim = mats.shape[1]
         self.matrices = mats
         self.matrices.setflags(write=False)
+        # subgroup members -> H's orbital labels on the points of ``action``,
+        # filled by ``algebras._orbitals`` once per subgroup
+        self._orbitals: dict = {}
         if check:
             self._validate()
 
@@ -244,17 +251,109 @@ def _nearest_character(characters, chi) -> tuple:
     return (best if diffs[best] <= _CHARACTER_MATCH else None), float(diffs[best])
 
 
+@dataclass(frozen=True)
+class CharacterTable:
+    """The irreducible characters of one group, one row each, in canonical order."""
+
+    group: FiniteGroup
+    characters: np.ndarray  # shape (number of irreps, order)
+    dims: tuple
+
+
 _TABLE_CACHE: dict = {}
+_CHARACTER_CACHE: dict = {}
 _TABLE_LOCK = threading.Lock()
+# a class sum's eigenvector residual is held to this, relative to the class size
+_EIGENVECTOR_MATCH = 1e-9
+
+
+def character_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> CharacterTable:
+    """All irreducible characters of the group, from its multiplication table alone.
+
+    Burnside's class-sum method (Dixon, Numer. Math. 10, 1967; Schneider,
+    J. Symb. Comput. 9, 1990).  The class sums K_i span the center of C[G].
+    Left multiplication by K_i, in the orthonormal basis K_j / sqrt|C_j|
+    (``_class_matrices``), is a commuting family closed under adjoints,
+    since K_i* is the sum of the inverse class.  ``linalg.random_split``
+    into k parts, for k classes, gives its k common eigenvectors: the
+    primitive central idempotents e_rho = (d_rho/|G|) sum_g conj(chi_rho(g)) g
+    at unit norm, whose coordinate on K_i / sqrt|C_i| is
+    conj(chi_rho(C_i)) sqrt(|C_i|/|G|), up to the phase that makes
+    chi_rho(e) = d_rho positive.  The table is certified: each vector must be
+    an eigenvector of every class matrix, within ``_EIGENVECTOR_MATCH``
+    times the class size, and the characters must be orthonormal, with
+    integer degrees and sum d^2 = |G|.  Rows are sorted by (degree,
+    lexicographic character rounded to 6 digits): the one order rule, which
+    ``irrep_table`` follows.  Memoized on the multiplication table.
+    """
+    key = group.key()
+    with _TABLE_LOCK:
+        cached = _CHARACTER_CACHE.get(key)
+    if cached is not None:
+        return cached
+
+    labels, sizes, stack = _class_matrices(group)
+    n, k = group.order, len(sizes)
+    vectors = np.hstack(linalg.random_split(stack, np.random.default_rng(_TABLE_SEED), k, tol))
+    moved = stack @ vectors                                  # moved[i, :, r] = K_i v_r
+    values = np.einsum("jr,ijr->ir", vectors.conj(), moved)
+    residual = np.linalg.norm(moved - values[:, None, :] * vectors, axis=1) / sizes[:, None]
+    if not float(np.max(residual)) <= _EIGENVECTOR_MATCH:
+        raise DecompositionFailed(
+            f"the class sums share no eigenbasis (residual {float(np.max(residual)):.3e})")
+    one = labels[group.identity]
+    vectors = vectors * (np.abs(vectors[one]) / vectors[one])
+    characters = (vectors.conj() * np.sqrt(n / sizes)[:, None]).T[:, labels]
+    degrees = characters[:, group.identity].real
+    dims = np.rint(degrees).astype(int)
+    gram = characters @ characters.conj().T / n
+    # each bound passes only on a residual within it, so NaN fails
+    if not (np.max(np.abs(degrees - dims)) <= 1e-6 and dims.min() >= 1
+            and int(np.sum(dims ** 2)) == n and np.max(np.abs(gram - np.eye(k))) <= 1e-9):
+        raise DecompositionFailed(
+            f"the class-sum characters are not an orthonormal table of degrees "
+            f"summing in squares to {n}: degrees {np.round(degrees, 6).tolist()}")
+
+    def sort_key(r: int) -> tuple:
+        return (dims[r], tuple((round(c.real, 6), round(c.imag, 6)) for c in characters[r]))
+
+    order = sorted(range(k), key=sort_key)
+    characters = characters[order]
+    characters.setflags(write=False)
+    table = CharacterTable(group, characters, tuple(int(d) for d in dims[order]))
+    with _TABLE_LOCK:
+        _CHARACTER_CACHE.setdefault(key, table)
+    return table
+
+
+def _class_matrices(group: FiniteGroup) -> tuple:
+    """(labels, sizes, stack): the class of each element, in ``conjugacy_classes``
+    order, the class sizes, and the k x k matrix of left multiplication by each
+    class sum K_i in the basis K_j / sqrt|C_j|.  K_i K_j = sum_l c_ijl K_l, where
+    c_ijl counts the x in C_i with x^-1 z_l in C_j, for one z_l in C_l."""
+    classes = conjugacy_classes(group)
+    k = len(classes)
+    labels = np.empty(group.order, dtype=np.intp)
+    for i, members in enumerate(classes):
+        labels[list(members)] = i
+    sizes = np.array([len(members) for members in classes])
+    # y[x, l] is the class of x^-1 z_l
+    y = labels[group.mult[group.inverse[:, None], [members[0] for members in classes]]]
+    codes = (labels[:, None] * k + y) * k + np.arange(k)
+    c = np.bincount(codes.ravel(), minlength=k ** 3).reshape(k, k, k)
+    # column j of matrix i: K_i K_j / sqrt|C_j| = sum_l c_ijl sqrt(|C_l| / |C_j|) K_l / sqrt|C_l|
+    root = np.sqrt(sizes)
+    return labels, sizes, c.transpose(0, 2, 1) * root[:, None] / root
 
 
 def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     """All irreducibles of the group, from its regular representation.
 
     Memoized on the multiplication table; the cached value is shared by
-    every group object with the same table.  The result is canonical:
-    irreps sorted by (dimension, lexicographic character), one
-    representative per character class.
+    every group object with the same table.  The result is canonical: one
+    irrep per row of ``character_table``, in its order, each the first
+    piece of the regular representation (``invariant_isometries``) whose
+    character matches that row.  The characters are the irreps' own traces.
     """
     key = group.key()
     with _TABLE_LOCK:
@@ -262,28 +361,22 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     if cached is not None:
         return cached
 
+    chars = character_table(group, tol)
     reg = regular_rep(group)
-    pieces = invariant_isometries(reg, _TABLE_SEED, tol)
-    reps_by_char = []
-    for q in pieces:
+    irreps: list = [None] * len(chars.dims)
+    for q in invariant_isometries(reg, _TABLE_SEED, tol):
         mats = linalg.compress(reg.matrices, q)
-        chi = np.einsum("gii->g", mats)
-        if not reps_by_char or _nearest_character([c for c, _ in reps_by_char], chi)[0] is None:
-            reps_by_char.append((chi, UnitaryRep(group, mats)))
-
-    def sort_key(item):
-        chi, rep = item
-        return (rep.dim, tuple((round(c.real, 6), round(c.imag, 6)) for c in chi))
-
-    reps_by_char.sort(key=sort_key)
-    irreps = tuple(rep for _, rep in reps_by_char)
-    characters = np.array([chi for chi, _ in reps_by_char])
-    if sum(r.dim ** 2 for r in irreps) != group.order:
+        index, distance = _nearest_character(chars.characters, np.einsum("gii->g", mats))
+        if index is None:
+            raise DecompositionFailed(
+                f"an irreducible piece matches no class-sum character (distance {distance:.3e})")
+        if irreps[index] is None:
+            irreps[index] = UnitaryRep(group, mats)
+    if None in irreps:
         raise DecompositionFailed(
-            "irrep dimensions do not account for the group order: "
-            f"{[r.dim for r in irreps]} vs {group.order}"
-        )
-    table = IrrepTable(group, irreps, characters)
+            "the regular representation misses a character: "
+            f"{[r is not None for r in irreps]}")
+    table = IrrepTable(group, tuple(irreps), np.array([r.character() for r in irreps]))
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table
@@ -349,9 +442,10 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
 
 
 def multiplicities(rep: UnitaryRep, table: IrrepTable | None = None) -> np.ndarray:
-    """Multiplicity of each table irrep in ``rep`` via character pairing."""
+    """Multiplicity of each table irrep in ``rep`` via character pairing; with no
+    table given, of each row of ``character_table``, which has the same order."""
     if table is None:
-        table = irrep_table(rep.group)
+        table = character_table(rep.group)
     chi = rep.character()
     pair = table.characters.conj() @ chi / rep.group.order
     counts = np.rint(pair.real).astype(int)
@@ -488,19 +582,17 @@ class PropernessReport:
     multiplicities: tuple
 
 
-def is_proper(pi: UnitaryRep, table: IrrepTable | None = None,
-              tol: Tolerance = DEFAULT_TOL) -> PropernessReport:
+def is_proper(pi: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> PropernessReport:
     """Whether the measure representation through ``pi`` is injective.
 
     Equivalent formulations are cross-checked: the flattened matrices
     ``pi(g)`` must be linearly independent, and every irreducible of the
-    group must appear in ``pi``.
+    group must appear in ``pi``, by its multiplicity against the rows of
+    ``character_table``, so no irrep matrix is formed.
     """
-    if table is None:
-        table = irrep_table(pi.group, tol)
     flat = pi.matrices.reshape(pi.group.order, -1)
     rank = linalg._rank(np.linalg.svd(flat, compute_uv=False), tol)
-    mults = multiplicities(pi, table)
+    mults = multiplicities(pi, character_table(pi.group, tol))
     present = tuple(int(i) for i in np.nonzero(mults)[0])
     missing = tuple(int(i) for i in np.nonzero(mults == 0)[0])
     proper_by_rank = rank == pi.group.order

@@ -44,3 +44,8 @@ def s4_times_z2():
 @pytest.fixture(scope="session")
 def s4_times_s3():
     return direct_product(groups.symmetric_group(4), groups.symmetric_group(3))
+
+
+@pytest.fixture(scope="session")
+def s5_times_z2():
+    return direct_product(groups.symmetric_group(5), groups.cyclic_group(2))

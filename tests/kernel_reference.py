@@ -156,6 +156,69 @@ def enumerate_subgroups(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BO
     return [Subgroup(group, m) for m in members_sorted]
 
 
+def closure_all_pairs(group: FiniteGroup, seed) -> tuple:
+    """``groups.closure`` that multiplies every pair of members in every round."""
+    mask = np.zeros(group.order, dtype=bool)
+    mask[group.identity] = True
+    mask[np.asarray(list(seed), dtype=np.intp)] = True
+    while True:
+        m = np.flatnonzero(mask)
+        mask[group.mult[np.ix_(m, m)]] = True
+        if mask.sum() == m.size:
+            return tuple(m.tolist())
+
+
+def enumerate_subgroups_by_all_pairs(group: FiniteGroup, order_bound: int = SUBGROUP_ORDER_BOUND):
+    """``groups.enumerate_subgroups`` over every subgroup rather than up to
+    conjugacy: each subgroup found is joined with each cyclic subgroup by the
+    all-pairs closure of its members and the cyclic subgroup's."""
+    if group.order > order_bound:
+        raise OrderBoundExceeded(
+            f"group order {group.order} exceeds bound {order_bound}"
+        )
+    cyclic = sorted({closure_all_pairs(group, [a]) for a in range(group.order)})
+    found = {(group.identity,), *cyclic}
+    work = list(found)
+    while work:
+        h = work.pop()
+        members = set(h)
+        for c in cyclic:
+            if not members.issuperset(c):
+                j = closure_all_pairs(group, h + c)
+                if j not in found:
+                    found.add(j)
+                    work.append(j)
+    return [Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), m))]
+
+
+def associativity_witness_by_cube(table: np.ndarray):
+    """The least (a, b, c) with (a*b)*c != a*(b*c), over the whole n^3 cube at once, or None."""
+    bad = np.argwhere(table[table, :] != table[:, table])
+    return tuple(map(int, bad[0])) if bad.size else None
+
+
+def subgroup_equivalence_by_irrep_matrices(group: FiniteGroup, subgroups, irrep_indices,
+                                           tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """``galois.subgroup_equivalence`` on the joint images of the irrep matrices
+    themselves: row g holds each retained irrep's matrix of g, flattened."""
+    irrep_indices = list(irrep_indices)
+    if not irrep_indices:
+        return (tuple(range(len(subgroups))),)
+    table = reps.irrep_table(group, tol)
+    images = np.concatenate([table.irreps[i].matrices.reshape(group.order, -1)
+                             for i in irrep_indices], axis=1)
+    interner = galois._Interner(images.shape[1])
+    classes: dict = {}
+    for j, h in enumerate(subgroups):
+        span = Subspace.from_span(images[list(h.members)], images.shape[1], tol)
+        span_id = interner.id_of(
+            span.project(interner.probe), span.dim, j,
+            lambda i: all(span.residual(v) <= tol.rank_threshold(max(frob(v), 1.0))
+                          for v in images[list(subgroups[i].generators)]))
+        classes.setdefault(span_id, []).append(j)
+    return tuple(tuple(c) for c in classes.values())
+
+
 # ---------------------------------------------------------------------------
 # group-image checks on every pair or every member, which the package runs
 # on generators instead

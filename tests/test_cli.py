@@ -224,14 +224,19 @@ def test_martingale_flags_noninvariant_state(workspace, tmp_path):
                for v in report["violations"])
 
 
-def test_martingale_solves_each_chain_algebra_once_at_the_cli_tolerance(tmp_path, monkeypatch):
-    # the axiom audit reads M^{H_t} off the filtration, so the A4 benchmark
-    # chain of four subgroups makes four fixed-point solves, all at --tol-*
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py``, which writes each workload's inputs."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     loader = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
-    spec = workloads.write_inputs("martingale-a4-regular", 101, str(tmp_path))
+    return workloads
+
+
+def test_martingale_solves_each_chain_algebra_once_at_the_cli_tolerance(tmp_path, monkeypatch):
+    # the axiom audit reads M^{H_t} off the filtration, so the A4 benchmark
+    # chain of four subgroups makes four fixed-point solves, all at --tol-*
+    spec = _workloads().write_inputs("martingale-a4-regular", 101, str(tmp_path))
     tols, honest = [], algebras.fixed_point_algebra
     monkeypatch.setattr(algebras, "fixed_point_algebra", lambda m, rep, sub, tol=DEFAULT_TOL:
                         tols.append(tol) or honest(m, rep, sub, tol))
@@ -239,6 +244,49 @@ def test_martingale_solves_each_chain_algebra_once_at_the_cli_tolerance(tmp_path
     assert run_cli(["martingale", spec, "--tol-rel", "1e-8", "--out", out]) == 0
     assert tols == [Tolerance(abs_eps=1e-12, rel_eps=1e-8)] * 4
     assert load_report(out)["violations"] == []
+
+
+@pytest.mark.parametrize("workload, subgroups, expectations", [
+    ("galois-s4-regular", 30, 52), ("martingale-a4-regular", 4, 42)])
+def test_orbitals_are_labelled_once_per_subgroup(workload, subgroups, expectations, tmp_path,
+                                                 monkeypatch):
+    # every conditional expectation and fixed-point algebra on a permutation
+    # representation reads H's orbital labels, computed on the first call for
+    # H and kept on the representation
+    spec = _workloads().write_inputs(workload, 101, str(tmp_path))
+    labelled, averaged = [], []
+    partition, expectation = algebras._orbital_partition, ncprob.conditional_expectation
+    monkeypatch.setattr(algebras, "_orbital_partition",
+                        lambda act, sub: labelled.append(sub.members) or partition(act, sub))
+    monkeypatch.setattr(ncprob, "conditional_expectation",
+                        lambda a, rep, sub:
+                        averaged.append(sub.members) or expectation(a, rep, sub))
+    assert run_cli([workload.split("-")[0], spec, "--out", tmp_path / "r.json"]) == 0
+    assert load_report(tmp_path / "r.json")["violations"] == []
+    assert len(labelled) == len(set(labelled)) == subgroups
+    assert set(averaged) == set(labelled) and len(averaged) == expectations
+
+
+@pytest.mark.parametrize("command", ["galois", "analyze-group"])
+def test_a_cli_run_on_s4_leaves_numpy_ma_unloaded(command, tmp_path):
+    # a plain np.unique imports numpy.ma, 25-31 ms of a cold CLI process in
+    # numpy 2.x; neither the galois path (class sums, lattice, rows) nor
+    # conjugacy_classes needs it
+    if command == "galois":
+        spec = _workloads().write_inputs("galois-s4-regular", 101, str(tmp_path))
+    else:
+        spec = write_spec(tmp_path, "s4.json",
+                          {"group": reporting.group_to_json(groups.symmetric_group(4))})
+    src = os.path.dirname(os.path.dirname(reps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom ncgalois import cli\nstatus = cli.main(sys.argv[1:])\n"
+         "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\nsys.exit(status)",
+         command, spec, "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "True"]
 
 
 def _crossed_spec(base_extra=None, action_extra=None):

@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import kernel_reference
@@ -245,6 +247,40 @@ def test_conjugate_subgroups_inequivalent(s3):
     subs = [s for s in groups.enumerate_subgroups(s3) if s.order == 2]
     classes = galois.subgroup_equivalence(s3, subs, range(len(reps.irrep_table(s3).irreps)))
     assert all(len(c) == 1 for c in classes)
+
+
+def _nonempty_subsets(k: int) -> list:
+    return [c for r in range(1, k + 1) for c in itertools.combinations(range(k), r)]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "S4"])
+def test_the_idempotent_partition_is_the_irrep_matrix_partition(name, fixture_groups):
+    # translates by the central idempotent of Sigma' against the joint irrep
+    # images themselves: every nonempty Sigma' of S3 (7), D4 (31) and A4 (15,
+    # with complex characters), and ten drawn from S4's 31
+    g = fixture_groups[name]
+    subs = groups.enumerate_subgroups(g)
+    subsets = _nonempty_subsets(len(reps.character_table(g).dims))
+    if name == "S4":
+        picks = np.random.default_rng(7).choice(len(subsets), size=10, replace=False)
+        subsets = [subsets[i] for i in sorted(picks)]
+    for sigma in subsets:
+        assert (galois.subgroup_equivalence(g, subs, sigma)
+                == kernel_reference.subgroup_equivalence_by_irrep_matrices(g, subs, sigma)), sigma
+    assert len(subsets) == {"S3": 7, "D4": 31, "A4": 15, "S4": 10}[name]
+
+
+def test_galois_map_forms_no_irrep_matrix(s3, s4, monkeypatch):
+    # properness and the equivalence classes read the class-sum characters,
+    # so neither the irrep table nor the regular representation is built
+    cases = [reps.regular_rep(s4), reps.direct_sum(*reps.irrep_table(s3).irreps)]
+    calls = _counted(monkeypatch, (reps, "irrep_table"), (reps, "regular_rep"))
+    for rep in cases:
+        report = galois.galois_map(StarAlgebra.full(rep.dim), rep)
+        assert report.proper and report.injective and report.violations == []
+    assert calls == {"irrep_table": 0, "regular_rep": 0}
+    reps.regular_rep(s3)   # the counter does see a call
+    assert calls == {"irrep_table": 0, "regular_rep": 1}
 
 
 def test_minimal_action_cases(s3):
@@ -1004,6 +1040,18 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3, monkeypatch):
     _against_two_solves(report, run, monkeypatch)
 
 
+# the CLI in a fresh process: argv holds its arguments, stderr gets the
+# process's max RSS in KiB, read as VmHWM (as in the martingale tower's test)
+_CLI_IN_A_PROCESS = """
+import sys
+from ncgalois import cli
+status = cli.main(sys.argv[1:])
+print(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")).split()[1],
+      file=sys.stderr)
+sys.exit(status)
+"""
+
+
 # a regular lattice over every subgroup in a fresh process, at the BLAS
 # thread count of its environment: argv[1] holds the group table, stdout gets
 # the rows and the process's max RSS, read as VmHWM, the peak of its own
@@ -1044,6 +1092,30 @@ def _regular_lattice_at_one_and_two_threads(group, tmp_path) -> tuple:
         return json.loads(proc.stdout)
 
     return run("1"), run("2")
+
+
+@pytest.mark.slow
+def test_the_s5_times_z2_lattice_on_its_irreps_through_the_cli(s5_times_z2, tmp_path):
+    # order 240, at the order bound, on the direct sum of its irreps (n = 52):
+    # `galois` in its own process with a cold table cache, 535 rows with no
+    # violation, in under 30 s and 1 GB max RSS (about 4 s and 0.27 GB at one
+    # BLAS thread on a 2-core host, the JSON read included)
+    rep = reps.direct_sum(*reps.irrep_table(s5_times_z2).irreps)
+    (tmp_path / "rep.json").write_text(json.dumps(reporting.rep_to_json(rep)))
+    (tmp_path / "spec.json").write_text(json.dumps({"representation": "rep.json"}))
+    src = os.path.dirname(os.path.dirname(galois.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CLI_IN_A_PROCESS, "galois",
+                           str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 30.0
+    assert int(proc.stderr.split()[-1]) < 1e9 / 1024            # KiB
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert out["violations"] == [] and len(out["report"]["rows"]) == 535
+    assert out["report"]["proper"] and out["report"]["injective"]
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import kernel_reference
@@ -107,6 +108,11 @@ def test_subgroup_counts_on_fixtures(fixture_groups):
 def test_order_bound():
     with pytest.raises(OrderBoundExceeded):
         enumerate_subgroups(groups.cyclic_group(5), order_bound=4)
+    # the default bound admits order 240 and refuses the next order
+    assert groups.SUBGROUP_ORDER_BOUND == 240
+    assert len(enumerate_subgroups(groups.cyclic_group(240))) == 20   # one per divisor
+    with pytest.raises(OrderBoundExceeded, match="group order 241 exceeds bound 240"):
+        enumerate_subgroups(groups.cyclic_group(241))
 
 
 def test_conjugacy_classes_abelian():
@@ -147,6 +153,85 @@ def test_subgroup_lattice_equals_the_saturation_reference(fixture_groups, s4_tim
         found = [s.members for s in enumerate_subgroups(g)]
         assert found == [s.members for s in kernel_reference.enumerate_subgroups(g)], name
     assert len(found) == 98
+
+
+def test_subgroup_lattice_equals_the_all_pairs_cyclic_extension(fixture_groups, s4_times_z2):
+    # the frontier closure, joined up to conjugacy, against every subgroup
+    # joined with every cyclic subgroup by the all-pairs closure
+    cases = dict(fixture_groups)
+    cases["S4xZ2"] = s4_times_z2
+    for name, g in cases.items():
+        found = [s.members for s in enumerate_subgroups(g)]
+        assert found == [s.members for s in kernel_reference.enumerate_subgroups_by_all_pairs(g)]
+    assert len(found) == 98
+
+
+@pytest.mark.slow
+def test_the_s5_times_z2_lattice_equals_the_all_pairs_cyclic_extension(s5_times_z2):
+    # order 240, now within the bound: 535 subgroups (about 20 s, the reference's)
+    found = [s.members for s in enumerate_subgroups(s5_times_z2)]
+    assert len(found) == 535
+    assert found == [s.members for s in
+                     kernel_reference.enumerate_subgroups_by_all_pairs(s5_times_z2)]
+
+
+def test_closure_is_the_all_pairs_closure(s4_times_z2, rng):
+    g = s4_times_z2
+    seeds = [[], [g.identity], *(rng.choice(g.order, size=k, replace=False).tolist()
+                                 for k in (1, 1, 2, 2, 2, 3, 4) for _ in range(4))]
+    for seed in seeds:
+        assert groups.closure(g, seed) == kernel_reference.closure_all_pairs(g, seed), seed
+
+
+def _intercalate_swaps(table: np.ndarray, identity: int, limit: int) -> list:
+    """Up to ``limit`` corrupted copies of a group table, each with one 2 x 2
+    subsquare [[x, y], [y, x]] off the identity's row, column and value swapped
+    to [[y, x], [x, y]]: still a Latin square with the same identity and
+    inverses, so only the associativity check can refuse it."""
+    n = len(table)
+    out = []
+    others = [a for a in range(n) if a != identity]
+    for a, c in itertools.combinations(others, 2):
+        for b, d in itertools.combinations(others, 2):
+            x, y = table[a, b], table[a, d]
+            if identity not in (x, y) and table[c, b] == y and table[c, d] == x:
+                bad = table.copy()
+                bad[a, b], bad[a, d], bad[c, b], bad[c, d] = y, x, x, y
+                out.append(bad)
+                if len(out) == limit:
+                    return out
+    return out
+
+
+@pytest.mark.parametrize("panel", [None, 1, 3])
+def test_the_panelled_associativity_check_names_the_full_cube_witness(fixture_groups, panel,
+                                                                     monkeypatch):
+    # the panelled check raises at the least failing (a, b, c), as the whole
+    # n^3 cube does, with panels of one row, of several rows (a panel
+    # boundary inside the table) and of the whole table
+    corrupted = 0
+    for name, g in fixture_groups.items():
+        if panel is not None:
+            monkeypatch.setattr(groups, "_PANEL_ENTRIES", panel * g.order ** 2)
+        for bad in _intercalate_swaps(g.mult, g.identity, limit=3):
+            a, b, c = kernel_reference.associativity_witness_by_cube(bad)
+            with pytest.raises(NotAssociative) as exc:
+                FiniteGroup(bad)
+            assert str(exc.value) == f"({a}*{b})*{c} != {a}*({b}*{c})", name
+            corrupted += 1
+        assert FiniteGroup(g.mult) == g
+    assert corrupted >= 15
+
+
+def test_a_group_of_order_240_is_checked_in_panels(s5_times_z2):
+    # the n^3 comparison cubes of S5 x Z2 would take 2 x 110 MB
+    tracemalloc.start()
+    try:
+        FiniteGroup(s5_times_z2.mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ import pytest
 
 from ncgalois import groups, linalg, reps
 from ncgalois.errors import (
+    CenterSplitFailed,
     DecompositionFailed,
     IncompleteTable,
     NotAHomomorphism,
@@ -177,6 +178,85 @@ def test_irrep_tables_complete(fixture_groups):
         # characters pairwise orthonormal under the normalized average
         gram = table.characters @ table.characters.conj().T / g.order
         np.testing.assert_allclose(gram, np.eye(len(table.irreps)), atol=1e-10)
+
+
+def test_character_table_is_the_irrep_tables_characters(fixture_groups, s4_times_z2):
+    # the class-sum characters, in their own order, against the traces of the
+    # irreps split off the regular representation
+    cases = dict(fixture_groups)
+    cases["S4xZ2"] = s4_times_z2
+    for name, g in cases.items():
+        chars, table = reps.character_table(g), reps.irrep_table(g)
+        assert chars.dims == table.dims, name
+        assert np.max(np.abs(chars.characters - table.characters)) <= reps._CHARACTER_MATCH
+        assert reps.character_table(groups.FiniteGroup(g.mult)) is chars     # memoized
+    assert len(chars.dims) == 10 and chars.group == s4_times_z2
+
+
+@pytest.mark.slow
+def test_the_s5_times_z2_character_table_is_the_irrep_tables(s5_times_z2):
+    # 14 classes at order 240; the irrep table decomposes the 240-dimensional
+    # regular representation (about 12 s)
+    chars, table = reps.character_table(s5_times_z2), reps.irrep_table(s5_times_z2)
+    assert chars.dims == table.dims and len(chars.dims) == 14
+    assert np.max(np.abs(chars.characters - table.characters)) <= reps._CHARACTER_MATCH
+
+
+def _uncached_character_table(group, monkeypatch):
+    monkeypatch.setattr(reps, "_CHARACTER_CACHE", {})
+    return reps.character_table(group)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "S4"])
+def test_a_wrong_structure_constant_fails_the_character_table(name, fixture_groups, monkeypatch):
+    # negative control: one class-multiplication count c_ijl raised by 1
+    # (the last class sum times the last class, read at the first class),
+    # so the class matrices share no eigenbasis
+    g = fixture_groups[name]
+    honest = reps._class_matrices
+
+    def planted(group):
+        labels, sizes, stack = honest(group)
+        stack = stack.copy()
+        stack[-1, 0, -1] += np.sqrt(sizes[0] / sizes[-1])
+        return labels, sizes, stack
+
+    monkeypatch.setattr(reps, "_class_matrices", planted)
+    with pytest.raises(DecompositionFailed, match="the class sums share no eigenbasis"):
+        _uncached_character_table(g, monkeypatch)
+
+
+def _merging_first_draws(monkeypatch, merged: int) -> list:
+    """Patch ``linalg.spectral_blocks`` so that its first ``merged`` calls join
+    their first two blocks, as an exact eigenvalue collision would; returns
+    the list of calls."""
+    calls, honest = [], linalg.spectral_blocks
+
+    def colliding(h, tol=linalg.DEFAULT_TOL):
+        blocks = honest(h, tol)
+        calls.append(len(blocks))
+        if len(calls) <= merged:
+            blocks = [np.hstack(blocks[:2]), *blocks[2:]]
+        return blocks
+
+    monkeypatch.setattr(linalg, "spectral_blocks", colliding)
+    return calls
+
+
+def test_a_collision_in_the_class_sum_split_is_redrawn(s4, monkeypatch):
+    honest = reps.character_table(s4)
+    calls = _merging_first_draws(monkeypatch, merged=1)
+    redrawn = _uncached_character_table(s4, monkeypatch)
+    assert calls == [5, 5]
+    assert redrawn.dims == honest.dims
+    assert np.max(np.abs(redrawn.characters - honest.characters)) <= 1e-12
+
+
+def test_a_collision_on_every_draw_fails_the_split(s4, monkeypatch):
+    calls = _merging_first_draws(monkeypatch, merged=linalg._MAX_RESAMPLES)
+    with pytest.raises(CenterSplitFailed, match="could not separate 5 spectral components"):
+        _uncached_character_table(s4, monkeypatch)
+    assert len(calls) == linalg._MAX_RESAMPLES
 
 
 def test_irrep_table_memoized(s3):
