@@ -73,10 +73,6 @@ class NotAHomomorphism(ValidationError):
     pass
 
 
-class ZeroVector(ValidationError):
-    pass
-
-
 class NotIrreducible(NCGaloisError):
     pass
 

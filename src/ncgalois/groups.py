@@ -353,12 +353,6 @@ def involute(group: FiniteGroup, x) -> np.ndarray:
     return np.conj(x[group.inverse])
 
 
-def delta(group: FiniteGroup, a: int) -> np.ndarray:
-    v = np.zeros(group.order, dtype=np.complex128)
-    v[a] = 1.0
-    return v
-
-
 # ---------------------------------------------------------------------------
 # named groups used throughout the test-bench
 
@@ -370,13 +364,16 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def _perm_group(perms, labels):
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.intp)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            # act with q first, then p
-            table[i, j] = index[tuple(p[q[k]] for k in range(len(p)))]
+    """The group of the permutations ``perms``, listed in lexicographic order.
+
+    Element i * j acts with perms[j] first, then perms[i]: every product is
+    one fancy-indexed composition, and its index is its lexicographic rank
+    among ``perms``, read off their base-degree codes by ``np.searchsorted``.
+    """
+    p = np.asarray(perms, dtype=np.intp)
+    weights = p.shape[1] ** np.arange(p.shape[1] - 1, -1, -1)
+    products = p[:, p]                 # products[i, j, k] = p[i][p[j][k]]
+    table = np.searchsorted(p @ weights, products @ weights)
     return FiniteGroup(table, labels=labels)
 
 

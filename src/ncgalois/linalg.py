@@ -489,24 +489,27 @@ def sandwich_sum(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarr
 
 
 def intertwiner(left: np.ndarray, right: np.ndarray, rng) -> np.ndarray:
-    """Unitary s with L_k s = s R_k for all k, for two equivalent irreducible stacks.
+    """Isometry s with L_k s = s R_k for all k, for an irreducible stack R inside L.
 
     ``left`` and ``right`` are images of one family (a group, or a basis of
-    a full matrix algebra) under two equivalent irreducible actions of
-    dimension d.  Then X -> sum_k L_k X R_k* maps every X into the
-    intertwiner space, which is one-dimensional by Schur's lemma; a random
-    X lands on a nonzero multiple of a unitary almost surely.
+    a full matrix algebra) under two unitary actions, ``right`` irreducible
+    of dimension d and contained in ``left``, of dimension n >= d.  Then
+    X -> sum_k L_k X R_k* maps every n x d matrix X into the intertwiner
+    space, whose dimension is the multiplicity of R in L.  By Schur's lemma
+    s* s is a scalar for every intertwiner s, so a random X lands on a
+    nonzero multiple of an isometry almost surely; for n = d it is a unitary,
+    unique up to phase.
     """
-    d = left.shape[1]
+    n, d = left.shape[1], right.shape[1]
     right_adj = dagger(right)
     for _ in range(_MAX_RESAMPLES):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         s = sandwich_sum(left, x, right_adj)
         gram = dagger(s) @ s
         scale = float(gram[0, 0].real)
         if scale < 1e-10:
             continue
         if frob(gram - scale * np.eye(d)) > 1e-8 * max(scale, 1.0):
-            raise DecompositionFailed("intertwiner is not a multiple of a unitary")
+            raise DecompositionFailed("intertwiner is not a multiple of an isometry")
         return s / np.sqrt(scale)
     raise DecompositionFailed("averaged intertwiner vanished repeatedly")

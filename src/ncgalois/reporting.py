@@ -114,6 +114,19 @@ def _pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+def _from_pairs(entries, axes: int) -> np.ndarray:
+    """Nested lists of ``[re, im]`` pairs, ``axes`` deep, as a complex array:
+    the inverse of ``_pairs``.  The numbers are read as one float64 array of
+    shape (..., 2) and viewed as complex128, so each entry has the bits of
+    ``complex(re, im)`` (-0.0 included) and no Python complex is made."""
+    pairs = np.asarray(entries)
+    if pairs.size == 0:
+        return pairs.astype(np.complex128)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != axes + 1 or pairs.shape[-1] != 2:
+        raise SpecValidationError("entries must be nested lists of [re, im] number pairs")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _pairs(m.reshape(-1))}
@@ -131,8 +144,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         raise SpecValidationError(
             f"matrix has {len(entries)} entries, expected {rows * cols}"
         )
-    matrix = np.array([complex(re, im) for re, im in entries],
-                      dtype=np.complex128).reshape(rows, cols)
+    matrix = _from_pairs(entries, 1).reshape(rows, cols)
     _require_finite(matrix, what)
     return matrix
 
@@ -192,10 +204,7 @@ def rep_from_json(obj) -> UnitaryRep:
     check_fields(obj, {"group", "dim", "matrices"}, (), "representation")
     group = group_from_json(obj["group"])
     dim = spec_int(obj["dim"], "representation dim")
-    mats = np.array(
-        [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]],
-        dtype=np.complex128,
-    )
+    mats = _from_pairs(obj["matrices"], 3)
     if mats.shape != (group.order, dim, dim):
         raise SpecValidationError(
             f"matrices have shape {mats.shape}, expected {(group.order, dim, dim)}"

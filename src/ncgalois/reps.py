@@ -1,20 +1,22 @@
 """Unitary representations of finite groups and the Peter-Weyl toolkit.
 
-The decomposition strategy is the randomized commutant split: a random
-Hermitian element of the commutant (``linalg.random_split`` on the
-commutant kernel) commutes with the representation, so its eigenspaces
-are invariant; recursing until the character norm <chi, chi> of each
-piece is 1 yields irreducible pieces.
-
-The character table comes from the multiplication table alone, by the
-same split of the class-sum algebra (``character_table``); it fixes the
-canonical order of the irreducibles and is all that ``is_proper`` and the
-Galois correspondence read.  The irreducible matrices (``irrep_table``)
-are split once per group off the regular representation, in that order.
+Everything about the irreducibles starts from the character table, which
+comes from the multiplication table alone by a randomized split of the
+class-sum algebra (``character_table``); it fixes the canonical order of
+the irreducibles and is all that ``is_proper`` and the Galois
+correspondence read.  The irreducible matrices (``irrep_table``) are read
+off the left-regular action by index, with no |G| x |G| x |G| stack: each
+is the compression of the left translations to one copy of its isotypic
+component, split into copies by a seeded element of the right-regular
+action.  A representation is decomposed (``invariant_isometries``,
+``decompose``) by the multiplicities of character pairing and, for each
+copy, an intertwiner averaged over the group (Schur's lemma), so no
+commutant is solved and nothing is split recursively.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +30,6 @@ from .errors import (
     NotAHomomorphism,
     NotIrreducible,
     ParentMismatch,
-    ZeroVector,
 )
 from .groups import FiniteGroup, conjugacy_classes
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frob
@@ -89,11 +90,12 @@ class UnitaryRep:
 
 
 def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
-    """U(e) = 1 and U(a)U(s) = U(as) for every a and generator s, one |G|·|S| stack."""
+    """U(e) = 1 and U(a)U(s) = U(as) for every a and generator s, one |G| stack
+    per generator."""
     if not frob(mats[group.identity] - np.eye(mats.shape[1])) <= 1e-8:
         raise NotAHomomorphism("identity element does not map to identity matrix")
-    s = list(group.generators)
-    err = float(np.max(np.abs(mats[:, None] @ mats[s] - mats[group.mult[:, s]]), initial=0.0))
+    err = float(np.max([np.max(np.abs(mats @ mats[s] - mats[group.mult[:, s]]))
+                        for s in group.generators], initial=0.0))
     if not err <= 1e-8:
         raise NotAHomomorphism(f"homomorphism violated, residual {err:.3e}")
 
@@ -145,7 +147,7 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
 
 
 # ---------------------------------------------------------------------------
-# unitarization and the averaging operator
+# unitarization
 
 
 def unitarize(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> UnitaryRep:
@@ -165,58 +167,6 @@ def unitarize(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> Uni
     return UnitaryRep(group, root @ mats @ root_inv)
 
 
-def weyl_operator(rep: UnitaryRep, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Group average of the rank-one projections onto the orbit of ``u``.
-
-    ``K = (1/order) sum_g (U_g u)(U_g u)*`` is Hermitian, positive, and
-    commutes with every representation matrix; its eigenspaces are
-    invariant subspaces.
-    """
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    if np.linalg.norm(u) <= tol.abs_eps:
-        raise ZeroVector("cannot average the orbit of the zero vector")
-    orbit = rep.matrices @ u
-    return np.einsum("gi,gj->ij", orbit, orbit.conj()) / rep.group.order
-
-
-# ---------------------------------------------------------------------------
-# splitting into irreducible invariant subspaces
-
-
-def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL):
-    """Isometries onto irreducible invariant subspaces, deterministically seeded.
-
-    A carrier is irreducible when its character norm <chi, chi>, the
-    commutant dimension (Serre, section 2.3), is 1; only a reducible one
-    is split, by its commutant kernel.  Each split piece q must carry an
-    invariant subspace: U q = q (q* U q) must hold to 1e-9 k for each
-    generator's U on the k-dimensional carrier being split.
-    """
-    rng = np.random.default_rng(seed)
-    gens = list(rep.group.generators)
-    out = []
-    stack = [np.eye(rep.dim, dtype=np.complex128)]
-    while stack:
-        q = stack.pop()
-        k = q.shape[1]
-        sub = linalg.compress(rep.matrices, q)
-        chi = np.einsum("gii->g", sub)
-        if abs(character_inner(rep.group, chi, chi).real - 1.0) <= 1e-6:
-            out.append(q)
-            continue
-        kernel = linalg.commutant_kernel(sub, tol)
-        for piece in linalg.random_split(kernel.T.reshape(-1, k, k), rng, 2, tol):
-            moved = sub[gens] @ piece - piece @ linalg.compress(sub[gens], piece)
-            res = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
-            if res >= 1e-9 * k:
-                raise DecompositionFailed(
-                    f"split piece of size {piece.shape[1]} is not invariant "
-                    f"(residual {res:.3e})"
-                )
-            stack.append(q @ piece)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # irreducible tables, canonicalized per group
 
@@ -232,14 +182,6 @@ class IrrepTable:
     @property
     def dims(self) -> tuple:
         return tuple(r.dim for r in self.irreps)
-
-    def index_of_character(self, chi: np.ndarray) -> int:
-        best, distance = _nearest_character(self.characters, chi)
-        if best is None:
-            raise DecompositionFailed(
-                f"character matches no table entry (distance {distance:.3e})"
-            )
-        return best
 
 
 def _nearest_character(characters, chi) -> tuple:
@@ -347,13 +289,23 @@ def _class_matrices(group: FiniteGroup) -> tuple:
 
 
 def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
-    """All irreducibles of the group, from its regular representation.
+    """All irreducibles of the group, one per row of ``character_table``, in its order.
 
-    Memoized on the multiplication table; the cached value is shared by
-    every group object with the same table.  The result is canonical: one
-    irrep per row of ``character_table``, in its order, each the first
-    piece of the regular representation (``invariant_isometries``) whose
-    character matches that row.  The characters are the irreps' own traces.
+    The left-regular action L_g e_y = e_{gy} is read off ``mult`` and never
+    formed.  For a character chi of degree d, its isotypic component is the
+    range of p = (d/|G|) sum_g conj(chi(g)) L_g (Serre, Linear Representations
+    of Finite Groups, section 2.6), whose entry [x, y] is
+    (d/|G|) conj(chi(x y^-1)); it holds d copies of the irrep.  The
+    right-regular action R_h e_y = e_{y h^-1} commutes with every L_g, and
+    the seeded element sum_h c_h R_h, whose entry [x, y] is c(x^-1 y), acts on
+    the component as a generic element of the copies' d x d commutant:
+    ``linalg.random_split`` of it must give d blocks of size d, the copies.
+    The irrep's matrices are the left translations compressed to the first
+    copy q, with (L_g q)[x] = q[g^-1 x].  Each is certified as a
+    ``UnitaryRep`` and by its character, which must match the table's row
+    within ``_CHARACTER_MATCH``; the table's characters are the irreps' own
+    traces.  Memoized on the multiplication table; the cached value is
+    shared by every group object with the same table.
     """
     key = group.key()
     with _TABLE_LOCK:
@@ -362,24 +314,67 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
         return cached
 
     chars = character_table(group, tol)
-    reg = regular_rep(group)
-    irreps: list = [None] * len(chars.dims)
-    for q in invariant_isometries(reg, _TABLE_SEED, tol):
-        mats = linalg.compress(reg.matrices, q)
-        index, distance = _nearest_character(chars.characters, np.einsum("gii->g", mats))
-        if index is None:
+    n = group.order
+    quotient = group.mult[:, group.inverse]    # quotient[x, y] = x y^-1
+    moved = group.mult[group.inverse]          # moved[x, y] = x^-1 y
+    rng = np.random.default_rng(_TABLE_SEED)
+    irreps = []
+    for chi, d in zip(chars.characters, chars.dims):
+        p = (d / n) * chi.conj()[quotient]
+        # from_span spans rows, so p.T gives p's range; p's own rows span the conjugate
+        basis = linalg.Subspace.from_span(p.T, n, tol).basis
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        right = dagger(basis) @ c[moved] @ basis
+        copies = linalg.random_split(right[None], rng, d, tol)
+        if [q.shape[1] for q in copies] != [d] * d:
             raise DecompositionFailed(
-                f"an irreducible piece matches no class-sum character (distance {distance:.3e})")
-        if irreps[index] is None:
-            irreps[index] = UnitaryRep(group, mats)
-    if None in irreps:
-        raise DecompositionFailed(
-            "the regular representation misses a character: "
-            f"{[r is not None for r in irreps]}")
+                f"the isotypic component of a degree-{d} character splits into copies "
+                f"of sizes {[q.shape[1] for q in copies]}")
+        q = basis @ copies[0]
+        irrep = UnitaryRep(group, np.stack([dagger(q) @ q[row] for row in moved]))
+        match, distance = _nearest_character(chi[None], irrep.character())
+        if match is None:
+            raise DecompositionFailed(
+                f"an irreducible's character misses its table row (distance {distance:.3e})")
+        irreps.append(irrep)
     table = IrrepTable(group, tuple(irreps), np.array([r.character() for r in irreps]))
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table
+
+
+def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> list:
+    """(table index, isometry) of every irreducible copy in ``rep``, in table order.
+
+    Each irrep rho of ``irrep_table`` appears as often as its multiplicity m
+    from character pairing (``multiplicities``).  Its m isometries q are
+    drawn by ``linalg.intertwiner`` (U(g) q = q rho(g)) and made orthogonal
+    in the intertwiner space: by Schur's lemma q_i* s is a scalar for any
+    intertwiner s, so subtracting the projection onto the earlier copies
+    leaves an intertwiner.  Every copy is certified: U(s) q - q rho(s) on
+    each generator s, and q*[earlier copies, q] - [0, 1], must stay within
+    1e-9 times the dimension of ``rep``, else ``DecompositionFailed``.
+    """
+    table = irrep_table(rep.group, tol)
+    rng = np.random.default_rng(seed)
+    gens = list(rep.group.generators)
+    out = []
+    found = np.zeros((rep.dim, 0), dtype=np.complex128)
+    for index, (irrep, m) in enumerate(zip(table.irreps, multiplicities(rep, table))):
+        for _ in range(m):
+            s = linalg.intertwiner(rep.matrices, irrep.matrices, rng)
+            s = s - found @ (dagger(found) @ s)
+            q = s / np.sqrt(np.vdot(s[:, 0], s[:, 0]).real)
+            found = np.hstack([found, q])
+            moved = rep.matrices[gens] @ q - q @ irrep.matrices[gens]
+            width = found.shape[1]
+            overlap = dagger(q) @ found - np.eye(irrep.dim, width, width - irrep.dim)
+            res = max(float(np.max(np.linalg.norm(moved, axis=(1, 2)))), frob(overlap))
+            if not res <= 1e-9 * rep.dim:
+                raise DecompositionFailed(
+                    f"copy of irrep {index} does not intertwine (residual {res:.3e})")
+            out.append((index, q))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,35 +394,17 @@ class Decomposition:
 def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Decompose into canonical irreducible blocks.
 
-    The intertwiner is unitary and conjugation by it maps the source to an
-    exact direct sum of table irreps, sorted by table index with equal
-    blocks adjacent.  Raises DecompositionFailed when the character norm
-    <chi, chi> of the source, which is the commutant dimension (Serre,
-    section 2.3), disagrees with the multiplicity accounting; that signals
-    a tolerance problem rather than bad input.
+    The intertwiner stacks the copies of ``invariant_isometries``; it is
+    unitary and conjugation by it maps the source to an exact direct sum of
+    table irreps, sorted by table index with equal blocks adjacent.  Raises
+    DecompositionFailed when the character norm <chi, chi> of the source,
+    which is the commutant dimension (Serre, section 2.3), disagrees with
+    the copies found, or their dimensions do not sum to the source's; that
+    signals a tolerance problem rather than bad input.
     """
     table = irrep_table(rep.group, tol)
-    rng = np.random.default_rng(seed)
     pieces = invariant_isometries(rep, seed, tol)
-    labelled = []
-    for q in pieces:
-        sub = linalg.compress(rep.matrices, q)
-        chi = np.einsum("gii->g", sub)
-        idx = table.index_of_character(chi)
-        w = linalg.intertwiner(sub, table.irreps[idx].matrices, rng)
-        labelled.append((idx, q @ w))
-    labelled.sort(key=lambda t: t[0])
-
-    blocks = []
-    columns = []
-    for idx, q in labelled:
-        if blocks and blocks[-1][0] == idx:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([idx, 1])
-        columns.append(q)
-    intertwiner = np.hstack(columns)
-
+    blocks = tuple((i, len(list(run))) for i, run in itertools.groupby(i for i, _ in pieces))
     squares = sum(m * m for _, m in blocks)
     chi = rep.character()
     norm = character_inner(rep.group, chi, chi).real
@@ -438,7 +415,7 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
         )
     if sum(table.irreps[i].dim * m for i, m in blocks) != rep.dim:
         raise DecompositionFailed("block dimensions do not sum to the source dimension")
-    return Decomposition(rep, table, tuple((i, m) for i, m in blocks), intertwiner)
+    return Decomposition(rep, table, blocks, np.hstack([q for _, q in pieces]))
 
 
 def multiplicities(rep: UnitaryRep, table: IrrepTable | None = None) -> np.ndarray:
@@ -455,12 +432,7 @@ def multiplicities(rep: UnitaryRep, table: IrrepTable | None = None) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# matrix coefficients, characters, Schur orthogonality
-
-
-def matrix_coefficients(rep: UnitaryRep) -> np.ndarray:
-    """D[i, j] as group functions: D[i, j, g] = rep(g)[i, j]."""
-    return rep.matrices.transpose(1, 2, 0).copy()
+# characters and Schur orthogonality
 
 
 def character_inner(group: FiniteGroup, chi1, chi2) -> complex:

@@ -569,3 +569,15 @@ def tomita_takesaki_by_whole_family(md, tol: Tolerance = DEFAULT_TOL) -> tuple:
         flow = max(flow, left_span.distance(Subspace.from_span(moved.reshape(d, -1), d * d, tol)))
     return comm_span, {"jmj_in_commutant": float(comm_span.residual(jmj.reshape(d, -1).T)),
                        "flow_invariance": float(flow)}
+
+
+def perm_group_table_by_loop(perms) -> np.ndarray:
+    """The multiplication table of a group of permutations, element i * j acting
+    with perms[j] first: every pair composed in a Python double loop and looked
+    up by tuple."""
+    index = {tuple(p): i for i, p in enumerate(perms)}
+    table = np.zeros((len(perms), len(perms)), dtype=np.intp)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(p[q[k]] for k in range(len(p)))]
+    return table

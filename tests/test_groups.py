@@ -20,7 +20,6 @@ from ncgalois.groups import (
     FiniteGroup,
     Subgroup,
     convolve,
-    delta,
     enumerate_subgroups,
     involute,
     is_normal,
@@ -223,6 +222,18 @@ def test_the_panelled_associativity_check_names_the_full_cube_witness(fixture_gr
     assert corrupted >= 15
 
 
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: groups.symmetric_group(n) for n in (3, 4, 5, 6)),
+    *(lambda n=n: groups.alternating_group(n) for n in (4, 5)),
+], ids=["S3", "S4", "S5", "S6", "A4", "A5"])
+def test_permutation_groups_compose_like_the_double_loop(monkeypatch, make):
+    # each table is taken before FiniteGroup's checks, which are most of S6's build
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, labels: (table, labels))
+    table, labels = make()
+    perms = [tuple(map(int, label)) for label in labels]
+    assert np.array_equal(table, kernel_reference.perm_group_table_by_loop(perms))
+
+
 def test_a_group_of_order_240_is_checked_in_panels(s5_times_z2):
     # the n^3 comparison cubes of S5 x Z2 would take 2 x 110 MB
     tracemalloc.start()
@@ -380,14 +391,15 @@ def test_convolution_function_convention_z2():
 
 def test_convolution_measure_unit(s3, rng):
     y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    np.testing.assert_allclose(convolve(s3, delta(s3, s3.identity), y, kind="measure"), y)
+    np.testing.assert_allclose(convolve(s3, np.eye(6)[s3.identity], y, kind="measure"), y)
 
 
 def test_point_measures_convolve_like_the_group(s3):
+    point = np.eye(6)
     for a in range(6):
         for b in range(6):
-            out = convolve(s3, delta(s3, a), delta(s3, b), kind="measure")
-            np.testing.assert_allclose(out, delta(s3, s3.op(a, b)), atol=1e-14)
+            out = convolve(s3, point[a], point[b], kind="measure")
+            np.testing.assert_allclose(out, point[s3.op(a, b)], atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["Z6", "S3", "D4", "Q8"])

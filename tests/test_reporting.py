@@ -20,6 +20,34 @@ def test_matrix_rejects_bad_shape():
         reporting.matrix_from_json({"rows": 1, "cols": 1})
 
 
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.complex128).tobytes()
+
+
+def test_decoded_entries_have_the_bits_of_complex_pairs(s3):
+    # -0.0 in either part, an integer, a subnormal and a large value decode to
+    # exactly the bits of complex(re, im), through both readers
+    pairs = [[-0.0, 0.0], [0.0, -0.0], [3, -0.0], [5e-324, -1e300], [-1.5, 2 ** -60]]
+    matrix = reporting.matrix_from_json({"rows": 5, "cols": 1, "entries": pairs})
+    assert matrix.shape == (5, 1)
+    assert _bits(matrix) == _bits([complex(re, im) for re, im in pairs])
+    obj = reporting.rep_to_json(reps.regular_rep(s3))
+    for m in obj["matrices"]:
+        for row in m:
+            row[:] = [[re, -0.0 if im == 0 else im] for re, im in row]
+    rep = reporting.rep_from_json(obj)
+    expected = [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]]
+    assert _bits(rep.matrices) == _bits(expected)
+    assert np.signbit(rep.matrices.imag).all()
+
+
+@pytest.mark.parametrize("entries", [[["1", 0]], [[1, 0, 0]], [[1]], [[[1, 0]]]],
+                         ids=["string", "triple", "single", "nested"])
+def test_matrix_entries_must_be_number_pairs(entries):
+    with pytest.raises(SpecValidationError, match=r"\[re, im\] number pairs"):
+        reporting.matrix_from_json({"rows": 1, "cols": 1, "entries": entries})
+
+
 def test_group_roundtrip(s3):
     back = reporting.group_from_json(reporting.group_to_json(s3))
     assert back == s3

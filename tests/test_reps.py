@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import time
 import tracemalloc
 
 import kernel_reference
@@ -13,7 +13,6 @@ from ncgalois.errors import (
     IncompleteTable,
     NotAHomomorphism,
     NotIrreducible,
-    ZeroVector,
 )
 from ncgalois.linalg import dagger, frob
 
@@ -128,40 +127,6 @@ def test_unitarize_rejects_non_homomorphism():
         reps.unitarize(z2, np.array([np.eye(2), np.diag([1.0, 0.5])]))
 
 
-# -- Weyl averaging ---------------------------------------------------------
-
-
-def test_weyl_trivial_rep():
-    z2 = groups.cyclic_group(2)
-    triv = kernel_reference.trivial_rep(z2, dim=2)
-    u = np.array([1.0, 0.0])
-    k = reps.weyl_operator(triv, u)
-    np.testing.assert_allclose(k, np.outer(u, u))
-
-
-def test_weyl_regular_z2_delta():
-    z2 = groups.cyclic_group(2)
-    reg = reps.regular_rep(z2)
-    k = reps.weyl_operator(reg, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(k, np.eye(2) / 2.0)
-
-
-def test_weyl_commutes_and_is_bounded(s3_perm, rng):
-    for _ in range(5):
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        k = reps.weyl_operator(s3_perm, u)
-        assert frob(k - dagger(k)) < 1e-12
-        for m in s3_perm.matrices:
-            assert frob(k @ m - m @ k) < 1e-10
-        norm_bound = float(np.vdot(u, u).real)
-        assert np.linalg.norm(k, 2) <= norm_bound + 1e-10
-
-
-def test_weyl_rejects_zero_vector(s3_perm):
-    with pytest.raises(ZeroVector):
-        reps.weyl_operator(s3_perm, np.zeros(3))
-
-
 # -- irreducible tables and decomposition -----------------------------------
 
 
@@ -182,7 +147,7 @@ def test_irrep_tables_complete(fixture_groups):
 
 def test_character_table_is_the_irrep_tables_characters(fixture_groups, s4_times_z2):
     # the class-sum characters, in their own order, against the traces of the
-    # irreps split off the regular representation
+    # irreps compressed from the left-regular action
     cases = dict(fixture_groups)
     cases["S4xZ2"] = s4_times_z2
     for name, g in cases.items():
@@ -193,13 +158,48 @@ def test_character_table_is_the_irrep_tables_characters(fixture_groups, s4_times
     assert len(chars.dims) == 10 and chars.group == s4_times_z2
 
 
+def _traced_irrep_table(group, monkeypatch) -> tuple:
+    """(table, seconds, tracemalloc peak in bytes) of one uncached ``irrep_table``."""
+    monkeypatch.setattr(reps, "_TABLE_CACHE", {})
+    reps.character_table(group)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = reps.irrep_table(group)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table, seconds, peak
+
+
+def _peter_weyl_residual(table) -> float:
+    basis, _ = reps.peter_weyl_basis(table)
+    order = table.group.order
+    return float(np.max(np.abs(basis @ basis.conj().T / order - np.eye(order))))
+
+
 @pytest.mark.slow
-def test_the_s5_times_z2_character_table_is_the_irrep_tables(s5_times_z2):
-    # 14 classes at order 240; the irrep table decomposes the 240-dimensional
-    # regular representation (about 12 s)
-    chars, table = reps.character_table(s5_times_z2), reps.irrep_table(s5_times_z2)
+def test_the_s5_times_z2_character_table_is_the_irrep_tables(s5_times_z2, monkeypatch):
+    # 14 classes at order 240; the table is read off the left-regular action
+    # by index (it took 11-16 s and an 810 MiB traced peak when it decomposed
+    # the 240-dimensional regular representation)
+    table, seconds, peak = _traced_irrep_table(s5_times_z2, monkeypatch)
+    chars = reps.character_table(s5_times_z2)
     assert chars.dims == table.dims and len(chars.dims) == 14
     assert np.max(np.abs(chars.characters - table.characters)) <= reps._CHARACTER_MATCH
+    assert seconds <= 2.0 and peak <= 100 * 2 ** 20, (seconds, peak)
+
+
+@pytest.mark.slow
+def test_the_s6_irrep_table_from_its_characters(monkeypatch):
+    # order 720, whose regular representation alone would take 6 GB
+    s6 = groups.symmetric_group(6)
+    table, seconds, peak = _traced_irrep_table(s6, monkeypatch)
+    assert table.dims == (1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16)
+    assert np.max(np.abs(table.characters - reps.character_table(s6).characters)) <= 1e-12
+    assert _peter_weyl_residual(table) <= 1e-10
+    assert seconds <= 20.0 and peak <= 200 * 2 ** 20, (seconds, peak)
 
 
 def _uncached_character_table(group, monkeypatch):
@@ -273,39 +273,75 @@ def test_decompose_irreducible_block(s3, s3_table):
 
 
 def test_invariant_isometries_reject_a_split_that_is_not_invariant(s3, monkeypatch):
-    # splitting off a coordinate line of the regular carrier breaks
-    # invariance, which the per-piece residual must catch
+    # a doctored intertwiner, the first coordinate columns of the regular
+    # carrier, spans no invariant subspace, which the per-copy residual must catch
     reg = reps.regular_rep(s3)
-    assert sorted(q.shape[1] for q in reps.invariant_isometries(reg, 0)) == [1, 1, 2, 2]
-
-    honest = linalg.random_split
-
-    def coordinate_split(stack, rng, parts=1, tol=linalg.DEFAULT_TOL):
-        if parts == 1:  # the commutant kernel's own reduction stays honest
-            return honest(stack, rng, parts, tol)
-        eye = np.eye(stack.shape[1], dtype=complex)
-        return [eye[:, :1], eye[:, 1:]]
-
-    monkeypatch.setattr(linalg, "random_split", coordinate_split)
-    with pytest.raises(DecompositionFailed, match="not invariant"):
+    pieces = reps.invariant_isometries(reg, 0)
+    assert [(i, q.shape[1]) for i, q in pieces] == [(0, 1), (1, 1), (2, 2), (2, 2)]
+    monkeypatch.setattr(linalg, "intertwiner",
+                        lambda left, right, rng: np.eye(left.shape[1], right.shape[1]))
+    with pytest.raises(DecompositionFailed, match="copy of irrep 0 does not intertwine"):
         reps.invariant_isometries(reg, 0)
 
 
 def test_decompose_certifies_multiplicities_by_the_character_norm(s3, monkeypatch):
-    # <chi, chi> = 6 for the regular representation of S3; dropping one
-    # 2-dimensional piece leaves multiplicities whose squares sum to 3
+    # <chi, chi> = 6 for the regular representation of S3; dropping one copy
+    # of the 2-dimensional irrep leaves multiplicities whose squares sum to 3
     reg = reps.regular_rep(s3)
     honest = reps.invariant_isometries
 
     def dropped(rep, seed, tol=linalg.DEFAULT_TOL):
         pieces = honest(rep, seed, tol)
-        j = next(i for i, q in enumerate(pieces) if q.shape[1] == 2)
-        return pieces[:j] + pieces[j + 1:]
+        return pieces[:-1]
 
-    assert reps.decompose(reg, seed=9).blocks
+    assert reps.decompose(reg, seed=9).blocks == ((0, 1), (1, 1), (2, 2))
     monkeypatch.setattr(reps, "invariant_isometries", dropped)
     with pytest.raises(DecompositionFailed, match="squared multiplicities 3"):
         reps.decompose(reg, seed=9)
+
+
+def test_irrep_table_decompose_and_copies_never_build_the_regular_rep(fixture_groups,
+                                                                    monkeypatch):
+    rep = reps.permutation_rep(fixture_groups["S4"], groups.symmetric_action(4))
+    calls = []
+    honest = reps.regular_rep
+    monkeypatch.setattr(reps, "regular_rep", lambda group: calls.append(group) or honest(group))
+    monkeypatch.setattr(reps, "_TABLE_CACHE", {})
+    for g in fixture_groups.values():
+        reps.irrep_table(g)
+    assert reps.decompose(rep, seed=2).blocks == ((1, 1), (4, 1))
+    reps.invariant_isometries(rep, 2)
+    assert calls == []
+    reps.regular_rep(rep.group)   # the counter does see a call
+    assert len(calls) == 1
+
+
+def test_the_conjugate_component_fails_the_irrep_table(fixture_groups, monkeypatch):
+    # negative control: spanning the rows of p instead of its columns gives
+    # the component of conj(chi), a different irrep wherever chi is not real,
+    # as for A4's two complex linear characters
+    honest = linalg.Subspace.from_span
+    monkeypatch.setattr(linalg.Subspace, "from_span", staticmethod(
+        lambda vectors, n, tol=linalg.DEFAULT_TOL: honest(vectors.T, n, tol)))
+    monkeypatch.setattr(reps, "_TABLE_CACHE", {})
+    assert reps.irrep_table(fixture_groups["S4"]).dims == (1, 1, 2, 3, 3)   # real characters
+    with pytest.raises(DecompositionFailed, match="misses its table row"):
+        reps.irrep_table(fixture_groups["A4"])
+
+
+def test_a_merged_pair_of_copies_fails_the_irrep_table(s4, monkeypatch):
+    # negative control: the right-regular split returns two copies of a
+    # 3-dimensional irrep as one block
+    honest = linalg.random_split
+
+    def merged(stack, rng, parts=1, tol=linalg.DEFAULT_TOL):
+        blocks = honest(stack, rng, parts, tol)
+        return [np.hstack(blocks[:2]), *blocks[2:]] if parts == 3 else blocks
+
+    monkeypatch.setattr(linalg, "random_split", merged)
+    monkeypatch.setattr(reps, "_TABLE_CACHE", {})
+    with pytest.raises(DecompositionFailed, match=r"copies of sizes \[6, 3\]"):
+        reps.irrep_table(s4)
 
 
 def test_decompose_regular_s3(s3):
@@ -354,16 +390,14 @@ def test_decompose_commutant_accounting(d4, rng):
     mults = sorted(m for _, m in dec.blocks)
     assert mults == [1, 2]
     assert linalg.commutant_kernel(rep.matrices).shape[1] == 5
+    # the two copies of the 2-dimensional irrep are orthogonal intertwiners
+    u = dec.intertwiner
+    expected = reps.direct_sum(*(table.irreps[i] for i, m in dec.blocks for _ in range(m)))
+    assert frob(dagger(u) @ u - np.eye(5)) <= 1e-12
+    assert np.max(np.abs(linalg.compress(rep.matrices, u) - expected.matrices)) <= 1e-12
 
 
 # -- coefficients, characters, orthogonality --------------------------------
-
-
-def test_matrix_coefficients_shape_and_values(s3_perm):
-    d = reps.matrix_coefficients(s3_perm)
-    assert d.shape == (3, 3, 6)
-    for g in range(6):
-        np.testing.assert_allclose(d[:, :, g], s3_perm.matrices[g])
 
 
 def test_coefficient_norm_two_dim_irrep(s3_table, s3):
@@ -460,7 +494,7 @@ def test_peter_weyl_rejects_incomplete(s3, s3_table):
 
 
 def test_fourier_of_delta_is_identity(s3, s3_table):
-    blocks = reps.fourier(s3_table, groups.delta(s3, s3.identity))
+    blocks = reps.fourier(s3_table, np.eye(6)[s3.identity])
     for rep, block in zip(s3_table.irreps, blocks):
         np.testing.assert_allclose(block, np.eye(rep.dim), atol=1e-14)
 
@@ -489,13 +523,13 @@ def test_fourier_is_algebra_map(s3, s3_table, rng):
 def test_measure_rep_of_delta(s3):
     reg = reps.regular_rep(s3)
     np.testing.assert_allclose(
-        reps.measure_rep(reg, groups.delta(s3, s3.identity)), np.eye(6)
+        reps.measure_rep(reg, np.eye(6)[s3.identity]), np.eye(6)
     )
     for a in range(6):
         for b in range(6):
-            lhs = (reps.measure_rep(reg, groups.delta(s3, a))
-                   @ reps.measure_rep(reg, groups.delta(s3, b)))
-            rhs = reps.measure_rep(reg, groups.delta(s3, s3.op(a, b)))
+            lhs = (reps.measure_rep(reg, np.eye(6)[a])
+                   @ reps.measure_rep(reg, np.eye(6)[b]))
+            rhs = reps.measure_rep(reg, np.eye(6)[s3.op(a, b)])
             assert frob(lhs - rhs) < 1e-12
 
 
@@ -543,9 +577,5 @@ def test_a_character_at_the_match_bound_is_a_match(s3):
     chi = exact[two_dim].copy()
     chi[at] = reps._CHARACTER_MATCH
     assert reps._nearest_character(exact, chi) == (two_dim, reps._CHARACTER_MATCH)
-    doctored = dataclasses.replace(table, characters=exact)
-    assert doctored.index_of_character(chi) == two_dim
     chi[at] = np.nextafter(reps._CHARACTER_MATCH, 1.0)
     assert reps._nearest_character(exact, chi)[0] is None
-    with pytest.raises(DecompositionFailed, match="matches no table entry"):
-        doctored.index_of_character(chi)
