@@ -68,8 +68,8 @@ from . import reps as rp
 from .algebras import StarAlgebra
 from .errors import ClosureFailed, DecompositionFailed
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
-from .linalg import (DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress, dagger, frob,
-                     random_split)
+from .linalg import (_MAX_RESAMPLES, DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress,
+                     dagger, frob, random_split)
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
@@ -342,26 +342,30 @@ def _require_isotypic_count(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subg
     z = E_H(sum_h c_h U_h) weighs each H-class of U(H) at random, so it is
     central in span U(H): its spectral blocks are the isotypic components,
     of rank d_rho m_rho, and span U(H) compressed to one is End(V_rho) (x) 1,
-    of dimension d_rho^2 (Serre, 2.6).
+    of dimension d_rho^2 (Serre, 2.6).  A draw whose split merges two
+    components fails and is redrawn, up to ``_MAX_RESAMPLES`` draws.
     """
     members = list(subgroup.members)
-    c = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
-    z = ncprob.conditional_expectation(np.tensordot(c, pi.matrices[members], axes=1), pi,
-                                       subgroup)
-    total = 0
-    for q in random_split(z[None], rng, tol=tol):
-        e = q.shape[1]
-        d2 = Subspace.from_span(compress(once.basis, q).reshape(once.dim, -1), e * e, tol).dim
-        d = math.isqrt(d2)
-        if d * d != d2 or e % d:
-            raise DecompositionFailed(
-                f"an isotypic block of rank {e} carries a span of dimension {d2}, "
-                f"not d^2 for a d that divides {e}")
-        total += (e // d) ** 2
-    if abs(total - count) > 1e-6:
-        raise DecompositionFailed(
-            f"the isotypic multiplicities give dim M^H = {total}, "
-            f"the character formula gives {count:.6g}")
+    for _ in range(_MAX_RESAMPLES):
+        c = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
+        z = ncprob.conditional_expectation(np.tensordot(c, pi.matrices[members], axes=1), pi,
+                                           subgroup)
+        total = 0
+        for q in random_split(z[None], rng, tol=tol):
+            e = q.shape[1]
+            d2 = Subspace.from_span(compress(once.basis, q).reshape(once.dim, -1), e * e, tol).dim
+            d = math.isqrt(d2)
+            if d * d != d2 or e % d:
+                failure = (f"an isotypic block of rank {e} carries a span of dimension {d2}, "
+                           f"not d^2 for a d that divides {e}")
+                break
+            total += (e // d) ** 2
+        else:
+            if abs(total - count) <= 1e-6:
+                return
+            failure = (f"the isotypic multiplicities give dim M^H = {total}, "
+                       f"the character formula gives {count:.6g}")
+    raise DecompositionFailed(failure)
 
 
 def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
@@ -372,25 +376,13 @@ def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
     return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
 
 
-def _character_matrix(pi: rp.UnitaryRep, subgroup: Subgroup) -> np.ndarray:
-    """K[a, b] = chi(a^-1 b) over the members a, b of H, chi the character of ``pi``.
-
-    K is convolution by chi on C[H]: its eigenvalue is |H| m_rho / d_rho,
-    at least 1, on the d_rho^2 functions of each constituent rho of U|_H,
-    and 0 elsewhere (Serre, 2.4-2.6).  So its rank, read at the cut 1/2,
-    is dim span U(H).
-    """
-    group, h = pi.group, np.asarray(subgroup.members)
-    return pi.character()[group.mult[np.ix_(group.inverse[h], h)]]
-
-
 def _first_commutant_certificate(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup):
     """(ok, residual): whether ``once`` is span U(H) = (M^H)' in a full M, that is
-    of dimension rank K (``_character_matrix``) with every U(h)/||U_h||_F, h in
-    H, in it within the bound, and the worst of those membership residuals.
+    of dimension ``reps._span_rank`` with every U(h)/||U_h||_F, h in H, in it
+    within the bound, and the worst of those membership residuals.
     ``once`` need only contain span U(H), as any commutant of elements of
     M^H does: the rank then decides equality."""
-    rank = int(np.sum(np.linalg.eigvalsh(_character_matrix(pi, subgroup)) > 0.5))
+    rank = rp._span_rank(pi, subgroup.members)
     units = pi.matrices[list(subgroup.members)].reshape(subgroup.order, -1)
     units = units / np.linalg.norm(units, axis=1)[:, None]
     residual = once.subspace().residual(units.T)

@@ -25,12 +25,10 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-# eigenvalues of a generic Hermitian closer than this belong to one block
-_EIGENVALUE_GAP = 1e-8
 # eigenvectors of a unit-norm Hermitian whose eigenvalues lie g apart mix at
 # about u / g, u the unit roundoff (Davis and Kahan, SIAM J. Numer. Anal.
-# 1970), so a split with a gap past _EIGENVALUE_GAP but within this one is
-# redrawn: beyond it the mixing stays under 1e-11
+# 1970), so eigenvalues within this gap share a block: past it the mixing
+# between blocks stays under 1e-11
 _MIXING_GAP = 2.0 ** -53 / 1e-11
 # commutant_kernel splits with a generator of this seed, so results repeat
 _SPLIT_SEED = 0
@@ -303,21 +301,17 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list | None:
+def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
     """Eigenvector blocks of a Hermitian matrix, one per eigenvalue cluster.
 
     A new block starts wherever consecutive ascending eigenvalues differ by
-    more than the collision gap.  Applied to a generic Hermitian element of
-    a commutant or center, this is the split step of the randomized
-    decomposition (Dixon, Math. Comp. 1970).  None when two consecutive
-    eigenvalues differ by more than the collision gap but at most
-    ``_MIXING_GAP``: their blocks would be accurate only to u / gap.
+    more than ``_MIXING_GAP``, so each block is accurate to u / gap < 1e-11
+    and nearly colliding eigenvalues share one.  Applied to a generic
+    Hermitian element of a commutant or center, this is the split step of
+    the randomized decomposition (Dixon, Math. Comp. 1970).
     """
     w, v = hermitian_eig(h, tol)
-    gaps = np.diff(w)
-    if np.any((gaps > _EIGENVALUE_GAP) & (gaps <= _MIXING_GAP)):
-        return None
-    edges = np.nonzero(gaps > _EIGENVALUE_GAP)[0]
+    edges = np.nonzero(np.diff(w) > _MIXING_GAP)[0]
     bounds = [0, *(e + 1 for e in edges), len(w)]
     return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
@@ -329,13 +323,13 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
     The span of the stack must be closed under adjoints.  Then every X
     that commutes with the whole stack commutes with b and b*, hence with
     h, and so preserves each eigenspace V_j of h: the commutant lies in
-    the block-diagonal subspace sum_j V_j M_{e_j} V_j*.  This holds for
-    every draw; a generic draw makes the blocks small (Dixon, Math. Comp.
-    1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010).  Applied to a
-    basis of a commutant or a center, the blocks are invariant subspaces
-    or central supports.  Redraws until there are at least ``parts``
-    blocks, fewer meaning that eigenvalues collided in this draw, and while
-    two eigenvalues nearly collide (``spectral_blocks`` gives None).
+    the block-diagonal subspace sum_j V_j M_{e_j} V_j*, and in the coarser
+    one of any union of blocks.  This holds for every draw; a generic draw
+    makes the blocks small (Dixon, Math. Comp. 1970; Murota, Kanno, Kojima
+    and Kojima, JJIAM 2010).  Applied to a basis of a commutant or a
+    center, the blocks are invariant subspaces or central supports.
+    Redraws until there are at least ``parts`` blocks, fewer meaning that
+    eigenvalues (nearly) collided in this draw.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     k = stack.shape[0]
@@ -343,10 +337,10 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         b = np.tensordot(coeff, stack, axes=1)
         h = b + dagger(b)
-        # at unit norm the absolute collision gap of spectral_blocks is far
-        # above the rounding of h, so no true eigenspace is cut
+        # at unit norm the gap of spectral_blocks is far above the rounding
+        # of h, so no true eigenspace is cut
         blocks = spectral_blocks(h / max(frob(h), 1.0), tol)
-        if blocks is not None and len(blocks) >= parts:
+        if len(blocks) >= parts:
             return blocks
     raise CenterSplitFailed(
         f"could not separate {parts} spectral components after {_MAX_RESAMPLES} draws"

@@ -558,20 +558,30 @@ def is_proper(pi: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> PropernessReport:
     """Whether the measure representation through ``pi`` is injective.
 
     Equivalent formulations are cross-checked: the flattened matrices
-    ``pi(g)`` must be linearly independent, and every irreducible of the
-    group must appear in ``pi``, by its multiplicity against the rows of
+    ``pi(g)`` must be linearly independent, by the rank of their Gram
+    matrix (``_span_rank`` over the whole group), and every irreducible of
+    the group must appear in ``pi``, by its multiplicity against the rows of
     ``character_table``, so no irrep matrix is formed.
     """
-    flat = pi.matrices.reshape(pi.group.order, -1)
-    rank = linalg._rank(np.linalg.svd(flat, compute_uv=False), tol)
+    rank = _span_rank(pi, range(pi.group.order))
     mults = multiplicities(pi, character_table(pi.group, tol))
     present = tuple(int(i) for i in np.nonzero(mults)[0])
     missing = tuple(int(i) for i in np.nonzero(mults == 0)[0])
-    proper_by_rank = rank == pi.group.order
-    proper_by_mults = len(missing) == 0
-    if proper_by_rank != proper_by_mults:
-        raise DecompositionFailed(
-            "properness checks disagree: rank test vs multiplicity test"
-        )
-    return PropernessReport(proper_by_rank, rank, present, missing,
-                            tuple(int(m) for m in mults))
+    proper = rank == pi.group.order
+    if proper != (not missing):
+        raise DecompositionFailed("properness checks disagree: rank test vs multiplicity test")
+    return PropernessReport(proper, rank, present, missing, tuple(int(m) for m in mults))
+
+
+def _character_matrix(pi: UnitaryRep, members) -> np.ndarray:
+    """K[a, b] = chi(a^-1 b) = <U_a, U_b> over the members a, b of a subgroup H,
+    chi the character of ``pi``.  K is convolution by chi on C[H]: its eigenvalue
+    is |H| m_rho / d_rho, at least 1, on the d_rho^2 functions of each
+    constituent rho of U|_H, and 0 elsewhere (Serre, 2.4-2.6)."""
+    group, h = pi.group, np.asarray(members)
+    return pi.character()[group.mult[np.ix_(group.inverse[h], h)]]
+
+
+def _span_rank(pi: UnitaryRep, members) -> int:
+    """dim span U(H): the rank of ``_character_matrix``, read at the cut 1/2."""
+    return int(np.sum(np.linalg.eigvalsh(_character_matrix(pi, members)) > 0.5))

@@ -824,7 +824,7 @@ def test_the_character_rank_is_the_first_commutant_dimension(name):
            else reps.permutation_rep(group, groups.symmetric_action(4)))
     m = StarAlgebra.full(rep.dim)
     for sub in groups.enumerate_subgroups(group):
-        eig = np.linalg.eigvalsh(galois._character_matrix(rep, sub))
+        eig = np.linalg.eigvalsh(reps._character_matrix(rep, sub.members))
         kept, dropped = eig[eig > 0.5], eig[eig <= 0.5]
         fixed = algebras.fixed_point_algebra(m, rep, sub)
         assert len(kept) == algebras.commutant(fixed).dim, sub.members
@@ -1035,8 +1035,8 @@ def test_the_s4_times_s3_lattice_on_its_irreps(s4_times_s3, monkeypatch):
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
     # the reference's twice read 1.04e-11 on an order-8 class while its split
-    # had two eigenvalues 6.3e-6 apart; a near collision is redrawn, and it
-    # reads 4.6e-13
+    # cut between two eigenvalues 6.3e-6 apart; such a pair shares a block,
+    # and it reads 1.7e-13
     _against_two_solves(report, run, monkeypatch)
 
 
@@ -1176,8 +1176,8 @@ def test_the_s5_regular_lattice():
     # 0.24 GB at one BLAS thread, with no basis of any M^H, and none of M_120
     # (3.3 GB); its rows against their orbitals.  The worst bicommutant
     # residual read 1.4e-10 on an order-6 class (dim M^H = 2400) while the
-    # commutant kernel's split had two eigenvalues 3.9e-8 apart, whose
-    # eigenvectors mix at eps / gap; a near collision is redrawn
+    # commutant kernel's split cut between two eigenvalues 3.9e-8 apart, whose
+    # eigenvectors mix at eps / gap; such a pair shares a block
     s5 = groups.symmetric_group(5)
     subgroups = groups.enumerate_subgroups(s5, order_bound=s5.order)
     m = StarAlgebra.full(120)
@@ -1190,6 +1190,22 @@ def test_the_s5_regular_lattice():
     assert report.proper and report.injective and report.violations == []
     assert all(r.bicommutant_ok for r in report.rows)
     assert _orbital_mismatches(report, s5.mult) == []
+
+
+@pytest.mark.slow
+def test_the_s5_times_z2_regular_lattice(s5_times_z2):
+    # order 240, at the order bound, on its regular representation (n = 240),
+    # its 535 subgroups in 57 conjugacy classes: about 73 s and 2.1 GB at one
+    # BLAS thread on a 2-core host.  Its commutant kernels' splits meet near
+    # collisions, whose pairs share a block rather than fail the draw; the
+    # worst residual reads 5.5e-13
+    subgroups = groups.enumerate_subgroups(s5_times_z2, order_bound=s5_times_z2.order)
+    report = galois.galois_map(StarAlgebra.full(240), reps.regular_rep(s5_times_z2),
+                               subgroups=subgroups)
+    assert len(report.rows) == 535
+    assert report.proper and report.injective and report.violations == []
+    assert all(r.bicommutant_ok for r in report.rows)
+    assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
 
 
 @pytest.mark.slow
@@ -1322,6 +1338,49 @@ def test_a_doctored_character_count_fails_the_isotypic_certificate(s3, monkeypat
     doctor(monkeypatch)
     with pytest.raises(DecompositionFailed, match=match):
         galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3))
+
+
+def _merging_isotypic_draws(monkeypatch, merged: int) -> list:
+    """Patch ``linalg.spectral_blocks`` so that the first ``merged`` splits
+    after the first join their first two blocks, as a near collision would;
+    returns the block count of every call.  In the row of one class the
+    first split is the commutant kernel's and the rest are the isotypic
+    draws of ``_require_isotypic_count``."""
+    calls, honest = [], linalg.spectral_blocks
+
+    def colliding(h, tol=linalg.DEFAULT_TOL):
+        blocks = honest(h, tol)
+        calls.append(len(blocks))
+        if 1 < len(calls) <= 1 + merged:
+            blocks = [np.hstack(blocks[:2]), *blocks[2:]]
+        return blocks
+
+    monkeypatch.setattr(linalg, "spectral_blocks", colliding)
+    return calls
+
+
+def _s3_regular_on_an_order_2_subgroup(s3):
+    """The report of S3 regular on one order-2 subgroup, whose z splits into
+    the trivial and sign components, of rank 3 each; merged they carry span
+    U(H) = 1 + 1 dimensions, not a square."""
+    reps.character_table(s3)   # no split of the class sums below
+    sub = next(h for h in groups.enumerate_subgroups(s3) if h.order == 2)
+    return galois.galois_map(StarAlgebra.full(6), reps.regular_rep(s3), subgroups=[sub])
+
+
+def test_a_merged_isotypic_draw_is_redrawn(s3, monkeypatch):
+    honest = _s3_regular_on_an_order_2_subgroup(s3)
+    calls = _merging_isotypic_draws(monkeypatch, merged=1)
+    redrawn = _s3_regular_on_an_order_2_subgroup(s3)
+    assert len(calls) == 3 and calls[1:] == [2, 2]
+    assert redrawn.rows == honest.rows and redrawn.violations == []
+
+
+def test_a_merged_isotypic_split_on_every_draw_fails_the_row(s3, monkeypatch):
+    calls = _merging_isotypic_draws(monkeypatch, merged=linalg._MAX_RESAMPLES)
+    with pytest.raises(DecompositionFailed, match="isotypic block of rank 6"):
+        _s3_regular_on_an_order_2_subgroup(s3)
+    assert len(calls) == 1 + linalg._MAX_RESAMPLES
 
 
 def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):

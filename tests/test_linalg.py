@@ -12,7 +12,7 @@ from kernel_reference import (
     sylvester_gram,
 )
 
-from ncgalois import groups, linalg, modular, reps
+from ncgalois import algebras, groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra, algebra_from_generators
 from ncgalois.errors import (
     CenterSplitFailed,
@@ -492,21 +492,55 @@ def test_random_split_of_regular_image_shrinks_to_sum_of_cubes():
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
 
 
-@pytest.mark.parametrize("gap, sizes", [(1e-9, [1, 2]), (1e-6, None), (1e-3, [1, 1, 1])])
+@pytest.mark.parametrize("gap, sizes", [(1e-9, [1, 2]), (1e-6, [1, 2]), (1e-3, [1, 1, 1])])
 def test_random_split_redraws_a_near_collision(gap, sizes):
     # every draw is a multiple of one diagonal matrix, so h at unit norm has
-    # the gap of its two upper eigenvalues: within the collision gap they
-    # share a block, past _MIXING_GAP they split, and in between every draw
-    # is refused, since the split's eigenvectors would mix at eps / gap
-    assert linalg._EIGENVALUE_GAP < 1e-6 <= linalg._MIXING_GAP < 1e-3
+    # the gap of its two upper eigenvalues: within _MIXING_GAP they share a
+    # block, since the split's eigenvectors would mix at eps / gap, and past
+    # it they split; a merged draw is redrawn only when three parts are asked
+    # for, and then on every draw
+    assert 1e-9 < 1e-6 <= linalg._MIXING_GAP < 1e-3
     d = np.diag([-0.8, 0.6, 0.6 + gap]).astype(np.complex128)
     stack = (1e3 * d / np.linalg.norm(d))[None]
+    blocks = linalg.random_split(stack, np.random.default_rng(3))
+    assert sorted(q.shape[1] for q in blocks) == sizes
     rng = np.random.default_rng(3)
-    if sizes is None:
-        with pytest.raises(CenterSplitFailed):
-            linalg.random_split(stack, rng)
-    else:
-        assert sorted(q.shape[1] for q in linalg.random_split(stack, rng)) == sizes
+    if len(sizes) == 3:
+        assert len(linalg.random_split(stack, rng, 3)) == 3
+        return
+    with pytest.raises(CenterSplitFailed, match="could not separate 3 spectral components"):
+        linalg.random_split(stack, rng, 3)
+    replay = np.random.default_rng(3)
+    replay.standard_normal(2 * linalg._MAX_RESAMPLES)
+    assert rng.standard_normal() == replay.standard_normal()
+
+
+def _block_pair_family(seed, count, size):
+    """a, b, a*, b* for two complex Gaussian block-diagonal matrices with
+    ``count`` blocks of ``size``: their commutant is the block scalars."""
+    rng = np.random.default_rng(seed)
+    n = count * size
+    pair = np.zeros((2, n, n), dtype=np.complex128)
+    for j in range(count):
+        at = slice(j * size, (j + 1) * size)
+        pair[:, at, at] = (rng.standard_normal((2, size, size))
+                           + 1j * rng.standard_normal((2, size, size)))
+    return np.concatenate([pair, linalg.dagger(pair)])
+
+
+@pytest.mark.parametrize("count, size, seed", [
+    (12, 20, 1), (12, 20, 5), (12, 20, 9), (24, 10, 0), (24, 10, 5), (24, 10, 7), (24, 10, 8)])
+def test_commutant_kernel_solves_block_families_at_n_240(count, size, seed):
+    # n = 240, the size bound: the split of each family meets a near
+    # collision of eigenvalues from different blocks, whose pair shares a
+    # block and is solved in the coarser subspace
+    family = _block_pair_family(seed, count, size)
+    split = linalg.random_split(family, np.random.default_rng(linalg._SPLIT_SEED))
+    assert max(q.shape[1] for q in split) == 2
+    kernel = linalg.commutant_kernel(family)
+    assert kernel.shape[1] == count
+    basis = kernel.T.reshape(count, count * size, count * size)
+    assert algebras.commutator_residual(family, basis) <= algebras._CLOSURE_RESIDUAL
 
 
 def test_dagger_of_a_stack_is_the_adjoint_of_each_matrix(rng):
