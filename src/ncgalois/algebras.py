@@ -5,31 +5,23 @@ product) of a subspace of the n^2-dimensional matrix space, which turns
 algebra comparisons and intersections into numerically stable projection
 arithmetic.  The full algebra M_n (``StarAlgebra.full``) is stored by its
 size and builds its basis, the n^2 x n^2 identity, only on first read.
-Commutants are joint kernels of Sylvester maps, computed by
-``linalg.commutant_kernel`` from a single normal matrix so at most one
-eigendecomposition does the whole job even for large bases; the same
-kernel serves the Schur test in ``reps``.  None runs for an abelian
-*-closed family (U(H) for abelian H, and the commutant of an abelian
-algebra): its split blocks are joint eigenspaces, the block-diagonal
-subspace is the whole commutant, and the normal matrix is null up to
-rounding: its trace is below the square of the lowest cut that
-``linalg.kernel_of_gram``'s rank rule can choose, so the kernel keeps
-every direction, as eigh would, without forming the normal matrix.  A
+Commutants are joint kernels of Sylvester maps of *-closed families,
+``linalg.commutant_kernel`` (its docstring has the mechanism, and the
+abelian case that forms no normal matrix), the kernel the Schur test in
+``reps`` uses too; ``commutant_of_matrices`` rejects a family whose span
+is not closed under adjoints, and ``commutant`` is solved once per
+(algebra, tolerance) and kept on the algebra, so a crossed algebra's
+bicommutant self-test and its ``center`` share one kernel.  A
 fixed-point algebra of the full matrix algebra is the commutant of the
-subgroup image, so it takes the same kernel, unless every unitary is a
-permutation matrix: then it is spanned by the normalized indicators of
-the subgroup's orbitals, read off the action table in integers with no
-kernel.  In a non-full M it is solved in M's own coordinates, as the SVD
-nullspace of the d x d maps of the generators (``fixed_coordinates``),
-with no n^2 kernel and no intersection.
-Every commutant is that of a *-closed family, solved on the block-diagonal
-subspace of a seeded Hermitian element (``linalg.random_split``) instead of
-all n^2 coordinates; ``commutant_of_matrices`` rejects a family whose span
-is not closed under adjoints.  The same split of a center and of a
-multiplicity commutant gives the block structure.  Membership is measured
-by projection residuals of the algebra's ``Subspace``, and multiplicity
-copies are aligned by ``linalg.intertwiner``, the finder ``reps.decompose``
-uses too.
+subgroup image, unless every unitary is a permutation matrix: then it is
+spanned by the normalized indicators of the subgroup's orbitals, read off
+the action table in integers with no kernel.  In a non-full M no
+fixed-point algebra is built: its dimension is the character count of
+Ad U on M (``_ad_character``), whose moved basis also checks that M is
+invariant.  The same split of a center and of a multiplicity commutant
+gives the block structure.  Membership is measured by projection
+residuals of the algebra's ``Subspace``, and multiplicity copies are
+aligned by ``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
 
 Each algebra is certified where it is built.  Closure residuals
 (``_require_closed``) run only where closure is not a theorem: on outside
@@ -37,7 +29,7 @@ spans (``from_span``) and grown spans (``algebra_from_generators``); the
 commutant of a *-closed family is a unital *-algebra.  Every commutant
 kernel solved here is checked against its defining equation BX = XB
 (``commutator_residual``) on its whole family, a fixed-point basis on its
-subgroup's generators, together with the character count in a full M
+subgroup's generators, together with the character count
 (``_certified_fixed``); intersections of two *-algebras are not
 re-checked.
 """
@@ -59,11 +51,13 @@ from .errors import (
     NotInvariantAlgebra,
     ParentMismatch,
 )
-from .groups import Subgroup
+from .groups import Subgroup, closure, generating_set
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep
 
 _CLOSURE_RESIDUAL = 1e-9
+# largest distance from M of a conjugated basis element that an invariance check forgives
+_INVARIANCE_RESIDUAL = 1e-8
 # each generating pair of an algebra is drawn from a generator with this seed
 _PAIR_SEED = 1
 
@@ -103,6 +97,11 @@ class StarAlgebra:
         b = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
         b.setflags(write=False)
         return b
+
+    @functools.cached_property
+    def _commutants(self) -> dict:
+        """Tolerance -> commutant, filled by ``commutant``."""
+        return {}
 
     @functools.cached_property
     def _subspace(self) -> Subspace:
@@ -302,33 +301,36 @@ def _require_commuting(worst: float) -> None:
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """The commutant algebra, certified by its commutator residual.
-
-    A *-algebra's basis spans a *-closed space, so the kernel is always
-    solved on the reduced block-diagonal subspace, and the commutant is a
-    unital *-algebra by construction.
-    """
-    return _commutant(a.basis, tol)
+    """The commutant algebra, certified by its commutator residual and kept
+    on ``a`` per tolerance.  A *-algebra's basis spans a *-closed space, so
+    the kernel is solved on the reduced block-diagonal subspace, and the
+    commutant is a unital *-algebra by construction."""
+    if tol not in a._commutants:
+        a._commutants[tol] = _commutant(a.basis, tol)
+    return a._commutants[tol]
 
 
 def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Finite-dimensional double-commutant self-test: A'' == A as subspaces."""
-    return commutant(commutant(a, tol), tol).equals(a, tol)
+    """Double-commutant self-test A'' == A; only A' is kept on ``a`` (``commutant``)."""
+    return _commutant(commutant(a, tol).basis, tol).equals(a, tol)
 
 
 def relative_commutant(a: StarAlgebra, m: StarAlgebra,
                        tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """A' intersected with M, re-closed as an algebra."""
+    """A' intersected with M; A must lie in M, checked unless A is M (``center``)."""
     if a.ambient_dim != m.ambient_dim:
         raise DimensionMismatch("algebras live on different spaces")
     if m.is_full:
         return commutant(a, tol)
-    if not m.contains_algebra(a, tol):
+    if a is not m and not m.contains_algebra(a, tol):
         raise NotContained("first algebra is not contained in the second")
-    c = commutant(a, tol)
-    inter = c.subspace().intersect(m.subspace(), tol)
-    basis = inter.basis.T.reshape(-1, a.ambient_dim, a.ambient_dim)
-    return StarAlgebra(a.ambient_dim, basis)
+    return _intersection(commutant(a, tol), m, tol)
+
+
+def _intersection(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """The intersection of two *-algebras, itself one, so not re-checked."""
+    n = a.ambient_dim
+    return StarAlgebra(n, a.subspace().intersect(b.subspace(), tol).basis.T.reshape(-1, n, n))
 
 
 def center(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
@@ -443,29 +445,23 @@ def block_structure_residual(m: StarAlgebra, structure: BlockStructure) -> float
 
 def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                         tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """Elements of M invariant under conjugation by the subgroup's unitaries.
+    """Elements of M = M_n invariant under conjugation by the subgroup's
+    unitaries: U(H)', since U X U* = X exactly when X commutes with U.
 
-    For a full M, U X U* = X for a unitary U exactly when X commutes with U,
-    so the fixed algebra is the commutant U(H)', of dimension the character
-    count (``_character_count``).  When every U_g is a permutation matrix
-    (``UnitaryRep.action``), U(H)' is spanned by the indicators of the
-    orbits of H on pairs of points, its orbitals (Wielandt, *Finite
-    Permutation Groups*, 1964, ch. V): they are disjoint, so normalized they
-    are Hilbert-Schmidt orthonormal, and no kernel is solved.  Any other
-    full M takes the Sylvester kernel of U(H).  A non-full M is solved in
-    its own coordinates: one compression of its basis by each generator's
-    unitary checks that M is invariant and gives the d x d map of Ad U_s,
-    and M^H is their joint ``fixed_coordinates``.  Every basis is certified
-    by ``_certified_fixed``.
+    When every U_g is a permutation matrix (``UnitaryRep.action``), U(H)'
+    is spanned by the indicators of the orbits of H on pairs of points, its
+    orbitals (Wielandt, *Finite Permutation Groups*, 1964, ch. V): disjoint,
+    so normalized they are Hilbert-Schmidt orthonormal, and no kernel is
+    solved.  Any other representation takes the Sylvester kernel of U(H).
+    Every basis is certified by ``_certified_fixed``.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
     if subgroup.parent != rep.group:
         raise ParentMismatch("subgroup of another group than the representation's")
     if not m.is_full:
-        maps = _conjugation_maps(m, rep, subgroup.generators)
-        basis = fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
-    elif rep.action is not None:
+        raise ValueError("a fixed-point algebra is built in a full matrix algebra only")
+    if rep.action is not None:
         basis = _orbital_indicators(_orbitals(rep, subgroup))
     else:
         basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
@@ -502,35 +498,48 @@ def _orbital_indicators(orbitals: np.ndarray) -> np.ndarray:
     return basis.reshape(-1, n, n)
 
 
-def _conjugation_maps(m: StarAlgebra, rep: UnitaryRep, elements) -> np.ndarray:
-    """The d x d coordinate map of Ad U_h on M for each element h, once M is invariant."""
-    flat = m.basis.reshape(m.dim, -1)
-    maps = np.empty((len(elements), m.dim, m.dim), dtype=np.complex128)
-    for i, h in enumerate(elements):
-        moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
-        maps[i] = m.coordinates(moved)    # row j: the coordinates of U B_j U*
-        residual = moved.reshape(m.dim, -1) - maps[i] @ flat
-        res = float(np.max(np.linalg.norm(residual, axis=1)))
-        if res > 1e-8:
-            raise NotInvariantAlgebra(
-                f"conjugation by element {h} leaves the algebra (residual {res:.3e})")
-    return maps
+def _ad_character(m: StarAlgebra, rep: UnitaryRep, seed=()) -> np.ndarray:
+    """chi(g) = tr(Ad U_g on M), real as Ad U_g and P_M commute with the
+    adjoint, for every g: |chi_U(g)|^2 in a full M (Ad U = U (x) conj U);
+    else sum_j <B_j, U_g B_j U_g*>, one g and one ``linalg._PANEL`` of M's
+    basis at a time, an index move on a permutation carrier.  The panels
+    moved by each generator s of the subgroup ``seed`` generates must stay
+    in M within ``_INVARIANCE_RESIDUAL``, else ``NotInvariantAlgebra`` names s.
+    """
+    if m.is_full:
+        return np.abs(rep.character()) ** 2
+    checked = generating_set(rep.group, closure(rep.group, seed))
+    chi = np.zeros(rep.group.order)
+    for g in range(rep.group.order):
+        if rep.action is not None:   # (U B U*)[act x, act y] = B[x, y]
+            back = np.argsort(rep.action[g])
+        for at in range(0, m.dim, linalg._PANEL):
+            panel = m.basis[at:at + linalg._PANEL]
+            moved = (linalg.compress(panel, dagger(rep.matrices[g])) if rep.action is None
+                     else panel[:, back[:, None], back])
+            chi[g] += np.vdot(panel, moved).real
+            if g in checked and (res := m.subspace().residual(
+                    moved.reshape(len(panel), -1).T)) > _INVARIANCE_RESIDUAL:
+                raise NotInvariantAlgebra(
+                    f"conjugation by element {g} leaves the algebra (residual {res:.3e})")
+    return chi
 
 
-def _character_count(rep: UnitaryRep, subgroup: Subgroup) -> float:
-    """dim U(H)' = (1/|H|) sum_h |chi_U(h)|^2 (Serre, 2.3), the dimension of M^H
-    in a full M; for a permutation character, the number of orbitals (Burnside)."""
-    chi = rep.character()[list(subgroup.members)]
-    return float(np.sum(np.abs(chi) ** 2)) / subgroup.order
+def _character_count(chi: np.ndarray, subgroup: Subgroup) -> float:
+    """(1/|H|) sum_h chi(h), dim of H's fixed vectors for the character chi
+    (Serre, 2.3): dim M^H for ``_ad_character``; in a full M, dim U(H)', for
+    a permutation character the number of orbitals (Burnside)."""
+    return float(np.sum(chi[list(subgroup.members)])) / subgroup.order
 
 
 def _certified_fixed(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
                      basis: np.ndarray) -> StarAlgebra:
     """M^H from its basis, once the basis commutes with the unitaries of H's
-    generators and, in a full M, its size is ``_character_count``, which
-    checks an orbital basis independently."""
+    generators and its size is ``_character_count``, which checks an
+    orbital basis independently."""
     _require_commuting(commutator_residual(rep.matrices[list(subgroup.generators)], basis))
-    if m.is_full and abs(len(basis) - (expected := _character_count(rep, subgroup))) > 1e-6:
+    expected = _character_count(_ad_character(m, rep, subgroup.generators), subgroup)
+    if abs(len(basis) - expected) > 1e-6:
         raise DecompositionFailed(
             f"fixed-point algebra has dimension {len(basis)}, "
             f"the character formula gives {expected:.6g}"

@@ -13,8 +13,9 @@ reason crossed products are here at all, since it becomes spatial on the
 carrier.
 
 The crossed algebra has the canonical basis P_j U_g, so no closure is
-grown; its fixed algebras and their pull-backs to the base are nullspaces
-of coordinate maps (``algebras.fixed_coordinates``).
+grown; its fixed algebras are counted by the trace of the translations on
+it (``galois``), and their pull-backs to the base are nullspaces of the
+base's coordinate maps (``algebras.fixed_coordinates``).
 """
 
 from __future__ import annotations
@@ -192,8 +193,5 @@ def crossed_galois(cp: CrossedProduct, tol: Tolerance = DEFAULT_TOL):
     """
     report = gal.galois_map(cp.algebra, cp.translation, mode="spatial", tol=tol)
     maps = cp.base.coordinates(cp.action.images(cp.base.basis))
-    pullbacks = {}
-    for row in report.rows:
-        fixed = alg.fixed_coordinates(maps[list(row.subgroup.generators)], tol)
-        pullbacks[row.subgroup.members] = fixed.shape[1]
-    return report, pullbacks
+    return report, {row.subgroup.members: alg.fixed_coordinates(
+        maps[list(row.subgroup.generators)], tol).shape[1] for row in report.rows}

@@ -23,29 +23,27 @@ and y is the interner's fingerprint.  No row forms a basis of M^H.
 
 The map is equivariant: M^{gKg^-1} = U_g M^K U_g*.  So the dimension and
 the bicommutant test are computed once per conjugacy class of the given
-subgroups, on its first member K, and a conjugate row takes them (in a
-non-full M each conjugating g must leave M invariant).  In a full M the
-test solves one commutant, (M^K)', by the Sylvester kernel on a seeded
-pair a, b = E_K(G1), E_K(G2) of random elements of M^K and their
+subgroups, on its first member K, and a conjugate row takes them; M must
+be invariant under the subgroup that the given subgroups and their
+conjugating elements generate, which a non-full M checks once per
+lattice (``algebras._ad_character``).  dim M^K is the character count
+(1/|K|) sum_k tr(Ad U_k on M) (Serre, 2.3), |chi(k)|^2 in a full M.  The
+test solves ``once`` = (M^K)' by the Sylvester kernel on a seeded pair
+a, b = E_K P_M(G1), E_K P_M(G2) of random elements of M^K and their
 adjoints (two generic elements generate a semisimple matrix algebra:
-Dixon, Math. Comp. 1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010),
-and certifies it to be span U(K), the commutant of U(K)' (double
-commutant theorem): its dimension must be the rank of the |K| x |K|
-character matrix K[a, b] = chi(a^-1 b) (Serre, 2.4-2.6), and every U(k)
-must lie in it; the worst membership residual is the row's.  Then
-(M^K)'' = U(K)' is M^K by definition, so no second commutant is solved.
-dim M^K is the character count (1/|K|) sum_k |chi(k)|^2, certified by the
-isotypic multiplicities of span U(K): sum_rho m_rho^2 (Serre, 2.6).  In a
-non-full M, M^K comes from ``algebras.fixed_point_algebra`` and both
-(relative) commutants from ``algebras``, and the second must commute with
-the unitaries of K's generators and lie in M, so at the dimension of M^K
-it is M^K = U(K)' cap M.  No distance in the n^2-dimensional matrix space
-is formed.
+Dixon, Math. Comp. 1970; Murota, Kanno, Kojima and Kojima, JJIAM 2010).
+In a full M, ``once`` must be span U(K) = U(K)'' (the rank of the
+character matrix K[a, b] = chi(a^-1 b), Serre, 2.4-2.6, and every U(k)
+in it), so (M^K)'' = U(K)' = M^K with no second commutant, and the count
+is certified by the isotypic multiplicities of span U(K), sum m_rho^2.
+In a non-full M, ``twice``, the kernel of ``once`` (both met with M in
+inner mode), must commute with the unitaries of K's generators, lie in M
+and have the count as its dimension: then it is M^K = U(K)' cap M.  No
+distance in the n^2-dimensional matrix space and no basis of M^K is
+formed.
 
-Rows are streamed: each row is certified, interned and audited for
-anti-monotonicity against the subgroups below it as soon as it is
-reached, and the report holds no basis.  The interner keeps a
-fingerprint, a dimension and a row index per id.
+Rows are streamed, each certified, interned and audited as it is
+reached; the interner keeps a fingerprint, a dimension and a row per id.
 
 The group side reads the multiplication table only: properness and its
 Sigma' come from the class-sum characters (``reps.character_table``),
@@ -245,30 +243,26 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
     The first subgroup K of each class (``subgroup_classes``) gets its
     fixed dimension and bicommutant test from ``_solve_class``, and a
-    conjugate H = gKg^-1 takes them: M^H = U_g M^K U_g* (Ad U_g is a
-    *-automorphism of M, checked on g in a non-full M), which carries the
-    (relative) commutants.  Every row then reads one element, y = E_H P_M r
-    at unit Frobenius norm, the conditional expectation of the probe: its
-    commutator residual on the unitaries of H's generators certifies the
-    row, and that on the generators of each H1 < H is the anti-monotone
-    audit of the pair, since y is generic in M^H and M^H lies in M^{H1}
-    exactly when it commutes with H1's generators.  The interner
-    fingerprints M^H by y and confirms a match with an earlier row by the
-    audit's test.  Bicommutant violations come in row order, then
-    anti-monotone ones with H1 outer and H2 inner.
+    conjugate H = gKg^-1 takes them (module docstring).  Every row reads
+    y = E_H P_M r at unit Frobenius norm: its commutator residual on H's
+    generators certifies the row, that on the generators of each H1 < H is
+    the anti-monotone audit of the pair, and the interner fingerprints M^H
+    by y and confirms a match by the audit's test.  Bicommutant violations
+    come in row order, then anti-monotone ones with H1 outer and H2 inner.
     """
     classes = subgroup_classes(report.group, subgroups)
+    # M must be invariant under every subgroup and every conjugation that carries a row
+    chi = alg._ad_character(m, pi, {s for sub in subgroups for s in sub.generators}
+                            | {g for _, g in classes})
     solved: dict = {}   # representative index -> _solve_class's (dim, ok, residual, dim once)
     n = m.ambient_dim
     interner = _Interner(n * n)
     # E_H commutes with P_M, so E_H P_M r = P_{M^H} r
     probe = (interner.probe if m.is_full else m.subspace().project(interner.probe)).reshape(n, n)
     residuals: dict = {}   # (index of H1, index of H2) -> commutator residual
-    for j, (sub, (r, g)) in enumerate(zip(subgroups, classes)):
+    for j, (sub, (r, _)) in enumerate(zip(subgroups, classes)):
         if r == j:
-            solved[j] = _solve_class(m, pi, sub, report.mode, tol)
-        elif not m.is_full:   # every unitary preserves the full algebra
-            alg._conjugation_maps(m, pi, (g,))
+            solved[j] = _solve_class(m, pi, sub, report.mode, alg._character_count(chi, sub), tol)
         fixed_dim, ok, residual, commutant_dim = solved[r]
         y = ncprob.conditional_expectation(probe, pi, sub)
         unit = y[None] / frob(y)
@@ -298,39 +292,35 @@ def _fill_rows(report: GaloisReport, m: StarAlgebra, pi: rp.UnitaryRep, subgroup
 
 
 def _solve_class(m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup, mode: str,
-                 tol: Tolerance) -> tuple:
-    """(dim M^K, ok, residual, dim once) of a class representative K (module docstring).
-
-    In a full M, ``once`` is the bare kernel of a, b, a*, b* for
-    a, b = E_K(G1), E_K(G2), two complex Gaussians drawn from a generator
-    seeded with ``algebras._PAIR_SEED``, judged by
-    ``_first_commutant_certificate``, and the dimension is the character
-    count, certified on a passing ``once`` by ``_require_isotypic_count``.
-    In a non-full M, ``twice`` must commute with the unitaries of K's
-    generators and lie in M, at the dimension of M^K.
+                 count: float, tol: Tolerance) -> tuple:
+    """(dim M^K, ok, residual, dim once) of a class representative K whose
+    character count is ``count`` (module docstring).  The pair is drawn from
+    a generator seeded with ``algebras._PAIR_SEED``.  In a full M ``once``
+    is judged by ``_first_commutant_certificate``, and a passing one
+    certifies the count by ``_require_isotypic_count``; in a non-full M the
+    residual is the worse of twice's commutator residual and its distance
+    from M.
     """
-    if not m.is_full:
-        fixed = alg.fixed_point_algebra(m, pi, subgroup, tol)
-        if mode == "inner":
-            once = alg.relative_commutant(fixed, m, tol)
-            twice = alg.relative_commutant(once, m, tol)
-        else:
-            once = alg.commutant(fixed, tol)
-            twice = alg.commutant(once, tol)
-        residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)],
-                                               twice.basis),
-                       m.subspace().containment_residual(twice.subspace()))
-        return (fixed.dim, residual <= _RESIDUAL_BOUND and twice.dim == fixed.dim, residual,
-                once.dim)
     rng = np.random.default_rng(alg._PAIR_SEED)
     shape = (2, pi.dim, pi.dim)
-    pair = ncprob.conditional_expectation(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pi, subgroup)
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if not m.is_full:
+        draw = m.subspace().project(draw.reshape(2, -1).T).T.reshape(shape)
+    pair = ncprob.conditional_expectation(draw, pi, subgroup)
     once = _solve_commutant(np.concatenate([pair, dagger(pair)]), tol)
-    ok, residual = _first_commutant_certificate(once, pi, subgroup)
-    count = alg._character_count(pi, subgroup)
-    if ok:
-        _require_isotypic_count(once, pi, subgroup, count, rng, tol)
+    if m.is_full:
+        ok, residual = _first_commutant_certificate(once, pi, subgroup)
+        if ok:
+            _require_isotypic_count(once, pi, subgroup, count, rng, tol)
+        return round(count), ok, residual, once.dim
+    if mode == "inner":
+        once = alg._intersection(once, m, tol)
+    twice = _solve_commutant(once.basis, tol)
+    if mode == "inner":
+        twice = alg._intersection(twice, m, tol)
+    residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis),
+                   m.subspace().containment_residual(twice.subspace()))
+    ok = residual <= _RESIDUAL_BOUND and abs(twice.dim - count) <= 1e-6
     return round(count), ok, residual, once.dim
 
 
@@ -371,7 +361,8 @@ def _require_isotypic_count(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subg
 def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """The Sylvester kernel of a *-closed family as an algebra, with no
     commutator certificate: ``_solve_class`` passes a generating pair of
-    M^H and its adjoints, and certifies the kernel by the character rank."""
+    M^H and its adjoints, or in a non-full M the basis of ``once``, and
+    certifies the kernels by the character rank or count."""
     n = family.shape[1]
     return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
 

@@ -245,7 +245,7 @@ class Filtration:
 
 def filtration_from_chain(m: StarAlgebra, rep: UnitaryRep, chain,
                           tol: Tolerance = DEFAULT_TOL) -> Filtration:
-    """Build the fixed-algebra filtration of a decreasing subgroup chain.
+    """Build the fixed-algebra filtration of a decreasing subgroup chain in M = M_n.
 
     Rejects chains that do not decrease.  Whether the top algebra exhausts
     the ambient one is recorded instead of enforced; chains whose last

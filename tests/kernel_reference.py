@@ -8,7 +8,7 @@ import numpy as np
 
 from ncgalois import algebras, galois, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra
-from ncgalois.errors import OrderBoundExceeded
+from ncgalois.errors import NotInvariantAlgebra, OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
 from ncgalois.linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from ncgalois.ncprob import State
@@ -290,6 +290,36 @@ def fixed_point_by_kernel(m: StarAlgebra, rep, subgroup: Subgroup,
     return algebras._certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
 
 
+def conjugation_maps(m: StarAlgebra, rep, elements) -> np.ndarray:
+    """The d x d coordinate map of Ad U_h on M for each element h, once M is
+    invariant: the check a non-full M once made per class and per conjugate
+    row, which ``algebras._ad_character`` makes once per lattice."""
+    flat = m.basis.reshape(m.dim, -1)
+    maps = np.empty((len(elements), m.dim, m.dim), dtype=np.complex128)
+    for i, h in enumerate(elements):
+        moved = linalg.compress(m.basis, dagger(rep.matrices[h]))
+        maps[i] = m.coordinates(moved)    # row j: the coordinates of U B_j U*
+        residual = moved.reshape(m.dim, -1) - maps[i] @ flat
+        res = float(np.max(np.linalg.norm(residual, axis=1)))
+        if res > 1e-8:
+            raise NotInvariantAlgebra(
+                f"conjugation by element {h} leaves the algebra (residual {res:.3e})")
+    return maps
+
+
+def fixed_point_by_coordinates(m: StarAlgebra, rep, subgroup: Subgroup,
+                               tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """M^H in any M, in M's own coordinates when M is not full: the joint
+    ``algebras.fixed_coordinates`` of the d x d maps of H's generators
+    (``conjugation_maps``), certified by ``algebras._certified_fixed``.  A
+    full M takes ``algebras.fixed_point_algebra``."""
+    if m.is_full:
+        return algebras.fixed_point_algebra(m, rep, subgroup, tol)
+    maps = conjugation_maps(m, rep, subgroup.generators)
+    basis = algebras.fixed_coordinates(maps, tol).T @ m.basis.reshape(m.dim, -1)
+    return algebras._certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
+
+
 def own_classes(group: FiniteGroup, subgroups) -> list:
     """``groups.subgroup_classes`` with every subgroup its own representative:
     patched into ``galois``, it has ``galois_map`` solve a fixed dimension
@@ -357,23 +387,29 @@ def bicommutant_by_two_solves(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, 
 
 def solved_from_basis(bicommutant):
     """A stand-in for ``galois._solve_class`` that solves M^K by
-    ``algebras.fixed_point_algebra`` and tests it by
-    ``bicommutant(fixed, m, pi, subgroup, mode, tol)``, one of the above."""
-    def solve(m: StarAlgebra, pi, subgroup, mode: str, tol: Tolerance = DEFAULT_TOL):
-        fixed = algebras.fixed_point_algebra(m, pi, subgroup, tol)
+    ``fixed_point_by_coordinates``, ignores the character count, and tests
+    M^K by ``bicommutant(fixed, m, pi, subgroup, mode, tol)``, one of the
+    above.  With ``bicommutant_by_basis_pair`` in a non-full M it is
+    ``_solve_class``'s former non-full branch (``solved_by_two_commutants``)."""
+    def solve(m: StarAlgebra, pi, subgroup, mode: str, count: float,
+              tol: Tolerance = DEFAULT_TOL):
+        fixed = fixed_point_by_coordinates(m, pi, subgroup, tol)
         return (fixed.dim, *bicommutant(fixed, m, pi, subgroup, mode, tol))
     return solve
+
+
+solved_by_two_commutants = solved_from_basis(bicommutant_by_basis_pair)
 
 
 def fill_rows_by_basis(report, m: StarAlgebra, pi, subgroups, tol: Tolerance = DEFAULT_TOL):
     """``galois._fill_rows`` from a basis of every row's M^H, as the rows were
     once made: M^H solved on the row's own subgroup (``fixed_point_by_kernel``
     in a full M, a permutation representation included;
-    ``algebras.fixed_point_algebra`` in a non-full M), tested by
+    ``fixed_point_by_coordinates`` in a non-full M), tested by
     ``bicommutant_by_basis_pair``, numbered by ``Subspace.equals`` against
     the algebras before it, and audited by projection on every pair
     H1 < H2, H1 outer; an anti-monotone violation carries no residual."""
-    fixed = {h.members: (fixed_point_by_kernel if m.is_full else algebras.fixed_point_algebra)(
+    fixed = {h.members: (fixed_point_by_kernel if m.is_full else fixed_point_by_coordinates)(
         m, pi, h, tol) for h in subgroups}
     ids = _numbered([f.subspace() for f in fixed.values()], tol)
     for h, fixed_id in zip(subgroups, ids):
@@ -417,7 +453,7 @@ def interned_by_equality(m: StarAlgebra, rep, subgroups, irrep_indices,
     (as ``galois.subgroup_equivalence`` forms it), each numbered by
     ``Subspace.equals`` against the spaces before it, in order of first
     appearance.  A class lists its subgroups' indices, ascending."""
-    fixed = [algebras.fixed_point_algebra(m, rep, h, tol).subspace() for h in subgroups]
+    fixed = [fixed_point_by_coordinates(m, rep, h, tol).subspace() for h in subgroups]
     table = reps.irrep_table(rep.group, tol)
     images = np.concatenate([table.irreps[i].matrices.reshape(rep.group.order, -1)
                              for i in irrep_indices], axis=1)
@@ -447,7 +483,7 @@ def transported_fixed_algebra(fixed: StarAlgebra, m: StarAlgebra, rep,
     a non-full M must be invariant under Ad U_g.  ``galois`` builds no basis
     of M^H."""
     if not m.is_full:
-        algebras._conjugation_maps(m, rep, (g,))
+        conjugation_maps(m, rep, (g,))
     moved = linalg.compress(fixed.basis, dagger(rep.matrices[g]))
     return algebras._certified_fixed(m, rep, subgroup, moved)
 
@@ -457,7 +493,7 @@ def record_fixed_algebras(monkeypatch) -> dict:
     recorded, by its subgroup's members, in the returned dict.
 
     ``galois_map`` forms no basis of M^H, so a class representative's
-    algebra is solved here by ``algebras.fixed_point_algebra`` as its row is
+    algebra is solved here by ``fixed_point_by_coordinates`` as its row is
     written, and a conjugate row's is rebuilt by ``transported_fixed_algebra``
     from the representative's, with the classes ``galois.subgroup_classes``
     gave; a row that raises is not recorded.  Tests that compare the bases
@@ -481,7 +517,7 @@ def record_fixed_algebras(monkeypatch) -> dict:
         r, g = conjugates[subgroup.members]
         m, rep = inputs[-1]
         built[subgroup.members] = (
-            algebras.fixed_point_algebra(m, rep, subgroup) if r == subgroup.members
+            fixed_point_by_coordinates(m, rep, subgroup) if r == subgroup.members
             else transported_fixed_algebra(built[r], m, rep, subgroup, g))
         return _honest(subgroup, *fields)
 

@@ -13,6 +13,8 @@ from kernel_reference import (
 from ncgalois import groups, linalg, ncprob, reps
 from ncgalois.algebras import (
     StarAlgebra,
+    _ad_character,
+    _character_count,
     algebra_from_generators,
     bicommutant_check,
     block_structure,
@@ -34,7 +36,7 @@ from ncgalois.errors import (
     NotInvariantAlgebra,
     ParentMismatch,
 )
-from ncgalois.linalg import DEFAULT_TOL, dagger, frob
+from ncgalois.linalg import DEFAULT_TOL, Tolerance, dagger, frob
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +135,21 @@ def test_commutant_of_s3_image(s3_perm_algebra):
     assert c.contains_matrix(np.ones((3, 3)) / 3.0)
 
 
+def test_the_commutant_is_solved_once_per_algebra_and_tolerance(s3_perm_algebra, monkeypatch):
+    # a second call on the same algebra and tolerance reads the memo; another
+    # tolerance, or another algebra with the same basis, solves again
+    m = StarAlgebra(3, s3_perm_algebra.basis)
+    calls = []
+    honest = linalg.commutant_kernel
+    monkeypatch.setattr(linalg, "commutant_kernel",
+                        lambda mats, tol: calls.append(tol) or honest(mats, tol))
+    loose = Tolerance(abs_eps=1e-12, rel_eps=1e-8)
+    first = commutant(m)
+    assert commutant(m) is first and center(m).dim == 2 and len(calls) == 1
+    assert commutant(m, loose).equals(first) and calls == [DEFAULT_TOL, loose]
+    assert commutant(StarAlgebra(3, m.basis)) is not first and len(calls) == 3
+
+
 def test_commutant_of_non_star_closed_family_is_not_reduced():
     # the commutant kernel is solved only on a split of a *-closed span, so
     # a family whose span is not closed under adjoints is rejected: for the
@@ -162,8 +179,8 @@ def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
 
     top = groups.Subgroup(s3, tuple(range(6)))
     monkeypatch.setattr(linalg, "commutant_kernel", padded)
-    with pytest.raises(ClosureFailed, match="commute"):
-        commutant(s3_perm_algebra)
+    with pytest.raises(ClosureFailed, match="commute"):   # a fresh copy: no memo to read
+        commutant(StarAlgebra(3, s3_perm_algebra.basis))
     with pytest.raises(ClosureFailed, match="commute"):
         fixed_point_algebra(StarAlgebra.full(3), turned, top)
 
@@ -343,10 +360,10 @@ def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypa
         fixed_point_algebra(StarAlgebra.full(6), reg, top)
 
 
-def test_non_full_fixed_algebras_equal_the_kernel_intersection_reference(
+def test_non_full_character_counts_equal_the_kernel_intersection_reference(
         s3, d4, s3_perm, s3_perm_algebra):
-    # M^H in M's coordinates against the n^2 commutant kernel intersected
-    # with M, on every subgroup of each invariant non-full algebra
+    # dim M^H by the trace of Ad U on M against the n^2 commutant kernel
+    # intersected with M, on every subgroup of each invariant non-full algebra
     reg = reps.regular_rep(s3)
     d4_table = reps.irrep_table(d4)
     d4_rep = reps.direct_sum(d4_table.irreps[0], d4_table.irreps[4], d4_table.irreps[4])
@@ -355,21 +372,26 @@ def test_non_full_fixed_algebras_equal_the_kernel_intersection_reference(
              (algebra_from_generators(d4_rep.matrices, d4_rep.dim), d4_rep)]
     for m, rep in cases:
         assert not m.is_full
+        chi = _ad_character(m, rep, rep.group.generators)
         for sub in groups.enumerate_subgroups(rep.group):
-            fixed = fixed_point_algebra(m, rep, sub)
-            reference = fixed_point_by_intersection(m, rep, sub)
-            assert fixed.dim == reference.dim and fixed.equals(reference), sub.members
+            reference = fixed_point_by_intersection(m, rep, sub).dim
+            assert abs(_character_count(chi, sub) - reference) <= 1e-9, sub.members
 
 
-def test_fixed_point_requires_invariance(s3_perm, s3):
-    # the diagonal algebra is not preserved by arbitrary permutations? it is;
-    # use a non-invariant one-dimensional + off-diagonal span instead
+def test_the_ad_character_requires_invariance(s3_perm, s3):
+    # span{1, E01 + E10, E00 + E11} is invariant under the swap of 0 and 1
+    # (element 2), but not under that of 1 and 2 (element 1); a fixed-point
+    # algebra is built in a full M only
     basis = [np.eye(3) / np.sqrt(3),
              (unit(3, 0, 1) + unit(3, 1, 0)) / np.sqrt(2)]
     sub = StarAlgebra.from_span(
         basis + [unit(3, 0, 0) + unit(3, 1, 1)], 3
     )
-    with pytest.raises(NotInvariantAlgebra, match="conjugation by element"):
+    swap01 = groups.Subgroup(s3, (0, 2))
+    assert abs(_character_count(_ad_character(sub, s3_perm, (2,)), swap01) - 3) <= 1e-12
+    with pytest.raises(NotInvariantAlgebra, match="conjugation by element 1 "):
+        _ad_character(sub, s3_perm, s3.generators)
+    with pytest.raises(ValueError, match="full matrix algebra only"):
         fixed_point_algebra(sub, s3_perm, groups.Subgroup(s3, tuple(range(6))))
 
 

@@ -1,12 +1,15 @@
 import collections
-import importlib.util
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
-from pathlib import Path
 
 import kernel_reference
 import numpy as np
 import pytest
+from test_galois import _CLI_IN_A_PROCESS
 
 from ncgalois import algebras, crossed, groups, reporting, reps
 from ncgalois.algebras import StarAlgebra, block_structure, center
@@ -17,21 +20,6 @@ from ncgalois.linalg import Subspace, frob
 @pytest.fixture(scope="module")
 def z2():
     return groups.cyclic_group(2)
-
-
-@pytest.fixture(scope="module")
-def crossed_s3_m3(tmp_path_factory):
-    """(base, action) of the crossed-s3-m3 benchmark spec at seed 101, read as the CLI reads it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    out = tmp_path_factory.mktemp("crossed-s3-m3")
-    body = json.loads(Path(workloads.write_inputs("crossed-s3-m3", 101, str(out))).read_text())
-    group = reporting.group_from_json(json.loads((out / body["group"]).read_text()))
-    unitaries = np.array([reporting.matrix_from_json(u) for u in body["action"]["unitaries"]])
-    base = StarAlgebra.full(3)
-    return base, crossed.ad_action(group, base, unitaries)
 
 
 @pytest.fixture(scope="module")
@@ -319,10 +307,57 @@ def test_crossed_path_grows_no_closure_and_intersects_nothing(crossed_s3_m3, mon
     assert calls == {"from_span": 1, "_require_closed": 1}
 
 
+def test_the_crossed_algebra_commutant_is_solved_once(crossed_s3_m3, monkeypatch):
+    # the crossed command's bicommutant self-test and block_structure's center
+    # share the commutant of the 54-element crossed algebra, kept on it
+    sizes, honest = [], algebras._commutant
+    monkeypatch.setattr(algebras, "_commutant",
+                        lambda mats, tol: sizes.append(len(mats)) or honest(mats, tol))
+    cp = crossed.crossed_product(*crossed_s3_m3)
+    assert block_structure(cp.algebra, seed=0).blocks == ((3, 1), (3, 1), (6, 2))
+    assert sizes.count(54) == 1
+
+
+def _closed_form_counts(cp, subgroups) -> list:
+    """dim (B x| G)^H = (1/|H|) sum_h |C_G(h)| tr(alpha_h on B) per subgroup H:
+    Ad U_h sends P_j U_g to pi(alpha_h(P_j)) U_{hgh^-1}, so only the |C_G(h)|
+    slots g that h fixes by conjugation add to its trace.  The traces come
+    from the base's k x k maps, as ``crossed_galois`` forms them."""
+    group = cp.group
+    maps = cp.base.coordinates(cp.action.images(cp.base.basis))
+    traces = np.trace(maps, axis1=1, axis2=2).real
+    centralizers = np.sum(groups.conjugation_table(group) == np.arange(group.order), axis=0)
+    return [sum(centralizers[h] * traces[h] for h in sub.members) / sub.order
+            for sub in subgroups]
+
+
+def _trace_counts(cp, subgroups, seed=()) -> list:
+    """``algebras._character_count`` of the crossed algebra's Ad character per subgroup."""
+    chi = algebras._ad_character(cp.algebra, cp.translation, seed)
+    return [algebras._character_count(chi, sub) for sub in subgroups]
+
+
+_S4_M4_DIMS = [384, 200, 200, 200, 200, 192, 200, 192, 200, 192, 130, 130, 130, 130, 104, 104,
+               104, 96, 96, 96, 96, 73, 73, 73, 73, 52, 52, 52, 34, 21]
+
+
+def test_the_trace_count_is_the_closed_form_of_the_base_maps(crossed_s3_m3):
+    # the count galois reads off tr(Ad U_h on M), one element at a time,
+    # against the count from the base's own maps, on the benchmark input
+    cp = crossed.crossed_product(*crossed_s3_m3)
+    subs = groups.enumerate_subgroups(cp.group)
+    counts = _trace_counts(cp, subs, cp.group.generators)
+    assert np.allclose(counts, _closed_form_counts(cp, subs), rtol=0.0, atol=1e-9)
+    assert [round(c) for c in counts] == [54, 28, 28, 28, 18, 10]
+    assert [r.fixed_dim for r in crossed.crossed_galois(cp)[0].rows] == [54, 28, 28, 28, 18, 10]
+
+
 @pytest.mark.parametrize("name, n", [("Z2", 2), ("S3", 3), ("S4", 4)])
 def test_full_base_under_ad_gives_the_packer_raeburn_blocks(name, n, fixture_groups):
     # M_n x|_Ad G is M_n (x) C[G] (Packer and Raeburn, 1989): one block
-    # (n d, d) for each irrep of dimension d; S4 on M4 has dimension 384
+    # (n d, d) for each irrep of dimension d; S4 on M4 has dimension 384, and
+    # on it the trace count of every subgroup is the closed form of the base
+    # maps (about 1 s, the invariance check left to the lattice tests)
     g = fixture_groups[name]
     if name == "Z2":
         unitaries = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
@@ -340,3 +375,37 @@ def test_full_base_under_ad_gives_the_packer_raeburn_blocks(name, n, fixture_gro
     assert cp.algebra.dim == n * n * g.order
     assert list(blocks) == expected
     assert peak <= 400 * 2 ** 20
+    if name == "S4":
+        subs = groups.enumerate_subgroups(g)
+        counts = _trace_counts(cp, subs)
+        assert np.allclose(counts, _closed_form_counts(cp, subs), rtol=0.0, atol=1e-9)
+        assert [round(c) for c in counts] == _S4_M4_DIMS
+
+
+@pytest.mark.slow
+def test_crossed_s4_m4_through_the_cli(tmp_path):
+    # M4 under S4's permutation unitaries (carrier 96, dimension 384):
+    # `crossed` in its own process, the 30 rows at their reference dims
+    # with no violation, in under 60 s and 0.5 GB max RSS (about 22 s and
+    # 0.39 GB at one BLAS thread on a 2-core host)
+    s4 = groups.symmetric_group(4)
+    perm = reps.permutation_rep(s4, groups.symmetric_action(4))
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "group": reporting.group_to_json(s4), "base": {"kind": "full", "dim": 4},
+        "action": {"kind": "ad",
+                   "unitaries": [reporting.matrix_to_json(u) for u in perm.matrices]},
+        "seed": 0}))
+    src = os.path.dirname(os.path.dirname(crossed.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CLI_IN_A_PROCESS, "crossed",
+                           str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 60.0
+    assert int(proc.stderr.split()[-1]) < 0.5e9 / 1024          # KiB
+    out = json.loads((tmp_path / "out.json").read_text())
+    rows = out["report"]["galois_rows"]
+    assert out["violations"] == [] and all(r["bicommutant_ok"] for r in rows)
+    assert [r["fixed_dim"] for r in rows] == _S4_M4_DIMS

@@ -510,8 +510,8 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     # with the fingerprint filter open, every earlier id of equal dimension
     # reaches the containment test; the ids and classes are those of the
     # reference that solves every row's space and compares by Subspace.equals,
-    # and one class solve runs per conjugacy class: one first commutant in a
-    # full M, with no fixed-point algebra, one fixed-point algebra otherwise
+    # and one class solve runs per conjugacy class, with no fixed-point
+    # algebra: one first commutant in a full M, once and twice otherwise
     run = _galois_case(name)
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_FINGERPRINT_MATCH", np.inf)
@@ -527,8 +527,8 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     per_class = sum(r == j for j, (r, _) in enumerate(classes))
     assert per_class == {"sign-S3": 4, "permutation-S4": 11}.get(name, per_class)
     full = inputs[0][0].is_full
-    assert calls == {"fixed_point_algebra": 0 if full else per_class,
-                     "_solve_commutant": per_class if full else 0}
+    assert calls == {"fixed_point_algebra": 0,
+                     "_solve_commutant": per_class if full else 2 * per_class}
     if name in _IMPROPER_CASES:
         assert not confirmed.proper and not confirmed.violations
     # the pairs within a class over the present irreps: none on a proper lattice
@@ -713,35 +713,34 @@ def test_a_doctored_partition_fails_the_fixed_point_certificate(s4, doctor, erro
 
 def test_non_permutation_carriers_take_the_sylvester_kernel(s3, monkeypatch):
     # U_g must be exactly 0/1: rotated, signed or noisy carriers keep the
-    # kernel path and read no orbitals, as does a non-full M
+    # kernel path and read no orbitals
     reg = reps.regular_rep(s3)
     noisy = reps.UnitaryRep(s3, reg.matrices + 1e-13 * np.eye(6))
     signs = np.linalg.det(reps.permutation_rep(s3, groups.symmetric_action(3)).matrices).real
     signed = reps.UnitaryRep(s3, np.array([np.diag([1.0, s]) for s in signs]))
     top = groups.Subgroup(s3, tuple(range(6)))
     assert np.array_equal(reg.action, s3.mult)
-    image = algebras.algebra_from_generators(reg.matrices, 6)
     calls = _counted(monkeypatch, (algebras, "_orbital_partition"))
     for rep in (kernel_reference.rotated(reg), noisy, signed):
         assert rep.action is None
         algebras.fixed_point_algebra(StarAlgebra.full(rep.dim), rep, top)
-    algebras.fixed_point_algebra(image, reg, top)
     assert calls == {"_orbital_partition": 0}
     algebras.fixed_point_algebra(StarAlgebra.full(6), reg, top)   # the counter does see one
     assert calls == {"_orbital_partition": 1}
 
 
 def _doctor_second_commutants(monkeypatch, basis_of) -> None:
-    """Give the second of each pair of ``algebras.commutant`` calls, a spatial
-    bicommutant test's ``twice`` solved from ``once``, the basis ``basis_of(twice)``."""
-    honest, made = algebras.commutant, []
+    """Give the second of each pair of ``galois._solve_commutant`` calls, a
+    non-full class solve's ``twice`` solved from ``once``, the basis
+    ``basis_of(twice)``."""
+    honest, made = galois._solve_commutant, []
 
     def solve(*args, **kwargs):
         made.append(honest(*args, **kwargs))
         if len(made) % 2:
             return made[-1]
         return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
-    monkeypatch.setattr(algebras, "commutant", solve)
+    monkeypatch.setattr(galois, "_solve_commutant", solve)
 
 
 _E01 = np.zeros((1, 6, 6), dtype=complex)
@@ -750,17 +749,81 @@ _E01[0, 0, 1] = 1.0
 
 def test_a_second_commutant_outside_a_non_full_algebra_is_a_violation(monkeypatch):
     # negative control, spatial mode on the diagonal M of M2 under the swap:
-    # each twice has its last element swapped for the swap itself, outside M
-    # but commuting with the generator, so only the containment in M fails it
+    # each twice, the kernel of once in the class solve, has its last element
+    # swapped for the swap itself, outside M but commuting with the generator
+    # and at the character count, so only the containment in M fails it
     z2 = groups.cyclic_group(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), swap]))
     _doctor_second_commutants(monkeypatch, lambda twice: np.concatenate(
         [twice.basis[:-1], swap[None] / np.sqrt(2.0)]))
     report = galois.galois_map(StarAlgebra.diagonal(2), rep)
-    assert report.mode == "spatial"
+    assert report.mode == "spatial" and [r.fixed_dim for r in report.rows] == [2, 1]
     assert [v[:2] for v in report.violations] == [("bicommutant", (0,)), ("bicommutant", (0, 1))]
     assert all(abs(v[2] - 1.0) <= 1e-12 for v in report.violations)
+
+
+_NON_FULL_CASES = ["crossed-s3-m3-seed-101", "crossed-S3-M3", "swap-Z2-diagonal",
+                   "trivial-Z1-diagonal"]
+
+
+def _non_full_case(name, crossed_s3_m3):
+    """A thunk that runs the case's lattice in a non-full M and returns its GaloisReport."""
+    if name == "crossed-s3-m3-seed-101":
+        cp = crossed.crossed_product(*crossed_s3_m3)
+        return lambda: crossed.crossed_galois(cp)[0]
+    if name == "crossed-S3-M3":
+        return _galois_case(name)
+    if name == "swap-Z2-diagonal":
+        rep = reps.UnitaryRep(groups.cyclic_group(2), np.array([np.eye(2), [[0, 1], [1, 0]]]))
+    else:
+        rep = kernel_reference.trivial_rep(groups.cyclic_group(1), dim=2)
+    return lambda: galois.galois_map(StarAlgebra.diagonal(2), rep)
+
+
+@pytest.mark.parametrize("name", _NON_FULL_CASES)
+def test_the_non_full_rows_equal_the_two_commutant_reference(name, crossed_s3_m3, monkeypatch):
+    # the class solve on the seeded pair at the character count against the
+    # one it replaced (kernel_reference.solved_by_two_commutants: M^K in M's
+    # coordinates, both (relative) commutants of its basis, and each conjugate
+    # row's M checked invariant under its g by the conjugation maps): the same
+    # dims, ids, verdicts, first commutants, classes and violations, in
+    # spatial mode on the crossed products and the swap, in inner mode on the
+    # trivial group
+    run = _non_full_case(name, crossed_s3_m3)
+    report = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "_solve_class", kernel_reference.solved_by_two_commutants)
+        transported = kernel_reference.record_fixed_algebras(patch)
+        reference = run()
+
+    def verdicts(report):
+        rows = [(r.subgroup.members, r.fixed_dim, r.fixed_id, r.bicommutant_ok,
+                 r.commutant_dim) for r in report.rows]
+        return rows, report.equivalence_classes, [v[:2] for v in report.violations]
+
+    assert verdicts(report) == verdicts(reference)
+    assert report.mode == ("inner" if name.startswith("trivial") else "spatial")
+    assert all(r.bicommutant_ok for r in report.rows) and not report.violations
+    assert [transported[r.subgroup.members].dim for r in report.rows] == [
+        r.fixed_dim for r in report.rows]
+    assert max(r.bicommutant_residual for r in report.rows) <= 1e-11
+
+
+def test_a_count_off_by_one_is_a_violation_on_every_non_full_row(monkeypatch):
+    # negative control on S3 acting on M3 (crossed): a character count one
+    # too large disagrees with dim twice on every class; each row records a
+    # bicommutant violation within the residual bound, at the doctored
+    # dimension, and nothing raises
+    run = _galois_case("crossed-S3-M3")
+    honest = run()
+    monkeypatch.setattr(algebras, "_character_count", lambda chi, sub, _f=(
+        algebras._character_count): _f(chi, sub) + 1.0)
+    doctored = run()
+    assert [r.fixed_dim for r in doctored.rows] == [r.fixed_dim + 1 for r in honest.rows]
+    assert [v[:2] for v in doctored.violations] == [
+        ("bicommutant", r.subgroup.members) for r in honest.rows]
+    assert all(v[2] <= galois._RESIDUAL_BOUND for v in doctored.violations)
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "S4"])
@@ -880,6 +943,7 @@ def test_a_pair_that_misses_m_h_fails_every_class_of_s4(s4, monkeypatch):
     # alone fails it; E_K(G1) and E_K(G2) + E_01, which generate M_24, whose
     # commutant, the scalars, leaves each U(k), k != e, above the bound
     rep, m = reps.regular_rep(s4), StarAlgebra.full(24)
+    chi = algebras._ad_character(m, rep)
     subs = groups.enumerate_subgroups(s4)
     e01 = np.zeros((2, 24, 24), dtype=complex)
     e01[1, 0, 1] = 1.0
@@ -891,7 +955,8 @@ def test_a_pair_that_misses_m_h_fails_every_class_of_s4(s4, monkeypatch):
         monkeypatch.setattr(ncprob, "conditional_expectation", lambda x, pi, sub, _d=doctor: (
             _d(honest(x, pi, sub)) if np.ndim(x) == 3 else honest(x, pi, sub)))
         for sub in [subs[r] for r in classes if subs[r].order > 1]:
-            dim, ok, residual, once = galois._solve_class(m, rep, sub, "inner", DEFAULT_TOL)
+            dim, ok, residual, once = galois._solve_class(
+                m, rep, sub, "inner", algebras._character_count(chi, sub), DEFAULT_TOL)
             assert not ok and (residual > galois._RESIDUAL_BOUND) == leaves, sub.members
             assert (dim, once) == (576 // sub.order, 1 if leaves else 576)
 
@@ -1391,9 +1456,9 @@ def test_a_failing_representative_fails_each_transported_row(s3, monkeypatch):
     honest = galois._solve_class
     calls = []
 
-    def failing(m, pi, subgroup, mode, tol):
+    def failing(m, pi, subgroup, mode, count, tol):
         calls.append(subgroup.order)
-        found = honest(m, pi, subgroup, mode, tol)
+        found = honest(m, pi, subgroup, mode, count, tol)
         # (M^H)' = U(H)'' is the span of U(H), of dimension 2
         return (found[0], False, 0.5, 2) if subgroup.order == 2 else found
 
@@ -1416,10 +1481,12 @@ def test_a_subgroup_given_twice_is_refused(s3):
                           subgroups=[order_two[0], order_two[1], order_two[0]])
 
 
-def test_transport_into_a_non_invariant_algebra_is_refused(s3):
+def test_transport_into_a_non_invariant_algebra_is_refused(s3, monkeypatch):
     # M = M2 + C on the points {0, 1} | {2} is invariant under the swap of 0
-    # and 1 but not under the elements that carry it to the swap of 1 and 2,
-    # so M^{<(12)>} is not U_g M^{<(01)>} U_g*; its conjugate row refuses it
+    # and 1 (element 2) but not under the elements that carry it to the swap
+    # of 1 and 2, so M^{<(12)>} is not U_g M^{<(01)>} U_g*: the lattice's one
+    # invariance check, on the subgroup its rows and conjugations generate,
+    # names S3's generator 1, the swap of 1 and 2, before any class is solved
     perm = reps.permutation_rep(s3, groups.symmetric_action(3))
     e = np.eye(3)
     m = StarAlgebra.from_span([np.outer(e[a], e[b]) for a in (0, 1) for b in (0, 1)]
@@ -1428,5 +1495,9 @@ def test_transport_into_a_non_invariant_algebra_is_refused(s3):
     assert [r for r, _ in groups.subgroup_classes(s3, [swap01, swap12])] == [0, 0]
     alone = galois.galois_map(m, perm, subgroups=[swap01])
     assert [r.fixed_dim for r in alone.rows] == [3]
-    with pytest.raises(NotInvariantAlgebra, match="conjugation by element"):
-        galois.galois_map(m, perm, subgroups=[swap01, swap12])
+    calls = _counted(monkeypatch, (galois, "_solve_class"))
+    assert s3.generators == (1, 2)
+    for subgroups in ([swap01, swap12], None):
+        with pytest.raises(NotInvariantAlgebra, match="conjugation by element 1 "):
+            galois.galois_map(m, perm, subgroups=subgroups)
+    assert calls == {"_solve_class": 0}
