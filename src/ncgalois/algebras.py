@@ -2,16 +2,18 @@
 
 An algebra is stored as an orthonormal basis (Hilbert-Schmidt inner
 product) of a subspace of the n^2-dimensional matrix space, which turns
-algebra comparisons and intersections into numerically stable projection
-arithmetic.  The full algebra M_n (``StarAlgebra.full``) is stored by its
-size and builds its basis, the n^2 x n^2 identity, only on first read.
-Commutants are joint kernels of Sylvester maps of *-closed families,
+algebra comparisons into numerically stable projection arithmetic.  The
+full algebra M_n (``StarAlgebra.full``) is stored by its size and builds
+its basis, the n^2 x n^2 identity, only on first read.  Commutants are
+joint kernels of Sylvester maps of *-closed families,
 ``linalg.commutant_kernel`` (its docstring has the mechanism, and the
 abelian case that forms no normal matrix), the kernel the Schur test in
-``reps`` uses too; ``commutant_of_matrices`` rejects a family whose span
-is not closed under adjoints, and ``commutant`` is solved once per
-(algebra, tolerance) and kept on the algebra, so a crossed algebra's
-bicommutant self-test and its ``center`` share one kernel.  A
+``reps`` uses too.  An algebra's commutant A' (``commutant``) is the
+kernel of its seeded generating pair, certified by A'' = A and kept on
+the algebra per tolerance, so a crossed algebra's self-test and its
+``center`` share one kernel; meeting M joins M' to the family, as
+A' cap M = (A cup M')'.  ``commutant_of_matrices`` takes any other
+family and rejects one whose span is not closed under adjoints.  A
 fixed-point algebra of the full matrix algebra is the commutant of the
 subgroup image, unless every unitary is a permutation matrix: then it is
 spanned by the normalized indicators of the subgroup's orbitals, read off
@@ -23,15 +25,13 @@ gives the block structure.  Membership is measured by projection
 residuals of the algebra's ``Subspace``, and multiplicity copies are
 aligned by ``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
 
-Each algebra is certified where it is built.  Closure residuals
-(``_require_closed``) run only where closure is not a theorem: on outside
-spans (``from_span``) and grown spans (``algebra_from_generators``); the
-commutant of a *-closed family is a unital *-algebra.  Every commutant
-kernel solved here is checked against its defining equation BX = XB
-(``commutator_residual``) on its whole family, a fixed-point basis on its
-subgroup's generators, together with the character count
-(``_certified_fixed``); intersections of two *-algebras are not
-re-checked.
+Each algebra is certified where it is built.  A span that is not an
+algebra by construction (``from_span``, ``algebra_from_generators``)
+must hold the identity and its adjoints (``_require_closed``) and pass
+A'' = A, which a span not closed under products fails.  Any other
+family's kernel is checked against BX = XB (``commutator_residual``) on
+the family, a fixed-point basis on its subgroup's generators, together
+with the character count (``_certified_fixed``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     NotInvariantAlgebra,
     ParentMismatch,
 )
-from .groups import Subgroup, closure, generating_set
+from .groups import Subgroup, closure, conjugation_table, generating_set
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from .reps import UnitaryRep
 
@@ -69,8 +69,8 @@ class StarAlgebra:
     matrices.  The constructor checks shapes only; every construction path
     certifies its own result (see the module docstring).  A basis of None is
     the full algebra M_n (``full``), stored by its size ``dim`` = n^2: its
-    basis, the n^2 x n^2 identity, and the ``Subspace`` behind ``subspace``,
-    ``equals`` and ``contains_algebra`` are built on first read, so a caller
+    basis, the n^2 x n^2 identity, and the ``Subspace`` behind ``subspace``
+    and ``contains_algebra`` are built on first read, so a caller
     that reads only ``ambient_dim``, ``dim`` and ``is_full`` never holds them.
     """
 
@@ -161,9 +161,6 @@ class StarAlgebra:
         flat = c @ self.basis.reshape(self.dim, -1)
         return flat.reshape(*c.shape[:-1], self.ambient_dim, self.ambient_dim)
 
-    def equals(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self._subspace.equals(other._subspace, tol)
-
     def contains_algebra(self, other: "StarAlgebra", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self._subspace.contains(other._subspace, tol)
 
@@ -172,25 +169,15 @@ class StarAlgebra:
 
 
 def _require_closed(a: StarAlgebra) -> StarAlgebra:
-    """Closure axioms of a span that is not an algebra by construction."""
-    n, b, k = a.ambient_dim, a.basis, a.dim
-    eye = np.eye(n, dtype=np.complex128)
-    if a.membership_residual(eye) > _CLOSURE_RESIDUAL * np.sqrt(n):
+    """The identity and the adjoints in the span, then products by
+    ``commutant``'s certificate A'' = A."""
+    n, k = a.ambient_dim, a.dim
+    if a.membership_residual(np.eye(n, dtype=np.complex128)) > _CLOSURE_RESIDUAL * np.sqrt(n):
         raise ClosureFailed("identity matrix is not in the span")
-    res = a.subspace().residual(dagger(b).reshape(k, n * n).T)
+    res = a.subspace().residual(dagger(a.basis).reshape(k, n * n).T)
     if res > _CLOSURE_RESIDUAL:
         raise ClosureFailed(f"not closed under adjoints, residual {res:.3e}")
-    # all pairwise products when affordable, a seeded sample otherwise
-    if k * k <= 1024:
-        prods = (b[:, None] @ b[None]).reshape(k * k, n * n)
-    else:
-        rng = np.random.default_rng(0)
-        left = rng.integers(0, k, size=256)
-        right = rng.integers(0, k, size=256)
-        prods = (b[left] @ b[right]).reshape(-1, n * n)
-    res = a.subspace().residual(prods.T)
-    if res > _CLOSURE_RESIDUAL:
-        raise ClosureFailed(f"not closed under products, residual {res:.3e}")
+    commutant(a)
     return a
 
 
@@ -284,12 +271,18 @@ def commutator_residual(family: np.ndarray, basis: np.ndarray) -> float:
     return worst
 
 
+def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
+    """The Sylvester kernel of a *-closed family as an algebra, uncertified:
+    each caller certifies it, by a commutator residual, a count or A'' = A."""
+    n = family.shape[1]
+    return StarAlgebra(n, linalg.commutant_kernel(family, tol).T.reshape(-1, n, n))
+
+
 def _commutant(mats: np.ndarray, tol: Tolerance) -> StarAlgebra:
     """Commutant of the *-closed family ``mats``, certified on ``mats``."""
-    n = mats.shape[1]
-    basis = linalg.commutant_kernel(mats, tol).T.reshape(-1, n, n)
-    _require_commuting(commutator_residual(mats, basis))
-    return StarAlgebra(n, basis)
+    c = _solve_commutant(mats, tol)
+    _require_commuting(commutator_residual(mats, c.basis))
+    return c
 
 
 def _require_commuting(worst: float) -> None:
@@ -301,39 +294,40 @@ def _require_commuting(worst: float) -> None:
 
 
 def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """The commutant algebra, certified by its commutator residual and kept
-    on ``a`` per tolerance.  A *-algebra's basis spans a *-closed space, so
-    the kernel is solved on the reduced block-diagonal subspace, and the
-    commutant is a unital *-algebra by construction."""
+    """A', the kernel of A's ``_generating_pair``, kept on ``a`` per tolerance.
+
+    Certified by the double commutant: the kernel of A' must have dimension
+    dim A and, unless A is full, equal A, else ``ClosureFailed``.  A pair's
+    commutant holds A', so its own commutant lies in the algebra the pair
+    generates, inside A; at dim A it is A, and the pair's kernel is A'.  A
+    span not closed under products fails too, as its pair generates more.
+    """
     if tol not in a._commutants:
-        a._commutants[tol] = _commutant(a.basis, tol)
+        first = _solve_commutant(_generating_pair(a.basis), tol)
+        second = _solve_commutant(first.basis, tol)
+        if second.dim != a.dim or not (a.is_full or a.subspace().equals(second.subspace(), tol)):
+            raise ClosureFailed(f"the double commutant, of dimension {second.dim}, is not the "
+                                f"span, of dimension {a.dim}: it is not closed under products")
+        a._commutants[tol] = first
     return a._commutants[tol]
-
-
-def bicommutant_check(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Double-commutant self-test A'' == A; only A' is kept on ``a`` (``commutant``)."""
-    return _commutant(commutant(a, tol).basis, tol).equals(a, tol)
 
 
 def relative_commutant(a: StarAlgebra, m: StarAlgebra,
                        tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """A' intersected with M; A must lie in M, checked unless A is M (``center``)."""
+    """A' cap M = (A cup M')', the ``_commutant`` of A's pair (certified by
+    ``commutant(a)``) and M''s basis; A in M is checked unless A is M (``center``)."""
     if a.ambient_dim != m.ambient_dim:
         raise DimensionMismatch("algebras live on different spaces")
     if m.is_full:
         return commutant(a, tol)
     if a is not m and not m.contains_algebra(a, tol):
         raise NotContained("first algebra is not contained in the second")
-    return _intersection(commutant(a, tol), m, tol)
-
-
-def _intersection(a: StarAlgebra, b: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """The intersection of two *-algebras, itself one, so not re-checked."""
-    n = a.ambient_dim
-    return StarAlgebra(n, a.subspace().intersect(b.subspace(), tol).basis.T.reshape(-1, n, n))
+    commutant(a, tol)
+    return _commutant(np.concatenate([_generating_pair(a.basis), commutant(m, tol).basis]), tol)
 
 
 def center(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """Z(M) = (M cup M')' (``relative_commutant``)."""
     return relative_commutant(m, m, tol)
 
 
@@ -365,7 +359,7 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     if block_dim * mult != r:
         raise DecompositionFailed("block carrier size is not divisible by block dim")
 
-    comm = commutant_of_matrices(basis, r, tol)
+    comm = commutant(StarAlgebra(r, basis), tol)
     if comm.dim != mult * mult:
         raise DecompositionFailed(
             f"commutant dimension {comm.dim} disagrees with multiplicity {mult}"
@@ -500,28 +494,35 @@ def _orbital_indicators(orbitals: np.ndarray) -> np.ndarray:
 
 def _ad_character(m: StarAlgebra, rep: UnitaryRep, seed=()) -> np.ndarray:
     """chi(g) = tr(Ad U_g on M), real as Ad U_g and P_M commute with the
-    adjoint, for every g: |chi_U(g)|^2 in a full M (Ad U = U (x) conj U);
-    else sum_j <B_j, U_g B_j U_g*>, one g and one ``linalg._PANEL`` of M's
-    basis at a time, an index move on a permutation carrier.  The panels
-    moved by each generator s of the subgroup ``seed`` generates must stay
-    in M within ``_INVARIANCE_RESIDUAL``, else ``NotInvariantAlgebra`` names s.
+    adjoint: |chi_U(g)|^2 for every g in a full M (Ad U = U (x) conj U).
+
+    Else chi is NaN outside L, the subgroup ``seed`` generates.  M moved by
+    each generator s of L must stay in M within ``_INVARIANCE_RESIDUAL``,
+    else ``NotInvariantAlgebra`` names s; so chi is a class function of L,
+    and each L-class takes sum_j <B_j, U_g B_j U_g*> at its least member g,
+    one ``linalg._PANEL`` of M's basis at a time, an index move on a
+    permutation carrier.
     """
     if m.is_full:
         return np.abs(rep.character()) ** 2
-    checked = generating_set(rep.group, closure(rep.group, seed))
-    chi = np.zeros(rep.group.order)
-    for g in range(rep.group.order):
+    members = list(closure(rep.group, seed))
+    checked = set(generating_set(rep.group, members))
+    least = conjugation_table(rep.group)[np.ix_(members, members)].min(axis=0)
+    traces = np.zeros(rep.group.order)
+    for g in sorted(checked | set(least.tolist())):
         if rep.action is not None:   # (U B U*)[act x, act y] = B[x, y]
             back = np.argsort(rep.action[g])
         for at in range(0, m.dim, linalg._PANEL):
             panel = m.basis[at:at + linalg._PANEL]
             moved = (linalg.compress(panel, dagger(rep.matrices[g])) if rep.action is None
                      else panel[:, back[:, None], back])
-            chi[g] += np.vdot(panel, moved).real
+            traces[g] += np.vdot(panel, moved).real
             if g in checked and (res := m.subspace().residual(
                     moved.reshape(len(panel), -1).T)) > _INVARIANCE_RESIDUAL:
                 raise NotInvariantAlgebra(
                     f"conjugation by element {g} leaves the algebra (residual {res:.3e})")
+    chi = np.full(rep.group.order, np.nan)
+    chi[members] = traces[least]
     return chi
 
 

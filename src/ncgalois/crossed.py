@@ -13,9 +13,10 @@ reason crossed products are here at all, since it becomes spatial on the
 carrier.
 
 The crossed algebra has the canonical basis P_j U_g, so no closure is
-grown; its fixed algebras are counted by the trace of the translations on
-it (``galois``), and their pull-backs to the base are nullspaces of the
-base's coordinate maps (``algebras.fixed_coordinates``).
+grown: covariance and its commutant's A'' = A (``algebras.commutant``)
+certify it.  Its fixed algebras are counted by the trace of the
+translations on it (``galois``), and their pull-backs to the base are
+nullspaces of the base's coordinate maps (``algebras.fixed_coordinates``).
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
     orthonormal (for h != g, U_h U_g* moves every slot of the block-diagonal
     pi(M)) and span a closed space, since pi(A) U_g pi(B) U_h =
     pi(A alpha_g(B)) U_{gh} (Williams, Crossed Products of C*-Algebras, 2007).
-    Covariance and the double-commutant self-test certify the construction;
-    a violation is a hard error because nothing downstream makes sense
-    without it.
+    Covariance and the commutant's A'' = A (``algebras.commutant``) certify
+    the construction; a violation is a hard error because nothing
+    downstream makes sense without it.
     """
     group = action.group
     n = base.ambient_dim
@@ -170,8 +171,7 @@ def crossed_product(base: StarAlgebra, action: GroupAction,
     residual = covariance_check(cp)
     if residual > 1e-10:
         raise NotInvariantAlgebra(f"covariance violated, residual {residual:.3e}")
-    if not alg.bicommutant_check(cp.algebra, tol):
-        raise NotInvariantAlgebra("crossed-product algebra failed its bicommutant test")
+    alg.commutant(cp.algebra, tol)
     return cp
 
 

@@ -36,11 +36,11 @@ In a full M, ``once`` must be span U(K) = U(K)'' (the rank of the
 character matrix K[a, b] = chi(a^-1 b), Serre, 2.4-2.6, and every U(k)
 in it), so (M^K)'' = U(K)' = M^K with no second commutant, and the count
 is certified by the isotypic multiplicities of span U(K), sum m_rho^2.
-In a non-full M, ``twice``, the kernel of ``once`` (both met with M in
-inner mode), must commute with the unitaries of K's generators, lie in M
-and have the count as its dimension: then it is M^K = U(K)' cap M.  No
-distance in the n^2-dimensional matrix space and no basis of M^K is
-formed.
+In a non-full M, ``twice``, the kernel of ``once``, must commute with
+the unitaries of K's generators, lie in M and have the count as its
+dimension: then it is M^K = U(K)' cap M.  In inner mode M' joins both
+families, (F cup M')' = F' cap M, so no intersection in the
+n^2-dimensional matrix space and no basis of M^K is formed.
 
 Rows are streamed, each certified, interned and audited as it is
 reached; the interner keeps a fingerprint, a dimension and a row per id.
@@ -66,14 +66,16 @@ from . import reps as rp
 from .algebras import StarAlgebra
 from .errors import ClosureFailed, DecompositionFailed
 from .groups import FiniteGroup, Subgroup, enumerate_subgroups, subgroup_classes
-from .linalg import (_MAX_RESAMPLES, DEFAULT_TOL, Subspace, Tolerance, commutant_kernel, compress,
-                     dagger, frob, random_split)
+from .linalg import (_MAX_RESAMPLES, DEFAULT_TOL, Subspace, Tolerance, compress, dagger, frob,
+                     random_split)
 
 _RESIDUAL_BOUND = 1e-9
 # fingerprints of equal subspaces agree far closer than this, relative to the probe
 _FINGERPRINT_MATCH = 1e-6
 # the interning probe is drawn from a generator with this seed
 _PROBE_SEED = 0
+# an interner keeps this many seeded coordinates of each id's fingerprint
+_KEPT_COORDINATES = 64
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,21 @@ class _Interner:
     that vector, however the caller computed it.  ``contains(key)`` then
     confirms the match by a containment between the candidate and the
     space first interned under ``key``, which at equal dimension is
-    equality, so no rounding boundary can split equal subspaces.  Only
-    (fingerprint, dim, key) is kept per id.
+    equality, so no rounding boundary can split equal subspaces.  Per id
+    the dim, the key and ``_KEPT_COORDINATES`` seeded coordinates of the
+    fingerprint are kept, whose distance is at most the whole one.
     """
 
     def __init__(self, ambient_dim: int):
         rng = np.random.default_rng(_PROBE_SEED)
         self.probe = rng.standard_normal(ambient_dim) + 1j * rng.standard_normal(ambient_dim)
+        # drawn after the probe, so the probe does not depend on them
+        self._kept = rng.permutation(ambient_dim)[:_KEPT_COORDINATES]
         self._bound = _FINGERPRINT_MATCH * np.linalg.norm(self.probe)
-        self._seen: list = []     # (fingerprint, dim, key) of each id
+        self._seen: list = []     # (kept fingerprint coordinates, dim, key) of each id
 
     def id_of(self, fp: np.ndarray, dim: int, key, contains) -> int:
+        fp = fp[self._kept]
         for i, (fp0, dim0, key0) in enumerate(self._seen):
             if dim0 == dim and np.linalg.norm(fp - fp0) <= self._bound and contains(key0):
                 return i
@@ -307,17 +313,15 @@ def _solve_class(m: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup, mode: st
     if not m.is_full:
         draw = m.subspace().project(draw.reshape(2, -1).T).T.reshape(shape)
     pair = ncprob.conditional_expectation(draw, pi, subgroup)
-    once = _solve_commutant(np.concatenate([pair, dagger(pair)]), tol)
+    # in inner mode M' joins each family of a non-full M: (F cup M')' = F' cap M
+    outside = alg.commutant(m, tol).basis if mode == "inner" and not m.is_full else pair[:0]
+    once = alg._solve_commutant(np.concatenate([pair, dagger(pair), outside]), tol)
     if m.is_full:
         ok, residual = _first_commutant_certificate(once, pi, subgroup)
         if ok:
             _require_isotypic_count(once, pi, subgroup, count, rng, tol)
         return round(count), ok, residual, once.dim
-    if mode == "inner":
-        once = alg._intersection(once, m, tol)
-    twice = _solve_commutant(once.basis, tol)
-    if mode == "inner":
-        twice = alg._intersection(twice, m, tol)
+    twice = alg._solve_commutant(np.concatenate([once.basis, outside]), tol)
     residual = max(alg.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis),
                    m.subspace().containment_residual(twice.subspace()))
     ok = residual <= _RESIDUAL_BOUND and abs(twice.dim - count) <= 1e-6
@@ -356,15 +360,6 @@ def _require_isotypic_count(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subg
             failure = (f"the isotypic multiplicities give dim M^H = {total}, "
                        f"the character formula gives {count:.6g}")
     raise DecompositionFailed(failure)
-
-
-def _solve_commutant(family: np.ndarray, tol: Tolerance) -> StarAlgebra:
-    """The Sylvester kernel of a *-closed family as an algebra, with no
-    commutator certificate: ``_solve_class`` passes a generating pair of
-    M^H and its adjoints, or in a non-full M the basis of ``once``, and
-    certifies the kernels by the character rank or count."""
-    n = family.shape[1]
-    return StarAlgebra(n, commutant_kernel(family, tol).T.reshape(-1, n, n))
 
 
 def _first_commutant_certificate(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subgroup):

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from ncgalois import algebras, galois, linalg, modular, reps
+from ncgalois import algebras, galois, groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra
 from ncgalois.errors import NotInvariantAlgebra, OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
@@ -329,12 +329,13 @@ def own_classes(group: FiniteGroup, subgroups) -> list:
 
 def _both_commutants(fixed: StarAlgebra, m: StarAlgebra, mode: str, tol: Tolerance) -> tuple:
     """(once, twice): the first and second relative commutants in M in inner
-    mode, the plain commutants in spatial mode."""
+    mode, the plain commutants in spatial mode, each solved on a whole basis
+    (``relative_commutant_by_intersection``)."""
     if mode == "inner":
-        once = algebras.relative_commutant(fixed, m, tol)
-        return once, algebras.relative_commutant(once, m, tol)
-    once = algebras.commutant(fixed, tol)
-    return once, algebras.commutant(once, tol)
+        once = relative_commutant_by_intersection(fixed, m, tol)
+        return once, relative_commutant_by_intersection(once, m, tol)
+    once = commutant_by_whole_family(fixed, tol)
+    return once, commutant_by_whole_family(once, tol)
 
 
 def bicommutant_by_basis_pair(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, mode: str,
@@ -347,7 +348,7 @@ def bicommutant_by_basis_pair(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, 
     H's generators and lie in M.  ``galois`` draws its pair as E_H of two
     Gaussian matrices and forms no basis of M^H."""
     if m.is_full:
-        once = galois._solve_commutant(algebras._generating_pair(fixed.basis), tol)
+        once = algebras._solve_commutant(algebras._generating_pair(fixed.basis), tol)
         return (*galois._first_commutant_certificate(once, pi, subgroup), once.dim)
     once, twice = _both_commutants(fixed, m, mode, tol)
     residual = max(algebras.commutator_residual(pi.matrices[list(subgroup.generators)],
@@ -370,15 +371,15 @@ def bicommutant_by_two_solves(fixed: StarAlgebra, m: StarAlgebra, pi, subgroup, 
                               tol: Tolerance = DEFAULT_TOL):
     """The double commutant test on a basis of M^H with a second commutant in
     a full M too: there ``twice`` is solved from ``once`` by
-    ``galois._solve_commutant``, ``once`` must pass its character-rank
+    ``algebras._solve_commutant``, ``once`` must pass its character-rank
     certificate, and the residual is twice's commutator residual on the
     unitaries of H's generators, at the dimension of ``fixed``.  ``galois``
     reads (M^H)'' = U(H)' as M^H instead.  A non-full M solves both
     (relative) commutants on either path."""
     if not m.is_full:
         return bicommutant_by_basis_pair(fixed, m, pi, subgroup, mode, tol)
-    once = galois._solve_commutant(fixed.basis, tol)
-    twice = galois._solve_commutant(once.basis, tol)
+    once = algebras._solve_commutant(fixed.basis, tol)
+    twice = algebras._solve_commutant(once.basis, tol)
     once_ok = galois._first_commutant_certificate(once, pi, subgroup)[0]
     residual = algebras.commutator_residual(pi.matrices[list(subgroup.generators)], twice.basis)
     ok = once_ok and residual <= galois._RESIDUAL_BOUND and twice.dim == fixed.dim
@@ -582,6 +583,49 @@ def pullbacks_by_intersection(cp, fixed_algebras: dict, tol: Tolerance = DEFAULT
     base_span = StarAlgebra.from_span(cp.base_images, cp.carrier_dim, tol=tol).subspace()
     return {members: fixed.subspace().intersect(base_span, tol)
             for members, fixed in fixed_algebras.items()}
+
+
+# ---------------------------------------------------------------------------
+# commutants of algebras as once solved: the whole basis as the Sylvester
+# family, and a meeting with M as an intersection in the n^2-dimensional
+# matrix space, where the package solves on a generating pair and joins M'
+# to the family
+
+
+def commutant_by_whole_family(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """A' as the Sylvester kernel of A's whole basis, certified by its
+    commutator residual on that basis (``algebras._commutant``)."""
+    return algebras._commutant(a.basis, tol)
+
+
+def relative_commutant_by_intersection(a: StarAlgebra, m: StarAlgebra,
+                                       tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    """A' cap M: ``commutant_by_whole_family`` met with M by ``Subspace.intersect``."""
+    whole = commutant_by_whole_family(a, tol)
+    if m.is_full:
+        return whole
+    n = a.ambient_dim
+    return StarAlgebra(n, whole.subspace().intersect(m.subspace(), tol).basis.T.reshape(-1, n, n))
+
+
+def center_by_intersection(m: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
+    return relative_commutant_by_intersection(m, m, tol)
+
+
+def ad_character_per_element(m: StarAlgebra, rep, seed=()) -> np.ndarray:
+    """tr(Ad U_g on M) for every g of the group, each g moving M's whole basis,
+    and M's invariance checked on the generators of the subgroup ``seed``
+    generates, as ``algebras._ad_character`` once read it on a non-full M."""
+    checked = groups.generating_set(rep.group, groups.closure(rep.group, seed))
+    chi = np.zeros(rep.group.order)
+    for g in range(rep.group.order):
+        moved = linalg.compress(m.basis, dagger(rep.matrices[g]))
+        chi[g] = np.vdot(m.basis, moved).real
+        if g in checked and (res := m.subspace().residual(
+                moved.reshape(m.dim, -1).T)) > 1e-8:
+            raise NotInvariantAlgebra(
+                f"conjugation by element {g} leaves the algebra (residual {res:.3e})")
+    return chi
 
 
 # ---------------------------------------------------------------------------

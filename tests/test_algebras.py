@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from kernel_reference import (
     all_members_certificate,
+    center_by_intersection,
+    commutant_by_whole_family,
     commutator_residual_in_one_shot,
     fixed_point_by_intersection,
     random_hermitian,
+    relative_commutant_by_intersection,
     rotated,
+    seeded_unitary,
 )
 
-from ncgalois import groups, linalg, ncprob, reps
+from ncgalois import algebras, crossed, groups, linalg, ncprob, reps
 from ncgalois.algebras import (
     StarAlgebra,
     _ad_character,
     _character_count,
     algebra_from_generators,
-    bicommutant_check,
     block_structure,
     block_structure_residual,
     center,
@@ -83,7 +86,7 @@ def test_the_full_algebra_builds_its_basis_on_first_read():
     m = StarAlgebra.full(3)
     assert vars(m) == {"ambient_dim": 3, "dim": 9} and m.is_full
     units = algebra_from_generators([unit(3, i, j) for i in range(3) for j in range(3)], 3)
-    assert m.contains_algebra(units) and units.equals(m)
+    assert m.contains_algebra(units) and units.subspace().equals(m.subspace())
     assert np.array_equal(m.basis.reshape(9, 9), np.eye(9)) and not m.basis.flags.writeable
     assert m.subspace().dim == 9 and m.basis is m.basis
 
@@ -115,8 +118,8 @@ def test_star_algebra_rejects_span_not_closed_under_products():
 
 
 def test_star_algebra_rejects_sampled_products_outside_a_large_span():
-    # 41 basis elements give 41^2 > 1024 pairs, so only a seeded sample of
-    # products is checked; 41 of the 49 dimensions leave products outside
+    # 41 of the 49 dimensions leave products outside: the pair of the span
+    # generates all of M_7, so the double commutant has dimension 49, not 41
     rng = np.random.default_rng(23)
     mats = [np.eye(7)] + [random_hermitian(7, rng) for _ in range(40)]
     with pytest.raises(ClosureFailed, match="products"):
@@ -136,8 +139,10 @@ def test_commutant_of_s3_image(s3_perm_algebra):
 
 
 def test_the_commutant_is_solved_once_per_algebra_and_tolerance(s3_perm_algebra, monkeypatch):
-    # a second call on the same algebra and tolerance reads the memo; another
-    # tolerance, or another algebra with the same basis, solves again
+    # a commutant solves two kernels, A' on the pair and A'' on A''s basis;
+    # a second call on the same algebra and tolerance reads the memo, and
+    # the center solves one more, of the pair and M'; another tolerance, or
+    # another algebra with the same basis, solves again
     m = StarAlgebra(3, s3_perm_algebra.basis)
     calls = []
     honest = linalg.commutant_kernel
@@ -145,9 +150,11 @@ def test_the_commutant_is_solved_once_per_algebra_and_tolerance(s3_perm_algebra,
                         lambda mats, tol: calls.append(tol) or honest(mats, tol))
     loose = Tolerance(abs_eps=1e-12, rel_eps=1e-8)
     first = commutant(m)
-    assert commutant(m) is first and center(m).dim == 2 and len(calls) == 1
-    assert commutant(m, loose).equals(first) and calls == [DEFAULT_TOL, loose]
-    assert commutant(StarAlgebra(3, m.basis)) is not first and len(calls) == 3
+    assert commutant(m) is first and len(calls) == 2
+    assert center(m).dim == 2 and len(calls) == 3
+    assert commutant(m, loose).subspace().equals(first.subspace())
+    assert calls == [DEFAULT_TOL] * 3 + [loose] * 2
+    assert commutant(StarAlgebra(3, m.basis)) is not first and len(calls) == 7
 
 
 def test_commutant_of_non_star_closed_family_is_not_reduced():
@@ -164,10 +171,12 @@ def test_commutant_of_non_star_closed_family_is_not_reduced():
 
 def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
         s3, s3_perm, s3_perm_algebra, monkeypatch):
-    # one stray unit vector appended to the Sylvester kernel must be caught
-    # by the kernel's own commutator residual, before any count or closure;
-    # the fixed-point algebra is that of S3 on its points in a rotated basis,
-    # since on permutation matrices it is read off the orbitals, with no kernel
+    # one stray unit vector appended to every Sylvester kernel must be caught:
+    # in a commutant by the count, as A' with E01 + E10 and that vector has a
+    # kernel of dimension 2 + 1, not the 5 of A; in a fixed-point algebra by
+    # the kernel's own commutator residual, before any count or closure, on
+    # S3 acting on its points in a rotated basis, since on permutation
+    # matrices the fixed algebra is read off the orbitals, with no kernel
     honest = linalg.commutant_kernel
     turned = rotated(s3_perm)
 
@@ -179,7 +188,8 @@ def test_commutant_certificate_catches_a_kernel_vector_that_does_not_commute(
 
     top = groups.Subgroup(s3, tuple(range(6)))
     monkeypatch.setattr(linalg, "commutant_kernel", padded)
-    with pytest.raises(ClosureFailed, match="commute"):   # a fresh copy: no memo to read
+    # a fresh copy: no memo to read
+    with pytest.raises(ClosureFailed, match="of dimension 3, is not the span, of dimension 5"):
         commutant(StarAlgebra(3, s3_perm_algebra.basis))
     with pytest.raises(ClosureFailed, match="commute"):
         fixed_point_algebra(StarAlgebra.full(3), turned, top)
@@ -255,9 +265,9 @@ def test_commutant_is_order_reversing(s3_perm_algebra):
 
 
 def test_bicommutant_on_standard_algebras(s3_perm_algebra):
-    assert bicommutant_check(StarAlgebra.full(4))
-    assert bicommutant_check(StarAlgebra.diagonal(2))
-    assert bicommutant_check(s3_perm_algebra)
+    # commutant certifies A'' = A as it solves A'; A' certified in turn has A as its commutant
+    for a in (StarAlgebra.full(4), StarAlgebra.diagonal(2), s3_perm_algebra):
+        assert commutant(commutant(a)).subspace().equals(a.subspace())
 
 
 def test_bicommutant_random_generated(rng):
@@ -267,12 +277,72 @@ def test_bicommutant_random_generated(rng):
         gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 for _ in range(k)]
         a = algebra_from_generators(gens, n)
-        assert bicommutant_check(a)
+        assert commutant(commutant(a)).subspace().equals(a.subspace())
+
+
+def test_commutants_equal_the_whole_family_reference(s3_perm, s3_perm_algebra, crossed_s3_m3):
+    # commutant, center and relative_commutant into a non-full M, each solved
+    # on a generating pair with M' joined to its family, against the whole
+    # basis as the Sylvester family met with M by Subspace.intersect; A is a
+    # transposition's algebra in S3's image, span{1, E22} in the diagonal,
+    # and the embedded base in crossed S3/M3
+    cp = crossed.crossed_product(*crossed_s3_m3)
+    cases = [
+        (s3_perm_algebra, algebra_from_generators(s3_perm.matrices[[1]], 3)),
+        (StarAlgebra.diagonal(3), StarAlgebra.from_span([np.eye(3), unit(3, 2, 2)], 3)),
+        (cp.algebra, StarAlgebra.from_span(cp.base_images, cp.carrier_dim)),
+    ]
+    for m, a in cases:
+        assert not m.is_full and a.dim < m.dim and m.contains_algebra(a)
+        pairs = [(commutant(m), commutant_by_whole_family(m)),
+                 (commutant(a), commutant_by_whole_family(a)),
+                 (center(m), center_by_intersection(m)),
+                 (relative_commutant(a, m), relative_commutant_by_intersection(a, m))]
+        for got, reference in pairs:
+            assert got.dim == reference.dim and got.subspace().equals(reference.subspace())
+    assert [center(m).dim for m, _ in cases] == [2, 3, 3]
+
+
+def test_the_commutant_certificate_catches_a_pair_or_a_kernel_planted_wrong(
+        s3_perm_algebra, monkeypatch):
+    # negative controls on fresh copies of S3's image (dim 5, A' = span{1, J}),
+    # which have no memo: four identities in place of the generating pair
+    # have all of M_3 as their kernel, whose commutant is the scalars; a
+    # stray E01 + E10 joined to the pair's kernel alone leaves a double
+    # commutant of dimension 2, the center of the M_2 + C it generates
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "_generating_pair",
+                      lambda basis: np.broadcast_to(np.eye(3, dtype=complex), (4, 3, 3)))
+        with pytest.raises(ClosureFailed, match="of dimension 1, is not the span, of dimension 5"):
+            commutant(StarAlgebra(3, s3_perm_algebra.basis))
+    honest, calls = algebras._solve_commutant, []
+    stray = (unit(3, 0, 1) + unit(3, 1, 0))[None] / np.sqrt(2)
+
+    def stray_in_the_first(family, tol):
+        calls.append(len(family))
+        solved = honest(family, tol)
+        if len(calls) > 1:
+            return solved
+        return StarAlgebra(3, np.concatenate([solved.basis, stray]))
+    monkeypatch.setattr(algebras, "_solve_commutant", stray_in_the_first)
+    with pytest.raises(ClosureFailed, match="of dimension 2, is not the span, of dimension 5"):
+        commutant(StarAlgebra(3, s3_perm_algebra.basis))
+    assert calls == [4, 3]
+    # a double commutant turned by a seeded unitary keeps dimension 5 but
+    # leaves the span, which the containment half of the certificate catches
+    w = seeded_unitary(3, 41)
+
+    def turned_second(family, tol):
+        solved = honest(family, tol)
+        return solved if len(family) == 4 else StarAlgebra(3, w @ solved.basis @ w.conj().T)
+    monkeypatch.setattr(algebras, "_solve_commutant", turned_second)
+    with pytest.raises(ClosureFailed, match="of dimension 5, is not the span, of dimension 5"):
+        commutant(StarAlgebra(3, s3_perm_algebra.basis))
 
 
 def test_relative_commutant_and_center(s3_perm_algebra):
     m = StarAlgebra.full(3)
-    assert relative_commutant(StarAlgebra.scalars(3), m).equals(m)
+    assert relative_commutant(StarAlgebra.scalars(3), m).subspace().equals(m.subspace())
     assert center(StarAlgebra.full(4)).dim == 1
 
     # M2 + M1 block algebra inside M3: center has two minimal projections
@@ -322,7 +392,7 @@ def test_random_split_gives_up_after_max_resamples():
 def test_fixed_point_trivial_subgroup(s3_perm, s3):
     m = StarAlgebra.full(3)
     trivial = groups.Subgroup(s3, (s3.identity,))
-    assert fixed_point_algebra(m, s3_perm, trivial).equals(m)
+    assert fixed_point_algebra(m, s3_perm, trivial).subspace().equals(m.subspace())
 
 
 def test_fixed_point_s3_action(s3_perm, s3):
@@ -338,7 +408,7 @@ def test_fixed_point_sign_action():
     rep = reps.UnitaryRep(z2, np.array([np.eye(2), np.diag([1.0, -1.0])]))
     m = StarAlgebra.full(2)
     fixed = fixed_point_algebra(m, rep, groups.Subgroup(z2, (0, 1)))
-    assert fixed.equals(StarAlgebra.diagonal(2))
+    assert fixed.subspace().equals(StarAlgebra.diagonal(2).subspace())
 
 
 def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypatch):

@@ -103,7 +103,7 @@ def test_galois_solves_one_commutant_per_subgroup_class(tmp_path, monkeypatch):
     (tmp_path / "s4_reg.json").write_text(json.dumps(reporting.rep_to_json(reps.regular_rep(s4))))
     spec = write_spec(tmp_path, "s4.json", {"representation": "s4_reg.json"})
     calls = {"fixed_point_algebra": [], "_solve_commutant": []}
-    for module, name in ((algebras, "fixed_point_algebra"), (galois, "_solve_commutant")):
+    for module, name in ((algebras, "fixed_point_algebra"), (algebras, "_solve_commutant")):
         monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), _n=name:
                             calls[_n].append(len(args[0])) or _f(*args))
     out = tmp_path / "r.json"
@@ -652,6 +652,20 @@ def test_a_failed_certificate_is_numerical(workspace, tmp_path, capsys, monkeypa
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == "numerical" and error["kind"] == "ClosureFailed"
     assert error["detail"].startswith(detail)
+
+
+def test_a_failed_crossed_self_test_is_numerical(workspace, tmp_path, capsys, monkeypatch):
+    # four identities in place of each generating pair generate only the
+    # scalars, so the crossed algebra fails its certificate A'' = A: a
+    # numerical ClosureFailed, exit 2, where a covariance failure exits 1
+    monkeypatch.setattr(algebras, "_generating_pair", lambda basis: np.broadcast_to(
+        np.eye(basis.shape[1], dtype=complex), (4, *basis.shape[1:])))
+    spec = write_spec(workspace, "planted-crossed.json", _crossed_spec())
+    assert run_cli(["crossed", spec, "--out", tmp_path / "x.json"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "numerical" and error["kind"] == "ClosureFailed"
+    assert error["detail"].startswith(
+        "the double commutant, of dimension 1, is not the span, of dimension 4")
 
 
 def _wrapped(owner, name, change):

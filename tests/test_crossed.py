@@ -5,15 +5,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import kernel_reference
 import numpy as np
 import pytest
 from test_galois import _CLI_IN_A_PROCESS
 
-from ncgalois import algebras, crossed, groups, reporting, reps
+from ncgalois import algebras, crossed, groups, linalg, reporting, reps
 from ncgalois.algebras import StarAlgebra, block_structure, center
-from ncgalois.errors import NotInvariantAlgebra
+from ncgalois.errors import ClosureFailed, NotInvariantAlgebra
 from ncgalois.linalg import Subspace, frob
 
 
@@ -54,7 +55,7 @@ def test_trivial_group_keeps_base():
     cp = crossed.crossed_product(base, act)
     assert cp.carrier_dim == 2
     assert cp.algebra.dim == base.dim
-    assert cp.algebra.equals(base)
+    assert cp.algebra.subspace().equals(base.subspace())
 
 
 def test_scalars_by_z2_gives_group_algebra(z2):
@@ -91,16 +92,26 @@ def test_covariance_detector_catches_corruption(z2, swap_action):
     assert crossed.covariance_check(bad) >= 0.1
 
 
+def _scalar_pair(basis):
+    """Four identities in place of ``algebras._generating_pair``: a pair that
+    generates only the scalars, whose double commutant has dimension 1."""
+    return np.broadcast_to(np.eye(basis.shape[1], dtype=complex), (4, *basis.shape[1:]))
+
+
 @pytest.mark.parametrize("doctor, message", [
     ("covariance_check", "covariance violated"),
-    ("bicommutant_check", "failed its bicommutant test"),
+    ("_generating_pair", "of dimension 1, is not the span, of dimension 4"),
 ])
 def test_a_failed_self_test_is_a_hard_error(swap_action, monkeypatch, doctor, message):
+    # covariance is a property of the action (NotInvariantAlgebra, exit 1),
+    # the commutant's certificate A'' = A a numerical one (ClosureFailed, exit 2)
     if doctor == "covariance_check":
         monkeypatch.setattr(crossed, "covariance_check", lambda cp: 1.0)
+        error = NotInvariantAlgebra
     else:
-        monkeypatch.setattr(algebras, "bicommutant_check", lambda a, tol: False)
-    with pytest.raises(NotInvariantAlgebra, match=message):
+        monkeypatch.setattr(algebras, "_generating_pair", _scalar_pair)
+        error = ClosureFailed
+    with pytest.raises(error, match=message):
         crossed.crossed_product(StarAlgebra.diagonal(2), swap_action)
 
 
@@ -261,7 +272,7 @@ def test_crossed_path_equals_the_generic_reference(name, s3, crossed_s3_m3, monk
     cp = crossed.crossed_product(base, action)
     generated = kernel_reference.generated_crossed_algebra(cp)
     assert cp.algebra.dim == generated.dim == base.dim * action.group.order
-    assert cp.algebra.equals(generated)
+    assert cp.algebra.subspace().equals(generated.subspace())
     flat = cp.algebra.basis.reshape(cp.algebra.dim, -1)
     assert frob(flat.conj() @ flat.T - np.eye(cp.algebra.dim)) < 1e-12
 
@@ -275,7 +286,7 @@ def test_crossed_path_equals_the_generic_reference(name, s3, crossed_s3_m3, monk
         fixed = fixed_algebras[members]
         by_kernel = kernel_reference.fixed_point_by_intersection(
             cp.algebra, cp.translation, row.subgroup)
-        assert fixed.dim == by_kernel.dim and fixed.equals(by_kernel), members
+        assert fixed.subspace().equals(by_kernel.subspace()), members
         coords = algebras.fixed_coordinates(maps[list(row.subgroup.generators)])
         pulled = Subspace.from_span(coords.T @ images, cp.carrier_dim ** 2)
         assert pullbacks[members] == pulled.dim == reference[members].dim, members
@@ -308,14 +319,21 @@ def test_crossed_path_grows_no_closure_and_intersects_nothing(crossed_s3_m3, mon
 
 
 def test_the_crossed_algebra_commutant_is_solved_once(crossed_s3_m3, monkeypatch):
-    # the crossed command's bicommutant self-test and block_structure's center
-    # share the commutant of the 54-element crossed algebra, kept on it
-    sizes, honest = [], algebras._commutant
-    monkeypatch.setattr(algebras, "_commutant",
-                        lambda mats, tol: sizes.append(len(mats)) or honest(mats, tol))
+    # the crossed command's self-test and block_structure's center share the
+    # commutant of the 54-element crossed algebra, kept on it: its pair's
+    # kernel and the double commutant are solved once each, and the center
+    # solves one more kernel, of the pair and that commutant
+    families, honest = [], linalg.commutant_kernel
+    monkeypatch.setattr(linalg, "commutant_kernel",
+                        lambda mats, tol: families.append(mats) or honest(mats, tol))
     cp = crossed.crossed_product(*crossed_s3_m3)
     assert block_structure(cp.algebra, seed=0).blocks == ((3, 1), (3, 1), (6, 2))
-    assert sizes.count(54) == 1
+    pair = algebras._generating_pair(cp.algebra.basis)
+    first = algebras.commutant(cp.algebra).basis
+    assert sum(np.array_equal(f, pair) for f in families) == 1
+    assert sum(np.array_equal(f, first) for f in families) == 1
+    assert sum(np.array_equal(f, np.concatenate([pair, first])) for f in families) == 1
+    assert all(len(f) < cp.algebra.dim for f in families)
 
 
 def _closed_form_counts(cp, subgroups) -> list:
@@ -331,9 +349,10 @@ def _closed_form_counts(cp, subgroups) -> list:
             for sub in subgroups]
 
 
-def _trace_counts(cp, subgroups, seed=()) -> list:
-    """``algebras._character_count`` of the crossed algebra's Ad character per subgroup."""
-    chi = algebras._ad_character(cp.algebra, cp.translation, seed)
+def _trace_counts(cp, subgroups) -> list:
+    """``algebras._character_count`` of the crossed algebra's Ad character per
+    subgroup, read on the whole group and checked invariant under its generators."""
+    chi = algebras._ad_character(cp.algebra, cp.translation, cp.group.generators)
     return [algebras._character_count(chi, sub) for sub in subgroups]
 
 
@@ -346,10 +365,44 @@ def test_the_trace_count_is_the_closed_form_of_the_base_maps(crossed_s3_m3):
     # against the count from the base's own maps, on the benchmark input
     cp = crossed.crossed_product(*crossed_s3_m3)
     subs = groups.enumerate_subgroups(cp.group)
-    counts = _trace_counts(cp, subs, cp.group.generators)
+    counts = _trace_counts(cp, subs)
     assert np.allclose(counts, _closed_form_counts(cp, subs), rtol=0.0, atol=1e-9)
     assert [round(c) for c in counts] == [54, 28, 28, 28, 18, 10]
     assert [r.fixed_dim for r in crossed.crossed_galois(cp)[0].rows] == [54, 28, 28, 28, 18, 10]
+
+
+class _ReadRecorder:
+    """An action table that records which elements are read from it."""
+
+    def __init__(self, table):
+        self.table, self.read = table, []
+
+    def __getitem__(self, g):
+        self.read.append(g)
+        return self.table[g]
+
+
+def test_the_ad_character_moves_one_element_per_class(crossed_s3_m3):
+    # on the benchmark input: one element of each class of the checked
+    # subgroup L and L's generators are moved, and chi equals the per-element
+    # loop on L; seeded by one transposition, L = {e, s}, chi is NaN outside
+    # L, and a count of L itself reads only L
+    cp = crossed.crossed_product(*crossed_s3_m3)
+    table = _ReadRecorder(cp.translation.action)
+    rep = types.SimpleNamespace(group=cp.group, action=table, matrices=cp.translation.matrices)
+    gens = cp.group.generators
+    chi = algebras._ad_character(cp.algebra, rep, gens)
+    reference = kernel_reference.ad_character_per_element(cp.algebra, cp.translation, gens)
+    assert np.allclose(chi, reference, rtol=0.0, atol=1e-9)
+    classes = groups.conjugacy_classes(cp.group)
+    assert table.read == sorted({min(c) for c in classes} | set(gens)) and len(classes) == 3
+    s = next(c for c in classes if len(c) == 3)[0]
+    chi = algebras._ad_character(cp.algebra, cp.translation, (s,))
+    inside = [cp.group.identity, s]
+    assert np.allclose(chi[inside], reference[inside], rtol=0.0, atol=1e-9)
+    assert np.isnan(np.delete(chi, inside)).all()
+    pair = groups.Subgroup(cp.group, tuple(sorted(inside)))
+    assert round(algebras._character_count(chi, pair)) == 28
 
 
 @pytest.mark.parametrize("name, n", [("Z2", 2), ("S3", 3), ("S4", 4)])
@@ -357,7 +410,7 @@ def test_full_base_under_ad_gives_the_packer_raeburn_blocks(name, n, fixture_gro
     # M_n x|_Ad G is M_n (x) C[G] (Packer and Raeburn, 1989): one block
     # (n d, d) for each irrep of dimension d; S4 on M4 has dimension 384, and
     # on it the trace count of every subgroup is the closed form of the base
-    # maps (about 1 s, the invariance check left to the lattice tests)
+    # maps (about 2 s with the invariance check on S4's generators)
     g = fixture_groups[name]
     if name == "Z2":
         unitaries = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
@@ -386,7 +439,7 @@ def test_full_base_under_ad_gives_the_packer_raeburn_blocks(name, n, fixture_gro
 def test_crossed_s4_m4_through_the_cli(tmp_path):
     # M4 under S4's permutation unitaries (carrier 96, dimension 384):
     # `crossed` in its own process, the 30 rows at their reference dims
-    # with no violation, in under 60 s and 0.5 GB max RSS (about 22 s and
+    # with no violation, in under 60 s and 0.5 GB max RSS (about 12 s and
     # 0.39 GB at one BLAS thread on a 2-core host)
     s4 = groups.symmetric_group(4)
     perm = reps.permutation_rep(s4, groups.symmetric_action(4))

@@ -50,7 +50,7 @@ def test_galois_s3_regular_injective(s3, monkeypatch):
     algs = list(fixed.values())
     for i in range(len(algs)):
         for j in range(i + 1, len(algs)):
-            assert not algs[i].equals(algs[j])
+            assert not algs[i].subspace().equals(algs[j].subspace())
 
 
 def test_galois_s3_permutation_not_proper(s3):
@@ -93,7 +93,7 @@ def test_anti_monotonicity_top_bottom(s3, monkeypatch):
     subs = groups.enumerate_subgroups(s3)
     whole = fixed[tuple(range(6))]
     trivial = fixed[(s3.identity,)]
-    assert trivial.equals(m)
+    assert trivial.subspace().equals(m.subspace())
     for s in subs:
         assert fixed[s.members].contains_algebra(whole)
         assert m.contains_algebra(fixed[s.members])
@@ -378,7 +378,7 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
     b = StarAlgebra.from_span(u @ a.basis @ u.conj().T, 2)
     pa, pb = (x.basis @ x.basis.conj().T for x in (a.subspace(), b.subspace()))
     assert np.round(pa, 6)[0, 0] != np.round(pb, 6)[0, 0]
-    assert a.equals(b)
+    assert a.subspace().equals(b.subspace())
 
     spaces = [x.subspace() for x in (a, b, StarAlgebra.diagonal(2), b)]
     interner = galois._Interner(4)
@@ -386,6 +386,28 @@ def test_interning_joins_equal_algebras_across_a_rounding_boundary():
                           lambda key: space.contains(spaces[key]))
            for k, space in enumerate(spaces)]
     assert ids == [0, 0, 1, 0]
+
+
+def test_the_interner_confirms_subspaces_that_agree_on_the_kept_coordinates():
+    # an id keeps only _KEPT_COORDINATES seeded coordinates of its fingerprint,
+    # drawn after the probe; the lines through two coordinates outside them
+    # have fingerprints that vanish on all kept ones, so only the containment
+    # confirmation tells them apart, and the line met again gets its old id
+    interner = galois._Interner(100)
+    rng = np.random.default_rng(galois._PROBE_SEED)
+    assert np.array_equal(interner.probe, rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    assert len(interner._kept) == galois._KEPT_COORDINATES < 100
+    i, j = np.setdiff1d(np.arange(100), interner._kept)[:2]
+    spaces = [linalg.Subspace(100, np.eye(100, dtype=complex)[:, [k]]) for k in (i, j, i)]
+    fingerprints = [space.project(interner.probe) for space in spaces]
+    assert np.array_equal(fingerprints[0][interner._kept], fingerprints[1][interner._kept])
+    assert np.linalg.norm(fingerprints[0] - fingerprints[1]) > interner._bound
+    asked = []
+    ids = [interner.id_of(fp, 1, k,
+                          lambda key, s=space: asked.append(key) or s.contains(spaces[key]))
+           for k, (fp, space) in enumerate(zip(fingerprints, spaces))]
+    assert ids == [0, 1, 0] and asked == [0, 0]
+    assert all(len(fp0) == galois._KEPT_COORDINATES for fp0, _, _ in interner._seen)
 
 
 def test_galois_map_holds_no_fixed_basis(s4):
@@ -497,7 +519,7 @@ def test_transported_rows_equal_the_direct_path(name, monkeypatch):
     assert verdicts(fast) == verdicts(direct)
     assert fast_fixed.keys() == direct_fixed.keys()
     for members, fixed in direct_fixed.items():
-        assert fast_fixed[members].equals(fixed), members
+        assert fast_fixed[members].subspace().equals(fixed.subspace()), members
     if name == "permutation-S4":
         assert not fast.proper and not fast.injective
     classes = groups.subgroup_classes(fast.group, [r.subgroup for r in fast.rows])
@@ -515,7 +537,7 @@ def test_the_containment_confirmation_alone_interns_exactly(name, monkeypatch):
     run = _galois_case(name)
     with monkeypatch.context() as patch:
         patch.setattr(galois, "_FINGERPRINT_MATCH", np.inf)
-        calls = _counted(patch, (algebras, "fixed_point_algebra"), (galois, "_solve_commutant"))
+        calls = _counted(patch, (algebras, "fixed_point_algebra"), (algebras, "_solve_commutant"))
         inputs = _recorded_inputs(patch)
         confirmed = run()
     subgroups = [r.subgroup for r in confirmed.rows]
@@ -684,7 +706,8 @@ def test_the_orbital_path_gives_the_kernel_paths_verdicts(name, monkeypatch):
     for row in report.rows:
         orbital = algebras.fixed_point_algebra(m, rep, row.subgroup)
         kernel = kernel_reference.fixed_point_by_kernel(m, rep, row.subgroup)
-        assert orbital.equals(kernel) and row.fixed_dim == orbital.dim, row.subgroup.members
+        assert orbital.subspace().equals(kernel.subspace()), row.subgroup.members
+        assert row.fixed_dim == orbital.dim, row.subgroup.members
     # one kernel per row, the reference's
     assert calls == {"_orbital_partition": len(report.rows), "commutant_kernel": len(report.rows)}
     assert _orbital_mismatches(report, action) == []
@@ -730,17 +753,17 @@ def test_non_permutation_carriers_take_the_sylvester_kernel(s3, monkeypatch):
 
 
 def _doctor_second_commutants(monkeypatch, basis_of) -> None:
-    """Give the second of each pair of ``galois._solve_commutant`` calls, a
+    """Give the second of each pair of ``algebras._solve_commutant`` calls, a
     non-full class solve's ``twice`` solved from ``once``, the basis
     ``basis_of(twice)``."""
-    honest, made = galois._solve_commutant, []
+    honest, made = algebras._solve_commutant, []
 
     def solve(*args, **kwargs):
         made.append(honest(*args, **kwargs))
         if len(made) % 2:
             return made[-1]
         return StarAlgebra(made[-1].ambient_dim, basis_of(made[-1]))
-    monkeypatch.setattr(galois, "_solve_commutant", solve)
+    monkeypatch.setattr(algebras, "_solve_commutant", solve)
 
 
 _E01 = np.zeros((1, 6, 6), dtype=complex)
@@ -851,7 +874,7 @@ def test_seeded_noise_of_norm_1e_12_changes_no_verdict(name):
 
 def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
     # S4's 30 subgroups fall into 11 conjugacy classes; in a full M each class
-    # solves one galois._solve_commutant kernel, (M^K)', on a pair of M^K and
+    # solves one algebras._solve_commutant kernel, (M^K)', on a pair of M^K and
     # its adjoints, never on a basis of M^K (576 matrices on the trivial row),
     # and algebras.fixed_point_algebra and relative_commutant are never called
     families = []
@@ -859,9 +882,9 @@ def test_one_kernel_and_one_commutant_per_class_on_s4(s4, monkeypatch):
     def counted():
         with monkeypatch.context() as patch:
             calls = _counted(patch, (algebras, "fixed_point_algebra"),
-                             (algebras, "relative_commutant"), (galois, "_solve_commutant"))
-            solve = galois._solve_commutant
-            patch.setattr(galois, "_solve_commutant",
+                             (algebras, "relative_commutant"), (algebras, "_solve_commutant"))
+            solve = algebras._solve_commutant
+            patch.setattr(algebras, "_solve_commutant",
                           lambda family, tol: families.append(len(family)) or solve(family, tol))
             report = galois.galois_map(StarAlgebra.full(24), reps.regular_rep(s4))
         assert len(report.rows) == 30 and not report.violations
@@ -896,14 +919,14 @@ def test_the_character_rank_is_the_first_commutant_dimension(name):
 
 
 def _doctor_first_commutants(monkeypatch, basis_of) -> None:
-    """Give each ``galois._solve_commutant`` call, a full bicommutant test's
+    """Give each ``algebras._solve_commutant`` call, a full bicommutant test's
     ``once``, the basis ``basis_of(once)``."""
-    honest = galois._solve_commutant
+    honest = algebras._solve_commutant
 
     def solve(family, tol):
         once = honest(family, tol)
         return StarAlgebra(once.ambient_dim, basis_of(once))
-    monkeypatch.setattr(galois, "_solve_commutant", solve)
+    monkeypatch.setattr(algebras, "_solve_commutant", solve)
 
 
 def _with_e01_added(basis):
@@ -1260,7 +1283,7 @@ def test_the_s5_regular_lattice():
 @pytest.mark.slow
 def test_the_s5_times_z2_regular_lattice(s5_times_z2):
     # order 240, at the order bound, on its regular representation (n = 240),
-    # its 535 subgroups in 57 conjugacy classes: about 73 s and 2.1 GB at one
+    # its 535 subgroups in 57 conjugacy classes: about 80 s and 1.4 GB at one
     # BLAS thread on a 2-core host.  Its commutant kernels' splits meet near
     # collisions, whose pairs share a block rather than fail the draw; the
     # worst residual reads 5.5e-13
