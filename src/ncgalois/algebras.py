@@ -307,7 +307,8 @@ def commutant(a: StarAlgebra, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
         second = _solve_commutant(first.basis, tol)
         if second.dim != a.dim or not (a.is_full or a.subspace().equals(second.subspace(), tol)):
             raise ClosureFailed(f"the double commutant, of dimension {second.dim}, is not the "
-                                f"span, of dimension {a.dim}: it is not closed under products")
+                                f"span, of dimension {a.dim}: it failed its bicommutant test A'' = A "
+                                f"and is not closed under products")
         a._commutants[tol] = first
     return a._commutants[tol]
 

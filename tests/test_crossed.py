@@ -100,7 +100,7 @@ def _scalar_pair(basis):
 
 @pytest.mark.parametrize("doctor, message", [
     ("covariance_check", "covariance violated"),
-    ("_generating_pair", "of dimension 1, is not the span, of dimension 4"),
+    ("bicommutant_check", "failed its bicommutant test"),
 ])
 def test_a_failed_self_test_is_a_hard_error(swap_action, monkeypatch, doctor, message):
     # covariance is a property of the action (NotInvariantAlgebra, exit 1),
@@ -109,6 +109,7 @@ def test_a_failed_self_test_is_a_hard_error(swap_action, monkeypatch, doctor, me
         monkeypatch.setattr(crossed, "covariance_check", lambda cp: 1.0)
         error = NotInvariantAlgebra
     else:
+        # four identities as the generating pair: A'' is the scalars, not A
         monkeypatch.setattr(algebras, "_generating_pair", _scalar_pair)
         error = ClosureFailed
     with pytest.raises(error, match=message):
