@@ -16,14 +16,15 @@ A' cap M = (A cup M')'.  ``commutant_of_matrices`` takes any other
 family and rejects one whose span is not closed under adjoints.  A
 fixed-point algebra of the full matrix algebra is the commutant of the
 subgroup image, unless every unitary is a permutation matrix: then it is
-spanned by the normalized indicators of the subgroup's orbitals, read off
-the action table in integers with no kernel.  In a non-full M no
-fixed-point algebra is built: its dimension is the character count of
-Ad U on M (``_ad_character``), whose moved basis also checks that M is
-invariant.  The same split of a center and of a multiplicity commutant
-gives the block structure.  Membership is measured by projection
-residuals of the algebra's ``Subspace``, and multiplicity copies are
-aligned by ``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
+spanned by the normalized indicators of the subgroup's orbitals
+(``UnitaryRep.orbitals``), read off in integers with no kernel.  In a
+non-full M no fixed-point algebra is built: its dimension is the
+character count of Ad U on M (``_ad_character``), whose moved basis
+(``UnitaryRep.conjugate``) also checks that M is invariant.  The same
+split of a center and of a multiplicity commutant gives the block
+structure.  Membership is measured by projection residuals of the
+algebra's ``Subspace``, and multiplicity copies are aligned by
+``linalg.intertwiner``, the finder ``reps.decompose`` uses too.
 
 Each algebra is certified where it is built.  A span that is not an
 algebra by construction (``from_span``, ``algebra_from_generators``)
@@ -445,10 +446,11 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
 
     When every U_g is a permutation matrix (``UnitaryRep.action``), U(H)'
     is spanned by the indicators of the orbits of H on pairs of points, its
-    orbitals (Wielandt, *Finite Permutation Groups*, 1964, ch. V): disjoint,
-    so normalized they are Hilbert-Schmidt orthonormal, and no kernel is
-    solved.  Any other representation takes the Sylvester kernel of U(H).
-    Every basis is certified by ``_certified_fixed``.
+    orbitals (``UnitaryRep.orbitals``; Wielandt, *Finite Permutation
+    Groups*, 1964, ch. V): disjoint, so normalized they are Hilbert-Schmidt
+    orthonormal, and no kernel is solved.  Any other representation takes
+    the Sylvester kernel of U(H).  Every basis is certified by
+    ``_certified_fixed``.
     """
     if rep.dim != m.ambient_dim:
         raise DimensionMismatch("representation does not act on the algebra's space")
@@ -457,30 +459,10 @@ def fixed_point_algebra(m: StarAlgebra, rep: UnitaryRep, subgroup: Subgroup,
     if not m.is_full:
         raise ValueError("a fixed-point algebra is built in a full matrix algebra only")
     if rep.action is not None:
-        basis = _orbital_indicators(_orbitals(rep, subgroup))
+        basis = _orbital_indicators(rep.orbitals(subgroup.members))
     else:
         basis = linalg.commutant_kernel(rep.matrices[list(subgroup.members)], tol).T
     return _certified_fixed(m, rep, subgroup, basis.reshape(-1, rep.dim, rep.dim))
-
-
-def _orbitals(rep: UnitaryRep, subgroup: Subgroup) -> np.ndarray:
-    """``_orbital_partition`` of ``rep.action`` under H, computed once per
-    (representation, subgroup) and kept on the representation."""
-    labels = rep._orbitals.get(subgroup.members)
-    if labels is None:
-        labels = rep._orbitals[subgroup.members] = _orbital_partition(rep.action, subgroup)
-        labels.setflags(write=False)
-    return labels
-
-
-def _orbital_partition(action: np.ndarray, subgroup: Subgroup) -> np.ndarray:
-    """The (n, n) orbital of each pair of points under H, numbered 0, 1, ... in
-    the order of their least codes: (x, y) has the code x n + y, and its
-    orbit's least code is min over h in H of act[h, x] n + act[h, y]."""
-    moved = action[list(subgroup.members)]
-    n = moved.shape[1]
-    least = np.min(moved[:, :, None] * n + moved[:, None, :], axis=0)
-    return np.unique(least, return_inverse=True)[1].reshape(n, n)
 
 
 def _orbital_indicators(orbitals: np.ndarray) -> np.ndarray:
@@ -501,8 +483,8 @@ def _ad_character(m: StarAlgebra, rep: UnitaryRep, seed=()) -> np.ndarray:
     each generator s of L must stay in M within ``_INVARIANCE_RESIDUAL``,
     else ``NotInvariantAlgebra`` names s; so chi is a class function of L,
     and each L-class takes sum_j <B_j, U_g B_j U_g*> at its least member g,
-    one ``linalg._PANEL`` of M's basis at a time, an index move on a
-    permutation carrier.
+    one ``linalg._PANEL`` of M's basis at a time (``UnitaryRep.conjugate``,
+    an index move on a permutation carrier).
     """
     if m.is_full:
         return np.abs(rep.character()) ** 2
@@ -511,12 +493,9 @@ def _ad_character(m: StarAlgebra, rep: UnitaryRep, seed=()) -> np.ndarray:
     least = conjugation_table(rep.group)[np.ix_(members, members)].min(axis=0)
     traces = np.zeros(rep.group.order)
     for g in sorted(checked | set(least.tolist())):
-        if rep.action is not None:   # (U B U*)[act x, act y] = B[x, y]
-            back = np.argsort(rep.action[g])
         for at in range(0, m.dim, linalg._PANEL):
             panel = m.basis[at:at + linalg._PANEL]
-            moved = (linalg.compress(panel, dagger(rep.matrices[g])) if rep.action is None
-                     else panel[:, back[:, None], back])
+            moved = rep.conjugate(panel, g)
             traces[g] += np.vdot(panel, moved).real
             if g in checked and (res := m.subspace().residual(
                     moved.reshape(len(panel), -1).T)) > _INVARIANCE_RESIDUAL:

@@ -31,9 +31,6 @@ from .errors import (
 )
 
 SUBGROUP_ORDER_BOUND = 240
-# the associativity check compares (a*b)*c with a*(b*c) this many table
-# entries at a time, so its transients stay a few MB at any order
-_PANEL_ENTRIES = 2 ** 19
 
 
 class FiniteGroup:
@@ -82,18 +79,6 @@ class FiniteGroup:
         if one_sided.any():
             raise NoInverse(f"element {int(np.argmax(one_sided))} has no two-sided inverse")
 
-        # (a*b)*c == a*(b*c) for all triples, a panel of rows a at a time; the
-        # first failing triple is the least (a, b, c), as over the whole cube
-        rows = max(1, _PANEL_ENTRIES // (n * n))
-        for start in range(0, n, rows):
-            panel = table[start:start + rows]
-            # left[a, b, c] = (a*b)*c and right[a, b, c] = a*(b*c), a in the panel
-            bad = np.argwhere(table[panel, :] != panel[:, table])
-            if bad.size:
-                a, b, c = map(int, bad[0])
-                a += start
-                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-
         self.mult = table
         self.mult.setflags(write=False)
         # the table as nested lists: closures grow Python sets of ints, which
@@ -103,10 +88,21 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = inverse
         self.inverse.setflags(write=False)
+        self.generators = generating_set(self, range(n))
+
+        # Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+        # I, 1961, 1.2): the c with (a*b)*c == a*(b*c) for all a, b are closed
+        # under products, and the generators reach every element by right
+        # multiplication, so generators c suffice; the least failing (a, b, c) is named
+        gens = list(self.generators)
+        bad = np.argwhere(table[:, gens][table] != table[:, table[:, gens]])
+        if bad.size:
+            a, b, j = map(int, bad[0])
+            raise NotAssociative(f"({a}*{b})*{gens[j]} != {a}*({b}*{gens[j]})")
+
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ParentMismatch("labels length does not match group order")
-        self.generators = generating_set(self, range(n))
 
     # -- basic operations --------------------------------------------------
     def op(self, a: int, b: int) -> int:

@@ -118,11 +118,8 @@ def gns(m: StarAlgebra, phi: State, tol: Tolerance = DEFAULT_TOL) -> GNSSpace:
 
 def _transpose_permutation(n: int) -> np.ndarray:
     """Permutation matrix sending vec(X) to vec(X^T) (row-major)."""
-    p = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            p[j * n + i, i * n + j] = 1.0
-    return p
+    # row j n + i holds its 1 at column i n + j
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 @dataclass(frozen=True)

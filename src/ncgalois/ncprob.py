@@ -6,10 +6,11 @@ algebras are uniform averages of unitary conjugates over a subgroup, and
 a decreasing chain of subgroups produces an increasing chain of fixed
 algebras: the filtration carrying the martingales.  On a permutation
 representation (``UnitaryRep.action``) the average is a mean over each
-orbital of the subgroup, in O(n^2) per matrix with no matrix product; any
-other representation sums the |H| conjugates.  The axiom audit applies E
-to a fixed seeded panel and to seeded elements of the filtration's own
-fixed algebra, so its cost does not grow with the n^2 matrix units.
+orbital of the subgroup (``UnitaryRep.orbitals``), in O(n^2) per matrix
+with no matrix product; any other representation sums the |H| conjugates.
+The axiom audit applies E to a fixed seeded panel and to seeded elements
+of the filtration's own fixed algebra, so its cost does not grow with the
+n^2 matrix units.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     permutation matrix (``rep.action``), U_h a U_h* moves the entry (x, y)
     of ``a`` to (h x, h y), and the sum over H visits each pair of an orbital
     of H |H|/|orbital| times: the average is the mean of ``a`` over each
-    orbital (``algebras._orbitals``, labelled once per subgroup), in
+    orbital (``UnitaryRep.orbitals``, labelled once per subgroup), in
     O(k n^2).  Any other representation takes the sandwich sum of the |H|
     conjugates.
     """
@@ -105,7 +106,7 @@ def conditional_expectation(a, rep: UnitaryRep, subgroup: Subgroup) -> np.ndarra
     if rep.action is None:
         mats = rep.matrices[list(subgroup.members)]
         return sandwich_sum(mats, a, dagger(mats)) / subgroup.order
-    labels = alg._orbitals(rep, subgroup).ravel()
+    labels = rep.orbitals(subgroup.members).ravel()
     sizes = np.bincount(labels)
     flat = a.reshape(-1, labels.size)
     # one bin per (matrix, orbital) pair of the stack

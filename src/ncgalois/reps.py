@@ -56,8 +56,7 @@ class UnitaryRep:
         self.dim = mats.shape[1]
         self.matrices = mats
         self.matrices.setflags(write=False)
-        # subgroup members -> H's orbital labels on the points of ``action``,
-        # filled by ``algebras._orbitals`` once per subgroup
+        # subgroup members -> H's orbital labels, filled by ``orbitals``
         self._orbitals: dict = {}
         if check:
             self._validate()
@@ -75,8 +74,9 @@ class UnitaryRep:
     @cached_property
     def action(self) -> np.ndarray | None:
         """The point table act[g, x], U_g e_x = e_{act[g, x]}, when every matrix
-        is exactly a 0/1 permutation matrix, else None.  The comparison is
-        exact, with no tolerance, and is made once per representation."""
+        is exactly a 0/1 permutation matrix, else None: an exact scan, once per
+        representation, of matrices that arrive dense (``permutation_rep`` sets
+        the table it checked instead)."""
         mats = self.matrices
         if not (np.all((mats == 0) | (mats == 1)) and np.all(mats.sum(axis=1) == 1)
                 and np.all(mats.sum(axis=2) == 1)):
@@ -84,6 +84,26 @@ class UnitaryRep:
         act = np.argmax(mats.real, axis=1)
         act.setflags(write=False)
         return act
+
+    def orbitals(self, members) -> np.ndarray:
+        """The (n, n) orbital of each pair (x, y) of points under the subgroup
+        of ``members`` on a permutation carrier, numbered 0, 1, ... by least
+        code min_h act[h, x] n + act[h, y]; kept per member tuple."""
+        if members not in self._orbitals:
+            moved, n = self.action[list(members)], self.dim
+            least = np.min(moved[:, :, None] * n + moved[:, None, :], axis=0)
+            labels = np.unique(least, return_inverse=True)[1].reshape(n, n)
+            labels.setflags(write=False)
+            self._orbitals[members] = labels
+        return self._orbitals[members]
+
+    def conjugate(self, stack: np.ndarray, g: int) -> np.ndarray:
+        """U_g X U_g* for every X of the stack: on a permutation carrier the
+        index move (U X U*)[act x, act y] = X[x, y], else ``linalg.compress``."""
+        if self.action is None:
+            return linalg.compress(stack, dagger(self.matrices[g]))
+        back = self.action[self.group.inverse[g]]
+        return stack[..., back[:, None], back]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UnitaryRep(order={self.group.order}, dim={self.dim})"
@@ -111,9 +131,11 @@ def permutation_rep(group: FiniteGroup, action) -> UnitaryRep:
     ``action[g][i]`` is the image of point ``i`` under element ``g``, and
     U_g e_i = e_{action[g][i]}.  The table is checked exactly: every row is
     a permutation, the identity fixes every point, and
-    ``action[a*b] == action[a][action[b]]`` for every pair (a, b).
+    ``action[a*s] == action[a][action[s]]`` for every element a and every
+    generator s, the whole homomorphism (``_check_homomorphism``).  The
+    representation keeps a read-only copy of the table as its ``action``.
     """
-    act = np.asarray(action, dtype=np.intp)
+    act = np.array(action, dtype=np.intp)
     if act.ndim != 2 or act.shape[0] != group.order:
         raise ParentMismatch(f"need one row of point images per element, got shape {act.shape}")
     npts = act.shape[1]
@@ -123,14 +145,17 @@ def permutation_rep(group: FiniteGroup, action) -> UnitaryRep:
         raise NotAHomomorphism(f"row {int(np.argmax(bad_rows))} of the action is not a permutation")
     if np.any(act[group.identity] != points):
         raise NotAHomomorphism("the identity element moves a point")
-    elements = np.arange(group.order)
-    broken = np.any(act[group.mult] != act[elements[:, None, None], act[None]], axis=2)
+    gens = list(group.generators)
+    broken = np.any(act[group.mult[:, gens]] != act[:, act[gens]], axis=2)
     if broken.any():
-        a, b = map(int, np.argwhere(broken)[0])
-        raise NotAHomomorphism(f"action[{a}*{b}] != action[{a}][action[{b}]]")
+        a, j = map(int, np.argwhere(broken)[0])
+        raise NotAHomomorphism(f"action[{a}*{gens[j]}] != action[{a}][action[{gens[j]}]]")
     mats = np.zeros((group.order, npts, npts), dtype=np.complex128)
-    mats[elements[:, None], act, points] = 1.0
-    return UnitaryRep(group, mats, check=False)
+    mats[np.arange(group.order)[:, None], act, points] = 1.0
+    rep = UnitaryRep(group, mats, check=False)
+    act.setflags(write=False)
+    rep.action = act   # shadows the cached property, which scans the matrices
+    return rep
 
 
 def direct_sum(*reps: UnitaryRep) -> UnitaryRep:

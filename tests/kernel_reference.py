@@ -8,7 +8,7 @@ import numpy as np
 
 from ncgalois import algebras, galois, groups, linalg, modular, reps
 from ncgalois.algebras import StarAlgebra
-from ncgalois.errors import NotInvariantAlgebra, OrderBoundExceeded
+from ncgalois.errors import NotAHomomorphism, NotInvariantAlgebra, OrderBoundExceeded
 from ncgalois.groups import SUBGROUP_ORDER_BOUND, FiniteGroup, Subgroup
 from ncgalois.linalg import DEFAULT_TOL, Subspace, Tolerance, dagger, frob
 from ncgalois.ncprob import State
@@ -232,6 +232,25 @@ def is_homomorphism_all_pairs(group: FiniteGroup, mats: np.ndarray) -> bool:
     identity = frob(mats[group.identity] - eye) <= 1e-8
     pairs = float(np.max(np.abs(mats[:, None] @ mats[None] - mats[group.mult]))) <= 1e-8
     return bool(unitary and identity and pairs)
+
+
+def check_action_all_pairs(group: FiniteGroup, action) -> None:
+    """``reps.permutation_rep``'s checks of an action table with the law
+    ``action[a*b] == action[a][action[b]]`` tested on every pair (a, b),
+    an |G|^2 n index array, raising ``NotAHomomorphism`` at the least pair."""
+    act = np.asarray(action, dtype=np.intp)
+    npts = act.shape[1]
+    points = np.arange(npts)
+    bad_rows = np.any(np.sort(act, axis=1) != points, axis=1)
+    if bad_rows.any():
+        raise NotAHomomorphism(f"row {int(np.argmax(bad_rows))} of the action is not a permutation")
+    if np.any(act[group.identity] != points):
+        raise NotAHomomorphism("the identity element moves a point")
+    elements = np.arange(group.order)
+    broken = np.any(act[group.mult] != act[elements[:, None, None], act[None]], axis=2)
+    if broken.any():
+        a, b = map(int, np.argwhere(broken)[0])
+        raise NotAHomomorphism(f"action[{a}*{b}] != action[{a}][action[{b}]]")
 
 
 def ad_group_law_all_pairs(group: FiniteGroup, basis: np.ndarray, unitaries) -> float:

@@ -255,9 +255,14 @@ def test_orbitals_are_labelled_once_per_subgroup(workload, subgroups, expectatio
     # H and kept on the representation
     spec = _workloads().write_inputs(workload, 101, str(tmp_path))
     labelled, averaged = [], []
-    partition, expectation = algebras._orbital_partition, ncprob.conditional_expectation
-    monkeypatch.setattr(algebras, "_orbital_partition",
-                        lambda act, sub: labelled.append(sub.members) or partition(act, sub))
+    orbitals, expectation = reps.UnitaryRep.orbitals, ncprob.conditional_expectation
+
+    def labelling(rep, members):
+        if members not in rep._orbitals:   # the call that labels H
+            labelled.append(members)
+        return orbitals(rep, members)
+
+    monkeypatch.setattr(reps.UnitaryRep, "orbitals", labelling)
     monkeypatch.setattr(ncprob, "conditional_expectation",
                         lambda a, rep, sub:
                         averaged.append(sub.members) or expectation(a, rep, sub))

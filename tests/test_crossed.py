@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import types
 
 import kernel_reference
 import numpy as np
@@ -372,31 +371,22 @@ def test_the_trace_count_is_the_closed_form_of_the_base_maps(crossed_s3_m3):
     assert [r.fixed_dim for r in crossed.crossed_galois(cp)[0].rows] == [54, 28, 28, 28, 18, 10]
 
 
-class _ReadRecorder:
-    """An action table that records which elements are read from it."""
-
-    def __init__(self, table):
-        self.table, self.read = table, []
-
-    def __getitem__(self, g):
-        self.read.append(g)
-        return self.table[g]
-
-
-def test_the_ad_character_moves_one_element_per_class(crossed_s3_m3):
+def test_the_ad_character_moves_one_element_per_class(crossed_s3_m3, monkeypatch):
     # on the benchmark input: one element of each class of the checked
     # subgroup L and L's generators are moved, and chi equals the per-element
     # loop on L; seeded by one transposition, L = {e, s}, chi is NaN outside
     # L, and a count of L itself reads only L
     cp = crossed.crossed_product(*crossed_s3_m3)
-    table = _ReadRecorder(cp.translation.action)
-    rep = types.SimpleNamespace(group=cp.group, action=table, matrices=cp.translation.matrices)
+    rep, moved = cp.translation, []
+    assert cp.algebra.dim <= linalg._PANEL   # one conjugate call per element moved
+    monkeypatch.setattr(rep, "conjugate", lambda stack, g, _honest=rep.conjugate:
+                        moved.append(g) or _honest(stack, g))
     gens = cp.group.generators
     chi = algebras._ad_character(cp.algebra, rep, gens)
     reference = kernel_reference.ad_character_per_element(cp.algebra, cp.translation, gens)
     assert np.allclose(chi, reference, rtol=0.0, atol=1e-9)
     classes = groups.conjugacy_classes(cp.group)
-    assert table.read == sorted({min(c) for c in classes} | set(gens)) and len(classes) == 3
+    assert moved == sorted({min(c) for c in classes} | set(gens)) and len(classes) == 3
     s = next(c for c in classes if len(c) == 3)[0]
     chi = algebras._ad_character(cp.algebra, cp.translation, (s,))
     inside = [cp.group.identity, s]

@@ -476,7 +476,7 @@ def _galois_case(name):
 
 
 def _counted(patch, *seams) -> collections.Counter:
-    """Patch each (module, name) of ``seams`` to count its calls, by name, in the
+    """Patch each (module or class, name) of ``seams`` to count its calls, by name, in the
     returned counter, which lists every seam, called or not."""
     calls = collections.Counter({fn: 0 for _, fn in seams})
     for module, fn in seams:
@@ -701,22 +701,27 @@ def test_the_orbital_path_gives_the_kernel_paths_verdicts(name, monkeypatch):
     rep = reps.permutation_rep(group, action)
     m = StarAlgebra.full(rep.dim)
     report = _galois_case(name)()
-    calls = _counted(monkeypatch, (algebras, "_orbital_partition"),
-                     (linalg, "commutant_kernel"))
+    calls = _counted(monkeypatch, (reps.UnitaryRep, "orbitals"), (linalg, "commutant_kernel"))
     for row in report.rows:
         orbital = algebras.fixed_point_algebra(m, rep, row.subgroup)
         kernel = kernel_reference.fixed_point_by_kernel(m, rep, row.subgroup)
         assert orbital.subspace().equals(kernel.subspace()), row.subgroup.members
         assert row.fixed_dim == orbital.dim, row.subgroup.members
     # one kernel per row, the reference's
-    assert calls == {"_orbital_partition": len(report.rows), "commutant_kernel": len(report.rows)}
+    assert calls == {"orbitals": len(report.rows), "commutant_kernel": len(report.rows)}
     assert _orbital_mismatches(report, action) == []
+
+
+def _right_translations(group) -> reps.UnitaryRep:
+    """The permutation representation x -> x g^-1, whose orbitals under a
+    subgroup H are the orbits of pairs under right translation by H."""
+    return reps.permutation_rep(group, group.mult[:, group.inverse].T)
 
 
 @pytest.mark.parametrize("doctor, error, match", [
     (lambda orbitals, sub: np.where(orbitals == 1, 0, orbitals - (orbitals > 1)),
      DecompositionFailed, "the character formula gives"),
-    (lambda orbitals, sub: algebras._orbital_partition(groups.symmetric_group(4).mult.T, sub),
+    (lambda orbitals, sub: _right_translations(sub.parent).orbitals(sub.members),
      ClosureFailed, "fails to commute"),
 ], ids=["two-orbitals-merged", "right-translations"])
 def test_a_doctored_partition_fails_the_fixed_point_certificate(s4, doctor, error, match):
@@ -728,8 +733,7 @@ def test_a_doctored_partition_fails_the_fixed_point_certificate(s4, doctor, erro
     subs = groups.enumerate_subgroups(s4)
     for r in sorted({r for r, _ in groups.subgroup_classes(s4, subs)} - {0}):
         sub = subs[r]
-        orbitals = algebras._orbital_partition(rep.action, sub)
-        basis = algebras._orbital_indicators(doctor(orbitals, sub))
+        basis = algebras._orbital_indicators(doctor(rep.orbitals(sub.members), sub))
         with pytest.raises(error, match=match):
             algebras._certified_fixed(m, rep, sub, basis)
 
@@ -743,13 +747,13 @@ def test_non_permutation_carriers_take_the_sylvester_kernel(s3, monkeypatch):
     signed = reps.UnitaryRep(s3, np.array([np.diag([1.0, s]) for s in signs]))
     top = groups.Subgroup(s3, tuple(range(6)))
     assert np.array_equal(reg.action, s3.mult)
-    calls = _counted(monkeypatch, (algebras, "_orbital_partition"))
+    calls = _counted(monkeypatch, (reps.UnitaryRep, "orbitals"))
     for rep in (kernel_reference.rotated(reg), noisy, signed):
         assert rep.action is None
         algebras.fixed_point_algebra(StarAlgebra.full(rep.dim), rep, top)
-    assert calls == {"_orbital_partition": 0}
+    assert calls == {"orbitals": 0}
     algebras.fixed_point_algebra(StarAlgebra.full(6), reg, top)   # the counter does see one
-    assert calls == {"_orbital_partition": 1}
+    assert calls == {"orbitals": 1}
 
 
 def _doctor_second_commutants(monkeypatch, basis_of) -> None:

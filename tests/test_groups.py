@@ -1,6 +1,8 @@
 import ast
 import itertools
+import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import kernel_reference
@@ -202,24 +204,26 @@ def _intercalate_swaps(table: np.ndarray, identity: int, limit: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("panel", [None, 1, 3])
-def test_the_panelled_associativity_check_names_the_full_cube_witness(fixture_groups, panel,
-                                                                     monkeypatch):
-    # the panelled check raises at the least failing (a, b, c), as the whole
-    # n^3 cube does, with panels of one row, of several rows (a panel
-    # boundary inside the table) and of the whole table
+def test_the_generator_associativity_check_agrees_with_the_full_cube(fixture_groups):
+    # Light's test on the greedy generators refuses exactly the tables in
+    # which the whole n^3 cube has a witness, intact or with an intercalate
+    # swapped, and names a failing (a, b, c) whose c is a greedy generator of
+    # the table it refuses
     corrupted = 0
     for name, g in fixture_groups.items():
-        if panel is not None:
-            monkeypatch.setattr(groups, "_PANEL_ENTRIES", panel * g.order ** 2)
-        for bad in _intercalate_swaps(g.mult, g.identity, limit=3):
-            a, b, c = kernel_reference.associativity_witness_by_cube(bad)
+        for table in [g.mult, *_intercalate_swaps(g.mult, g.identity, limit=10)]:
+            if kernel_reference.associativity_witness_by_cube(table) is None:
+                assert FiniteGroup(table) == g, name
+                continue
             with pytest.raises(NotAssociative) as exc:
-                FiniteGroup(bad)
-            assert str(exc.value) == f"({a}*{b})*{c} != {a}*({b}*{c})", name
+                FiniteGroup(table)
+            a, b, c = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != \1\*\(\2\*\3\)",
+                                            str(exc.value)).groups())
+            assert table[table[a, b], c] != table[a, table[b, c]], name
+            stand_in = types.SimpleNamespace(identity=g.identity, _rows=table.tolist())
+            assert c in groups.generating_set(stand_in, range(g.order)), name
             corrupted += 1
-        assert FiniteGroup(g.mult) == g
-    assert corrupted >= 15
+    assert corrupted >= 40
 
 
 @pytest.mark.parametrize("make", [
@@ -235,7 +239,8 @@ def test_permutation_groups_compose_like_the_double_loop(monkeypatch, make):
 
 
 def test_a_group_of_order_240_is_checked_in_panels(s5_times_z2):
-    # the n^3 comparison cubes of S5 x Z2 would take 2 x 110 MB
+    # the n^3 comparison cubes of S5 x Z2 would take 2 x 110 MB; Light's test
+    # compares |G|^2 entries per generator
     tracemalloc.start()
     try:
         FiniteGroup(s5_times_z2.mult)

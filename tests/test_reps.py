@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -45,6 +50,80 @@ def test_permutation_rep_checks_the_action_table_exactly(s3, corrupt, message):
                           np.argsort(act, axis=1))
     with pytest.raises(NotAHomomorphism, match=message):
         reps.permutation_rep(s3, corrupt(act))
+
+
+def _refusal(check, *args) -> str | None:
+    """The ``NotAHomomorphism`` message of ``check(*args)``, or None when it accepts."""
+    try:
+        check(*args)
+    except NotAHomomorphism as exc:
+        return str(exc)
+    return None
+
+
+def _corrupted_actions(group, act) -> list:
+    """Copies of the action table ``act`` with two rows of non-identity elements
+    swapped, and with one such row composed with the transposition of points 0, 1."""
+    others = [a for a in range(group.order) if a != group.identity]
+    out = []
+    for a, b in itertools.combinations(others, 2):
+        swapped = act.copy()
+        swapped[[a, b]] = act[[b, a]]
+        out.append(swapped)
+    swap = np.arange(act.shape[1])
+    swap[[0, 1]] = [1, 0]
+    for a in others:
+        composed = act.copy()
+        composed[a] = act[a][swap]
+        out.append(composed)
+    return out
+
+
+def test_the_action_check_on_generators_matches_all_pairs(fixture_groups):
+    # permutation_rep checks action[a*s] == action[a][action[s]] on the
+    # generators s only, and refuses exactly the tables the all-pairs check
+    # refuses, naming a failing pair with s a generator: every fixture's
+    # regular action and S3's and S4's point actions, with rows swapped or
+    # composed with a transposition, and S3's point action given for Z6 and
+    # for relabelled S3 tables
+    s3 = fixture_groups["S3"]
+    cases = [(g, g.mult) for g in fixture_groups.values()]
+    cases += [(fixture_groups[f"S{n}"], groups.symmetric_action(n)) for n in (3, 4)]
+    rejected = 0
+    for group, act in cases:
+        assert _refusal(kernel_reference.check_action_all_pairs, group, act) is None
+        assert _refusal(reps.permutation_rep, group, act) is None
+        for bad in _corrupted_actions(group, np.asarray(act)):
+            verdict = _refusal(kernel_reference.check_action_all_pairs, group, bad)
+            found = _refusal(reps.permutation_rep, group, bad)
+            assert (found is None) == (verdict is None), (group.order, bad.tolist())
+            if found is not None and found.startswith("action["):
+                a, s = map(int, re.fullmatch(r"action\[(\d+)\*(\d+)\] != .*", found).groups())
+                assert s in group.generators
+                assert not np.array_equal(bad[group.mult[a, s]], bad[a][bad[s]])
+            rejected += verdict is not None
+    relabelled = [groups.FiniteGroup(np.argsort(p)[s3.mult[np.ix_(p, p)]])
+                  for p in itertools.permutations(range(6)) if p[0] == 0]
+    others = [fixture_groups["Z6"], *relabelled]
+    point = groups.symmetric_action(3)
+    verdicts = [(_refusal(reps.permutation_rep, g, point) is None,
+                 _refusal(kernel_reference.check_action_all_pairs, g, point) is None)
+                for g in others]
+    assert all(ours == theirs for ours, theirs in verdicts)
+    assert verdicts[0] == (False, False) and (True, True) in verdicts
+    rejected += sum(not theirs for _, theirs in verdicts)
+    assert rejected >= 700
+
+
+def test_a_permutation_rep_carries_a_read_only_copy_of_its_table(s3):
+    # action is set from the checked table, so the cached scan of the dense
+    # matrices never runs, and the caller's table stays writable
+    act = groups.symmetric_action(3)
+    for rep in (reps.permutation_rep(s3, act), reps.regular_rep(s3)):
+        assert "action" in vars(rep)
+        assert not rep.action.flags.writeable
+        assert np.array_equal(rep.matrices @ np.arange(rep.dim), np.argsort(rep.action, axis=1))
+    assert act.flags.writeable and reps.permutation_rep(s3, act).action is not act
 
 
 def _accepts(group, mats) -> bool:
@@ -200,6 +279,51 @@ def test_the_s6_irrep_table_from_its_characters(monkeypatch):
     assert np.max(np.abs(table.characters - reps.character_table(s6).characters)) <= 1e-12
     assert _peter_weyl_residual(table) <= 1e-10
     assert seconds <= 20.0 and peak <= 200 * 2 ** 20, (seconds, peak)
+
+
+_S6_ON_COSETS_IN_A_PROCESS = """
+import json, time
+import numpy as np
+from ncgalois import groups, reps
+start = time.perf_counter()
+s6 = groups.symmetric_group(6)
+built = time.perf_counter()
+# the left cosets x H of H = <(012)(345)>, each named by its least member; a
+# point is a coset, g moves the coset of x to that of g x
+h = list(groups.closure(s6, [s6.labels.index("120453")]))
+coset = np.unique(s6.mult[:, h].min(axis=1), return_inverse=True)[1]
+points = np.unique(coset, return_index=True)[1]
+action = coset[s6.mult[:, points]]
+rep = reps.permutation_rep(s6, action)
+assert np.array_equal(rep.action, action)
+done = time.perf_counter()
+print(json.dumps({
+    "group_s": built - start,
+    "rep_s": done - built,
+    "points": rep.dim,
+    "proper": reps.is_proper(rep).proper,
+    "max_rss_kib": int(next(line for line in open("/proc/self/status")
+                            if line.startswith("VmHWM:")).split()[1]),
+}))
+"""
+
+
+@pytest.mark.slow
+def test_s6_on_the_240_cosets_is_built_in_a_second_or_two():
+    # S6's table checked by Light's test on its generators (it took 5-7 s
+    # over the |G|^3 cube) and its action on the cosets of <(012)(345)>
+    # checked on the generators (3.4 s and 2.07 GB over all pairs, with the
+    # table then read back off the dense stack), in a process of its own
+    src = os.path.dirname(os.path.dirname(reps.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _S6_ON_COSETS_IN_A_PROCESS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["points"] == 240 and out["proper"], out
+    assert out["group_s"] < 1.0 and out["rep_s"] < 2.0, out
+    assert out["max_rss_kib"] < 2 ** 20, out
 
 
 def _uncached_character_table(group, monkeypatch):
