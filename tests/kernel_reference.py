@@ -191,9 +191,12 @@ def enumerate_subgroups_by_all_pairs(group: FiniteGroup, order_bound: int = SUBG
     return [Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 
-def associativity_witness_by_cube(table: np.ndarray):
-    """The least (a, b, c) with (a*b)*c != a*(b*c), over the whole n^3 cube at once, or None."""
+def associativity_witness_by_cube(table: np.ndarray, columns=None):
+    """The least (a, b, c) with (a*b)*c != a*(b*c), over the whole n^3 cube at
+    once, or None; with ``columns``, the least whose c is one of them."""
     bad = np.argwhere(table[table, :] != table[:, table])
+    if columns is not None:
+        bad = bad[np.isin(bad[:, 2], list(columns))]
     return tuple(map(int, bad[0])) if bad.size else None
 
 
