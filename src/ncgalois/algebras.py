@@ -369,7 +369,7 @@ def _factor_structure(basis: np.ndarray, rng, tol: Tolerance):
     if mult == 1:
         isoms = [np.eye(r, dtype=np.complex128)]
     else:
-        isoms = linalg.random_split(comm.basis, rng, mult, tol)
+        isoms = linalg.random_split(comm.basis, rng, mult)
         if any(q.shape[1] != block_dim for q in isoms):
             raise CenterSplitFailed(
                 f"multiplicity copies of sizes {[q.shape[1] for q in isoms]}, "
@@ -399,7 +399,7 @@ def block_structure(m: StarAlgebra, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = m.ambient_dim
     z = center(m, tol)
-    pieces = linalg.random_split(z.basis, rng, z.dim, tol) if z.dim > 1 else [
+    pieces = linalg.random_split(z.basis, rng, z.dim) if z.dim > 1 else [
         np.eye(n, dtype=np.complex128)
     ]
 

@@ -180,7 +180,7 @@ def _cmd_irreps(spec, seed, tol, load_json_field):
 
     _check_fields(spec, ["group"])
     group = _load_group(spec, load_json_field)
-    table = reps.irrep_table(group, tol)
+    table = reps.irrep_table(group)
     basis, _ = reps.peter_weyl_basis(table)
     gram = basis @ basis.conj().T / group.order
     pw_residual = float(np.max(np.abs(gram - np.eye(group.order))))
@@ -219,7 +219,7 @@ def _cmd_decompose(spec, seed, tol, load_json_field):
 
     _check_fields(spec, ["representation"])
     rep = _load_rep(spec, load_json_field)
-    dec = reps.decompose(rep, seed, tol)
+    dec = reps.decompose(rep, seed)
     u = dec.intertwiner
     unit_res = float(frob(dagger(u) @ u - np.eye(rep.dim)))
 
@@ -292,7 +292,7 @@ def _cmd_modular(spec, seed, tol, load_json_field):
     state = ncprob.State(rho).require_faithful()
     n = state.dim
 
-    space = modular.gns(StarAlgebra.full(n), state, tol)
+    space = modular.gns(StarAlgebra.full(n), state)
     md = modular.tomita(space, tol)
     identities = modular.modular_identity_residuals(md)
     tt = modular.tomita_takesaki_residuals(md, tol=tol)

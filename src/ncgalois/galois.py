@@ -136,7 +136,7 @@ def subgroup_equivalence(group: FiniteGroup, subgroups, irrep_indices,
     irrep_indices = list(irrep_indices)
     if not irrep_indices:
         return (tuple(range(len(subgroups))),)
-    table = rp.character_table(group, tol)
+    table = rp.character_table(group)
     e = np.asarray(table.dims)[irrep_indices] @ table.characters[irrep_indices].conj()
     images = (e / np.linalg.norm(e))[group.mult[group.inverse]]   # row h: h e
     interner = _Interner(group.order)
@@ -205,7 +205,7 @@ def galois_map(m: StarAlgebra, pi: rp.UnitaryRep, mode: str = "auto", subgroups=
     if len({h.members for h in subgroups}) != len(subgroups):
         raise ValueError("a subgroup is given twice")
 
-    properness = rp.is_proper(pi, tol)
+    properness = rp.is_proper(pi)
     report = GaloisReport(
         group=group,
         mode=mode,
@@ -345,7 +345,7 @@ def _require_isotypic_count(once: StarAlgebra, pi: rp.UnitaryRep, subgroup: Subg
         z = ncprob.conditional_expectation(np.tensordot(c, pi.matrices[members], axes=1), pi,
                                            subgroup)
         total = 0
-        for q in random_split(z[None], rng, tol=tol):
+        for q in random_split(z[None], rng):
             e = q.shape[1]
             d2 = Subspace.from_span(compress(once.basis, q).reshape(once.dim, -1), e * e, tol).dim
             d = math.isqrt(d2)

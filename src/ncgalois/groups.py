@@ -47,7 +47,7 @@ class FiniteGroup:
     """
 
     def __init__(self, mult, labels=None):
-        table = np.asarray(mult, dtype=np.intp)
+        table = np.array(mult, dtype=np.intp)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotLatinSquare(f"table must be square, got shape {table.shape}")
         n = table.shape[0]

@@ -301,7 +301,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
+def spectral_blocks(h) -> list:
     """Eigenvector blocks of a Hermitian matrix, one per eigenvalue cluster.
 
     A new block starts wherever consecutive ascending eigenvalues differ by
@@ -310,14 +310,13 @@ def spectral_blocks(h, tol: Tolerance = DEFAULT_TOL) -> list:
     Hermitian element of a commutant or center, this is the split step of
     the randomized decomposition (Dixon, Math. Comp. 1970).
     """
-    w, v = hermitian_eig(h, tol)
+    w, v = hermitian_eig(h)
     edges = np.nonzero(np.diff(w) > _MIXING_GAP)[0]
     bounds = [0, *(e + 1 for e in edges), len(w)]
     return [v[:, bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
-def random_split(stack, rng: np.random.Generator, parts: int = 1,
-                 tol: Tolerance = DEFAULT_TOL) -> list:
+def random_split(stack, rng: np.random.Generator, parts: int = 1) -> list:
     """Spectral blocks of h = b + b* for a random combination b of the stack.
 
     The span of the stack must be closed under adjoints.  Then every X
@@ -339,7 +338,7 @@ def random_split(stack, rng: np.random.Generator, parts: int = 1,
         h = b + dagger(b)
         # at unit norm the gap of spectral_blocks is far above the rounding
         # of h, so no true eigenspace is cut
-        blocks = spectral_blocks(h / max(frob(h), 1.0), tol)
+        blocks = spectral_blocks(h / max(frob(h), 1.0))
         if len(blocks) >= parts:
             return blocks
     raise CenterSplitFailed(
@@ -435,7 +434,7 @@ def commutant_kernel(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    blocks = random_split(mats, np.random.default_rng(_SPLIT_SEED), tol=tol)
+    blocks = random_split(mats, np.random.default_rng(_SPLIT_SEED))
     v = np.hstack(blocks)
     sizes = [q.shape[1] for q in blocks]
     rows, cols = _block_coordinates(sizes)

@@ -76,7 +76,7 @@ class GNSSpace:
         return (flat.conj() @ products.reshape(self.dim, -1).T)
 
 
-def gns(m: StarAlgebra, phi: State, tol: Tolerance = DEFAULT_TOL) -> GNSSpace:
+def gns(m: StarAlgebra, phi: State) -> GNSSpace:
     """GNS space of a faithful state on a matrix algebra.
 
     The Gram matrix ``phi(B_i* B_j)`` must be positive definite, which is

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -24,7 +25,7 @@ from .reps import UnitaryRep
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise SpecValidationError(f"non-finite value {x!r} in report")
     return format(float(x) + 0.0, ".17g")
 

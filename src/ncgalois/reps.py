@@ -234,7 +234,7 @@ _TABLE_LOCK = threading.Lock()
 _EIGENVECTOR_MATCH = 1e-9
 
 
-def character_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> CharacterTable:
+def character_table(group: FiniteGroup) -> CharacterTable:
     """All irreducible characters of the group, from its multiplication table alone.
 
     Burnside's class-sum method (Dixon, Numer. Math. 10, 1967; Schneider,
@@ -261,7 +261,7 @@ def character_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> Charact
 
     labels, sizes, stack = _class_matrices(group)
     n, k = group.order, len(sizes)
-    vectors = np.hstack(linalg.random_split(stack, np.random.default_rng(_TABLE_SEED), k, tol))
+    vectors = np.hstack(linalg.random_split(stack, np.random.default_rng(_TABLE_SEED), k))
     moved = stack @ vectors                                  # moved[i, :, r] = K_i v_r
     values = np.einsum("jr,ijr->ir", vectors.conj(), moved)
     residual = np.linalg.norm(moved - values[:, None, :] * vectors, axis=1) / sizes[:, None]
@@ -313,7 +313,7 @@ def _class_matrices(group: FiniteGroup) -> tuple:
     return labels, sizes, c.transpose(0, 2, 1) * root[:, None] / root
 
 
-def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
+def irrep_table(group: FiniteGroup) -> IrrepTable:
     """All irreducibles of the group, one per row of ``character_table``, in its order.
 
     The left-regular action L_g e_y = e_{gy} is read off ``mult`` and never
@@ -324,7 +324,8 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     right-regular action R_h e_y = e_{y h^-1} commutes with every L_g, and
     the seeded element sum_h c_h R_h, whose entry [x, y] is c(x^-1 y), acts on
     the component as a generic element of the copies' d x d commutant:
-    ``linalg.random_split`` of it must give d blocks of size d, the copies.
+    ``linalg.random_split`` of it must give d blocks of size d, the copies,
+    so a range of the wrong rank (p's is cut at ``DEFAULT_TOL``) fails here.
     The irrep's matrices are the left translations compressed to the first
     copy q, with (L_g q)[x] = q[g^-1 x].  Each is certified as a
     ``UnitaryRep`` and by its character, which must match the table's row
@@ -338,7 +339,7 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     if cached is not None:
         return cached
 
-    chars = character_table(group, tol)
+    chars = character_table(group)
     n = group.order
     quotient = group.mult[:, group.inverse]    # quotient[x, y] = x y^-1
     moved = group.mult[group.inverse]          # moved[x, y] = x^-1 y
@@ -347,10 +348,10 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     for chi, d in zip(chars.characters, chars.dims):
         p = (d / n) * chi.conj()[quotient]
         # from_span spans rows, so p.T gives p's range; p's own rows span the conjugate
-        basis = linalg.Subspace.from_span(p.T, n, tol).basis
+        basis = linalg.Subspace.from_span(p.T, n).basis
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         right = dagger(basis) @ c[moved] @ basis
-        copies = linalg.random_split(right[None], rng, d, tol)
+        copies = linalg.random_split(right[None], rng, d)
         if [q.shape[1] for q in copies] != [d] * d:
             raise DecompositionFailed(
                 f"the isotypic component of a degree-{d} character splits into copies "
@@ -368,7 +369,7 @@ def irrep_table(group: FiniteGroup, tol: Tolerance = DEFAULT_TOL) -> IrrepTable:
     return table
 
 
-def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> list:
+def invariant_isometries(rep: UnitaryRep, seed: int) -> list:
     """(table index, isometry) of every irreducible copy in ``rep``, in table order.
 
     Each irrep rho of ``irrep_table`` appears as often as its multiplicity m
@@ -380,7 +381,7 @@ def invariant_isometries(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TO
     each generator s, and q*[earlier copies, q] - [0, 1], must stay within
     1e-9 times the dimension of ``rep``, else ``DecompositionFailed``.
     """
-    table = irrep_table(rep.group, tol)
+    table = irrep_table(rep.group)
     rng = np.random.default_rng(seed)
     gens = list(rep.group.generators)
     out = []
@@ -416,7 +417,7 @@ class Decomposition:
     intertwiner: np.ndarray  # unitary; conjugation gives exact canonical blocks
 
 
-def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
+def decompose(rep: UnitaryRep, seed: int) -> Decomposition:
     """Decompose into canonical irreducible blocks.
 
     The intertwiner stacks the copies of ``invariant_isometries``; it is
@@ -427,8 +428,8 @@ def decompose(rep: UnitaryRep, seed: int, tol: Tolerance = DEFAULT_TOL) -> Decom
     the copies found, or their dimensions do not sum to the source's; that
     signals a tolerance problem rather than bad input.
     """
-    table = irrep_table(rep.group, tol)
-    pieces = invariant_isometries(rep, seed, tol)
+    table = irrep_table(rep.group)
+    pieces = invariant_isometries(rep, seed)
     blocks = tuple((i, len(list(run))) for i, run in itertools.groupby(i for i, _ in pieces))
     squares = sum(m * m for _, m in blocks)
     chi = rep.character()
@@ -519,18 +520,14 @@ def peter_weyl_basis(table: IrrepTable) -> tuple:
     orthonormal under the normalized average, which is exactly the
     completeness statement at finite order.
     """
-    group = table.group
-    if sum(d * d for d in table.dims) != group.order:
+    order = table.group.order
+    if sum(d * d for d in table.dims) != order:
         raise IncompleteTable("irrep dimensions do not sum to the group order")
-    rows = []
-    labels = []
-    for s, rep in enumerate(table.irreps):
-        scale = np.sqrt(rep.dim)
-        for j in range(rep.dim):
-            for k in range(rep.dim):
-                rows.append(scale * rep.matrices[:, j, k])
-                labels.append((s, j, k))
-    return np.array(rows), labels
+    basis = np.vstack([np.sqrt(r.dim) * r.matrices.reshape(order, r.dim * r.dim).T
+                       for r in table.irreps])
+    labels = [(s, j, k) for s, r in enumerate(table.irreps)
+              for j in range(r.dim) for k in range(r.dim)]
+    return basis, labels
 
 
 def fourier(table: IrrepTable, f) -> list:
@@ -579,7 +576,7 @@ class PropernessReport:
     multiplicities: tuple
 
 
-def is_proper(pi: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> PropernessReport:
+def is_proper(pi: UnitaryRep) -> PropernessReport:
     """Whether the measure representation through ``pi`` is injective.
 
     Equivalent formulations are cross-checked: the flattened matrices
@@ -589,7 +586,7 @@ def is_proper(pi: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> PropernessReport:
     ``character_table``, so no irrep matrix is formed.
     """
     rank = _span_rank(pi, range(pi.group.order))
-    mults = multiplicities(pi, character_table(pi.group, tol))
+    mults = multiplicities(pi, character_table(pi.group))
     present = tuple(int(i) for i in np.nonzero(mults)[0])
     missing = tuple(int(i) for i in np.nonzero(mults == 0)[0])
     proper = rank == pi.group.order

@@ -77,7 +77,7 @@ def commutant_kernel_in_one_shot(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     mats = np.asarray(mats, dtype=np.complex128)
     n = mats.shape[1]
     scale = float(np.sqrt(np.sum(np.abs(mats) ** 2)))
-    blocks = linalg.random_split(mats, np.random.default_rng(linalg._SPLIT_SEED), tol=tol)
+    blocks = linalg.random_split(mats, np.random.default_rng(linalg._SPLIT_SEED))
     v = np.hstack(blocks)
     sizes = [q.shape[1] for q in blocks]
     gram = linalg._reduced_sylvester_gram(linalg.compress(mats, v), sizes)
@@ -207,7 +207,7 @@ def subgroup_equivalence_by_irrep_matrices(group: FiniteGroup, subgroups, irrep_
     irrep_indices = list(irrep_indices)
     if not irrep_indices:
         return (tuple(range(len(subgroups))),)
-    table = reps.irrep_table(group, tol)
+    table = reps.irrep_table(group)
     images = np.concatenate([table.irreps[i].matrices.reshape(group.order, -1)
                              for i in irrep_indices], axis=1)
     interner = galois._Interner(images.shape[1])
@@ -477,7 +477,7 @@ def interned_by_equality(m: StarAlgebra, rep, subgroups, irrep_indices,
     ``Subspace.equals`` against the spaces before it, in order of first
     appearance.  A class lists its subgroups' indices, ascending."""
     fixed = [fixed_point_by_coordinates(m, rep, h, tol).subspace() for h in subgroups]
-    table = reps.irrep_table(rep.group, tol)
+    table = reps.irrep_table(rep.group)
     images = np.concatenate([table.irreps[i].matrices.reshape(rep.group.order, -1)
                              for i in irrep_indices], axis=1)
     spans = [Subspace.from_span(images[list(h.members)], images.shape[1], tol)

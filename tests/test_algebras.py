@@ -418,8 +418,8 @@ def test_fixed_point_dimension_certificate_catches_a_cut_eigenspace(s3, monkeypa
     reg = rotated(reps.regular_rep(s3))
     honest = linalg.random_split
 
-    def cut(stack, rng, parts=1, tol=DEFAULT_TOL):
-        blocks = honest(stack, rng, parts, tol)
+    def cut(stack, rng, parts=1):
+        blocks = honest(stack, rng, parts)
         j = max(range(len(blocks)), key=lambda i: blocks[i].shape[1])
         return blocks[:j] + [blocks[j][:, :1], blocks[j][:, 1:]] + blocks[j + 1:]
 

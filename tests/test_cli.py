@@ -85,6 +85,28 @@ def test_decompose_report(workspace, tmp_path):
     assert body["block_diagonalization_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("command", ["irreps", "decompose"])
+def test_irreps_and_decompose_reports_do_not_depend_on_the_tolerances(command, tmp_path,
+                                                                      monkeypatch):
+    # the tables are rebuilt for each run, so a tolerance that reached them
+    # could not hide behind their memo
+    s4 = groups.FIXTURE_GROUPS["S4"]()
+    payload = ({"group": reporting.group_to_json(s4), "seed": 3} if command == "irreps" else
+               {"representation": reporting.rep_to_json(reps.regular_rep(s4)), "seed": 7})
+    spec = write_spec(tmp_path, "spec.json", payload)
+    reports = []
+    for options in ([], ["--tol-abs", 1e-10, "--tol-rel", 1e-6]):
+        monkeypatch.setattr(reps, "_TABLE_CACHE", {})
+        monkeypatch.setattr(reps, "_CHARACTER_CACHE", {})
+        out = tmp_path / f"r{len(reports)}.json"
+        assert run_cli([command, spec, *options, "--out", out]) == 0
+        reports.append(load_report(out))
+    default, loose = (r.pop("tolerances") for r in reports)
+    assert default == {"abs_eps": 1e-12, "rel_eps": 1e-9}
+    assert loose == {"abs_eps": 1e-10, "rel_eps": 1e-6}
+    assert reports[0] == reports[1]
+
+
 def test_galois_report(workspace, tmp_path):
     spec = write_spec(workspace, "g.json", {"representation": "s3_reg.json"})
     out = tmp_path / "r.json"

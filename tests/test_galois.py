@@ -1440,8 +1440,8 @@ def _merging_isotypic_draws(monkeypatch, merged: int) -> list:
     draws of ``_require_isotypic_count``."""
     calls, honest = [], linalg.spectral_blocks
 
-    def colliding(h, tol=linalg.DEFAULT_TOL):
-        blocks = honest(h, tol)
+    def colliding(h):
+        blocks = honest(h)
         calls.append(len(blocks))
         if 1 < len(calls) <= 1 + merged:
             blocks = [np.hstack(blocks[:2]), *blocks[2:]]

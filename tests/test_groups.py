@@ -43,6 +43,14 @@ def test_z2_from_table():
     assert g.inv(1) == 1
 
 
+def test_a_group_copies_the_callers_table(fixture_groups):
+    table = np.array(fixture_groups["S3"].mult, dtype=np.intp)
+    g = FiniteGroup(table)
+    assert table.flags.writeable and g.mult is not table and not g.mult.flags.writeable
+    table[0, 0] = 1
+    assert g.mult[0, 0] == 0
+
+
 def test_s3_matches_brute_force():
     g = groups.symmetric_group(3)
     assert g.mult.tolist() == brute_force_s3_table()

@@ -356,8 +356,8 @@ def _merging_first_draws(monkeypatch, merged: int) -> list:
     the list of calls."""
     calls, honest = [], linalg.spectral_blocks
 
-    def colliding(h, tol=linalg.DEFAULT_TOL):
-        blocks = honest(h, tol)
+    def colliding(h):
+        blocks = honest(h)
         calls.append(len(blocks))
         if len(calls) <= merged:
             blocks = [np.hstack(blocks[:2]), *blocks[2:]]
@@ -414,8 +414,8 @@ def test_decompose_certifies_multiplicities_by_the_character_norm(s3, monkeypatc
     reg = reps.regular_rep(s3)
     honest = reps.invariant_isometries
 
-    def dropped(rep, seed, tol=linalg.DEFAULT_TOL):
-        pieces = honest(rep, seed, tol)
+    def dropped(rep, seed):
+        pieces = honest(rep, seed)
         return pieces[:-1]
 
     assert reps.decompose(reg, seed=9).blocks == ((0, 1), (1, 1), (2, 2))
@@ -458,8 +458,8 @@ def test_a_merged_pair_of_copies_fails_the_irrep_table(s4, monkeypatch):
     # 3-dimensional irrep as one block
     honest = linalg.random_split
 
-    def merged(stack, rng, parts=1, tol=linalg.DEFAULT_TOL):
-        blocks = honest(stack, rng, parts, tol)
+    def merged(stack, rng, parts=1):
+        blocks = honest(stack, rng, parts)
         return [np.hstack(blocks[:2]), *blocks[2:]] if parts == 3 else blocks
 
     monkeypatch.setattr(linalg, "random_split", merged)
